@@ -16,10 +16,6 @@ The layers, bottom to top:
   distributions, Coleman extraction, and mock global modules.
 * :mod:`iwa.lfunctions` — Kubota-Leopoldt branches, Euler-type factors at p,
   exceptional-zero reports, smoothing factors.
-* :mod:`iwa.euler_systems` — group-ring coefficients at tame levels, the eight
-  Frobenius polynomials, and synthetic norm-compatible systems.
-
-The command line lives in :mod:`iwa.cli` (installed as ``iwa``).
 """
 
 __version__ = "0.1.0"

@@ -8,15 +8,9 @@ convolution cannot carry between chunks, multiplied as integers, and sliced
 back out.  CPython's big-int multiply (or gmpy2's, when installed) then does
 the heavy lifting in C at subquadratic cost, which is what makes series
 products at x_prec ~ 600 cheap.
-
-The same trick handles the multidimensional *cyclic* convolutions of the tame
-group rings at Kolyvagin levels: each axis is padded to 2d-1 cells so the
-acyclic product cannot wrap, then folded back mod d.
 """
 
 from __future__ import annotations
-
-from math import prod
 
 try:  # gmpy2 is optional; plain ints are fine, just slower on huge operands
     from gmpy2 import mpz as _mpz
@@ -87,20 +81,6 @@ def polypow(A: list[int], e: int, mod: int, trunc: int | None = None) -> list[in
     return out
 
 
-def polyadd(A: list[int], B: list[int], mod: int) -> list[int]:
-    if len(A) < len(B):
-        A, B = B, A
-    out = list(A)
-    for i, v in enumerate(B):
-        out[i] = (out[i] + v) % mod
-    return out
-
-
-def polyscale(A: list[int], s: int, mod: int) -> list[int]:
-    s %= mod
-    return [a * s % mod for a in A]
-
-
 def geometric_sum(Y: list[int], p: int, mod: int, trunc: int | None = None) -> list[int]:
     """1 + Y + ... + Y^(p-1) mod (mod, X^trunc), by Horner."""
     acc = [1 % mod]
@@ -135,54 +115,3 @@ def compose_affine(
         new[0] = (new[0] + coeff) % mod
         res = new
     return res
-
-
-def cyclic_convolve(
-    A: list[int], B: list[int], dims: tuple[int, ...], mod: int
-) -> list[int]:
-    """Cyclic convolution over Z[Z/d_1 x ... x Z/d_r], flat row-major lists.
-
-    Axis i of the packed layout is padded to 2*d_i - 1 cells, so the acyclic
-    integer product cannot wrap within an axis; wrapping is then applied
-    explicitly by folding exponents mod d_i.
-    """
-    n = prod(dims) if dims else 1
-    if len(A) != n or len(B) != n:
-        raise ValueError("flat length does not match dims")
-    if not dims:
-        return [A[0] * B[0] % mod]
-    ext = [2 * d - 1 for d in dims]
-    stride = [1] * len(dims)
-    for i in range(1, len(dims)):
-        stride[i] = stride[i - 1] * ext[i - 1]
-    total_cells = stride[-1] * ext[-1]
-    bound = (mod - 1) * (mod - 1) * n + 1
-    cb = (bound.bit_length() + 7) // 8
-
-    def pack_nd(T: list[int]) -> int:
-        buf = bytearray(cb * total_cells)
-        for flat, v in enumerate(T):
-            if v:
-                f, cell = flat, 0
-                for i, d in enumerate(dims):
-                    cell += (f % d) * stride[i]
-                    f //= d
-                v %= mod
-                buf[cell * cb : cell * cb + (v.bit_length() + 7) // 8] = v.to_bytes(
-                    (v.bit_length() + 7) // 8, "little"
-                )
-        return int.from_bytes(buf, "little")
-
-    z = _bigmul(pack_nd(A), pack_nd(B))
-    zb = z.to_bytes(cb * (total_cells + 1), "little")
-    out = [0] * n
-    for cell in range(total_cells):
-        v = int.from_bytes(zb[cell * cb : (cell + 1) * cb], "little")
-        if v:
-            f, idx, mult = cell, 0, 1
-            for i, d in enumerate(dims):
-                idx += ((f % ext[i]) % d) * mult
-                f //= ext[i]
-                mult *= d
-            out[idx] = (out[idx] + v) % mod
-    return out

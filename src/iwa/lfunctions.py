@@ -51,7 +51,7 @@ import sympy
 from .dieudonne import PhiModule
 from .distributions import Distribution, divide_exact
 from .pollack import log_p_unit
-from .scalars import PadicScalar, Precision, PrecisionError, teichmuller
+from .scalars import PadicScalar, Precision, PrecisionError, _vp, teichmuller
 from .series import FiniteCharacter, IwasawaElement, Series, u_for
 
 __all__ = [
@@ -98,16 +98,6 @@ def _ind(p: int, a: int) -> int:
         return _dlog_table(p)[a % p]
     except KeyError:
         raise ValueError(f"{a} is not a unit mod {p}") from None
-
-
-def _vp_int(n: int, p: int) -> int:
-    if n == 0:
-        raise ValueError("valuation of zero")
-    e = 0
-    while n % p == 0:
-        n //= p
-        e += 1
-    return e
 
 
 @lru_cache(maxsize=None)
@@ -323,7 +313,7 @@ class DirichletCharacter:
         """
         psi = self.primitive()
         f = psi.conductor
-        vp = _vp_int(f, self.p) if f % self.p == 0 else 0
+        vp = _vp(f, self.p) if f % self.p == 0 else 0
         if vp == 0:
             return psi, None
         if vp > 1:
@@ -534,7 +524,7 @@ def _kl_core(eta: DirichletCharacter, branch_i: int, prec: Precision) -> dict:
         raise PrecisionError(
             f"window needs {E} interpolation nodes; the stabilization cap is {_NODE_CAP}"
         )
-    rel = prec.p_prec + E + _vp_int(math.factorial(E), p) + 16
+    rel = prec.p_prec + E + _vp(math.factorial(E), p) + 16
     wprec = prec.with_p_prec(rel)
     u = u_for(p)
 

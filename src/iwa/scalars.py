@@ -44,19 +44,6 @@ class ExactZeroError(PrecisionError):
     """Raised when an exact zero is asked for a valuation or used as a divisor."""
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
-
-
 def _vp(n: int, p: int) -> int:
     """p-adic valuation of a nonzero integer."""
     if n == 0:
@@ -82,7 +69,9 @@ class Precision:
     x_prec: int = 1
 
     def __post_init__(self) -> None:
-        if not _is_prime(self.p) or self.p == 2:
+        from sympy import isprime  # on first use: ``import iwa`` loads no sympy
+
+        if not isprime(self.p) or self.p == 2:
             raise ValueError(f"p must be an odd prime, got {self.p}")
         if self.p_prec < 1:
             raise ValueError("p_prec must be >= 1")

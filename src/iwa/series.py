@@ -41,6 +41,7 @@ from ._kernel import geometric_sum as _k_geom
 from ._kernel import polymul as _k_mul
 from ._kernel import polypow as _k_pow
 from .scalars import (
+    ExactZeroError,
     PadicScalar,
     Precision,
     PrecisionError,
@@ -602,7 +603,9 @@ class Series:
         factors qualify.  For a non-polynomial dividend the unknown tail can
         seep down; each reduction trades at most deg(phi) degrees for at least
         min-valuation-gain digits, and the remainder's precision is capped by
-        the resulting worst-case bound.
+        the resulting worst-case bound.  A non-polynomial dividend no longer
+        than deg(phi) determines no remainder coefficient and raises
+        PrecisionError.
 
         The cap needs a model of how deep the unseen tail coefficients sit.
         By default they are assumed no worse than the visible floor; for a
@@ -621,6 +624,12 @@ class Series:
             raise ValueError("modulus top coefficient must be a unit")
         L = len(self.a)
         if L <= D:
+            if not self.is_polynomial:
+                # the unseen X^L.. terms reduce into every remainder degree
+                raise PrecisionError(
+                    f"a truncated dividend of length {L} does not determine "
+                    f"its remainder modulo a degree-{D} polynomial"
+                )
             return self
         p = self.prec.p
         offp, Wp, cphi = _pack_part(phi.a[: D + 1], p)
@@ -1016,10 +1025,80 @@ def _quotient_by_monic(F: Series, P: Series) -> Series:
     return Series.make(F.prec, q, form=F.form, is_polynomial=True)
 
 
+def _triples(part, length):
+    """(val, unit, rel) of each coefficient, exact zeros (val None) past the end."""
+    out = [(c.val, c.unit, c.rel) for c in part[:length]]
+    return out + [(None, 0, 0)] * (length - len(out))
+
+
+def _back_substitute(num, den, p):
+    """Q with Q*den = num, one degree at a time, on (val, unit, rel) triples.
+
+    ``num`` gives Q's length and ``den`` is a divisor over Q_p.  Every triple
+    is a PadicScalar's normalized state (val None: the exact zero) and each
+    step obeys the scalar rules exactly: q[m] is num[m] plus the products
+    -den[i]*q[m-i] (each at the smaller relative precision, exact zeros
+    dropped), times 1/den[0] at the smaller relative precision.  A run of
+    min-abs additions is the exact sum of its terms reduced once, at the
+    smallest absolute precision among them, with the p-power stripped; so
+    each degree reduces once.  An exact or zero-to-precision den[0] raises
+    as PadicScalar.inverse does.
+    """
+    v0, u0, r0 = den[0]
+    if v0 is None:
+        raise ExactZeroError("division by exact zero")
+    if r0 == 0:
+        raise PrecisionError(f"division by zero-to-precision O(p^{v0})")
+    vi, ri = -v0, r0
+    ui = pow(u0, -1, p**r0)
+    terms = [(i, v, u, r) for i, (v, u, r) in enumerate(den) if i and v is not None]
+    pw = [1]
+    q = []
+    for m, (v, u, r) in enumerate(num):
+        A = inf if v is None else v + r
+        live = [(v, u)] if v is not None and r else []
+        for i, gv, gu, gr in terms:
+            if i > m:
+                break
+            qv, qu, qr = q[m - i]
+            if qv is None:
+                continue
+            e = gv + qv
+            rr = gr if gr < qr else qr
+            if e + rr < A:
+                A = e + rr
+            if rr:
+                live.append((e, -gu * qu))
+        if A == inf:
+            q.append((None, 0, 0))
+            continue
+        live = [t for t in live if t[0] < A]
+        if live:
+            base = min(e for e, _ in live)
+            while len(pw) <= A - base:
+                pw.append(pw[-1] * p)
+            s = sum(c * pw[e - base] for e, c in live) % pw[A - base]
+        else:
+            s = 0
+        if s == 0:
+            sv, su, sr = A, 0, 0
+        else:
+            k = 0
+            while s % p == 0:
+                s //= p
+                k += 1
+            sv, su, sr = base + k, s, A - base - k
+        r = sr if sr < ri else ri
+        q.append((sv + vi, su * ui % pw[r] if r else 0, r))
+    return q
+
+
 def divide_series(F: Series, G: Series, growth_order=None) -> Series:
     """Quotient Q with Q*G = F, refusing an F that misses G's zeros in the open disc.
 
-    Let d be G's lowest degree that is nonzero to precision; F must vanish
+    A divisor whose alpha-part is not exactly zero is divided through its
+    norm: F/G is F*conj(G) / (G*conj(G)), and G*conj(G) lies over Q_p.  Let d be the lowest
+    degree of the (Q_p) divisor that is nonzero to precision; F must vanish
     below it.  Beyond that, by Weierstrass preparation G/X^d = P * p^v * unit
     with P distinguished of degree lambda (see _weierstrass_split), and F is
     divisible by G exactly when F/X^d is divisible by P.  For a polynomial
@@ -1027,29 +1106,31 @@ def divide_series(F: Series, G: Series, growth_order=None) -> Series:
     remainder of F/X^d modulo P (Series.remainder_mod, with ``growth_order``
     as the model of a truncated dividend's tail) must be zero to precision,
     else DivisibilityError names the degree of its first nonzero coefficient.
-    A polynomial divisor with an alpha-part is tested through its norm: F/G
-    is F*conj(G) / (G*conj(G)).  A truncated divisor's window certifies no
-    lambda, so its open-disc zeros are checked only by the cyclotomic
-    certificates divide_exact applies (Distribution.cyclo_factors).
+    A truncated divisor's window certifies no lambda, so its open-disc zeros
+    are checked only by the cyclotomic certificates divide_exact applies
+    (Distribution.cyclo_factors).
 
     The quotient of two polynomials keeps the full x_prec window; otherwise
     its length is the shared window minus d.  It is computed by
-    back-substitution from degree d, except that two polynomials with
-    lambda > 0 divide as (F/X^d quo P) / (G/X^d quo P), so no digit is lost
-    to G's zeros.  Precision follows scalar propagation, plus a cap
-    accounting for any below-d coefficients of F or G that are only zero to
-    finite precision.
+    back-substitution from degree d on (val, unit, rel) integer triples under
+    PadicScalar's precision rules (_back_substitute), the a- and b-parts of
+    a Q_p(alpha) dividend as two Q_p solves; two polynomials with lambda > 0
+    divide as (F/X^d quo P) / (G/X^d quo P), so no digit is lost to G's
+    zeros.  Precision follows scalar propagation, plus a cap accounting for
+    any below-d coefficients of F or G that are only zero to finite
+    precision.
     """
     F._check_compat(G)
-    if G.is_polynomial and G.b is not None:
-        conj = Series(G.prec, G.a, [-c for c in G.b], G.form, is_polynomial=True)
+    if G.b is not None and any(c.val is not None for c in G.b):
+        conj = Series(G.prec, G.a, [-c for c in G.b], G.form, G.is_polynomial)
         norm = G * conj  # its alpha-part cancels; only the Q_p part is kept
-        if not norm.is_polynomial:
+        if G.is_polynomial and not norm.is_polynomial:
             raise PrecisionError(
                 "the divisor's norm G*conj(G) does not fit in the X-window"
             )
         return divide_series(
-            F * conj, Series(G.prec, norm.a, is_polynomial=True), growth_order
+            F * conj, Series(G.prec, norm.a, is_polynomial=norm.is_polynomial),
+            growth_order,
         )
     form = F._merge_form(G)
     if F.is_polynomial and G.is_polynomial:
@@ -1061,12 +1142,7 @@ def divide_series(F: Series, G: Series, growth_order=None) -> Series:
     else:
         window = min(len(F.a), len(G.a))
 
-    d = None
-    for i in range(len(G.a)):
-        gi = G.coeff(i)
-        if not gi.is_zero_to_precision:
-            d = i
-            break
+    d = next((i for i, c in enumerate(G.a) if not c.is_zero_to_precision), None)
     if d is None:
         raise DivisibilityError("divisor is zero at this precision")
 
@@ -1079,20 +1155,17 @@ def divide_series(F: Series, G: Series, growth_order=None) -> Series:
                 f"divisor's order {d}",
                 degree=i,
             )
-        for c in (G.coeff(i), fi):
-            if c is None:
-                continue
-            parts = (c.a, c.b) if isinstance(c, QuadExtScalar) else (c,)
-            for pt in parts:
-                if pt.val is not None and pt.rel == 0:
-                    low_bounds.append(pt.val)
+        parts = [G.a[i]]
+        if fi is not None:
+            parts += (fi.a, fi.b) if isinstance(fi, QuadExtScalar) else (fi,)
+        for pt in parts:
+            if pt.val is not None and pt.rel == 0:
+                low_bounds.append(pt.val)
 
     num = Series(
         F.prec, F.a[d:], None if F.b is None else F.b[d:], F.form, F.is_polynomial
     )
-    den = Series(
-        G.prec, G.a[d:], None if G.b is None else G.b[d:], G.form, G.is_polynomial
-    )
+    den = Series(G.prec, G.a[d:], None, G.form, G.is_polynomial)
     split = _weierstrass_split(den) if G.is_polynomial else None
     if split is not None:
         P, U = split
@@ -1114,27 +1187,28 @@ def divide_series(F: Series, G: Series, growth_order=None) -> Series:
         if F.is_polynomial:
             num, den = _quotient_by_monic(num, P), U
 
-    g0 = den.coeff(0)
     qlen = F.prec.x_prec if window is None else max(window - d, 0)
-    q: list = []
-    for mdeg in range(qlen):
-        s = num.coeff(mdeg)
-        for i in range(1, mdeg + 1):
-            gi = den.coeff(i)
-            if gi.is_exact_zero:
-                continue
-            s = s - gi * q[mdeg - i]
-        q.append(s / g0)
+    aa, bb = [], None
+    if qlen:
+        g = _triples(den.a, qlen)
+        qa = _back_substitute(_triples(num.a, qlen), g, F.prec.p)
+        aa = [PadicScalar(F.prec, *t) for t in qa]
+        if num.form is not None or den.form is not None:
+            # a Q_p divisor acts on the a- and b-parts separately
+            qb = _back_substitute(_triples(num.b or (), qlen), g, F.prec.p)
+            bb = [PadicScalar(F.prec, *t) for t in qb]
 
-    if low_bounds and q:
+    if low_bounds and aa:
         # below-pivot coefficients of F or G known only as O(p^A) perturb the
         # quotient by about G_top^{-1} * O(p^A) * Q; cap accordingly
-        vq = min(
-            (Fraction(c.valuation()) for c in q if not c.is_exact_zero),
-            default=Fraction(0),
-        )
-        vg = Fraction(G.coeff(d).valuation())
-        cap_f = min(low_bounds) + min(Fraction(0), vq) - vg
+        vals = [Fraction(c.val) for c in aa if c.val is not None]
+        if bb is not None:
+            half = Fraction(form[0] + 1, 2)  # v(alpha)
+            vals += [c.val + half for c in bb if c.val is not None]
+        vq = min(vals, default=Fraction(0))
+        cap_f = min(low_bounds) + min(Fraction(0), vq) - G.a[d].val
         cap = cap_f.numerator // cap_f.denominator  # floor
-        q = [c.reduce_abs(cap) for c in q]
-    return Series.make(F.prec, q, form=form)
+        aa = [c.reduce_abs(cap) for c in aa]
+        if bb is not None:
+            bb = [c.reduce_abs(cap) for c in bb]
+    return Series(F.prec, aa, bb, form)

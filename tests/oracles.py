@@ -235,3 +235,70 @@ def frobenius_polys_by_roots(ell: int, a: int, eps: int, k: int, c: Fraction):
         return out
 
     return expand(roots3), expand(roots4)
+
+
+# ------------------------------------------------ reference back-substitution
+#
+# The one oracle here built on the library: divide_series's division loop as
+# it ran on PadicScalar / QuadExtScalar objects before it moved to integer
+# triples.  The scalar layer is the specification the triple kernel must
+# reproduce bit for bit, so it is the reference.
+
+
+def back_substitute_scalars(num, den, qlen: int) -> list:
+    """The first qlen coefficients of num/den, one scalar operation at a time."""
+    g0 = den.coeff(0)
+    q: list = []
+    for mdeg in range(qlen):
+        s = num.coeff(mdeg)
+        for i in range(1, mdeg + 1):
+            gi = den.coeff(i)
+            if gi.is_exact_zero:
+                continue
+            s = s - gi * q[mdeg - i]
+        q.append(s / g0)
+    return q
+
+
+def reference_divide(F, G):
+    """divide_series(F, G) by scalar back-substitution, for a Q_p divisor G.
+
+    G must have no zeros in the open disc to test: it is truncated, or a
+    polynomial whose lowest coefficient nonzero to precision has the least
+    valuation.  Window, pivot and the cap for below-pivot zeros to precision
+    follow divide_series.
+    """
+    from iwa.scalars import QuadExtScalar
+    from iwa.series import DivisibilityError, Series
+
+    form = F._merge_form(G)
+    d = next((i for i in range(len(G.a)) if not G.coeff(i).is_zero_to_precision), None)
+    if d is None:
+        raise DivisibilityError("divisor is zero at this precision")
+    if F.is_polynomial and G.is_polynomial:
+        qlen = F.prec.x_prec
+    else:  # the shorter truncated window, less the divisor's order
+        qlen = max(min(len(S.a) for S in (F, G) if not S.is_polynomial) - d, 0)
+    low_bounds = []
+    for i in range(d):
+        fi = F.coeff(i) if i < len(F.a) or F.is_polynomial else None
+        if fi is not None and not fi.is_zero_to_precision:
+            raise DivisibilityError("dividend nonzero below the divisor's order", degree=i)
+        for c in (G.coeff(i), fi):
+            if c is None:
+                continue
+            for pt in (c.a, c.b) if isinstance(c, QuadExtScalar) else (c,):
+                if pt.val is not None and pt.rel == 0:
+                    low_bounds.append(pt.val)
+    num = Series(F.prec, F.a[d:], None if F.b is None else F.b[d:], F.form, F.is_polynomial)
+    den = Series(G.prec, G.a[d:], None, G.form, G.is_polynomial)
+    q = back_substitute_scalars(num, den, qlen)
+    if low_bounds and q:
+        vq = min(
+            (Fraction(c.valuation()) for c in q if not c.is_exact_zero),
+            default=Fraction(0),
+        )
+        cap_f = min(low_bounds) + min(Fraction(0), vq) - Fraction(G.coeff(d).valuation())
+        cap = cap_f.numerator // cap_f.denominator
+        q = [c.reduce_abs(cap) for c in q]
+    return Series.make(F.prec, q, form=form)

@@ -14,12 +14,21 @@ from iwa.series import (
     FiniteCharacter,
     IwasawaElement,
     Series,
+    _back_substitute,
+    _triples,
     cyclotomic_factor,
     divide_series,
     u_for,
 )
 
-from oracles import log1plus_coeffs, phi_ppow_coeffs, poly_compose_affine, poly_mul
+from oracles import (
+    back_substitute_scalars,
+    log1plus_coeffs,
+    phi_ppow_coeffs,
+    poly_compose_affine,
+    poly_mul,
+    reference_divide,
+)
 
 P5 = Precision(5, 20, 16)
 
@@ -365,6 +374,15 @@ def test_remainder_respects_j_twist():
     assert not F.remainder_mod_cyclotomic(1, 0).is_zero_to_precision
 
 
+def test_remainder_of_a_short_truncated_dividend_is_undetermined():
+    # the unseen X^2 term of 1 + O(X) shifts the remainder mod X^2 + 5 by a
+    # multiple of 5, so no coefficient is known; a polynomial is its own remainder
+    phi = frac_series([5, 0, 1], prec=Precision(5, 20, 32))
+    with pytest.raises(PrecisionError):
+        Series.make(phi.prec, [1], is_polynomial=False).remainder_mod(phi)
+    assert Series.make(phi.prec, [1], is_polynomial=True).remainder_mod(phi) == 1
+
+
 def test_remainder_requires_room():
     prec = Precision(5, 10, 8)
     F = IwasawaElement.one(prec)
@@ -485,3 +503,139 @@ def test_divide_by_alpha_part_divisor_uses_the_norm():
     assert Q.min_abs_prec() >= P32.p_prec
     with pytest.raises(DivisibilityError):
         divide_series(frac_series([1], prec=P32), G)
+
+
+def test_divide_by_truncated_alpha_part_divisor_uses_the_norm():
+    one = QuadExtScalar.one(P32, 1, 2)
+    alpha = QuadExtScalar.alpha(P32, 1, 2)
+    G = Series.make(
+        P32, [one + alpha, alpha * 3, 7, one - alpha] * 4, is_polynomial=False
+    )
+    H = frac_series([3, 1, 4, 1, 5], prec=P32)
+    F = G * H
+    Q = divide_series(F, G)
+    assert Q.b is not None and len(Q.a) == len(G.a)
+    assert Q * G == F and Q == H
+    assert Q.min_abs_prec() >= P32.p_prec - 1
+
+
+@pytest.mark.parametrize("poly", [True, False], ids=["polynomial", "truncated"])
+def test_divide_by_exactly_zero_alpha_part_is_division_over_qp(poly):
+    # an alpha-part array of exact zeros is no alpha-part: no norm is taken
+    g = [Fraction(1, 6) - 1, Fraction(1, 6), 3] + ([] if poly else [7] * 10)
+    Gq = frac_series(g, prec=P32, poly=poly)
+    zero = PadicScalar.exact_zero(P32)
+    Ga = Series(P32, Gq.a, [zero] * len(g), (1, 2), poly)
+    F = Gq * frac_series([3, 1, 4], prec=P32)
+    Qq, Qa = divide_series(F, Gq), divide_series(F, Ga)
+    assert triple_shape(Qq)[0] == triple_shape(Qa)[0]
+    assert all(c.is_exact_zero for c in Qa.b or ())
+
+
+# ------------------------------ division: the triple kernel against scalars
+
+
+def triple_shape(s: Series):
+    def part(cs):
+        return None if cs is None else [(c.val, c.unit, c.rel) for c in cs]
+
+    return part(s.a), part(s.b), s.form, s.is_polynomial
+
+
+def outcome(fn, *args):
+    """The result's triples and shape, or the class of the PrecisionError raised."""
+    try:
+        out = fn(*args)
+    except PrecisionError as e:  # DivisibilityError and ExactZeroError included
+        return type(e)
+    return triple_shape(out) if isinstance(out, Series) else out
+
+
+@st.composite
+def scalars(draw, prec, zero=True, min_val=-2):
+    """A PadicScalar mixing valuation and digits; exact and inexact zeros too."""
+    p = prec.p
+    kind = draw(st.sampled_from(["unit"] * 4 + (["exact", "inexact"] if zero else [])))
+    v = draw(st.integers(min_val, 3))
+    if kind == "exact":
+        return PadicScalar.exact_zero(prec)
+    if kind == "inexact":
+        return PadicScalar.inexact_zero(prec, max(v, 1))
+    rel = draw(st.integers(1, 12))
+    u = draw(st.integers(0, p ** (rel - 1))) * p + draw(st.integers(1, p - 1))
+    return PadicScalar(prec, v, u, rel)
+
+
+@st.composite
+def zeros(draw, prec):
+    """The exact zero or a zero to precision O(p^A)."""
+    A = draw(st.one_of(st.none(), st.integers(-1, 3)))
+    return PadicScalar.exact_zero(prec) if A is None else PadicScalar.inexact_zero(prec, A)
+
+
+@st.composite
+def division_cases(draw):
+    """(F, G) over p in {3, 5, 7} that divide_series sends to back-substitution.
+
+    G is over Q_p, truncated or a polynomial without zeros in the open disc
+    (its pivot a unit, nothing below valuation 0), maybe carrying form data;
+    it may start with zeros to precision, exact or not (the cap path).  F may
+    have an alpha-part, be a polynomial shorter than the window, and is
+    usually zero to precision below G's pivot.
+    """
+    p = draw(st.sampled_from([3, 5, 7]))
+    prec = Precision(p, 12, draw(st.integers(3, 12)))
+    form = (draw(st.integers(0, 2)), draw(st.integers(1, p - 1)))
+    d = draw(st.integers(0, 2))
+    g_poly = draw(st.booleans())
+    lead = [draw(zeros(prec)) for _ in range(d)]
+    if g_poly:
+        pivot = PadicScalar(prec, 0, draw(st.integers(1, p - 1)), draw(st.integers(1, 12)))
+        rest = [draw(scalars(prec, min_val=0)) for _ in range(draw(st.integers(0, 4)))]
+    else:
+        pivot = draw(scalars(prec, zero=False))
+        rest = [draw(scalars(prec)) for _ in range(draw(st.integers(0, prec.x_prec)))]
+    G = Series(prec, lead + [pivot] + rest, None, draw(st.sampled_from([None, form])), g_poly)
+    f_poly = draw(st.booleans())
+    n = draw(st.integers(0, 5) if f_poly else st.integers(1, prec.x_prec))
+    below = [draw(zeros(prec)) for _ in range(min(d, n))]
+    if below and not draw(st.integers(0, 9)):
+        below[-1] = draw(scalars(prec, zero=False))  # not divisible
+    fa = below + [draw(scalars(prec)) for _ in range(n - len(below))]
+    fb = [draw(scalars(prec)) for _ in fa] if draw(st.booleans()) else None
+    f_form = form if fb is not None or draw(st.booleans()) else None
+    F = Series(prec, fa, fb, f_form, f_poly)
+    if draw(st.booleans()):
+        # an exact multiple: back-substitution then cancels at every degree
+        hb = None if fb is None else [draw(scalars(prec)) for _ in range(n)]
+        F = G * Series(prec, [draw(scalars(prec)) for _ in range(n)], hb, f_form, f_poly)
+    return F, G
+
+
+@settings(max_examples=300, deadline=None)
+@given(division_cases())
+def test_divide_series_matches_scalar_back_substitution(case):
+    F, G = case
+    assert outcome(divide_series, F, G) == outcome(reference_divide, F, G)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_triple_kernel_matches_scalar_loop(data):
+    # any divisor, its constant term zero or not: the same triples or error
+    p = data.draw(st.sampled_from([3, 5, 7]))
+    prec = Precision(p, 12, 12)
+    n = data.draw(st.integers(1, 10))
+    m = data.draw(st.integers(1, n))
+    den = Series(prec, [data.draw(scalars(prec)) for _ in range(m)], is_polynomial=True)
+    num = Series(prec, [data.draw(scalars(prec)) for _ in range(n)], is_polynomial=True)
+    if data.draw(st.booleans()):
+        num = den * num  # cancellation at every degree
+
+    def kernel():
+        return _back_substitute(_triples(num.a, n), _triples(den.a, n), p)
+
+    def scalar_loop():
+        return [(c.val, c.unit, c.rel) for c in back_substitute_scalars(num, den, n)]
+
+    assert outcome(kernel) == outcome(scalar_loop)
