@@ -8,6 +8,11 @@ convolution cannot carry between chunks, multiplied as integers, and sliced
 back out.  CPython's big-int multiply (or gmpy2's, when installed) then does
 the heavy lifting in C at subquadratic cost, which is what makes series
 products at x_prec ~ 600 cheap.
+
+Not everything is a product: a cyclotomic level factor has a closed form in
+binomial rows (:func:`cyclotomic_cells`), and :func:`compose_affine` is a
+Horner loop.  :func:`polypow` and :func:`geometric_sum` build the same level
+factor by powering and are kept as its reference.
 """
 
 from __future__ import annotations
@@ -90,6 +95,31 @@ def geometric_sum(Y: list[int], p: int, mod: int, trunc: int | None = None) -> l
             acc = [0]
         acc[0] = (acc[0] + 1) % mod
     return acc
+
+
+def cyclotomic_cells(p: int, m: int, c: int, mod: int, trunc: int) -> list[int]:
+    """Phi_{p^m}(c(1+X)) mod (mod, X^trunc) for m >= 1, from binomial rows.
+
+    With e = p^(m-1), Phi_{p^m}(z) = sum_{i<p} z^(i e), so the coefficient of
+    X^n is sum_{i<p} c^(i e) C(i e, n).  Each row C(E, n) comes from the exact
+    recurrence C(E, n) = C(E, n-1) (E-n+1) / n and each cell is reduced once,
+    so the cells equal ``geometric_sum(polypow([c, c], e, mod, trunc), p, mod,
+    trunc)``, length included: min(trunc, (p-1) e + 1).
+    """
+    if m < 1:
+        raise ValueError("level must be >= 1")
+    e = p ** (m - 1)
+    L = min(trunc, (p - 1) * e + 1)
+    acc = [0] * L
+    for i in range(p):
+        E = i * e
+        w = pow(c, E, mod)
+        acc[0] += w
+        b = 1
+        for n in range(1, min(L, E + 1)):
+            b = b * (E - n + 1) // n
+            acc[n] += w * b
+    return [a % mod for a in acc]
 
 
 def compose_affine(

@@ -11,6 +11,10 @@ factor tends to 1 in the (p, X)-adic topology, so inside a window mod
 (p^M, X^N) the product stabilizes: construction stops at the first level of
 the right parity whose factor is indistinguishable from 1 in the window *and*
 whose cyclotomic degree exceeds the window length.  Both facts are recorded.
+Each level factor is built on its own from binomial rows, since
+Phi_{p^m}(z) = sum_{i<p} z^(i p^(m-1)) and (1+X)^E has the row C(E, n): a
+level costs O(pN) big-integer steps and no convolution, and levels of the
+other parity are never formed.
 
 All per-factor and per-twist 1/p normalizations are carried as a single
 valuation offset over integral coefficient arithmetic, so nothing is lost to
@@ -27,7 +31,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._kernel import geometric_sum, polymul, polypow
+from ._kernel import cyclotomic_cells, polymul
 from .distributions import Distribution
 from .scalars import PadicScalar, Precision, _vp
 from .series import IwasawaElement, Series, u_for
@@ -89,32 +93,27 @@ def _signed_product(kind: str, j: int, p: int, u: int, W: int, N: int, M: int):
     """One twist's worth of the plus/minus product, as integer cells.
 
     Returns (cells, included_count, stop_level): the product of every factor
-    of the right parity below the stop level, computed mod (p^W, X^N).
+    of the right parity below the stop level, computed mod (p^W, X^N).  Each
+    level factor Phi_{p^m}(u^{-j}(1+X)) comes straight from its binomial rows
+    (:func:`cyclotomic_cells`), so levels of the other parity cost nothing.
     """
     pW = p**W
     uj = pow(pow(u, -1, pW), j, pW)
-    x = [uj % pW, uj % pW][:N]  # u^{-j}(1+X), truncated
-    want_even = kind == "plus"
     prod = [1]
     count = 0
-    m = 0
     # levels certainly stabilize a little past M + log_p(N); 4M + 16 is a
     # generous safety margin, overrunning it means a genuine bug
     limit = 4 * M + 16
-    while True:
-        m += 1
-        if m > limit:  # pragma: no cover - safety net
-            raise RuntimeError(f"cyclotomic product did not stabilize by level {m}")
-        if m > 1:
-            x = polypow(x, p, pW, N)  # now (u^{-j}(1+X))^(p^(m-1))
-        if (m % 2 == 0) != want_even:
-            continue
-        phi = geometric_sum(x, p, pW, N)
+    for m in range(2 if kind == "plus" else 1, limit + 1, 2):
+        phi = cyclotomic_cells(p, m, uj, pW, N)
         deg = p ** (m - 1) * (p - 1)
         if deg > N and _factor_is_trivial(phi, p, M):
             return prod, count, m
         prod = polymul(prod, phi, pW, N)
         count += 1
+    raise RuntimeError(  # pragma: no cover - safety net
+        f"cyclotomic product did not stabilize by level {limit}"
+    )
 
 
 def log_p_unit(t: int, p: int, rel: int, prec: Precision) -> PadicScalar:
@@ -251,6 +250,8 @@ def log_identity_check(p: int, r: int, prec: Precision | None = None) -> dict:
     """
     if prec is None:
         prec = Precision(p, 30, 64)
+    if prec.p != p:
+        raise ValueError(f"window is for p = {prec.p}, not p = {p}")
     M, N = prec.p_prec, prec.x_prec
     # elevated enough that the signed products' truncation-tail caps still
     # leave at least M trusted digits on every coefficient

@@ -37,9 +37,8 @@ from fractions import Fraction
 from math import inf
 
 from ._kernel import compose_affine as _k_compose
-from ._kernel import geometric_sum as _k_geom
+from ._kernel import cyclotomic_cells as _k_cyclo
 from ._kernel import polymul as _k_mul
-from ._kernel import polypow as _k_pow
 from .scalars import (
     ExactZeroError,
     PadicScalar,
@@ -707,11 +706,13 @@ def cyclotomic_factor(
 ) -> Series:
     """Phi_{p^m}(u^{-j} (1+X)) truncated mod X^x_prec.
 
-    Built as the geometric sum 1 + y + ... + y^(p-1) with y = z^(p^(m-1)),
-    z = u^{-j}(1+X): no division anywhere, so every coefficient is known to
-    the full working modulus.  The degenerate level m = 0 is the linear factor
-    z - 1 (exactly X when j = 0), the one cut out by the trivial wild
-    character; it is stored with exact rational coefficients.
+    Built from binomial rows (:func:`iwa._kernel.cyclotomic_cells`): with
+    z = u^{-j}(1+X) and e = p^(m-1), the coefficient of X^n is
+    sum_{i<p} u^{-j i e} C(i e, n).  No division anywhere, so every
+    coefficient is known to the full working modulus.  The degenerate level
+    m = 0 is the linear factor z - 1 (exactly X when j = 0), the one cut out
+    by the trivial wild character; it is stored with exact rational
+    coefficients.
     """
     if m < 0:
         raise ValueError("m must be >= 0")
@@ -727,15 +728,8 @@ def cyclotomic_factor(
         return Series.make(prec, coeffs, rel=W, is_polynomial=True)
     mod = p**W
     N = prec.x_prec
-    uj = pow(u, -j, mod)
-    y = _k_pow([uj, uj], p ** (m - 1), mod, N)
-    cells = _k_geom(y, p, mod, N)
-    D = p ** (m - 1) * (p - 1)
-    if D + 1 <= N:
-        cells = cells[: D + 1]
-        poly = True
-    else:
-        poly = False
+    cells = _k_cyclo(p, m, pow(u, -j, mod), mod, N)  # min(N, deg + 1) cells
+    poly = p ** (m - 1) * (p - 1) + 1 <= N
     aa = tuple(PadicScalar(prec, 0, c, W) for c in cells)
     return Series(prec, aa, None, None, is_polynomial=poly)
 

@@ -194,6 +194,26 @@ def _mat_apply(M, vec):
 # -- factorization ---------------------------------------------------------
 
 
+def _divisor_rows(q: UnboundedQuadruple, k: int, convention, eps_seed):
+    """The set-up shared by :func:`factor_signed` and :func:`factor_report`.
+
+    Returns (convention, rows, logs): M*q in row order at the work precision
+    and the column of signed logarithms each row is divided by.  A coordinate
+    that claims growth beyond k+1 raises ValueError.
+    """
+    conv = _conv(convention)
+    if eps_seed is None:
+        form = _detect_form(q)
+        eps_seed = form[1] if form is not None else 1
+    for d in q.vector():
+        if d.order_tag > k + 1:
+            raise ValueError("coordinate claims growth beyond k+1")
+    work = _work_prec(k, q.prec)
+    M, _ = change_of_basis(work, k, eps_seed)
+    rows = _mat_apply(M, tuple(d.with_p_prec(work.p_prec) for d in q.vector()))
+    return conv, rows, _log_column(k, conv, q.prec)
+
+
 def factor_signed(
     q: UnboundedQuadruple, k: int, convention="theoremA", eps_seed: int | None = None
 ) -> SignedQuadruple:
@@ -204,22 +224,11 @@ def factor_signed(
     failure raises DivisibilityError carrying the row label and the first
     offending coefficient degree.
     """
-    conv = _conv(convention)
-    prec = q.prec
-    if eps_seed is None:
-        form = _detect_form(q)
-        eps_seed = form[1] if form is not None else 1
-    for d in q.vector():
-        if d.order_tag > k + 1:
-            raise ValueError("coordinate claims growth beyond k+1")
-    work = _work_prec(k, prec)
-    M, _ = change_of_basis(work, k, eps_seed)
-    rows = _mat_apply(M, tuple(d.with_p_prec(work.p_prec) for d in q.vector()))
-    logs = _log_column(k, conv, prec)
+    conv, rows, logs = _divisor_rows(q, k, convention, eps_seed)
     out = {}
     for i, (sign, row, log) in enumerate(zip(conv.row_signs, rows, logs)):
         try:
-            out[sign] = divide_exact(row, log).body.with_p_prec(prec.p_prec)
+            out[sign] = divide_exact(row, log).body.with_p_prec(q.prec.p_prec)
         except DivisibilityError as e:
             e.row = f"row {i + 1} ({sign})"
             raise
@@ -229,16 +238,12 @@ def factor_signed(
 def factor_report(
     q: UnboundedQuadruple, k: int, convention="theoremA", eps_seed: int | None = None
 ) -> dict:
-    """Attempt every row and report, instead of stopping at the first failure."""
-    conv = _conv(convention)
-    prec = q.prec
-    if eps_seed is None:
-        form = _detect_form(q)
-        eps_seed = form[1] if form is not None else 1
-    work = _work_prec(k, prec)
-    M, _ = change_of_basis(work, k, eps_seed)
-    rows = _mat_apply(M, tuple(d.with_p_prec(work.p_prec) for d in q.vector()))
-    logs = _log_column(k, conv, prec)
+    """Attempt every row and report, instead of stopping at the first failure.
+
+    Input that :func:`factor_signed` refuses before dividing (a coordinate
+    claiming growth beyond k+1) raises the same ValueError here.
+    """
+    conv, rows, logs = _divisor_rows(q, k, convention, eps_seed)
     report: dict = {"convention": conv.name, "k": k, "rows": []}
     for i, (sign, row, log) in enumerate(zip(conv.row_signs, rows, logs)):
         entry = {

@@ -302,3 +302,39 @@ def reference_divide(F, G):
         cap = cap_f.numerator // cap_f.denominator
         q = [c.reduce_abs(cap) for c in q]
     return Series.make(F.prec, q, form=form)
+
+
+# ------------------------------------------- reference signed-log products
+#
+# pollack._signed_product as it ran before each level factor came from its
+# binomial rows: (u^{-j}(1+X))^(p^(m-1)) by p-th powering at every level, the
+# skipped parity included, then Phi_p of it by a geometric sum.  Built on the
+# library's packed kernel, because the new construction must reproduce it
+# cell for cell, lengths included.
+
+
+def reference_signed_product(kind: str, j: int, p: int, u: int, W: int, N: int, M: int):
+    """(cells, included_count, stop_level) for one twist, by powering."""
+    from iwa._kernel import geometric_sum, polymul, polypow
+
+    pW = p**W
+    uj = pow(pow(u, -1, pW), j, pW)
+    x = [uj, uj][:N]  # u^{-j}(1+X), truncated
+    prod = [1]
+    count = 0
+    m = 0
+    while True:
+        m += 1
+        if m > 4 * M + 16:
+            raise RuntimeError(f"cyclotomic product did not stabilize by level {m}")
+        if m > 1:
+            x = polypow(x, p, pW, N)  # now (u^{-j}(1+X))^(p^(m-1))
+        if (m % 2 == 0) != (kind == "plus"):
+            continue
+        phi = geometric_sum(x, p, pW, N)
+        if p ** (m - 1) * (p - 1) > N:
+            q = p ** (M + 1)  # Phi/p == 1 mod (p^M, X^N)
+            if (phi[0] - p) % q == 0 and all(c % q == 0 for c in phi[1:]):
+                return prod, count, m
+        prod = polymul(prod, phi, pW, N)
+        count += 1

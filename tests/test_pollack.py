@@ -6,12 +6,19 @@ from fractions import Fraction
 
 import pytest
 
+import iwa.pollack
 from iwa.distributions import divide_exact, growth_order, least_squares_slope
-from iwa.pollack import LogKind, log_identity_check, log_p_unit, pollack_log
+from iwa.pollack import (
+    LogKind,
+    _signed_product,
+    log_identity_check,
+    log_p_unit,
+    pollack_log,
+)
 from iwa.scalars import PadicScalar, Precision
 from iwa.series import Series, u_for
 
-from oracles import log1plus_coeffs
+from oracles import log1plus_coeffs, reference_signed_product
 
 P5 = Precision(5, 30, 64)
 
@@ -163,6 +170,60 @@ class TestTwistAndShift:
         assert lhs.body.components[0] == rhs.body.components[0]
 
 
+def fingerprint(d):
+    """Everything a log carries, down to each coefficient's (val, unit, rel)."""
+    body = d.body.components[0]
+    return (
+        tuple((c.val, c.unit, c.rel) for c in body.a),
+        body.is_polynomial,
+        d.order_tag,
+        d.cyclo_factors,
+        d.truncation_level,
+        d.meta,
+    )
+
+
+class TestAgainstPoweringReference:
+    """The binomial-row level factors reproduce the powering construction."""
+
+    @pytest.mark.parametrize(
+        "spec,prec,length",
+        [
+            # a window wider than every included factor: 105 cells, not 130
+            (LogKind("minus", 1), Precision(5, 1, 130), 105),
+            (LogKind("plus", 2), Precision(3, 12, 40), 40),
+            (LogKind("minus", 2), Precision(3, 12, 40), 40),
+            (LogKind("minus", 1), Precision(11, 8, 30), 30),
+            (LogKind("plus", 1, shift=1), Precision(11, 6, 150), 150),
+            (LogKind("plus", 1, shift=1), Precision(5, 20, 32), 32),
+            (LogKind("minus", 2, shift=1), Precision(5, 20, 32), 32),
+            # the work window of log_identity_check(5, 4, Precision(5, 10, 16))
+            (LogKind("plus", 4), Precision(5, 40, 16), 16),
+            (LogKind("minus", 4), Precision(5, 40, 16), 16),
+            # no factor fits: the degenerate constant log
+            pytest.param(
+                LogKind("plus", 1), Precision(5, 1, 4), 1,
+                marks=pytest.mark.filterwarnings("ignore:window too small"),
+            ),
+        ],
+    )
+    def test_pollack_log_is_bit_identical(self, monkeypatch, spec, prec, length):
+        new = fingerprint(pollack_log(spec, prec))
+        monkeypatch.setattr(iwa.pollack, "_signed_product", reference_signed_product)
+        assert new == fingerprint(pollack_log(spec, prec))
+        assert len(new[0]) == length
+
+    @pytest.mark.parametrize("kind", ["plus", "minus"])
+    @pytest.mark.parametrize(
+        "j,p,W,N,M", [(0, 5, 30, 64, 20), (3, 5, 12, 7, 6), (1, 3, 25, 90, 9), (2, 7, 9, 50, 4)]
+    )
+    def test_signed_product_matches_reference(self, kind, j, p, W, N, M):
+        u = u_for(p)
+        assert _signed_product(kind, j, p, u, W, N, M) == reference_signed_product(
+            kind, j, p, u, W, N, M
+        )
+
+
 class TestProductIdentity:
     @pytest.mark.parametrize("p", [3, 5])
     @pytest.mark.parametrize("r", [1, 2])
@@ -176,6 +237,10 @@ class TestProductIdentity:
         report = log_identity_check(3, 1, Precision(3, 12, 20))
         assert report["window"] == {"p_prec": 12, "x_prec": 20}
         assert report["ok"]
+
+    def test_window_for_another_prime_is_refused(self):
+        with pytest.raises(ValueError, match="p = 7"):
+            log_identity_check(5, 1, Precision(7, 10, 16))
 
 
 def staircase_norms(kind: str, r: int, p: int, depth: int) -> list[Fraction]:

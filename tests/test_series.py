@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from iwa._kernel import cyclotomic_cells, geometric_sum, polypow
 from iwa.scalars import PadicScalar, Precision, PrecisionError, QuadExtScalar
 from iwa.series import (
     DivisibilityError,
@@ -226,6 +227,38 @@ def test_cyclotomic_factor_truncation_flag():
     prec = Precision(5, 5, 8)  # deg Phi_25 = 20 > 8
     phi = cyclotomic_factor(2, 0, prec)
     assert not phi.is_polynomial and len(phi.a) == 8
+
+
+@st.composite
+def cyclotomic_cases(draw):
+    """(p, m, c, W, N) with N on either side of the factor's length deg + 1."""
+    p = draw(st.sampled_from([3, 5, 7, 11]))
+    m = draw(st.integers(1, 6))
+    W = draw(st.integers(1, 40))
+    c = (1 + p * draw(st.integers(0, p**W))) % p**W  # a principal unit
+    edge = (p - 1) * p ** (m - 1) + 1
+    near = st.integers(max(1, edge - 4), edge + 4)
+    N = draw(near | st.integers(1, 64) if edge <= 200 else st.integers(1, 64))
+    return p, m, c, W, N
+
+
+@settings(max_examples=300, deadline=None)
+@given(cyclotomic_cases())
+def test_cyclotomic_cells_match_powering_and_binomial_oracle(case):
+    p, m, c, W, N = case
+    mod = p**W
+    cells = cyclotomic_cells(p, m, c, mod, N)
+    e = p ** (m - 1)
+    # the length geometric_sum gives: min(N, deg + 1), never padded to N
+    assert len(cells) == min(N, (p - 1) * e + 1)
+    assert cells == geometric_sum(polypow([c, c], e, mod, N), p, mod, N)
+    # j = -1 turns the oracle's u^(-j t e) into c^(t e)
+    assert cells == phi_ppow_coeffs(p, m, -1, c, mod, len(cells))
+
+
+def test_cyclotomic_cells_reject_level_zero():
+    with pytest.raises(ValueError, match="level"):
+        cyclotomic_cells(5, 0, 1, 5**3, 4)
 
 
 # ------------------------------------------------------------ IwasawaElement

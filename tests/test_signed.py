@@ -149,6 +149,18 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match="growth beyond"):
             factor_signed(UnboundedQuadruple(fat, slim, slim, slim), 0)
 
+    @pytest.mark.parametrize("fat_slots", [(0, 1, 2, 3), (1,), (3,)])
+    def test_report_rejects_overclaimed_growth_like_factor_signed(self, fat_slots):
+        # zero bodies divide by anything, so only the growth check can refuse
+        q = UnboundedQuadruple(*(
+            Distribution(zero_elem(P64), Fraction(5 if i in fat_slots else 0))
+            for i in range(4)
+        ))
+        with pytest.raises(ValueError, match="growth beyond"):
+            factor_signed(q, 0)
+        with pytest.raises(ValueError, match="growth beyond"):
+            factor_report(q, 0)
+
     @given(st.lists(st.integers(min_value=-30, max_value=30), min_size=3, max_size=5),
            st.integers(min_value=0, max_value=1))
     @settings(max_examples=8, deadline=None)
