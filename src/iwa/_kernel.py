@@ -5,9 +5,8 @@ coefficients modulo ``mod`` (little-endian: index = X-degree).  Polynomial
 products go through Kronecker substitution: coefficients are packed into one
 big integer at a byte-aligned chunk width large enough that the raw
 convolution cannot carry between chunks, multiplied as integers, and sliced
-back out.  CPython's big-int multiply (or gmpy2's, when installed) then does
-the heavy lifting in C at subquadratic cost, which is what makes series
-products at x_prec ~ 600 cheap.
+back out.  CPython's big-int multiply then does the heavy lifting in C at
+subquadratic cost, which is what makes series products at x_prec ~ 600 cheap.
 
 Not everything is a product: a cyclotomic level factor has a closed form in
 binomial rows (:func:`cyclotomic_cells`), and :func:`compose_affine` is a
@@ -16,17 +15,6 @@ factor by powering and are kept as its reference.
 """
 
 from __future__ import annotations
-
-try:  # gmpy2 is optional; plain ints are fine, just slower on huge operands
-    from gmpy2 import mpz as _mpz
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    _mpz = None
-
-
-def _bigmul(x: int, y: int) -> int:
-    if _mpz is None:
-        return x * y
-    return int(_mpz(x) * _mpz(y))
 
 
 def _pack(cells: list[int], cb: int) -> int:
@@ -59,7 +47,7 @@ def polymul(A: list[int], B: list[int], mod: int, trunc: int | None = None) -> l
         B = [b % mod for b in B]
     bound = (mod - 1) * (mod - 1) * min(len(A), len(B)) + 1
     cb = (bound.bit_length() + 7) // 8
-    z = _bigmul(_pack(A, cb), _pack(B, cb))
+    z = _pack(A, cb) * _pack(B, cb)
     zb = z.to_bytes(cb * (len(A) + len(B)), "little")
     return [
         int.from_bytes(zb[i * cb : (i + 1) * cb], "little") % mod

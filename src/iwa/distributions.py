@@ -29,7 +29,13 @@ from fractions import Fraction
 from math import inf
 
 from .scalars import PadicScalar, Precision, PrecisionError, QuadExtScalar
-from .series import DivisibilityError, IwasawaElement, Series, divide_series
+from .series import (
+    DivisibilityError,
+    IwasawaElement,
+    Series,
+    cyclotomic_degree,
+    divide_series,
+)
 
 __all__ = [
     "Distribution",
@@ -162,8 +168,7 @@ def rho_norm(F: Distribution, m: int) -> Fraction:
     cached = F._norm_cache.get(m)
     if cached is not None:
         return cached
-    p = F.prec.p
-    denom = p ** (m - 1) * (p - 1)
+    denom = cyclotomic_degree(F.prec.p, m)
     best = None
     for comp in F.body.components:
         for n, c in enumerate(comp.a):
@@ -231,8 +236,7 @@ def _certify_factors(F: Distribution, G: Distribution) -> None:
     """
     p = F.prec.p
     for m, j in G.cyclo_factors:
-        deg = 1 if m == 0 else p ** (m - 1) * (p - 1)
-        if deg + 1 > F.prec.x_prec:
+        if cyclotomic_degree(p, m) + 1 > F.prec.x_prec:
             continue
         try:
             rem = F.body.remainder_mod_cyclotomic(m, j, growth_order=F.order_tag)

@@ -698,51 +698,6 @@ def _one_minus(t: int, v: int, p: int, prec: Precision, rel: int):
     return PadicScalar.from_int(1, prec, rel) - term, False
 
 
-def _report(j, specs, prec, rel, p) -> EulerFactorReport:
-    labels, values, flags = [], [], []
-    one = PadicScalar.from_int(1, prec, rel)
-    prod = one
-    for label, tv in specs:
-        labels.append(label)
-        if tv is None:  # chi(p) = 0: the factor collapses to 1
-            values.append(one)
-            flags.append(False)
-            continue
-        val, z = _one_minus(tv[0], tv[1], p, prec, rel)
-        values.append(val)
-        flags.append(z)
-    for v in values:
-        prod = prod * v
-    return EulerFactorReport(j, tuple(labels), tuple(values), tuple(flags), prod)
-
-
-def euler_factor_E(form: PhiModule, chi: DirichletCharacter, j: int,
-                   rel: int | None = None) -> EulerFactorReport:
-    """The three-factor product at twist 1 <= j <= k+1 (the left half-range).
-
-    With lambda^2 = -eps(p) p^{k+1} the factors are
-    (1 - p^{j-1} chi(p) lambda^{-2}) (1 + chi^{-1}(p) lambda^2 p^{-j})
-    (1 - chi^{-1}(p) lambda^2 p^{-j}); the middle one is the classical
-    trivial-zero suspect at j = k+1.
-    """
-    p, k = form.prec.p, form.weight
-    if not 1 <= j <= k + 1:
-        raise ValueError(f"left-range twist must satisfy 1 <= j <= {k + 1}")
-    rel = form.prec.p_prec if rel is None else rel
-    half = (p - 1) // 2
-    ec = chi.exponent(p)
-    ee = _ind(p, form.eps_seed % p)
-    if ec is None:
-        specs = [(lbl, None) for lbl in _E_LABELS]
-    else:
-        specs = [
-            (_E_LABELS[0], (ec - ee + half, j - k - 2)),
-            (_E_LABELS[1], (ee - ec, k + 1 - j)),
-            (_E_LABELS[2], (ee - ec + half, k + 1 - j)),
-        ]
-    return _report(j, specs, form.prec, rel, p)
-
-
 _E_LABELS = (
     "1 - p^(j-1) chi(p) lambda^(-2)",
     "1 + chi^(-1)(p) lambda^2 p^(-j)",
@@ -756,6 +711,50 @@ _EPRIME_LABELS = (
 )
 
 
+def _euler_report(form: PhiModule, chi: DirichletCharacter, j: int,
+                  rel: int | None) -> EulerFactorReport:
+    """The three factors at twist j, for E when j <= k+1 and for E' beyond.
+
+    The first and last factors are shared; the half-range only picks the
+    labels and the middle factor.
+    """
+    prec, p, k = form.prec, form.prec.p, form.weight
+    rel = prec.p_prec if rel is None else rel
+    left = j <= k + 1
+    half = (p - 1) // 2
+    ec = chi.exponent(p)
+    ee = _ind(p, form.eps_seed % p)
+    one = PadicScalar.from_int(1, prec, rel)
+    if ec is None:  # chi(p) = 0: every factor collapses to 1
+        values, flags = (one,) * 3, (False,) * 3
+    else:
+        middle = (ee - ec, k + 1 - j) if left else (ec - ee, j - k - 2)
+        values, flags = zip(*(
+            _one_minus(t, v, p, prec, rel)
+            for t, v in ((ec - ee + half, j - k - 2), middle, (ee - ec + half, k + 1 - j))
+        ))
+    prod = one
+    for v in values:
+        prod = prod * v
+    labels = _E_LABELS if left else _EPRIME_LABELS
+    return EulerFactorReport(j, labels, values, flags, prod)
+
+
+def euler_factor_E(form: PhiModule, chi: DirichletCharacter, j: int,
+                   rel: int | None = None) -> EulerFactorReport:
+    """The three-factor product at twist 1 <= j <= k+1 (the left half-range).
+
+    With lambda^2 = -eps(p) p^{k+1} the factors are
+    (1 - p^{j-1} chi(p) lambda^{-2}) (1 + chi^{-1}(p) lambda^2 p^{-j})
+    (1 - chi^{-1}(p) lambda^2 p^{-j}); the middle one is the classical
+    trivial-zero suspect at j = k+1.
+    """
+    k = form.weight
+    if not 1 <= j <= k + 1:
+        raise ValueError(f"left-range twist must satisfy 1 <= j <= {k + 1}")
+    return _euler_report(form, chi, j, rel)
+
+
 def euler_factor_Eprime(form: PhiModule, chi: DirichletCharacter, j: int,
                         rel: int | None = None) -> EulerFactorReport:
     """The three-factor product at twist k+2 <= j <= 2k+2 (the right half-range).
@@ -764,22 +763,10 @@ def euler_factor_Eprime(form: PhiModule, chi: DirichletCharacter, j: int,
     at j = k+2 exactly one of them vanishes according to the sign of
     chi eps^{-1}(p), and the report's flags say which.
     """
-    p, k = form.prec.p, form.weight
+    k = form.weight
     if not k + 2 <= j <= 2 * k + 2:
         raise ValueError(f"right-range twist must satisfy {k + 2} <= j <= {2 * k + 2}")
-    rel = form.prec.p_prec if rel is None else rel
-    half = (p - 1) // 2
-    ec = chi.exponent(p)
-    ee = _ind(p, form.eps_seed % p)
-    if ec is None:
-        specs = [(lbl, None) for lbl in _EPRIME_LABELS]
-    else:
-        specs = [
-            (_EPRIME_LABELS[0], (ec - ee + half, j - k - 2)),
-            (_EPRIME_LABELS[1], (ec - ee, j - k - 2)),
-            (_EPRIME_LABELS[2], (ee - ec + half, k + 1 - j)),
-        ]
-    return _report(j, specs, form.prec, rel, p)
+    return _euler_report(form, chi, j, rel)
 
 
 def exceptional_zero_report(form: PhiModule, chi: DirichletCharacter, j_range) -> dict:

@@ -34,7 +34,7 @@ from fractions import Fraction
 from ._kernel import cyclotomic_cells, polymul
 from .distributions import Distribution
 from .scalars import PadicScalar, Precision, _vp
-from .series import IwasawaElement, Series, u_for
+from .series import IwasawaElement, Series, cyclotomic_degree, u_for, unpack_part
 
 __all__ = ["LogKind", "pollack_log", "log_identity_check", "log_p_unit"]
 
@@ -62,25 +62,6 @@ class LogKind:
         return Fraction(self.r, 2) if self.kind != "full" else Fraction(self.r)
 
 
-def _series_from_cells(cells, prec: Precision, W: int, caps=None) -> Series:
-    """Wrap integer coefficients known mod p^W into a Series.
-
-    ``caps`` optionally limits the claimed absolute precision per coefficient
-    (used to account for the discarded tail of an infinite product).
-    """
-    p = prec.p
-    pW = p**W
-    coeffs = []
-    for n, c in enumerate(cells):
-        c %= pW
-        a = W if caps is None else min(W, caps[n])
-        if c == 0:
-            coeffs.append(PadicScalar.inexact_zero(prec, a))
-        else:
-            coeffs.append(PadicScalar(prec, 0, c, W).reduce_abs(a))
-    return Series(prec, tuple(coeffs), None, None, is_polynomial=False)
-
-
 def _factor_is_trivial(cells, p: int, M: int) -> bool:
     """Phi/p == 1 in the window, i.e. Phi == p mod (p^(M+1), X^N)."""
     q = p ** (M + 1)
@@ -106,8 +87,7 @@ def _signed_product(kind: str, j: int, p: int, u: int, W: int, N: int, M: int):
     limit = 4 * M + 16
     for m in range(2 if kind == "plus" else 1, limit + 1, 2):
         phi = cyclotomic_cells(p, m, uj, pW, N)
-        deg = p ** (m - 1) * (p - 1)
-        if deg > N and _factor_is_trivial(phi, p, M):
+        if cyclotomic_degree(p, m) > N and _factor_is_trivial(phi, p, M):
             return prod, count, m
         prod = polymul(prod, phi, pW, N)
         count += 1
@@ -154,7 +134,7 @@ def pollack_log(spec: LogKind, prec: Precision) -> Distribution:
     js = range(spec.shift, spec.shift + spec.r)
 
     if spec.kind == "full":
-        W = M + spec.r * (_ceil_log(N, p) + 1) + 6
+        W = M + spec.r * (ceil_log(N, p) + 1) + 6
         body_series = Series.constant(1, prec, rel=W)
         for j in js:
             body_series = body_series * _classical_log_series(j, prec, W, u)
@@ -174,7 +154,7 @@ def pollack_log(spec: LogKind, prec: Precision) -> Distribution:
 
     # plus/minus: estimate the per-twist factor count to size the working
     # modulus, then build integrally and apply the whole offset at once
-    est_levels = M + _ceil_log(max(N, 2), p) + 8
+    est_levels = M + ceil_log(max(N, 2), p) + 8
     W = M + spec.r * (est_levels // 2 + 3) + 6
     total = [1]
     offset = 0
@@ -200,7 +180,7 @@ def pollack_log(spec: LogKind, prec: Precision) -> Distribution:
         if c:
             run = min(run, _vp(c, p))
         caps.append(min(W, run + M))
-    body = _series_from_cells(total, prec, W, caps).shift_val(-offset)
+    body = Series(prec, unpack_part(prec, (-offset, W, total), len(total), caps))
     parity = 0 if spec.kind == "plus" else 1
     factors = [
         (m, j)
@@ -223,7 +203,7 @@ def pollack_log(spec: LogKind, prec: Precision) -> Distribution:
     )
 
 
-def _ceil_log(n: int, p: int) -> int:
+def ceil_log(n: int, p: int) -> int:
     out = 0
     q = 1
     while q < n:
@@ -235,7 +215,7 @@ def _ceil_log(n: int, p: int) -> int:
 def _max_level_fitting(p: int, N: int) -> int:
     """Largest m with deg Phi_{p^m} + 1 <= N (0 when only the linear factor fits)."""
     m = 0
-    while p**m * (p - 1) + 1 <= N:
+    while cyclotomic_degree(p, m + 1) + 1 <= N:
         m += 1
     return m
 
@@ -255,7 +235,7 @@ def log_identity_check(p: int, r: int, prec: Precision | None = None) -> dict:
     M, N = prec.p_prec, prec.x_prec
     # elevated enough that the signed products' truncation-tail caps still
     # leave at least M trusted digits on every coefficient
-    lift = 6 + 2 * r * (1 + _ceil_log(max(N, 2), p))
+    lift = 6 + 2 * r * (1 + ceil_log(max(N, 2), p))
     work = Precision(p, M + lift, N)
     plus = pollack_log(LogKind("plus", r), work)
     minus = pollack_log(LogKind("minus", r), work)

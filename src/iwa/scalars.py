@@ -81,9 +81,6 @@ class Precision:
     def with_p_prec(self, p_prec: int) -> "Precision":
         return Precision(self.p, p_prec, self.x_prec)
 
-    def with_x_prec(self, x_prec: int) -> "Precision":
-        return Precision(self.p, self.p_prec, x_prec)
-
 
 class PadicScalar:
     """An element of Q_p known to finite precision.
@@ -200,11 +197,6 @@ class PadicScalar:
         if self.val is None:
             raise ExactZeroError("exact zero has no valuation")
         return self.val
-
-    def unit_part(self) -> int:
-        if self.is_zero_to_precision:
-            raise PrecisionError("no unit part: scalar is zero at this precision")
-        return self.unit
 
     def lift(self) -> Fraction:
         """A rational representative (0 for either kind of zero)."""
@@ -363,12 +355,6 @@ class PadicScalar:
         if o is None or o is NotImplemented:
             return NotImplemented
         return (self - o).is_zero_to_precision
-
-    def __ne__(self, other) -> bool:
-        r = self.__eq__(other)
-        if r is NotImplemented:
-            return r
-        return not r
 
     __hash__ = None  # equality is at-shared-precision, not a congruence for hashing
 
@@ -623,12 +609,6 @@ class QuadExtScalar:
             return NotImplemented
         d = self - o
         return d.a.is_zero_to_precision and d.b.is_zero_to_precision
-
-    def __ne__(self, other) -> bool:
-        r = self.__eq__(other)
-        if r is NotImplemented:
-            return r
-        return not r
 
     __hash__ = None
 

@@ -142,12 +142,29 @@ def _pack_part(coeffs, p):
     return off, W, cells
 
 
-def _unpack_part(prec, off, W, cells, length):
+def unpack_part(prec, packed, length, caps=None):
+    """The ``length`` scalars of a packed part: the inverse of _pack_part.
+
+    ``packed`` is (off, W, cells) or None for an all-exact-zero part.  Cell i
+    stands for cells[i] * p^off + O(p^(off + W)), missing cells for zeros,
+    and a width W <= 0 counts as 0: zeros known to O(p^off).  ``caps``
+    optionally lowers cell i's width to caps[i], so that a capped cell is
+    built once, at its final precision.
+    """
+    if packed is None:
+        return (PadicScalar.exact_zero(prec),) * length
+    off, W, cells = packed
+    W = max(W, 0)
     out = []
     for i in range(length):
         v = cells[i] if i < len(cells) else 0
-        out.append(PadicScalar(prec, off, v, W))
+        out.append(PadicScalar(prec, off, v, W if caps is None else min(W, caps[i])))
     return tuple(out)
+
+
+def cyclotomic_degree(p: int, m: int) -> int:
+    """deg Phi_{p^m} = p^(m-1)(p-1), and 1 for the linear factor at m = 0."""
+    return 1 if m == 0 else p ** (m - 1) * (p - 1)
 
 
 def _combine_packed(pieces, p, length):
@@ -381,13 +398,7 @@ class Series:
     __radd__ = __add__
 
     def __neg__(self):
-        return Series(
-            self.prec,
-            [-c for c in self.a],
-            None if self.b is None else [-c for c in self.b],
-            self.form,
-            is_polynomial=self.is_polynomial,
-        )
+        return self._map_parts(lambda part: [-c for c in part])
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction, PadicScalar, QuadExtScalar)):
@@ -450,20 +461,10 @@ class Series:
                 cells = [c * (m - t) % m for c in cells]
             a_pieces.append((o + k + 1, W, cells))
 
-        pa = _combine_packed(a_pieces, p, L)
-        pb = _combine_packed(b_pieces, p, L)
-        aa = (
-            _unpack_part(self.prec, *pa, L)
-            if pa is not None
-            else tuple(PadicScalar.exact_zero(self.prec) for _ in range(L))
-        )
+        aa = unpack_part(self.prec, _combine_packed(a_pieces, p, L), L)
         bb = None
         if self.b is not None or other.b is not None:
-            bb = (
-                _unpack_part(self.prec, *pb, L)
-                if pb is not None
-                else tuple(PadicScalar.exact_zero(self.prec) for _ in range(L))
-            )
+            bb = unpack_part(self.prec, _combine_packed(b_pieces, p, L), L)
         return Series(self.prec, aa, bb, form, is_polynomial=poly)
 
     __rmul__ = __mul__
@@ -472,33 +473,10 @@ class Series:
         """Multiply by p**d exactly (valuation offset; no precision change)."""
         if d == 0:
             return self
-        return Series(
-            self.prec,
-            [c.shift(d) for c in self.a],
-            None if self.b is None else [c.shift(d) for c in self.b],
-            self.form,
-            is_polynomial=self.is_polynomial,
-        )
-
-    def truncate(self, L: int) -> "Series":
-        if L >= len(self.a):
-            return self
-        return Series(
-            self.prec,
-            self.a[:L],
-            None if self.b is None else self.b[:L],
-            self.form,
-            is_polynomial=False,
-        )
+        return self._map_parts(lambda part: [c.shift(d) for c in part])
 
     def reduce_abs(self, abs_prec: int) -> "Series":
-        return Series(
-            self.prec,
-            [c.reduce_abs(abs_prec) for c in self.a],
-            None if self.b is None else [c.reduce_abs(abs_prec) for c in self.b],
-            self.form,
-            is_polynomial=self.is_polynomial,
-        )
+        return self._map_parts(lambda part: [c.reduce_abs(abs_prec) for c in part])
 
     def with_p_prec(self, p_prec: int) -> "Series":
         """Relabel the container's p-adic depth without touching the digits.
@@ -510,12 +488,16 @@ class Series:
         if p_prec == self.prec.p_prec:
             return self
         prec = self.prec.with_p_prec(p_prec)
+        return self._map_parts(lambda part: [c.with_prec(prec) for c in part], prec)
+
+    def _map_parts(self, fn, prec=None, is_polynomial=None) -> "Series":
+        """fn applied to the a-part and to the b-part, if any; the form is kept."""
         return Series(
-            prec,
-            [c.with_prec(prec) for c in self.a],
-            None if self.b is None else [c.with_prec(prec) for c in self.b],
+            self.prec if prec is None else prec,
+            fn(self.a),
+            None if self.b is None else fn(self.b),
             self.form,
-            is_polynomial=self.is_polynomial,
+            is_polynomial=self.is_polynomial if is_polynomial is None else is_polynomial,
         )
 
     # -- composition and evaluation ---------------------------------------
@@ -540,30 +522,22 @@ class Series:
 
         def do_part(part):
             packed = _pack_part(part, self.prec.p)
-            if packed is None:
-                return tuple(PadicScalar.exact_zero(self.prec) for _ in part)
-            off, W, cells = packed
-            if c.abs_prec != inf:
-                W = min(W, int(c.abs_prec))
-            if d.abs_prec != inf:
-                W = min(W, int(d.abs_prec))
-            if W <= 0:
-                return tuple(PadicScalar.inexact_zero(self.prec, off) for _ in part)
-            m = self.prec.p**W
-            mc = 0 if c.is_zero_to_precision else c.unit * self.prec.p**c.val % m
-            md = d.unit * self.prec.p**d.val % m
-            out_cells = _k_compose(cells, mc, md, m, L)
-            out = _unpack_part(self.prec, off, W, out_cells, L)
-            if not self.is_polynomial and vc != inf:
-                floor = min(0, _val_floor(part) or 0)
-                out = tuple(
-                    s.reduce_abs(int((L - j) * vc) + floor) for j, s in enumerate(out)
-                )
-            return out
+            caps = None
+            if packed is not None:
+                off, W, cells = packed
+                W = min(W, c.abs_prec, d.abs_prec)
+                if W > 0:
+                    m = self.prec.p**W
+                    mc = 0 if c.is_zero_to_precision else c.unit * self.prec.p**c.val % m
+                    md = d.unit * self.prec.p**d.val % m
+                    cells = _k_compose(cells, mc, md, m, L)
+                    if not self.is_polynomial and vc != inf:
+                        floor = min(0, _val_floor(part) or 0)
+                        caps = [int((L - j) * vc) + floor - off for j in range(L)]
+                packed = off, W, cells
+            return unpack_part(self.prec, packed, L, caps)
 
-        aa = do_part(self.a)
-        bb = do_part(self.b) if self.b is not None else None
-        return Series(self.prec, aa, bb, self.form, is_polynomial=self.is_polynomial)
+        return self._map_parts(do_part)
 
     def evaluate(self, x: PadicScalar):
         """Horner evaluation at a scalar x with v(x) >= 1 (the open unit disc)."""
@@ -642,30 +616,24 @@ class Series:
 
         def do_part(part):
             packed = _pack_part(part, p)
-            if packed is None:
-                return tuple(PadicScalar.exact_zero(self.prec) for _ in range(D))
-            off, W, cells = packed
-            W = min(W, Wp)
-            if W <= 0:
-                return tuple(
-                    PadicScalar.inexact_zero(self.prec, off) for _ in range(D)
-                )
-            _, R = _divmod_cells(cells, cphi, p**W)
-            out = _unpack_part(self.prec, off, W, R, D)
-            if not self.is_polynomial:
-                steps = -(-(L - D + 1) // D)  # ceil
-                if growth_order is not None:
-                    tf = _tail_floor(part, float(growth_order), L, p)
-                    floor = min(0, 0 if tf is None else tf)
-                else:
-                    floor = min(0, _val_floor(part) or 0)
-                cap = gmin * steps + floor
-                out = tuple(s.reduce_abs(cap) for s in out)
-            return out
+            caps = None
+            if packed is not None:
+                off, W, cells = packed
+                W = min(W, Wp)
+                if W > 0:
+                    _, cells = _divmod_cells(cells, cphi, p**W)
+                    if not self.is_polynomial:
+                        steps = -(-(L - D + 1) // D)  # ceil
+                        if growth_order is not None:
+                            tf = _tail_floor(part, float(growth_order), L, p)
+                            floor = min(0, 0 if tf is None else tf)
+                        else:
+                            floor = min(0, _val_floor(part) or 0)
+                        caps = [gmin * steps + floor - off] * D
+                packed = off, W, cells
+            return unpack_part(self.prec, packed, D, caps)
 
-        aa = do_part(self.a)
-        bb = do_part(self.b) if self.b is not None else None
-        return Series(self.prec, aa, bb, self.form, is_polynomial=True)
+        return self._map_parts(do_part, is_polynomial=True)
 
     # -- comparison --------------------------------------------------------
 
@@ -683,12 +651,6 @@ class Series:
                 if not (self._part_at(self.b, i) == other._part_at(other.b, i)):
                     return False
         return True
-
-    def __ne__(self, other):
-        r = self.__eq__(other)
-        if r is NotImplemented:
-            return r
-        return not r
 
     __hash__ = None
 
@@ -729,9 +691,8 @@ def cyclotomic_factor(
     mod = p**W
     N = prec.x_prec
     cells = _k_cyclo(p, m, pow(u, -j, mod), mod, N)  # min(N, deg + 1) cells
-    poly = p ** (m - 1) * (p - 1) + 1 <= N
-    aa = tuple(PadicScalar(prec, 0, c, W) for c in cells)
-    return Series(prec, aa, None, None, is_polynomial=poly)
+    aa = unpack_part(prec, (0, W, cells), len(cells))
+    return Series(prec, aa, is_polynomial=cyclotomic_degree(p, m) + 1 <= N)
 
 
 # ------------------------------------------------------------ IwasawaElement
@@ -867,18 +828,11 @@ class IwasawaElement:
         un = Fraction(self.u) ** n
         c = PadicScalar.from_fraction(un - 1, self.prec, rel)
         d = PadicScalar.from_fraction(un, self.prec, rel)
-        memo: dict = {}
-
-        def comp(s: Series) -> Series:
-            key = id(s)
-            if key not in memo:
-                memo[key] = s.compose_affine(c, d)
-            return memo[key]
-
-        out = [None] * pm1
-        for i in range(pm1):
-            out[(i - n) % pm1] = comp(self.components[i])
-        return IwasawaElement(self.prec, out, self.u)
+        k = n % pm1  # component i + n lands on i
+        moved = self.components[k:] + self.components[:k]
+        return IwasawaElement(self.prec, moved, self.u)._map_components(
+            lambda x: x.compose_affine(c, d)
+        )
 
     def idempotent_project(self, j: int) -> "IwasawaElement":
         pm1 = self.prec.p - 1
@@ -908,7 +862,7 @@ class IwasawaElement:
         the trivial wild character).  ``growth_order`` feeds the remainder's
         trust cap; see Series.remainder_mod.
         """
-        D = 1 if m == 0 else self.prec.p ** (m - 1) * (self.prec.p - 1)
+        D = cyclotomic_degree(self.prec.p, m)
         if D > self.prec.x_prec:
             raise PrecisionError(
                 f"x_prec={self.prec.x_prec} too small for deg Phi = {D}"
@@ -950,12 +904,6 @@ class IwasawaElement:
             return NotImplemented
         self._check_compat(other)
         return all(f == g for f, g in zip(self.components, other.components))
-
-    def __ne__(self, other):
-        r = self.__eq__(other)
-        if r is NotImplemented:
-            return r
-        return not r
 
     __hash__ = None
 
@@ -1002,8 +950,8 @@ def _weierstrass_split(G: Series):
         P = [(c + e) % m for c, e in zip(P, delta)] + [1]
         U, R = _divmod_cells(cells, P, m)
     return (
-        Series(prec, [PadicScalar(prec, 0, c, W) for c in P], is_polynomial=True),
-        Series(prec, _unpack_part(prec, off, W, U, len(U)), is_polynomial=True),
+        Series(prec, unpack_part(prec, (0, W, P), len(P)), is_polynomial=True),
+        Series(prec, unpack_part(prec, (off, W, U), len(U)), is_polynomial=True),
     )
 
 

@@ -30,7 +30,7 @@ from functools import lru_cache
 
 from .dieudonne import change_of_basis
 from .distributions import Distribution, divide_exact
-from .pollack import LogKind, pollack_log, _ceil_log
+from .pollack import LogKind, ceil_log, pollack_log
 from .scalars import Precision
 from .series import DivisibilityError, IwasawaElement
 
@@ -155,7 +155,7 @@ def _log(kind: str, r: int, shift: int, prec: Precision) -> Distribution:
 def _log_margin(k: int, prec: Precision) -> int:
     # enough headroom that dividing by the signed logs (built with their own
     # truncation-tail caps) still leaves p_prec trusted digits
-    return (2 * k + 2) * (1 + _ceil_log(max(prec.x_prec, 2), prec.p)) + 8
+    return (2 * k + 2) * (1 + ceil_log(max(prec.x_prec, 2), prec.p)) + 8
 
 
 def _work_prec(k: int, prec: Precision) -> Precision:

@@ -338,3 +338,34 @@ def reference_signed_product(kind: str, j: int, p: int, u: int, W: int, N: int, 
                 return prod, count, m
         prod = polymul(prod, phi, pW, N)
         count += 1
+
+
+# ---------------------------------------------- reference cells-to-scalars
+#
+# How pollack_log turned its integral product into a Series before every
+# packed part went through series.unpack_part: wrap the cells at valuation 0,
+# cap each one's absolute precision, then shift the whole series by the
+# valuation offset.  Built on the library's scalars, since unpack_part must
+# reproduce it scalar for scalar.
+
+
+def series_from_cells(cells, prec, W: int, caps=None):
+    """Wrap integer coefficients known mod p^W into a Series.
+
+    ``caps`` optionally limits the claimed absolute precision per coefficient
+    (used to account for the discarded tail of an infinite product).
+    """
+    from iwa.scalars import PadicScalar
+    from iwa.series import Series
+
+    p = prec.p
+    pW = p**W
+    coeffs = []
+    for n, c in enumerate(cells):
+        c %= pW
+        a = W if caps is None else min(W, caps[n])
+        if c == 0:
+            coeffs.append(PadicScalar.inexact_zero(prec, a))
+        else:
+            coeffs.append(PadicScalar(prec, 0, c, W).reduce_abs(a))
+    return Series(prec, tuple(coeffs), None, None, is_polynomial=False)

@@ -20,6 +20,7 @@ from iwa.series import (
     cyclotomic_factor,
     divide_series,
     u_for,
+    unpack_part,
 )
 
 from oracles import (
@@ -29,6 +30,7 @@ from oracles import (
     poly_compose_affine,
     poly_mul,
     reference_divide,
+    series_from_cells,
 )
 
 P5 = Precision(5, 20, 16)
@@ -672,3 +674,82 @@ def test_triple_kernel_matches_scalar_loop(data):
         return [(c.val, c.unit, c.rel) for c in back_substitute_scalars(num, den, n)]
 
     assert outcome(kernel) == outcome(scalar_loop)
+
+
+# ------------------------------------------- packed parts back to scalars
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_unpack_part_matches_wrap_then_shift(data):
+    # pollack_log's old two passes: wrap at valuation 0 and cap, then shift
+    p = data.draw(st.sampled_from([3, 5, 7, 11]))
+    prec = Precision(p, 12, 12)
+    n = data.draw(st.integers(0, 12))
+    cell = st.builds(lambda u, k: u * p**k, st.integers(0, p**8), st.integers(0, 14))
+    cells = data.draw(st.lists(cell, max_size=n))  # missing cells are zeros
+    W = data.draw(st.integers(-3, 14))
+    offset = data.draw(st.integers(-4, 6))
+    caps = data.draw(st.none() | st.lists(st.integers(-4, 18), min_size=n, max_size=n))
+    got = unpack_part(prec, (-offset, W, cells), n, caps)
+    padded = cells + [0] * (n - len(cells))
+    # a width W <= 0 counts as 0: zeros known to O(p^-offset), or less under a cap
+    want = series_from_cells(padded, prec, max(W, 0), caps).shift_val(-offset)
+    assert [(c.val, c.unit, c.rel) for c in got] == [(c.val, c.unit, c.rel) for c in want.a]
+    none = unpack_part(prec, None, n)  # an all-exact-zero part
+    assert len(none) == n and all(c.is_exact_zero for c in none)
+
+
+@st.composite
+def alpha_series(draw, prec):
+    """A series with an alpha-part, truncated or a polynomial, maybe empty."""
+    n = draw(st.integers(0, prec.x_prec))
+    form = (draw(st.integers(0, 2)), draw(st.integers(1, prec.p - 1)))
+    a = [draw(scalars(prec)) for _ in range(n)]
+    b = [draw(scalars(prec)) for _ in range(n)]
+    return Series(prec, a, b, form, draw(st.booleans()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_part_maps_act_coefficientwise_on_both_parts(data):
+    p = data.draw(st.sampled_from([3, 5, 7]))
+    prec = Precision(p, 12, 8)
+    s = data.draw(alpha_series(prec))
+    d = data.draw(st.integers(-3, 3))
+    A = data.draw(st.integers(-2, 10))
+    other = prec.with_p_prec(data.draw(st.integers(1, 20)))
+
+    def each(fn, prec=prec):
+        return Series(prec, [fn(c) for c in s.a], [fn(c) for c in s.b], s.form, s.is_polynomial)
+
+    for got, want in (
+        (-s, each(lambda c: -c)),
+        (s.shift_val(d), each(lambda c: c.shift(d))),
+        (s.reduce_abs(A), each(lambda c: c.reduce_abs(A))),
+        (s.with_p_prec(other.p_prec), each(lambda c: c.with_prec(other), other)),
+    ):
+        assert triple_shape(got) == triple_shape(want)
+        assert got.prec == want.prec
+        assert all(c.prec == want.prec for c in got.a + got.b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_twist_moves_component_i_to_i_minus_n(data):
+    p = data.draw(st.sampled_from([3, 5, 7]))
+    prec = Precision(p, 10, 6)
+    # components shared between slots, as twist's per-series memo sees them
+    pool = [data.draw(alpha_series(prec)) for _ in range(2)] + [Series.zero(prec)]
+    comps = [data.draw(st.sampled_from(pool)) for _ in range(p - 1)]
+    el = IwasawaElement(prec, comps)
+    n = data.draw(st.integers(-8, 8).filter(bool))
+    rel = el._working_digits() + 4
+    un = Fraction(u_for(p)) ** n
+    c = PadicScalar.from_fraction(un - 1, prec, rel)
+    d = PadicScalar.from_fraction(un, prec, rel)
+    want = [None] * (p - 1)
+    for i in range(p - 1):
+        want[(i - n) % (p - 1)] = comps[i].compose_affine(c, d)
+    got = el.twist(n).components
+    assert [triple_shape(g) for g in got] == [triple_shape(w) for w in want]
