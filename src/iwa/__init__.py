@@ -4,8 +4,9 @@ The layers, bottom to top:
 
 * :mod:`iwa.scalars` — Q_p scalars with explicit precision, and the ramified
   quadratic extension Q_p(alpha) with alpha^2 = -eps * p^(k+1).
-* :mod:`iwa.series` — truncated power series over those scalars and elements
-  of the Iwasawa algebra of Z_p^x (one series per tame character component).
+* :mod:`iwa.series` — truncated power series stored as integer columns with
+  per-coefficient precision (scalars only at the edge), and elements of the
+  Iwasawa algebra of Z_p^x (one series per tame character component).
 * :mod:`iwa.distributions` — tempered distributions: an Iwasawa element with a
   growth order and the norms/division that go with it.
 * :mod:`iwa.pollack` — plus/minus/full logarithms built from cyclotomic

@@ -171,7 +171,7 @@ def rho_norm(F: Distribution, m: int) -> Fraction:
     denom = cyclotomic_degree(F.prec.p, m)
     best = None
     for comp in F.body.components:
-        for n, c in enumerate(comp.a):
+        for n in range(comp.length):
             v = _coeff_valuation(comp.coeff(n))
             if v is None:
                 continue
@@ -244,16 +244,16 @@ def _certify_factors(F: Distribution, G: Distribution) -> None:
             continue
         # coefficients whose propagated precision has degraded to nothing are
         # inexact zeros and pass vacuously; any known-nonzero one is a failure
-        for n in range(len(rem.a)):
-            if not rem.coeff(n).is_zero_to_precision:
-                raise DivisibilityError(
-                    f"dividend fails the cyclotomic certificate at level {m} "
-                    f"(twist {j}): remainder coefficient at degree {n} is "
-                    f"nonzero at its propagated precision",
-                    degree=n,
-                    component=j % (p - 1),
-                    factor=(m, j),
-                )
+        n = rem.first_nonzero()
+        if n is not None:
+            raise DivisibilityError(
+                f"dividend fails the cyclotomic certificate at level {m} "
+                f"(twist {j}): remainder coefficient at degree {n} is "
+                f"nonzero at its propagated precision",
+                degree=n,
+                component=j % (p - 1),
+                factor=(m, j),
+            )
 
 
 def divide_exact(F: Distribution, G: Distribution) -> Distribution:

@@ -34,7 +34,8 @@ from fractions import Fraction
 from ._kernel import cyclotomic_cells, polymul
 from .distributions import Distribution
 from .scalars import PadicScalar, Precision, _vp
-from .series import IwasawaElement, Series, cyclotomic_degree, u_for, unpack_part
+from .series import IwasawaElement, Series, cyclotomic_degree, cyclotomic_factor
+from .series import u_for, unpack_part
 
 __all__ = ["LogKind", "pollack_log", "log_identity_check", "log_p_unit"]
 
@@ -180,7 +181,7 @@ def pollack_log(spec: LogKind, prec: Precision) -> Distribution:
         if c:
             run = min(run, _vp(c, p))
         caps.append(min(W, run + M))
-    body = Series(prec, unpack_part(prec, (-offset, W, total), len(total), caps))
+    body = Series(prec, unpack_part(p, (-offset, W, total), len(total), caps))
     parity = 0 if spec.kind == "plus" else 1
     factors = [
         (m, j)
@@ -241,8 +242,6 @@ def log_identity_check(p: int, r: int, prec: Precision | None = None) -> dict:
     minus = pollack_log(LogKind("minus", r), work)
     full = pollack_log(LogKind("full", r), work)
 
-    from .series import cyclotomic_factor
-
     lin = Series.constant(1, work, rel=M + 10)
     for j in range(r):
         lin = lin * cyclotomic_factor(0, j, work, rel=M + 10)
@@ -252,7 +251,7 @@ def log_identity_check(p: int, r: int, prec: Precision | None = None) -> dict:
 
     worst = None  # valuation of a known-nonzero coefficient, if any
     confirmed = None  # depth to which zero-ness is confirmed
-    for n in range(min(len(diff.a), N)):
+    for n in range(min(diff.length, N)):
         c = diff.coeff(n)
         if c.is_exact_zero:
             continue

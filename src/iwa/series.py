@@ -1,10 +1,10 @@
-"""Truncated power series over p-adic scalars, and the Iwasawa algebra.
+"""Truncated power series over p-adic numbers, and the Iwasawa algebra.
 
 A ``Series`` is one wild-direction component: coefficients of X^0..X^(L-1)
 where X = gamma - 1 for the fixed generator gamma of the principal-unit part
-of Z_p^x.  Coefficients are PadicScalars, with an optional second array for
-the alpha-part when the series takes values in the quadratic extension; a
-series without b-part mixes freely into any form (Q_p sits inside every E).
+of Z_p^x.  It has an a-part and, when the series takes values in the
+quadratic extension, an alpha-part; a series without alpha-part mixes freely
+into any form (Q_p sits inside every E).
 
 An ``IwasawaElement`` is a full element of the algebra O[Delta][[X]] stored
 pre-diagonalized: one Series per tame character omega^i, i = 0..p-2.  Tame
@@ -14,13 +14,19 @@ substitution X -> u^n(1+X) - 1.
 
 Precision semantics:
 
-* every coefficient carries its own (valuation, digits) bookkeeping from the
-  scalar layer;
-* bulk operations (products, affine composition, remainders) run packed: each
-  coefficient array is lowered to integer mantissas modulo p^W at a common
-  valuation offset, where W is the smallest absolute precision present minus
-  the offset.  That uniform degrade *is* the min-rule for the result and keeps
-  the hot loops in C-speed big-int arithmetic;
+* each part is a ``Part`` of integer columns with per-coefficient (jagged)
+  precision, as in Caruso-Roe-Vaccon and Sage's capped-relative polynomials:
+  coefficient i is cells[i] * p^off + O(p^abs_precs[i]), with abs_precs[i]
+  = inf for an exact zero, and ``off`` is the smallest valuation of a
+  coefficient that is not an exact zero (O(p^A) counting as A), so no
+  coefficient is known to less than p^off.  PadicScalars are built only at
+  the edge: ``coeff()``, the read-only ``a``/``b`` properties, and the
+  constructor, which packs scalars once;
+* sums, negation, shifts and caps act cell by cell under the scalar rules;
+  products, affine composition and remainders work modulo p^W at offset
+  ``off``, with W = (smallest absolute precision) - off >= 0.  That uniform
+  degrade *is* the min-rule for the result and keeps the hot loops in
+  C-speed big-int arithmetic;
 * a series flagged ``is_polynomial`` has exactly-zero coefficients beyond its
   stored length.  Everything else is a truncation of something longer, and the
   operations that mix degrees (affine composition, evaluation, remainders)
@@ -45,6 +51,7 @@ from .scalars import (
     Precision,
     PrecisionError,
     QuadExtScalar,
+    _vp,
     teichmuller,
 )
 
@@ -109,81 +116,142 @@ class FiniteCharacter:
             raise ValueError("wild conductor exponent must be >= 0")
 
 
-# ------------------------------------------------------------- packed layer
+# ------------------------------------------------------------- column layer
 
 
-def _pack_part(coeffs, p):
-    """(offset, W, cells) for a coefficient array; None if all exact zeros.
+class Part:
+    """One coefficient array as integer columns; see the module docstring.
 
-    cells[i] * p^offset == coeffs[i] mod p^(offset + W).  W is the smallest
-    absolute precision present minus the offset (the min-rule working width).
+    Coefficient i is cells[i] * p^off + O(p^abs_precs[i]), with cells[i]
+    reduced mod p^(abs_precs[i] - off); an exact zero has cell 0 and
+    abs_precs[i] = inf.  A part of exact zeros only has off 0.
     """
-    off = None
-    min_abs = None
-    for c in coeffs:
-        if c.val is None:
-            continue
-        a = c.val + c.rel
-        min_abs = a if min_abs is None else min(min_abs, a)
-        if c.rel:
-            off = c.val if off is None else min(off, c.val)
-    if min_abs is None:
-        return None
-    if off is None:
-        off = min_abs
-    W = max(min_abs - off, 0)
-    mod = p**W if W else 1
-    cells = []
-    for c in coeffs:
-        if c.val is None or c.rel == 0 or W == 0:
-            cells.append(0)
-        else:
-            cells.append(c.unit * p ** (c.val - off) % mod)
-    return off, W, cells
+
+    __slots__ = ("p", "off", "cells", "abs_precs")
+
+    def __init__(self, p, off, cells, abs_precs):
+        self.p, self.off, self.cells, self.abs_precs = p, off, cells, abs_precs
+
+    @classmethod
+    def from_triples(cls, p, triples):
+        """The part of normalized (val, unit, rel) triples, val None: exact zero."""
+        off = min((v for v, _, _ in triples if v is not None), default=0)
+        cells = [0 if v is None else u * p ** (v - off) for v, u, _ in triples]
+        return cls(p, off, cells, [inf if v is None else v + r for v, _, r in triples])
+
+    def __len__(self):
+        return len(self.cells)
+
+    @property
+    def min_abs(self):
+        return min(self.abs_precs, default=inf)
+
+    def val(self, i):
+        """Valuation of coefficient i: its bound A for O(p^A), None if exact."""
+        A, c = self.abs_precs[i], self.cells[i]
+        if A == inf:
+            return None
+        return A if c == 0 else self.off + _vp(c, self.p)
+
+    def scalar(self, i, prec):
+        A = self.abs_precs[i]
+        if A == inf:
+            return PadicScalar.exact_zero(prec)
+        return PadicScalar(prec, self.off, self.cells[i], A - self.off)
+
+    def packed(self):
+        """(off, W, cells mod p^W) with W = min(abs_precs) - off; None if all exact."""
+        A = self.min_abs
+        if A == inf:
+            return None
+        m = self.p ** (A - self.off)
+        return self.off, A - self.off, [c % m for c in self.cells]
+
+    def neg(self):
+        p, off, precs = self.p, self.off, self.abs_precs
+        cells = [c and -c % p ** (A - off) for c, A in zip(self.cells, precs)]
+        return Part(p, off, cells, precs)
+
+    def shift(self, d):
+        if self.min_abs == inf:
+            return self
+        return Part(self.p, self.off + d, self.cells, [A + d for A in self.abs_precs])
+
+    def reduce_abs(self, cap):
+        """Every coefficient known to at most O(p^cap); exact zeros become O(p^cap)."""
+        return _part(self.p, self.off, self.cells, [min(A, cap) for A in self.abs_precs])
+
+    def slice(self, start, stop):
+        return _part(self.p, self.off, *_cols(self, start, stop))
 
 
-def unpack_part(prec, packed, length, caps=None):
-    """The ``length`` scalars of a packed part: the inverse of _pack_part.
+def _cols(part, start, stop):
+    """(cells, abs_precs) of degrees start..stop-1 as stored, exact zeros past the end."""
+    pad = max(stop - max(len(part), start), 0)
+    return part.cells[start:stop] + [0] * pad, part.abs_precs[start:stop] + [inf] * pad
 
-    ``packed`` is (off, W, cells) or None for an all-exact-zero part.  Cell i
-    stands for cells[i] * p^off + O(p^(off + W)), missing cells for zeros,
-    and a width W <= 0 counts as 0: zeros known to O(p^off).  ``caps``
-    optionally lowers cell i's width to caps[i], so that a capped cell is
-    built once, at its final precision.
+
+def _part(p, off, cells, abs_precs):
+    """The normalized Part of cells[i] * p^off + O(p^abs_precs[i]).
+
+    Cells may be unreduced, and abs_precs[i] may lie below off: coefficient i
+    is then a zero known to O(p^abs_precs[i]).  Normalizing reduces every
+    cell and moves off to the smallest valuation present.
+    """
+    mods: dict = {}
+    out = []
+    low = inf  # the smallest bound among the zeros to precision
+    for c, A in zip(cells, abs_precs):
+        if A != inf:
+            w = A - off
+            c = c % mods.setdefault(w, p**w) if w > 0 else 0
+            if not c and A < low:
+                low = A
+        out.append(c)
+    g = math.gcd(*out)
+    new = min(low, off + _vp(g, p) if g else inf)
+    if new == inf:
+        new = off = 0  # exact zeros only
+    elif new < off:
+        out = [c * p ** (off - new) for c in out]
+    elif new > off:
+        out = [c // p ** (new - off) for c in out]
+    return Part(p, new, out, abs_precs)
+
+
+def _add_parts(x, y, L):
+    """x + y on degrees 0..L-1 under the scalar rules (missing parts: exact zeros).
+
+    A sum is known to the smaller absolute precision of its terms, and an
+    exact zero adds nothing, not even a precision bound.
+    """
+    (xc, xa), (yc, ya) = _cols(x, 0, L), _cols(y, 0, L)
+    off = min((s.off for s in (x, y) if s.min_abs != inf), default=0)
+    sx, sy = x.p ** max(x.off - off, 0), x.p ** max(y.off - off, 0)
+    cells, abs_precs = [], []
+    for cx, ax, cy, ay in zip(xc, xa, yc, ya):
+        cells.append(cx * sx + cy * sy)
+        abs_precs.append(ax if ay == inf else ay if ax == inf else min(ax, ay))
+    return _part(x.p, off, cells, abs_precs)
+
+
+def unpack_part(p, packed, length, caps=None):
+    """The Part of ``length`` cells packed as (off, W, cells): each is
+    cells[i] * p^off + O(p^(off + W)), missing cells are zeros, and a width
+    W <= 0 counts as 0 (zeros known to O(p^off)).  ``packed`` None gives exact
+    zeros; ``caps`` optionally lowers cell i's width to caps[i].
     """
     if packed is None:
-        return (PadicScalar.exact_zero(prec),) * length
+        return Part(p, 0, [0] * length, [inf] * length)
     off, W, cells = packed
     W = max(W, 0)
-    out = []
-    for i in range(length):
-        v = cells[i] if i < len(cells) else 0
-        out.append(PadicScalar(prec, off, v, W if caps is None else min(W, caps[i])))
-    return tuple(out)
+    abs_precs = [off + W] * length if caps is None else [off + min(W, cap) for cap in caps]
+    return _part(p, off, cells[:length] + [0] * (length - len(cells)), abs_precs)
 
 
 def cyclotomic_degree(p: int, m: int) -> int:
     """deg Phi_{p^m} = p^(m-1)(p-1), and 1 for the linear factor at m = 0."""
     return 1 if m == 0 else p ** (m - 1) * (p - 1)
-
-
-def _combine_packed(pieces, p, length):
-    """Sum of packed pieces [(off, W, cells), ...] aligned to a common offset."""
-    pieces = [pc for pc in pieces if pc is not None]
-    if not pieces:
-        return None
-    off = min(pc[0] for pc in pieces)
-    W = min(pc[0] + pc[1] for pc in pieces) - off
-    if W <= 0:
-        return off + W, 0, [0] * length
-    mod = p**W
-    acc = [0] * length
-    for o, _w, cells in pieces:
-        sh = p ** (o - off)
-        for i in range(min(length, len(cells))):
-            if cells[i]:
-                acc[i] = (acc[i] + cells[i] * sh) % mod
-    return off, W, acc
 
 
 def _divmod_cells(cells, phi, m):
@@ -208,17 +276,7 @@ def _divmod_cells(cells, phi, m):
     return Q, R[:D]
 
 
-def _val_floor(coeffs) -> int | None:
-    """Smallest coefficient valuation bound in an array (None if all exact zero)."""
-    out = None
-    for c in coeffs:
-        if c.val is None:
-            continue
-        out = c.val if out is None else min(out, c.val)
-    return out
-
-
-def _tail_floor(coeffs, order: float, L: int, p: int) -> int | None:
+def _tail_floor(part, order: float, L: int, p: int) -> int | None:
     """Worst valuation the unseen tail of a tempered series can reach.
 
     A growth order of ``order`` means coefficient valuations follow a trend
@@ -228,15 +286,11 @@ def _tail_floor(coeffs, order: float, L: int, p: int) -> int | None:
     past the edge dive only logarithmically while every extra reduction step
     gains a whole digit, so the edge is where the bound is tightest.
     """
-    chat = None
-    for n, c in enumerate(coeffs):
-        if c.val is None:
-            continue
-        t = c.val + order * math.log(max(n, 1), p)
-        chat = t if chat is None else min(chat, t)
-    if chat is None:
+    vals = [(n, part.val(n)) for n in range(len(part))]
+    trend = [v + order * math.log(max(n, 1), p) for n, v in vals if v is not None]
+    if not trend:
         return None
-    return math.floor(chat - order * math.log(L, p)) - 1
+    return math.floor(min(trend) - order * math.log(L, p)) - 1
 
 
 # -------------------------------------------------------------------- Series
@@ -245,16 +299,23 @@ def _tail_floor(coeffs, order: float, L: int, p: int) -> int | None:
 class Series:
     """One wild-direction truncated series; see the module docstring."""
 
-    __slots__ = ("prec", "form", "a", "b", "is_polynomial")
+    __slots__ = ("prec", "form", "_a", "_b", "is_polynomial")
 
     def __init__(self, prec, a, b=None, form=None, is_polynomial=False):
+        """a and b are PadicScalar arrays, packed here once, or Parts."""
         if b is not None and form is None:
             raise ValueError("a b-part needs form data (k, eps_seed)")
         if b is not None and len(b) != len(a):
             raise ValueError("a/b coefficient arrays must have equal length")
+
+        def pack(part):
+            if isinstance(part, Part):
+                return part
+            return Part.from_triples(prec.p, [(c.val, c.unit, c.rel) for c in part])
+
         object.__setattr__(self, "prec", prec)
-        object.__setattr__(self, "a", tuple(a))
-        object.__setattr__(self, "b", tuple(b) if b is not None else None)
+        object.__setattr__(self, "_a", pack(a))
+        object.__setattr__(self, "_b", None if b is None else pack(b))
         object.__setattr__(self, "form", form)
         object.__setattr__(self, "is_polynomial", is_polynomial)
 
@@ -273,21 +334,18 @@ class Series:
         aa, bb = [], []
         has_b = False
         for c in coeffs:
+            cb = PadicScalar.exact_zero(prec)
             if isinstance(c, QuadExtScalar):
                 f = (c.k, c.eps_seed)
                 if form is None:
                     form = f
                 elif form != f:
                     raise ValueError("mixing coefficients from different forms")
-                aa.append(c.a)
-                bb.append(c.b)
-                has_b = True
-            elif isinstance(c, PadicScalar):
-                aa.append(c)
-                bb.append(PadicScalar.exact_zero(prec))
-            else:
-                aa.append(PadicScalar.from_fraction(Fraction(c), prec, rel))
-                bb.append(PadicScalar.exact_zero(prec))
+                c, cb, has_b = c.a, c.b, True
+            elif not isinstance(c, PadicScalar):
+                c = PadicScalar.from_fraction(Fraction(c), prec, rel)
+            aa.append(c)
+            bb.append(cb)
         return cls(
             prec, aa, bb if has_b else None, form, is_polynomial=is_polynomial
         )
@@ -307,49 +365,58 @@ class Series:
     # -- structure ---------------------------------------------------------
 
     @property
+    def a(self) -> tuple:
+        """The a-part as PadicScalars, built on each read."""
+        return tuple(self._a.scalar(i, self.prec) for i in range(self.length))
+
+    @property
+    def b(self) -> tuple | None:
+        """The alpha-part as PadicScalars; None when there is none."""
+        if self._b is not None:
+            return tuple(self._b.scalar(i, self.prec) for i in range(self.length))
+
+    @property
     def length(self) -> int:
-        return len(self.a)
+        return len(self._a)
 
     @property
     def known_length(self):
-        return inf if self.is_polynomial else len(self.a)
+        return inf if self.is_polynomial else len(self._a)
+
+    def _parts(self):
+        return (self._a,) if self._b is None else (self._a, self._b)
 
     def coeff(self, n: int):
         """Coefficient of X^n; QuadExtScalar when the series has form data."""
-        if n >= len(self.a):
-            if self.is_polynomial:
-                if self.form is None:
-                    return PadicScalar.exact_zero(self.prec)
-                return QuadExtScalar.zero(self.prec, *self.form)
-            raise IndexError(f"coefficient {n} is beyond the known length {len(self.a)}")
+        L = len(self._a)
+        if n >= L and not self.is_polynomial:
+            raise IndexError(f"coefficient {n} is beyond the known length {L}")
+        zero = PadicScalar.exact_zero(self.prec)
+        an = self._a.scalar(n, self.prec) if n < L else zero
         if self.form is None:
-            return self.a[n]
-        bn = self.b[n] if self.b is not None else PadicScalar.exact_zero(self.prec)
-        return QuadExtScalar(self.a[n], bn, *self.form)
+            return an
+        bn = self._b.scalar(n, self.prec) if self._b is not None and n < L else zero
+        return QuadExtScalar(an, bn, *self.form)
 
     def order_lower(self) -> int | None:
         """First index that could be nonzero (exact zeros skipped); None if none."""
-        for i in range(len(self.a)):
-            if self.a[i].val is not None:
-                return i
-            if self.b is not None and self.b[i].val is not None:
-                return i
-        return None
+        return self._first(lambda x, i: x.abs_precs[i] != inf)
+
+    def first_nonzero(self) -> int | None:
+        """First index whose coefficient is not zero to precision; None if none."""
+        return self._first(lambda x, i: x.cells[i])
+
+    def _first(self, hit) -> int | None:
+        parts = self._parts()
+        return next((i for i in range(len(self._a)) if any(hit(x, i) for x in parts)), None)
 
     @property
     def is_zero_to_precision(self) -> bool:
-        return all(c.is_zero_to_precision for c in self.a) and (
-            self.b is None or all(c.is_zero_to_precision for c in self.b)
-        )
+        return self.first_nonzero() is None
 
     def min_abs_prec(self):
         """Smallest coefficient absolute precision (inf for an all-exact polynomial)."""
-        out = inf
-        for part in (self.a, self.b) if self.b is not None else (self.a,):
-            for c in part:
-                if c.val is not None:
-                    out = min(out, c.val + c.rel)
-        return out
+        return min(x.min_abs for x in self._parts())
 
     def _merge_form(self, other: "Series"):
         if self.form is None:
@@ -360,60 +427,51 @@ class Series:
             raise ValueError("mixing series from different forms")
         return self.form
 
-    def _part_at(self, part, i):
-        if part is None or i >= len(part):
-            return PadicScalar.exact_zero(self.prec)
-        return part[i]
+    def _coerce(self, other) -> "Series | None":
+        if isinstance(other, (int, Fraction, PadicScalar, QuadExtScalar)):
+            return Series.constant(other, self.prec)
+        return other if isinstance(other, Series) else None
 
     def _check_compat(self, other: "Series"):
         if self.prec.p != other.prec.p or self.prec.p_prec != other.prec.p_prec:
             raise PrecisionError("precision mismatch between series")
 
+    def _sum(self, other: "Series") -> tuple:
+        """The a- and b-parts of self + other; b is None when neither has one."""
+        known = min(self.known_length, other.known_length)
+        L = max(len(self._a), len(other._a)) if known == inf else int(known)
+        if self._b is None and other._b is None:
+            return _add_parts(self._a, other._a, L), None
+        empty = Part(self.prec.p, 0, [], [])
+        b = _add_parts(self._b or empty, other._b or empty, L)
+        return _add_parts(self._a, other._a, L), b
+
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, PadicScalar, QuadExtScalar)):
-            other = Series.constant(other, self.prec)
-        if not isinstance(other, Series):
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
         self._check_compat(other)
         form = self._merge_form(other)
-        known = min(self.known_length, other.known_length)
-        L = max(len(self.a), len(other.a)) if known == inf else int(known)
-        aa = [self._part_at(self.a, i) + other._part_at(other.a, i) for i in range(L)]
-        need_b = self.b is not None or other.b is not None
-        bb = None
-        if need_b:
-            bb = [
-                self._part_at(self.b, i) + other._part_at(other.b, i) for i in range(L)
-            ]
-        return Series(
-            self.prec,
-            aa,
-            bb,
-            form,
-            is_polynomial=self.is_polynomial and other.is_polynomial,
-        )
+        poly = self.is_polynomial and other.is_polynomial
+        return Series(self.prec, *self._sum(other), form, is_polynomial=poly)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._map_parts(lambda part: [-c for c in part])
+        return self._map_parts(Part.neg)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, PadicScalar, QuadExtScalar)):
-            other = Series.constant(other, self.prec)
-        if not isinstance(other, Series):
-            return NotImplemented
-        return self + (-other)
+        other = self._coerce(other)
+        return NotImplemented if other is None else self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, PadicScalar, QuadExtScalar)):
-            other = Series.constant(other, self.prec)
-        if not isinstance(other, Series):
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
         self._check_compat(other)
         form = self._merge_form(other)
@@ -423,48 +481,35 @@ class Series:
         if of is None or og is None:
             return Series.zero(self.prec, form)
         if self.is_polynomial and other.is_polynomial:
-            true_len = len(self.a) + len(other.a) - 1
+            true_len = len(self._a) + len(other._a) - 1
             L = min(true_len, cap)
             poly = true_len <= cap
         else:
             known = min(self.known_length + og, other.known_length + of, cap)
             L = int(known)
             poly = False
-        if L <= 0:
-            return Series.zero(self.prec, form)
 
-        Fa = _pack_part(self.a, p)
-        Ga = _pack_part(other.a, p)
-        Fb = _pack_part(self.b, p) if self.b is not None else None
-        Gb = _pack_part(other.b, p) if other.b is not None else None
+        parts = (self._a, self._b, other._a, other._b)
+        Fa, Fb, Ga, Gb = (None if x is None else x.packed() for x in parts)
 
-        def conv(X, Y):
+        def conv(X, Y, shift=0):
             if X is None or Y is None:
-                return None
-            ox, wx, cx = X
-            oy, wy, cy = Y
+                return unpack_part(p, None, L)
+            (ox, wx, cx), (oy, wy, cy) = X, Y
             W = min(wx, wy)
-            if W <= 0:
-                return ox + oy, 0, [0] * L
-            return ox + oy, W, _k_mul(cx, cy, p**W, L)
+            cells = _k_mul(cx, cy, p**W, L)
+            if shift:
+                # alpha^2 = -eps * p^(k+1) folds the b*b term into the a-part
+                t = teichmuller(form[1], self.prec, W).unit if W else 0
+                cells = [-c * t for c in cells]
+            return unpack_part(p, (ox + oy + shift, W, cells), L)
 
-        a_pieces = [conv(Fa, Ga)]
-        b_pieces = [conv(Fa, Gb), conv(Fb, Ga)]
-        cross = conv(Fb, Gb)
-        if cross is not None:
-            # alpha^2 = -eps * p^(k+1) folds the b*b term into the a-part
-            k, eps_seed = form
-            o, W, cells = cross
-            if W > 0:
-                t = teichmuller(eps_seed, self.prec, W).unit
-                m = p**W
-                cells = [c * (m - t) % m for c in cells]
-            a_pieces.append((o + k + 1, W, cells))
-
-        aa = unpack_part(self.prec, _combine_packed(a_pieces, p, L), L)
+        aa = conv(Fa, Ga)
+        if Fb is not None and Gb is not None:
+            aa = _add_parts(aa, conv(Fb, Gb, form[0] + 1), L)
         bb = None
-        if self.b is not None or other.b is not None:
-            bb = unpack_part(self.prec, _combine_packed(b_pieces, p, L), L)
+        if self._b is not None or other._b is not None:
+            bb = _add_parts(conv(Fa, Gb), conv(Fb, Ga), L)
         return Series(self.prec, aa, bb, form, is_polynomial=poly)
 
     __rmul__ = __mul__
@@ -473,29 +518,28 @@ class Series:
         """Multiply by p**d exactly (valuation offset; no precision change)."""
         if d == 0:
             return self
-        return self._map_parts(lambda part: [c.shift(d) for c in part])
+        return self._map_parts(lambda x: x.shift(d))
 
     def reduce_abs(self, abs_prec: int) -> "Series":
-        return self._map_parts(lambda part: [c.reduce_abs(abs_prec) for c in part])
+        return self._map_parts(lambda x: x.reduce_abs(abs_prec))
 
     def with_p_prec(self, p_prec: int) -> "Series":
         """Relabel the container's p-adic depth without touching the digits.
 
-        Coefficient precision lives on the coefficients themselves, so this
-        only swaps the ambient context — useful for mixing values produced
-        under different working depths over the same prime.
+        Coefficient precision lives in the columns, so this only swaps the
+        ambient context — useful for mixing values produced under different
+        working depths over the same prime.
         """
         if p_prec == self.prec.p_prec:
             return self
-        prec = self.prec.with_p_prec(p_prec)
-        return self._map_parts(lambda part: [c.with_prec(prec) for c in part], prec)
+        return self._map_parts(lambda x: x, self.prec.with_p_prec(p_prec))
 
     def _map_parts(self, fn, prec=None, is_polynomial=None) -> "Series":
         """fn applied to the a-part and to the b-part, if any; the form is kept."""
         return Series(
             self.prec if prec is None else prec,
-            fn(self.a),
-            None if self.b is None else fn(self.b),
+            fn(self._a),
+            None if self._b is None else fn(self._b),
             self.form,
             is_polynomial=self.is_polynomial if is_polynomial is None else is_polynomial,
         )
@@ -516,54 +560,51 @@ class Series:
             raise PrecisionError(
                 "composition with v(c) < 1 would lose all X-adic precision"
             )
-        L = len(self.a)
+        L = len(self._a)
         if L == 0:
             return self
+        p = self.prec.p
 
         def do_part(part):
-            packed = _pack_part(part, self.prec.p)
+            packed = part.packed()
+            if packed is None:
+                return part
+            off, W, cells = packed
+            W = min(W, c.abs_prec, d.abs_prec)
             caps = None
-            if packed is not None:
-                off, W, cells = packed
-                W = min(W, c.abs_prec, d.abs_prec)
-                if W > 0:
-                    m = self.prec.p**W
-                    mc = 0 if c.is_zero_to_precision else c.unit * self.prec.p**c.val % m
-                    md = d.unit * self.prec.p**d.val % m
-                    cells = _k_compose(cells, mc, md, m, L)
-                    if not self.is_polynomial and vc != inf:
-                        floor = min(0, _val_floor(part) or 0)
-                        caps = [int((L - j) * vc) + floor - off for j in range(L)]
-                packed = off, W, cells
-            return unpack_part(self.prec, packed, L, caps)
+            if W > 0:
+                m = p**W
+                mc = 0 if c.is_zero_to_precision else c.unit * p**c.val % m
+                cells = _k_compose(cells, mc, d.unit * p**d.val % m, m, L)
+                if not self.is_polynomial and vc != inf:
+                    floor = min(0, off)
+                    caps = [int((L - j) * vc) + floor - off for j in range(L)]
+            return unpack_part(p, (off, W, cells), L, caps)
 
         return self._map_parts(do_part)
 
     def evaluate(self, x: PadicScalar):
         """Horner evaluation at a scalar x with v(x) >= 1 (the open unit disc)."""
-        if len(self.a) == 0:
+        L = len(self._a)
+        if L == 0:
             if self.form is None:
                 return PadicScalar.exact_zero(self.prec)
             return QuadExtScalar.zero(self.prec, *self.form)
         vx = inf if x.val is None else x.val
         if not self.is_polynomial and vx < 1:
             raise PrecisionError("evaluation outside the open unit disc")
-        acc = self.coeff(len(self.a) - 1)
-        for n in range(len(self.a) - 2, -1, -1):
+        acc = self.coeff(L - 1)
+        for n in range(L - 2, -1, -1):
             acc = acc * x + self.coeff(n)
         if not self.is_polynomial and vx != inf:
-            L = len(self.a)
+            cap = int(L * vx)
+            # a missing alpha-part is exact zeros, and those have offset 0
+            fa, fb = (min(0, 0 if x is None else x.off) for x in (self._a, self._b))
             if self.form is None:
-                floor = min(0, _val_floor(self.a) or 0)
-                acc = acc.reduce_abs(int(L * vx) + floor)
+                acc = acc.reduce_abs(cap + fa)
             else:
-                fa = min(0, _val_floor(self.a) or 0)
-                fb = min(0, _val_floor(self.b) or 0) if self.b is not None else 0
-                acc = QuadExtScalar(
-                    acc.a.reduce_abs(int(L * vx) + fa),
-                    acc.b.reduce_abs(int(L * vx) + fb),
-                    *self.form,
-                )
+                a, b = acc.a.reduce_abs(cap + fa), acc.b.reduce_abs(cap + fb)
+                acc = QuadExtScalar(a, b, *self.form)
         return acc
 
     # -- remainders --------------------------------------------------------
@@ -586,16 +627,16 @@ class Series:
         floor is extrapolated along the tempered trend instead — otherwise
         the cap overstates what the window determines.
         """
-        if not phi.is_polynomial or phi.b is not None:
+        if not phi.is_polynomial or phi._b is not None:
             raise ValueError("modulus must be a polynomial over Q_p")
-        D = len(phi.a) - 1
-        while D >= 0 and phi.a[D].is_zero_to_precision:
+        D = len(phi._a) - 1
+        while D >= 0 and not phi._a.cells[D]:
             D -= 1
         if D < 0:
             raise ValueError("modulus is zero at this precision")
-        if phi.a[D].val != 0:
+        if phi._a.val(D) != 0:
             raise ValueError("modulus top coefficient must be a unit")
-        L = len(self.a)
+        L = len(self._a)
         if L <= D:
             if not self.is_polynomial:
                 # the unseen X^L.. terms reduce into every remainder degree
@@ -605,59 +646,48 @@ class Series:
                 )
             return self
         p = self.prec.p
-        offp, Wp, cphi = _pack_part(phi.a[: D + 1], p)
+        low = phi._a.slice(0, D + 1)
+        offp, Wp, cphi = low.packed()
         if offp != 0:
             raise ValueError("modulus is not distinguished (offset != 0)")
-        gmin = min(
-            (c.val for c in phi.a[:D] if c.val is not None), default=None
-        )
-        if gmin is None:
-            gmin = Wp  # all lower coefficients exactly zero: the modulus is X^D
+        # all lower coefficients exactly zero: the modulus is X^D
+        gmin = min((v for v in map(low.val, range(D)) if v is not None), default=Wp)
 
         def do_part(part):
-            packed = _pack_part(part, p)
+            packed = part.packed()
+            if packed is None:
+                return unpack_part(p, None, D)
+            off, W, cells = packed
+            W = min(W, Wp)
             caps = None
-            if packed is not None:
-                off, W, cells = packed
-                W = min(W, Wp)
-                if W > 0:
-                    _, cells = _divmod_cells(cells, cphi, p**W)
-                    if not self.is_polynomial:
-                        steps = -(-(L - D + 1) // D)  # ceil
-                        if growth_order is not None:
-                            tf = _tail_floor(part, float(growth_order), L, p)
-                            floor = min(0, 0 if tf is None else tf)
-                        else:
-                            floor = min(0, _val_floor(part) or 0)
-                        caps = [gmin * steps + floor - off] * D
-                packed = off, W, cells
-            return unpack_part(self.prec, packed, D, caps)
+            if W > 0:
+                _, cells = _divmod_cells(cells, cphi, p**W)
+                if not self.is_polynomial:
+                    steps = -(-(L - D + 1) // D)  # ceil
+                    if growth_order is not None:
+                        tf = _tail_floor(part, float(growth_order), L, p)
+                        floor = min(0, 0 if tf is None else tf)
+                    else:
+                        floor = min(0, off)
+                    caps = [gmin * steps + floor - off] * D
+            return unpack_part(p, (off, W, cells), D, caps)
 
         return self._map_parts(do_part, is_polynomial=True)
 
     # -- comparison --------------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, PadicScalar, QuadExtScalar)):
-            other = Series.constant(other, self.prec)
-        if not isinstance(other, Series):
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
-        known = min(self.known_length, other.known_length)
-        L = max(len(self.a), len(other.a)) if known == inf else int(known)
-        for i in range(L):
-            if not (self._part_at(self.a, i) == other._part_at(other.a, i)):
-                return False
-            if self.b is not None or other.b is not None:
-                if not (self._part_at(self.b, i) == other._part_at(other.b, i)):
-                    return False
-        return True
+        return not any(x is not None and any(x.cells) for x in self._sum(-other))
 
     __hash__ = None
 
     def __repr__(self):
         kind = "poly" if self.is_polynomial else "series"
-        E = "" if self.b is None else " +alpha-part"
-        return f"Series({kind}, len={len(self.a)}, p={self.prec.p}{E})"
+        E = "" if self._b is None else " +alpha-part"
+        return f"Series({kind}, len={len(self._a)}, p={self.prec.p}{E})"
 
 
 # ------------------------------------------------------- cyclotomic factors
@@ -691,7 +721,7 @@ def cyclotomic_factor(
     mod = p**W
     N = prec.x_prec
     cells = _k_cyclo(p, m, pow(u, -j, mod), mod, N)  # min(N, deg + 1) cells
-    aa = unpack_part(prec, (0, W, cells), len(cells))
+    aa = unpack_part(p, (0, W, cells), len(cells))
     return Series(prec, aa, is_polynomial=cyclotomic_degree(p, m) + 1 <= N)
 
 
@@ -751,14 +781,7 @@ class IwasawaElement:
             raise PrecisionError("mismatched cyclotomic generator images")
 
     def _map_components(self, fn):
-        memo: dict = {}
-        out = []
-        for s in self.components:
-            key = id(s)
-            if key not in memo:
-                memo[key] = fn(s)
-            out.append(memo[key])
-        return IwasawaElement(self.prec, out, self.u)
+        return self._zip_components(self, lambda f, _: fn(f))
 
     def _zip_components(self, other, fn):
         memo: dict = {}
@@ -781,8 +804,7 @@ class IwasawaElement:
     def __sub__(self, other):
         if not isinstance(other, IwasawaElement):
             return NotImplemented
-        self._check_compat(other)
-        return self._zip_components(other, lambda f, g: f - g)
+        return self + (-other)
 
     def __neg__(self):
         return self._map_components(lambda s: -s)
@@ -878,15 +900,11 @@ class IwasawaElement:
     def _working_digits(self) -> int:
         """A safe mantissa width covering every coefficient of every component."""
         out = self.prec.p_prec
-        seen = set()
-        for s in self.components:
-            if id(s) in seen:
-                continue
-            seen.add(id(s))
-            for part in (s.a, s.b) if s.b is not None else (s.a,):
-                for cz in part:
-                    if cz.val is not None:
-                        out = max(out, cz.val + cz.rel - min(0, cz.val))
+        for s in {id(s): s for s in self.components}.values():
+            for part in s._parts():
+                for i, A in enumerate(part.abs_precs):
+                    if A != inf:
+                        out = max(out, A - min(0, part.val(i)))
         return out
 
     @property
@@ -894,7 +912,7 @@ class IwasawaElement:
         return all(s.is_zero_to_precision for s in self.components)
 
     def min_x_length(self) -> int:
-        return min(len(s.a) for s in self.components)
+        return min(s.length for s in self.components)
 
     def min_abs_prec(self):
         return min(s.min_abs_prec() for s in self.components)
@@ -926,7 +944,7 @@ def _weierstrass_split(G: Series):
     polynomials known to G's packed working width.
     """
     prec, p = G.prec, G.prec.p
-    off, W, cells = _pack_part(G.a, p)
+    off, W, cells = G._a.packed()
     if W < 1:
         raise PrecisionError(
             "the divisor's Weierstrass degree is not determined at this precision"
@@ -950,55 +968,56 @@ def _weierstrass_split(G: Series):
         P = [(c + e) % m for c, e in zip(P, delta)] + [1]
         U, R = _divmod_cells(cells, P, m)
     return (
-        Series(prec, unpack_part(prec, (0, W, P), len(P)), is_polynomial=True),
-        Series(prec, unpack_part(prec, (off, W, U), len(U)), is_polynomial=True),
+        Series(prec, unpack_part(p, (0, W, P), len(P)), is_polynomial=True),
+        Series(prec, unpack_part(p, (off, W, U), len(U)), is_polynomial=True),
     )
 
 
 def _quotient_by_monic(F: Series, P: Series) -> Series:
     """Euclidean quotient of a polynomial F by a monic polynomial P."""
-    D = len(P.a) - 1
-    R = [F.coeff(n) for n in range(len(F.a))]
+    D = P.length - 1
+    low = [P.coeff(i) for i in range(D)]
+    R = [F.coeff(n) for n in range(F.length)]
     q = [None] * max(len(R) - D, 0)
     for n in range(len(R) - 1, D - 1, -1):
         t = q[n - D] = R[n]
         for i in range(D):
-            R[n - D + i] = R[n - D + i] - t * P.a[i]
+            R[n - D + i] = R[n - D + i] - t * low[i]
     return Series.make(F.prec, q, form=F.form, is_polynomial=True)
 
 
-def _triples(part, length):
-    """(val, unit, rel) of each coefficient, exact zeros (val None) past the end."""
-    out = [(c.val, c.unit, c.rel) for c in part[:length]]
-    return out + [(None, 0, 0)] * (length - len(out))
+def _back_substitute(num, den, n):
+    """The first n terms of Q with Q*den = num, on the parts' integer columns.
 
-
-def _back_substitute(num, den, p):
-    """Q with Q*den = num, one degree at a time, on (val, unit, rel) triples.
-
-    ``num`` gives Q's length and ``den`` is a divisor over Q_p.  Every triple
-    is a PadicScalar's normalized state (val None: the exact zero) and each
-    step obeys the scalar rules exactly: q[m] is num[m] plus the products
-    -den[i]*q[m-i] (each at the smaller relative precision, exact zeros
-    dropped), times 1/den[0] at the smaller relative precision.  A run of
-    min-abs additions is the exact sum of its terms reduced once, at the
+    ``den`` is a divisor over Q_p; both parts read as exact zeros past their
+    end.  Each step obeys the scalar rules exactly: q[m] is num[m] plus the
+    products -den[i]*q[m-i] (each at the smaller relative precision, exact
+    zeros dropped), times 1/den[0] at the smaller relative precision.  A run
+    of min-abs additions is the exact sum of its terms reduced once, at the
     smallest absolute precision among them, with the p-power stripped; so
-    each degree reduces once.  An exact or zero-to-precision den[0] raises
-    as PadicScalar.inverse does.
+    each degree reduces once.  Quotient coefficients are (val, unit, rel)
+    triples until packed.  An exact or zero-to-precision den[0] raises as
+    PadicScalar.inverse does.
     """
-    v0, u0, r0 = den[0]
-    if v0 is None:
+    p = den.p
+    terms = []  # (i, val, unit, rel) of den's coefficients, exact zeros left out
+    for i in range(min(n, len(den))):
+        v = den.val(i)
+        if v is not None:
+            terms.append((i, v, den.cells[i] // p ** (v - den.off), den.abs_precs[i] - v))
+    if not terms or terms[0][0]:
         raise ExactZeroError("division by exact zero")
+    _, v0, u0, r0 = terms.pop(0)
     if r0 == 0:
         raise PrecisionError(f"division by zero-to-precision O(p^{v0})")
     vi, ri = -v0, r0
     ui = pow(u0, -1, p**r0)
-    terms = [(i, v, u, r) for i, (v, u, r) in enumerate(den) if i and v is not None]
     pw = [1]
     q = []
-    for m, (v, u, r) in enumerate(num):
-        A = inf if v is None else v + r
-        live = [(v, u)] if v is not None and r else []
+    for m in range(n):
+        c = num.cells[m] if m < len(num) else 0
+        A = num.abs_precs[m] if m < len(num) else inf
+        live = [(num.off, c)] if c else []
         for i, gv, gu, gr in terms:
             if i > m:
                 break
@@ -1032,7 +1051,7 @@ def _back_substitute(num, den, p):
             sv, su, sr = base + k, s, A - base - k
         r = sr if sr < ri else ri
         q.append((sv + vi, su * ui % pw[r] if r else 0, r))
-    return q
+    return Part.from_triples(p, q)
 
 
 def divide_series(F: Series, G: Series, growth_order=None) -> Series:
@@ -1054,7 +1073,7 @@ def divide_series(F: Series, G: Series, growth_order=None) -> Series:
 
     The quotient of two polynomials keeps the full x_prec window; otherwise
     its length is the shared window minus d.  It is computed by
-    back-substitution from degree d on (val, unit, rel) integer triples under
+    back-substitution from degree d on the integer columns under
     PadicScalar's precision rules (_back_substitute), the a- and b-parts of
     a Q_p(alpha) dividend as two Q_p solves; two polynomials with lambda > 0
     divide as (F/X^d quo P) / (G/X^d quo P), so no digit is lost to G's
@@ -1063,94 +1082,73 @@ def divide_series(F: Series, G: Series, growth_order=None) -> Series:
     precision.
     """
     F._check_compat(G)
-    if G.b is not None and any(c.val is not None for c in G.b):
-        conj = Series(G.prec, G.a, [-c for c in G.b], G.form, G.is_polynomial)
+    if G._b is not None and G._b.min_abs != inf:
+        conj = Series(G.prec, G._a, G._b.neg(), G.form, G.is_polynomial)
         norm = G * conj  # its alpha-part cancels; only the Q_p part is kept
         if G.is_polynomial and not norm.is_polynomial:
             raise PrecisionError(
                 "the divisor's norm G*conj(G) does not fit in the X-window"
             )
         return divide_series(
-            F * conj, Series(G.prec, norm.a, is_polynomial=norm.is_polynomial),
+            F * conj, Series(G.prec, norm._a, is_polynomial=norm.is_polynomial),
             growth_order,
         )
     form = F._merge_form(G)
-    if F.is_polynomial and G.is_polynomial:
-        window = None
-    elif G.is_polynomial:
-        window = len(F.a)
-    elif F.is_polynomial:
-        window = len(G.a)
-    else:
-        window = min(len(F.a), len(G.a))
+    window = min(F.known_length, G.known_length)  # inf for two polynomials
 
-    d = next((i for i, c in enumerate(G.a) if not c.is_zero_to_precision), None)
+    d = G.first_nonzero()
     if d is None:
         raise DivisibilityError("divisor is zero at this precision")
 
     low_bounds = []
     for i in range(d):
-        fi = F.coeff(i) if i < len(F.a) or F.is_polynomial else None
-        if fi is not None and not fi.is_zero_to_precision:
+        fparts = F._parts() if i < F.length else ()
+        if any(x.cells[i] for x in fparts):
             raise DivisibilityError(
                 f"dividend has a nonzero coefficient at degree {i}, below the "
                 f"divisor's order {d}",
                 degree=i,
             )
-        parts = [G.a[i]]
-        if fi is not None:
-            parts += (fi.a, fi.b) if isinstance(fi, QuadExtScalar) else (fi,)
-        for pt in parts:
-            if pt.val is not None and pt.rel == 0:
-                low_bounds.append(pt.val)
+        # the coefficients here are zero to precision: keep their O(p^A) bounds
+        low_bounds += [x.abs_precs[i] for x in (G._a,) + fparts if x.abs_precs[i] != inf]
 
-    num = Series(
-        F.prec, F.a[d:], None if F.b is None else F.b[d:], F.form, F.is_polynomial
-    )
-    den = Series(G.prec, G.a[d:], None, G.form, G.is_polynomial)
+    num = F._map_parts(lambda x: x.slice(d, F.length))
+    den = Series(G.prec, G._a.slice(d, G.length), None, G.form, G.is_polynomial)
     split = _weierstrass_split(den) if G.is_polynomial else None
     if split is not None:
         P, U = split
-        lam = len(P.a) - 1
-        if not F.is_polynomial and len(num.a) <= lam:
+        lam = P.length - 1
+        if not F.is_polynomial and num.length <= lam:
             raise PrecisionError(
-                f"a dividend window of {len(num.a)} past degree {d} cannot test "
+                f"a dividend window of {num.length} past degree {d} cannot test "
                 f"the divisor's {lam} zeros in the open disc"
             )
-        rem = num.remainder_mod(P, growth_order=growth_order)
-        for n in range(len(rem.a)):
-            if not rem.coeff(n).is_zero_to_precision:
-                raise DivisibilityError(
-                    f"dividend misses the divisor's {lam} zero(s) in the open "
-                    f"disc: its remainder modulo their distinguished polynomial "
-                    f"is nonzero at degree {n}",
-                    degree=n,
-                )
+        n = num.remainder_mod(P, growth_order=growth_order).first_nonzero()
+        if n is not None:
+            raise DivisibilityError(
+                f"dividend misses the divisor's {lam} zero(s) in the open "
+                f"disc: its remainder modulo their distinguished polynomial "
+                f"is nonzero at degree {n}",
+                degree=n,
+            )
         if F.is_polynomial:
             num, den = _quotient_by_monic(num, P), U
 
-    qlen = F.prec.x_prec if window is None else max(window - d, 0)
-    aa, bb = [], None
-    if qlen:
-        g = _triples(den.a, qlen)
-        qa = _back_substitute(_triples(num.a, qlen), g, F.prec.p)
-        aa = [PadicScalar(F.prec, *t) for t in qa]
-        if num.form is not None or den.form is not None:
-            # a Q_p divisor acts on the a- and b-parts separately
-            qb = _back_substitute(_triples(num.b or (), qlen), g, F.prec.p)
-            bb = [PadicScalar(F.prec, *t) for t in qb]
-
-    if low_bounds and aa:
+    qlen = F.prec.x_prec if window == inf else max(window - d, 0)
+    if not qlen:
+        return Series(F.prec, (), None, form)
+    qa = _back_substitute(num._a, den._a, qlen)
+    qb = None
+    if num.form is not None or den.form is not None:
+        # a Q_p divisor acts on the a- and b-parts separately
+        qb = _back_substitute(num._b or Part(F.prec.p, 0, [], []), den._a, qlen)
+    if low_bounds:
         # below-pivot coefficients of F or G known only as O(p^A) perturb the
-        # quotient by about G_top^{-1} * O(p^A) * Q; cap accordingly
-        vals = [Fraction(c.val) for c in aa if c.val is not None]
-        if bb is not None:
-            half = Fraction(form[0] + 1, 2)  # v(alpha)
-            vals += [c.val + half for c in bb if c.val is not None]
-        vq = min(vals, default=Fraction(0))
-        cap_f = min(low_bounds) + min(Fraction(0), vq) - G.a[d].val
-        cap = cap_f.numerator // cap_f.denominator  # floor
-        aa = [c.reduce_abs(cap) for c in aa]
-        if bb is not None:
-            bb = [c.reduce_abs(cap) for c in bb]
-    return Series(F.prec, aa, bb, form)
+        # quotient by about G_top^{-1} * O(p^A) * Q; cap accordingly (the
+        # offset 0 of an all-exact part is harmless: only min(0, vq) counts)
+        vq = Fraction(qa.off)
+        if qb is not None:
+            vq = min(vq, qb.off + Fraction(form[0] + 1, 2))  # v(alpha)
+        cap = math.floor(min(low_bounds) + min(0, vq) - G._a.val(d))
+        qa, qb = qa.reduce_abs(cap), None if qb is None else qb.reduce_abs(cap)
+    return Series(F.prec, qa, qb, form)

@@ -16,7 +16,6 @@ from iwa.series import (
     IwasawaElement,
     Series,
     _back_substitute,
-    _triples,
     cyclotomic_factor,
     divide_series,
     u_for,
@@ -567,6 +566,23 @@ def test_divide_by_exactly_zero_alpha_part_is_division_over_qp(poly):
     assert all(c.is_exact_zero for c in Qa.b or ())
 
 
+def test_a_zero_known_to_less_than_the_others_keeps_its_bound():
+    # coefficient 0 is O(5^-2): working at the valuation 5 of coefficient 1
+    # must not hand it the seven digits up to O(5^5) that it never had
+    P = Precision(5, 20, 8)
+    low, high = PadicScalar.inexact_zero(P, -2), PadicScalar(P, 5, 3, 4)
+    five, one = PadicScalar.from_int(5, P), PadicScalar.from_int(1, P)
+    lin = Series.make(P, [5, 1], is_polynomial=True)  # X + 5, distinguished
+    zero = PadicScalar.exact_zero(P)
+    built = Series(P, [low, high], is_polynomial=True)
+    summed = Series(P, [low], is_polynomial=True) + Series(P, [zero, high], is_polynomial=True)
+    for s in (built, summed):
+        outs = [s * 1, s.compose_affine(five, one), s.remainder_mod(lin)]
+        outs.append((s * 1).compose_affine(five, one).remainder_mod(lin))
+        for out in outs:
+            assert out.a[0].is_zero_to_precision and out.a[0].abs_prec <= -2
+
+
 # ------------------------------ division: the triple kernel against scalars
 
 
@@ -668,7 +684,8 @@ def test_triple_kernel_matches_scalar_loop(data):
         num = den * num  # cancellation at every degree
 
     def kernel():
-        return _back_substitute(_triples(num.a, n), _triples(den.a, n), p)
+        q = _back_substitute(num._a, den._a, n)
+        return [(c.val, c.unit, c.rel) for c in Series(prec, q).a]
 
     def scalar_loop():
         return [(c.val, c.unit, c.rel) for c in back_substitute_scalars(num, den, n)]
@@ -676,7 +693,7 @@ def test_triple_kernel_matches_scalar_loop(data):
     assert outcome(kernel) == outcome(scalar_loop)
 
 
-# ------------------------------------------- packed parts back to scalars
+# ------------------------------------------- packed cells into columns
 
 
 @settings(max_examples=300, deadline=None)
@@ -691,31 +708,51 @@ def test_unpack_part_matches_wrap_then_shift(data):
     W = data.draw(st.integers(-3, 14))
     offset = data.draw(st.integers(-4, 6))
     caps = data.draw(st.none() | st.lists(st.integers(-4, 18), min_size=n, max_size=n))
-    got = unpack_part(prec, (-offset, W, cells), n, caps)
+    got = Series(prec, unpack_part(p, (-offset, W, cells), n, caps)).a
     padded = cells + [0] * (n - len(cells))
     # a width W <= 0 counts as 0: zeros known to O(p^-offset), or less under a cap
     want = series_from_cells(padded, prec, max(W, 0), caps).shift_val(-offset)
     assert [(c.val, c.unit, c.rel) for c in got] == [(c.val, c.unit, c.rel) for c in want.a]
-    none = unpack_part(prec, None, n)  # an all-exact-zero part
+    none = Series(prec, unpack_part(p, None, n)).a  # an all-exact-zero part
     assert len(none) == n and all(c.is_exact_zero for c in none)
+
+
+@st.composite
+def alpha_inputs(draw, prec):
+    """(a, b, form, is_polynomial) of a series with an alpha-part, maybe empty.
+
+    Besides the mix of ``scalars``, one coefficient is at times a zero known
+    to less than every other coefficient's valuation.
+    """
+    n = draw(st.integers(0, prec.x_prec))
+    form = (draw(st.integers(0, 2)), draw(st.integers(1, prec.p - 1)))
+    a = [draw(scalars(prec)) for _ in range(n)]
+    b = [draw(scalars(prec)) for _ in range(n)]
+    if n and draw(st.booleans()):
+        part = draw(st.sampled_from([a, b]))
+        part[draw(st.integers(0, n - 1))] = PadicScalar.inexact_zero(prec, draw(st.integers(-5, -3)))
+    return a, b, form, draw(st.booleans())
 
 
 @st.composite
 def alpha_series(draw, prec):
     """A series with an alpha-part, truncated or a polynomial, maybe empty."""
-    n = draw(st.integers(0, prec.x_prec))
-    form = (draw(st.integers(0, 2)), draw(st.integers(1, prec.p - 1)))
-    a = [draw(scalars(prec)) for _ in range(n)]
-    b = [draw(scalars(prec)) for _ in range(n)]
-    return Series(prec, a, b, form, draw(st.booleans()))
+    return Series(prec, *draw(alpha_inputs(prec)))
+
+
+def triples(scalars):
+    return [(c.val, c.unit, c.rel, c.prec) for c in scalars]
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_part_maps_act_coefficientwise_on_both_parts(data):
-    p = data.draw(st.sampled_from([3, 5, 7]))
+    p = data.draw(st.sampled_from([3, 5, 7, 11]))
     prec = Precision(p, 12, 8)
-    s = data.draw(alpha_series(prec))
+    a, b, form, poly = data.draw(alpha_inputs(prec))
+    s = Series(prec, a, b, form, poly)
+    # the columns give back the scalars they were packed from
+    assert (triples(s.a), triples(s.b), s.form, s.is_polynomial) == (triples(a), triples(b), form, poly)
     d = data.draw(st.integers(-3, 3))
     A = data.draw(st.integers(-2, 10))
     other = prec.with_p_prec(data.draw(st.integers(1, 20)))
@@ -728,10 +765,30 @@ def test_part_maps_act_coefficientwise_on_both_parts(data):
         (s.shift_val(d), each(lambda c: c.shift(d))),
         (s.reduce_abs(A), each(lambda c: c.reduce_abs(A))),
         (s.with_p_prec(other.p_prec), each(lambda c: c.with_prec(other), other)),
+        (
+            s.with_p_prec(other.p_prec).shift_val(d),
+            each(lambda c: c.with_prec(other).shift(d), other),
+        ),
     ):
         assert triple_shape(got) == triple_shape(want)
         assert got.prec == want.prec
         assert all(c.prec == want.prec for c in got.a + got.b)
+
+    # sums and equality go coefficient by coefficient under the scalar rules,
+    # missing coefficients counting as exact zeros
+    t_a, t_b, _, t_poly = data.draw(alpha_inputs(prec))
+    t = Series(prec, t_a, t_b, form, t_poly)
+    known = min(s.known_length, t.known_length)
+    L = max(s.length, t.length) if known == float("inf") else known
+
+    def at(part, i):
+        return part[i] if i < len(part) else PadicScalar.exact_zero(prec)
+
+    pairs = [(at(s.a, i), at(t.a, i)) for i in range(L)] + [(at(s.b, i), at(t.b, i)) for i in range(L)]
+    want = Series(prec, [x + y for x, y in pairs[:L]], [x + y for x, y in pairs[L:]], form, poly and t_poly)
+    assert triple_shape(s + t) == triple_shape(want)
+    for u, u_pairs in ((t, pairs), (s.reduce_abs(A), [(x, x.reduce_abs(A)) for x in s.a + s.b])):
+        assert (s == u) == all(x == y for x, y in u_pairs)
 
 
 @settings(max_examples=100, deadline=None)
