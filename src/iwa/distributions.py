@@ -26,9 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import inf
 
-from .scalars import PadicScalar, Precision, PrecisionError, QuadExtScalar
+from .scalars import Precision, PrecisionError
 from .series import (
     DivisibilityError,
     IwasawaElement,
@@ -63,7 +62,6 @@ class Distribution:
     cyclo_factors: tuple = ()
     truncation_level: int | None = None
     meta: dict | None = field(default=None, compare=False, repr=False)
-    _norm_cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "order_tag", Fraction(self.order_tag))
@@ -132,55 +130,32 @@ class Distribution:
         )
 
 
-def _coeff_valuation(c) -> Fraction | None:
-    """Valuation of a coefficient, or None for an exact zero.
-
-    For a coefficient that is zero only to precision O(p^A) the bound A is
-    used: the true valuation is at least A, so scans stay lower bounds of the
-    valuation-form norm (upper bounds of the norm itself).
-    """
-    if isinstance(c, QuadExtScalar):
-        va = _coeff_valuation(c.a)
-        vb = _coeff_valuation(c.b)
-        half = Fraction(c.k + 1, 2)
-        if va is None and vb is None:
-            return None
-        if va is None:
-            return vb + half
-        if vb is None:
-            return va
-        return min(va, vb + half)
-    if c.is_exact_zero:
-        return None
-    if c.rel == 0:
-        return Fraction(c.val)
-    return Fraction(c.valuation())
-
-
 def rho_norm(F: Distribution, m: int) -> Fraction:
     """Valuation form of the rho_m norm: min_n v_p(a_n) + n/(p^(m-1)(p-1)).
 
-    Scanned per tame component and minimised across components.  Raises
-    ValueError when every coefficient is zero at the stated precision.
+    Scanned per tame component and minimised across components.  An
+    alpha-part coefficient b counts as b*alpha, of valuation v(b) + (k+1)/2.
+    A coefficient that is zero only to precision O(p^A) counts as A: the true
+    valuation is at least A, so the scan stays a lower bound of the
+    valuation-form norm.  Raises ValueError when every coefficient is zero at
+    the stated precision.
     """
     if m < 1:
         raise ValueError("level m must be >= 1")
-    cached = F._norm_cache.get(m)
-    if cached is not None:
-        return cached
     denom = cyclotomic_degree(F.prec.p, m)
     best = None
     for comp in F.body.components:
-        for n in range(comp.length):
-            v = _coeff_valuation(comp.coeff(n))
-            if v is None:
-                continue
-            cand = v + Fraction(n, denom)
-            if best is None or cand < best:
-                best = cand
+        shifts = (0,) if comp.form is None else (0, Fraction(comp.form[0] + 1, 2))
+        for part, shift in zip(comp._parts(), shifts):
+            for n in range(len(part)):
+                v = part.val(n)
+                if v is None:
+                    continue
+                cand = v + shift + Fraction(n, denom)
+                if best is None or cand < best:
+                    best = cand
     if best is None:
         raise ValueError("rho_norm of a distribution that is zero to precision")
-    F._norm_cache[m] = best
     return best
 
 

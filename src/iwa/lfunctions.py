@@ -152,8 +152,8 @@ class DirichletCharacter:
         norm = tuple(None if e is None else e % pm1 for e in self.table)
         object.__setattr__(self, "table", norm)
         for a in range(self.modulus):
-            is_unit = math.gcd(a if self.modulus > 1 else 1, self.modulus) == 1
-            if (norm[a] is None) == is_unit:
+            # gcd(a, 1) = 1, so modulus 1 needs no case of its own here or below
+            if (norm[a] is None) == (math.gcd(a, self.modulus) == 1):
                 raise ValueError("table support must be exactly the unit group")
         for a in range(self.modulus):
             if norm[a] is None:
@@ -170,7 +170,7 @@ class DirichletCharacter:
     @classmethod
     def trivial(cls, p: int, modulus: int = 1) -> "DirichletCharacter":
         table = tuple(
-            0 if math.gcd(a if modulus > 1 else 1, modulus) == 1 else None
+            0 if math.gcd(a, modulus) == 1 else None
             for a in range(modulus)
         )
         return cls(p, modulus, table)
@@ -224,8 +224,7 @@ class DirichletCharacter:
 
     def exponent(self, a: int):
         """The exponent of chi(a), or None when chi(a) = 0."""
-        if self.modulus == 1:
-            return 0
+        # modulus 1 gives table[0], which multiplicativity forces to be 0
         if math.gcd(a, self.modulus) != 1:
             return None
         return self.table[a % self.modulus]
@@ -253,8 +252,7 @@ class DirichletCharacter:
 
     @property
     def is_odd(self) -> bool:
-        if self.modulus <= 2:
-            return False
+        # at modulus 1 or 2, -1 is the residue 1, whose exponent is 0
         e = self.table[self.modulus - 1]
         half = (self.p - 1) // 2
         if e not in (0, half):
@@ -277,12 +275,12 @@ class DirichletCharacter:
             return self
         table = [None] * f
         for a in range(f):
-            if math.gcd(a if f > 1 else 1, f) != 1:
+            if math.gcd(a, f) != 1:
                 continue
             b = a
-            while math.gcd(b if self.modulus > 1 else 1, self.modulus) != 1:
+            while math.gcd(b, self.modulus) != 1:
                 b += f
-            table[a] = self.table[b % self.modulus] if self.modulus > 1 else 0
+            table[a] = self.table[b % self.modulus]
         return DirichletCharacter(self.p, f, tuple(table))
 
     def __mul__(self, other):
@@ -293,7 +291,7 @@ class DirichletCharacter:
         m = math.lcm(self.modulus, other.modulus)
         table = [None] * m
         for a in range(m):
-            if math.gcd(a if m > 1 else 1, m) != 1:
+            if math.gcd(a, m) != 1:
                 continue
             e1 = self.exponent(a)
             e2 = other.exponent(a)
@@ -321,10 +319,10 @@ class DirichletCharacter:
         p, f0 = self.p, f // self.p
         table = [None] * f0
         for a in range(f0):
-            if math.gcd(a if f0 > 1 else 1, f0) != 1:
+            if math.gcd(a, f0) != 1:
                 continue
             b = a
-            while b % p != 1 or math.gcd(b if f0 > 1 else 1, f0) != 1:
+            while b % p != 1 or math.gcd(b, f0) != 1:
                 b += f0
             table[a] = psi.exponent(b)
         eta0 = DirichletCharacter(p, f0, tuple(table))
@@ -351,7 +349,7 @@ def gen_bernoulli(n: int, eta: DirichletCharacter, prec: Precision | None = None
         raise ValueError("Bernoulli index must be nonnegative")
     psi = eta.primitive()
     F = psi.conductor
-    units = [a for a in range(1, F + 1) if math.gcd(a, F) == 1] if F > 1 else [1]
+    units = [a for a in range(1, F + 1) if math.gcd(a, F) == 1]
     if psi.is_rational_valued:
         tot = Fraction(0)
         for a in units:
@@ -375,6 +373,24 @@ def _as_scalar(x, prec: Precision, rel: int) -> PadicScalar:
     if isinstance(x, PadicScalar):
         return x
     return PadicScalar.from_fraction(Fraction(x), prec, rel)
+
+
+def _interpolation_factor(psi: DirichletCharacter, n: int, prec: Precision, rel: int,
+                          pw) -> PadicScalar:
+    """(1 - psi(p) p^(n-1)) B_{n, psi} / n for a primitive psi.
+
+    ``pw`` are the omega-powers, read only when p does not divide the
+    conductor of psi; it may be None otherwise.
+    """
+    p = psi.p
+    one = PadicScalar.from_int(1, prec, rel)
+    B = _as_scalar(gen_bernoulli(n, psi, prec, rel), prec, rel)
+    ep = psi.exponent(p)
+    if ep is None:
+        euler = one
+    else:
+        euler = one - pw[ep] * PadicScalar.from_fraction(Fraction(p) ** (n - 1), prec, rel)
+    return euler * B / PadicScalar.from_int(n, prec, rel)
 
 
 # ------------------------------------------------------------ L-values
@@ -402,15 +418,8 @@ def kl_value(eta: DirichletCharacter, one_minus_n: int, prec: Precision,
     rel = prec.p_prec + 6 if rel is None else rel
     p = eta.p
     psi = (eta * DirichletCharacter.teichmuller_power(p, -n)).primitive()
-    B = _as_scalar(gen_bernoulli(n, psi, prec, rel), prec, rel)
-    ep = psi.exponent(p)
-    one = PadicScalar.from_int(1, prec, rel)
-    if ep is None:
-        euler = one
-    else:
-        pw = _omega_powers(p, prec, rel)
-        euler = one - pw[ep] * PadicScalar.from_fraction(Fraction(p) ** (n - 1), prec, rel)
-    return -(euler * B) / PadicScalar.from_int(n, prec, rel)
+    pw = None if psi.exponent(p) is None else _omega_powers(p, prec, rel)
+    return -_interpolation_factor(psi, n, prec, rel, pw)
 
 
 def smoothed_moment(eta: DirichletCharacter, omega_exponent: int, m: int, c: int,
@@ -434,16 +443,9 @@ def smoothed_moment(eta: DirichletCharacter, omega_exponent: int, m: int, c: int
     psi = (eta * DirichletCharacter.teichmuller_power(p, omega_exponent)).primitive()
     pw = _omega_powers(p, prec, rel)
     one = PadicScalar.from_int(1, prec, rel)
-
-    B = _as_scalar(gen_bernoulli(m + 1, psi, prec, rel), prec, rel)
     ec = psi.exponent(c)
     smooth = one - pw[ec] * PadicScalar.from_fraction(Fraction(c) ** (m + 1), prec, rel)
-    ep = psi.exponent(p)
-    if ep is None:
-        euler = one
-    else:
-        euler = one - pw[ep] * PadicScalar.from_fraction(Fraction(p) ** m, prec, rel)
-    return smooth * euler * B / PadicScalar.from_int(m + 1, prec, rel)
+    return smooth * _interpolation_factor(psi, m + 1, prec, rel, pw)
 
 
 # ------------------------------------------------------------ the series
@@ -846,28 +848,16 @@ def least_smoothing_c(chi_eps: DirichletCharacter, k: int, coprime_to: int = 1) 
     """Least c > 1, prime to ``coprime_to`` and p, admissible for the even twists.
 
     Admissible means the smoothing factor is exactly nonzero at every even j
-    with k+2 < j <= 2k+2.  The factor vanishes only when c^{2j-2k-4} equals a
-    root of unity, which an integer power of c > 1 never is once the exponent
-    is positive — so the per-twist check is exponent arithmetic, kept explicit
-    rather than assumed.
+    with k+2 < j <= 2k+2.
     """
     p = chi_eps.p
     for c in range(2, 4 * p * p * max(coprime_to, chi_eps.modulus, 2)):
         if math.gcd(c, coprime_to) != 1 or math.gcd(c, p) != 1:
             continue
-        e = chi_eps.exponent(c)
-        if e is None:
-            continue
-        ok = True
-        for j in range(k + 3, 2 * k + 3):
-            if j % 2:
-                continue
-            # zero iff c^{2j-2k-4} is the root of unity (chi eps)(c)^{-2},
-            # i.e. iff the power is trivial and the exponent cancels
-            if 2 * j - 2 * k - 4 == 0 and (2 * e) % (p - 1) == 0:
-                ok = False
-                break
-        if ok:
+        # the factor vanishes only when c^{2j-2k-4} is the root of unity
+        # (chi eps)(c)^{-2}; here 2j-2k-4 >= 2, and no positive power of an
+        # integer c > 1 is a root of unity, so any c with chi eps(c) != 0 will do
+        if chi_eps.exponent(c) is not None:
             return c
     raise ValueError("no admissible smoothing constant found")  # pragma: no cover
 

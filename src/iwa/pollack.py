@@ -30,6 +30,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from math import inf
 
 from ._kernel import cyclotomic_cells, polymul
 from .distributions import Distribution
@@ -249,18 +250,12 @@ def log_identity_check(p: int, r: int, prec: Precision | None = None) -> dict:
     lhs = lhs.shift_val(2 * r)
     diff = lhs - full.body.components[0]
 
-    worst = None  # valuation of a known-nonzero coefficient, if any
-    confirmed = None  # depth to which zero-ness is confirmed
-    for n in range(min(diff.length, N)):
-        c = diff.coeff(n)
-        if c.is_exact_zero:
-            continue
-        if c.is_zero_to_precision:
-            b = c.abs_prec
-            confirmed = b if confirmed is None else min(confirmed, b)
-        else:
-            v = c.valuation()
-            worst = v if worst is None else min(worst, v)
+    a = diff._a
+    known = [n for n in range(min(len(a), N)) if a.abs_precs[n] != inf]
+    # the valuation of a known-nonzero coefficient, if any, and the depth to
+    # which zero-ness is confirmed
+    worst = min((a.val(n) for n in known if a.cells[n]), default=None)
+    confirmed = min((a.abs_precs[n] for n in known if not a.cells[n]), default=None)
     ok = worst is None
     return {
         "p": p,

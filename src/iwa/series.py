@@ -184,6 +184,9 @@ class Part:
     def slice(self, start, stop):
         return _part(self.p, self.off, *_cols(self, start, stop))
 
+    def reverse(self):
+        return Part(self.p, self.off, self.cells[::-1], self.abs_precs[::-1])
+
 
 def _cols(part, start, stop):
     """(cells, abs_precs) of degrees start..stop-1 as stored, exact zeros past the end."""
@@ -549,6 +552,9 @@ class Series:
     def compose_affine(self, c: PadicScalar, d: PadicScalar) -> "Series":
         """The series at c + d*X, for v(c) >= 1 and d a unit.
 
+        A polynomial takes any c and d in Z_p; a c or d of negative valuation
+        raises PrecisionError, since the packed kernel works modulo p^W.
+
         For a non-polynomial input of length L the degree >= L tail mixes into
         coefficient j with valuation at least (L - j) v(c) + (tail floor), and
         the result's precision is capped accordingly.
@@ -560,6 +566,8 @@ class Series:
             raise PrecisionError(
                 "composition with v(c) < 1 would lose all X-adic precision"
             )
+        if vc < 0 or d.val < 0:
+            raise PrecisionError("affine composition needs c and d of valuation >= 0")
         L = len(self._a)
         if L == 0:
             return self
@@ -898,13 +906,18 @@ class IwasawaElement:
     # -- inspection --------------------------------------------------------
 
     def _working_digits(self) -> int:
-        """A safe mantissa width covering every coefficient of every component."""
+        """A safe mantissa width covering every coefficient of every component.
+
+        A part's coefficients lie in p^min(0, off) Z_p and are known to at
+        most its largest finite absolute precision, so the difference covers
+        them all.
+        """
         out = self.prec.p_prec
         for s in {id(s): s for s in self.components}.values():
             for part in s._parts():
-                for i, A in enumerate(part.abs_precs):
-                    if A != inf:
-                        out = max(out, A - min(0, part.val(i)))
+                top = max((A for A in part.abs_precs if A != inf), default=None)
+                if top is not None:
+                    out = max(out, top - min(0, part.off))
         return out
 
     @property
@@ -971,19 +984,6 @@ def _weierstrass_split(G: Series):
         Series(prec, unpack_part(p, (0, W, P), len(P)), is_polynomial=True),
         Series(prec, unpack_part(p, (off, W, U), len(U)), is_polynomial=True),
     )
-
-
-def _quotient_by_monic(F: Series, P: Series) -> Series:
-    """Euclidean quotient of a polynomial F by a monic polynomial P."""
-    D = P.length - 1
-    low = [P.coeff(i) for i in range(D)]
-    R = [F.coeff(n) for n in range(F.length)]
-    q = [None] * max(len(R) - D, 0)
-    for n in range(len(R) - 1, D - 1, -1):
-        t = q[n - D] = R[n]
-        for i in range(D):
-            R[n - D + i] = R[n - D + i] - t * low[i]
-    return Series.make(F.prec, q, form=F.form, is_polynomial=True)
 
 
 def _back_substitute(num, den, n):
@@ -1054,6 +1054,21 @@ def _back_substitute(num, den, n):
     return Part.from_triples(p, q)
 
 
+def _quotient_by_monic(F: Series, P: Series) -> Series:
+    """Euclidean quotient of a polynomial F by a monic polynomial P over Q_p.
+
+    It runs from the top: with n = deg F - deg P + 1, rev(F) = rev(Q) * rev(P)
+    mod X^n, and rev(P) starts with P's top coefficient, a unit known to P's
+    width.  So rev(Q) is the first n terms of _back_substitute(rev(F),
+    rev(P)), one solve per part.
+    """
+    n = F.length - P.length + 1
+    if n <= 0:  # nothing to solve for, and the kernel needs a divisor term
+        return F._map_parts(lambda x: x.slice(0, 0))
+    rev = P._a.reverse()
+    return F._map_parts(lambda x: _back_substitute(x.reverse(), rev, n).reverse())
+
+
 def divide_series(F: Series, G: Series, growth_order=None) -> Series:
     """Quotient Q with Q*G = F, refusing an F that misses G's zeros in the open disc.
 
@@ -1076,10 +1091,12 @@ def divide_series(F: Series, G: Series, growth_order=None) -> Series:
     back-substitution from degree d on the integer columns under
     PadicScalar's precision rules (_back_substitute), the a- and b-parts of
     a Q_p(alpha) dividend as two Q_p solves; two polynomials with lambda > 0
-    divide as (F/X^d quo P) / (G/X^d quo P), so no digit is lost to G's
-    zeros.  Precision follows scalar propagation, plus a cap accounting for
-    any below-d coefficients of F or G that are only zero to finite
-    precision.
+    divide as (F/X^d quo P) / U, so no digit is lost to G's zeros.  The
+    monic quotient F/X^d quo P is the same kernel run on the reversed
+    columns (_quotient_by_monic): its relative precision is capped at P's
+    width, which the division by U, known to that width, caps it to anyway.
+    Precision follows scalar propagation, plus a cap accounting for any
+    below-d coefficients of F or G that are only zero to finite precision.
     """
     F._check_compat(G)
     if G._b is not None and G._b.min_abs != inf:

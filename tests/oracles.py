@@ -239,10 +239,10 @@ def frobenius_polys_by_roots(ell: int, a: int, eps: int, k: int, c: Fraction):
 
 # ------------------------------------------------ reference back-substitution
 #
-# The one oracle here built on the library: divide_series's division loop as
-# it ran on PadicScalar / QuadExtScalar objects before it moved to integer
-# triples.  The scalar layer is the specification the triple kernel must
-# reproduce bit for bit, so it is the reference.
+# The oracles here built on the library: divide_series's division loops as
+# they ran on PadicScalar / QuadExtScalar objects before they moved to
+# integer triples.  The scalar layer is the specification the triple kernel
+# must reproduce bit for bit, so it is the reference.
 
 
 def back_substitute_scalars(num, den, qlen: int) -> list:
@@ -260,16 +260,35 @@ def back_substitute_scalars(num, den, qlen: int) -> list:
     return q
 
 
-def reference_divide(F, G):
-    """divide_series(F, G) by scalar back-substitution, for a Q_p divisor G.
+def quotient_by_monic_scalars(F, P):
+    """Euclidean quotient of a polynomial F by a monic polynomial P, top down.
 
-    G must have no zeros in the open disc to test: it is truncated, or a
-    polynomial whose lowest coefficient nonzero to precision has the least
-    valuation.  Window, pivot and the cap for below-pivot zeros to precision
-    follow divide_series.
+    P's top coefficient is taken as exactly 1, so no step divides.
     """
-    from iwa.scalars import QuadExtScalar
-    from iwa.series import DivisibilityError, Series
+    from iwa.series import Series
+
+    D = P.length - 1
+    low = [P.coeff(i) for i in range(D)]
+    R = [F.coeff(n) for n in range(F.length)]
+    q = [None] * max(len(R) - D, 0)
+    for n in range(len(R) - 1, D - 1, -1):
+        t = q[n - D] = R[n]
+        for i in range(D):
+            R[n - D + i] = R[n - D + i] - t * low[i]
+    return Series.make(F.prec, q, form=F.form, is_polynomial=True)
+
+
+def reference_divide(F, G):
+    """divide_series(F, G) by scalar loops, for a Q_p divisor G.
+
+    Window, pivot and the cap for below-pivot zeros to precision follow
+    divide_series.  A polynomial G with zeros in the open disc is split and
+    its zeros tested by the library (_weierstrass_split, remainder_mod),
+    which this reference takes as given; two polynomials then divide as
+    (F quo P) / U, by the scalar monic loop and scalar back-substitution.
+    """
+    from iwa.scalars import PrecisionError, QuadExtScalar
+    from iwa.series import DivisibilityError, Series, _weierstrass_split
 
     form = F._merge_form(G)
     d = next((i for i in range(len(G.a)) if not G.coeff(i).is_zero_to_precision), None)
@@ -292,6 +311,15 @@ def reference_divide(F, G):
                     low_bounds.append(pt.val)
     num = Series(F.prec, F.a[d:], None if F.b is None else F.b[d:], F.form, F.is_polynomial)
     den = Series(G.prec, G.a[d:], None, G.form, G.is_polynomial)
+    split = _weierstrass_split(den) if G.is_polynomial else None
+    if split is not None:
+        P, U = split
+        if not F.is_polynomial and num.length < P.length:
+            raise PrecisionError("the dividend window cannot test the divisor's zeros")
+        if num.remainder_mod(P).first_nonzero() is not None:
+            raise DivisibilityError("dividend misses the divisor's zeros in the open disc")
+        if F.is_polynomial:
+            num, den = quotient_by_monic_scalars(num, P), U
     q = back_substitute_scalars(num, den, qlen)
     if low_bounds and q:
         vq = min(

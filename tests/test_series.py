@@ -167,6 +167,16 @@ def test_compose_affine_caps_tail_of_truncated_series():
     assert g.a[0].abs_prec <= 6
 
 
+@pytest.mark.parametrize("c, d", [(Fraction(1, 5), 1), (5, Fraction(1, 5)), (Fraction(2, 25), 3)])
+def test_compose_affine_refuses_c_or_d_of_negative_valuation(c, d):
+    # the packed kernel works in Z_p: a polynomial at a non-integral c or d
+    # is refused by name rather than failing inside the integer arithmetic
+    f = frac_series([1, 2, 3])
+    c, d = (PadicScalar.from_fraction(Fraction(x), P5) for x in (c, d))
+    with pytest.raises(PrecisionError, match="valuation >= 0"):
+        f.compose_affine(c, d)
+
+
 def test_evaluate_polynomial_any_point():
     f = frac_series([1, 2, 1])
     x = PadicScalar.from_int(3, P5)
@@ -666,6 +676,56 @@ def division_cases(draw):
 @settings(max_examples=300, deadline=None)
 @given(division_cases())
 def test_divide_series_matches_scalar_back_substitution(case):
+    F, G = case
+    assert outcome(divide_series, F, G) == outcome(reference_divide, F, G)
+
+
+@st.composite
+def monic_division_cases(draw):
+    """(F, G) over p in {3, 5, 7} with G a polynomial with zeros in the open disc.
+
+    Past its leading zeros to precision, G is content p^v times a polynomial
+    whose first lambda in {1, 2, 3} coefficients are p-divisible and whose
+    coefficient lambda is a unit, with jagged precision.  F is mostly a
+    polynomial multiple of G, at times of a G more precise than the divisor,
+    at times perturbed at one degree or drawn at random (not divisible); it
+    may have an alpha-part or be truncated.
+    """
+    p = draw(st.sampled_from([3, 5, 7]))
+    prec = Precision(p, 12, draw(st.integers(4, 12)))
+    form = (draw(st.integers(0, 2)), draw(st.integers(1, p - 1)))
+    lam, v = draw(st.integers(1, 3)), draw(st.integers(-2, 2))
+    lead = [draw(zeros(prec)) for _ in range(draw(st.integers(0, 2)))]
+    low = [draw(scalars(prec, zero=i > 0, min_val=v + 1)) for i in range(lam)]
+    unit = draw(st.integers(0, p**11)) * p + draw(st.integers(1, p - 1))
+    pivot = PadicScalar(prec, v, unit, draw(st.integers(1, 12)))
+    rest = [draw(scalars(prec, min_val=v)) for _ in range(draw(st.integers(0, 3)))]
+    G = Series(prec, lead + low + [pivot] + rest, None, draw(st.sampled_from([None, form])), True)
+    f_poly = draw(st.integers(0, 4)) > 0  # mostly the monic path
+    n = draw(st.integers(1, 5))
+    has_b = draw(st.booleans())
+    f_form = form if has_b or draw(st.booleans()) else None
+
+    def part(m):
+        return [draw(scalars(prec)) for _ in range(m)]
+
+    kind = draw(st.sampled_from(["multiple"] * 3 + ["precise", "perturbed", "random"]))
+    if kind == "random":
+        m = G.length + n - 1
+        return Series(prec, part(m), part(m) if has_b else None, f_form, f_poly), G
+    F = G * Series(prec, part(n), part(n) if has_b else None, f_form, f_poly)
+    if kind == "precise":  # the dividend keeps digits the divisor has lost
+        G = G.reduce_abs(v + draw(st.integers(1, 6)))
+    elif kind == "perturbed":
+        F = F + Series.monomial(draw(st.integers(0, F.length)), prec, draw(scalars(prec)))
+    return F, G
+
+
+@settings(max_examples=300, deadline=None)
+@given(monic_division_cases())
+def test_divide_series_by_open_disc_zeros_matches_scalar_reference(case):
+    # the monic quotient runs on the reversed columns; end to end it must
+    # give the scalar monic loop's triples after the division by U
     F, G = case
     assert outcome(divide_series, F, G) == outcome(reference_divide, F, G)
 
