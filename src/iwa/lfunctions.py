@@ -7,7 +7,11 @@ The cast, roughly in dependency order:
   of unity of order dividing p-1, stored as exponents of a fixed Teichmuller
   generator.  Everything downstream (Bernoulli sums, interpolation factors,
   Euler factors) consumes characters in this form.
-* :func:`gen_bernoulli` — generalized Bernoulli numbers B_{n,chi}.
+* :func:`gen_bernoulli` — generalized Bernoulli numbers B_{n,chi}
+  (Washington, Introduction to Cyclotomic Fields, 4.1).  One integer row
+  per n, (D, C(n,i) B_i D) with D the common denominator of B_0..B_n, is
+  cached, so D f^n B_n(a/f) is an integer sum and each B_n(a/f) is formed
+  once as an exact Fraction.
 * :func:`kl_value` — the interpolation formula for p-adic L-values at
   s = 1 - n.  This is the oracle of record: the series construction below is
   certified against it and never the other way around.
@@ -19,7 +23,13 @@ The cast, roughly in dependency order:
   points of pZ_p are p-integral, so every table entry is checked for
   integrality as a construction self-test, and the interpolation tail drops
   one digit per node past the window — the node budget makes the truncation
-  error provably smaller than the requested precision.
+  error provably smaller than the requested precision.  The divided-difference
+  table and its expansion into monomials (von zur Gathen-Gerhard, Modern
+  Computer Algebra, ch. 5) run on (val, unit, rel) triples under the scalar
+  rules, so they give the PadicScalar results digit for digit.  The node
+  difference u^-r - u^-s is u^-r (1 - u^(r-s)), so its inverse unit is u^r
+  times the inverse unit of 1 - u^(r-s): one modular inverse per column of
+  the table, not one per cell.
 * :func:`euler_factor_E` / :func:`euler_factor_Eprime` /
   :func:`exceptional_zero_report` — the three-factor products controlling
   trivial zeros of the symmetric square, with exact vanishing flags (each
@@ -52,7 +62,7 @@ from .dieudonne import PhiModule
 from .distributions import Distribution, divide_exact
 from .pollack import log_p_unit
 from .scalars import PadicScalar, Precision, PrecisionError, _vp, teichmuller
-from .series import FiniteCharacter, IwasawaElement, Series, u_for
+from .series import FiniteCharacter, IwasawaElement, Part, Series, u_for
 
 __all__ = [
     "DirichletCharacter",
@@ -107,20 +117,63 @@ def _bernoulli_number(i: int) -> Fraction:
     return Fraction(sympy.bernoulli(i, 0))
 
 
-def _bernoulli_poly(n: int, x: Fraction) -> Fraction:
-    return sum(
-        (math.comb(n, i) * _bernoulli_number(i) * x ** (n - i) for i in range(n + 1)),
-        Fraction(0),
-    )
+@lru_cache(maxsize=None)
+def _bernoulli_row(n: int) -> tuple:
+    """(D, row) with D the common denominator of B_0..B_n and row[i] = C(n,i) B_i D.
+
+    So D F^n B_n(a/F) = sum_i row[i] F^i a^(n-i) is an integer for integers a, F.
+    """
+    bs = [_bernoulli_number(i) for i in range(n + 1)]
+    D = math.lcm(*(b.denominator for b in bs))
+    return D, tuple(math.comb(n, i) * (b * D).numerator for i, b in enumerate(bs))
 
 
-def _omega_powers(p: int, prec: Precision, rel: int) -> list:
-    """Powers of the fixed Teichmuller generator, index = exponent."""
+@lru_cache(maxsize=None)
+def _omega_powers(p: int, prec: Precision, rel: int) -> tuple:
+    """Powers of the fixed Teichmuller generator, index = exponent.
+
+    Memoized, so one Teichmuller lift serves every call at a precision; the
+    tuple is shared by the callers, and scalars are immutable.
+    """
     base = teichmuller(_primitive_root(p), prec, rel)
     out = [PadicScalar.from_int(1, prec, rel)]
     for _ in range(p - 2):
         out.append(out[-1] * base)
-    return out
+    return tuple(out)
+
+
+def _sum_triples(terms, p: int) -> tuple:
+    """The sum of (val, unit, rel) triples under PadicScalar's rules.
+
+    val None is an exact zero and adds nothing, not even a precision bound;
+    units may be signed and unreduced.  As in series._back_substitute, a run
+    of min-abs additions is the exact sum reduced once, at the smallest
+    absolute precision A among the terms, with the p-power stripped.
+    """
+    A = v0 = math.inf
+    for v, _, r in terms:
+        if v is not None:
+            if v + r < A:
+                A = v + r
+            if v < v0:
+                v0 = v
+    if A == math.inf:
+        return None, 0, 0
+    w = A - v0
+    if w <= 0:
+        return A, 0, 0
+    s = 0
+    for v, c, _ in terms:
+        if v is not None and v - v0 < w:  # deeper terms vanish mod p^w
+            s += c * p ** (v - v0)
+    s %= p**w
+    if s == 0:
+        return A, 0, 0
+    k = 0
+    while s % p == 0:
+        s //= p
+        k += 1
+    return v0 + k, s, w - k
 
 
 # -------------------------------------------------------------- characters
@@ -344,17 +397,31 @@ def gen_bernoulli(n: int, eta: DirichletCharacter, prec: Precision | None = None
     PadicScalar.  The parity convention is classical: the number vanishes
     unless eta(-1) = (-1)^n, except for the weight-one trivial case
     B_{1,triv} = 1/2.
+
+    B_n(a/F) is read from one cached integer row per n (see _bernoulli_row):
+    with D the common denominator of B_0..B_n, D F^n B_n(a/F) is the integer
+    sum_i C(n,i) B_i D F^i a^(n-i), evaluated by Horner's rule in a.  So no
+    Fraction arithmetic runs per term, and every rational that reaches a
+    scalar is the exact B_n(a/F), as a term-by-term Fraction sum gives it.
     """
     if n < 0:
         raise ValueError("Bernoulli index must be nonnegative")
     psi = eta.primitive()
     F = psi.conductor
+    D, row = _bernoulli_row(n)
+
+    def scaled(a):  # D F^n B_n(a/F)
+        acc, Fi = 0, 1
+        for r in row:
+            acc = acc * a + r * Fi
+            Fi *= F
+        return acc
+
     units = [a for a in range(1, F + 1) if math.gcd(a, F) == 1]
     if psi.is_rational_valued:
-        tot = Fraction(0)
-        for a in units:
-            tot += psi.value_fraction(a) * _bernoulli_poly(n, Fraction(a, F))
-        return Fraction(F) ** (n - 1) * tot
+        # F^(n-1) sum_a psi(a) B_n(a/F), with psi(a) = +-1
+        tot = sum(scaled(a) if psi.exponent(a) == 0 else -scaled(a) for a in units)
+        return Fraction(tot, D * F)
     if prec is None:
         raise ValueError(
             "character values are irrational over Q; pass a precision context"
@@ -363,9 +430,8 @@ def gen_bernoulli(n: int, eta: DirichletCharacter, prec: Precision | None = None
     pw = _omega_powers(psi.p, prec, rel)
     tot = PadicScalar.exact_zero(prec)
     for a in units:
-        e = psi.exponent(a)
-        term = PadicScalar.from_fraction(_bernoulli_poly(n, Fraction(a, F)), prec, rel)
-        tot = tot + pw[e] * term
+        term = PadicScalar.from_fraction(Fraction(scaled(a), D * F**n), prec, rel)
+        tot = tot + pw[psi.exponent(a)] * term
     return tot * PadicScalar.from_fraction(Fraction(F) ** (n - 1), prec, rel)
 
 
@@ -529,10 +595,16 @@ def _kl_core(eta: DirichletCharacter, branch_i: int, prec: Precision) -> dict:
     rel = prec.p_prec + E + _vp(math.factorial(E), p) + 16
     wprec = prec.with_p_prec(rel)
     u = u_for(p)
+    M = p**rel
 
-    nodes = [
-        PadicScalar.from_fraction(Fraction(u) ** (-m) - 1, wprec, rel)
-        for m in range(E)
+    # Node m is u^-m - 1 = u^-m (1 - u^m) to rel digits, as a (val, unit, rel)
+    # triple; node 0 is the exact zero.  1 - u^m = w[m] p^nv[m], w[m] a unit.
+    nv = [math.inf] + [_vp(u**m - 1, p) for m in range(1, E)]
+    w = [0] + [(1 - u**m) // p ** nv[m] for m in range(1, E)]
+    u_pow = [pow(u, m, M) for m in range(E)]
+    u_inv = pow(u, -1, M)
+    nodes = [(None, 0, 0)] + [
+        (nv[m], w[m] * pow(u_inv, m, M) % M, rel) for m in range(1, E)
     ]
     dd = []
     for m in range(E):
@@ -541,30 +613,46 @@ def _kl_core(eta: DirichletCharacter, branch_i: int, prec: Precision) -> dict:
             raise ArithmeticError(
                 "smoothed moment came out non-integral; the regularization is broken"
             )
-        dd.append(v)
+        dd.append((v.val, v.unit, v.rel))
+    # dd[row] <- (dd[row] - dd[row-1]) / (node[row] - node[row-col]) on triples.
+    # The node difference is u^-row (1 - u^col): valuation nv[col], known to
+    # rel + min(nv[row], nv[row-col]) - nv[col] digits as a scalar difference
+    # of the two nodes, and its inverse unit is u^row w[col]^-1.  The residue
+    # is unique, so one modular inverse per column gives every cell's.
     for col in range(1, E):
+        vd, wi = nv[col], pow(w[col], -1, M)
         for row in range(E - 1, col - 1, -1):
-            dd[row] = (dd[row] - dd[row - 1]) / (nodes[row] - nodes[row - col])
+            y, yu, yr = dd[row - 1]
+            x, xu, xr = _sum_triples((dd[row], (y, -yu, yr)), p)
+            if x is None:
+                dd[row] = (None, 0, 0)
+                continue
+            r = min(xr, rel + min(nv[row], nv[row - col]) - vd)
+            dd[row] = (x - vd, xu * u_pow[row] * wi % p**r if r else 0, r)
     for entry in dd:
-        if entry.val is not None and entry.val < 0:
+        if entry[0] is not None and entry[0] < 0:
             raise ArithmeticError(
                 "divided differences left Z_p; the moment formula is off"
             )
 
+    # Newton form to monomials, truncated at X^N: poly <- poly * (X - node[m])
+    # + dd[m], from the top node down.
     N = prec.x_prec
-    zero = PadicScalar.exact_zero(wprec)
     poly = [dd[E - 1]]
     for m in range(E - 2, -1, -1):
-        nxt = [zero] * min(len(poly) + 1, N)
-        for dg in range(len(poly)):
-            if dg + 1 < N:
-                nxt[dg + 1] = nxt[dg + 1] + poly[dg]
-            nxt[dg] = nxt[dg] - nodes[m] * poly[dg]
-        nxt[0] = nxt[0] + dd[m]
+        nodev, nodeu, _ = nodes[m]
+        nxt = []
+        for dg in range(min(len(poly) + 1, N)):
+            terms = [poly[dg - 1]] if dg else [dd[m]]
+            if dg < len(poly) and nodev is not None and poly[dg][0] is not None:
+                pv, pu, pr = poly[dg]
+                r = min(rel, pr)  # node * poly[dg] at the smaller relative precision
+                terms.append((nodev + pv, -nodeu * pu if r else 0, r))
+            nxt.append(_sum_triples(terms, p))
         poly = nxt
 
     comps = [Series.zero(wprec) for _ in range(pm1)]
-    comps[i] = Series(wprec, tuple(poly), None, None, is_polynomial=False)
+    comps[i] = Series(wprec, Part.from_triples(p, poly), is_polynomial=False)
     smoothed = IwasawaElement(wprec, comps, u)
 
     psi0 = eta0 * DirichletCharacter.teichmuller_power(p, b)
@@ -667,7 +755,7 @@ def kl_branch_values(eta: DirichletCharacter, branch_i: int, s_points,
             FiniteCharacter(core["i"], 0, s)
         )
         den = one - core["psi0_c"] * core["bracket_c"] ** (-s)
-        if den.val is not None and den.unit == 0 and den.rel == 0:
+        if den.is_zero_to_precision:
             raise ArithmeticError("smoothing scalar vanished; s = 1 is the pole")
         out.append(num / den)
     return out

@@ -893,7 +893,7 @@ class IwasawaElement:
         trust cap; see Series.remainder_mod.
         """
         D = cyclotomic_degree(self.prec.p, m)
-        if D > self.prec.x_prec:
+        if D + 1 > self.prec.x_prec:  # Phi is a polynomial only with D + 1 terms
             raise PrecisionError(
                 f"x_prec={self.prec.x_prec} too small for deg Phi = {D}"
             )

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, factorial
 
 # ---------------------------------------------------------- exact poly algebra
 
@@ -121,6 +121,7 @@ def bernoulli_number(n: int) -> Fraction:
     return -s / (n + 1)
 
 
+@lru_cache(maxsize=None)
 def bernoulli_poly(n: int, x: Fraction) -> Fraction:
     return sum(
         (comb(n, k) * bernoulli_number(k) * x ** (n - k) for k in range(n + 1)),
@@ -397,3 +398,195 @@ def series_from_cells(cells, prec, W: int, caps=None):
         else:
             coeffs.append(PadicScalar(prec, 0, c, W).reduce_abs(a))
     return Series(prec, tuple(coeffs), None, None, is_polynomial=False)
+
+
+# ------------------------------------------ reference Kubota-Leopoldt series
+#
+# lfunctions' Bernoulli numbers, moments and branch series as they ran before
+# they moved to integers: B_n(a/f) as a Fraction sum term by term, the
+# omega-powers rebuilt on every call, and the divided differences and the
+# Newton-to-monomial expansion one PadicScalar operation at a time.  Built on
+# the library's scalars and its unchanged helpers, since the integer loops
+# must reproduce these scalar for scalar, error messages included.
+
+
+def reference_omega_powers(p: int, prec, rel: int) -> list:
+    from iwa.lfunctions import _primitive_root
+    from iwa.scalars import PadicScalar, teichmuller
+
+    base = teichmuller(_primitive_root(p), prec, rel)
+    out = [PadicScalar.from_int(1, prec, rel)]
+    for _ in range(p - 2):
+        out.append(out[-1] * base)
+    return out
+
+
+def reference_gen_bernoulli(n: int, eta, prec=None, rel=None):
+    """B_{n, eta} = f^{n-1} sum_a eta(a) B_n(a/f), each B_n(a/f) a Fraction sum."""
+    from iwa.scalars import PadicScalar
+
+    if n < 0:
+        raise ValueError("Bernoulli index must be nonnegative")
+    psi = eta.primitive()
+    F = psi.conductor
+    units = [a for a in range(1, F + 1) if _gcd(a, F) == 1]
+    if psi.is_rational_valued:
+        tot = Fraction(0)
+        for a in units:
+            tot += psi.value_fraction(a) * bernoulli_poly(n, Fraction(a, F))
+        return Fraction(F) ** (n - 1) * tot
+    if prec is None:
+        raise ValueError(
+            "character values are irrational over Q; pass a precision context"
+        )
+    rel = prec.p_prec + 8 if rel is None else rel
+    pw = reference_omega_powers(psi.p, prec, rel)
+    tot = PadicScalar.exact_zero(prec)
+    for a in units:
+        term = PadicScalar.from_fraction(bernoulli_poly(n, Fraction(a, F)), prec, rel)
+        tot = tot + pw[psi.exponent(a)] * term
+    return tot * PadicScalar.from_fraction(Fraction(F) ** (n - 1), prec, rel)
+
+
+def _reference_interpolation_factor(psi, n: int, prec, rel: int):
+    """(1 - psi(p) p^(n-1)) B_{n, psi} / n for a primitive psi."""
+    from iwa.scalars import PadicScalar
+
+    p = psi.p
+    one = PadicScalar.from_int(1, prec, rel)
+    B = reference_gen_bernoulli(n, psi, prec, rel)
+    if not isinstance(B, PadicScalar):
+        B = PadicScalar.from_fraction(B, prec, rel)
+    ep = psi.exponent(p)
+    euler = one
+    if ep is not None:
+        pw = reference_omega_powers(p, prec, rel)
+        euler = one - pw[ep] * PadicScalar.from_fraction(Fraction(p) ** (n - 1), prec, rel)
+    return euler * B / PadicScalar.from_int(n, prec, rel)
+
+
+def reference_kl_value(eta, one_minus_n: int, prec, rel=None):
+    from iwa.lfunctions import DirichletCharacter
+    from iwa.scalars import PadicScalar
+
+    n = 1 - one_minus_n
+    if n <= 0:
+        if n == 0 and eta.primitive().conductor == 1:
+            raise ValueError(
+                "s = 1 is the pole of the zeta branch; no value exists there"
+            )
+        raise ValueError("values are defined at s = 1 - n with n >= 1")
+    if eta.is_odd:
+        return PadicScalar.exact_zero(prec)
+    rel = prec.p_prec + 6 if rel is None else rel
+    psi = (eta * DirichletCharacter.teichmuller_power(eta.p, -n)).primitive()
+    return -_reference_interpolation_factor(psi, n, prec, rel)
+
+
+def reference_smoothed_moment(eta, omega_exponent: int, m: int, c: int, prec, rel=None):
+    from iwa.lfunctions import DirichletCharacter
+    from iwa.scalars import PadicScalar
+
+    if m < 0:
+        raise ValueError("moment index must be nonnegative")
+    p = eta.p
+    if c <= 1 or _gcd(c, p * eta.modulus) != 1:
+        raise ValueError("smoothing constant must exceed 1 and be prime to p and the modulus")
+    rel = prec.p_prec + 8 if rel is None else rel
+    psi = (eta * DirichletCharacter.teichmuller_power(p, omega_exponent)).primitive()
+    pw = reference_omega_powers(p, prec, rel)
+    one = PadicScalar.from_int(1, prec, rel)
+    smooth = one - pw[psi.exponent(c)] * PadicScalar.from_fraction(
+        Fraction(c) ** (m + 1), prec, rel
+    )
+    return smooth * _reference_interpolation_factor(psi, m + 1, prec, rel)
+
+
+def newton_table_scalars(moments: list, nodes: list) -> list:
+    """Divided differences of the moments at the nodes, in place, by scalars."""
+    dd = list(moments)
+    E = len(dd)
+    for col in range(1, E):
+        for row in range(E - 1, col - 1, -1):
+            dd[row] = (dd[row] - dd[row - 1]) / (nodes[row] - nodes[row - col])
+    return dd
+
+
+def newton_to_monomial_scalars(dd: list, nodes: list, N: int) -> list:
+    """The Newton form sum_m dd[m] prod_{k<m} (X - nodes[k]) mod X^N, by scalars."""
+    from iwa.scalars import PadicScalar
+
+    zero = PadicScalar.exact_zero(dd[0].prec)
+    poly = [dd[-1]]
+    for m in range(len(dd) - 2, -1, -1):
+        nxt = [zero] * min(len(poly) + 1, N)
+        for dg in range(len(poly)):
+            if dg + 1 < N:
+                nxt[dg + 1] = nxt[dg + 1] + poly[dg]
+            nxt[dg] = nxt[dg] - nodes[m] * poly[dg]
+        nxt[0] = nxt[0] + dd[m]
+        poly = nxt
+    return poly
+
+
+def reference_kl_core(eta, branch_i: int, prec) -> dict:
+    """lfunctions._kl_core with the scalar loops and the references above."""
+    from iwa import lfunctions as lf
+    from iwa.lfunctions import DirichletCharacter
+    from iwa.scalars import PadicScalar, PrecisionError, _vp, teichmuller
+    from iwa.series import IwasawaElement, Series, u_for
+
+    p = prec.p
+    pm1 = p - 1
+    eta0, d = eta.split_at_p()
+    i = branch_i % pm1
+    if d is not None and d % pm1 != i:
+        raise ValueError(
+            "the character already carries omega^%d; branch %d conflicts" % (d, i)
+        )
+    even = eta0.is_odd == (i % 2 == 1)
+    b = (i - 1) % pm1
+    pole = eta0.conductor == 1 and i == 0
+    out = {"p": p, "i": i, "b": b, "eta0": eta0, "even": even, "pole": pole}
+    if not even:
+        return out
+    c = lf._kl_smoothing_c(p, eta0, b, require_unit=not pole)
+    E = prec.x_prec + prec.p_prec + 4
+    if E > lf._NODE_CAP:
+        raise PrecisionError(
+            f"window needs {E} interpolation nodes; the stabilization cap is {lf._NODE_CAP}"
+        )
+    rel = prec.p_prec + E + _vp(factorial(E), p) + 16
+    wprec = prec.with_p_prec(rel)
+    u = u_for(p)
+    nodes = [PadicScalar.from_fraction(Fraction(u) ** (-m) - 1, wprec, rel) for m in range(E)]
+    moments = []
+    for m in range(E):
+        v = -reference_smoothed_moment(eta0, b - m, m, c, wprec, rel)
+        if v.val is not None and v.val < 0:
+            raise ArithmeticError(
+                "smoothed moment came out non-integral; the regularization is broken"
+            )
+        moments.append(v)
+    dd = newton_table_scalars(moments, nodes)
+    if any(e.val is not None and e.val < 0 for e in dd):
+        raise ArithmeticError("divided differences left Z_p; the moment formula is off")
+    poly = newton_to_monomial_scalars(dd, nodes, prec.x_prec)
+
+    def on_branch(coeffs):
+        comps = [Series.zero(wprec) for _ in range(pm1)]
+        comps[i] = Series(wprec, tuple(coeffs), None, None, is_polynomial=False)
+        return IwasawaElement(wprec, comps, u)
+
+    psi0 = eta0 * DirichletCharacter.teichmuller_power(p, b)
+    psi0_c = reference_omega_powers(p, wprec, rel)[psi0.exponent(c)] * c
+    e_c = lf._log_unit_ratio(c, p, wprec, rel)
+    dcoeffs = lf._binomial_series(-e_c, prec.x_prec, wprec, rel)
+    one = PadicScalar.from_int(1, wprec, rel)
+    dser = [one - psi0_c * dcoeffs[0]] + [-(psi0_c * t) for t in dcoeffs[1:]]
+    bracket_c = PadicScalar.from_fraction(Fraction(c), wprec, rel) / teichmuller(
+        c % p, wprec, rel
+    )
+    out.update(c=c, nodes=E, wprec=wprec, rel=rel, smoothed=on_branch(poly),
+               divisor=on_branch(dser), psi0_c=psi0_c, bracket_c=bracket_c)
+    return out

@@ -15,6 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+from iwa import lfunctions
 from iwa.dieudonne import dcris_of_form
 from iwa.lfunctions import (
     DirichletCharacter,
@@ -428,6 +430,103 @@ class TestKlSeries:
     def test_node_cap(self):
         with pytest.raises(PrecisionError, match="cap"):
             kl_series(DirichletCharacter.trivial(5), 2, Precision(5, 200, 300))
+
+
+class TestKlSelfChecks:
+    """Both integrality checks of the construction raise from _kl_core."""
+
+    def test_a_non_integral_moment_is_refused(self, monkeypatch):
+        real = lfunctions.smoothed_moment
+
+        def broken(eta, a, m, c, prec, rel=None):
+            if m == 3:
+                return PadicScalar.from_fraction(Fraction(1, prec.p), prec, rel)
+            return real(eta, a, m, c, prec, rel)
+
+        monkeypatch.setattr(lfunctions, "smoothed_moment", broken)
+        with pytest.raises(ArithmeticError, match="non-integral") as info:
+            kl_series(DirichletCharacter.trivial(5), 2, Precision(5, 6, 5))
+        assert info.traceback[-1].name == "_kl_core"
+
+    def test_nodes_of_the_wrong_generator_are_refused(self, monkeypatch):
+        # nodes u^-m - 1 for u = 1 + p^2 while the moments sample the series
+        # at u = 1 + p: the interpolating series is not integral
+        monkeypatch.setattr(lfunctions, "u_for", lambda p: 1 + p * p)
+        with pytest.raises(ArithmeticError, match="left Z_p") as info:
+            kl_series(DirichletCharacter.trivial(5), 2, Precision(5, 6, 5))
+        assert info.traceback[-1].name == "_kl_core"
+
+
+# ------------------------------------------- the integer path vs its references
+
+
+def fingerprint(x):
+    """(val, unit, rel) of every scalar, exact Fractions, elements part by part."""
+    if isinstance(x, PadicScalar):
+        return ("scalar", x.val, x.unit, x.rel, x.prec)
+    if isinstance(x, IwasawaElement):
+        return ("element", x.prec, x.u, tuple(
+            (s.prec, s.is_polynomial, fingerprint(s.a), s.b is None) for s in x.components
+        ))
+    if isinstance(x, (list, tuple)):
+        return tuple(fingerprint(y) for y in x)
+    return x  # Fractions and report dicts compare exactly as they are
+
+
+def outcome(fn, *args):
+    try:
+        return fingerprint(fn(*args))
+    except (ArithmeticError, ValueError) as e:
+        return type(e), str(e)
+
+
+def grid_characters(p):
+    """Trivial, quadratic of conductors 3 and 4, omega-powers and products."""
+    DC = DirichletCharacter
+    q4 = DC.quadratic(p, 4)
+    out = [DC.trivial(p), q4, w_pow(p, 1), w_pow(p, 2), q4 * w_pow(p, 1)]
+    if p != 3:
+        q3 = DC.quadratic(p, 3)
+        out += [q3, q3 * w_pow(p, p - 2)]
+    return out
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_l_function_layer_matches_the_scalar_references(p, monkeypatch):
+    """Bernoulli numbers, moments, values and branch series on every branch and
+    two windows, bit for bit and error for error, against tests/oracles.py."""
+    for eta in grid_characters(p):
+        c = next(c for c in range(2, 99) if math.gcd(c, p * eta.modulus) == 1)
+        for n in range(-1, 8):
+            for args in ((n, eta, Precision(p, 10)), (n, eta)):
+                assert outcome(gen_bernoulli, *args) == outcome(
+                    oracles.reference_gen_bernoulli, *args
+                )
+        for a in range(p - 1):
+            for m, cc in ((-1, c), (0, 1), (0, c), (3, c)):
+                args = (eta, a, m, cc, Precision(p, 6, 4))
+                assert outcome(smoothed_moment, *args) == outcome(
+                    oracles.reference_smoothed_moment, *args
+                )
+        for prec in (Precision(p, 4, 3), Precision(p, 6, 4)):
+            for s in (1, 0, -1, -4):
+                args = (eta, s, prec)
+                assert outcome(kl_value, *args) == outcome(oracles.reference_kl_value, *args)
+            for br in range(p - 1):
+                calls = [(kl_series_report, eta, br, prec),
+                         (kl_branch_values, eta, br, [0, -1, -3], prec),
+                         (kl_branch_values, eta, br, [-1, 1], prec)]
+                got = [outcome(*call) for call in calls]
+                # the three calls share one reference core; cores are read-only
+                try:
+                    core = oracles.reference_kl_core(eta, br, prec)
+                except (ArithmeticError, ValueError) as e:
+                    assert got == [(type(e), str(e))] * 3, (eta, br, prec)
+                    continue
+                with monkeypatch.context() as patch:
+                    patch.setattr(lfunctions, "_kl_core", lambda *_: core)
+                    want = [outcome(*call) for call in calls]
+                assert got == want, (eta, br, prec)
 
 
 # ------------------------------------------------- symmetric-square factors

@@ -434,6 +434,16 @@ def test_remainder_requires_room():
         F.remainder_mod_cyclotomic(2, 0)  # deg 20 > 8
 
 
+@pytest.mark.parametrize("p, m", [(7, 1), (3, 2)])
+def test_remainder_refuses_a_level_whose_degree_fills_the_window(p, m):
+    # deg Phi_{p^m} = 6 = x_prec: Phi needs 7 terms to be a polynomial, so
+    # the reduction is refused as it is one degree higher
+    prec = Precision(p, 8, 6)
+    F = IwasawaElement.from_diagonal(Series.make(prec, [1, 2, 3], is_polynomial=True))
+    with pytest.raises(PrecisionError, match="too small for deg Phi = 6"):
+        F.remainder_mod_cyclotomic(m, 0)
+
+
 # ------------------------------------------------------------------- division
 
 
