@@ -17,6 +17,9 @@ The layers, bottom to top:
   distributions, Coleman extraction, and mock global modules.
 * :mod:`iwa.lfunctions` — Kubota-Leopoldt branches, Euler-type factors at p,
   exceptional-zero reports, smoothing factors.
+
+The package has no runtime dependency: it imports only the standard library,
+and all of its arithmetic is exact, on Python ints and Fractions.
 """
 
 __version__ = "0.1.0"

@@ -8,10 +8,11 @@ The cast, roughly in dependency order:
   generator.  Everything downstream (Bernoulli sums, interpolation factors,
   Euler factors) consumes characters in this form.
 * :func:`gen_bernoulli` — generalized Bernoulli numbers B_{n,chi}
-  (Washington, Introduction to Cyclotomic Fields, 4.1).  One integer row
-  per n, (D, C(n,i) B_i D) with D the common denominator of B_0..B_n, is
-  cached, so D f^n B_n(a/f) is an integer sum and each B_n(a/f) is formed
-  once as an exact Fraction.
+  (Washington, Introduction to Cyclotomic Fields, 4.1).  The numbers B_i
+  come from the recurrence sum_{k<=n} C(n+1, k) B_k = 0, memoized.  One
+  integer row per n, (D, C(n,i) B_i D) with D the common denominator of
+  B_0..B_n, is cached, so D f^n B_n(a/f) is an integer sum and each
+  B_n(a/f) is formed once as an exact Fraction.
 * :func:`kl_value` — the interpolation formula for p-adic L-values at
   s = 1 - n.  This is the oracle of record: the series construction below is
   certified against it and never the other way around.
@@ -40,6 +41,11 @@ The cast, roughly in dependency order:
   twisted product that factors a symmetric-square element through a
   Kubota-Leopoldt one.
 
+The small number theory (primitive roots, Jacobi symbols, conductors, the
+primitive-root test mod p^2) runs on Python ints by trial division, ``pow``
+and reciprocity; the module imports nothing beyond the standard library and
+``iwa``.
+
 Smoothing constants c are chosen odd, prime to the tame conductor, and
 primitive roots mod p^2; for every branch except the trivial-character one
 the constant 1 - chi omega^{-1}(c) c is a unit and the smoothing factor is
@@ -55,8 +61,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-
-import sympy
 
 from .dieudonne import PhiModule
 from .distributions import Distribution, divide_exact
@@ -87,9 +91,54 @@ __all__ = [
 # ----------------------------------------------------------- small utilities
 
 
+def _prime_factors(n: int) -> list:
+    """The distinct prime factors of n >= 1, by trial division."""
+    out, q = [], 2
+    while q * q <= n:
+        if n % q == 0:
+            out.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
 @lru_cache(maxsize=None)
 def _primitive_root(p: int) -> int:
-    return int(sympy.primitive_root(p))
+    """The least primitive root mod the odd prime p."""
+    qs = _prime_factors(p - 1)
+    g = 2
+    while any(pow(g, (p - 1) // q, p) == 1 for q in qs):
+        g += 1
+    return g
+
+
+@lru_cache(maxsize=None)
+def _p2_cofactors(p: int) -> tuple:
+    """phi/q for each prime q dividing phi = p(p-1), the order of (Z/p^2)^x.
+
+    A unit c is a primitive root mod p^2 iff no c^(phi/q) is 1 mod p^2.
+    """
+    phi = p * (p - 1)
+    return tuple(phi // q for q in _prime_factors(p - 1) + [p])
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0, by binary quadratic reciprocity."""
+    a %= n
+    s = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                s = -s
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            s = -s
+        a %= n
+    return s if n == 1 else 0
 
 
 @lru_cache(maxsize=None)
@@ -111,10 +160,18 @@ def _ind(p: int, a: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _bernoulli_number(i: int) -> Fraction:
-    # evaluate the polynomial at 0: pins B_1 = -1/2 regardless of which
-    # sign convention the ambient sympy uses for the bare number
-    return Fraction(sympy.bernoulli(i, 0))
+def _bernoulli_number(n: int) -> Fraction:
+    # the recurrence sum_{k<=n} C(n+1, k) B_k = 0 for n >= 1, solved for B_n;
+    # at n = 1 it reads B_0 + 2 B_1 = 0, so B_1 = -1/2 = B_1(0), the value
+    # of the Bernoulli polynomial at 0 that the row of B_n(x) needs.  The sum
+    # runs up from k = 0, so each B_k it asks for finds its own terms cached
+    # and the recursion stays two calls deep.
+    if n == 0:
+        return Fraction(1)
+    if n > 1 and n % 2 == 1:
+        return Fraction(0)
+    s = sum(math.comb(n + 1, k) * _bernoulli_number(k) for k in range(n) if k < 2 or k % 2 == 0)
+    return -s / (n + 1)
 
 
 @lru_cache(maxsize=None)
@@ -179,6 +236,35 @@ def _sum_triples(terms, p: int) -> tuple:
 # -------------------------------------------------------------- characters
 
 
+@lru_cache(maxsize=1024)
+def _checked_conductor(p: int, modulus: int, table: tuple) -> int:
+    """Validate a normalized exponent table mod ``modulus``; return its conductor.
+
+    Cached, so each distinct table is checked once, O(modulus^2); a table
+    that fails raises on every call, since lru_cache keeps no exceptions.
+    """
+    pm1 = p - 1
+    for a in range(modulus):
+        # gcd(a, 1) = 1, so modulus 1 needs no case of its own here or below
+        if (table[a] is None) == (math.gcd(a, modulus) == 1):
+            raise ValueError("table support must be exactly the unit group")
+    for a in range(modulus):
+        if table[a] is None:
+            continue
+        for b in range(a, modulus):
+            if table[b] is None:
+                continue
+            if table[a * b % modulus] != (table[a] + table[b]) % pm1:
+                raise ValueError("value table is not multiplicative")
+    # the least divisor dd of the modulus with chi trivial on units = 1 mod dd
+    for dd in range(1, modulus + 1):
+        if modulus % dd == 0 and all(
+            table[a] in (None, 0) for a in range(1 % dd, modulus, dd)
+        ):
+            return dd
+    return modulus  # pragma: no cover - the full modulus always works
+
+
 @dataclass(frozen=True)
 class DirichletCharacter:
     """A character of (Z/modulus)^x with values of order dividing p - 1.
@@ -204,19 +290,7 @@ class DirichletCharacter:
         pm1 = self.p - 1
         norm = tuple(None if e is None else e % pm1 for e in self.table)
         object.__setattr__(self, "table", norm)
-        for a in range(self.modulus):
-            # gcd(a, 1) = 1, so modulus 1 needs no case of its own here or below
-            if (norm[a] is None) == (math.gcd(a, self.modulus) == 1):
-                raise ValueError("table support must be exactly the unit group")
-        for a in range(self.modulus):
-            if norm[a] is None:
-                continue
-            for b in range(a, self.modulus):
-                if norm[b] is None:
-                    continue
-                if norm[a * b % self.modulus] != (norm[a] + norm[b]) % pm1:
-                    raise ValueError("value table is not multiplicative")
-        object.__setattr__(self, "conductor", self._conductor())
+        object.__setattr__(self, "conductor", _checked_conductor(self.p, self.modulus, norm))
 
     # -- constructors ------------------------------------------------------
 
@@ -247,8 +321,7 @@ class DirichletCharacter:
             for a in range(1, d):
                 if math.gcd(a, d) != 1:
                     continue
-                s = int(sympy.jacobi_symbol(a, d))
-                table[a] = 0 if s == 1 else half
+                table[a] = 0 if _jacobi(a, d) == 1 else half
         elif d == 4:
             table[1], table[3] = 0, half
         elif d == 8:
@@ -261,19 +334,6 @@ class DirichletCharacter:
         return ch
 
     # -- structure ---------------------------------------------------------
-
-    def _conductor(self) -> int:
-        for dd in sorted(sympy.divisors(self.modulus)):
-            ok = True
-            for a in range(self.modulus):
-                if self.table[a] is None or a % dd != 1 % dd:
-                    continue
-                if self.table[a] != 0:
-                    ok = False
-                    break
-            if ok:
-                return dd
-        return self.modulus  # pragma: no cover - the full modulus always works
 
     def exponent(self, a: int):
         """The exponent of chi(a), or None when chi(a) = 0."""
@@ -528,10 +588,11 @@ def _kl_smoothing_c(p: int, eta0: DirichletCharacter, b: int, require_unit: bool
     """
     psi0 = eta0 * DirichletCharacter.teichmuller_power(p, b)
     g0 = _primitive_root(p)
+    cofactors = _p2_cofactors(p)
     for c in range(2, 6 * p * p * max(eta0.modulus, 1)):
         if math.gcd(c, 6 * p * eta0.modulus) != 1:
             continue
-        if not sympy.is_primitive_root(c, p * p):
+        if any(pow(c, e, p * p) == 1 for e in cofactors):  # not a primitive root mod p^2
             continue
         if require_unit:
             e = psi0.exponent(c)

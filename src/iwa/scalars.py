@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 
 class PrecisionError(ArithmeticError):
@@ -55,6 +56,38 @@ def _vp(n: int, p: int) -> int:
     return v
 
 
+# Miller-Rabin with the 13 prime bases up to 41 is deterministic below this
+# bound (Sorenson and Webster, Math. Comp. 86 (2017), psi_13)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
+@lru_cache(maxsize=128)
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for an int 0 <= n < _MR_BOUND."""
+    if n < 2:
+        return False
+    if n in _MR_BASES:
+        return True
+    if any(n % q == 0 for q in _MR_BASES):
+        return False
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class Precision:
     """Working precision: p-adic target ``p_prec`` and series truncation ``x_prec``.
@@ -62,6 +95,11 @@ class Precision:
     ``p_prec`` is the default number of mantissa digits for scalars built from
     exact data; ``x_prec`` is the X-adic truncation length used by the series
     layer (series carry coefficients of X^0 .. X^(x_prec - 1)).
+
+    ``p`` must be an int (not a bool) and an odd prime.  Primality is decided
+    by a Miller-Rabin test on the 13 prime bases up to 41, which is
+    deterministic for p < 3317044064679887385961981 (about 3.3e24); p at or
+    past that bound is refused with a ValueError that names it.
     """
 
     p: int
@@ -69,9 +107,14 @@ class Precision:
     x_prec: int = 1
 
     def __post_init__(self) -> None:
-        from sympy import isprime  # on first use: ``import iwa`` loads no sympy
-
-        if not isprime(self.p) or self.p == 2:
+        if isinstance(self.p, bool) or not isinstance(self.p, int):
+            raise ValueError(f"p must be an int, got {self.p!r}")
+        if self.p >= _MR_BOUND:
+            raise ValueError(
+                f"p = {self.p} is past {_MR_BOUND}, the bound below which the "
+                "primality test is deterministic"
+            )
+        if self.p == 2 or not _is_prime(self.p):
             raise ValueError(f"p must be an odd prime, got {self.p}")
         if self.p_prec < 1:
             raise ValueError("p_prec must be >= 1")

@@ -12,6 +12,7 @@ import math
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -106,6 +107,21 @@ class TestDirichletCharacter:
         with pytest.raises(ValueError):
             DirichletCharacter(5, 5, (None, 0, 1, 0, 0))
 
+    def test_bad_table_raises_on_every_construction(self):
+        # validation is cached per table, and lru_cache keeps no exceptions
+        for _ in range(2):
+            with pytest.raises(ValueError, match="not multiplicative"):
+                DirichletCharacter(5, 5, (None, 0, 1, 0, 0))
+            with pytest.raises(ValueError, match="unit group"):
+                DirichletCharacter(5, 4, (0, 0, None, 2))
+
+    def test_each_table_is_validated_once(self):
+        lfunctions._checked_conductor.cache_clear()
+        chars = [char_mod13(5, 1) for _ in range(3)]
+        info = lfunctions._checked_conductor.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+        assert all(ch == chars[0] and ch.conductor == 13 for ch in chars)
+
     def test_product_and_parity(self):
         q3 = DirichletCharacter.quadratic(5, 3)
         ch = q3 * w_pow(5, 2)
@@ -145,7 +161,7 @@ class TestDirichletCharacter:
     @settings(max_examples=20, deadline=None)
     def test_cyclic_character_identities(self, q_and_s):
         q, s = q_and_s
-        g = int(__import__("sympy").primitive_root(q))
+        g = int(sympy.primitive_root(q))
         table = [None] * q
         x = 1
         for t in range(q - 1):
@@ -158,6 +174,41 @@ class TestDirichletCharacter:
             e in (None, 0) for e in (ch * inv).table
         ), "chi * chi^-1 must be trivial"
         assert ch.primitive().conductor == ch.conductor
+
+
+# ------------------------------------- integer number theory against sympy
+
+
+class TestAgainstSympy:
+    """The int helpers of lfunctions agree with sympy, kept here as the oracle."""
+
+    def test_bernoulli_numbers(self):
+        # B_i(0) = B_i for i != 1, and sympy.bernoulli(i) is far cheaper than
+        # the polynomial; the polynomial pins B_1 = B_1(0) = -1/2
+        for i in range(301):
+            if i != 1:
+                assert lfunctions._bernoulli_number(i) == Fraction(sympy.bernoulli(i))
+        for i in range(41):
+            assert lfunctions._bernoulli_number(i) == Fraction(sympy.bernoulli(i, 0))
+
+    def test_least_primitive_roots(self):
+        for p in sympy.primerange(3, 10**4):
+            assert lfunctions._primitive_root(p) == sympy.primitive_root(p), p
+
+    def test_jacobi_symbols(self):
+        for d in range(1, 500, 2):
+            for a in range(d):
+                assert lfunctions._jacobi(a, d) == sympy.jacobi_symbol(a, d), (a, d)
+
+    def test_primitive_roots_mod_p_squared(self):
+        # both tests read c mod p^2 only, so sympy is asked once per residue
+        for p in sympy.primerange(2, 100):
+            p2, cofactors = p * p, lfunctions._p2_cofactors(p)
+            want = {c: sympy.is_primitive_root(c, p2) for c in range(1, p2) if c % p}
+            for c in range(1, 6 * p2):
+                if c % p:
+                    got = all(pow(c, e, p2) != 1 for e in cofactors)
+                    assert got == want[c % p2], (p, c)
 
 
 # ----------------------------------------------------- generalized Bernoulli
@@ -540,8 +591,6 @@ def direct_factors(form, chi, j, branch):
     e = chi.exponent(p)
     if e is None:
         return one, one, one
-    import sympy
-
     g0 = int(sympy.primitive_root(p))
     chip = teichmuller(g0, prec, rel) ** e
     lam2 = -(

@@ -3,17 +3,21 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from time import perf_counter
 
 import pytest
+import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from iwa.scalars import (
+    _MR_BOUND,
     ExactZeroError,
     PadicScalar,
     Precision,
     PrecisionError,
     QuadExtScalar,
+    _is_prime,
     alpha_from_form,
     teichmuller,
 )
@@ -28,6 +32,56 @@ def test_precision_rejects_bad_p():
         Precision(2, 10)
     with pytest.raises(ValueError):
         Precision(5, 0)
+
+
+def _accepts(p) -> bool:
+    try:
+        Precision(p, 1)
+    except ValueError:
+        return False
+    return True
+
+
+def _timed(fn, *args) -> float:
+    start = perf_counter()
+    assert fn(*args)
+    return perf_counter() - start
+
+
+def test_precision_accepts_exactly_the_odd_primes():
+    small = range(10**5)
+    assert {p for p in small if _accepts(p)} == {p for p in small if p != 2 and sympy.isprime(p)}
+    carmichael = [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185]
+    # strong pseudoprimes to every prime base up to 23 and up to 37
+    pseudoprimes = [3825123056546413051, 318665857834031151167461]
+    for n in carmichael + pseudoprimes + [2**61 - 1, 10**18 + 9, 2**64 + 13, -7]:
+        assert _accepts(n) == sympy.isprime(n), n
+
+
+def test_precision_refuses_non_int_p():
+    for p in (5.0, True, "5", Fraction(5), None):
+        with pytest.raises(ValueError, match="p must be an int"):
+            Precision(p, 10)
+
+
+def test_precision_refuses_p_past_the_deterministic_bound():
+    bound = _MR_BOUND
+    assert _accepts(bound - 2) == sympy.isprime(bound - 2)
+    # the bound is the least strong pseudoprime to all 13 bases: there the
+    # test itself errs, which is why p from it on is refused
+    assert _is_prime.__wrapped__(bound) and not sympy.isprime(bound)
+    with pytest.raises(ValueError, match="deterministic"):
+        Precision(bound, 10)
+    with pytest.raises(ValueError, match="deterministic"):
+        Precision(2**127 - 1, 10)
+
+
+def test_large_primes_are_accepted_quickly():
+    # trial division would take minutes here; the bound leaves a slow host
+    # a wide margin over the sub-millisecond Miller-Rabin test
+    test = _is_prime.__wrapped__
+    best = min(_timed(test, 2**61 - 1) for _ in range(3))
+    assert best < 0.01
 
 
 # ---------------------------------------------------------------- PadicScalar
