@@ -6,7 +6,11 @@ The cast, roughly in dependency order:
 * :class:`DirichletCharacter` — characters of (Z/m)^x whose values are roots
   of unity of order dividing p-1, stored as exponents of a fixed Teichmuller
   generator.  Everything downstream (Bernoulli sums, interpolation factors,
-  Euler factors) consumes characters in this form.
+  Euler factors) consumes characters in this form.  Every table, products,
+  inverses and primitive characters included, is built by one constructor,
+  and each distinct table is validated once.  p must be an odd prime, checked
+  before any table is built, and must match the prime of any window the
+  character is used with; a mismatch raises a ValueError naming both.
 * :func:`gen_bernoulli` — generalized Bernoulli numbers B_{n,chi}
   (Washington, Introduction to Cyclotomic Fields, 4.1).  The numbers B_i
   come from the recurrence sum_{k<=n} C(n+1, k) B_k = 0, memoized.  One
@@ -37,9 +41,9 @@ The cast, roughly in dependency order:
   factor is 1 minus a root of unity times a power of p, so vanishing is
   decidable from exponents, not from numerics).
 * :func:`remove_euler_factors`, :func:`geometric_product` — Iwasawa-algebra
-  surgery: multiplying finitely many Euler factors back in, and forming the
-  twisted product that factors a symmetric-square element through a
-  Kubota-Leopoldt one.
+  surgery: multiplying finitely many Euler factors back in (each l must be a
+  prime other than p), and forming the twisted product that factors a
+  symmetric-square element through a Kubota-Leopoldt one.
 
 The small number theory (primitive roots, Jacobi symbols, conductors, the
 primitive-root test mod p^2) runs on Python ints by trial division, ``pow``
@@ -65,7 +69,8 @@ from functools import lru_cache
 from .dieudonne import PhiModule
 from .distributions import Distribution, divide_exact
 from .pollack import log_p_unit
-from .scalars import PadicScalar, Precision, PrecisionError, _vp, teichmuller
+from .scalars import (_MR_BOUND, PadicScalar, Precision, PrecisionError, _check_odd_prime,
+                      _is_prime, _vp, teichmuller)
 from .series import FiniteCharacter, IwasawaElement, Part, Series, u_for
 
 __all__ = [
@@ -236,6 +241,11 @@ def _sum_triples(terms, p: int) -> tuple:
 # -------------------------------------------------------------- characters
 
 
+def _same_prime(chi: DirichletCharacter, p: int) -> None:
+    if chi.p != p:
+        raise ValueError(f"a character over p = {chi.p} met a window over p = {p}")
+
+
 @lru_cache(maxsize=1024)
 def _checked_conductor(p: int, modulus: int, table: tuple) -> int:
     """Validate a normalized exponent table mod ``modulus``; return its conductor.
@@ -283,6 +293,7 @@ class DirichletCharacter:
     conductor: int = field(init=False, default=0)
 
     def __post_init__(self):
+        _check_odd_prime(self.p)
         if self.modulus < 1:
             raise ValueError("modulus must be positive")
         if len(self.table) != self.modulus:
@@ -295,40 +306,37 @@ class DirichletCharacter:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def _on_units(cls, p: int, modulus: int, exponent) -> "DirichletCharacter":
+        """The character mod ``modulus`` with exponent(a) on each unit a and None
+        elsewhere: every table is built here, after p is checked."""
+        _check_odd_prime(p)
+        return cls(p, modulus, tuple(
+            exponent(a) if math.gcd(a, modulus) == 1 else None for a in range(modulus)
+        ))
+
+    @classmethod
     def trivial(cls, p: int, modulus: int = 1) -> "DirichletCharacter":
-        table = tuple(
-            0 if math.gcd(a, modulus) == 1 else None
-            for a in range(modulus)
-        )
-        return cls(p, modulus, table)
+        return cls._on_units(p, modulus, lambda a: 0)
 
     @classmethod
     def teichmuller_power(cls, p: int, j: int) -> "DirichletCharacter":
         """omega^j as a character mod p."""
-        table = [None] * p
-        for a in range(1, p):
-            table[a] = j * _ind(p, a)
-        return cls(p, p, tuple(table))
+        return cls._on_units(p, p, lambda a: j * _ind(p, a))
 
     @classmethod
     def quadratic(cls, p: int, d: int) -> "DirichletCharacter":
         """The quadratic character of conductor d (d in {1, 3, 4, 8, odd squarefree})."""
-        if d == 1:
-            return cls.trivial(p)
-        half = (p - 1) // 2
-        table = [None] * d
-        if d % 2 == 1:
-            for a in range(1, d):
-                if math.gcd(a, d) != 1:
-                    continue
-                table[a] = 0 if _jacobi(a, d) == 1 else half
-        elif d == 4:
-            table[1], table[3] = 0, half
-        elif d == 8:
-            table[1], table[3], table[5], table[7] = 0, half, half, 0
-        else:
+        if d % 2 == 0 and d not in (4, 8):
             raise ValueError(f"no quadratic character of conductor {d}")
-        ch = cls(p, d, tuple(table))
+        half = (p - 1) // 2
+
+        def exponent(a):
+            # (a/d) for odd d; the Kronecker symbols (-4/a) = (-1/a) and
+            # (8/a) = (2/a) on odd a for d = 4, 8
+            sign = _jacobi(a, d) if d % 2 else _jacobi(-1 if d == 4 else 2, a)
+            return 0 if sign == 1 else half
+
+        ch = cls._on_units(p, d, exponent)
         if ch.conductor != d:
             raise ValueError(f"{d} is not the conductor of a primitive quadratic character")
         return ch
@@ -343,6 +351,7 @@ class DirichletCharacter:
         return self.table[a % self.modulus]
 
     def value(self, a: int, prec: Precision, rel: int | None = None) -> PadicScalar:
+        _same_prime(self, prec.p)
         e = self.exponent(a)
         if e is None:
             return PadicScalar.exact_zero(prec)
@@ -383,37 +392,25 @@ class DirichletCharacter:
 
     def primitive(self) -> "DirichletCharacter":
         """The primitive character inducing this one."""
-        f = self.conductor
-        if f == self.modulus:
+        f, m = self.conductor, self.modulus
+        if f == m:
             return self
-        table = [None] * f
-        for a in range(f):
-            if math.gcd(a, f) != 1:
-                continue
-            b = a
-            while math.gcd(b, self.modulus) != 1:
-                b += f
-            table[a] = self.table[b % self.modulus]
-        return DirichletCharacter(self.p, f, tuple(table))
+        # a unit mod f takes the value of its least lift to a unit mod m
+        return self._on_units(self.p, f, lambda a: self.table[
+            next(b for b in range(a, m, f) if math.gcd(b, m) == 1)])
 
     def __mul__(self, other):
         if not isinstance(other, DirichletCharacter):
             return NotImplemented
         if other.p != self.p:
             raise ValueError("characters live over different primes")
-        m = math.lcm(self.modulus, other.modulus)
-        table = [None] * m
-        for a in range(m):
-            if math.gcd(a, m) != 1:
-                continue
-            e1 = self.exponent(a)
-            e2 = other.exponent(a)
-            table[a] = e1 + e2
-        return DirichletCharacter(self.p, m, tuple(table))
+        return self._on_units(
+            self.p, math.lcm(self.modulus, other.modulus),
+            lambda a: self.exponent(a) + other.exponent(a),
+        )
 
     def inverse(self) -> "DirichletCharacter":
-        table = tuple(None if e is None else -e for e in self.table)
-        return DirichletCharacter(self.p, self.modulus, table)
+        return self._on_units(self.p, self.modulus, lambda a: -self.table[a])
 
     def split_at_p(self):
         """Factor the primitive character as (prime-to-p part, omega-exponent).
@@ -429,20 +426,13 @@ class DirichletCharacter:
             return psi, None
         if vp > 1:
             raise ValueError("conductor p^2 is impossible for values of order dividing p-1")
+        # psi = eta0 omega^d, and at b = 1 mod f0, b = g mod p only omega^d speaks
         p, f0 = self.p, f // self.p
-        table = [None] * f0
-        for a in range(f0):
-            if math.gcd(a, f0) != 1:
-                continue
-            b = a
-            while b % p != 1 or math.gcd(b, f0) != 1:
-                b += f0
-            table[a] = psi.exponent(b)
-        eta0 = DirichletCharacter(p, f0, tuple(table))
         b = 1
         while b % f0 != 1 % f0 or b % p != _primitive_root(p):
             b += 1
-        return eta0, psi.exponent(b)
+        d = psi.exponent(b)
+        return (psi * DirichletCharacter.teichmuller_power(p, -d)).primitive(), d
 
 
 # ------------------------------------------------- generalized Bernoulli
@@ -466,6 +456,8 @@ def gen_bernoulli(n: int, eta: DirichletCharacter, prec: Precision | None = None
     """
     if n < 0:
         raise ValueError("Bernoulli index must be nonnegative")
+    if prec is not None:
+        _same_prime(eta, prec.p)
     psi = eta.primitive()
     F = psi.conductor
     D, row = _bernoulli_row(n)
@@ -532,6 +524,7 @@ def kl_value(eta: DirichletCharacter, one_minus_n: int, prec: Precision,
     result, not an error).  The only pole of the theory sits at s = 1 on the
     trivial branch, and asking for it raises.
     """
+    _same_prime(eta, prec.p)
     n = 1 - one_minus_n
     if n <= 0:
         if n == 0 and eta.primitive().conductor == 1:
@@ -562,6 +555,7 @@ def smoothed_moment(eta: DirichletCharacter, omega_exponent: int, m: int, c: int
     """
     if m < 0:
         raise ValueError("moment index must be nonnegative")
+    _same_prime(eta, prec.p)
     p = eta.p
     if c <= 1 or math.gcd(c, p * eta.modulus) != 1:
         raise ValueError("smoothing constant must exceed 1 and be prime to p and the modulus")
@@ -626,6 +620,7 @@ def _binomial_series(exponent: PadicScalar, length: int, prec: Precision,
 def _kl_core(eta: DirichletCharacter, branch_i: int, prec: Precision) -> dict:
     """Everything shared by the series and the pointwise branch values."""
     p = prec.p
+    _same_prime(eta, p)
     pm1 = p - 1
     eta0, d = eta.split_at_p()
     i = branch_i % pm1
@@ -644,6 +639,8 @@ def _kl_core(eta: DirichletCharacter, branch_i: int, prec: Precision) -> dict:
         "eta0": eta0,
         "even": even,
         "pole": pole,
+        "c": None,
+        "nodes": 0,
     }
     if not even:
         return out
@@ -753,25 +750,13 @@ def kl_series_report(eta: DirichletCharacter, branch_i: int, prec: Precision):
     core = _kl_core(eta, branch_i, prec)
     if not core["even"]:
         elem = IwasawaElement.zero(prec)
-        return elem, {
-            "branch": core["i"],
-            "parity": "odd",
-            "pole_branch": False,
-            "smoothing_removed": True,
-            "c": None,
-            "nodes": 0,
-            "tame_conductor": core["eta0"].conductor,
-        }
-    if core["pole"]:
+    elif core["pole"]:
         elem = core["smoothed"]
     else:
-        quot = divide_exact(
-            Distribution(core["smoothed"]), Distribution(core["divisor"])
-        )
-        elem = quot.body
+        elem = divide_exact(Distribution(core["smoothed"]), Distribution(core["divisor"])).body
     report = {
         "branch": core["i"],
-        "parity": "even",
+        "parity": "even" if core["even"] else "odd",
         "pole_branch": core["pole"],
         "smoothing_removed": not core["pole"],
         "c": core["c"],
@@ -870,6 +855,7 @@ def _euler_report(form: PhiModule, chi: DirichletCharacter, j: int,
     labels and the middle factor.
     """
     prec, p, k = form.prec, form.prec.p, form.weight
+    _same_prime(chi, p)
     rel = prec.p_prec if rel is None else rel
     left = j <= k + 1
     half = (p - 1) // 2
@@ -934,27 +920,19 @@ def exceptional_zero_report(form: PhiModule, chi: DirichletCharacter, j_range) -
     for j in js:
         if not 1 <= j <= 2 * k + 2:
             raise ValueError(f"twist {j} outside [1, {2 * k + 2}]")
+    _same_prime(chi, p)
     ec = chi.exponent(p)
     ee = _ind(p, form.eps_seed % p)
     exceptional = ec is not None and (ee - ec) % (p - 1) == 0
     rows = []
     for j in js:
-        if j <= k + 1:
-            rep = euler_factor_E(form, chi, j)
-            branch = "E"
-        else:
-            rep = euler_factor_Eprime(form, chi, j)
-            branch = "Eprime"
-        rows.append(
-            {
-                "j": j,
-                "branch": branch,
-                "report": rep,
-                "zero_factors": [
-                    lbl for lbl, z in zip(rep.labels, rep.zero_flags) if z
-                ],
-            }
-        )
+        rep = _euler_report(form, chi, j, None)
+        rows.append({
+            "j": j,
+            "branch": "E" if j <= k + 1 else "Eprime",
+            "report": rep,
+            "zero_factors": [lbl for lbl, z in zip(rep.labels, rep.zero_flags) if z],
+        })
     return {
         "p": p,
         "k": k,
@@ -999,14 +977,13 @@ def least_smoothing_c(chi_eps: DirichletCharacter, k: int, coprime_to: int = 1) 
     Admissible means the smoothing factor is exactly nonzero at every even j
     with k+2 < j <= 2k+2.
     """
-    p = chi_eps.p
-    for c in range(2, 4 * p * p * max(coprime_to, chi_eps.modulus, 2)):
-        if math.gcd(c, coprime_to) != 1 or math.gcd(c, p) != 1:
-            continue
+    p, m = chi_eps.p, chi_eps.modulus
+    for c in range(2, 4 * p * p * max(coprime_to, m, 2)):
         # the factor vanishes only when c^{2j-2k-4} is the root of unity
         # (chi eps)(c)^{-2}; here 2j-2k-4 >= 2, and no positive power of an
-        # integer c > 1 is a root of unity, so any c with chi eps(c) != 0 will do
-        if chi_eps.exponent(c) is not None:
+        # integer c > 1 is a root of unity, so any c with chi eps(c) != 0,
+        # that is prime to the modulus, will do
+        if math.gcd(c, coprime_to * p * m) == 1:
             return c
     raise ValueError("no admissible smoothing constant found")  # pragma: no cover
 
@@ -1022,9 +999,10 @@ def remove_euler_factors(F: IwasawaElement, primes, eta: DirichletCharacter,
     component omega^a it acts by omega^a(l), and on the wild variable by
     (1+X)^{e_l} with e_l the exponent writing <l> as a power of u.  Primes
     with eta(l) = 0 contribute the trivial factor; l = p is not an Euler
-    factor of the algebra and is rejected.
+    factor of the algebra and is rejected, as is any l that is not a prime.
     """
     p = F.prec.p
+    _same_prime(eta, p)
     pm1 = p - 1
     N = F.prec.x_prec
     rel = F.prec.p_prec + 8
@@ -1037,8 +1015,9 @@ def remove_euler_factors(F: IwasawaElement, primes, eta: DirichletCharacter,
                 f"ell={ell} is divisible by p={p}; only primes away from p "
                 "have removable Euler factors"
             )
-        if ell < 2:
-            raise ValueError("Euler factors are indexed by primes")
+        if ell >= _MR_BOUND or not _is_prime(ell):
+            raise ValueError(f"ell={ell} is not a prime below {_MR_BOUND}; "
+                             "Euler factors are indexed by primes")
         e_eta = eta.exponent(ell)
         if e_eta is None:
             continue

@@ -88,6 +88,20 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _check_odd_prime(p) -> None:
+    """Raise a ValueError naming p unless it is an int and an odd prime: the one
+    check of p behind Precision and lfunctions.DirichletCharacter."""
+    if isinstance(p, bool) or not isinstance(p, int):
+        raise ValueError(f"p must be an int, got {p!r}")
+    if p >= _MR_BOUND:
+        raise ValueError(
+            f"p = {p} is past {_MR_BOUND}, the bound below which the "
+            "primality test is deterministic"
+        )
+    if p == 2 or not _is_prime(p):
+        raise ValueError(f"p must be an odd prime, got {p}")
+
+
 @dataclass(frozen=True)
 class Precision:
     """Working precision: p-adic target ``p_prec`` and series truncation ``x_prec``.
@@ -107,15 +121,7 @@ class Precision:
     x_prec: int = 1
 
     def __post_init__(self) -> None:
-        if isinstance(self.p, bool) or not isinstance(self.p, int):
-            raise ValueError(f"p must be an int, got {self.p!r}")
-        if self.p >= _MR_BOUND:
-            raise ValueError(
-                f"p = {self.p} is past {_MR_BOUND}, the bound below which the "
-                "primality test is deterministic"
-            )
-        if self.p == 2 or not _is_prime(self.p):
-            raise ValueError(f"p must be an odd prime, got {self.p}")
+        _check_odd_prime(self.p)
         if self.p_prec < 1:
             raise ValueError("p_prec must be >= 1")
         if self.x_prec < 1:

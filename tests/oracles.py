@@ -547,7 +547,8 @@ def reference_kl_core(eta, branch_i: int, prec) -> dict:
     even = eta0.is_odd == (i % 2 == 1)
     b = (i - 1) % pm1
     pole = eta0.conductor == 1 and i == 0
-    out = {"p": p, "i": i, "b": b, "eta0": eta0, "even": even, "pole": pole}
+    out = {"p": p, "i": i, "b": b, "eta0": eta0, "even": even, "pole": pole,
+           "c": None, "nodes": 0}
     if not even:
         return out
     c = lf._kl_smoothing_c(p, eta0, b, require_unit=not pole)

@@ -176,6 +176,105 @@ class TestDirichletCharacter:
         assert ch.primitive().conductor == ch.conductor
 
 
+# ------------------------------------------------- the character grid
+
+
+def kronecker_discriminant(d):
+    """The fundamental discriminant whose Kronecker symbol has conductor d."""
+    return {4: -4, 8: 8}.get(d, d if d % 4 == 1 else -d)
+
+
+def character_grid(p):
+    """Trivial, quadratic and omega-power characters over p, and their products."""
+    DC = DirichletCharacter
+    trivials = [DC.trivial(p, m) for m in (1, 2, 4, 6, 9, p, 3 * p)]
+    quads = [DC.quadratic(p, d) for d in (3, 4, 5, 8, 15, 21)]
+    omegas = [w_pow(p, j) for j in range(p - 1)]
+    products = [x * w for x in quads + trivials[2:4] for w in omegas]
+    products += [x * y for x in quads for y in quads]
+    return trivials + quads + omegas + products
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+class TestCharacterGrid:
+    def test_quadratic_values_are_kronecker_symbols(self, p):
+        for d in (3, 4, 5, 8, 15, 21):
+            ch = DirichletCharacter.quadratic(p, d)
+            assert ch.modulus == ch.conductor == d
+            disc = kronecker_discriminant(d)
+            for a in range(3 * d):
+                assert ch.value_fraction(a) == sympy.kronecker_symbol(disc, a), (d, a)
+
+    def test_primitive_agrees_on_units(self, p):
+        for ch in character_grid(p):
+            prim = ch.primitive()
+            assert prim.modulus == prim.conductor == ch.conductor
+            assert prim.primitive() == prim
+            for a in range(ch.modulus):
+                if math.gcd(a, ch.modulus) == 1:
+                    assert prim.exponent(a) == ch.exponent(a), (ch, a)
+
+    def test_inverse_cancels(self, p):
+        for ch in character_grid(p):
+            inv = ch.inverse()
+            assert inv.modulus == ch.modulus and inv.conductor == ch.conductor
+            assert inv.inverse() == ch
+            assert (ch * inv) == DirichletCharacter.trivial(p, ch.modulus)
+
+    def test_split_at_p_recombines(self, p):
+        for ch in character_grid(p):
+            eta0, d = ch.split_at_p()
+            assert eta0.modulus == eta0.conductor and eta0.conductor % p != 0
+            if d is None:
+                assert ch.conductor % p != 0 and eta0 == ch.primitive()
+            else:
+                assert d % (p - 1) != 0
+                assert (eta0 * w_pow(p, d)).primitive() == ch.primitive()
+
+
+# ---------------------------------------------------------- input guards
+
+
+@pytest.mark.parametrize("build", [
+    lambda: DirichletCharacter.trivial(15, 3),
+    lambda: DirichletCharacter.teichmuller_power(15, 1),
+    lambda: DirichletCharacter.teichmuller_power(9, 1),
+    lambda: DirichletCharacter.teichmuller_power(2, 1),
+    lambda: DirichletCharacter.quadratic(21, 5),
+    lambda: DirichletCharacter.trivial(1),
+    lambda: DirichletCharacter(15, 1, (0,)),
+], ids=["trivial-15", "omega-15", "omega-9", "omega-2", "quadratic-21", "trivial-1", "table-15"])
+def test_a_character_needs_an_odd_prime(build):
+    with pytest.raises(ValueError, match="p must be an odd prime, got"):
+        build()
+
+
+def _form7():
+    return dcris_of_form(7, 1, 1, Precision(7, 12, 4))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: w_pow(5, 1).value(2, Precision(7, 10)),
+    lambda: gen_bernoulli(2, w_pow(5, 1), Precision(7, 10)),
+    lambda: kl_value(w_pow(5, 2), -1, Precision(7, 10)),
+    lambda: smoothed_moment(DirichletCharacter.trivial(5), 2, 1, 2, Precision(7, 10)),
+    lambda: kl_branch_values(DirichletCharacter.trivial(5), 2, [-1], Precision(7, 4, 3)),
+    lambda: kl_series(DirichletCharacter.trivial(5), 2, Precision(7, 4, 3)),
+    lambda: kl_series_report(DirichletCharacter.trivial(5), 2, Precision(7, 4, 3)),
+    lambda: euler_factor_E(_form7(), DirichletCharacter.trivial(5), 1),
+    lambda: euler_factor_Eprime(_form7(), DirichletCharacter.trivial(5), 3),
+    lambda: exceptional_zero_report(_form7(), DirichletCharacter.trivial(5), [1, 3]),
+    lambda: remove_euler_factors(
+        IwasawaElement.one(Precision(7, 10, 4)), [3], DirichletCharacter.trivial(5)
+    ),
+], ids=["value", "gen_bernoulli", "kl_value", "smoothed_moment", "kl_branch_values",
+        "kl_series", "kl_series_report", "euler_factor_E", "euler_factor_Eprime",
+        "exceptional_zero_report", "remove_euler_factors"])
+def test_a_character_and_a_window_over_different_primes_are_refused(call):
+    with pytest.raises(ValueError, match=r"p = 5 met a window over p = 7"):
+        call()
+
+
 # ------------------------------------- integer number theory against sympy
 
 
@@ -800,6 +899,17 @@ class TestRemoveEulerFactors:
         got = out.evaluate_at_character(FiniteCharacter(0))
         want = PadicScalar.from_fraction(Fraction(4, 9), prec, rel=20)
         d = (got - want).valuation()
+        assert d is None or d >= 18
+
+    def test_composite_ell_rejected(self):
+        prec = Precision(5, 20, 32)
+        one = IwasawaElement.one(prec)
+        triv = DirichletCharacter.trivial(5)
+        for ell in (4, 6, 1, 0, -3):
+            with pytest.raises(ValueError, match=rf"ell={ell}\b"):
+                remove_euler_factors(one, [ell], triv)
+        got = remove_euler_factors(one, [2], triv).evaluate_at_character(FiniteCharacter(0))
+        d = (got - PadicScalar.from_fraction(Fraction(1, 2), prec, rel=20)).valuation()
         assert d is None or d >= 18
 
     def test_residual_prime_rejected(self):
