@@ -8,13 +8,19 @@ convolution cannot carry between chunks, multiplied as integers, and sliced
 back out.  CPython's big-int multiply then does the heavy lifting in C at
 subquadratic cost, which is what makes series products at x_prec ~ 600 cheap.
 
-Not everything is a product: a cyclotomic level factor has a closed form in
-binomial rows (:func:`cyclotomic_cells`), and :func:`compose_affine` is a
-Horner loop.  :func:`polypow` and :func:`geometric_sum` build the same level
-factor by powering and are kept as its reference.
+Not everything is a product: :func:`compose_affine` is a Horner loop, and a
+cyclotomic level factor has a closed form in binomial rows
+(:func:`cyclotomic_cells`).  Those rows are never carried exactly: each is a
+falling factorial kept mod ``mod`` * p^V, just wide enough for the p-part of
+n! to divide out, and n! comes from a factorial table cached per (p, length,
+modulus), so one table serves every level and twist of a window.
+:func:`polypow` and :func:`geometric_sum` build the same level factor by
+powering and are kept as its reference.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 
 def _pack(cells: list[int], cb: int) -> int:
@@ -85,29 +91,65 @@ def geometric_sum(Y: list[int], p: int, mod: int, trunc: int | None = None) -> l
     return acc
 
 
+@lru_cache(maxsize=64)
+def _factorial_table(p: int, L: int, mod: int):
+    """For n < L, with n! = p^v_n * unit_n: the lists p^v_n and unit_n^-1 mod ``mod``.
+
+    ``mod`` must be a power of p, so that every unit part is invertible.
+    Keyed by (p, L, mod), one table serves every level and twist of a window.
+    """
+    pvs, ks = [1] * L, [1] * L  # ks[n]: the unit part of n
+    for n in range(1, L):
+        k, pv = n, pvs[n - 1]
+        while k % p == 0:
+            k //= p
+            pv *= p
+        pvs[n], ks[n] = pv, k
+    unit = 1
+    for k in ks:
+        unit = unit * k % mod
+    # one inverse, for the last unit, then down the table: 1/unit_(n-1) = k_n/unit_n
+    invs = [0] * L
+    inv = pow(unit, -1, mod)
+    for n in range(L - 1, -1, -1):
+        invs[n] = inv
+        inv = inv * ks[n] % mod
+    return pvs, invs
+
+
 def cyclotomic_cells(p: int, m: int, c: int, mod: int, trunc: int) -> list[int]:
     """Phi_{p^m}(c(1+X)) mod (mod, X^trunc) for m >= 1, from binomial rows.
 
-    With e = p^(m-1), Phi_{p^m}(z) = sum_{i<p} z^(i e), so the coefficient of
-    X^n is sum_{i<p} c^(i e) C(i e, n).  Each row C(E, n) comes from the exact
-    recurrence C(E, n) = C(E, n-1) (E-n+1) / n and each cell is reduced once,
-    so the cells equal ``geometric_sum(polypow([c, c], e, mod, trunc), p, mod,
+    ``mod`` must be a power of p.  With e = p^(m-1), Phi_{p^m}(z) =
+    sum_{i<p} z^(i e), so the coefficient of X^n is sum_{i<p} c^(i e)
+    C(i e, n) = S_n / n!, where S_n = sum_i c^(i e) F_{i,n} over the falling
+    factorials F_{i,n} = E (E-1) ... (E-n+1) of E = i e.  Each F_{i,n} is
+    carried mod Q = mod * p^V with V = v_p((L-1)!), which p^(v_p(n!)) divides
+    exactly; the weights only matter mod ``mod``.  Then S_n mod Q takes one
+    exact division by p^(v_p(n!)) and one multiply by the inverse unit part
+    of n! mod ``mod``, both read from a factorial table cached per
+    (p, L, mod) and so shared by every level and twist of a window.  The
+    cells equal ``geometric_sum(polypow([c, c], e, mod, trunc), p, mod,
     trunc)``, length included: min(trunc, (p-1) e + 1).
     """
     if m < 1:
         raise ValueError("level must be >= 1")
     e = p ** (m - 1)
     L = min(trunc, (p - 1) * e + 1)
+    pvs, invs = _factorial_table(p, L, mod)
+    Q = mod * pvs[-1]
     acc = [0] * L
+    step = pow(c, e, mod)
+    w = 1
     for i in range(p):
         E = i * e
-        w = pow(c, E, mod)
         acc[0] += w
-        b = 1
+        f = w
         for n in range(1, min(L, E + 1)):
-            b = b * (E - n + 1) // n
-            acc[n] += w * b
-    return [a % mod for a in acc]
+            f = f * (E - n + 1) % Q
+            acc[n] += f
+        w = w * step % mod
+    return [a % Q // pv * inv % mod for a, pv, inv in zip(acc, pvs, invs)]
 
 
 def compose_affine(

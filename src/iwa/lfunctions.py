@@ -326,7 +326,7 @@ class DirichletCharacter:
     @classmethod
     def quadratic(cls, p: int, d: int) -> "DirichletCharacter":
         """The quadratic character of conductor d (d in {1, 3, 4, 8, odd squarefree})."""
-        if d % 2 == 0 and d not in (4, 8):
+        if d < 1 or (d % 2 == 0 and d not in (4, 8)):
             raise ValueError(f"no quadratic character of conductor {d}")
         half = (p - 1) // 2
 
@@ -977,6 +977,8 @@ def least_smoothing_c(chi_eps: DirichletCharacter, k: int, coprime_to: int = 1) 
     Admissible means the smoothing factor is exactly nonzero at every even j
     with k+2 < j <= 2k+2.
     """
+    if coprime_to < 1:
+        raise ValueError(f"coprime_to must be a positive integer, got {coprime_to}")
     p, m = chi_eps.p, chi_eps.modulus
     for c in range(2, 4 * p * p * max(coprime_to, m, 2)):
         # the factor vanishes only when c^{2j-2k-4} is the root of unity

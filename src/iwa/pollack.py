@@ -13,8 +13,11 @@ the right parity whose factor is indistinguishable from 1 in the window *and*
 whose cyclotomic degree exceeds the window length.  Both facts are recorded.
 Each level factor is built on its own from binomial rows, since
 Phi_{p^m}(z) = sum_{i<p} z^(i p^(m-1)) and (1+X)^E has the row C(E, n): a
-level costs O(pN) big-integer steps and no convolution, and levels of the
-other parity are never formed.
+factor costs O(pN) steps on integers of about W digits and no convolution,
+and levels of the other parity are never formed.  Multiplying a factor in
+takes one convolution, and a cheap one: the factor is p + p^t delta with t
+rising by about one per level, so only prod * delta is convolved, mod
+p^(W-t).
 
 All per-factor and per-twist 1/p normalizations are carried as a single
 valuation offset over integral coefficient arithmetic, so nothing is lost to
@@ -30,7 +33,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf
+from math import gcd, inf
 
 from ._kernel import cyclotomic_cells, polymul
 from .distributions import Distribution
@@ -72,6 +75,17 @@ def _factor_is_trivial(cells, p: int, M: int) -> bool:
     return all(c % q == 0 for c in cells[1:])
 
 
+def _times_level_factor(prod: list[int], phi: list[int], p: int, pW: int, N: int):
+    """polymul(prod, phi, pW, N) for phi = p + p^t delta, via prod delta mod pW / p^t."""
+    delta = [(phi[0] - p) % pW] + phi[1:]
+    pt = gcd(pW, *delta)  # p^t, capped at pW
+    out = ([p * a for a in prod] + [0] * (len(phi) - 1))[:N]
+    if pt != pW:
+        for n, r in enumerate(polymul(prod, [d // pt for d in delta], pW // pt, N)):
+            out[n] += pt * r
+    return [a % pW for a in out]
+
+
 def _signed_product(kind: str, j: int, p: int, u: int, W: int, N: int, M: int):
     """One twist's worth of the plus/minus product, as integer cells.
 
@@ -79,6 +93,10 @@ def _signed_product(kind: str, j: int, p: int, u: int, W: int, N: int, M: int):
     of the right parity below the stop level, computed mod (p^W, X^N).  Each
     level factor Phi_{p^m}(u^{-j}(1+X)) comes straight from its binomial rows
     (:func:`cyclotomic_cells`), so levels of the other parity cost nothing.
+    A factor is p + p^t delta with t = v_p(Phi - p), which grows by about one
+    per level, so it is multiplied in as p prod + p^t (prod delta), the
+    second product taken mod p^(W-t): the same cells mod p^W, at a modulus
+    that shrinks level by level.
     """
     pW = p**W
     uj = pow(pow(u, -1, pW), j, pW)
@@ -91,7 +109,7 @@ def _signed_product(kind: str, j: int, p: int, u: int, W: int, N: int, M: int):
         phi = cyclotomic_cells(p, m, uj, pW, N)
         if cyclotomic_degree(p, m) > N and _factor_is_trivial(phi, p, M):
             return prod, count, m
-        prod = polymul(prod, phi, pW, N)
+        prod = _times_level_factor(prod, phi, p, pW, N)
         count += 1
     raise RuntimeError(  # pragma: no cover - safety net
         f"cyclotomic product did not stabilize by level {limit}"

@@ -99,6 +99,11 @@ class TestDirichletCharacter:
         with pytest.raises(ValueError):
             DirichletCharacter.quadratic(5, 6)
 
+    @pytest.mark.parametrize("d", [-1, -3, -7])
+    def test_quadratic_rejects_nonpositive_conductor(self, d):
+        with pytest.raises(ValueError, match=f"no quadratic character of conductor {d}"):
+            DirichletCharacter.quadratic(5, d)
+
     def test_constructor_rejects_bad_support(self):
         with pytest.raises(ValueError):
             DirichletCharacter(5, 4, (0, 0, None, 2))
@@ -865,6 +870,12 @@ class TestSmoothing:
         q3 = DirichletCharacter.quadratic(5, 3)
         c = least_smoothing_c(q3, 1, coprime_to=6)
         assert c > 1 and c % 3 != 0 and c % 5 != 0
+
+    @pytest.mark.parametrize("coprime_to", [0, -6])
+    def test_least_c_refuses_nonpositive_coprime_to(self, coprime_to):
+        triv = DirichletCharacter.trivial(5)
+        with pytest.raises(ValueError, match="coprime_to must be a positive integer"):
+            least_smoothing_c(triv, 1, coprime_to=coprime_to)
 
 
 # ------------------------------------------------------- Euler-factor surgery

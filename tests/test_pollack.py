@@ -215,7 +215,16 @@ class TestAgainstPoweringReference:
 
     @pytest.mark.parametrize("kind", ["plus", "minus"])
     @pytest.mark.parametrize(
-        "j,p,W,N,M", [(0, 5, 30, 64, 20), (3, 5, 12, 7, 6), (1, 3, 25, 90, 9), (2, 7, 9, 50, 4)]
+        "j,p,W,N,M",
+        [
+            (0, 5, 30, 64, 20),
+            (3, 5, 12, 7, 6),
+            (1, 3, 25, 90, 9),
+            (2, 7, 9, 50, 4),
+            # the working window log_identity_check builds for p = 5, r = 2, N = 64
+            (0, 5, 106, 64, 42),
+            (3, 5, 106, 64, 42),
+        ],
     )
     def test_signed_product_matches_reference(self, kind, j, p, W, N, M):
         u = u_for(p)

@@ -267,6 +267,28 @@ def test_cyclotomic_cells_match_powering_and_binomial_oracle(case):
     assert cells == phi_ppow_coeffs(p, m, -1, c, mod, len(cells))
 
 
+@pytest.mark.parametrize(
+    "p,W,N,levels",
+    [
+        # the first three are log-identity working windows (p, W, N), where the
+        # rows are carried mod p^(W+V) with V = v_p((N-1)!) up to 38
+        (5, 212, 64, (1, 2, 3, 4, 9, 20, 41)),
+        (5, 116, 160, (1, 3, 4, 5, 12, 40)),
+        (7, 106, 64, (1, 2, 3, 8, 35)),
+        (3, 250, 170, (1, 4, 5, 6, 19, 40)),
+        (11, 60, 130, (1, 2, 3, 14, 30)),
+    ],
+)
+def test_cyclotomic_cells_match_binomial_oracle_at_work_windows(p, W, N, levels):
+    mod = p**W
+    u = u_for(p)
+    for m in levels:
+        for j in (1, 3):
+            cells = cyclotomic_cells(p, m, pow(u, -j, mod), mod, N)
+            assert len(cells) == min(N, (p - 1) * p ** (m - 1) + 1)
+            assert cells == phi_ppow_coeffs(p, m, j, u, mod, len(cells))
+
+
 def test_cyclotomic_cells_reject_level_zero():
     with pytest.raises(ValueError, match="level"):
         cyclotomic_cells(5, 0, 1, 5**3, 4)
