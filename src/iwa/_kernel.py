@@ -5,8 +5,13 @@ coefficients modulo ``mod`` (little-endian: index = X-degree).  Polynomial
 products go through Kronecker substitution: coefficients are packed into one
 big integer at a byte-aligned chunk width large enough that the raw
 convolution cannot carry between chunks, multiplied as integers, and sliced
-back out.  CPython's big-int multiply then does the heavy lifting in C at
-subquadratic cost, which is what makes series products at x_prec ~ 600 cheap.
+back out.  Packing joins one fixed-width byte string per coefficient, and
+CPython's big-int multiply then does the heavy lifting in C at subquadratic
+cost, which is what makes series products at x_prec ~ 600 cheap.  The cost
+of a product grows with the digits of ``mod``, so callers pass the smallest
+modulus their output reads: the signed logarithms multiply their level
+factors stripped of content, mod p^(M+L+1) for a window of depth M with L
+factors of content 1, not at the p^W their cells are reported at.
 
 Not everything is a product: :func:`compose_affine` is a Horner loop, and a
 cyclotomic level factor has a closed form in binomial rows
@@ -24,13 +29,7 @@ from functools import lru_cache
 
 
 def _pack(cells: list[int], cb: int) -> int:
-    buf = bytearray(cb * len(cells))
-    for i, v in enumerate(cells):
-        if v:
-            buf[i * cb : i * cb + (v.bit_length() + 7) // 8] = v.to_bytes(
-                (v.bit_length() + 7) // 8, "little"
-            )
-    return int.from_bytes(buf, "little")
+    return int.from_bytes(b"".join([v.to_bytes(cb, "little") for v in cells]), "little")
 
 
 def polymul(A: list[int], B: list[int], mod: int, trunc: int | None = None) -> list[int]:

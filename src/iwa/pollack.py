@@ -13,11 +13,20 @@ the right parity whose factor is indistinguishable from 1 in the window *and*
 whose cyclotomic degree exceeds the window length.  Both facts are recorded.
 Each level factor is built on its own from binomial rows, since
 Phi_{p^m}(z) = sum_{i<p} z^(i p^(m-1)) and (1+X)^E has the row C(E, n): a
-factor costs O(pN) steps on integers of about W digits and no convolution,
-and levels of the other parity are never formed.  Multiplying a factor in
-takes one convolution, and a cheap one: the factor is p + p^t delta with t
-rising by about one per level, so only prod * delta is convolved, mod
-p^(W-t).
+factor costs O(pN) steps and no convolution, and levels of the other parity
+are never formed.
+
+The product is only carried as deep as the output reads it.  Since
+Phi_{p^m}(u^{-j}(1+X)) = X^deg mod p, a level of degree >= N is p times a
+factor g integral in the window, and a level of degree < N has content 1.
+Every constant term Phi_{p^m}(u^{-j}) has valuation exactly 1.  So the
+product of all twists is p^A G, A counting the included levels of degree
+>= N, and its constant term has valuation A + L, L counting those of degree
+< N (known from the degrees alone).  The tail caps below trust no cell past
+A + L + M digits, so G is formed mod p^(M+L+1) and scaled by p^A once.
+Multiplying a level in takes one convolution at most: g is 1 + p^s delta
+with s rising by about one per level, so only prod * delta is convolved, mod
+p^(M+L+1-s), and not at all once s reaches M + L + 1.
 
 All per-factor and per-twist 1/p normalizations are carried as a single
 valuation offset over integral coefficient arithmetic, so nothing is lost to
@@ -75,41 +84,61 @@ def _factor_is_trivial(cells, p: int, M: int) -> bool:
     return all(c % q == 0 for c in cells[1:])
 
 
-def _times_level_factor(prod: list[int], phi: list[int], p: int, pW: int, N: int):
-    """polymul(prod, phi, pW, N) for phi = p + p^t delta, via prod delta mod pW / p^t."""
-    delta = [(phi[0] - p) % pW] + phi[1:]
-    pt = gcd(pW, *delta)  # p^t, capped at pW
-    out = ([p * a for a in prod] + [0] * (len(phi) - 1))[:N]
-    if pt != pW:
-        for n, r in enumerate(polymul(prod, [d // pt for d in delta], pW // pt, N)):
-            out[n] += pt * r
-    return [a % pW for a in out]
+def _first_level(kind: str) -> int:
+    return 2 if kind == "plus" else 1
 
 
-def _signed_product(kind: str, j: int, p: int, u: int, W: int, N: int, M: int):
-    """One twist's worth of the plus/minus product, as integer cells.
+def _short_levels(kind: str, p: int, N: int) -> int:
+    """How many levels of the kind's parity have degree < N: those of content 1."""
+    m = _first_level(kind)
+    count = 0
+    while cyclotomic_degree(p, m) < N:
+        count += 1
+        m += 2
+    return count
 
-    Returns (cells, included_count, stop_level): the product of every factor
-    of the right parity below the stop level, computed mod (p^W, X^N).  Each
-    level factor Phi_{p^m}(u^{-j}(1+X)) comes straight from its binomial rows
-    (:func:`cyclotomic_cells`), so levels of the other parity cost nothing.
-    A factor is p + p^t delta with t = v_p(Phi - p), which grows by about one
-    per level, so it is multiplied in as p prod + p^t (prod delta), the
-    second product taken mod p^(W-t): the same cells mod p^W, at a modulus
-    that shrinks level by level.
+
+def _times_level_factor(prod: list[int], g: list[int], mod: int, N: int):
+    """polymul(prod, g, mod, N) for g = 1 + p^s delta, via prod delta mod mod / p^s."""
+    delta = [(g[0] - 1) % mod] + g[1:]
+    ps = gcd(mod, *delta)  # p^s, capped at mod
+    out = (prod + [0] * (len(g) - 1))[:N]
+    if ps != mod:
+        for n, r in enumerate(polymul(prod, [d // ps for d in delta], mod // ps, N)):
+            out[n] += ps * r
+    return [a % mod for a in out]
+
+
+def _signed_product(kind: str, j: int, p: int, u: int, R: int, N: int, M: int):
+    """One twist's worth of the plus/minus product, stripped of its content.
+
+    Returns (cells, included_count, stop_level).  The product of every factor
+    of the right parity below the stop level is p^A times the cells, mod
+    (p^(A+R), X^N), where A = included_count - _short_levels(kind, p, N)
+    counts the included levels of degree >= N.  Each level factor
+    Phi_{p^m}(u^{-j}(1+X)) comes straight from its binomial rows
+    (:func:`cyclotomic_cells`) mod p^(R+1), deep enough for the stop test,
+    which reads p^(M+1), as long as R >= M.  A level of degree >= N is
+    X^deg = 0 mod p in the window, so it is divided by its content p; one of
+    degree < N has content 1 and is taken as it is.  Either way the factor
+    g is 1 + p^s delta, and it is multiplied in as prod + p^s (prod delta),
+    the second product taken mod p^(R-s) and skipped once s reaches R.
     """
-    pW = p**W
-    uj = pow(pow(u, -1, pW), j, pW)
+    q = p ** (R + 1)
+    pR = p**R
+    uj = pow(pow(u, -1, q), j, q)
     prod = [1]
     count = 0
     # levels certainly stabilize a little past M + log_p(N); 4M + 16 is a
     # generous safety margin, overrunning it means a genuine bug
     limit = 4 * M + 16
-    for m in range(2 if kind == "plus" else 1, limit + 1, 2):
-        phi = cyclotomic_cells(p, m, uj, pW, N)
-        if cyclotomic_degree(p, m) > N and _factor_is_trivial(phi, p, M):
+    for m in range(_first_level(kind), limit + 1, 2):
+        phi = cyclotomic_cells(p, m, uj, q, N)
+        deg = cyclotomic_degree(p, m)
+        if deg > N and _factor_is_trivial(phi, p, M):
             return prod, count, m
-        prod = _times_level_factor(prod, phi, p, pW, N)
+        g = [c // p for c in phi] if deg >= N else phi
+        prod = _times_level_factor(prod, g, pR, N)
         count += 1
     raise RuntimeError(  # pragma: no cover - safety net
         f"cyclotomic product did not stabilize by level {limit}"
@@ -129,18 +158,6 @@ def log_p_unit(t: int, p: int, rel: int, prec: Precision) -> PadicScalar:
     return PadicScalar.from_fraction(acc, prec, rel=rel)
 
 
-def _classical_log_series(j: int, prec: Precision, W: int, u: int) -> Series:
-    """log_p(u^{-j}(1+X)) = -j*log_p(u) + log(1+X), exact coefficients."""
-    lam = log_p_unit(u - 1, prec.p, W + 4, prec)
-    const = lam * (-j)
-    coeffs: list = [const]
-    for n in range(1, prec.x_prec):
-        coeffs.append(
-            PadicScalar.from_fraction(Fraction((-1) ** (n + 1), n), prec, rel=W)
-        )
-    return Series(prec, tuple(coeffs), None, None, is_polynomial=False)
-
-
 def pollack_log(spec: LogKind, prec: Precision) -> Distribution:
     """Construct the requested logarithm in the window given by ``prec``.
 
@@ -155,9 +172,17 @@ def pollack_log(spec: LogKind, prec: Precision) -> Distribution:
 
     if spec.kind == "full":
         W = M + spec.r * (ceil_log(N, p) + 1) + 6
+        # log_p(u^{-j}(1+X)) = -j*log_p(u) + log(1+X): log_p(u) and the
+        # coefficients (-1)^(n+1)/n of log(1+X) are the same for every twist
+        lam = log_p_unit(u - 1, p, W + 4, prec)
+        tail = [
+            PadicScalar.from_fraction(Fraction((-1) ** (n + 1), n), prec, rel=W)
+            for n in range(1, N)
+        ]
         body_series = Series.constant(1, prec, rel=W)
         for j in js:
-            body_series = body_series * _classical_log_series(j, prec, W, u)
+            twist = Series(prec, (lam * (-j), *tail), None, None, is_polynomial=False)
+            body_series = body_series * twist
         factors = [
             (m, j)
             for j in js
@@ -173,16 +198,21 @@ def pollack_log(spec: LogKind, prec: Precision) -> Distribution:
         )
 
     # plus/minus: estimate the per-twist factor count to size the working
-    # modulus, then build integrally and apply the whole offset at once
+    # modulus W the cells are reported at, form the stripped product G at
+    # the depth the caps below read, and apply the whole offset at once
     est_levels = M + ceil_log(max(N, 2), p) + 8
     W = M + spec.r * (est_levels // 2 + 3) + 6
-    total = [1]
+    L = spec.r * _short_levels(spec.kind, p, N)
+    R = M + L + 1
+    pR = p**R
+    G = [1]
+    A = -L  # the included levels of degree >= N, once every count is in
     offset = 0
     per_twist = []
-    pW = p**W
     for j in js:
-        cells, count, stop = _signed_product(spec.kind, j, p, u, W, N, M)
-        total = polymul(total, cells, pW, N)
+        cells, count, stop = _signed_product(spec.kind, j, p, u, R, N, M)
+        G = polymul(G, cells, pR, N)
+        A += count
         offset += count + 1  # each factor's 1/p plus the twist's own 1/p
         per_twist.append({"twist": j, "factors": count, "stabilized_at": stop})
     if all(t["factors"] == 0 for t in per_twist):
@@ -192,11 +222,14 @@ def pollack_log(spec: LogKind, prec: Precision) -> Distribution:
             stacklevel=2,
         )
     # the discarded tail multiplies the integral product by 1 + O(p^M), so
-    # coefficient n is only trusted to (min valuation through degree n) + M
+    # coefficient n is only trusted to (min valuation through degree n) + M;
+    # the constant term has valuation A + L, so no cap passes A + L + M, and
+    # p^A G, known mod p^(A+R), gives every cell and valuation the scan reads
+    pA, pW = p**A, p**W
+    total = [g * pA % pW for g in G]
     run = W
     caps = []
     for c in total:
-        c %= pW
         if c:
             run = min(run, _vp(c, p))
         caps.append(min(W, run + M))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, gcd
 
 # ---------------------------------------------------------- exact poly algebra
 
@@ -337,13 +337,13 @@ def reference_divide(F, G):
 #
 # pollack._signed_product as it ran before each level factor came from its
 # binomial rows: (u^{-j}(1+X))^(p^(m-1)) by p-th powering at every level, the
-# skipped parity included, then Phi_p of it by a geometric sum.  Built on the
-# library's packed kernel, because the new construction must reproduce it
-# cell for cell, lengths included.
+# skipped parity included, then Phi_p of it by a geometric sum, all mod p^W.
+# Built on the library's packed kernel, because the new construction must
+# reproduce it cell for cell, lengths included.
 
 
-def reference_signed_product(kind: str, j: int, p: int, u: int, W: int, N: int, M: int):
-    """(cells, included_count, stop_level) for one twist, by powering."""
+def _powering_signed_product(kind: str, j: int, p: int, u: int, W: int, N: int, M: int):
+    """(cells mod p^W, included_count, stop_level) for one twist, by powering."""
     from iwa._kernel import geometric_sum, polymul, polypow
 
     pW = p**W
@@ -367,6 +367,125 @@ def reference_signed_product(kind: str, j: int, p: int, u: int, W: int, N: int, 
                 return prod, count, m
         prod = polymul(prod, phi, pW, N)
         count += 1
+
+
+def reference_signed_product(kind: str, j: int, p: int, u: int, R: int, N: int, M: int):
+    """pollack._signed_product's contract, by powering: strip p^A, reduce mod p^R.
+
+    A counts the included levels of degree >= N.  At most 2M + 9 levels of
+    one parity are tried, so a product known mod p^(R + 2M + 9) still knows
+    its quotient by p^A mod p^R; the stop test reads p^(M+1).
+    """
+    prod, count, stop = _powering_signed_product(
+        kind, j, p, u, max(R, M + 1) + 2 * M + 9, N, M
+    )
+    first = 2 if kind == "plus" else 1
+    A = count - sum(
+        1 for m in range(first, stop, 2) if p ** (m - 1) * (p - 1) < N
+    )
+    pA, pR = p**A, p**R
+    assert all(c % pA == 0 for c in prod)
+    return [c // pA % pR for c in prod], count, stop
+
+
+# pollack_log's plus/minus assembly as it ran before the product was
+# stripped of its content: every level factor (from its binomial rows)
+# multiplied in mod p^W as p + p^t delta, every twist's product mod p^W, and
+# the tail caps scanned over the cells mod p^W.  The stripped product must
+# reproduce its Distribution coefficient for coefficient, caps and meta
+# included.
+
+
+def _times_level_factor_mod_pW(prod, phi, p: int, pW: int, N: int):
+    from iwa._kernel import polymul
+
+    delta = [(phi[0] - p) % pW] + phi[1:]
+    pt = gcd(pW, *delta)  # p^t, capped at pW
+    out = ([p * a for a in prod] + [0] * (len(phi) - 1))[:N]
+    if pt != pW:
+        for n, r in enumerate(polymul(prod, [d // pt for d in delta], pW // pt, N)):
+            out[n] += pt * r
+    return [a % pW for a in out]
+
+
+def _signed_product_mod_pW(kind: str, j: int, p: int, u: int, W: int, N: int, M: int):
+    """(cells mod p^W, included_count, stop_level), unstripped, from binomial rows."""
+    from iwa._kernel import cyclotomic_cells
+    from iwa.pollack import _factor_is_trivial
+    from iwa.series import cyclotomic_degree
+
+    pW = p**W
+    uj = pow(pow(u, -1, pW), j, pW)
+    prod = [1]
+    count = 0
+    limit = 4 * M + 16
+    for m in range(2 if kind == "plus" else 1, limit + 1, 2):
+        phi = cyclotomic_cells(p, m, uj, pW, N)
+        if cyclotomic_degree(p, m) > N and _factor_is_trivial(phi, p, M):
+            return prod, count, m
+        prod = _times_level_factor_mod_pW(prod, phi, p, pW, N)
+        count += 1
+    raise RuntimeError(f"cyclotomic product did not stabilize by level {limit}")
+
+
+def reference_pollack_log(spec, prec):
+    """pollack_log(spec, prec) for a plus/minus spec, every product mod p^W."""
+    import warnings
+
+    from iwa._kernel import polymul
+    from iwa.distributions import Distribution
+    from iwa.pollack import _max_level_fitting, ceil_log
+    from iwa.scalars import _vp
+    from iwa.series import IwasawaElement, Series, u_for, unpack_part
+
+    p, M, N = prec.p, prec.p_prec, prec.x_prec
+    u = u_for(p)
+    js = range(spec.shift, spec.shift + spec.r)
+    est_levels = M + ceil_log(max(N, 2), p) + 8
+    W = M + spec.r * (est_levels // 2 + 3) + 6
+    total = [1]
+    offset = 0
+    per_twist = []
+    pW = p**W
+    for j in js:
+        cells, count, stop = _signed_product_mod_pW(spec.kind, j, p, u, W, N, M)
+        total = polymul(total, cells, pW, N)
+        offset += count + 1
+        per_twist.append({"twist": j, "factors": count, "stabilized_at": stop})
+    if all(t["factors"] == 0 for t in per_twist):
+        warnings.warn(
+            "window too small to include any nontrivial cyclotomic factor; "
+            "the logarithm degenerates to a constant",
+            stacklevel=2,
+        )
+    run = W
+    caps = []
+    for c in total:
+        c %= pW
+        if c:
+            run = min(run, _vp(c, p))
+        caps.append(min(W, run + M))
+    body = Series(prec, unpack_part(p, (-offset, W, total), len(total), caps))
+    parity = 0 if spec.kind == "plus" else 1
+    factors = [
+        (m, j)
+        for j in js
+        for m in range(1, _max_level_fitting(p, N) + 1)
+        if m % 2 == parity % 2
+    ]
+    meta = {
+        "kind": spec.kind,
+        "window": (M, N),
+        "per_twist": per_twist,
+        "valuation_offset": offset,
+    }
+    return Distribution(
+        IwasawaElement.from_diagonal(body),
+        spec.order,
+        tuple(factors),
+        min(t["stabilized_at"] for t in per_twist),
+        meta,
+    )
 
 
 # ---------------------------------------------- reference cells-to-scalars

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 import iwa.pollack
+from iwa._kernel import cyclotomic_cells
 from iwa.distributions import divide_exact, growth_order, least_squares_slope
 from iwa.pollack import (
     LogKind,
@@ -15,10 +17,10 @@ from iwa.pollack import (
     log_p_unit,
     pollack_log,
 )
-from iwa.scalars import PadicScalar, Precision
-from iwa.series import Series, u_for
+from iwa.scalars import PadicScalar, Precision, _vp
+from iwa.series import Series, cyclotomic_degree, u_for
 
-from oracles import log1plus_coeffs, reference_signed_product
+from oracles import log1plus_coeffs, reference_pollack_log, reference_signed_product
 
 P5 = Precision(5, 30, 64)
 
@@ -231,6 +233,76 @@ class TestAgainstPoweringReference:
         assert _signed_product(kind, j, p, u, W, N, M) == reference_signed_product(
             kind, j, p, u, W, N, M
         )
+
+
+@pytest.mark.filterwarnings("ignore:window too small")
+class TestAgainstFullModulusReference:
+    """The stripped product, formed mod p^(M+L+1), reproduces the product mod p^W."""
+
+    @pytest.mark.parametrize("kind", ["plus", "minus"])
+    @pytest.mark.parametrize(
+        "r,shift,prec",
+        [
+            # the work windows of log_identity_check at the bench's
+            # (p, r, N) = (5, 4, 64), (5, 2, 160), (7, 2, 64), (5, 2, 64), M = 20
+            (4, 0, Precision(5, 58, 64)),
+            (2, 0, Precision(5, 46, 160)),
+            (2, 0, Precision(7, 42, 64)),
+            (2, 0, Precision(5, 42, 64)),
+            # the signed log columns of the bench's roundtrip cases
+            (2, 1, Precision(5, 36, 64)),
+            (4, 1, Precision(5, 44, 64)),
+            (4, 0, Precision(5, 44, 64)),
+            (4, 1, Precision(7, 44, 64)),
+            (2, 0, Precision(3, 20, 90)),
+            (1, 1, Precision(11, 8, 150)),
+            (2, 1, Precision(13, 10, 200)),
+            # M = 1: the stop test and the caps read one digit
+            (1, 0, Precision(5, 1, 130)),
+            (2, 1, Precision(3, 1, 40)),
+            # N below every level's degree: each included level has content p
+            (2, 0, Precision(5, 10, 3)),
+            (1, 2, Precision(7, 6, 5)),
+            # N equal to a level's degree: that level is included, content p
+            (2, 0, Precision(5, 12, 20)),
+            (1, 1, Precision(3, 8, 18)),
+            (2, 1, Precision(7, 6, 42)),
+        ],
+    )
+    def test_fingerprint_matches(self, kind, r, shift, prec):
+        spec = LogKind(kind, r, shift)
+        assert fingerprint(pollack_log(spec, prec)) == fingerprint(
+            reference_pollack_log(spec, prec)
+        )
+
+
+class TestLevelContent:
+    """The two facts that let the signed product run at p^(M+L+1)."""
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11])
+    @pytest.mark.parametrize("j", range(4))
+    def test_content_is_p_exactly_when_the_degree_reaches_N(self, p, j):
+        # Phi_{p^m}(u^{-j}(1+X)) = X^deg mod p
+        q = p**6
+        c = pow(u_for(p), -j, q)
+        for m in range(1, 6):
+            deg = cyclotomic_degree(p, m)
+            Ns = {1, 2, 5, 20, 64, 101}
+            if deg <= 200:
+                Ns |= {deg - 1, deg, deg + 1}
+            for N in sorted(n for n in Ns if n >= 1):
+                content = gcd(q, *cyclotomic_cells(p, m, c, q, N))
+                assert content == (p if deg >= N else 1), (m, N)
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11])
+    @pytest.mark.parametrize("j", range(4))
+    def test_constant_term_has_valuation_one(self, p, j):
+        # Phi_{p^m}(z) = sum_{i<p} z^(i p^(m-1)), here at z = u^{-j}
+        q = p**6
+        z = pow(u_for(p), -j, q)
+        for m in range(1, 6):
+            e = p ** (m - 1)
+            assert _vp(sum(pow(z, i * e, q) for i in range(p)) % q, p) == 1, m
 
 
 class TestProductIdentity:

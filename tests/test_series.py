@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iwa._kernel import cyclotomic_cells, geometric_sum, polypow
+from iwa._kernel import cyclotomic_cells, geometric_sum, polymul, polypow
 from iwa.scalars import PadicScalar, Precision, PrecisionError, QuadExtScalar
 from iwa.series import (
     DivisibilityError,
@@ -292,6 +292,36 @@ def test_cyclotomic_cells_match_binomial_oracle_at_work_windows(p, W, N, levels)
 def test_cyclotomic_cells_reject_level_zero():
     with pytest.raises(ValueError, match="level"):
         cyclotomic_cells(5, 0, 1, 5**3, 4)
+
+
+def schoolbook(A, B, mod, trunc):
+    """The integer convolution of A and B, each entry reduced mod ``mod``."""
+    n = len(A) + len(B) - 1 if A and B else 0
+    if trunc is not None:
+        n = min(n, trunc)
+    return [
+        sum(A[i] * B[k - i] for i in range(len(A)) if 0 <= k - i < len(B)) % mod
+        for k in range(n)
+    ]
+
+
+@st.composite
+def polymul_cases(draw):
+    """(A, B, mod, trunc): sparse and empty operands, entries outside [0, mod)."""
+    mod = draw(st.sampled_from([1, 2, 3, 5**3, 7**9, 2**64 + 13, 3**80]))
+    # zeros are frequent, so the packed operands have runs of empty chunks
+    entry = st.sampled_from([0, 0, 1, mod - 1, mod, -1]) | st.integers(-3 * mod, 3 * mod)
+    A = draw(st.lists(entry, max_size=12))
+    B = draw(st.lists(entry, max_size=12))
+    trunc = draw(st.none() | st.integers(0, len(A) + len(B) + 3))
+    return A, B, mod, trunc
+
+
+@settings(max_examples=400, deadline=None)
+@given(polymul_cases())
+def test_polymul_matches_schoolbook_convolution(case):
+    A, B, mod, trunc = case
+    assert polymul(A, B, mod, trunc) == schoolbook(A, B, mod, trunc)
 
 
 # ------------------------------------------------------------ IwasawaElement
