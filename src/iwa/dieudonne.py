@@ -17,6 +17,7 @@ scalar coefficients) are spelled out over the scalar type.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .scalars import Precision, QuadExtScalar
 
@@ -391,14 +392,17 @@ def eigenvectors_dual(Dstar: PhiModule) -> tuple[Vector, Vector]:
     return v_plus, v_minus
 
 
+@lru_cache(maxsize=64)
 def change_of_basis(prec: Precision, k: int, eps_seed: int) -> tuple[Matrix, Matrix]:
     """The 4x4 matrix from the v_lambda (x) v_mu coordinates to the mixed
     symmetric/antisymmetric tensor coordinates, and its inverse.
 
     Columns are ordered (alpha,alpha), (-alpha,-alpha), (alpha,-alpha),
     (-alpha,alpha); rows express phi(w')(x)phi(w'), w'(x)w', the symmetric
-    cross tensor, and the antisymmetric cross tensor.  The inverse is
-    computed by elimination and certified against M here.
+    cross tensor, and the antisymmetric cross tensor.  M is written down over
+    E at ``prec``, its inverse computed by elimination and M * M^-1 = 1
+    certified, once per (window, k, eps): the pair is cached, and a repeat
+    call returns the same objects.
     """
     one = QuadExtScalar.one(prec, k, eps_seed)
     z = QuadExtScalar.zero(prec, k, eps_seed)

@@ -27,6 +27,11 @@ Precision semantics:
   ``off``, with W = (smallest absolute precision) - off >= 0.  That uniform
   degrade *is* the min-rule for the result and keeps the hot loops in
   C-speed big-int arithmetic;
+* a scalar multiple, and a linear combination sum_j s_j x_j of series
+  (:func:`linear_combination`), takes one pass over the integer columns and
+  one normalization per part: each scalar part times each series part is a
+  term known modulo p^W as in a product, the terms are summed under the
+  scalar rules, and the sum is normalized once;
 * a series flagged ``is_polynomial`` has exactly-zero coefficients beyond its
   stored length.  Everything else is a truncation of something longer, and the
   operations that mix degrees (affine composition, evaluation, remainders)
@@ -238,6 +243,27 @@ def _add_parts(x, y, L):
     return _part(x.p, off, cells, abs_precs)
 
 
+def _sum_terms(p, L, terms):
+    """The Part of the terms' sum on degrees 0..L-1 (no terms: exact zeros).
+
+    A term (n, off, A, cells, mult) is cells[i] * mult * p^off + O(p^A) at
+    degrees i < n and an exact zero past them, with at least n cells; cells
+    and mult may be unreduced.  So each coefficient is known to the smallest
+    A among the terms that reach it, and the sum is normalized once.
+    """
+    if not terms:
+        return Part(p, 0, [0] * L, [inf] * L)
+    base = min(t[1] for t in terms)
+    cells, abs_precs = [0] * L, [inf] * L
+    for n, off, A, xs, mult in terms:
+        n = min(n, L)
+        f = mult * p ** (off - base)
+        if f:
+            cells[:n] = [c + x * f for c, x in zip(cells[:n], xs)]
+        abs_precs[:n] = [a if a < A else A for a in abs_precs[:n]]
+    return _part(p, base, cells, abs_precs)
+
+
 def unpack_part(p, packed, length, caps=None):
     """The Part of ``length`` cells packed as (off, W, cells): each is
     cells[i] * p^off + O(p^(off + W)), missing cells are zeros, and a width
@@ -296,6 +322,46 @@ def _tail_floor(part, order: float, L: int, p: int) -> int | None:
     return math.floor(min(trend) - order * math.log(L, p)) - 1
 
 
+# ------------------------------------------------------------------ scalars
+
+_SCALARS = (int, Fraction, PadicScalar, QuadExtScalar)
+
+
+def _merge_forms(f, g):
+    """The form data two operands share; None is Q_p and mixes into any form."""
+    if f is None:
+        return g
+    if g is not None and f != g:
+        raise ValueError("mixing series from different forms")
+    return f
+
+
+def _check_prime(c, p):
+    """Refuse a scalar over another prime than the series it meets."""
+    if c.prec.p != p:
+        raise PrecisionError(f"a scalar over p = {c.prec.p} met a series over p = {p}")
+
+
+def _scalar_triples(s, prec):
+    """(a, b, form) of the scalar s as ``Series.constant(s, prec)`` stores it.
+
+    a and b are (val, unit, rel) triples, None for an exact zero; b and form
+    are None unless s is a QuadExtScalar.  An int or Fraction is read to
+    prec.p_prec digits, and a scalar over another prime raises PrecisionError.
+    """
+    if isinstance(s, QuadExtScalar):
+        parts, form = (s.a, s.b), (s.k, s.eps_seed)
+    elif isinstance(s, PadicScalar):
+        parts, form = (s, None), None
+    else:
+        parts, form = (PadicScalar.from_fraction(Fraction(s), prec), None), None
+    for c in parts:
+        if c is not None:
+            _check_prime(c, prec.p)
+    a, b = (None if c is None or c.val is None else (c.val, c.unit, c.rel) for c in parts)
+    return a, b, form
+
+
 # -------------------------------------------------------------------- Series
 
 
@@ -338,6 +404,8 @@ class Series:
         has_b = False
         for c in coeffs:
             cb = PadicScalar.exact_zero(prec)
+            if isinstance(c, (PadicScalar, QuadExtScalar)):
+                _check_prime(c, prec.p)
             if isinstance(c, QuadExtScalar):
                 f = (c.k, c.eps_seed)
                 if form is None:
@@ -422,16 +490,10 @@ class Series:
         return min(x.min_abs for x in self._parts())
 
     def _merge_form(self, other: "Series"):
-        if self.form is None:
-            return other.form
-        if other.form is None:
-            return self.form
-        if self.form != other.form:
-            raise ValueError("mixing series from different forms")
-        return self.form
+        return _merge_forms(self.form, other.form)
 
     def _coerce(self, other) -> "Series | None":
-        if isinstance(other, (int, Fraction, PadicScalar, QuadExtScalar)):
+        if isinstance(other, _SCALARS):
             return Series.constant(other, self.prec)
         return other if isinstance(other, Series) else None
 
@@ -473,8 +535,9 @@ class Series:
         return (-self) + other
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if isinstance(other, _SCALARS):
+            return linear_combination((other,), (self,))
+        if not isinstance(other, Series):
             return NotImplemented
         self._check_compat(other)
         form = self._merge_form(other)
@@ -698,6 +761,71 @@ class Series:
         return f"Series({kind}, len={len(self._a)}, p={self.prec.p}{E})"
 
 
+def linear_combination(scalars, series) -> Series:
+    """sum_j scalars[j] * series[j], in one pass over the integer columns.
+
+    Scalars are ints, Fractions, PadicScalars or QuadExtScalars, and there is
+    at least one term.  The result equals, cell for cell, the sum of the
+    products x_j * Series.constant(s_j, x_j.prec) added from the left.
+    Every nonzero pair of a scalar part and a series part is one term, known
+    modulo p^W at the smaller of the two parts' packed widths W; the b*b
+    term folds into the a-part through alpha^2 = -eps * p^(k+1).  The terms
+    are summed under the scalar rules and each output part is normalized
+    once.
+
+    A zero scalar or an all-exact-zero series contributes the length-0
+    polynomial zero.  The result is as long as the shortest truncated term,
+    or the longest term when all are polynomials; a term s_j * x_j is
+    min(len x_j, x_prec) long, and a polynomial if x_j is one that fits.
+    """
+    if len(scalars) != len(series) or not series:
+        raise ValueError(f"{len(scalars)} scalars for {len(series)} series")
+    first = series[0]
+    prec, p = first.prec, first.prec.p
+    form = None
+    known, longest, has_b = inf, 0, False
+    a_terms, b_terms, bb_terms = [], [], []
+    for j, (s, x) in enumerate(zip(scalars, series)):
+        sa, sb, sform = _scalar_triples(s, x.prec)
+        tform = _merge_forms(x.form, sform)
+        if j:
+            first._check_compat(x)
+        form = _merge_forms(form, tform)
+        if (sa is None and sb is None) or x.min_abs_prec() == inf:
+            has_b = has_b or tform is not None
+            continue
+        has_b = has_b or x._b is not None or sform is not None
+        L = min(len(x._a), x.prec.x_prec)
+        if x.is_polynomial and len(x._a) <= x.prec.x_prec:
+            longest = max(longest, L)
+        else:
+            known = min(known, L)
+        for X, x_is_b in ((x._a, False), (x._b, True)):
+            if X is None or X.min_abs == inf:
+                continue
+            wx = X.min_abs - X.off
+            for S, s_is_b in ((sa, False), (sb, True)):
+                if S is None:
+                    continue
+                v, u, r = S
+                W = min(wx, r)
+                if x_is_b and s_is_b:
+                    off = X.off + v + tform[0] + 1
+                    bb_terms.append((L, off, off + W, X.cells, u))
+                else:
+                    off = X.off + v
+                    terms = b_terms if x_is_b or s_is_b else a_terms
+                    terms.append((L, off, off + W, X.cells, u))
+    if bb_terms:
+        # one Teichmuller unit at the widest term serves every narrower one
+        W = max(A - off for _, off, A, _, _ in bb_terms)
+        t = teichmuller(form[1], prec, W).unit if W else 0
+        a_terms += [(n, off, A, xs, -u * t) for n, off, A, xs, u in bb_terms]
+    L = longest if known == inf else known
+    b = _sum_terms(p, L, b_terms) if has_b else None
+    return Series(prec, _sum_terms(p, L, a_terms), b, form, is_polynomial=known == inf)
+
+
 # ------------------------------------------------------- cyclotomic factors
 
 
@@ -818,7 +946,7 @@ class IwasawaElement:
         return self._map_components(lambda s: -s)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, PadicScalar, QuadExtScalar)):
+        if isinstance(other, _SCALARS):
             return self.scale(other)
         if not isinstance(other, IwasawaElement):
             return NotImplemented

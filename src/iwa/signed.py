@@ -32,7 +32,7 @@ from .dieudonne import change_of_basis
 from .distributions import Distribution, divide_exact
 from .pollack import LogKind, ceil_log, pollack_log
 from .scalars import Precision
-from .series import DivisibilityError, IwasawaElement
+from .series import DivisibilityError, IwasawaElement, linear_combination
 
 __all__ = [
     "Convention",
@@ -181,13 +181,30 @@ def _detect_form(q: UnboundedQuadruple):
 
 
 def _mat_apply(M, vec):
-    """M (over E) applied to a 4-vector of distributions."""
+    """M (over E) applied to a 4-vector of distributions.
+
+    Row i is sum_j M[i][j] * vec[j], tagged with the largest order among
+    vec: one series.linear_combination per row and tame component, and one
+    per distinct tuple of components, so components shared across slots (the
+    zero quadruple's, say) share their result.  It equals the fold of
+    Distribution.scale and + cell for cell.  M is change_of_basis's, built
+    once per (window, k, eps).
+    """
+    bodies = [d.body for d in vec]
+    for body in bodies[1:]:
+        bodies[0]._check_compat(body)
+    tag = max(d.order_tag for d in vec)
     out = []
-    for i in range(4):
-        acc = vec[0].scale(M[i][0])
-        for j in range(1, 4):
-            acc = acc + vec[j].scale(M[i][j])
-        out.append(acc)
+    for row in M:
+        memo: dict = {}
+        comps = []
+        for xs in zip(*(body.components for body in bodies)):
+            key = tuple(map(id, xs))
+            if key not in memo:
+                memo[key] = linear_combination(row, xs)
+            comps.append(memo[key])
+        elem = IwasawaElement(bodies[0].prec, comps, bodies[0].u)
+        out.append(Distribution(elem, tag))
     return tuple(out)
 
 

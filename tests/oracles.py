@@ -333,6 +333,42 @@ def reference_divide(F, G):
     return Series.make(F.prec, q, form=form)
 
 
+# ------------------------------------- reference linear combinations
+#
+# How a scalar multiple and signed._mat_apply ran before linear_combination:
+# each s * x a Series product with the constant Series.constant(s, x.prec),
+# packed convolutions and a normalization per part pair, then a left fold of
+# sums.  Built on the library's Series product and sum, which the one-pass
+# kernel must reproduce cell for cell.
+
+
+def reference_linear_combination(scalars, series):
+    """sum_j scalars[j] * series[j] as the left fold of products and sums."""
+    from iwa.series import Series
+
+    acc = None
+    for s, x in zip(scalars, series):
+        term = x * Series.constant(s, x.prec)
+        acc = term if acc is None else acc + term
+    return acc
+
+
+def reference_mat_apply(M, vec):
+    """signed._mat_apply as the fold of scale-then-add over distributions."""
+    from iwa.distributions import Distribution
+    from iwa.series import IwasawaElement
+
+    out = []
+    for row in M:
+        acc = None
+        for s, d in zip(row, vec):
+            comps = [reference_linear_combination((s,), (c,)) for c in d.body.components]
+            term = Distribution(IwasawaElement(d.prec, comps, d.body.u), d.order_tag)
+            acc = term if acc is None else acc + term
+        out.append(acc)
+    return tuple(out)
+
+
 # ------------------------------------------- reference signed-log products
 #
 # pollack._signed_product as it ran before each level factor came from its

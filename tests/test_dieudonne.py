@@ -199,6 +199,13 @@ class TestChangeOfBasis:
         assert is_identity(mat_mul(M, M_inv))
         assert is_identity(mat_mul(M_inv, M))
 
+    def test_built_once_per_window_and_form(self, setting):
+        p, k, eps, prec, _ = setting
+        M, M_inv = change_of_basis(prec, k, eps)
+        again = change_of_basis(Precision(p, prec.p_prec, prec.x_prec), k, eps)
+        assert again[0] is M and again[1] is M_inv
+        assert change_of_basis(prec.with_p_prec(prec.p_prec + 1), k, eps)[0] is not M
+
     def test_closed_form_of_inverse(self, setting):
         # M_inv must agree with (1/4) * rows built from alpha^{-1}, alpha^{-2}
         p, k, eps, prec, _ = setting

@@ -18,6 +18,7 @@ from iwa.series import (
     _back_substitute,
     cyclotomic_factor,
     divide_series,
+    linear_combination,
     u_for,
     unpack_part,
 )
@@ -29,6 +30,7 @@ from oracles import (
     poly_compose_affine,
     poly_mul,
     reference_divide,
+    reference_linear_combination,
     series_from_cells,
 )
 
@@ -932,3 +934,108 @@ def test_twist_moves_component_i_to_i_minus_n(data):
         want[(i - n) % (p - 1)] = comps[i].compose_affine(c, d)
     got = el.twist(n).components
     assert [triple_shape(g) for g in got] == [triple_shape(w) for w in want]
+
+
+# ------------------------------------ linear combinations against the fold
+
+
+def fingerprint(s: Series):
+    """Everything a Series stores: columns, length, flag, form, alpha-part."""
+    parts = tuple(None if x is None else (x.off, x.cells, x.abs_precs) for x in (s._a, s._b))
+    return s.prec, s.length, s.is_polynomial, s.form, s._b is not None, parts
+
+
+def combination_outcome(fn, *args):
+    """The fingerprint of the result, or the class and message of the error."""
+    try:
+        return fingerprint(fn(*args))
+    except (ValueError, PrecisionError) as e:
+        return type(e), str(e)
+
+
+@st.composite
+def combination_scalars(draw, prec, form):
+    """A scalar of any kind the kernel takes, zeros included."""
+    p = prec.p
+    kind = draw(st.sampled_from(["int", "fraction", "zero", "padic", "quad"]))
+    if kind == "int":
+        return draw(st.integers(-(p**6), p**6))
+    if kind == "fraction":
+        den = draw(st.integers(1, 4)) * p ** draw(st.integers(0, 2))
+        return Fraction(draw(st.integers(-(p**4), p**4)), den)
+    if kind == "zero":
+        return draw(st.sampled_from([0, Fraction(0), PadicScalar.exact_zero(prec)]))
+    if kind == "padic":
+        return draw(scalars(prec, min_val=-3))
+    one = QuadExtScalar.one(prec, *form)
+    alpha = QuadExtScalar.alpha(prec, *form)
+    general = QuadExtScalar(draw(scalars(prec)), draw(scalars(prec)), *form)
+    return draw(st.sampled_from([
+        one, alpha * alpha, alpha * 2, alpha.inverse(), (alpha * alpha).inverse(),
+        QuadExtScalar.zero(prec, *form), general,
+    ]))
+
+
+@st.composite
+def combination_series(draw, prec, form):
+    """A series with or without alpha-part, jagged, maybe all exact zeros,
+    a polynomial or a truncation, at times longer than the X-window."""
+    n = draw(st.integers(0, prec.x_prec + 2))
+    if draw(st.integers(0, 5)):
+        a = [draw(scalars(prec)) for _ in range(n)]
+    else:
+        a = [PadicScalar.exact_zero(prec)] * n
+    b = [draw(scalars(prec)) for _ in range(n)] if draw(st.booleans()) else None
+    if b is not None and n and draw(st.booleans()):
+        b[draw(st.integers(0, n - 1))] = PadicScalar.inexact_zero(prec, draw(st.integers(-5, -3)))
+    s_form = form if b is not None or draw(st.booleans()) else None
+    return Series(prec, a, b, s_form, draw(st.booleans()))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_linear_combination_matches_the_fold_of_products_and_sums(data):
+    p = data.draw(st.sampled_from([3, 5, 7]))
+    prec = Precision(p, 12, 8)
+    form = (data.draw(st.integers(0, 2)), data.draw(st.integers(1, p - 1)))
+    n = data.draw(st.integers(1, 4))  # one term is a plain scalar multiple
+    ss = [data.draw(combination_scalars(prec, form)) for _ in range(n)]
+    xs = [data.draw(combination_series(prec, form)) for _ in range(n)]
+    want = combination_outcome(reference_linear_combination, ss, xs)
+    assert combination_outcome(linear_combination, ss, xs) == want
+    if n == 1:
+        assert combination_outcome(lambda s, x: x * s, ss[0], xs[0]) == want
+        assert combination_outcome(lambda s, x: s * x, ss[0], xs[0]) == want
+
+
+@pytest.mark.parametrize("mixed", ["scalar", "series"])
+def test_linear_combination_refuses_mixed_forms_like_the_fold(mixed):
+    prec = Precision(5, 12, 8)
+    alpha = QuadExtScalar.alpha(prec, 1, 2)
+    x = Series(prec, [PadicScalar.from_int(3, prec)], [PadicScalar.from_int(1, prec)], (1, 2))
+    if mixed == "scalar":
+        ss, xs = (alpha, QuadExtScalar.alpha(prec, 1, 3)), (x, x)
+    else:
+        other = Series(prec, x._a, x._b, (0, 2))
+        ss, xs = (alpha, 2), (x, other)
+    want = combination_outcome(reference_linear_combination, ss, xs)
+    assert want == (ValueError, "mixing series from different forms")
+    assert combination_outcome(linear_combination, ss, xs) == want
+
+
+def test_a_scalar_over_another_prime_is_refused():
+    p5, p7 = Precision(5, 10, 8), Precision(7, 10, 8)
+    s = Series.make(p5, [1, 2, 3], is_polynomial=True)
+    seven = PadicScalar.from_fraction(7, p7)
+    alpha7 = QuadExtScalar.alpha(p7, 1, 1)
+    for fn in (
+        lambda: s * seven,
+        lambda: seven * s,
+        lambda: s * alpha7,
+        lambda: linear_combination((1, seven), (s, s)),
+        lambda: IwasawaElement.from_diagonal(s).scale(seven),
+        lambda: Series.make(p5, [1, seven]),
+        lambda: Series.make(p5, [alpha7]),
+    ):
+        with pytest.raises(PrecisionError, match=r"a scalar over p = 7 met a series over p = 5"):
+            fn()

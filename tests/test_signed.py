@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import iwa.signed as signed_module
+from iwa.dieudonne import change_of_basis
 from iwa.distributions import Distribution, divide_exact
 from iwa.pollack import LogKind, pollack_log
 from iwa.scalars import Precision, QuadExtScalar
@@ -27,6 +29,8 @@ from iwa.signed import (
     synthesize,
     unbounded_coordinates,
 )
+
+from oracles import reference_mat_apply
 
 P64 = Precision(5, 20, 64)
 P32 = Precision(5, 20, 32)
@@ -470,3 +474,91 @@ class TestColemanCombination:
             ).scale(Fraction(1, 4))
         )
         assert q.L_aa.body == rhs.body
+
+
+# ------------------------------------------ the matrix against the fold
+
+
+def quadruple_fingerprint(q):
+    return tuple(
+        (d.order_tag, d.cyclo_factors, d.truncation_level, fingerprint_element(d.body))
+        if isinstance(d, Distribution) else fingerprint_element(d)
+        for d in q.vector()
+    )
+
+
+def fingerprint_element(elem: IwasawaElement):
+    def series(s):
+        parts = tuple(None if x is None else (x.off, x.cells, x.abs_precs) for x in (s._a, s._b))
+        return s.prec, s.is_polynomial, s.form, parts
+
+    return elem.prec, elem.u, tuple(series(s) for s in elem.components)
+
+
+def divide_outcome(fn, *args):
+    """The quotients' fingerprint, or the payload of the DivisibilityError raised."""
+    try:
+        return quadruple_fingerprint(fn(*args))
+    except DivisibilityError as e:
+        return e.payload()
+
+
+class TestMatrixAgainstTheFold:
+    """_mat_apply (one linear combination per row and component, M cached)
+    against the scale-then-add fold over a freshly built M, at the windows
+    and seeds of the benchmark's roundtrip and gap-reject cases."""
+
+    @staticmethod
+    def both_paths(monkeypatch, run):
+        got = run()
+        with monkeypatch.context() as m:
+            m.setattr(signed_module, "_mat_apply", reference_mat_apply)
+            m.setattr(signed_module, "change_of_basis", change_of_basis.__wrapped__)
+            want = run()
+        return got, want
+
+    @pytest.mark.parametrize(
+        ("p", "k", "convention"),
+        [(5, 0, "theoremA"), (5, 1, "theoremA"), (5, 1, "lemmaFactorisation"), (7, 1, "theoremA")],
+    )
+    def test_roundtrip_cases(self, monkeypatch, p, k, convention):
+        prec = Precision(p, 20, 64)
+        rng = random.Random(901 + p + k)
+        s = SignedQuadruple(*(rand_elem(rng, prec) for _ in range(4)))
+
+        def run():
+            q = synthesize(s, k, convention)
+            return (
+                quadruple_fingerprint(q),
+                divide_outcome(factor_signed, q, k, convention),
+                factor_report(q, k, convention),
+            )
+
+        got, want = self.both_paths(monkeypatch, run)
+        assert got == want
+
+    @pytest.mark.parametrize(("k", "x_window"), [(0, 160), (0, 64), (1, 64)])
+    def test_gap_reject_cases(self, monkeypatch, k, x_window):
+        rng = random.Random(901 + k + x_window)
+        conv = CONVENTIONS["theoremA"]
+        base = Precision(5, 20, x_window)
+        work = base.with_p_prec(base.p_prec + 40)
+        rows = []
+        for sign in conv.row_signs:
+            lk = conv.log_kind(sign, k)
+            if sign in ("plus", "minus"):
+                lk = LogKind(lk.kind, k + 1, shift=lk.shift)
+            seed = rand_elem(rng, base).with_p_prec(work.p_prec)
+            rows.append(pollack_log(lk, work) * Distribution(seed, Fraction(0)))
+        _, M_inv = change_of_basis(work, k, 1)
+        coords = UnboundedQuadruple(*reference_mat_apply(M_inv, rows))
+        kernel = UnboundedQuadruple(*signed_module._mat_apply(M_inv, rows))
+        assert quadruple_fingerprint(kernel) == quadruple_fingerprint(coords)
+        q = UnboundedQuadruple(*(d.with_p_prec(base.p_prec) for d in coords.vector()))
+
+        def run():
+            return factor_report(q, k), divide_outcome(factor_signed, q, k)
+
+        got, want = self.both_paths(monkeypatch, run)
+        assert got == want
+        assert got[0]["ok"] is False and isinstance(got[1], dict)
