@@ -15,26 +15,34 @@ The cast, roughly in dependency order:
   (Washington, Introduction to Cyclotomic Fields, 4.1).  The numbers B_i
   come from the recurrence sum_{k<=n} C(n+1, k) B_k = 0, memoized.  One
   integer row per n, (D, C(n,i) B_i D) with D the common denominator of
-  B_0..B_n, is cached, so D f^n B_n(a/f) is an integer sum and each
-  B_n(a/f) is formed once as an exact Fraction.
+  B_0..B_n, is cached, so D f^n B_n(a/f) is an integer, summed by Horner's
+  rule in a over the row times the powers of f.  Rational characters
+  return one exact Fraction; irrational ones read each B_n(a/f) as a
+  scalar from its integer numerator and D f^n, with one modular inverse
+  per call.
 * :func:`kl_value` — the interpolation formula for p-adic L-values at
   s = 1 - n.  This is the oracle of record: the series construction below is
   certified against it and never the other way around.
 * :func:`smoothed_moment` / :func:`kl_series` — the measure-theoretic
   construction.  The c-smoothed regularization of the B_1 distribution is a
-  genuine Z_p-measure; its twisted moments have a closed form, and the branch
-  series is recovered by Newton interpolation through those moments at the
-  points u^{-m} - 1.  Divided differences of an integral power series at
-  points of pZ_p are p-integral, so every table entry is checked for
-  integrality as a construction self-test, and the interpolation tail drops
-  one digit per node past the window — the node budget makes the truncation
-  error provably smaller than the requested precision.  The divided-difference
-  table and its expansion into monomials (von zur Gathen-Gerhard, Modern
-  Computer Algebra, ch. 5) run on (val, unit, rel) triples under the scalar
-  rules, so they give the PadicScalar results digit for digit.  The node
-  difference u^-r - u^-s is u^-r (1 - u^(r-s)), so its inverse unit is u^r
-  times the inverse unit of 1 - u^(r-s): one modular inverse per column of
-  the table, not one per cell.
+  genuine Z_p-measure; its twisted moments have a closed form, each read
+  with its twisted primitive character from a cache keyed by the exponent
+  of omega.  The branch series is recovered by Newton interpolation through
+  those moments at the points u^{-m} - 1.  Divided differences of an
+  integral power series at points of pZ_p are p-integral, so every table
+  entry is checked for integrality as a construction self-test, and the
+  interpolation tail drops one digit per node past the window — the node
+  budget makes the truncation error provably smaller than the requested
+  precision.  The divided-difference table and its expansion into monomials
+  (von zur Gathen-Gerhard, Modern Computer Algebra, ch. 5) run on (val,
+  unit, rel) triples under the scalar rules, so they give the PadicScalar
+  results digit for digit: each cell is one two-term difference
+  (_sub_triples) against a shared table of p-powers.  The node difference
+  u^-r - u^-s is u^-r (1 - u^(r-s)), so its inverse unit is u^r times the
+  inverse unit of 1 - u^(r-s): one modular inverse per column of the table,
+  not one per cell.  The divisor that removes the smoothing factor raises
+  1+X to log<c>/log(u), and pollack.log_p_unit sums both logarithms on
+  integers.
 * :func:`euler_factor_E` / :func:`euler_factor_Eprime` /
   :func:`exceptional_zero_report` — the three-factor products controlling
   trivial zeros of the symmetric square, with exact vanishing flags (each
@@ -70,7 +78,7 @@ from .dieudonne import PhiModule
 from .distributions import Distribution, divide_exact
 from .pollack import log_p_unit
 from .scalars import (_MR_BOUND, PadicScalar, Precision, PrecisionError, _check_odd_prime,
-                      _is_prime, _vp, teichmuller)
+                      _check_rel, _is_prime, _vp, teichmuller)
 from .series import FiniteCharacter, IwasawaElement, Part, Series, u_for
 
 __all__ = [
@@ -204,31 +212,37 @@ def _omega_powers(p: int, prec: Precision, rel: int) -> tuple:
     return tuple(out)
 
 
-def _sum_triples(terms, p: int) -> tuple:
-    """The sum of (val, unit, rel) triples under PadicScalar's rules.
+def _sub_triples(x: tuple, y: tuple, p: int, pp) -> tuple:
+    """x - y for (val, unit, rel) triples under PadicScalar's rules.
 
     val None is an exact zero and adds nothing, not even a precision bound;
-    units may be signed and unreduced.  As in series._back_substitute, a run
-    of min-abs additions is the exact sum reduced once, at the smallest
-    absolute precision A among the terms, with the p-power stripped.
+    units may be signed and unreduced.  As in series._back_substitute, the
+    difference is the exact one reduced once, at the smaller absolute
+    precision A, with the p-power stripped.  pp[k] is p^k, for k up to the
+    larger rel of the two.
     """
-    A = v0 = math.inf
-    for v, _, r in terms:
-        if v is not None:
-            if v + r < A:
-                A = v + r
-            if v < v0:
-                v0 = v
-    if A == math.inf:
-        return None, 0, 0
+    xv, xu, xr = x
+    yv, yu, yr = y
+    if yv is None:
+        if xv is None:
+            return None, 0, 0
+        v0, A, s = xv, xv + xr, xu
+    elif xv is None:
+        v0, A, s = yv, yv + yr, -yu
+    else:
+        A = xv + xr if xv + xr < yv + yr else yv + yr
+        if xv <= yv:
+            v0, s = xv, xu
+            if yv - xv < A - v0:  # deeper terms vanish mod p^(A - v0)
+                s -= yu * pp[yv - xv]
+        else:
+            v0, s = yv, -yu
+            if xv - yv < A - v0:
+                s += xu * pp[xv - yv]
     w = A - v0
     if w <= 0:
         return A, 0, 0
-    s = 0
-    for v, c, _ in terms:
-        if v is not None and v - v0 < w:  # deeper terms vanish mod p^w
-            s += c * p ** (v - v0)
-    s %= p**w
+    s %= pp[w]
     if s == 0:
         return A, 0, 0
     k = 0
@@ -435,6 +449,15 @@ class DirichletCharacter:
         return (psi * DirichletCharacter.teichmuller_power(p, -d)).primitive(), d
 
 
+@lru_cache(maxsize=256)
+def _twisted_primitive(eta: DirichletCharacter, a: int) -> DirichletCharacter:
+    """The primitive character inducing eta omega^a, for 0 <= a < p - 1.
+
+    Cached, so the moments and values of one window build each twist once.
+    """
+    return (eta * DirichletCharacter.teichmuller_power(eta.p, a)).primitive()
+
+
 # ------------------------------------------------- generalized Bernoulli
 
 
@@ -451,22 +474,31 @@ def gen_bernoulli(n: int, eta: DirichletCharacter, prec: Precision | None = None
     B_n(a/F) is read from one cached integer row per n (see _bernoulli_row):
     with D the common denominator of B_0..B_n, D F^n B_n(a/F) is the integer
     sum_i C(n,i) B_i D F^i a^(n-i), evaluated by Horner's rule in a.  So no
-    Fraction arithmetic runs per term, and every rational that reaches a
-    scalar is the exact B_n(a/F), as a term-by-term Fraction sum gives it.
+    Fraction arithmetic runs per term: the rational path forms one exact
+    Fraction, and the p-adic path reads each B_n(a/F) to the digits
+    from_fraction gives the exact value, from integers and one modular
+    inverse per call.  A negative rel raises a ValueError.
     """
     if n < 0:
         raise ValueError("Bernoulli index must be nonnegative")
+    _check_rel(rel)
     if prec is not None:
         _same_prime(eta, prec.p)
     psi = eta.primitive()
     F = psi.conductor
     D, row = _bernoulli_row(n)
 
-    def scaled(a):  # D F^n B_n(a/F)
-        acc, Fi = 0, 1
-        for r in row:
-            acc = acc * a + r * Fi
-            Fi *= F
+    # D F^n B_n(a/F) = sum_i row[i] F^i a^(n-i): the F-powers enter the row
+    # once per call, so Horner's rule in a multiplies by small ints only
+    row_f, Fi = [], 1
+    for r in row:
+        row_f.append(r * Fi)
+        Fi *= F
+
+    def scaled(a):
+        acc = 0
+        for r in row_f:
+            acc = acc * a + r
         return acc
 
     units = [a for a in range(1, F + 1) if math.gcd(a, F) == 1]
@@ -479,11 +511,19 @@ def gen_bernoulli(n: int, eta: DirichletCharacter, prec: Precision | None = None
             "character values are irrational over Q; pass a precision context"
         )
     rel = prec.p_prec + 8 if rel is None else rel
-    pw = _omega_powers(psi.p, prec, rel)
+    # B_n(a/F) = scaled(a) / (D F^n) as from_fraction reads it: valuation
+    # v(scaled(a)) - v(D F^n), unit the quotient of the two prime-to-p parts,
+    # so one modular inverse serves every a
+    p, DF = psi.p, D * F**n
+    vden = _vp(DF, p)
+    inv = pow(DF // p**vden, -1, p**rel)
+    pw = _omega_powers(p, prec, rel)
     tot = PadicScalar.exact_zero(prec)
     for a in units:
-        term = PadicScalar.from_fraction(Fraction(scaled(a), D * F**n), prec, rel)
-        tot = tot + pw[psi.exponent(a)] * term
+        s = scaled(a)
+        if s:  # an exact zero adds nothing
+            v = _vp(s, p)
+            tot = tot + pw[psi.exponent(a)] * PadicScalar(prec, v - vden, s // p**v * inv, rel)
     return tot * PadicScalar.from_fraction(Fraction(F) ** (n - 1), prec, rel)
 
 
@@ -522,9 +562,10 @@ def kl_value(eta: DirichletCharacter, one_minus_n: int, prec: Precision,
 
     Odd characters give exact zero (every branch value vanishes; that is a
     result, not an error).  The only pole of the theory sits at s = 1 on the
-    trivial branch, and asking for it raises.
+    trivial branch, and asking for it raises, as does a negative rel.
     """
     _same_prime(eta, prec.p)
+    _check_rel(rel)
     n = 1 - one_minus_n
     if n <= 0:
         if n == 0 and eta.primitive().conductor == 1:
@@ -536,7 +577,7 @@ def kl_value(eta: DirichletCharacter, one_minus_n: int, prec: Precision,
         return PadicScalar.exact_zero(prec)
     rel = prec.p_prec + 6 if rel is None else rel
     p = eta.p
-    psi = (eta * DirichletCharacter.teichmuller_power(p, -n)).primitive()
+    psi = _twisted_primitive(eta, -n % (p - 1))
     pw = None if psi.exponent(p) is None else _omega_powers(p, prec, rel)
     return -_interpolation_factor(psi, n, prec, rel, pw)
 
@@ -551,20 +592,22 @@ def smoothed_moment(eta: DirichletCharacter, omega_exponent: int, m: int, c: int
     for psi the primitive character inducing omega^a eta.  The closed form
     was pinned against finite-level Riemann sums of the regularized measure
     (see the companion tests); the c-factor kills the von Staudt denominator,
-    so the result is always integral — callers rely on that.
+    so the result is always integral — callers rely on that.  A negative
+    rel raises a ValueError.
     """
     if m < 0:
         raise ValueError("moment index must be nonnegative")
     _same_prime(eta, prec.p)
+    _check_rel(rel)
     p = eta.p
     if c <= 1 or math.gcd(c, p * eta.modulus) != 1:
         raise ValueError("smoothing constant must exceed 1 and be prime to p and the modulus")
     rel = prec.p_prec + 8 if rel is None else rel
-    psi = (eta * DirichletCharacter.teichmuller_power(p, omega_exponent)).primitive()
+    psi = _twisted_primitive(eta, omega_exponent % (p - 1))
     pw = _omega_powers(p, prec, rel)
     one = PadicScalar.from_int(1, prec, rel)
     ec = psi.exponent(c)
-    smooth = one - pw[ec] * PadicScalar.from_fraction(Fraction(c) ** (m + 1), prec, rel)
+    smooth = one - pw[ec] * PadicScalar.from_int(c ** (m + 1), prec, rel)
     return smooth * _interpolation_factor(psi, m + 1, prec, rel, pw)
 
 
@@ -676,17 +719,19 @@ def _kl_core(eta: DirichletCharacter, branch_i: int, prec: Precision) -> dict:
     # The node difference is u^-row (1 - u^col): valuation nv[col], known to
     # rel + min(nv[row], nv[row-col]) - nv[col] digits as a scalar difference
     # of the two nodes, and its inverse unit is u^row w[col]^-1.  The residue
-    # is unique, so one modular inverse per column gives every cell's.
+    # is unique, so one modular inverse per column gives every cell's.  No
+    # entry carries more than rel digits, so p^0..p^rel are all the powers
+    # read here and in the expansion below.
+    pp = [p**k for k in range(rel + 1)]
     for col in range(1, E):
         vd, wi = nv[col], pow(w[col], -1, M)
         for row in range(E - 1, col - 1, -1):
-            y, yu, yr = dd[row - 1]
-            x, xu, xr = _sum_triples((dd[row], (y, -yu, yr)), p)
+            x, xu, xr = _sub_triples(dd[row], dd[row - 1], p, pp)
             if x is None:
                 dd[row] = (None, 0, 0)
                 continue
             r = min(xr, rel + min(nv[row], nv[row - col]) - vd)
-            dd[row] = (x - vd, xu * u_pow[row] * wi % p**r if r else 0, r)
+            dd[row] = (x - vd, xu * u_pow[row] * wi % pp[r] if r else 0, r)
     for entry in dd:
         if entry[0] is not None and entry[0] < 0:
             raise ArithmeticError(
@@ -694,19 +739,20 @@ def _kl_core(eta: DirichletCharacter, branch_i: int, prec: Precision) -> dict:
             )
 
     # Newton form to monomials, truncated at X^N: poly <- poly * (X - node[m])
-    # + dd[m], from the top node down.
+    # + dd[m], from the top node down.  Every entry is a normalized triple,
+    # so where node[m] * poly[dg] is an exact zero the entry moves as it is.
     N = prec.x_prec
     poly = [dd[E - 1]]
     for m in range(E - 2, -1, -1):
         nodev, nodeu, _ = nodes[m]
-        nxt = []
-        for dg in range(min(len(poly) + 1, N)):
-            terms = [poly[dg - 1]] if dg else [dd[m]]
-            if dg < len(poly) and nodev is not None and poly[dg][0] is not None:
+        nxt = [dd[m]] + poly[:N - 1]
+        if nodev is not None:
+            for dg in range(min(len(poly), N)):
                 pv, pu, pr = poly[dg]
-                r = min(rel, pr)  # node * poly[dg] at the smaller relative precision
-                terms.append((nodev + pv, -nodeu * pu if r else 0, r))
-            nxt.append(_sum_triples(terms, p))
+                if pv is not None:
+                    r = min(rel, pr)  # node * poly[dg] at the smaller relative precision
+                    prod = (nodev + pv, nodeu * pu if r else 0, r)
+                    nxt[dg] = _sub_triples(nxt[dg], prod, p, pp)
         poly = nxt
 
     comps = [Series.zero(wprec) for _ in range(pm1)]

@@ -42,11 +42,11 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, inf
+from math import gcd, inf, lcm
 
 from ._kernel import cyclotomic_cells, polymul
 from .distributions import Distribution
-from .scalars import PadicScalar, Precision, _vp
+from .scalars import PadicScalar, Precision, _check_rel, _vp
 from .series import IwasawaElement, Series, cyclotomic_degree, cyclotomic_factor
 from .series import u_for, unpack_part
 
@@ -146,16 +146,30 @@ def _signed_product(kind: str, j: int, p: int, u: int, R: int, N: int, M: int):
 
 
 def log_p_unit(t: int, p: int, rel: int, prec: Precision) -> PadicScalar:
-    """log_p(1 + t) for p | t, from the alternating series, to rel digits."""
+    """log_p(1 + t) for p | t: the alternating series' first rel + 16 terms, to
+    rel digits, exactly as from_fraction reads their exact rational sum.
+
+    The sum runs on integers.  With L = lcm(1..rel+16) = p^V L', L times
+    it is sum_n (-1)^(n+1) (L/n) t^n, formed by Horner's rule mod
+    p^(V + v(t) + rel).  For odd p every term past the first has valuation
+    n v(t) - v_p(n) > v(t), so the sum has valuation exactly v(t), and its
+    unit is that integer over p^(V + v(t)), divided by L' mod p^rel.
+    t = 0 gives the exact zero.
+    """
+    _check_rel(rel)
     if t % p:
         raise ValueError("argument must be a principal unit: p must divide t")
+    if t == 0:
+        return PadicScalar.exact_zero(prec)
     n_max = rel + 16
-    acc = Fraction(0)
-    term = Fraction(1)
-    for n in range(1, n_max + 1):
-        term *= t
-        acc += term * Fraction((-1) ** (n + 1), n)
-    return PadicScalar.from_fraction(acc, prec, rel=rel)
+    L = lcm(*range(1, n_max + 1))
+    V, vt = _vp(L, p), _vp(t, p)
+    mod = p ** (V + vt + rel)
+    acc = 0
+    for n in range(n_max, 0, -1):
+        acc = (acc + (L // n if n % 2 else -(L // n))) * t % mod
+    m = p**rel
+    return PadicScalar(prec, vt, acc // p ** (V + vt) * pow(L // p**V, -1, m) % m, rel)
 
 
 def pollack_log(spec: LogKind, prec: Precision) -> Distribution:

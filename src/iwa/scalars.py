@@ -102,6 +102,13 @@ def _check_odd_prime(p) -> None:
         raise ValueError(f"p must be an odd prime, got {p}")
 
 
+def _check_rel(rel) -> None:
+    """Raise a ValueError naming rel when it is a negative digit count; None,
+    the caller's default, passes."""
+    if rel is not None and rel < 0:
+        raise ValueError(f"rel must be a nonnegative number of digits, got {rel}")
+
+
 @dataclass(frozen=True)
 class Precision:
     """Working precision: p-adic target ``p_prec`` and series truncation ``x_prec``.

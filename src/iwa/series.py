@@ -371,7 +371,9 @@ class Series:
     __slots__ = ("prec", "form", "_a", "_b", "is_polynomial")
 
     def __init__(self, prec, a, b=None, form=None, is_polynomial=False):
-        """a and b are PadicScalar arrays, packed here once, or Parts."""
+        """a and b are PadicScalar arrays, packed here once, or Parts.
+
+        A scalar over another prime raises PrecisionError, as in make."""
         if b is not None and form is None:
             raise ValueError("a b-part needs form data (k, eps_seed)")
         if b is not None and len(b) != len(a):
@@ -380,6 +382,8 @@ class Series:
         def pack(part):
             if isinstance(part, Part):
                 return part
+            for c in part:
+                _check_prime(c, prec.p)
             return Part.from_triples(prec.p, [(c.val, c.unit, c.rel) for c in part])
 
         object.__setattr__(self, "prec", prec)

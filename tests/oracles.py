@@ -58,6 +58,21 @@ def log1plus_coeffs(n_terms: int) -> list[Fraction]:
     ]
 
 
+def reference_log_p_unit(t: int, p: int, rel: int, prec):
+    """pollack.log_p_unit as it ran on Fractions: the first rel + 16 terms of
+    the alternating series summed exactly, then read to rel digits."""
+    from iwa.scalars import PadicScalar
+
+    if t % p:
+        raise ValueError("argument must be a principal unit: p must divide t")
+    acc = Fraction(0)
+    term = Fraction(1)
+    for n in range(1, rel + 17):
+        term *= t
+        acc += term * Fraction((-1) ** (n + 1), n)
+    return PadicScalar.from_fraction(acc, prec, rel=rel)
+
+
 # ------------------------------------------------------ cyclotomic polynomials
 
 
@@ -736,7 +751,9 @@ def reference_kl_core(eta, branch_i: int, prec) -> dict:
 
     psi0 = eta0 * DirichletCharacter.teichmuller_power(p, b)
     psi0_c = reference_omega_powers(p, wprec, rel)[psi0.exponent(c)] * c
-    e_c = lf._log_unit_ratio(c, p, wprec, rel)
+    e_c = reference_log_p_unit(c ** (p - 1) - 1, p, rel + 4, wprec) / (p - 1) / (
+        reference_log_p_unit(u - 1, p, rel + 4, wprec)
+    )
     dcoeffs = lf._binomial_series(-e_c, prec.x_prec, wprec, rel)
     one = PadicScalar.from_int(1, wprec, rel)
     dser = [one - psi0_c * dcoeffs[0]] + [-(psi0_c * t) for t in dcoeffs[1:]]

@@ -653,35 +653,65 @@ def test_l_function_layer_matches_the_scalar_references(p, monkeypatch):
     for eta in grid_characters(p):
         c = next(c for c in range(2, 99) if math.gcd(c, p * eta.modulus) == 1)
         for n in range(-1, 8):
-            for args in ((n, eta, Precision(p, 10)), (n, eta)):
+            for args in ((n, eta, Precision(p, 10)), (n, eta), (n, eta, Precision(p, 10), 0)):
                 assert outcome(gen_bernoulli, *args) == outcome(
                     oracles.reference_gen_bernoulli, *args
                 )
         for a in range(p - 1):
-            for m, cc in ((-1, c), (0, 1), (0, c), (3, c)):
-                args = (eta, a, m, cc, Precision(p, 6, 4))
+            for m, cc, rel in ((-1, c, None), (0, 1, None), (0, c, None), (3, c, None),
+                               (3, c, 0)):
+                args = (eta, a, m, cc, Precision(p, 6, 4), rel)
                 assert outcome(smoothed_moment, *args) == outcome(
                     oracles.reference_smoothed_moment, *args
                 )
         for prec in (Precision(p, 4, 3), Precision(p, 6, 4)):
-            for s in (1, 0, -1, -4):
-                args = (eta, s, prec)
+            for s, rel in ((1, None), (0, None), (-1, None), (-4, None), (-1, 0)):
+                args = (eta, s, prec, rel)
                 assert outcome(kl_value, *args) == outcome(oracles.reference_kl_value, *args)
             for br in range(p - 1):
-                calls = [(kl_series_report, eta, br, prec),
-                         (kl_branch_values, eta, br, [0, -1, -3], prec),
-                         (kl_branch_values, eta, br, [-1, 1], prec)]
-                got = [outcome(*call) for call in calls]
-                # the three calls share one reference core; cores are read-only
-                try:
-                    core = oracles.reference_kl_core(eta, br, prec)
-                except (ArithmeticError, ValueError) as e:
-                    assert got == [(type(e), str(e))] * 3, (eta, br, prec)
-                    continue
-                with monkeypatch.context() as patch:
-                    patch.setattr(lfunctions, "_kl_core", lambda *_: core)
-                    want = [outcome(*call) for call in calls]
-                assert got == want, (eta, br, prec)
+                assert_branch_matches_reference_core(eta, br, prec, monkeypatch)
+
+
+def assert_branch_matches_reference_core(eta, br, prec, monkeypatch):
+    """The series report and two branch-value calls, against the same calls
+    run on oracles.reference_kl_core, outcome for outcome."""
+    calls = [(kl_series_report, eta, br, prec),
+             (kl_branch_values, eta, br, [0, -1, -3], prec),
+             (kl_branch_values, eta, br, [-1, 1], prec)]
+    got = [outcome(*call) for call in calls]
+    # the three calls share one reference core; cores are read-only
+    try:
+        core = oracles.reference_kl_core(eta, br, prec)
+    except (ArithmeticError, ValueError) as e:
+        assert got == [(type(e), str(e))] * 3, (eta, br, prec)
+        return
+    with monkeypatch.context() as patch:
+        patch.setattr(lfunctions, "_kl_core", lambda *_: core)
+        want = [outcome(*call) for call in calls]
+    assert got == want, (eta, br, prec)
+
+
+@pytest.mark.parametrize("eta,br", [
+    (DirichletCharacter.trivial(5), 2),
+    (DirichletCharacter.quadratic(5, 3), 1),
+    (DirichletCharacter.trivial(7), 2),
+    (DirichletCharacter.trivial(5), 0),  # the pole branch
+], ids=["trivial-5", "quadratic3-5", "trivial-7", "pole-5"])
+def test_bench_branches_match_the_scalar_reference_at_a_mid_window(eta, br, monkeypatch):
+    """The kl-series benchmark's (character, branch) pairs, the pole branch
+    included, at (p, 12, 24): 40 interpolation nodes, against 11 and 14 in
+    the grid windows above."""
+    assert_branch_matches_reference_core(eta, br, Precision(eta.p, 12, 24), monkeypatch)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: gen_bernoulli(3, w_pow(5, 1), Precision(5, 10, 4), rel=-2),
+    lambda: kl_value(w_pow(5, 2), -1, Precision(5, 10, 4), rel=-2),
+    lambda: smoothed_moment(DirichletCharacter.trivial(5), 1, 2, 7, Precision(5, 10, 4), rel=-2),
+], ids=["gen_bernoulli", "kl_value", "smoothed_moment"])
+def test_negative_rel_is_refused_by_name(call):
+    with pytest.raises(ValueError, match="rel must be a nonnegative number of digits, got -2"):
+        call()
 
 
 # ------------------------------------------------- symmetric-square factors

@@ -20,7 +20,12 @@ from iwa.pollack import (
 from iwa.scalars import PadicScalar, Precision, _vp
 from iwa.series import Series, cyclotomic_degree, u_for
 
-from oracles import log1plus_coeffs, reference_pollack_log, reference_signed_product
+from oracles import (
+    log1plus_coeffs,
+    reference_log_p_unit,
+    reference_pollack_log,
+    reference_signed_product,
+)
 
 P5 = Precision(5, 30, 64)
 
@@ -58,6 +63,23 @@ class TestLogPUnit:
         lhs = log_p_unit(tp, p, 25, prec)
         rhs = log_p_unit(t, p, 25, prec) * p
         assert (lhs - rhs).is_zero_to_precision
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    def test_integer_sum_matches_the_fraction_series(self, p):
+        # the series on integers mod p^(V + v(t) + rel) against the exact
+        # Fraction sum of the same terms, digit for digit
+        prec = Precision(p, 10, 4)
+        ts = (0, p, -p, p * p, 5 * p**3 + p, u_for(p) - 1, 2 ** (p - 1) - 1)
+        for t in ts:
+            for rel in (0, 1, 5, 20, 60, 148):
+                got = log_p_unit(t, p, rel, prec)
+                want = reference_log_p_unit(t, p, rel, prec)
+                assert (got.val, got.unit, got.rel) == (want.val, want.unit, want.rel), (t, rel)
+        assert log_p_unit(0, p, 20, prec).is_exact_zero
+
+    def test_negative_rel_is_refused_by_name(self):
+        with pytest.raises(ValueError, match="rel must be a nonnegative number of digits, got -3"):
+            log_p_unit(5, 5, -3, Precision(5, 10, 8))
 
 
 class TestPlusConstruction:

@@ -1028,7 +1028,10 @@ def test_a_scalar_over_another_prime_is_refused():
     s = Series.make(p5, [1, 2, 3], is_polynomial=True)
     seven = PadicScalar.from_fraction(7, p7)
     alpha7 = QuadExtScalar.alpha(p7, 1, 1)
+    one = PadicScalar.from_int(1, p5)
     for fn in (
+        lambda: Series(p5, [seven], is_polynomial=True),
+        lambda: Series(p5, [one], [seven], (1, 2)),
         lambda: s * seven,
         lambda: seven * s,
         lambda: s * alpha7,
