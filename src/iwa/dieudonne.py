@@ -9,9 +9,10 @@ eigenbasis.  Hodge data is carried as filtration jump tables; Frobenius as a
 matrix acting on column coordinates.
 
 No general-purpose linear algebra library is used on purpose: dimensions
-never exceed four and every check must stay exact in E, so the few kernels
-(Laplace determinants, Gauss inversion, characteristic polynomials with
-scalar coefficients) are spelled out over the scalar type.
+never exceed four and every check must stay exact in E, so the two kernels
+(a matrix-vector product and a Laplace determinant) are spelled out over the
+scalar type, and the change of basis and its inverse are written down in
+closed form rather than computed.
 """
 
 from __future__ import annotations
@@ -30,12 +31,7 @@ __all__ = [
     "dual",
     "eigenvectors_dual",
     "change_of_basis",
-    "mat_mul",
     "mat_vec",
-    "kron",
-    "charpoly",
-    "poly_mul",
-    "is_identity",
 ]
 
 Matrix = tuple[tuple[QuadExtScalar, ...], ...]
@@ -47,24 +43,6 @@ Vector = tuple[QuadExtScalar, ...]
 
 def mat_vec(A: Matrix, v: Vector) -> Vector:
     return tuple(sum((A[i][j] * v[j] for j in range(len(v))), start=A[i][0] * 0) for i in range(len(A)))
-
-
-def mat_mul(A: Matrix, B: Matrix) -> Matrix:
-    n, m, l = len(A), len(B), len(B[0])
-    return tuple(
-        tuple(sum((A[i][t] * B[t][j] for t in range(m)), start=A[i][0] * 0) for j in range(l))
-        for i in range(n)
-    )
-
-
-def kron(A: Matrix, B: Matrix) -> Matrix:
-    """Kronecker product, ordering basis pairs row-major."""
-    n, m = len(A), len(B)
-    return tuple(
-        tuple(A[i][j] * B[s][t] for j in range(n) for t in range(m))
-        for i in range(n)
-        for s in range(m)
-    )
 
 
 def det(A: Matrix) -> QuadExtScalar:
@@ -79,89 +57,6 @@ def det(A: Matrix) -> QuadExtScalar:
             term = -term
         out = term if out is None else out + term
     return out
-
-
-def is_identity(A: Matrix) -> bool:
-    n = len(A)
-    for i in range(n):
-        for j in range(n):
-            want = 1 if i == j else 0
-            if not (A[i][j] - want).is_zero_to_precision:
-                return False
-    return True
-
-
-def poly_mul(f: list, g: list):
-    """Product of polynomials given as coefficient lists over E."""
-    zero = f[0] * 0
-    out = [zero] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        for j, b in enumerate(g):
-            out[i + j] = out[i + j] + a * b
-    return out
-
-
-def charpoly(A: Matrix) -> list:
-    """det(X*I - A) as an ascending coefficient list over E.
-
-    Fraddeev-LeVerrier would need divisions; with dim <= 4 a Laplace
-    expansion over polynomial entries is simpler and stays division-free.
-    """
-    n = len(A)
-    one = A[0][0] * 0 + 1
-    zero = A[0][0] * 0
-
-    def pdet(rows, cols):
-        if not rows:
-            return [one]
-        i = rows[0]
-        out = None
-        for idx, j in enumerate(cols):
-            # entry (i, j) of X*I - A as a degree <= 1 polynomial
-            e = [zero - A[i][j], one] if i == j else [zero - A[i][j]]
-            sub = pdet(rows[1:], cols[:idx] + cols[idx + 1 :])
-            term = poly_mul(e, sub)
-            if idx % 2:
-                term = [zero - c for c in term]
-            if out is None:
-                out = term + [zero] * (len(rows) + 1 - len(term))
-            else:
-                term = term + [zero] * (len(out) - len(term))
-                out = [a + b for a, b in zip(out, term)]
-        return out
-
-    return pdet(tuple(range(n)), tuple(range(n)))
-
-
-def gauss_inverse(A: Matrix) -> Matrix:
-    """Inverse by Gauss-Jordan elimination with valuation pivoting."""
-    n = len(A)
-    one = A[0][0] * 0 + 1
-    zero = A[0][0] * 0
-    work = [list(row) + [one if i == j else zero for j in range(n)] for i, row in enumerate(A)]
-    for col in range(n):
-        pivot = None
-        best = None
-        for r in range(col, n):
-            c = work[r][col]
-            if c.is_zero_to_precision:
-                continue
-            v = c.valuation()
-            if best is None or v < best:
-                best, pivot = v, r
-        if pivot is None:
-            raise ZeroDivisionError("matrix is singular to working precision")
-        work[col], work[pivot] = work[pivot], work[col]
-        inv = work[col][col].inverse()
-        work[col] = [c * inv for c in work[col]]
-        for r in range(n):
-            if r == col:
-                continue
-            f = work[r][col]
-            if f.is_exact_zero:
-                continue
-            work[r] = [a - f * b for a, b in zip(work[r], work[col])]
-    return tuple(tuple(row[n:]) for row in work)
 
 
 # -- filtration bookkeeping ------------------------------------------------
@@ -399,10 +294,11 @@ def change_of_basis(prec: Precision, k: int, eps_seed: int) -> tuple[Matrix, Mat
 
     Columns are ordered (alpha,alpha), (-alpha,-alpha), (alpha,-alpha),
     (-alpha,alpha); rows express phi(w')(x)phi(w'), w'(x)w', the symmetric
-    cross tensor, and the antisymmetric cross tensor.  M is written down over
-    E at ``prec``, its inverse computed by elimination and M * M^-1 = 1
-    certified, once per (window, k, eps): the pair is cached, and a repeat
-    call returns the same objects.
+    cross tensor, and the antisymmetric cross tensor.  Both M and M^-1 are
+    written down over E at ``prec``; M^-1 has rows (1/4)(1, alpha^-2,
+    +-alpha^-1, 0) and (1/4)(1, -alpha^-2, 0, -+alpha^-1), with its four
+    zeros exact.  The pair is cached per (window, k, eps), and a repeat call
+    returns the same objects.
     """
     one = QuadExtScalar.one(prec, k, eps_seed)
     z = QuadExtScalar.zero(prec, k, eps_seed)
@@ -415,7 +311,13 @@ def change_of_basis(prec: Precision, k: int, eps_seed: int) -> tuple[Matrix, Mat
         (two_a, -two_a, z, z),
         (z, z, -two_a, two_a),
     )
-    M_inv = gauss_inverse(M)
-    if not is_identity(mat_mul(M, M_inv)):
-        raise ArithmeticError("change-of-basis inverse failed certification")
+    q = one / 4
+    q_ia = alpha.inverse() / 4
+    q_iasq = asq.inverse() / 4
+    M_inv = (
+        (q, q_iasq, q_ia, z),
+        (q, q_iasq, -q_ia, z),
+        (q, -q_iasq, z, -q_ia),
+        (q, -q_iasq, z, q_ia),
+    )
     return M, M_inv

@@ -52,7 +52,8 @@ __all__ = [
 
 SIGNS = ("plus", "minus", "dot", "circ")
 EIGEN_SLOTS = ("aa", "mm", "am", "ma")
-_SLOT_INDEX = {"circ": 0, "dot": 1, "plus": 2, "minus": 3}
+# the order of a local 4-vector's entries, and of a mock module's seeds
+SLOTS = ("circ", "dot", "plus", "minus")
 
 
 @dataclass(frozen=True)
@@ -74,13 +75,13 @@ class Convention:
         return LogKind("full", k + 1, shift=self.shift)
 
     def rows_from_slots(self, slots):
-        """Reorder a (circ, dot, plus, minus) 4-vector into row order."""
-        by_sign = {"circ": slots[0], "dot": slots[1], "plus": slots[2], "minus": slots[3]}
+        """Reorder a SLOTS-ordered 4-vector into row order."""
+        by_sign = dict(zip(SLOTS, slots))
         return tuple(by_sign[s] for s in self.row_signs)
 
     def slots_from_rows(self, rows):
         by_sign = dict(zip(self.row_signs, rows))
-        return (by_sign["circ"], by_sign["dot"], by_sign["plus"], by_sign["minus"])
+        return tuple(by_sign[s] for s in SLOTS)
 
 
 CONVENTIONS = {
@@ -325,7 +326,7 @@ class MockGlobalModule:
         return self.seeds[0][0].prec
 
     def seed(self, basis_index: int, sign: str) -> IwasawaElement:
-        return self.seeds[basis_index][_SLOT_INDEX[sign]]
+        return self.seeds[basis_index][SLOTS.index(sign)]
 
 
 def _mock_logs_slotwise(G: MockGlobalModule):
@@ -386,8 +387,7 @@ def coleman_extract(local, sign: str, k: int, convention="theoremA") -> IwasawaE
     if sign not in SIGNS:
         raise ValueError(f"sign must be one of {SIGNS[:3]}")
     conv = _conv(convention)
-    slot = {"dot": 1, "plus": 2, "minus": 3}[sign]
-    target = local[slot]
+    target = local[SLOTS.index(sign)]
     base = target.prec
     work = _work_prec(k, base)
     lk = conv.log_kind(sign, k)

@@ -384,6 +384,105 @@ def reference_mat_apply(M, vec):
     return tuple(out)
 
 
+# ------------------------------------------------- small matrices over E
+#
+# Kernels over the library's scalar type, for dimensions up to four: the
+# tests multiply, tensor and invert the Frobenius matrices and the change of
+# basis with them, and compare what dieudonne writes down in closed form.
+
+
+def mat_mul(A, B):
+    n, m, l = len(A), len(B), len(B[0])
+    return tuple(
+        tuple(sum((A[i][t] * B[t][j] for t in range(m)), start=A[i][0] * 0) for j in range(l))
+        for i in range(n)
+    )
+
+
+def kron(A, B):
+    """Kronecker product, ordering basis pairs row-major."""
+    n, m = len(A), len(B)
+    return tuple(
+        tuple(A[i][j] * B[s][t] for j in range(n) for t in range(m))
+        for i in range(n)
+        for s in range(m)
+    )
+
+
+def is_identity(A) -> bool:
+    n = len(A)
+    for i in range(n):
+        for j in range(n):
+            want = 1 if i == j else 0
+            if not (A[i][j] - want).is_zero_to_precision:
+                return False
+    return True
+
+
+def charpoly(A) -> list:
+    """det(X*I - A) as an ascending coefficient list over E.
+
+    Faddeev-LeVerrier would need divisions; with dim <= 4 a Laplace
+    expansion over polynomial entries is simpler and stays division-free.
+    """
+    n = len(A)
+    one = A[0][0] * 0 + 1
+    zero = A[0][0] * 0
+
+    def pdet(rows, cols):
+        if not rows:
+            return [one]
+        i = rows[0]
+        out = None
+        for idx, j in enumerate(cols):
+            # entry (i, j) of X*I - A as a degree <= 1 polynomial
+            e = [zero - A[i][j], one] if i == j else [zero - A[i][j]]
+            sub = pdet(rows[1:], cols[:idx] + cols[idx + 1 :])
+            # poly_mul starts from Fraction(0); lift every coefficient into E
+            term = [zero + c for c in poly_mul(e, sub)]
+            if idx % 2:
+                term = [zero - c for c in term]
+            if out is None:
+                out = term + [zero] * (len(rows) + 1 - len(term))
+            else:
+                term = term + [zero] * (len(out) - len(term))
+                out = [a + b for a, b in zip(out, term)]
+        return out
+
+    return pdet(tuple(range(n)), tuple(range(n)))
+
+
+def gauss_inverse(A):
+    """Inverse by Gauss-Jordan elimination with valuation pivoting."""
+    n = len(A)
+    one = A[0][0] * 0 + 1
+    zero = A[0][0] * 0
+    work = [list(row) + [one if i == j else zero for j in range(n)] for i, row in enumerate(A)]
+    for col in range(n):
+        pivot = None
+        best = None
+        for r in range(col, n):
+            c = work[r][col]
+            if c.is_zero_to_precision:
+                continue
+            v = c.valuation()
+            if best is None or v < best:
+                best, pivot = v, r
+        if pivot is None:
+            raise ZeroDivisionError("matrix is singular to working precision")
+        work[col], work[pivot] = work[pivot], work[col]
+        inv = work[col][col].inverse()
+        work[col] = [c * inv for c in work[col]]
+        for r in range(n):
+            if r == col:
+                continue
+            f = work[r][col]
+            if f.is_exact_zero:
+                continue
+            work[r] = [a - f * b for a, b in zip(work[r], work[col])]
+    return tuple(tuple(row[n:]) for row in work)
+
+
 # ------------------------------------------- reference signed-log products
 #
 # pollack._signed_product as it ran before each level factor came from its

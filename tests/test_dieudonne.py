@@ -6,22 +6,19 @@ import pytest
 
 from iwa.dieudonne import (
     change_of_basis,
-    charpoly,
     dcris_of_form,
     det,
     dual,
     eigenvectors_dual,
     fil_dim,
-    is_identity,
-    kron,
-    mat_mul,
     mat_vec,
-    poly_mul,
     split_sym_square,
     sym_square,
     wedge_square,
 )
 from iwa.scalars import Precision, QuadExtScalar, teichmuller
+from iwa.signed import _work_prec
+from oracles import charpoly, gauss_inverse, is_identity, kron, mat_mul, poly_mul
 
 PREC = Precision(5, 20, 1)
 
@@ -207,23 +204,46 @@ class TestChangeOfBasis:
         assert change_of_basis(prec.with_p_prec(prec.p_prec + 1), k, eps)[0] is not M
 
     def test_closed_form_of_inverse(self, setting):
-        # M_inv must agree with (1/4) * rows built from alpha^{-1}, alpha^{-2}
+        # M_inv must agree with (1/4) * rows built from alpha^{-1}, alpha^{-2},
+        # in the fixture's window and in the elevated window factor_signed
+        # builds M in; cell for cell with the elimination where it is nonzero,
+        # and exactly zero where the closed form is
         p, k, eps, prec, _ = setting
-        _, M_inv = change_of_basis(prec, k, eps)
-        one = QuadExtScalar.one(prec, k, eps)
-        ia = QuadExtScalar.alpha(prec, k, eps).inverse()
-        ia2 = ia * ia
-        z = one * 0
-        quarter = one / 4
-        expected = (
-            (one, ia2, ia, z),
-            (one, ia2, -ia, z),
-            (one, -ia2, z, -ia),
-            (one, -ia2, z, ia),
-        )
-        for got_row, want_row in zip(M_inv, expected):
-            for g, w in zip(got_row, want_row):
-                assert (g - w * quarter).is_zero_to_precision
+        for window in (prec, _work_prec(k, Precision(p, 20, 64))):
+            M, M_inv = change_of_basis(window, k, eps)
+            one = QuadExtScalar.one(window, k, eps)
+            ia = QuadExtScalar.alpha(window, k, eps).inverse()
+            ia2 = ia * ia
+            z = one * 0
+            quarter = one / 4
+            expected = (
+                (one, ia2, ia, z),
+                (one, ia2, -ia, z),
+                (one, -ia2, z, -ia),
+                (one, -ia2, z, ia),
+            )
+            for got_row, want_row, ref_row in zip(M_inv, expected, gauss_inverse(M)):
+                for g, w, ref in zip(got_row, want_row, ref_row):
+                    assert (g - w * quarter).is_zero_to_precision
+                    if w.is_exact_zero:
+                        assert g.is_exact_zero
+                        continue
+                    for x, y in ((g.a, ref.a), (g.b, ref.b)):
+                        assert (x.val, x.unit, x.rel) == (y.val, y.unit, y.rel)
+
+    def test_columns_are_tensors_of_dual_eigenvectors(self, setting):
+        # column (lambda, mu) reads (c_ff, alpha^4 c_ww, alpha^2 (c_wf + c_fw),
+        # alpha^2 (c_fw - c_wf)) off v_lambda (x) v_mu, in the basis (w', phi(w'))
+        p, k, eps, prec, D = setting
+        M, _ = change_of_basis(prec, k, eps)
+        v_plus, v_minus = eigenvectors_dual(dual(D))
+        asq = QuadExtScalar.alpha(prec, k, eps) ** 2
+        pairs = ((v_plus, v_plus), (v_minus, v_minus), (v_plus, v_minus), (v_minus, v_plus))
+        for col, (v_lam, v_mu) in enumerate(pairs):
+            c_ww, c_wf = v_lam[0] * v_mu[0], v_lam[0] * v_mu[1]
+            c_fw, c_ff = v_lam[1] * v_mu[0], v_lam[1] * v_mu[1]
+            want = (c_ff, asq * asq * c_ww, asq * (c_wf + c_fw), asq * (c_fw - c_wf))
+            assert tuple(row[col] for row in M) == want
 
     def test_frozen_products(self):
         M, _ = change_of_basis(PREC, 2, 1)

@@ -8,13 +8,16 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# every iwa module, then one call of each kind the benchmark times
+# every iwa module, each name its __all__ exports, then one call of each
+# kind the benchmark times
 COLD_RUN = """
 import importlib, pkgutil, sys
 sys.path.insert(0, sys.argv[1])
 import iwa
 for mod in pkgutil.iter_modules(iwa.__path__):
-    importlib.import_module(f"iwa.{mod.name}")
+    m = importlib.import_module(f"iwa.{mod.name}")
+    stale = [name for name in getattr(m, "__all__", ()) if not hasattr(m, name)]
+    assert not stale, f"iwa.{mod.name}.__all__ names what it lacks: {stale}"
 from iwa.lfunctions import DirichletCharacter, gen_bernoulli, kl_series_report
 from iwa.pollack import log_identity_check
 from iwa.scalars import Precision
