@@ -11,14 +11,17 @@ cost, which is what makes series products at x_prec ~ 600 cheap.  The cost
 of a product grows with the digits of ``mod``, so callers pass the smallest
 modulus their output reads: the signed logarithms multiply their level
 factors stripped of content, mod p^(M+L+1) for a window of depth M with L
-factors of content 1, not at the p^W their cells are reported at.
+factors of content 1, not at the p^W their cells are reported at.  Their high
+levels are products of polynomials in log(1+X), mod p^(M+L+1+V) with
+V = v_p((N-1)!), which only the longest of them bring here.
 
 Not everything is a product: :func:`compose_affine` is a Horner loop, and a
 cyclotomic level factor has a closed form in binomial rows
 (:func:`cyclotomic_cells`).  Those rows are never carried exactly: each is a
 falling factorial kept mod ``mod`` * p^V, just wide enough for the p-part of
 n! to divide out, and n! comes from a factorial table cached per (p, length,
-modulus), so one table serves every level and twist of a window.
+modulus), so one table serves every level and twist of a window, and the
+signed logarithms' conversion out of the log(1+X) basis reads it too.
 :func:`polypow` and :func:`geometric_sum` build the same level factor by
 powering and are kept as its reference.
 """

@@ -101,14 +101,6 @@ class Distribution:
     def scale(self, s) -> "Distribution":
         return Distribution(self.body.scale(s), self.order_tag)
 
-    def shift_val(self, d: int) -> "Distribution":
-        return Distribution(
-            self.body.shift_val(d),
-            self.order_tag,
-            self.cyclo_factors,
-            self.truncation_level,
-        )
-
     def twist(self, n: int) -> "Distribution":
         # Tw_n sends 1+X to u^n(1+X), so a factor Phi(u^{-j}(1+X)) becomes
         # Phi(u^{-(j-n)}(1+X)): the certificate's twist index drops by n.

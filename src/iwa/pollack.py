@@ -11,10 +11,7 @@ factor tends to 1 in the (p, X)-adic topology, so inside a window mod
 (p^M, X^N) the product stabilizes: construction stops at the first level of
 the right parity whose factor is indistinguishable from 1 in the window *and*
 whose cyclotomic degree exceeds the window length.  Both facts are recorded.
-Each level factor is built on its own from binomial rows, since
-Phi_{p^m}(z) = sum_{i<p} z^(i p^(m-1)) and (1+X)^E has the row C(E, n): a
-factor costs O(pN) steps and no convolution, and levels of the other parity
-are never formed.
+Levels of the other parity are never formed.
 
 The product is only carried as deep as the output reads it.  Since
 Phi_{p^m}(u^{-j}(1+X)) = X^deg mod p, a level of degree >= N is p times a
@@ -23,10 +20,28 @@ Every constant term Phi_{p^m}(u^{-j}) has valuation exactly 1.  So the
 product of all twists is p^A G, A counting the included levels of degree
 >= N, and its constant term has valuation A + L, L counting those of degree
 < N (known from the degrees alone).  The tail caps below trust no cell past
-A + L + M digits, so G is formed mod p^(M+L+1) and scaled by p^A once.
-Multiplying a level in takes one convolution at most: g is 1 + p^s delta
-with s rising by about one per level, so only prod * delta is convolved, mod
-p^(M+L+1-s), and not at all once s reaches M + L + 1.
+A + L + M digits, so G is formed mod p^R, R = M + L + 1, and scaled by p^A
+once.
+
+The levels of degree < N, and level 1, come from binomial rows, since
+Phi_{p^m}(z) = sum_{i<p} z^(i p^(m-1)) and (1+X)^E has the row C(E, n), and
+are multiplied in the X basis.  Every other level (m >= 2, degree >= N) is
+written in the powers of ell = log(1+X).  With c = u^{-j}, e = p^(m-1) and
+w = c^e, (1+X)^(ie) = exp(ie ell) gives
+
+    Phi_{p^m}(c(1+X)) = sum_{i<p} w^i (1+X)^(ie) = sum_k e^k S_k ell^k / k!,
+
+S_k = sum_{i<p} i^k w^i.  For m >= 2 the coefficient a_k = e^k S_k/(p k!)
+of g = Phi/p is p-integral: S_0 has valuation exactly 1, and for k >= 1,
+v_p(e^k/k!) >= k - (k-1)/(p-1) >= 1.  Its valuation is at least
+k(m-1) - 1 - v_p(k!), so mod p^T only about T/(m-1) of the a_k survive, and
+since ell^k = 0 mod X^N for k >= N, truncating at ell^N is a ring map.  A
+level then costs O(N K) steps for its K + 1 terms, and the levels' product
+H goes back to the X basis once per twist: the coefficient of X^n in ell^k
+is k! s(n, k)/n!, s the Stirling numbers of the first kind, built one row at
+a time.  That division by n! costs at most V = v_p((N-1)!) digits, so H is
+carried mod p^T with T = R + V.  Level 1 stays in the X basis because its
+a_k = S_k/(p k!) are not integral.
 
 All per-factor and per-twist 1/p normalizations are carried as a single
 valuation offset over integral coefficient arithmetic, so nothing is lost to
@@ -42,9 +57,10 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, inf, lcm
+from math import inf, lcm
+from operator import add, mul
 
-from ._kernel import cyclotomic_cells, polymul
+from ._kernel import _factorial_table, cyclotomic_cells, polymul
 from .distributions import Distribution
 from .scalars import PadicScalar, Precision, _check_rel, _vp
 from .series import IwasawaElement, Series, cyclotomic_degree, cyclotomic_factor
@@ -53,6 +69,10 @@ from .series import u_for, unpack_part
 __all__ = ["LogKind", "pollack_log", "log_identity_check", "log_p_unit"]
 
 _KINDS = ("plus", "minus", "full")
+# an ell-basis factor with more terms than this is multiplied by the packed kernel
+_SPARSE_TERMS = 8
+# Stirling rows grow by about log2(n) bits a row; reduce them every this many
+_ROW_REDUCE = 16
 
 
 @dataclass(frozen=True)
@@ -76,12 +96,13 @@ class LogKind:
         return Fraction(self.r, 2) if self.kind != "full" else Fraction(self.r)
 
 
-def _factor_is_trivial(cells, p: int, M: int) -> bool:
-    """Phi/p == 1 in the window, i.e. Phi == p mod (p^(M+1), X^N)."""
-    q = p ** (M + 1)
-    if (cells[0] - p) % q:
-        return False
-    return all(c % q == 0 for c in cells[1:])
+def _is_one(cells, q: int) -> bool:
+    """The cells read 1 mod q: a level factor Phi/p that is 1 in the window.
+
+    ``cells`` may be an iterator; the test stops at the first cell that fails.
+    """
+    it = iter(cells)
+    return (next(it) - 1) % q == 0 and all(c % q == 0 for c in it)
 
 
 def _first_level(kind: str) -> int:
@@ -98,15 +119,87 @@ def _short_levels(kind: str, p: int, N: int) -> int:
     return count
 
 
-def _times_level_factor(prod: list[int], g: list[int], mod: int, N: int):
-    """polymul(prod, g, mod, N) for g = 1 + p^s delta, via prod delta mod mod / p^s."""
-    delta = [(g[0] - 1) % mod] + g[1:]
-    ps = gcd(mod, *delta)  # p^s, capped at mod
-    out = (prod + [0] * (len(g) - 1))[:N]
-    if ps != mod:
-        for n, r in enumerate(polymul(prod, [d // ps for d in delta], mod // ps, N)):
-            out[n] += ps * r
-    return [a % mod for a in out]
+def _factorial_valuation(n: int, p: int) -> int:
+    """v_p(n!), by Legendre's formula."""
+    v, q = 0, p
+    while q <= n:
+        v += n // q
+        q *= p
+    return v
+
+
+def _ell_coefficients(p: int, m: int, w: int, T: int, N: int) -> list[int]:
+    """Phi_{p^m}(c(1+X))/p as a polynomial in ell = log(1+X), mod (p^T, ell^N).
+
+    For m >= 2, given w = c^e mod p^(T+1) with e = p^(m-1): with
+    S_k = sum_{i<p} i^k w^i, the coefficient of ell^k is
+    a_k = e^k S_k / (p k!), a p-adic integer, whose valuation is at least
+    s_k = k(m-1) - 1 - v_p(k!).  So a_k is p^(s_k) S_k over the unit part
+    of k!, and S_k is only needed mod p^(T+1).  The list stops once the
+    lower bound k(m-1) - 1 - (k-1)/(p-1) of s_k, which rises with k,
+    reaches T.  Trailing zeros are dropped.
+    """
+    pT, pT1 = p**T, p ** (T + 1)
+    terms = [1]
+    for _ in range(1, p):
+        terms.append(terms[-1] * w % pT1)
+    pvs, invs = _factorial_table(p, N, pT)
+    a = [sum(terms) % pT1 // p]  # S_0 = Phi_{p^m}(c) has valuation exactly 1
+    e = p ** (m - 1)
+    ek = 1
+    for k in range(1, N):
+        if (k * (m - 1) - 1) * (p - 1) - (k - 1) >= T * (p - 1):
+            break
+        terms = [t * i % pT1 for i, t in enumerate(terms)]
+        ek *= e
+        ps = ek // (p * pvs[k])  # p^(s_k)
+        a.append(sum(terms) * ps * invs[k] % pT if ps % pT else 0)
+    while len(a) > 1 and not a[-1]:
+        a.pop()
+    return a
+
+
+def _ell_cells(h: list[int], p: int, N: int, T: int, R: int):
+    """Yield the first N X-cells mod p^R of sum_k h_k ell^k, h_k known mod p^T.
+
+    The coefficient of X^n in ell^k/k! is s(n, k)/n!, s the signed Stirling
+    numbers of the first kind, so n! times cell n is sum_k k! h_k s(n, k).
+    The rows come one at a time from s(n+1, k) = s(n, k-1) - n s(n, k) and
+    are not kept; they are reduced mod p^T every _ROW_REDUCE rows, since a
+    reduction costs more than the few bits a row grows by.  The series must
+    be integral in X: then the sum is divisible by p^(v_p(n!)), and dividing
+    out n! leaves cell n mod p^(T - v_p(n!)).  So T >= R + v_p((N-1)!)
+    gives every cell.
+    """
+    pT, pR = p**T, p**R
+    pvs, invs = _factorial_table(p, N, pT)
+    yield h[0] % pR
+    hs, f = [], 1  # k! h_k for k >= 1
+    for k in range(1, len(h)):
+        f = f * k % pT
+        hs.append(h[k] * f % pT)
+    row = [1]  # s(n, k) for 1 <= k <= min(n, len(hs)), from n = 1
+    for n in range(1, N):
+        if n > 1:  # row n from row n - 1
+            r = n - 1
+            new = [-r * row[0]]
+            new += [a - r * b for a, b in zip(row, row[1:])]
+            if len(row) < len(hs):
+                new.append(row[-1])
+            row = [x % pT for x in new] if n % _ROW_REDUCE == 0 else new
+        yield sum(map(mul, hs, row)) % pT // pvs[n] * invs[n] % pR
+
+
+def _ell_mul(H: list[int], a: list[int], pT: int, N: int) -> list[int]:
+    """H * a in the ell basis, mod (p^T, ell^N)."""
+    if len(a) > _SPARSE_TERMS:
+        return polymul(H, a, pT, N)
+    n = min(N, len(H) + len(a) - 1)
+    out = [a[0] * h for h in H] + [0] * (n - len(H))
+    for k in range(1, len(a)):
+        if a[k]:
+            out[k:] = map(add, out[k:], [a[k] * h for h in H[: n - k]])
+    return [x % pT for x in out]
 
 
 def _signed_product(kind: str, j: int, p: int, u: int, R: int, N: int, M: int):
@@ -115,34 +208,55 @@ def _signed_product(kind: str, j: int, p: int, u: int, R: int, N: int, M: int):
     Returns (cells, included_count, stop_level).  The product of every factor
     of the right parity below the stop level is p^A times the cells, mod
     (p^(A+R), X^N), where A = included_count - _short_levels(kind, p, N)
-    counts the included levels of degree >= N.  Each level factor
-    Phi_{p^m}(u^{-j}(1+X)) comes straight from its binomial rows
-    (:func:`cyclotomic_cells`) mod p^(R+1), deep enough for the stop test,
-    which reads p^(M+1), as long as R >= M.  A level of degree >= N is
+    counts the included levels of degree >= N.  A level of degree >= N is
     X^deg = 0 mod p in the window, so it is divided by its content p; one of
-    degree < N has content 1 and is taken as it is.  Either way the factor
-    g is 1 + p^s delta, and it is multiplied in as prod + p^s (prod delta),
-    the second product taken mod p^(R-s) and skipped once s reaches R.
+    degree < N has content 1 and is taken as it is.
+
+    Levels with m >= 2 and degree >= N are multiplied in the ell basis mod
+    p^T, T = R + V with V = v_p((N-1)!), from :func:`_ell_coefficients`,
+    and their product goes back to the X basis once (:func:`_ell_cells`).
+    The others (degree < N, or m = 1) come from their binomial rows
+    (:func:`cyclotomic_cells`) mod p^(R+1) and are multiplied mod p^R.  The
+    stop test asks whether a level of degree > N has Phi/p = 1 mod
+    (p^M, X^N).  In the ell basis, cells 0 and 1 are a_0 and a_1, and the
+    cells are converted one at a time, so a factor that is not 1 is
+    usually refused after two cells.
     """
     q = p ** (R + 1)
-    pR = p**R
-    uj = pow(pow(u, -1, q), j, q)
-    prod = [1]
+    pR, pM = p**R, p**M
+    T = R + _factorial_valuation(N - 1, p)
+    pT = p**T
+    pT1 = pT * p
+    c = pow(pow(u, -1, pT1), j, pT1)
+    w = pow(c, p ** (_first_level(kind) - 1), pT1)  # c^(p^(m-1)) at each level m
+    low = [1]  # the levels from binomial rows, in the X basis mod p^R
+    H = None  # the levels in the ell basis mod p^T, once there is one
     count = 0
     # levels certainly stabilize a little past M + log_p(N); 4M + 16 is a
     # generous safety margin, overrunning it means a genuine bug
     limit = 4 * M + 16
     for m in range(_first_level(kind), limit + 1, 2):
-        phi = cyclotomic_cells(p, m, uj, q, N)
         deg = cyclotomic_degree(p, m)
-        if deg > N and _factor_is_trivial(phi, p, M):
-            return prod, count, m
-        g = [c // p for c in phi] if deg >= N else phi
-        prod = _times_level_factor(prod, g, pR, N)
+        if m >= 2 and deg >= N:
+            a = _ell_coefficients(p, m, w, T, N)
+            if deg > N and _is_one(_ell_cells(a, p, N, T, R), pM):
+                break
+            H = a if H is None else _ell_mul(H, a, pT, N)
+        else:
+            phi = cyclotomic_cells(p, m, c, q, N)
+            g = [x // p for x in phi] if deg >= N else phi
+            if deg > N and _is_one(g, pM):
+                break
+            low = polymul(low, g, pR, N)
         count += 1
-    raise RuntimeError(  # pragma: no cover - safety net
-        f"cyclotomic product did not stabilize by level {limit}"
-    )
+        w = pow(w, p * p, pT1)
+    else:
+        raise RuntimeError(  # pragma: no cover - safety net
+            f"cyclotomic product did not stabilize by level {limit}"
+        )
+    if H is not None:
+        low = polymul(low, list(_ell_cells(H, p, N, T, R)), pR, N)
+    return low, count, m
 
 
 def log_p_unit(t: int, p: int, rel: int, prec: Precision) -> PadicScalar:
@@ -311,7 +425,8 @@ def log_identity_check(p: int, r: int, prec: Precision | None = None) -> dict:
     lin = Series.constant(1, work, rel=M + 10)
     for j in range(r):
         lin = lin * cyclotomic_factor(0, j, work, rel=M + 10)
-    lhs = (plus.body * minus.body).components[0] * lin
+    # the bodies are diagonal: one tame component carries the whole product
+    lhs = plus.body.components[0] * minus.body.components[0] * lin
     lhs = lhs.shift_val(2 * r)
     diff = lhs - full.body.components[0]
 

@@ -962,9 +962,6 @@ class IwasawaElement:
     def scale(self, s) -> "IwasawaElement":
         return self._map_components(lambda c: c * s)
 
-    def shift_val(self, d: int) -> "IwasawaElement":
-        return self._map_components(lambda c: c.shift_val(d))
-
     def with_p_prec(self, p_prec: int) -> "IwasawaElement":
         """Relabel the ambient p-adic depth on every component (lossless)."""
         if p_prec == self.prec.p_prec:

@@ -14,16 +14,26 @@ from math import comb, factorial, gcd
 # ---------------------------------------------------------- exact poly algebra
 
 
+def _is_exact_zero(c) -> bool:
+    """An exact zero: the rational 0 or a scalar whose zero is exact.
+
+    A scalar that is only zero to precision compares equal to 0 but is not
+    one, so a product must keep it: O(p^A) * b is O(p^(A + v(b))).
+    """
+    exact = getattr(c, "is_exact_zero", None)
+    return c == 0 if exact is None else exact
+
+
 def poly_mul(A: list[Fraction], B: list[Fraction], trunc: int | None = None):
     n = len(A) + len(B) - 1 if A and B else 0
     if trunc is not None:
         n = min(n, trunc)
     out = [Fraction(0)] * n
     for i, a in enumerate(A):
-        if a == 0:
+        if _is_exact_zero(a):
             continue
         for j, b in enumerate(B):
-            if i + j < n and b != 0:
+            if i + j < n and not _is_exact_zero(b):
                 out[i + j] += a * b
     return out
 
@@ -561,17 +571,19 @@ def _times_level_factor_mod_pW(prod, phi, p: int, pW: int, N: int):
 def _signed_product_mod_pW(kind: str, j: int, p: int, u: int, W: int, N: int, M: int):
     """(cells mod p^W, included_count, stop_level), unstripped, from binomial rows."""
     from iwa._kernel import cyclotomic_cells
-    from iwa.pollack import _factor_is_trivial
     from iwa.series import cyclotomic_degree
 
     pW = p**W
+    q = p ** (M + 1)  # Phi/p == 1 mod (p^M, X^N)
     uj = pow(pow(u, -1, pW), j, pW)
     prod = [1]
     count = 0
     limit = 4 * M + 16
     for m in range(2 if kind == "plus" else 1, limit + 1, 2):
         phi = cyclotomic_cells(p, m, uj, pW, N)
-        if cyclotomic_degree(p, m) > N and _factor_is_trivial(phi, p, M):
+        if cyclotomic_degree(p, m) > N and (phi[0] - p) % q == 0 and all(
+            c % q == 0 for c in phi[1:]
+        ):
             return prod, count, m
         prod = _times_level_factor_mod_pW(prod, phi, p, pW, N)
         count += 1

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import factorial, gcd
 
 import pytest
 
@@ -12,6 +12,8 @@ from iwa._kernel import cyclotomic_cells
 from iwa.distributions import divide_exact, growth_order, least_squares_slope
 from iwa.pollack import (
     LogKind,
+    _ell_cells,
+    _ell_coefficients,
     _signed_product,
     log_identity_check,
     log_p_unit,
@@ -248,6 +250,37 @@ class TestAgainstPoweringReference:
             # the working window log_identity_check builds for p = 5, r = 2, N = 64
             (0, 5, 106, 64, 42),
             (3, 5, 106, 64, 42),
+            # N <= p - 1: level 1 has degree >= N and content p
+            (0, 7, 9, 5, 4),
+            (2, 11, 8, 10, 5),
+            (4, 13, 7, 12, 3),
+            (1, 13, 6, 3, 2),
+            # N equal to a level's degree: that level is in, its content p
+            (1, 5, 14, 20, 12),
+            (3, 3, 12, 18, 8),
+            (2, 3, 10, 6, 5),
+            (0, 7, 8, 42, 6),
+            # p in {3, 11, 13}, each twist j in 0..4
+            (0, 3, 15, 40, 10),
+            (1, 3, 9, 27, 7),
+            (2, 3, 30, 600, 12),
+            (3, 3, 20, 81, 14),
+            (4, 3, 6, 100, 3),
+            (0, 11, 9, 130, 6),
+            (1, 11, 12, 111, 8),
+            (2, 11, 5, 64, 2),
+            (3, 11, 10, 200, 7),
+            (4, 11, 7, 9, 4),
+            (0, 13, 8, 160, 5),
+            (1, 13, 11, 157, 9),
+            (2, 13, 6, 64, 3),
+            (3, 13, 9, 156, 6),
+            (4, 13, 10, 200, 8),
+            # the log-identity work windows (5, 4, 64) and (5, 2, 160), M = 20
+            (0, 5, 63, 64, 58),
+            (3, 5, 63, 64, 58),
+            (0, 5, 49, 160, 46),
+            (1, 5, 51, 160, 46),
         ],
     )
     def test_signed_product_matches_reference(self, kind, j, p, W, N, M):
@@ -255,6 +288,33 @@ class TestAgainstPoweringReference:
         assert _signed_product(kind, j, p, u, W, N, M) == reference_signed_product(
             kind, j, p, u, W, N, M
         )
+
+
+class TestEllBasis:
+    """A level of degree >= N, from its ell-coefficients, equals its binomial rows."""
+
+    @pytest.mark.parametrize(
+        "p,m,j,R,N",
+        [
+            (5, 2, 0, 30, 20),
+            (5, 3, 3, 63, 64),
+            (5, 8, 2, 20, 64),
+            (3, 2, 4, 10, 6),
+            (3, 4, 1, 20, 40),
+            (7, 2, 2, 12, 42),
+            (11, 3, 4, 9, 150),
+            (13, 2, 1, 8, 100),
+        ],
+    )
+    def test_converted_back_equals_cyclotomic_cells(self, p, m, j, R, N):
+        assert cyclotomic_degree(p, m) >= N
+        T = R + _vp(factorial(N - 1), p)
+        c = pow(u_for(p), -j, p ** (T + 1))
+        a = _ell_coefficients(p, m, pow(c, p ** (m - 1), p ** (T + 1)), T, N)
+        assert 1 <= len(a) <= N
+        # Phi = p g, and g comes back mod p^R: Phi mod p^(R+1), cell for cell
+        cells = [p * g for g in _ell_cells(a, p, N, T, R)]
+        assert cells == cyclotomic_cells(p, m, c, p ** (R + 1), N)
 
 
 @pytest.mark.filterwarnings("ignore:window too small")

@@ -48,6 +48,18 @@ def as_fracs(s: Series):
 # ------------------------------------------------------------------- Series
 
 
+def test_oracle_poly_mul_keeps_zeros_known_to_precision():
+    # O(5^3) is zero only to precision: its products carry the cap
+    zero3 = QuadExtScalar.from_padic(PadicScalar.inexact_zero(P5, 3), 1, 2)
+    one = QuadExtScalar.one(P5, 1, 2)
+    out = poly_mul([zero3, one], [one, one])
+    assert len(out) == 3 and all(isinstance(c, QuadExtScalar) for c in out)
+    assert out[0].is_zero_to_precision and out[0].a.abs_prec == 3
+    assert out[1] == 1 and out[1].a.abs_prec == 3
+    assert out[2] == 1 and out[2].a.abs_prec == 20
+    assert all(c.b.is_exact_zero for c in out)
+
+
 def test_series_mul_matches_exact_polynomials():
     f = frac_series([1, 2, 3])
     g = frac_series([Fraction(1, 2), 0, 7, 1])
