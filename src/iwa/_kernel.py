@@ -12,8 +12,8 @@ of a product grows with the digits of ``mod``, so callers pass the smallest
 modulus their output reads: the signed logarithms multiply their level
 factors stripped of content, mod p^(M+L+1) for a window of depth M with L
 factors of content 1, not at the p^W their cells are reported at.  Their high
-levels are products of polynomials in log(1+X), mod p^(M+L+1+V) with
-V = v_p((N-1)!), which only the longest of them bring here.
+levels are short polynomials in log(1+X), multiplied here in pairs mod
+p^(M+L+1+V) with V = v_p((N-1)!).
 
 Not everything is a product: :func:`compose_affine` is a Horner loop, and a
 cyclotomic level factor has a closed form in binomial rows

@@ -35,13 +35,14 @@ S_k = sum_{i<p} i^k w^i.  For m >= 2 the coefficient a_k = e^k S_k/(p k!)
 of g = Phi/p is p-integral: S_0 has valuation exactly 1, and for k >= 1,
 v_p(e^k/k!) >= k - (k-1)/(p-1) >= 1.  Its valuation is at least
 k(m-1) - 1 - v_p(k!), so mod p^T only about T/(m-1) of the a_k survive, and
-since ell^k = 0 mod X^N for k >= N, truncating at ell^N is a ring map.  A
-level then costs O(N K) steps for its K + 1 terms, and the levels' product
-H goes back to the X basis once per twist: the coefficient of X^n in ell^k
-is k! s(n, k)/n!, s the Stirling numbers of the first kind, built one row at
-a time.  That division by n! costs at most V = v_p((N-1)!) digits, so H is
-carried mod p^T with T = R + V.  Level 1 stays in the X basis because its
-a_k = S_k/(p k!) are not integral.
+since ell^k = 0 mod X^N for k >= N, truncating at ell^N is a ring map.  The
+levels are then short polynomials, multiplied in pairs so that most
+products stay short, and their product H goes back to the X basis once per
+twist: the coefficient of X^n in ell^k is k! s(n, k)/n!, s the Stirling
+numbers of the first kind, built one row at a time.  That division by n!
+costs at most V = v_p((N-1)!) digits, so H is carried mod p^T with
+T = R + V.  Level 1 stays in the X basis because its a_k = S_k/(p k!) are
+not integral.
 
 All per-factor and per-twist 1/p normalizations are carried as a single
 valuation offset over integral coefficient arithmetic, so nothing is lost to
@@ -57,8 +58,8 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf, lcm
-from operator import add, mul
+from math import factorial, inf, lcm
+from operator import mul
 
 from ._kernel import _factorial_table, cyclotomic_cells, polymul
 from .distributions import Distribution
@@ -69,10 +70,6 @@ from .series import u_for, unpack_part
 __all__ = ["LogKind", "pollack_log", "log_identity_check", "log_p_unit"]
 
 _KINDS = ("plus", "minus", "full")
-# an ell-basis factor with more terms than this is multiplied by the packed kernel
-_SPARSE_TERMS = 8
-# Stirling rows grow by about log2(n) bits a row; reduce them every this many
-_ROW_REDUCE = 16
 
 
 @dataclass(frozen=True)
@@ -119,15 +116,6 @@ def _short_levels(kind: str, p: int, N: int) -> int:
     return count
 
 
-def _factorial_valuation(n: int, p: int) -> int:
-    """v_p(n!), by Legendre's formula."""
-    v, q = 0, p
-    while q <= n:
-        v += n // q
-        q *= p
-    return v
-
-
 def _ell_coefficients(p: int, m: int, w: int, T: int, N: int) -> list[int]:
     """Phi_{p^m}(c(1+X))/p as a polynomial in ell = log(1+X), mod (p^T, ell^N).
 
@@ -165,11 +153,9 @@ def _ell_cells(h: list[int], p: int, N: int, T: int, R: int):
     The coefficient of X^n in ell^k/k! is s(n, k)/n!, s the signed Stirling
     numbers of the first kind, so n! times cell n is sum_k k! h_k s(n, k).
     The rows come one at a time from s(n+1, k) = s(n, k-1) - n s(n, k) and
-    are not kept; they are reduced mod p^T every _ROW_REDUCE rows, since a
-    reduction costs more than the few bits a row grows by.  The series must
-    be integral in X: then the sum is divisible by p^(v_p(n!)), and dividing
-    out n! leaves cell n mod p^(T - v_p(n!)).  So T >= R + v_p((N-1)!)
-    gives every cell.
+    are not kept; each is reduced mod p^T.  The series must be integral in
+    X: then the sum is divisible by p^(v_p(n!)), and dividing out n! leaves
+    cell n mod p^(T - v_p(n!)).  So T >= R + v_p((N-1)!) gives every cell.
     """
     pT, pR = p**T, p**R
     pvs, invs = _factorial_table(p, N, pT)
@@ -182,24 +168,24 @@ def _ell_cells(h: list[int], p: int, N: int, T: int, R: int):
     for n in range(1, N):
         if n > 1:  # row n from row n - 1
             r = n - 1
-            new = [-r * row[0]]
-            new += [a - r * b for a, b in zip(row, row[1:])]
+            new = [-r * row[0] % pT]
+            new += [(a - r * b) % pT for a, b in zip(row, row[1:])]
             if len(row) < len(hs):
                 new.append(row[-1])
-            row = [x % pT for x in new] if n % _ROW_REDUCE == 0 else new
+            row = new
         yield sum(map(mul, hs, row)) % pT // pvs[n] * invs[n] % pR
 
 
-def _ell_mul(H: list[int], a: list[int], pT: int, N: int) -> list[int]:
-    """H * a in the ell basis, mod (p^T, ell^N)."""
-    if len(a) > _SPARSE_TERMS:
-        return polymul(H, a, pT, N)
-    n = min(N, len(H) + len(a) - 1)
-    out = [a[0] * h for h in H] + [0] * (n - len(H))
-    for k in range(1, len(a)):
-        if a[k]:
-            out[k:] = map(add, out[k:], [a[k] * h for h in H[: n - k]])
-    return [x % pT for x in out]
+def _tree_product(factors: list[list[int]], mod: int, N: int) -> list[int]:
+    """The product of the polynomials mod (mod, X^N), multiplied in pairs.
+
+    The ell-basis level factors are short, so pairing them keeps most
+    products short: only the last few rounds reach length N.
+    """
+    while len(factors) > 1:
+        pairs = [factors[i : i + 2] for i in range(0, len(factors), 2)]
+        factors = [polymul(*f, mod, N) if len(f) == 2 else f[0] for f in pairs]
+    return factors[0]
 
 
 def _signed_product(kind: str, j: int, p: int, u: int, R: int, N: int, M: int):
@@ -214,23 +200,23 @@ def _signed_product(kind: str, j: int, p: int, u: int, R: int, N: int, M: int):
 
     Levels with m >= 2 and degree >= N are multiplied in the ell basis mod
     p^T, T = R + V with V = v_p((N-1)!), from :func:`_ell_coefficients`,
-    and their product goes back to the X basis once (:func:`_ell_cells`).
-    The others (degree < N, or m = 1) come from their binomial rows
-    (:func:`cyclotomic_cells`) mod p^(R+1) and are multiplied mod p^R.  The
-    stop test asks whether a level of degree > N has Phi/p = 1 mod
-    (p^M, X^N).  In the ell basis, cells 0 and 1 are a_0 and a_1, and the
-    cells are converted one at a time, so a factor that is not 1 is
-    usually refused after two cells.
+    in pairs (:func:`_tree_product`), and their product goes back to the X
+    basis once (:func:`_ell_cells`).  The others (degree < N, or m = 1)
+    come from their binomial rows (:func:`cyclotomic_cells`) mod p^(R+1)
+    and are multiplied mod p^R.  The stop test asks whether a level of
+    degree > N has Phi/p = 1 mod (p^M, X^N).  In the ell basis, cells 0 and
+    1 are a_0 and a_1, and the cells are converted one at a time, so a
+    factor that is not 1 is usually refused after two cells.
     """
     q = p ** (R + 1)
     pR, pM = p**R, p**M
-    T = R + _factorial_valuation(N - 1, p)
+    T = R + _vp(factorial(N - 1), p)
     pT = p**T
     pT1 = pT * p
     c = pow(pow(u, -1, pT1), j, pT1)
     w = pow(c, p ** (_first_level(kind) - 1), pT1)  # c^(p^(m-1)) at each level m
     low = [1]  # the levels from binomial rows, in the X basis mod p^R
-    H = None  # the levels in the ell basis mod p^T, once there is one
+    high = []  # the levels in the ell basis, mod p^T
     count = 0
     # levels certainly stabilize a little past M + log_p(N); 4M + 16 is a
     # generous safety margin, overrunning it means a genuine bug
@@ -241,7 +227,7 @@ def _signed_product(kind: str, j: int, p: int, u: int, R: int, N: int, M: int):
             a = _ell_coefficients(p, m, w, T, N)
             if deg > N and _is_one(_ell_cells(a, p, N, T, R), pM):
                 break
-            H = a if H is None else _ell_mul(H, a, pT, N)
+            high.append(a)
         else:
             phi = cyclotomic_cells(p, m, c, q, N)
             g = [x // p for x in phi] if deg >= N else phi
@@ -254,7 +240,8 @@ def _signed_product(kind: str, j: int, p: int, u: int, R: int, N: int, M: int):
         raise RuntimeError(  # pragma: no cover - safety net
             f"cyclotomic product did not stabilize by level {limit}"
         )
-    if H is not None:
+    if high:
+        H = _tree_product(high, pT, N)
         low = polymul(low, list(_ell_cells(H, p, N, T, R)), pR, N)
     return low, count, m
 

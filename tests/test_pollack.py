@@ -3,18 +3,20 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import factorial, gcd
 
 import pytest
 
 import iwa.pollack
-from iwa._kernel import cyclotomic_cells
+from iwa._kernel import cyclotomic_cells, polymul
 from iwa.distributions import divide_exact, growth_order, least_squares_slope
 from iwa.pollack import (
     LogKind,
     _ell_cells,
     _ell_coefficients,
     _signed_product,
+    _tree_product,
     log_identity_check,
     log_p_unit,
     pollack_log,
@@ -315,6 +317,19 @@ class TestEllBasis:
         # Phi = p g, and g comes back mod p^R: Phi mod p^(R+1), cell for cell
         cells = [p * g for g in _ell_cells(a, p, N, T, R)]
         assert cells == cyclotomic_cells(p, m, c, p ** (R + 1), N)
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 5, 8])
+@pytest.mark.parametrize("N", [1, 4, 40])
+def test_tree_product_equals_running_product(count, N):
+    # short and long factors, products that outgrow N and ones that do not
+    mod = 5**12
+    factors = [
+        [(7 * i + 3 * k + 1) ** 5 % mod for k in range(1 + i % 4 * 9)]
+        for i in range(count)
+    ]
+    running = reduce(lambda f, g: polymul(f, g, mod, N), factors)
+    assert _tree_product(factors, mod, N) == running
 
 
 @pytest.mark.filterwarnings("ignore:window too small")
