@@ -2,6 +2,8 @@
 
 The layers, bottom to top:
 
+* :mod:`iwa._kernel` — Kronecker-packed integer polynomials: products,
+  affine composition and cyclotomic level factors on lists of ints mod p^W.
 * :mod:`iwa.scalars` — Q_p scalars with explicit precision, and the ramified
   quadratic extension Q_p(alpha) with alpha^2 = -eps * p^(k+1).
 * :mod:`iwa.series` — truncated power series stored as integer columns with

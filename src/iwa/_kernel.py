@@ -154,26 +154,17 @@ def cyclotomic_cells(p: int, m: int, c: int, mod: int, trunc: int) -> list[int]:
     return [a % Q // pv * inv % mod for a, pv, inv in zip(acc, pvs, invs)]
 
 
-def compose_affine(
-    A: list[int], c: int, d: int, mod: int, trunc: int | None = None
-) -> list[int]:
-    """A(c + d*X) mod (mod, X^trunc), by Horner in (c + d*X)."""
-    cap = len(A) if trunc is None else min(trunc, len(A))
-    if cap <= 0 or not A:
-        return []
+def compose_affine(A: list[int], c: int, d: int, mod: int) -> list[int]:
+    """A(c + d*X) mod ``mod``, by Horner in (c + d*X): len(A) coefficients."""
     c %= mod
     d %= mod
     res: list[int] = []
     for coeff in reversed(A):
-        L = min(len(res) + 1, cap)
-        new = [0] * L
-        for k in range(len(res)):
-            v = res[k]
+        new = [0] * (len(res) + 1)
+        for k, v in enumerate(res):
             if v:
-                if k < L:
-                    new[k] = (new[k] + v * c) % mod
-                if k + 1 < L:
-                    new[k + 1] = (new[k + 1] + v * d) % mod
+                new[k] = (new[k] + v * c) % mod
+                new[k + 1] = (new[k + 1] + v * d) % mod
         new[0] = (new[0] + coeff) % mod
         res = new
     return res

@@ -193,7 +193,10 @@ def growth_order(F: Distribution, depth: int) -> Fraction:
 def _certify_factors(F: Distribution, G: Distribution) -> None:
     """Check the dividend against every certified cyclotomic factor of G.
 
-    A factor is checked only when its degree fits in the window; remainder
+    A factor is checked only when the dividend's window determines the
+    remainder: remainder_mod_cyclotomic raises PrecisionError, and the factor
+    is skipped, when its degree does not fit in x_prec or the dividend's
+    component is a truncated series no longer than that degree.  Remainder
     coefficients whose propagated precision has degraded to nothing pass
     vacuously.  Both reliefs can only miss a failure, never report a spurious
     one.  The dividend's growth order feeds the remainder's trust cap: a
@@ -203,8 +206,6 @@ def _certify_factors(F: Distribution, G: Distribution) -> None:
     """
     p = F.prec.p
     for m, j in G.cyclo_factors:
-        if cyclotomic_degree(p, m) + 1 > F.prec.x_prec:
-            continue
         try:
             rem = F.body.remainder_mod_cyclotomic(m, j, growth_order=F.order_tag)
         except PrecisionError:

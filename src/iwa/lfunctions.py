@@ -215,30 +215,22 @@ def _omega_powers(p: int, prec: Precision, rel: int) -> tuple:
 def _sub_triples(x: tuple, y: tuple, p: int, pp) -> tuple:
     """x - y for (val, unit, rel) triples under PadicScalar's rules.
 
-    val None is an exact zero and adds nothing, not even a precision bound;
-    units may be signed and unreduced.  As in series._back_substitute, the
-    difference is the exact one reduced once, at the smaller absolute
-    precision A, with the p-power stripped.  pp[k] is p^k, for k up to the
-    larger rel of the two.
+    Neither is an exact zero; units may be signed and unreduced.  As in
+    series._back_substitute, the difference is the exact one reduced once,
+    at the smaller absolute precision A, with the p-power stripped.  pp[k]
+    is p^k, for k up to the larger rel of the two.
     """
     xv, xu, xr = x
     yv, yu, yr = y
-    if yv is None:
-        if xv is None:
-            return None, 0, 0
-        v0, A, s = xv, xv + xr, xu
-    elif xv is None:
-        v0, A, s = yv, yv + yr, -yu
+    A = xv + xr if xv + xr < yv + yr else yv + yr
+    if xv <= yv:
+        v0, s = xv, xu
+        if yv - xv < A - v0:  # deeper terms vanish mod p^(A - v0)
+            s -= yu * pp[yv - xv]
     else:
-        A = xv + xr if xv + xr < yv + yr else yv + yr
-        if xv <= yv:
-            v0, s = xv, xu
-            if yv - xv < A - v0:  # deeper terms vanish mod p^(A - v0)
-                s -= yu * pp[yv - xv]
-        else:
-            v0, s = yv, -yu
-            if xv - yv < A - v0:
-                s += xu * pp[xv - yv]
+        v0, s = yv, -yu
+        if xv - yv < A - v0:
+            s += xu * pp[xv - yv]
     w = A - v0
     if w <= 0:
         return A, 0, 0
@@ -388,12 +380,10 @@ class DirichletCharacter:
 
     @property
     def is_odd(self) -> bool:
-        # at modulus 1 or 2, -1 is the residue 1, whose exponent is 0
-        e = self.table[self.modulus - 1]
-        half = (self.p - 1) // 2
-        if e not in (0, half):
-            raise ValueError("value at -1 must be a square root of 1")
-        return e == half
+        # multiplicativity (checked on a = b too) makes table[1] = 0 and
+        # 2 table[-1] = 0 mod p - 1, so the value at -1 is 0 or half; at
+        # modulus 1 or 2, -1 is the residue 1
+        return self.table[self.modulus - 1] == (self.p - 1) // 2
 
     @property
     def order(self) -> int:
@@ -430,16 +420,14 @@ class DirichletCharacter:
         """Factor the primitive character as (prime-to-p part, omega-exponent).
 
         The second entry is None when the conductor is prime to p.  Values of
-        order dividing p - 1 cannot see conductor p^2, so the p-part is
-        always a plain power of omega.
+        order dividing p - 1 cannot see conductor p^2: if p^2 | f, the units
+        = 1 mod f/p form a group of order p, on which psi is trivial, so f
+        would not be the conductor.  So the p-part is a plain power of omega.
         """
         psi = self.primitive()
         f = psi.conductor
-        vp = _vp(f, self.p) if f % self.p == 0 else 0
-        if vp == 0:
+        if f % self.p:
             return psi, None
-        if vp > 1:
-            raise ValueError("conductor p^2 is impossible for values of order dividing p-1")
         # psi = eta0 omega^d, and at b = 1 mod f0, b = g mod p only omega^d speaks
         p, f0 = self.p, f // self.p
         b = 1
@@ -632,10 +620,9 @@ def _kl_smoothing_c(p: int, eta0: DirichletCharacter, b: int, require_unit: bool
         if any(pow(c, e, p * p) == 1 for e in cofactors):  # not a primitive root mod p^2
             continue
         if require_unit:
-            e = psi0.exponent(c)
-            if e is None:
-                continue
+            # c is prime to psi0's modulus, lcm(modulus, p), so psi0(c) != 0;
             # 1 - psi0(c) c mod p: teichmuller reduces to g0^e mod p
+            e = psi0.exponent(c)
             if (1 - pow(g0, e, p) * c) % p == 0:
                 continue
         return c
@@ -707,10 +694,15 @@ def _kl_core(eta: DirichletCharacter, branch_i: int, prec: Precision) -> dict:
     nodes = [(None, 0, 0)] + [
         (nv[m], w[m] * pow(u_inv, m, M) % M, rel) for m in range(1, E)
     ]
+    # No moment is an exact zero: on an even branch B_{m+1,psi} has the
+    # parity that makes it nonzero, and the smoothing and Euler factors are
+    # PadicScalar differences, which never return one.  So no triple in the
+    # table or the expansion below has val None, and _sub_triples needs no
+    # exact-zero case.
     dd = []
     for m in range(E):
         v = -smoothed_moment(eta0, b - m, m, c, wprec, rel)
-        if v.val is not None and v.val < 0:
+        if v.val < 0:
             raise ArithmeticError(
                 "smoothed moment came out non-integral; the regularization is broken"
             )
@@ -727,20 +719,17 @@ def _kl_core(eta: DirichletCharacter, branch_i: int, prec: Precision) -> dict:
         vd, wi = nv[col], pow(w[col], -1, M)
         for row in range(E - 1, col - 1, -1):
             x, xu, xr = _sub_triples(dd[row], dd[row - 1], p, pp)
-            if x is None:
-                dd[row] = (None, 0, 0)
-                continue
             r = min(xr, rel + min(nv[row], nv[row - col]) - vd)
             dd[row] = (x - vd, xu * u_pow[row] * wi % pp[r] if r else 0, r)
     for entry in dd:
-        if entry[0] is not None and entry[0] < 0:
+        if entry[0] < 0:
             raise ArithmeticError(
                 "divided differences left Z_p; the moment formula is off"
             )
 
     # Newton form to monomials, truncated at X^N: poly <- poly * (X - node[m])
-    # + dd[m], from the top node down.  Every entry is a normalized triple,
-    # so where node[m] * poly[dg] is an exact zero the entry moves as it is.
+    # + dd[m], from the top node down.  Every entry is a normalized triple;
+    # node 0 is the exact zero, where the product by X - node is a shift.
     N = prec.x_prec
     poly = [dd[E - 1]]
     for m in range(E - 2, -1, -1):
@@ -749,10 +738,9 @@ def _kl_core(eta: DirichletCharacter, branch_i: int, prec: Precision) -> dict:
         if nodev is not None:
             for dg in range(min(len(poly), N)):
                 pv, pu, pr = poly[dg]
-                if pv is not None:
-                    r = min(rel, pr)  # node * poly[dg] at the smaller relative precision
-                    prod = (nodev + pv, nodeu * pu if r else 0, r)
-                    nxt[dg] = _sub_triples(nxt[dg], prod, p, pp)
+                r = min(rel, pr)  # node * poly[dg] at the smaller relative precision
+                prod = (nodev + pv, nodeu * pu if r else 0, r)
+                nxt[dg] = _sub_triples(nxt[dg], prod, p, pp)
         poly = nxt
 
     comps = [Series.zero(wprec) for _ in range(pm1)]
@@ -833,7 +821,9 @@ def kl_branch_values(eta: DirichletCharacter, branch_i: int, s_points,
     u^s - 1 and the smoothing scalar is divided out pointwise.  On the
     trivial branch this is the only route (the quotient series does not
     exist); elsewhere it agrees with evaluating :func:`kl_series` directly.
-    The pointwise division can cost up to two digits, nothing else is lossy.
+    The pointwise division can cost up to two digits, nothing else is lossy;
+    a smoothing scalar that vanished to precision would raise its
+    PrecisionError.
     """
     core = _kl_core(eta, branch_i, prec)
     if not core["even"]:
@@ -847,8 +837,6 @@ def kl_branch_values(eta: DirichletCharacter, branch_i: int, s_points,
             FiniteCharacter(core["i"], 0, s)
         )
         den = one - core["psi0_c"] * core["bracket_c"] ** (-s)
-        if den.is_zero_to_precision:
-            raise ArithmeticError("smoothing scalar vanished; s = 1 is the pole")
         out.append(num / den)
     return out
 

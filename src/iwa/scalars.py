@@ -166,12 +166,10 @@ class PadicScalar:
                 if unit == 0:
                     val, rel = val + rel, 0
                 else:
+                    # 0 < unit < p^rel, so v < rel
                     v = _vp(unit, p)
                     if v:
-                        if v >= rel:
-                            val, unit, rel = val + rel, 0, 0
-                        else:
-                            val, unit, rel = val + v, unit // p**v, rel - v
+                        val, unit, rel = val + v, unit // p**v, rel - v
         object.__setattr__(self, "prec", prec)
         object.__setattr__(self, "val", val)
         object.__setattr__(self, "unit", unit)
@@ -408,7 +406,7 @@ class PadicScalar:
     def __eq__(self, other) -> bool:
         """Equality at shared precision: no detectable difference."""
         o = self._coerce(other)
-        if o is None or o is NotImplemented:
+        if o is None:
             return NotImplemented
         return (self - o).is_zero_to_precision
 
@@ -661,7 +659,7 @@ class QuadExtScalar:
 
     def __eq__(self, other) -> bool:
         o = self._coerce(other)
-        if o is None or o is NotImplemented:
+        if o is None:
             return NotImplemented
         d = self - o
         return d.a.is_zero_to_precision and d.b.is_zero_to_precision

@@ -305,7 +305,7 @@ def _divmod_cells(cells, phi, m):
     return Q, R[:D]
 
 
-def _tail_floor(part, order: float, L: int, p: int) -> int | None:
+def _tail_floor(part, order: float, L: int, p: int) -> int:
     """Worst valuation the unseen tail of a tempered series can reach.
 
     A growth order of ``order`` means coefficient valuations follow a trend
@@ -313,12 +313,11 @@ def _tail_floor(part, order: float, L: int, p: int) -> int | None:
     window and the trend evaluated at the window edge, minus a digit of
     slack because the actual staircase is rougher than the trend.  Entries
     past the edge dive only logarithmically while every extra reduction step
-    gains a whole digit, so the edge is where the bound is tightest.
+    gains a whole digit, so the edge is where the bound is tightest.  The
+    part must hold a coefficient that is not an exact zero.
     """
     vals = [(n, part.val(n)) for n in range(len(part))]
     trend = [v + order * math.log(max(n, 1), p) for n, v in vals if v is not None]
-    if not trend:
-        return None
     return math.floor(min(trend) - order * math.log(L, p)) - 1
 
 
@@ -650,7 +649,7 @@ class Series:
             if W > 0:
                 m = p**W
                 mc = 0 if c.is_zero_to_precision else c.unit * p**c.val % m
-                cells = _k_compose(cells, mc, d.unit * p**d.val % m, m, L)
+                cells = _k_compose(cells, mc, d.unit * p**d.val % m, m)
                 if not self.is_polynomial and vc != inf:
                     floor = min(0, off)
                     caps = [int((L - j) * vc) + floor - off for j in range(L)]
@@ -740,8 +739,7 @@ class Series:
                 if not self.is_polynomial:
                     steps = -(-(L - D + 1) // D)  # ceil
                     if growth_order is not None:
-                        tf = _tail_floor(part, float(growth_order), L, p)
-                        floor = min(0, 0 if tf is None else tf)
+                        floor = min(0, _tail_floor(part, float(growth_order), L, p))
                     else:
                         floor = min(0, off)
                     caps = [gmin * steps + floor - off] * D

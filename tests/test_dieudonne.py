@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from iwa.dieudonne import (
+    PhiModule,
+    _filtration_from_weights,
     change_of_basis,
     dcris_of_form,
     det,
@@ -256,3 +260,42 @@ class TestChangeOfBasis:
         v = mat_vec(M, (one, one, z, z))
         for got, want in zip(v, (one * 2, asq * 2, z, z)):
             assert (got - want).is_zero_to_precision
+
+
+# ------------------------------------------------------ refusals and edges
+
+
+def _module(matrix, filtration=((0, 2), (1, 1), (2, 0)), labels=("e1", "e2")):
+    return PhiModule(len(labels), labels, matrix, filtration, 1, 1, PREC)
+
+
+_ONE = QuadExtScalar.one(PREC, 1, 1)
+_ZERO = QuadExtScalar.zero(PREC, 1, 1)
+_UNIPOTENT = ((_ONE, _ONE), (_ZERO, _ONE))
+
+
+@pytest.mark.parametrize("call, fragment", [
+    pytest.param(lambda: _module(_UNIPOTENT, labels=("e1",)),
+                 "basis and matrix sizes must match dim", id="sizes"),
+    pytest.param(lambda: _module(_UNIPOTENT, filtration=((0, 1), (1, 2))),
+                 "filtration dimensions must be weakly decreasing", id="filtration"),
+    pytest.param(lambda: _module(((_ONE, _ONE), (_ONE, _ONE))),
+                 "phi must be invertible", id="singular-phi"),
+    pytest.param(lambda: wedge_square(sym_square(dcris_of_form(5, 1, 1, PREC))),
+                 "alternating square is implemented for rank 2 only", id="wedge-rank"),
+    pytest.param(lambda: split_sym_square(sym_square(_module(_UNIPOTENT))),
+                 "symmetric square does not split along the monomial basis", id="split"),
+    pytest.param(lambda: dual(_module(_UNIPOTENT)),
+                 "dual basis (omega', phi omega') is set up for dcris modules", id="dual"),
+])
+def test_named_errors(call, fragment):
+    with pytest.raises(ValueError, match=re.escape(fragment)) as info:
+        call()
+    assert info.type is ValueError
+
+
+def test_repeated_weight_moves_the_jump_and_default_precision():
+    # weights {0, 0}: Fil^0 is everything and Fil^1 nothing, one jump at 1
+    assert _filtration_from_weights([0, 0], 2) == ((0, 2), (1, 0))
+    assert _filtration_from_weights([0, 2, 2], 3) == ((0, 3), (1, 2), (3, 0))
+    assert dcris_of_form(5, 1, 1).prec == Precision(5, 20, 1)

@@ -4,10 +4,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import re
+
 import pytest
 
 from iwa.distributions import (
     Distribution,
+    _certify_factors,
     divide_exact,
     growth_order,
     least_squares_slope,
@@ -254,3 +257,39 @@ def test_attained_reports_window_and_digits():
     F = diag([1, 1, 1], rel=12)
     M, N = F.attained()
     assert M == 12 and N == 3
+
+
+# ------------------------------------------------------ refusals and edges
+
+
+@pytest.mark.parametrize("call, fragment", [
+    pytest.param(lambda: diag([1], order=-1), "growth order claim must be nonnegative",
+                 id="negative-order"),
+    pytest.param(lambda: rho_norm(diag([1, 2]), 0), "level m must be >= 1", id="rho-level"),
+    pytest.param(lambda: least_squares_slope([1], [1]), "need at least two matched points",
+                 id="one-point"),
+    pytest.param(lambda: least_squares_slope([1, 1], [1, 2]), "degenerate abscissae",
+                 id="equal-abscissae"),
+])
+def test_named_errors(call, fragment):
+    with pytest.raises(ValueError, match=re.escape(fragment)) as info:
+        call()
+    assert info.type is ValueError
+
+
+def test_certificate_skips_a_component_shorter_than_its_factor():
+    # Phi_5 has degree 4; a truncated dividend of length 3 determines none of
+    # its remainder, so the certificate is skipped, not failed
+    F = diag([1, 2, 3], poly=False)
+    G = Distribution(diag([1]).body, cyclo_factors=((1, 0),))
+    with pytest.raises(PrecisionError, match="does not determine"):
+        F.body.remainder_mod_cyclotomic(1, 0)
+    assert _certify_factors(F, G) is None
+    # the same factor on a window that determines the remainder does fail
+    with pytest.raises(DivisibilityError, match="cyclotomic certificate at level 1"):
+        _certify_factors(diag([1] + [0] * 15, poly=False), G)
+
+
+def test_relabel_at_the_same_depth_is_the_identity():
+    F = diag([1, 2])
+    assert F.with_p_prec(F.prec.p_prec) is F

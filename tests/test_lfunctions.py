@@ -9,6 +9,7 @@ brute-force Teichmuller lift from ``oracles``.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -987,3 +988,47 @@ class TestGeometricRatio:
         prod = geometric_product(sym2, IwasawaElement.one(prec), k=0)
         with pytest.raises(DivisibilityError):
             geometric_ratio(prod, kl, k=0)
+
+
+# ------------------------------------------------------ refusals and edges
+
+
+@pytest.mark.parametrize("call, fragment", [
+    pytest.param(lambda: lfunctions._ind(5, 10), "10 is not a unit mod 5", id="dlog-non-unit"),
+    pytest.param(lambda: DirichletCharacter(5, 0, ()), "modulus must be positive",
+                 id="modulus"),
+    pytest.param(lambda: DirichletCharacter(5, 3, (None, 0)),
+                 "value table must cover all residues", id="table-length"),
+    pytest.param(lambda: DirichletCharacter.teichmuller_power(5, 1).value_fraction(2),
+                 "character values are irrational; use value()", id="irrational"),
+    pytest.param(lambda: DirichletCharacter.trivial(5) * DirichletCharacter.trivial(7),
+                 "characters live over different primes", id="product-primes"),
+    pytest.param(lambda: c_smoothing_factor(3, 1, 0, PadicScalar.from_int(5, PS)),
+                 "(chi eps)(c) must be a unit", id="smoothing-scalar-non-unit"),
+    pytest.param(lambda: c_smoothing_factor(3, 1, 0, 0), "(chi eps)(c) must be a unit",
+                 id="smoothing-rational-zero"),
+])
+def test_named_errors(call, fragment):
+    with pytest.raises(ValueError, match=re.escape(fragment)) as info:
+        call()
+    assert info.type is ValueError
+
+
+def test_value_off_the_units_and_report_factors():
+    chi = DirichletCharacter.trivial(5, 3)
+    assert chi.value(3, PS).is_exact_zero
+    rep = euler_factor_E(dcris_of_form(5, 0, 1, Precision(5, 12, 1)), chi, 1)
+    assert rep.factors() == tuple(zip(rep.labels, rep.values, rep.zero_flags))
+    assert len(rep.factors()) == 3
+
+
+@pytest.mark.parametrize("x, y", [
+    pytest.param((3, 0, 0), (5, 1, 2), id="no-digit-left"),  # O(5^3) - 5^5 * 1
+    pytest.param((1, 7, 4), (1, 7, 6), id="cancellation"),
+    pytest.param((1, 7, 4), (1, 2, 6), id="digits-left"),
+])
+def test_triple_difference_matches_the_scalar_rules(x, y):
+    p = 5
+    pp = [p**k for k in range(12)]
+    want = PadicScalar(PS, *x) - PadicScalar(PS, *y)
+    assert lfunctions._sub_triples(x, y, p, pp) == (want.val, want.unit, want.rel)

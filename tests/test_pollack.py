@@ -455,3 +455,13 @@ class TestGrowth:
         for kind in ("plus", "minus"):
             est = growth_order(pollack_log(LogKind(kind, 1), prec), 5)
             assert abs(est - Fraction(1, 2)) <= Fraction(1, 4)
+
+
+def test_minus_log_on_a_one_column_window_stops_at_level_one():
+    # x_prec = 1: level 1 has degree p - 1 > 1, and its Phi/p reads 1 mod
+    # (p^M, X), so the binomial-row stop test ends the product at once
+    assert _signed_product("minus", 0, 5, u_for(5), 4, 1, 3) == ([1], 0, 1)
+    with pytest.warns(UserWarning, match="window too small"):
+        log = pollack_log(LogKind("minus", 1), Precision(5, 3, 1))
+    assert log.meta["per_twist"] == [{"twist": 0, "factors": 0, "stabilized_at": 1}]
+    assert log.truncation_level == 1 and log.cyclo_factors == ()

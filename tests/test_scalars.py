@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+from math import inf
 from time import perf_counter
 
 import pytest
@@ -18,6 +20,7 @@ from iwa.scalars import (
     PrecisionError,
     QuadExtScalar,
     _is_prime,
+    _vp,
     alpha_from_form,
     teichmuller,
 )
@@ -364,3 +367,55 @@ def test_quadext_division_roundtrip(x):
         assume(False)
     one = QuadExtScalar.one(P5, x.k, x.eps_seed, rel=30)
     assert x * inv == one
+
+
+# ------------------------------------------------------ refusals and edges
+
+
+def _triple(x: PadicScalar):
+    return x.val, x.unit, x.rel
+
+
+_A = PadicScalar.from_int(2, P5)
+_O3 = PadicScalar.inexact_zero(P5, 3)
+
+
+@pytest.mark.parametrize("call, exc, fragment", [
+    pytest.param(lambda: _vp(0, 5), ValueError, "valuation of 0", id="vp-of-zero"),
+    pytest.param(lambda: Precision(5, 10, 0), ValueError, "x_prec must be >= 1", id="x-prec"),
+    pytest.param(lambda: _A.with_prec(Precision(7, 20)), ValueError,
+                 "cannot move a scalar to a different prime", id="with-prec-prime"),
+    pytest.param(lambda: QuadExtScalar(_A, _A, 1, 5), ValueError,
+                 "eps must be a unit (seed coprime to p)", id="eps-seed"),
+    pytest.param(lambda: QuadExtScalar(_A, _A, -1, 1), ValueError,
+                 "weight parameter k must be >= 0", id="weight"),
+    pytest.param(lambda: QuadExtScalar.zero(P5, 1, 1).inverse(), ExactZeroError,
+                 "division by exact zero", id="quad-inverse-exact-zero"),
+    pytest.param(lambda: QuadExtScalar(_O3, _O3, 1, 1).inverse(), PrecisionError,
+                 "division by zero-to-precision", id="quad-inverse-inexact-zero"),
+    pytest.param(lambda: alpha_from_form(5, 1, 1, Precision(7, 10)), ValueError,
+                 "prec.p does not match p", id="alpha-prime"),
+])
+def test_named_errors(call, exc, fragment):
+    with pytest.raises(exc, match=re.escape(fragment)) as info:
+        call()
+    assert info.type is exc
+
+
+def test_scalar_edges():
+    assert PadicScalar.exact_zero(P5).abs_prec == inf
+    assert PadicScalar.from_unit_val(P5, 0, 3).is_exact_zero
+    assert _A.with_prec(P5) is _A
+    # relabelling keeps every digit of both coordinates
+    q = QuadExtScalar(_A, PadicScalar.from_unit_val(P5, 3, 1, rel=4), 1, 2)
+    p30 = Precision(5, 30)
+    moved = q.with_prec(p30)
+    assert moved.prec == p30 and moved.b.prec == p30
+    assert (_triple(moved.a), _triple(moved.b)) == (_triple(q.a), _triple(q.b))
+    assert (moved.k, moved.eps_seed) == (1, 2)
+    # a negative power is the power of the inverse
+    for x in (q, QuadExtScalar.alpha(P5, 1, 1)):
+        got, want = x ** -2, x.inverse() ** 2
+        assert (_triple(got.a), _triple(got.b)) == (_triple(want.a), _triple(want.b))
+    alpha = alpha_from_form(5, 1, 1)
+    assert alpha.prec == Precision(5, 20) and (alpha.k, alpha.eps_seed) == (1, 1)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -1054,3 +1055,130 @@ def test_a_scalar_over_another_prime_is_refused():
     ):
         with pytest.raises(PrecisionError, match=r"a scalar over p = 7 met a series over p = 5"):
             fn()
+
+
+# ------------------------------------------------------ refusals and edges
+
+
+def _triple(x: PadicScalar):
+    return x.val, x.unit, x.rel
+
+
+_ONE = PadicScalar.from_int(1, P5)
+_P5X3 = Precision(5, 10, 3)
+
+
+@pytest.mark.parametrize("call, exc, fragment", [
+    pytest.param(lambda: FiniteCharacter(0, -1), ValueError,
+                 "wild conductor exponent must be >= 0", id="wild-exponent"),
+    pytest.param(lambda: Series(P5, [_ONE], [_ONE]), ValueError,
+                 "a b-part needs form data", id="b-part-without-form"),
+    pytest.param(lambda: Series(P5, [_ONE], [_ONE, _ONE], (1, 1)), ValueError,
+                 "a/b coefficient arrays must have equal length", id="b-part-length"),
+    pytest.param(lambda: Series.make(P5, [QuadExtScalar.alpha(P5, 1, 1),
+                                          QuadExtScalar.alpha(P5, 2, 1)]),
+                 ValueError, "mixing coefficients from different forms", id="make-forms"),
+    pytest.param(lambda: frac_series([1, 2], poly=False).coeff(2), IndexError,
+                 "coefficient 2 is beyond the known length 2", id="coeff-past-window"),
+    pytest.param(lambda: Series.x(P5) + Series.x(Precision(5, 12, 16)), PrecisionError,
+                 "precision mismatch between series", id="p-prec-mismatch"),
+    pytest.param(lambda: frac_series([1, 2]).compose_affine(
+                     PadicScalar.from_int(5, P5), PadicScalar.inexact_zero(P5, 3)),
+                 PrecisionError, "affine composition needs a unit X-coefficient",
+                 id="compose-zero-d"),
+    pytest.param(lambda: frac_series([1, 2], poly=False).compose_affine(_ONE, _ONE),
+                 PrecisionError, "composition with v(c) < 1 would lose all X-adic precision",
+                 id="compose-unit-c"),
+    pytest.param(lambda: frac_series([1, 2], poly=False).evaluate(_ONE), PrecisionError,
+                 "evaluation outside the open unit disc", id="evaluate-unit"),
+    pytest.param(lambda: frac_series([1, 2, 3]).remainder_mod(frac_series([5, 1], poly=False)),
+                 ValueError, "modulus must be a polynomial over Q_p", id="modulus-truncated"),
+    pytest.param(lambda: frac_series([1, 2, 3]).remainder_mod(
+                     Series.make(P5, [5, QuadExtScalar.one(P5, 1, 1)], is_polynomial=True)),
+                 ValueError, "modulus must be a polynomial over Q_p", id="modulus-alpha-part"),
+    pytest.param(lambda: frac_series([1, 2, 3]).remainder_mod(
+                     Series.make(P5, [PadicScalar.inexact_zero(P5, 3)], is_polynomial=True)),
+                 ValueError, "modulus is zero at this precision", id="modulus-zero"),
+    pytest.param(lambda: frac_series([1, 2, 3]).remainder_mod(frac_series([1, 5])),
+                 ValueError, "modulus top coefficient must be a unit", id="modulus-top"),
+    pytest.param(lambda: frac_series([1, 2, 3]).remainder_mod(frac_series([Fraction(1, 5), 1])),
+                 ValueError, "modulus is not distinguished (offset != 0)", id="modulus-offset"),
+    pytest.param(lambda: linear_combination((1,), ()), ValueError, "1 scalars for 0 series",
+                 id="combination-lengths"),
+    pytest.param(lambda: cyclotomic_factor(-1, 0, P5), ValueError, "m must be >= 0",
+                 id="cyclotomic-level"),
+    pytest.param(lambda: IwasawaElement(P5, []), ValueError, "need 4 components, got 0",
+                 id="component-count"),
+    pytest.param(lambda: IwasawaElement.zero(P5, u=11) + IwasawaElement.zero(P5),
+                 PrecisionError, "mismatched cyclotomic generator images", id="generator-u"),
+    pytest.param(lambda: divide_series(Series.constant(1, P5), Series(
+                     P5, [PadicScalar(P5, 0, 1, 1), PadicScalar.inexact_zero(P5, 0)],
+                     is_polynomial=True)),
+                 PrecisionError, "the divisor's Weierstrass degree is not determined",
+                 id="weierstrass-width"),
+    pytest.param(lambda: divide_series(Series.constant(1, _P5X3), Series.make(
+                     _P5X3, [1, QuadExtScalar.alpha(_P5X3, 1, 1), 1], is_polynomial=True)),
+                 PrecisionError, "the divisor's norm G*conj(G) does not fit in the X-window",
+                 id="norm-window"),
+    pytest.param(lambda: divide_series(frac_series([1]), Series.zero(P5)), DivisibilityError,
+                 "divisor is zero at this precision", id="zero-divisor"),
+])
+def test_named_errors(call, exc, fragment):
+    with pytest.raises(exc, match=re.escape(fragment)) as info:
+        call()
+    assert info.type is exc
+
+
+def test_kernel_powers_refuse_a_negative_exponent_and_start_from_one():
+    with pytest.raises(ValueError, match="negative exponent"):
+        polypow([1, 1], -1, 25)
+    assert polypow([3, 1], 0, 25, 4) == [1]
+    # Y = 0: every product 1 * Y is the empty list, read as 0
+    assert geometric_sum([], 5, 25) == [1]
+
+
+def test_one_column_linear_factor_is_its_truncated_constant_term():
+    prec = Precision(5, 6, 1)
+    s = cyclotomic_factor(0, 2, prec)
+    assert not s.is_polynomial and s.length == 1
+    assert _triple(s.coeff(0)) == _triple(PadicScalar.from_fraction(Fraction(1, 36) - 1, prec))
+
+
+def test_evaluate_caps_both_coordinates_of_a_truncated_alpha_series():
+    prec = Precision(5, 12, 4)
+    alpha = QuadExtScalar.alpha(prec, 1, 1)
+    q0 = alpha * Fraction(1, 5) + 2
+    q1 = alpha + 3
+    s = Series.make(prec, [q0, q1])
+    x = PadicScalar.from_int(5, prec)
+    got = s.evaluate(x)
+    # Horner, then the tail's bound: cap L v(x) = 2, moved by each part's offset
+    want = q1 * x + q0
+    assert s._b.off == -1
+    assert _triple(got.a) == _triple(want.a.reduce_abs(2))
+    assert _triple(got.b) == _triple(want.b.reduce_abs(1))
+    assert (got.k, got.eps_seed) == (1, 1)
+
+
+def test_edges_of_empty_and_exact_zero_parts():
+    x = PadicScalar.from_int(5, P5)
+    assert Series.zero(P5).evaluate(x).is_exact_zero
+    z = Series.zero(P5, form=(1, 2)).evaluate(x)
+    assert isinstance(z, QuadExtScalar) and z.is_exact_zero and (z.k, z.eps_seed) == (1, 2)
+    # an all-exact part passes through affine composition untouched
+    s = frac_series([0, 0, 0])
+    out = s.compose_affine(x, _ONE)
+    assert out.is_polynomial and all(c.is_exact_zero for c in out.a)
+    # a top coefficient that is an exact zero does not count toward the degree
+    f = frac_series([3, 1, 4, 1, 5])
+    r3, r2 = f.remainder_mod(frac_series([5, 1, 0])), f.remainder_mod(frac_series([5, 1]))
+    assert [_triple(c) for c in r3.a] == [_triple(c) for c in r2.a]
+    assert r3.length == 1
+
+
+def test_zero_dividend_by_a_divisor_with_open_disc_zeros_is_exact_zero():
+    # nothing to solve for in the monic quotient: the dividend is shorter
+    # than the divisor's distinguished factor X - 5
+    q = divide_series(Series.zero(P5), frac_series([-5, 1]))
+    assert q.length == P5.x_prec
+    assert all(c.is_exact_zero for c in q.a)

@@ -562,3 +562,23 @@ class TestMatrixAgainstTheFold:
         got, want = self.both_paths(monkeypatch, run)
         assert got == want
         assert got[0]["ok"] is False and isinstance(got[1], dict)
+
+
+# ------------------------------------------------------ refusals and edges
+
+
+@pytest.mark.parametrize("sign, exc, fragment", [
+    pytest.param("bogus", ValueError, "sign must be one of", id="bad-sign"),
+    # a slot that its log does not divide: the division's failure names the row
+    pytest.param("plus", DivisibilityError, "cyclotomic certificate at level 2", id="plus"),
+    pytest.param("minus", DivisibilityError, "cyclotomic certificate at level 1", id="minus"),
+    pytest.param("dot", DivisibilityError, "cyclotomic certificate at level 0", id="dot"),
+])
+def test_coleman_named_errors(sign, exc, fragment):
+    one = Distribution(IwasawaElement.one(P32))
+    local = (Distribution(zero_elem(P32)), one, one, one)
+    with pytest.raises(exc, match=fragment) as info:
+        coleman_extract(local, sign, 0)
+    assert info.type is exc
+    if exc is DivisibilityError:
+        assert info.value.row == sign
