@@ -32,6 +32,11 @@ Precision semantics:
   one normalization per part: each scalar part times each series part is a
   term known modulo p^W as in a product, the terms are summed under the
   scalar rules, and the sum is normalized once;
+* a quotient (:func:`divide_series`) follows the scalar rules of
+  back-substitution, with each coefficient's cap set before its value: the
+  caps obey a min-plus recurrence over the divisor's valuations and caps,
+  unrolled through tables cached per divisor, and only the products that
+  reach a coefficient below its cap are formed;
 * a series flagged ``is_polynomial`` has exactly-zero coefficients beyond its
   stored length.  Everything else is a truncation of something longer, and the
   operations that mix degrees (affine composition, evaluation, remainders)
@@ -45,7 +50,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import accumulate
 from math import inf
+from operator import add
 
 from ._kernel import compose_affine as _k_compose
 from ._kernel import cyclotomic_cells as _k_cyclo
@@ -660,13 +668,16 @@ class Series:
     def evaluate(self, x: PadicScalar):
         """Horner evaluation at a scalar x with v(x) >= 1 (the open unit disc)."""
         L = len(self._a)
-        if L == 0:
-            if self.form is None:
-                return PadicScalar.exact_zero(self.prec)
-            return QuadExtScalar.zero(self.prec, *self.form)
         vx = inf if x.val is None else x.val
         if not self.is_polynomial and vx < 1:
             raise PrecisionError("evaluation outside the open unit disc")
+        if L == 0:
+            # an empty polynomial is the exact zero; of an empty truncation
+            # only the tail cap at L = 0 is known, a zero to O(p^0) per part
+            z = PadicScalar.inexact_zero(self.prec, 0)
+            if self.is_polynomial:
+                z = PadicScalar.exact_zero(self.prec)
+            return z if self.form is None else QuadExtScalar(z, z, *self.form)
         acc = self.coeff(L - 1)
         for n in range(L - 2, -1, -1):
             acc = acc * x + self.coeff(n)
@@ -1113,6 +1124,55 @@ def _weierstrass_split(G: Series):
     )
 
 
+@lru_cache(maxsize=64)
+def _divisor_columns(p, off, cells, abs_precs):
+    """(gv, gu, gr, terms) of a divisor's coefficients, cached by content.
+
+    gv[i], gu[i] and gr[i] are coefficient i's valuation (inf for an exact
+    zero, the bound A for a zero known to O(p^A)), unit and relative
+    precision; terms lists (i, gv[i], gu[i], gr[i]) for i >= 1, exact zeros
+    left out.  Every part, tame component and op at a window divides by the
+    same few logs, so they are read once.
+    """
+    gv, gu, gr = [inf] * len(cells), [0] * len(cells), [0] * len(cells)
+    for i, (c, A) in enumerate(zip(cells, abs_precs)):
+        if c:
+            k = _vp(c, p)
+            gv[i], gu[i], gr[i] = off + k, c // p**k, A - off - k
+        elif A != inf:
+            gv[i] = A
+    terms = tuple((i, gv[i], gu[i], gr[i]) for i in range(1, len(cells)) if gv[i] != inf)
+    return tuple(gv), tuple(gu), tuple(gr), terms
+
+
+@lru_cache(maxsize=64)
+def _cap_tables(n, gv, gr):
+    """(G*, prefix minima of G*, WA, gd) of a divisor, each on degrees 0..n-1.
+
+    gv and gr are the valuations and relative precisions of the divisor's
+    coefficients in reach, as _divisor_columns gives them; v0 = gv[0] is the
+    pivot's valuation and gA_i = gv_i + gr_i coefficient i's cap.  G* is the
+    min-plus star of (gv_i - v0), i >= 1: G*[0] = 0 and G*[k] is the least
+    sum of gv_i - v0 over the chains of degrees i summing to k.  WA[k] is the
+    least gA_i + G*[k - i] over i >= 1 (inf at k = 0).  gd[i] is gv_i where
+    coefficient i >= 1 carries digits, else inf, as at 0 and past the reach.
+    They depend on the divisor's valuations, caps and reach alone, so every
+    part, tame component and op at a window shares them; a key of valuations
+    only would merge divisors whose caps or reach differ.
+    """
+    v0 = gv[0]
+    g = [v - v0 for v in gv[1:]]
+    ga = [v + r for v, r in zip(gv[1:], gr[1:])]
+    star, wa = [0], [inf]
+    for _ in range(1, n):
+        back = star[::-1]  # G*[k - 1], ..., G*[0] pair with degrees 1..k
+        star.append(min(map(add, g, back), default=inf))
+        wa.append(min(map(add, ga, back), default=inf))
+    gd = [inf] + [v if r else inf for v, r in zip(gv[1:], gr[1:])]
+    gd += [inf] * (n - len(gd))
+    return tuple(star), tuple(accumulate(star, min)), tuple(wa), tuple(gd)
+
+
 def _back_substitute(num, den, n):
     """The first n terms of Q with Q*den = num, on the parts' integer columns.
 
@@ -1125,49 +1185,95 @@ def _back_substitute(num, den, n):
     each degree reduces once.  Quotient coefficients are (val, unit, rel)
     triples until packed.  An exact or zero-to-precision den[0] raises as
     PadicScalar.inverse does.
+
+    Each degree sets its cap A_m first and then forms only the products that
+    reach its value.  A_m is the least of num's cap numA_m and the pair terms
+    gv_i + qv_j + min(gr_i, qr_j) over i + j = m, i >= 1 (v valuation, r
+    relative precision, A = v + r cap), and two facts make it cheap:
+
+    * a zero-to-precision q_j adds only the bound (gv_i - v0) + A_j, v0 the
+      pivot's valuation, and no value; for a digit-carrying q_j that bound is
+      dominated by its own pair term min(gA_i + qv_j, gv_i + qA_j), since
+      qA_j <= A_j - v0;
+    * q_m mod p^(A_m) needs only the pairs with gv_i + qv_j < A_m, because
+      any representative of q_j agrees with it to its own cap.
+
+    So the caps obey a min-plus linear recurrence.  Unrolled through the
+    divisor's tables (_cap_tables) it reads
+        A_m = min((numA (*) G*)_m, min over digit-carrying j < m of
+                  min(qv_j + WA[m - j], qA_j + v0 + G*[m - j])),
+    with (*) the min-plus convolution; while num is known to one cap a, its
+    first term is a plus the least of G*[0..m].  Per degree the cheaper of
+    two exact forms sets A_m: that star form while the digit-carrying q_j are
+    few next to the pairs in reach, else the walk over the pairs in reach,
+    which keeps short divisors and dense quotients at the walk's cost.
     """
     p = den.p
-    terms = []  # (i, val, unit, rel) of den's coefficients, exact zeros left out
-    for i in range(min(n, len(den))):
-        v = den.val(i)
-        if v is not None:
-            terms.append((i, v, den.cells[i] // p ** (v - den.off), den.abs_precs[i] - v))
-    if not terms or terms[0][0]:
+    reach = min(n, len(den))
+    gv, gu, gr, terms = _divisor_columns(
+        p, den.off, tuple(den.cells[:reach]), tuple(den.abs_precs[:reach])
+    )
+    if not reach or gv[0] == inf:
         raise ExactZeroError("division by exact zero")
-    _, v0, u0, r0 = terms.pop(0)
+    v0, u0, r0 = gv[0], gu[0], gr[0]
     if r0 == 0:
         raise PrecisionError(f"division by zero-to-precision O(p^{v0})")
     vi, ri = -v0, r0
     ui = pow(u0, -1, p**r0)
+    off = num.off
+    cells, caps = _cols(num, 0, n)
+    # num is known to one cap a on the degrees below flat
+    a = caps[0] if n else inf
+    flat = next((m for m, A in enumerate(caps) if A != a), n) if a != inf else 0
+    tables = None
+    dig = []  # (j, qv, qA + v0, qu) of the digit-carrying q_j so far
     pw = [1]
     q = []
-    for m in range(n):
-        c = num.cells[m] if m < len(num) else 0
-        A = num.abs_precs[m] if m < len(num) else inf
-        live = [(num.off, c)] if c else []
-        for i, gv, gu, gr in terms:
-            if i > m:
-                break
-            qv, qu, qr = q[m - i]
-            if qv is None:
+    for m, c, A in zip(range(n), cells, caps):
+        if m < flat and 2 * len(dig) < min(m, reach - 1):
+            if tables is None:
+                tables = star, low, wa, gd = _cap_tables(n, gv, gr)
+            A = a + low[m]
+            near = []  # the pairs that may reach the value, filtered once A is set
+            for j, qv, qa, qu in dig:
+                k = m - j
+                t = qv + wa[k]
+                if t < A:
+                    A = t
+                t = qa + star[k]
+                if t < A:
+                    A = t
+                t = gd[k] + qv
+                if t < A:
+                    near.append((t, k, qu))
+            live = [(off, c)] if c and off < A else []
+            live += [(e, -gu[k] * qu) for e, k, qu in near if e < A]
+        else:
+            live = [(off, c)] if c else []
+            for i, gvi, gui, gri in terms:
+                if i > m:
+                    break
+                qv, qu, qr = q[m - i]
+                if qv is None:
+                    continue
+                e = gvi + qv
+                rr = gri if gri < qr else qr
+                if e + rr < A:
+                    A = e + rr
+                if rr:
+                    live.append((e, -gui * qu))
+            if A == inf:
+                q.append((None, 0, 0))
                 continue
-            e = gv + qv
-            rr = gr if gr < qr else qr
-            if e + rr < A:
-                A = e + rr
-            if rr:
-                live.append((e, -gu * qu))
-        if A == inf:
-            q.append((None, 0, 0))
-            continue
-        live = [t for t in live if t[0] < A]
+            live = [t for t in live if t[0] < A]
+        s = 0
         if live:
-            base = min(e for e, _ in live)
+            base = min(live)[0]
             while len(pw) <= A - base:
                 pw.append(pw[-1] * p)
-            s = sum(c * pw[e - base] for e, c in live) % pw[A - base]
-        else:
-            s = 0
+            for e, c in live:
+                s += c * pw[e - base]
+            s %= pw[A - base]
         if s == 0:
             sv, su, sr = A, 0, 0
         else:
@@ -1178,6 +1284,8 @@ def _back_substitute(num, den, n):
             sv, su, sr = base + k, s, A - base - k
         r = sr if sr < ri else ri
         q.append((sv + vi, su * ui % pw[r] if r else 0, r))
+        if r:
+            dig.append((m, sv + vi, sv + r, q[-1][1]))
     return Part.from_triples(p, q)
 
 
@@ -1224,6 +1332,17 @@ def divide_series(F: Series, G: Series, growth_order=None) -> Series:
     width, which the division by U, known to that width, caps it to anyway.
     Precision follows scalar propagation, plus a cap accounting for any
     below-d coefficients of F or G that are only zero to finite precision.
+
+    The kernel sets each quotient coefficient's cap A_m before its value,
+    from two facts: a zero-to-precision q_j passes on only the bound
+    (v(G_i) - v(G_0)) + A_j and no digit, and q_m mod p^(A_m) needs only the
+    products G_i * q_j of valuation below A_m.  So the caps follow the
+    min-plus recurrence A_m = min(A(F_m), min over i >= 1 of the pair terms
+    of G_i and q_(m-i)), which the divisor's min-plus star G* and its cap
+    table WA unroll: A_m = min((A(F) (*) G*)_m, min over digit-carrying j of
+    min(v(q_j) + WA[m - j], A(q_j) + v(G_0) + G*[m - j])).  When F is G
+    times a short series, the quotient past that series' degree is zeros to
+    precision, and each costs a bound, not a product per divisor term.
     """
     F._check_compat(G)
     if G._b is not None and G._b.min_abs != inf:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, gcd
+from math import comb, factorial, gcd, inf
 
 # ---------------------------------------------------------- exact poly algebra
 
@@ -284,6 +284,81 @@ def back_substitute_scalars(num, den, qlen: int) -> list:
             s = s - gi * q[mdeg - i]
         q.append(s / g0)
     return q
+
+
+def back_substitute_pairs(num, den, n):
+    """series._back_substitute as it ran before it set each cap first.
+
+    The first n terms of Q with Q*den = num, on the parts' integer columns,
+    walking every pair (i, m - i) in reach at every degree m and forming each
+    product before the cap drops it.
+
+    ``den`` is a divisor over Q_p; both parts read as exact zeros past their
+    end.  Each step obeys the scalar rules exactly: q[m] is num[m] plus the
+    products -den[i]*q[m-i] (each at the smaller relative precision, exact
+    zeros dropped), times 1/den[0] at the smaller relative precision.  A run
+    of min-abs additions is the exact sum of its terms reduced once, at the
+    smallest absolute precision among them, with the p-power stripped; so
+    each degree reduces once.  Quotient coefficients are (val, unit, rel)
+    triples until packed.  An exact or zero-to-precision den[0] raises as
+    PadicScalar.inverse does.
+    """
+    from iwa.scalars import ExactZeroError, PrecisionError
+    from iwa.series import Part
+
+    p = den.p
+    terms = []  # (i, val, unit, rel) of den's coefficients, exact zeros left out
+    for i in range(min(n, len(den))):
+        v = den.val(i)
+        if v is not None:
+            terms.append((i, v, den.cells[i] // p ** (v - den.off), den.abs_precs[i] - v))
+    if not terms or terms[0][0]:
+        raise ExactZeroError("division by exact zero")
+    _, v0, u0, r0 = terms.pop(0)
+    if r0 == 0:
+        raise PrecisionError(f"division by zero-to-precision O(p^{v0})")
+    vi, ri = -v0, r0
+    ui = pow(u0, -1, p**r0)
+    pw = [1]
+    q = []
+    for m in range(n):
+        c = num.cells[m] if m < len(num) else 0
+        A = num.abs_precs[m] if m < len(num) else inf
+        live = [(num.off, c)] if c else []
+        for i, gv, gu, gr in terms:
+            if i > m:
+                break
+            qv, qu, qr = q[m - i]
+            if qv is None:
+                continue
+            e = gv + qv
+            rr = gr if gr < qr else qr
+            if e + rr < A:
+                A = e + rr
+            if rr:
+                live.append((e, -gu * qu))
+        if A == inf:
+            q.append((None, 0, 0))
+            continue
+        live = [t for t in live if t[0] < A]
+        if live:
+            base = min(e for e, _ in live)
+            while len(pw) <= A - base:
+                pw.append(pw[-1] * p)
+            s = sum(c * pw[e - base] for e, c in live) % pw[A - base]
+        else:
+            s = 0
+        if s == 0:
+            sv, su, sr = A, 0, 0
+        else:
+            k = 0
+            while s % p == 0:
+                s //= p
+                k += 1
+            sv, su, sr = base + k, s, A - base - k
+        r = sr if sr < ri else ri
+        q.append((sv + vi, su * ui % pw[r] if r else 0, r))
+    return Part.from_triples(p, q)
 
 
 def quotient_by_monic_scalars(F, P):

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import inf
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from iwa._kernel import cyclotomic_cells, geometric_sum, polymul, polypow
@@ -15,8 +16,11 @@ from iwa.series import (
     DivisibilityError,
     FiniteCharacter,
     IwasawaElement,
+    Part,
     Series,
     _back_substitute,
+    _cap_tables,
+    _divisor_columns,
     cyclotomic_factor,
     divide_series,
     linear_combination,
@@ -25,6 +29,7 @@ from iwa.series import (
 )
 
 from oracles import (
+    back_substitute_pairs,
     back_substitute_scalars,
     log1plus_coeffs,
     phi_ppow_coeffs,
@@ -830,6 +835,157 @@ def test_triple_kernel_matches_scalar_loop(data):
     assert outcome(kernel) == outcome(scalar_loop)
 
 
+def column_triple(draw, p, lo, hi, kinds=("digit",) * 4 + ("exact", "zero")):
+    """A normalized (val, unit, rel) triple of valuation in lo..hi.
+
+    (None, 0, 0) is an exact zero and (A, 0, 0) a zero known to O(p^A).
+    """
+    kind = draw(st.sampled_from(kinds))
+    if kind == "exact":
+        return None, 0, 0
+    if kind == "zero":
+        return draw(st.integers(lo, hi + 4)), 0, 0
+    rel = draw(st.integers(1, 12))
+    u = draw(st.integers(0, p ** (rel - 1) - 1)) * p + draw(st.integers(1, p - 1))
+    return draw(st.integers(lo, hi)), u, rel
+
+
+@st.composite
+def back_substitution_cases(draw):
+    """(num, den, n) for the division kernel, as Parts.
+
+    The divisor is often shorter than n, and its pivot is rarely of least
+    valuation, as in the signed logs; it holds exact zeros and zeros to
+    precision, and at times has lost digits the dividend keeps.  The dividend
+    is a short seed times the divisor (a sparse quotient: zeros to precision
+    past the seed's degree), a long one (a dense quotient) or random, read at
+    one cap over the whole window, at jagged caps or as it is.
+    """
+    p = draw(st.sampled_from([3, 5, 7]))
+    n = 64 if draw(st.integers(0, 19)) == 0 else draw(st.integers(0, 40))
+    prec = Precision(p, 30, 2 * n + 16)
+    v0 = draw(st.integers(-2, 3))
+    pivot = draw(st.sampled_from(["digit"] * 18 + ["exact", "zero"]))
+    den = [column_triple(draw, p, v0, v0, (pivot,))]
+    kinds = draw(st.sampled_from([("digit",), ("digit",) * 3 + ("zero",), ("digit", "exact", "zero")]))
+    length = draw(st.integers(0, n + 2))
+    den += [column_triple(draw, p, v0 - 3, v0 + 5, kinds) for _ in range(length)]
+    den = Part.from_triples(p, den)
+    shape = draw(st.sampled_from(["sparse", "sparse", "dense", "random"]))
+    if shape == "random":
+        length = draw(st.integers(0, n + 2))
+        num = Part.from_triples(p, [column_triple(draw, p, -3, 5) for _ in range(length)])
+    else:
+        length = draw(st.integers(1, 7)) if shape == "sparse" else max(n, 1)
+        seed = Part.from_triples(p, [column_triple(draw, p, -1, 4) for _ in range(length)])
+        num = (Series(prec, seed, is_polynomial=True) * Series(prec, den, is_polynomial=True))._a
+        if draw(st.booleans()):  # the dividend keeps digits the divisor has lost
+            den = den.reduce_abs(v0 + draw(st.integers(1, 6)))
+    caps = draw(st.sampled_from(["one", "jagged", "as is"]))
+    if caps == "one":
+        pad = max(n - len(num), 0)
+        num = Part(p, num.off, num.cells + [0] * pad, num.abs_precs + [inf] * pad)
+        num = num.reduce_abs(draw(st.integers(-2, 30)))
+    elif caps == "jagged":
+        cut = [draw(st.one_of(st.just(inf), st.integers(-2, 30))) for _ in range(len(num))]
+        num = Part(p, num.off, num.cells, [min(A, c) for A, c in zip(num.abs_precs, cut)])
+        num = num.slice(0, len(num))  # normalized under the lowered caps
+    return num, den, n
+
+
+def columns_or_error(fn, *args):
+    try:
+        q = fn(*args)
+    except PrecisionError as e:  # ExactZeroError included
+        return type(e), str(e)
+    return q.off, q.cells, q.abs_precs
+
+
+@settings(max_examples=400, deadline=None)
+@given(back_substitution_cases())
+# the pivot (valuation -2, 3 digits) knows fewer digits than coefficient 1
+# (valuation -3, 4 digits), so at degree 3 the cap comes from q_1's own cap
+# carried along G*, not from the dividend's or the divisor's caps
+@example((
+    Part(5, -2, [0, 11465, 4953, 8455, 5338], [4] * 5),
+    Part(5, -3, [410, 297, 510, 0], [1] * 4),
+    9,
+))
+# 6/7 + O(1) + O(1)X + ...: the divisor's zeros to precision cap each q_m,
+# m >= 1, at v(q_0) plus their cap; at degree 3 the star form reads it from WA
+@example((
+    Part.from_triples(7, [(0, 97, 3)] + [(3, 0, 0)] * 3),
+    Part.from_triples(7, [(-1, 6, 1)] + [(0, 0, 0)] * 3),
+    4,
+))
+def test_cap_first_kernel_matches_pair_walk(case):
+    # every cap set first (from the divisor's tables or the walk) and every
+    # value from the pairs below it: the same columns as forming every
+    # product, or the same error
+    num, den, n = case
+    assert columns_or_error(_back_substitute, num, den, n) == columns_or_error(
+        back_substitute_pairs, num, den, n
+    )
+
+
+def chains(k):
+    """Every tuple of degrees >= 1 summing to k."""
+    if k == 0:
+        yield ()
+    for i in range(1, k + 1):
+        for rest in chains(k - i):
+            yield (i, *rest)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_cap_tables_are_least_chains(data):
+    p = data.draw(st.sampled_from([3, 5, 7]))
+    n = data.draw(st.integers(1, 8))
+    v0 = data.draw(st.integers(-2, 3))
+    den = [column_triple(data.draw, p, v0, v0, ("digit",))]
+    den += [column_triple(data.draw, p, v0 - 3, v0 + 5) for _ in range(data.draw(st.integers(0, 9)))]
+    den = Part.from_triples(p, den)
+    reach = min(n, len(den))
+    cells, abs_precs = tuple(den.cells[:reach]), tuple(den.abs_precs[:reach])
+    gv, _, gr, _ = _divisor_columns(p, den.off, cells, abs_precs)
+    star, low, wa, gd = _cap_tables(n, gv, gr)
+
+    def cost(chain):  # a degree past the reach or at an exact zero has no chain
+        return sum(gv[i] - v0 if i < reach else inf for i in chain)
+
+    want_star = [min(map(cost, chains(k))) for k in range(n)]
+    want_wa = [
+        min((gv[i] + gr[i] + want_star[k - i] for i in range(1, min(k + 1, reach))), default=inf)
+        for k in range(n)
+    ]
+    assert list(star) == want_star and list(wa) == want_wa
+    assert list(low) == [min(want_star[: k + 1]) for k in range(n)]
+    assert list(gd) == [gv[i] if 0 < i < reach and gr[i] else inf for i in range(n)]
+
+
+def test_cap_tables_key_holds_caps_and_reach():
+    # equal valuations, other caps or a shorter reach: other tables, so a
+    # cache keyed on valuations alone would hand jagged divisors wrong caps
+    p, n = 5, 4
+    base = Part.from_triples(p, [(0, 1, 10), (1, 1, 3), (1, 2, 10)])
+    other_caps = Part.from_triples(p, [(0, 1, 10), (1, 1, 7), (1, 2, 10)])
+    shorter = base.slice(0, 2)
+
+    def tables(den):
+        cols = _divisor_columns(p, den.off, tuple(den.cells), tuple(den.abs_precs))
+        return _cap_tables(n, cols[0], cols[2])
+
+    t = tables(base)
+    assert t[2] != tables(other_caps)[2]  # WA[1] is the cap of coefficient 1
+    assert t[0] != tables(shorter)[0]  # G*[2]: degree 2 (cost 1) beats 1 + 1 (cost 2)
+    for den in (base, other_caps, shorter):
+        num = Part.from_triples(p, [(0, 1, 12)] + [(12, 0, 0)] * (n - 1))
+        assert columns_or_error(_back_substitute, num, den, n) == columns_or_error(
+            back_substitute_pairs, num, den, n
+        )
+
+
 # ------------------------------------------- packed cells into columns
 
 
@@ -1165,6 +1321,19 @@ def test_edges_of_empty_and_exact_zero_parts():
     assert Series.zero(P5).evaluate(x).is_exact_zero
     z = Series.zero(P5, form=(1, 2)).evaluate(x)
     assert isinstance(z, QuadExtScalar) and z.is_exact_zero and (z.k, z.eps_seed) == (1, 2)
+    # an empty truncation knows only the tail cap at L = 0, and the disc
+    # still bounds x, as for any truncated series
+    for F in (Series(P5, ()), Series(P5, (), (), (1, 2))):
+        got = F.evaluate(x)
+        for part in (got,) if F.form is None else (got.a, got.b):
+            assert part.is_zero_to_precision and not part.is_exact_zero and part.abs_prec == 0
+        with pytest.raises(PrecisionError, match="open unit disc"):
+            F.evaluate(_ONE)
+    # divide_series returns one when the shared window ends at the divisor's order
+    prec = Precision(5, 10, 4)
+    q = divide_series(Series.make(prec, [0, 0, 0, 0]), Series.monomial(4, prec))
+    assert q.length == 0 and not q.is_polynomial
+    assert q.evaluate(PadicScalar.from_int(5, prec)).abs_prec == 0
     # an all-exact part passes through affine composition untouched
     s = frac_series([0, 0, 0])
     out = s.compose_affine(x, _ONE)
