@@ -203,6 +203,14 @@ def _certify_factors(F: Distribution, G: Distribution) -> None:
     tempered dividend has tail coefficients diving below its visible floor,
     and ignoring that would let truncation fold-down masquerade as a genuine
     nonzero remainder.
+
+    Every factor is reduced by remainder_mod_cyclotomic, in cyclo_factors
+    order, and what does not depend on the factor is computed once: F's
+    working width is memoized on F.body, each component's offsets, widths
+    and tail floor are memoized on the component under (growth order), and
+    each factor's columns are cached under (p, m, j, u, width, x_prec), so
+    divisions by the same logs at a window build them once.  The Euclidean
+    kernel reduces only its pivots (series._divmod_cells).
     """
     p = F.prec.p
     for m, j in G.cyclo_factors:

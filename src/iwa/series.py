@@ -132,6 +132,19 @@ class FiniteCharacter:
 # ------------------------------------------------------------- column layer
 
 
+def _memo(obj) -> dict:
+    """The private memo of an immutable Series or IwasawaElement.
+
+    It holds values derived from the object alone, so they never go stale;
+    it is made on first use, which keeps construction free of it.
+    """
+    try:
+        return obj._memo
+    except AttributeError:
+        object.__setattr__(obj, "_memo", {})
+        return obj._memo
+
+
 class Part:
     """One coefficient array as integer columns; see the module docstring.
 
@@ -149,7 +162,8 @@ class Part:
     def from_triples(cls, p, triples):
         """The part of normalized (val, unit, rel) triples, val None: exact zero."""
         off = min((v for v, _, _ in triples if v is not None), default=0)
-        cells = [0 if v is None else u * p ** (v - off) for v, u, _ in triples]
+        # exact zeros and zeros to precision have unit 0 and need no power
+        cells = [u * p ** (v - off) if u else 0 for v, u, _ in triples]
         return cls(p, off, cells, [inf if v is None else v + r for v, _, r in triples])
 
     def __len__(self):
@@ -295,22 +309,57 @@ def _divmod_cells(cells, phi, m):
     """Euclidean (quotient, remainder) of cells by phi mod m, phi's top a unit.
 
     Runs from the top down, so it is exact for a completely known dividend;
-    the remainder has len(phi) - 1 cells.
+    the remainder has len(phi) - 1 cells (as many as the dividend when it is
+    shorter).  Cells and phi may be unreduced, and the result is reduced.
+
+    Only the pivot is reduced.  The running dividend takes each update
+    -t * phi[i] unreduced, and the quotient coefficient at degree n is
+    t = (R[n] mod m) * top^-1 mod m, read off at the step that clears
+    degree n; the remainder cells are reduced once at the end.  Every R[n]
+    is congruent mod m to the cell a loop reducing each update holds, so
+    each pivot t, and hence the quotient, is the same, and so is the
+    remainder mod m.  This is the uniqueness of Euclidean division mod m by
+    a polynomial whose top coefficient is a unit (von zur Gathen-Gerhard,
+    Modern Computer Algebra, 9.1).
     """
     D = len(phi) - 1
     top_inv = pow(phi[D] % m, -1, m)
-    R = [c % m for c in cells]
+    low = [(i, c % m) for i, c in enumerate(phi[:D]) if c % m]
+    R = list(cells)
     Q = [0] * max(len(R) - D, 0)
     for n in range(len(R) - 1, D - 1, -1):
-        t = R[n] * top_inv % m
+        t = R[n] % m * top_inv % m
         if t:
             Q[n - D] = t
             base = n - D
-            for i in range(D):
-                if phi[i]:
-                    R[base + i] = (R[base + i] - t * phi[i]) % m
-        R[n] = 0
-    return Q, R[:D]
+            for i, c in low:
+                R[base + i] -= t * c
+    return Q, [c % m for c in R[:D]]
+
+
+def _modulus(phi):
+    """(D, off, cells, W, gmin): a modulus for Series.remainder_mod, read once.
+
+    ``phi`` must be a polynomial over Q_p whose top nonzero coefficient, at
+    degree D, is a unit.  off, W and cells are its coefficients 0..D packed
+    (Part.packed), and gmin is the least valuation of a lower coefficient
+    (W when all are exact zeros: the modulus is X^D).  An offset other than 0
+    (a modulus that is not distinguished) is refused by the remainder, after
+    its check of the dividend's length.
+    """
+    if not phi.is_polynomial or phi._b is not None:
+        raise ValueError("modulus must be a polynomial over Q_p")
+    D = len(phi._a) - 1
+    while D >= 0 and not phi._a.cells[D]:
+        D -= 1
+    if D < 0:
+        raise ValueError("modulus is zero at this precision")
+    if phi._a.val(D) != 0:
+        raise ValueError("modulus top coefficient must be a unit")
+    low = phi._a.slice(0, D + 1)
+    off, W, cells = low.packed()
+    gmin = min((v for v in map(low.val, range(D)) if v is not None), default=W)
+    return D, off, tuple(cells), W, gmin
 
 
 def _tail_floor(part, order: float, L: int, p: int) -> int:
@@ -375,7 +424,7 @@ def _scalar_triples(s, prec):
 class Series:
     """One wild-direction truncated series; see the module docstring."""
 
-    __slots__ = ("prec", "form", "_a", "_b", "is_polynomial")
+    __slots__ = ("prec", "form", "_a", "_b", "is_polynomial", "_memo")
 
     def __init__(self, prec, a, b=None, form=None, is_polynomial=False):
         """a and b are PadicScalar arrays, packed here once, or Parts.
@@ -712,15 +761,19 @@ class Series:
         floor is extrapolated along the tempered trend instead — otherwise
         the cap overstates what the window determines.
         """
-        if not phi.is_polynomial or phi._b is not None:
-            raise ValueError("modulus must be a polynomial over Q_p")
-        D = len(phi._a) - 1
-        while D >= 0 and not phi._a.cells[D]:
-            D -= 1
-        if D < 0:
-            raise ValueError("modulus is zero at this precision")
-        if phi._a.val(D) != 0:
-            raise ValueError("modulus top coefficient must be a unit")
+        return self._remainder(_modulus(phi), growth_order)
+
+    def _remainder(self, modulus, growth_order) -> "Series":
+        """remainder_mod by a modulus already read into columns (_modulus).
+
+        Each part is divided on its stored cells by _divmod_cells at the
+        smaller of its own and the modulus' widths; the kernel reduces, so
+        the cells need no packing first.  What the remainder needs of the
+        dividend alone (each part's offset, width and tail floor) is read
+        once per series and ``growth_order`` (_remainder_data), so the
+        certificates of one element at several moduli share it.
+        """
+        D, offp, cphi, Wp, gmin = modulus
         L = len(self._a)
         if L <= D:
             if not self.is_polynomial:
@@ -730,33 +783,58 @@ class Series:
                     f"its remainder modulo a degree-{D} polynomial"
                 )
             return self
-        p = self.prec.p
-        low = phi._a.slice(0, D + 1)
-        offp, Wp, cphi = low.packed()
         if offp != 0:
             raise ValueError("modulus is not distinguished (offset != 0)")
-        # all lower coefficients exactly zero: the modulus is X^D
-        gmin = min((v for v in map(low.val, range(D)) if v is not None), default=Wp)
+        p = self.prec.p
 
-        def do_part(part):
-            packed = part.packed()
-            if packed is None:
+        def do_part(part, data):
+            if data is None:
                 return unpack_part(p, None, D)
-            off, W, cells = packed
+            off, W, floor = data
             W = min(W, Wp)
-            caps = None
+            cells, caps = [], None
             if W > 0:
-                _, cells = _divmod_cells(cells, cphi, p**W)
-                if not self.is_polynomial:
+                _, cells = _divmod_cells(part.cells, cphi, p**W)
+                if floor is not None:
                     steps = -(-(L - D + 1) // D)  # ceil
-                    if growth_order is not None:
-                        floor = min(0, _tail_floor(part, float(growth_order), L, p))
-                    else:
-                        floor = min(0, off)
                     caps = [gmin * steps + floor - off] * D
             return unpack_part(p, (off, W, cells), D, caps)
 
-        return self._map_parts(do_part, is_polynomial=True)
+        data = self._remainder_data(growth_order)
+        a = do_part(self._a, data[0])
+        b = None if self._b is None else do_part(self._b, data[1])
+        return Series(self.prec, a, b, self.form, is_polynomial=True)
+
+    def _remainder_data(self, growth_order) -> tuple:
+        """Per part, what a remainder needs of this series: None for exact
+        zeros, else (off, W, floor) with W = min(abs_precs) - off the packed
+        width and floor the tail's valuation floor (None for a polynomial or
+        W = 0, where no cell is known and no cap is set).
+
+        The floor is min(0, off), or with ``growth_order`` the tempered
+        trend's floor (_tail_floor, one valuation per coefficient).  It
+        depends on the series and ``growth_order`` alone, so it sits in the
+        series' memo under ("remainder", growth_order).
+        """
+        memo = _memo(self)
+        key = ("remainder", growth_order)
+        if key not in memo:
+            L, p = len(self._a), self.prec.p
+            data = []
+            for part in self._parts():
+                A = part.min_abs
+                if A == inf:
+                    data.append(None)
+                    continue
+                floor = None
+                if not self.is_polynomial and A > part.off:  # no width: no cap
+                    if growth_order is None:
+                        floor = min(0, part.off)
+                    else:
+                        floor = min(0, _tail_floor(part, float(growth_order), L, p))
+                data.append((part.off, A - part.off, floor))
+            memo[key] = tuple(data)
+        return memo[key]
 
     # -- comparison --------------------------------------------------------
 
@@ -874,13 +952,25 @@ def cyclotomic_factor(
     return Series(prec, aa, is_polynomial=cyclotomic_degree(p, m) + 1 <= N)
 
 
+@lru_cache(maxsize=64)
+def _cyclotomic_modulus(p, m, j, u, rel, x_prec):
+    """_modulus of cyclotomic_factor(m, j) at (p, x_prec), built once.
+
+    The arguments fix the factor's content, so they are the key, and every
+    certificate at a window and working width, across elements and ops,
+    shares the columns; a window holds at most a few dozen (m, j), well
+    inside the bound.
+    """
+    return _modulus(cyclotomic_factor(m, j, Precision(p, rel, x_prec), u=u, rel=rel))
+
+
 # ------------------------------------------------------------ IwasawaElement
 
 
 class IwasawaElement:
     """An element of the Iwasawa algebra, stored as p-1 tame components."""
 
-    __slots__ = ("prec", "u", "components")
+    __slots__ = ("prec", "u", "components", "_memo")
 
     def __init__(self, prec: Precision, components, u: int | None = None):
         components = tuple(components)
@@ -1029,17 +1119,24 @@ class IwasawaElement:
         with theta of wild conductor exponent m (m = 0: the linear factor for
         the trivial wild character).  ``growth_order`` feeds the remainder's
         trust cap; see Series.remainder_mod.
+
+        The result is Series.remainder_mod by cyclotomic_factor(m, j) at the
+        working width rel = _working_digits() + 4, and nothing in it is
+        recomputed per call: the width is memoized on this element, the
+        factor's columns are cached under (p, m, j, u, rel, x_prec)
+        (_cyclotomic_modulus), and the component's offsets, widths and tail
+        floor are memoized on it per growth order (Series._remainder_data).
         """
-        D = cyclotomic_degree(self.prec.p, m)
+        p = self.prec.p
+        D = cyclotomic_degree(p, m)
         if D + 1 > self.prec.x_prec:  # Phi is a polynomial only with D + 1 terms
             raise PrecisionError(
                 f"x_prec={self.prec.x_prec} too small for deg Phi = {D}"
             )
-        comp = self.components[j % (self.prec.p - 1)]
-        phi = cyclotomic_factor(
-            m, j, self.prec, u=self.u, rel=self._working_digits() + 4
-        )
-        return comp.remainder_mod(phi, growth_order=growth_order)
+        comp = self.components[j % (p - 1)]
+        rel = self._working_digits() + 4
+        modulus = _cyclotomic_modulus(p, m, j, self.u, rel, self.prec.x_prec)
+        return comp._remainder(modulus, growth_order)
 
     # -- inspection --------------------------------------------------------
 
@@ -1048,15 +1145,19 @@ class IwasawaElement:
 
         A part's coefficients lie in p^min(0, off) Z_p and are known to at
         most its largest finite absolute precision, so the difference covers
-        them all.
+        them all.  It reads every cell's precision, so it is memoized on the
+        element.
         """
-        out = self.prec.p_prec
-        for s in {id(s): s for s in self.components}.values():
-            for part in s._parts():
-                top = max((A for A in part.abs_precs if A != inf), default=None)
-                if top is not None:
-                    out = max(out, top - min(0, part.off))
-        return out
+        memo = _memo(self)
+        if "digits" not in memo:
+            out = self.prec.p_prec
+            for s in {id(s): s for s in self.components}.values():
+                for part in s._parts():
+                    top = max((A for A in part.abs_precs if A != inf), default=None)
+                    if top is not None:
+                        out = max(out, top - min(0, part.off))
+            memo["digits"] = out
+        return memo["digits"]
 
     @property
     def is_zero_to_precision(self) -> bool:

@@ -361,6 +361,136 @@ def back_substitute_pairs(num, den, n):
     return Part.from_triples(p, q)
 
 
+# ------------------------------------- reference remainders and certificates
+#
+# How the cyclotomic certificates ran before they shared their work: every
+# factor rebuilt by cyclotomic_factor, the element's working width and the
+# component's packing and tail floor recomputed per factor, and a Euclidean
+# loop that reduces every update.  Built on the library's cyclotomic_factor,
+# Part.packed, _tail_floor and unpack_part, which the one-pass path must
+# reproduce cell for cell, error messages included.
+
+
+def divmod_cells_each_step(cells, phi, m):
+    """series._divmod_cells as it ran before it reduced only the pivot.
+
+    Euclidean (quotient, remainder) of cells by phi mod m, phi's top a unit,
+    from the top down, with every cell reduced mod m after every update.
+    """
+    D = len(phi) - 1
+    top_inv = pow(phi[D] % m, -1, m)
+    R = [c % m for c in cells]
+    Q = [0] * max(len(R) - D, 0)
+    for n in range(len(R) - 1, D - 1, -1):
+        t = R[n] * top_inv % m
+        if t:
+            Q[n - D] = t
+            base = n - D
+            for i in range(D):
+                if phi[i]:
+                    R[base + i] = (R[base + i] - t * phi[i]) % m
+        R[n] = 0
+    return Q, R[:D]
+
+
+def reference_remainder_mod(F, phi, growth_order=None):
+    """Series.remainder_mod with the modulus and each part read per call."""
+    from iwa.scalars import PrecisionError
+    from iwa.series import _tail_floor, unpack_part
+
+    if not phi.is_polynomial or phi._b is not None:
+        raise ValueError("modulus must be a polynomial over Q_p")
+    D = len(phi._a) - 1
+    while D >= 0 and not phi._a.cells[D]:
+        D -= 1
+    if D < 0:
+        raise ValueError("modulus is zero at this precision")
+    if phi._a.val(D) != 0:
+        raise ValueError("modulus top coefficient must be a unit")
+    L = len(F._a)
+    if L <= D:
+        if not F.is_polynomial:
+            raise PrecisionError(
+                f"a truncated dividend of length {L} does not determine "
+                f"its remainder modulo a degree-{D} polynomial"
+            )
+        return F
+    p = F.prec.p
+    low = phi._a.slice(0, D + 1)
+    offp, Wp, cphi = low.packed()
+    if offp != 0:
+        raise ValueError("modulus is not distinguished (offset != 0)")
+    gmin = min((v for v in map(low.val, range(D)) if v is not None), default=Wp)
+
+    def do_part(part):
+        packed = part.packed()
+        if packed is None:
+            return unpack_part(p, None, D)
+        off, W, cells = packed
+        W = min(W, Wp)
+        caps = None
+        if W > 0:
+            _, cells = divmod_cells_each_step(cells, cphi, p**W)
+            if not F.is_polynomial:
+                steps = -(-(L - D + 1) // D)
+                if growth_order is not None:
+                    floor = min(0, _tail_floor(part, float(growth_order), L, p))
+                else:
+                    floor = min(0, off)
+                caps = [gmin * steps + floor - off] * D
+        return unpack_part(p, (off, W, cells), D, caps)
+
+    return F._map_parts(do_part, is_polynomial=True)
+
+
+def reference_working_digits(elem) -> int:
+    """IwasawaElement._working_digits, every cell's precision read per call."""
+    out = elem.prec.p_prec
+    for s in {id(s): s for s in elem.components}.values():
+        for part in s._parts():
+            top = max((A for A in part.abs_precs if A != inf), default=None)
+            if top is not None:
+                out = max(out, top - min(0, part.off))
+    return out
+
+
+def reference_remainder_mod_cyclotomic(elem, m, j, growth_order=None):
+    """IwasawaElement.remainder_mod_cyclotomic, the factor rebuilt per call."""
+    from iwa.scalars import PrecisionError
+    from iwa.series import cyclotomic_degree, cyclotomic_factor
+
+    D = cyclotomic_degree(elem.prec.p, m)
+    if D + 1 > elem.prec.x_prec:
+        raise PrecisionError(f"x_prec={elem.prec.x_prec} too small for deg Phi = {D}")
+    comp = elem.components[j % (elem.prec.p - 1)]
+    rel = reference_working_digits(elem) + 4
+    phi = cyclotomic_factor(m, j, elem.prec, u=elem.u, rel=rel)
+    return reference_remainder_mod(comp, phi, growth_order)
+
+
+def reference_certify(F, G) -> None:
+    """distributions._certify_factors with one reference remainder per factor."""
+    from iwa.scalars import PrecisionError
+    from iwa.series import DivisibilityError
+
+    p = F.prec.p
+    for m, j in G.cyclo_factors:
+        try:
+            rem = reference_remainder_mod_cyclotomic(F.body, m, j, F.order_tag)
+        except PrecisionError:
+            continue
+        n = rem.first_nonzero()
+        if n is not None:
+            raise DivisibilityError(
+                f"dividend fails the cyclotomic certificate at level {m} "
+                f"(twist {j}): remainder coefficient at degree {n} is "
+                f"nonzero at its propagated precision",
+                degree=n,
+                component=j % (p - 1),
+                factor=(m, j),
+            )
+
+
 def quotient_by_monic_scalars(F, P):
     """Euclidean quotient of a polynomial F by a monic polynomial P, top down.
 

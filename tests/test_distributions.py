@@ -7,6 +7,8 @@ from fractions import Fraction
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iwa.distributions import (
     Distribution,
@@ -19,7 +21,7 @@ from iwa.distributions import (
 from iwa.scalars import PadicScalar, Precision, PrecisionError, QuadExtScalar
 from iwa.series import DivisibilityError, IwasawaElement, Series
 
-from oracles import log1plus_coeffs, padic_unit_val, rho_norm_scan
+from oracles import log1plus_coeffs, padic_unit_val, reference_certify, rho_norm_scan
 
 P5 = Precision(5, 20, 16)
 
@@ -257,6 +259,141 @@ def test_attained_reports_window_and_digits():
     F = diag([1, 1, 1], rel=12)
     M, N = F.attained()
     assert M == 12 and N == 3
+
+
+# -------------------------------------------- certificates against the reference
+
+
+def certify_outcome(fn, F, G):
+    """None for a passed certificate, else the refusal's type, message and payload."""
+    try:
+        fn(F, G)
+    except DivisibilityError as e:
+        return type(e), str(e), e.payload()
+    return None
+
+
+def gap_rows(k, N, seed):
+    """TestDivisibilityGap's rows and log column at the window (5, 20, N).
+
+    Seeds times each row's log, of r = k + 1 on the plus and minus rows,
+    pushed through M^-1 and read back through M: the plus and minus rows miss
+    part of the divisibility their logs certify (r = 2k + 2), the dot and
+    circ rows have all of it.
+    """
+    import random
+
+    from iwa.dieudonne import change_of_basis
+    from iwa.pollack import LogKind, pollack_log
+    from iwa.signed import CONVENTIONS, UnboundedQuadruple, _divisor_rows
+
+    rng = random.Random(seed)
+    conv = CONVENTIONS["theoremA"]
+    base = Precision(5, 20, N)
+    work = base.with_p_prec(base.p_prec + 40)
+    rows = []
+    for sign in conv.row_signs:
+        lk = conv.log_kind(sign, k)
+        if sign in ("plus", "minus"):
+            lk = LogKind(lk.kind, k + 1, shift=lk.shift)
+        body = IwasawaElement(base, [
+            Series.make(base, [rng.randint(-50, 50) for _ in range(7)], is_polynomial=True)
+            for _ in range(4)
+        ])
+        rows.append(pollack_log(lk, work) * Distribution(body.with_p_prec(work.p_prec)))
+    _, M_inv = change_of_basis(work, k, 1)
+    acc = []
+    for i in range(4):
+        v = rows[0].scale(M_inv[i][0])
+        for jj in range(1, 4):
+            v = v + rows[jj].scale(M_inv[i][jj])
+        acc.append(v.with_p_prec(base.p_prec))
+    _, rows, logs = _divisor_rows(UnboundedQuadruple(*acc), k, conv, None)
+    return rows, logs
+
+
+@pytest.mark.parametrize("k, seed", [(0, 1), (1, 2)])
+def test_certificates_match_the_per_factor_reference_on_gap_rows(k, seed):
+    # every row's verdict, message and payload, once cold and once with the
+    # row's memos and the moduli warm; the rows lie over Q_p(alpha)
+    rows, logs = gap_rows(k, 64, seed)
+    assert any(c._b is not None for row in rows for c in row.body.components)
+    outcomes = []
+    for row, log in zip(rows, logs):
+        want = certify_outcome(reference_certify, row, log)
+        for _ in range(2):
+            assert certify_outcome(_certify_factors, row, log) == want
+        outcomes.append(want)
+    assert outcomes[1] is not None  # the minus row is refused
+    assert outcomes[2] is None and outcomes[3] is None  # dot and circ pass
+
+
+@st.composite
+def certificate_cases(draw):
+    """(F, G): a dividend against a divisor's claimed cyclotomic factors.
+
+    Each component of F is the product of the claimed factors it answers to
+    times a small polynomial (it passes), that product plus a monomial (it
+    mostly fails), random jagged columns with or without an alpha-part, or a
+    polynomial shorter than its factors; it is read as a polynomial or as a
+    truncation, and F carries order tag 0, 1 or 2.  Factors run to levels
+    too large for the window, which are skipped.
+    """
+    from iwa.series import Part, cyclotomic_degree, cyclotomic_factor
+
+    p = draw(st.sampled_from([3, 5, 7]))
+    prec = Precision(p, draw(st.integers(8, 24)), draw(st.integers(2, 30)))
+    rel = prec.p_prec + 4
+    factors = draw(st.lists(
+        st.tuples(st.integers(0, 3), st.integers(-2, 4)), min_size=1, max_size=4, unique=True
+    ))
+
+    def random_part(n):
+        # digits (v, unit, rel), zeros known to O(p^A) and exact zeros
+        triples = []
+        for _ in range(n):
+            kind = draw(st.sampled_from(["digit", "digit", "digit", "zero", "exact"]))
+            if kind == "exact":
+                triples.append((None, 0, 0))
+            elif kind == "zero":
+                triples.append((draw(st.integers(-2, 8)), 0, 0))
+            else:
+                r = draw(st.integers(1, 10))
+                u = draw(st.integers(0, p ** (r - 1) - 1)) * p + draw(st.integers(1, p - 1))
+                triples.append((draw(st.integers(-2, 5)), u, r))
+        return Part.from_triples(p, triples)
+
+    comps = []
+    for i in range(p - 1):
+        kind = draw(st.sampled_from(["multiple", "perturbed", "random", "alpha", "short"]))
+        poly = draw(st.booleans())
+        if kind in ("multiple", "perturbed"):
+            coeffs = [draw(st.integers(-50, 50)) for _ in range(draw(st.integers(1, 4)))]
+            s = Series.make(prec, coeffs, rel=rel, is_polynomial=True)
+            for m, j in factors:
+                if j % (p - 1) == i and cyclotomic_degree(p, m) + 1 <= prec.x_prec:
+                    s = s * cyclotomic_factor(m, j, prec, rel=rel)
+            if kind == "perturbed":
+                s = s + Series.monomial(draw(st.integers(0, 3)), prec)
+        elif kind == "short":
+            s = Series.make(prec, [1, draw(st.integers(1, 9))], is_polynomial=True)
+        else:
+            n = draw(st.integers(0, prec.x_prec))
+            b = random_part(n) if kind == "alpha" else None
+            s = Series(prec, random_part(n), b, None if b is None else (1, 2), is_polynomial=True)
+        comps.append(Series(prec, s._a, s._b, s.form, is_polynomial=poly and s.is_polynomial))
+    F = Distribution(IwasawaElement(prec, comps), Fraction(draw(st.integers(0, 2))))
+    G = Distribution(IwasawaElement.one(prec), cyclo_factors=tuple(factors))
+    return F, G
+
+
+@settings(max_examples=200, deadline=None)
+@given(certificate_cases())
+def test_certificates_match_the_per_factor_reference(case):
+    F, G = case
+    want = certify_outcome(reference_certify, F, G)
+    for _ in range(2):
+        assert certify_outcome(_certify_factors, F, G) == want
 
 
 # ------------------------------------------------------ refusals and edges

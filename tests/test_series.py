@@ -7,7 +7,7 @@ from fractions import Fraction
 from math import inf
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from iwa._kernel import cyclotomic_cells, geometric_sum, polymul, polypow
@@ -21,6 +21,7 @@ from iwa.series import (
     _back_substitute,
     _cap_tables,
     _divisor_columns,
+    _divmod_cells,
     cyclotomic_factor,
     divide_series,
     linear_combination,
@@ -31,12 +32,15 @@ from iwa.series import (
 from oracles import (
     back_substitute_pairs,
     back_substitute_scalars,
+    divmod_cells_each_step,
     log1plus_coeffs,
     phi_ppow_coeffs,
     poly_compose_affine,
     poly_mul,
     reference_divide,
     reference_linear_combination,
+    reference_remainder_mod,
+    reference_remainder_mod_cyclotomic,
     series_from_cells,
 )
 
@@ -514,6 +518,140 @@ def test_remainder_refuses_a_level_whose_degree_fills_the_window(p, m):
     F = IwasawaElement.from_diagonal(Series.make(prec, [1, 2, 3], is_polynomial=True))
     with pytest.raises(PrecisionError, match="too small for deg Phi = 6"):
         F.remainder_mod_cyclotomic(m, 0)
+
+
+@st.composite
+def divmod_cases(draw):
+    """(cells, phi, m) for the Euclidean kernel.
+
+    p is 3, 5 or 7, phi has degree D in {1, 4, 20, 100} and a top that is 1,
+    another unit or an unreduced unit, the width W runs from 1 to 60 digits,
+    and the dividend is shorter than, as long as or longer than phi.  Cells
+    and lower coefficients may be unreduced, negative or zero.
+    """
+    p = draw(st.sampled_from([3, 5, 7]))
+    D = draw(st.sampled_from([1, 4, 20, 100]))
+    W = draw(st.integers(1, 60))
+    m = p**W
+    cell = st.one_of(st.just(0), st.integers(0, m - 1), st.integers(-m, 2 * m))
+    top = draw(st.sampled_from(["one", "unit", "unreduced"]))
+    if top == "one":
+        t = 1
+    else:
+        t = draw(st.integers(0, p ** (W - 1) - 1)) * p + draw(st.integers(1, p - 1))
+        assume(t != 1)
+        if top == "unreduced":
+            t += m * draw(st.integers(-2, 2))
+    phi = draw(st.lists(cell, min_size=D, max_size=D)) + [t]
+    shape = draw(st.sampled_from(["shorter", "equal", "longer"]))
+    L = D + 1
+    if shape == "shorter":
+        L = draw(st.integers(0, D))
+    elif shape == "longer":
+        L += draw(st.integers(1, 60))
+    return draw(st.lists(cell, min_size=L, max_size=L)), phi, m
+
+
+@settings(max_examples=200, deadline=None)
+@given(divmod_cases())
+def test_divmod_cells_matches_reducing_every_update(case):
+    # reducing only the pivot and the final remainder gives the quotient and
+    # remainder of reducing after every update, and leaves the input as it was
+    cells, phi, m = case
+    before = list(cells)
+    assert _divmod_cells(cells, phi, m) == divmod_cells_each_step(cells, phi, m)
+    assert cells == before
+
+
+def remainder_or_error(fn, *args):
+    try:
+        r = fn(*args)
+    except (ArithmeticError, ValueError) as e:
+        return type(e), str(e)
+    return r.is_polynomial, r.form, [(x.off, x.cells, x.abs_precs) for x in r._parts()]
+
+
+def random_part(draw, p, n):
+    return Part.from_triples(p, [column_triple(draw, p, -3, 6) for _ in range(n)])
+
+
+@st.composite
+def cyclotomic_remainder_cases(draw):
+    """An element and a list of (m, j, growth order) to reduce it by.
+
+    Components are polynomials or truncations, some shorter than a factor,
+    of jagged precision, some with an alpha-part, some a cyclotomic factor
+    times a short polynomial (a zero remainder); levels run from the linear
+    factor to ones too large for the window.
+    """
+    p = draw(st.sampled_from([3, 5, 7]))
+    prec = Precision(p, draw(st.integers(4, 24)), draw(st.integers(2, 40)))
+    comps = []
+    for _ in range(p - 1):
+        n = draw(st.integers(0, prec.x_prec))
+        poly = draw(st.booleans())
+        kind = draw(st.sampled_from(["random", "alpha", "multiple"]))
+        if kind == "multiple":
+            m, j = draw(st.integers(0, 1)), draw(st.integers(-2, 4))
+            seed = Series(prec, random_part(draw, p, draw(st.integers(1, 3))), is_polynomial=True)
+            s = cyclotomic_factor(m, j, prec, rel=draw(st.integers(4, 30))) * seed
+            comps.append(Series(prec, s._a, is_polynomial=poly and s.is_polynomial))
+        else:
+            b = random_part(draw, p, n) if kind == "alpha" else None
+            form = (1, 2) if kind == "alpha" else None
+            comps.append(Series(prec, random_part(draw, p, n), b, form, is_polynomial=poly))
+    elem = IwasawaElement(prec, comps)
+    orders = st.sampled_from([None, Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2)])
+    checks = draw(st.lists(
+        st.tuples(st.integers(0, 3), st.integers(-3, 6), orders), min_size=1, max_size=6
+    ))
+    return elem, checks
+
+
+@settings(max_examples=200, deadline=None)
+@given(cyclotomic_remainder_cases())
+def test_remainder_mod_cyclotomic_matches_per_call_reference(case):
+    # the cached modulus, the memoized width and the memoized part data give
+    # the remainder the per-call reference gives, at every check in turn and
+    # again once every memo is warm
+    elem, checks = case
+    for _ in range(2):
+        for m, j, order in checks:
+            assert remainder_or_error(
+                elem.remainder_mod_cyclotomic, m, j, order
+            ) == remainder_or_error(reference_remainder_mod_cyclotomic, elem, m, j, order)
+
+
+@st.composite
+def general_remainder_cases(draw):
+    """(F, phi, growth order): any modulus, refused ones included."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    prec = Precision(p, 20, 24)
+    D = draw(st.integers(0, 6))
+    kind = draw(st.sampled_from(["distinguished"] * 4 + ["offset", "top", "truncated", "alpha"]))
+    low = [column_triple(draw, p, 1, 4) for _ in range(D)]
+    top = (0, draw(st.integers(1, p - 1)), draw(st.integers(1, 12)))
+    if kind == "offset":
+        low = [(-1, 1, 10)] + low
+    elif kind == "top":
+        top = (1, 1, 10)
+    phi = Series(prec, Part.from_triples(p, low + [top]), is_polynomial=kind != "truncated")
+    if kind == "alpha":
+        phi = Series(prec, phi._a, phi._a, (1, 2), is_polynomial=True)
+    n = draw(st.integers(0, 12))
+    F = Series(prec, random_part(draw, p, n), is_polynomial=draw(st.booleans()))
+    order = draw(st.sampled_from([None, Fraction(0), Fraction(1)]))
+    return F, phi, order
+
+
+@settings(max_examples=200, deadline=None)
+@given(general_remainder_cases())
+def test_remainder_mod_matches_per_call_reference(case):
+    # the same cells, or the same refusal raised in the same order
+    F, phi, order = case
+    assert remainder_or_error(F.remainder_mod, phi, order) == remainder_or_error(
+        reference_remainder_mod, F, phi, order
+    )
 
 
 # ------------------------------------------------------------------- division
