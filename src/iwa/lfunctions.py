@@ -198,12 +198,13 @@ def _bernoulli_row(n: int) -> tuple:
     return D, tuple(math.comb(n, i) * (b * D).numerator for i, b in enumerate(bs))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _omega_powers(p: int, prec: Precision, rel: int) -> tuple:
     """Powers of the fixed Teichmuller generator, index = exponent.
 
-    Memoized, so one Teichmuller lift serves every call at a precision; the
-    tuple is shared by the callers, and scalars are immutable.
+    Memoized per window (up to 64), so one Teichmuller lift serves every call
+    at a precision; the tuple is shared by the callers, and scalars are
+    immutable.
     """
     base = teichmuller(_primitive_root(p), prec, rel)
     out = [PadicScalar.from_int(1, prec, rel)]

@@ -312,11 +312,8 @@ def pollack_log(spec: LogKind, prec: Precision) -> Distribution:
             meta,
         )
 
-    # plus/minus: estimate the per-twist factor count to size the working
-    # modulus W the cells are reported at, form the stripped product G at
-    # the depth the caps below read, and apply the whole offset at once
-    est_levels = M + ceil_log(max(N, 2), p) + 8
-    W = M + spec.r * (est_levels // 2 + 3) + 6
+    # plus/minus: form the stripped product G at the depth the caps below
+    # read, and apply the whole offset at once
     L = spec.r * _short_levels(spec.kind, p, N)
     R = M + L + 1
     pR = p**R
@@ -338,8 +335,9 @@ def pollack_log(spec: LogKind, prec: Precision) -> Distribution:
         )
     # the discarded tail multiplies the integral product by 1 + O(p^M), so
     # coefficient n is only trusted to (min valuation through degree n) + M;
-    # the constant term has valuation A + L, so no cap passes A + L + M, and
-    # p^A G, known mod p^(A+R), gives every cell and valuation the scan reads
+    # the constant term has valuation A + L, so no cap passes W = A + L + M,
+    # and p^A G, known mod p^(A+R), gives every cell and valuation the scan reads
+    W = A + L + M
     pA, pW = p**A, p**W
     total = [g * pA % pW for g in G]
     run = W
@@ -347,7 +345,7 @@ def pollack_log(spec: LogKind, prec: Precision) -> Distribution:
     for c in total:
         if c:
             run = min(run, _vp(c, p))
-        caps.append(min(W, run + M))
+        caps.append(run + M)
     body = Series(prec, unpack_part(p, (-offset, W, total), len(total), caps))
     parity = 0 if spec.kind == "plus" else 1
     factors = [

@@ -33,10 +33,8 @@ Precision semantics:
   term known modulo p^W as in a product, the terms are summed under the
   scalar rules, and the sum is normalized once;
 * a quotient (:func:`divide_series`) follows the scalar rules of
-  back-substitution, with each coefficient's cap set before its value: the
-  caps obey a min-plus recurrence over the divisor's valuations and caps,
-  unrolled through tables cached per divisor, and only the products that
-  reach a coefficient below its cap are formed;
+  back-substitution, each coefficient's cap set before its value
+  (:func:`_back_substitute`);
 * a series flagged ``is_polynomial`` has exactly-zero coefficients beyond its
   stored length.  Everything else is a truncation of something longer, and the
   operations that mix degrees (affine composition, evaluation, remainders)
@@ -209,6 +207,9 @@ class Part:
         return _part(self.p, self.off, self.cells, [min(A, cap) for A in self.abs_precs])
 
     def slice(self, start, stop):
+        """Degrees start..stop-1, normalized; the whole range is the part itself."""
+        if start == 0 and stop == len(self):
+            return self
         return _part(self.p, self.off, *_cols(self, start, stop))
 
     def reverse(self):
@@ -753,7 +754,8 @@ class Series:
         min-valuation-gain digits, and the remainder's precision is capped by
         the resulting worst-case bound.  A non-polynomial dividend no longer
         than deg(phi) determines no remainder coefficient and raises
-        PrecisionError.
+        PrecisionError; modulo a unit (deg(phi) = 0) the remainder is the
+        empty polynomial, whatever the dividend.
 
         The cap needs a model of how deep the unseen tail coefficients sit.
         By default they are assumed no worse than the visible floor; for a
@@ -774,6 +776,8 @@ class Series:
         certificates of one element at several moduli share it.
         """
         D, offp, cphi, Wp, gmin = modulus
+        if not D:  # mod a unit the remainder is empty, whatever the dividend
+            return self._map_parts(lambda x: x.slice(0, 0), is_polynomial=True)
         L = len(self._a)
         if L <= D:
             if not self.is_polynomial:
@@ -1226,14 +1230,19 @@ def _weierstrass_split(G: Series):
 
 
 @lru_cache(maxsize=64)
-def _divisor_columns(p, off, cells, abs_precs):
-    """(gv, gu, gr, terms) of a divisor's coefficients, cached by content.
+def _divisor_plan(p, off, cells, abs_precs, n):
+    """What _back_substitute reads of a divisor, cached by content and n.
 
-    gv[i], gu[i] and gr[i] are coefficient i's valuation (inf for an exact
+    The columns gv, gu, gr hold each coefficient's valuation (inf for an exact
     zero, the bound A for a zero known to O(p^A)), unit and relative
-    precision; terms lists (i, gv[i], gu[i], gr[i]) for i >= 1, exact zeros
-    left out.  Every part, tame component and op at a window divides by the
-    same few logs, so they are read once.
+    precision, and terms lists (i, gv[i], gu[i], gr[i]) for i >= 1, exact
+    zeros left out.  The cap tables, on degrees 0..n-1, are: G*, the min-plus
+    star of (gv_i - v0), i >= 1, with v0 = gv[0] (G*[0] = 0, and G*[k] the
+    least sum of gv_i - v0 over the chains of degrees i summing to k); its
+    prefix minima; WA[k], the least gv_i + gr_i + G*[k - i] over i >= 1 (inf
+    at k = 0); and gd[i], gv_i where coefficient i >= 1 carries digits, else
+    inf, as at 0 and past the cells.  Every part, tame component and op at a
+    window divides by the same few logs, so each plan is built once.
     """
     gv, gu, gr = [inf] * len(cells), [0] * len(cells), [0] * len(cells)
     for i, (c, A) in enumerate(zip(cells, abs_precs)):
@@ -1243,26 +1252,7 @@ def _divisor_columns(p, off, cells, abs_precs):
         elif A != inf:
             gv[i] = A
     terms = tuple((i, gv[i], gu[i], gr[i]) for i in range(1, len(cells)) if gv[i] != inf)
-    return tuple(gv), tuple(gu), tuple(gr), terms
-
-
-@lru_cache(maxsize=64)
-def _cap_tables(n, gv, gr):
-    """(G*, prefix minima of G*, WA, gd) of a divisor, each on degrees 0..n-1.
-
-    gv and gr are the valuations and relative precisions of the divisor's
-    coefficients in reach, as _divisor_columns gives them; v0 = gv[0] is the
-    pivot's valuation and gA_i = gv_i + gr_i coefficient i's cap.  G* is the
-    min-plus star of (gv_i - v0), i >= 1: G*[0] = 0 and G*[k] is the least
-    sum of gv_i - v0 over the chains of degrees i summing to k.  WA[k] is the
-    least gA_i + G*[k - i] over i >= 1 (inf at k = 0).  gd[i] is gv_i where
-    coefficient i >= 1 carries digits, else inf, as at 0 and past the reach.
-    They depend on the divisor's valuations, caps and reach alone, so every
-    part, tame component and op at a window shares them; a key of valuations
-    only would merge divisors whose caps or reach differ.
-    """
-    v0 = gv[0]
-    g = [v - v0 for v in gv[1:]]
+    g = [v - gv[0] for v in gv[1:]]
     ga = [v + r for v, r in zip(gv[1:], gr[1:])]
     star, wa = [0], [inf]
     for _ in range(1, n):
@@ -1271,7 +1261,8 @@ def _cap_tables(n, gv, gr):
         wa.append(min(map(add, ga, back), default=inf))
     gd = [inf] + [v if r else inf for v, r in zip(gv[1:], gr[1:])]
     gd += [inf] * (n - len(gd))
-    return tuple(star), tuple(accumulate(star, min)), tuple(wa), tuple(gd)
+    star, low = tuple(star), tuple(accumulate(star, min))
+    return tuple(gv), tuple(gu), tuple(gr), terms, star, low, tuple(wa), tuple(gd)
 
 
 def _back_substitute(num, den, n):
@@ -1300,22 +1291,24 @@ def _back_substitute(num, den, n):
       any representative of q_j agrees with it to its own cap.
 
     So the caps obey a min-plus linear recurrence.  Unrolled through the
-    divisor's tables (_cap_tables) it reads
+    divisor's tables (_divisor_plan) it reads
         A_m = min((numA (*) G*)_m, min over digit-carrying j < m of
                   min(qv_j + WA[m - j], qA_j + v0 + G*[m - j])),
     with (*) the min-plus convolution; while num is known to one cap a, its
     first term is a plus the least of G*[0..m].  Per degree the cheaper of
     two exact forms sets A_m: that star form while the digit-carrying q_j are
     few next to the pairs in reach, else the walk over the pairs in reach,
-    which keeps short divisors and dense quotients at the walk's cost.
+    which keeps short divisors and dense quotients at the walk's cost.  When
+    num is den times a short series, the quotient past that series' degree
+    is zeros to precision, and each costs a bound, not a product per term.
     """
     p = den.p
     reach = min(n, len(den))
-    gv, gu, gr, terms = _divisor_columns(
-        p, den.off, tuple(den.cells[:reach]), tuple(den.abs_precs[:reach])
-    )
-    if not reach or gv[0] == inf:
+    if not reach or den.abs_precs[0] == inf:
         raise ExactZeroError("division by exact zero")
+    gv, gu, gr, terms, star, low, wa, gd = _divisor_plan(
+        p, den.off, tuple(den.cells[:reach]), tuple(den.abs_precs[:reach]), n
+    )
     v0, u0, r0 = gv[0], gu[0], gr[0]
     if r0 == 0:
         raise PrecisionError(f"division by zero-to-precision O(p^{v0})")
@@ -1326,14 +1319,11 @@ def _back_substitute(num, den, n):
     # num is known to one cap a on the degrees below flat
     a = caps[0] if n else inf
     flat = next((m for m, A in enumerate(caps) if A != a), n) if a != inf else 0
-    tables = None
     dig = []  # (j, qv, qA + v0, qu) of the digit-carrying q_j so far
     pw = [1]
     q = []
     for m, c, A in zip(range(n), cells, caps):
         if m < flat and 2 * len(dig) < min(m, reach - 1):
-            if tables is None:
-                tables = star, low, wa, gd = _cap_tables(n, gv, gr)
             A = a + low[m]
             near = []  # the pairs that may reach the value, filtered once A is set
             for j, qv, qa, qu in dig:
@@ -1433,17 +1423,6 @@ def divide_series(F: Series, G: Series, growth_order=None) -> Series:
     width, which the division by U, known to that width, caps it to anyway.
     Precision follows scalar propagation, plus a cap accounting for any
     below-d coefficients of F or G that are only zero to finite precision.
-
-    The kernel sets each quotient coefficient's cap A_m before its value,
-    from two facts: a zero-to-precision q_j passes on only the bound
-    (v(G_i) - v(G_0)) + A_j and no digit, and q_m mod p^(A_m) needs only the
-    products G_i * q_j of valuation below A_m.  So the caps follow the
-    min-plus recurrence A_m = min(A(F_m), min over i >= 1 of the pair terms
-    of G_i and q_(m-i)), which the divisor's min-plus star G* and its cap
-    table WA unroll: A_m = min((A(F) (*) G*)_m, min over digit-carrying j of
-    min(v(q_j) + WA[m - j], A(q_j) + v(G_0) + G*[m - j])).  When F is G
-    times a short series, the quotient past that series' degree is zeros to
-    precision, and each costs a bound, not a product per divisor term.
     """
     F._check_compat(G)
     if G._b is not None and G._b.min_abs != inf:

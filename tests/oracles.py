@@ -407,6 +407,8 @@ def reference_remainder_mod(F, phi, growth_order=None):
         raise ValueError("modulus is zero at this precision")
     if phi._a.val(D) != 0:
         raise ValueError("modulus top coefficient must be a unit")
+    if D == 0:  # mod a unit the remainder is empty, whatever the dividend
+        return F._map_parts(lambda x: x.slice(0, 0), is_polynomial=True)
     L = len(F._a)
     if L <= D:
         if not F.is_polynomial:

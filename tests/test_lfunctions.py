@@ -369,6 +369,14 @@ class TestGenBernoulli:
 # ------------------------------------------------------------------ L-values
 
 
+    def test_omega_powers_keep_at_most_64_windows(self):
+        # one entry per (p, prec, rel): a sweep over windows must not pile up
+        for M in range(1, 81):
+            lfunctions._omega_powers(7, Precision(7, M, 8), M)
+        info = lfunctions._omega_powers.cache_info()
+        assert info.maxsize == 64 and info.currsize <= 64
+
+
 class TestKlValue:
     def test_branch_two_at_minus_one(self):
         # -(1 - 5) B_2 / 2 = 4 * (1/6) / 2 = 1/3

@@ -19,9 +19,9 @@ from iwa.series import (
     Part,
     Series,
     _back_substitute,
-    _cap_tables,
-    _divisor_columns,
+    _divisor_plan,
     _divmod_cells,
+    _part,
     cyclotomic_factor,
     divide_series,
     linear_combination,
@@ -501,6 +501,22 @@ def test_remainder_of_a_short_truncated_dividend_is_undetermined():
     with pytest.raises(PrecisionError):
         Series.make(phi.prec, [1], is_polynomial=False).remainder_mod(phi)
     assert Series.make(phi.prec, [1], is_polynomial=True).remainder_mod(phi) == 1
+
+
+@pytest.mark.parametrize("n", [0, 3])
+@pytest.mark.parametrize("poly", [False, True])
+@pytest.mark.parametrize("form", [None, (1, 2)])
+def test_remainder_mod_a_unit_is_the_empty_polynomial(n, poly, form):
+    # a degree-0 modulus leaves no remainder coefficient, so nothing to cap
+    # and nothing for a truncated dividend's tail to reach, even an empty one
+    prec = Precision(5, 20, 8)
+    F = Series.make(prec, [Fraction(c) for c in (1, 2, 3)[:n]], is_polynomial=poly)
+    if form is not None:
+        b = Series.make(prec, [Fraction(c) for c in (4, 0, 5)[:n]], is_polynomial=poly)
+        F = Series(prec, F._a, b._a, form, poly)
+    r = F.remainder_mod(Series.make(prec, [2], is_polynomial=True))
+    assert r.is_polynomial and r.length == 0 and r.form == form
+    assert (r._b is None) == (form is None)
 
 
 def test_remainder_requires_room():
@@ -1026,8 +1042,8 @@ def back_substitution_cases(draw):
         num = num.reduce_abs(draw(st.integers(-2, 30)))
     elif caps == "jagged":
         cut = [draw(st.one_of(st.just(inf), st.integers(-2, 30))) for _ in range(len(num))]
-        num = Part(p, num.off, num.cells, [min(A, c) for A, c in zip(num.abs_precs, cut)])
-        num = num.slice(0, len(num))  # normalized under the lowered caps
+        # normalized under the lowered caps
+        num = _part(p, num.off, num.cells, [min(A, c) for A, c in zip(num.abs_precs, cut)])
     return num, den, n
 
 
@@ -1086,8 +1102,7 @@ def test_cap_tables_are_least_chains(data):
     den = Part.from_triples(p, den)
     reach = min(n, len(den))
     cells, abs_precs = tuple(den.cells[:reach]), tuple(den.abs_precs[:reach])
-    gv, _, gr, _ = _divisor_columns(p, den.off, cells, abs_precs)
-    star, low, wa, gd = _cap_tables(n, gv, gr)
+    gv, _, gr, _, star, low, wa, gd = _divisor_plan(p, den.off, cells, abs_precs, n)
 
     def cost(chain):  # a degree past the reach or at an exact zero has no chain
         return sum(gv[i] - v0 if i < reach else inf for i in chain)
@@ -1110,9 +1125,8 @@ def test_cap_tables_key_holds_caps_and_reach():
     other_caps = Part.from_triples(p, [(0, 1, 10), (1, 1, 7), (1, 2, 10)])
     shorter = base.slice(0, 2)
 
-    def tables(den):
-        cols = _divisor_columns(p, den.off, tuple(den.cells), tuple(den.abs_precs))
-        return _cap_tables(n, cols[0], cols[2])
+    def tables(den):  # (G*, prefix minima, WA, gd)
+        return _divisor_plan(p, den.off, tuple(den.cells), tuple(den.abs_precs), n)[4:]
 
     t = tables(base)
     assert t[2] != tables(other_caps)[2]  # WA[1] is the cap of coefficient 1
@@ -1452,6 +1466,14 @@ def test_evaluate_caps_both_coordinates_of_a_truncated_alpha_series():
     assert _triple(got.a) == _triple(want.a.reduce_abs(2))
     assert _triple(got.b) == _triple(want.b.reduce_abs(1))
     assert (got.k, got.eps_seed) == (1, 1)
+
+
+def test_whole_range_slice_is_the_part_itself():
+    x = frac_series([3, 1, 4, 1, 5])._a
+    assert x.slice(0, len(x)) is x
+    # any other range is a new part, normalized
+    y = x.slice(1, len(x))
+    assert y is not x and (y.off, y.cells, y.abs_precs) == (x.off, x.cells[1:], x.abs_precs[1:])
 
 
 def test_edges_of_empty_and_exact_zero_parts():

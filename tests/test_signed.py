@@ -14,7 +14,7 @@ from iwa.dieudonne import change_of_basis
 from iwa.distributions import Distribution, divide_exact
 from iwa.pollack import LogKind, pollack_log
 from iwa.scalars import Precision, QuadExtScalar
-from iwa.series import DivisibilityError, IwasawaElement, Series
+from iwa.series import DivisibilityError, IwasawaElement, Series, _divisor_plan
 from iwa.signed import (
     CONVENTIONS,
     MockGlobalModule,
@@ -138,6 +138,18 @@ class TestRoundTrip:
         out = factor_signed(q, 0)
         for sign in ("plus", "minus", "dot", "circ"):
             assert out.by_sign(sign).is_zero_to_precision
+
+    @pytest.mark.parametrize("k, convention", [(0, "theoremA"), (1, "lemmaFactorisation")])
+    def test_a_second_roundtrip_builds_no_divisor_plan(self, k, convention):
+        # every division at a window is by the same logs, so the plans the
+        # first roundtrip built serve the second one
+        rng = random.Random(7 + k)
+        s = SignedQuadruple(*(rand_elem(rng, P32) for _ in range(4)))
+        factor_signed(synthesize(s, k, convention), k, convention)
+        before = _divisor_plan.cache_info()
+        factor_signed(synthesize(s, k, convention), k, convention)
+        after = _divisor_plan.cache_info()
+        assert after.misses == before.misses and after.hits > before.hits
 
     def test_output_order_tags_are_k_plus_one(self):
         rng = random.Random(4)
