@@ -24,6 +24,16 @@ modulus), so one table serves every level and twist of a window, and the
 signed logarithms' conversion out of the log(1+X) basis reads it too.
 :func:`polypow` and :func:`geometric_sum` build the same level factor by
 powering and are kept as its reference.
+
+The conversion out of the log(1+X) basis also reads the Stirling numbers
+s(n, k), 1 <= k <= n < N, from a table of packed columns
+(:func:`stirling_columns`): column k holds s(k, k), ..., s(N-1, k) mod p^T
+at a chunk wide enough for N (p^T)^2, so a weighted sum of columns is one
+big-int multiply-add per column.  The table is kept per (p, N), not per T:
+it stays at the deepest T asked so far, which every shallower T reads as it
+is, and is rebuilt for a deeper one.  It holds about N^2/2 chunks of about
+2T log2(p)/8 bytes: some 0.7 MB at (p, N, T) = (5, 160, 90), 21 MB at
+(5, 630, 179).  The last 16 windows are kept.
 """
 
 from __future__ import annotations
@@ -117,6 +127,51 @@ def _factorial_table(p: int, L: int, mod: int):
         invs[n] = inv
         inv = inv * ks[n] % mod
     return pvs, invs
+
+
+_STIRLING_WINDOWS = 16
+# (p, N) -> (T, chunk, columns) from _stirling_table, least recently used first
+_stirling: dict = {}
+
+
+def _stirling_table(p: int, N: int, T: int):
+    """The Stirling numbers s(n, k) mod p^T for 1 <= k <= n < N, packed by column.
+
+    Returns (chunk, columns): columns[k] is ``_pack`` of s(k, k), ...,
+    s(N-1, k), each reduced mod p^T, at a byte chunk wide enough for
+    N (p^T)^2, so a sum of fewer than N products of two entries never
+    carries; columns[0] is 0.  Column k comes from column k-1 by
+    s(n+1, k) = s(n, k-1) - n s(n, k).
+    """
+    pT = p**T
+    chunk = ((N * pT * pT).bit_length() + 7) // 8
+    columns = [0]
+    prev = [1] + [0] * (N - 1)  # s(n, 0)
+    for k in range(1, N):
+        col = [0] * N
+        c = col[k] = 1
+        for n in range(k, N - 1):
+            c = col[n + 1] = (prev[n] - n * c) % pT
+        columns.append(_pack(col[k:], chunk))
+        prev = col
+    return chunk, columns
+
+
+def stirling_columns(p: int, N: int, T: int):
+    """(chunk, columns) of :func:`_stirling_table` for (p, N), valid mod p^T.
+
+    One table is kept per (p, N), at the deepest T asked so far, for the
+    last ``_STIRLING_WINDOWS`` windows.  A shallower T reads it as it is:
+    its entries agree with s(n, k) mod every lower power of p, and its
+    chunk is wider than that T needs.  A deeper T rebuilds it.
+    """
+    entry = _stirling.pop((p, N), None)
+    if entry is None or entry[0] < T:
+        entry = (T, *_stirling_table(p, N, T))
+    _stirling[p, N] = entry
+    if len(_stirling) > _STIRLING_WINDOWS:
+        del _stirling[next(iter(_stirling))]
+    return entry[1], entry[2]
 
 
 def cyclotomic_cells(p: int, m: int, c: int, mod: int, trunc: int) -> list[int]:

@@ -39,10 +39,11 @@ since ell^k = 0 mod X^N for k >= N, truncating at ell^N is a ring map.  The
 levels are then short polynomials, multiplied in pairs so that most
 products stay short, and their product H goes back to the X basis once per
 twist: the coefficient of X^n in ell^k is k! s(n, k)/n!, s the Stirling
-numbers of the first kind, built one row at a time.  That division by n!
-costs at most V = v_p((N-1)!) digits, so H is carried mod p^T with
-T = R + V.  Level 1 stays in the X basis because its a_k = S_k/(p k!) are
-not integral.
+numbers of the first kind, read from packed columns kept per (p, N), so
+the conversion is K big-int multiply-adds for an H of K terms.  That
+division by n! costs at most V = v_p((N-1)!) digits, so H is carried mod
+p^T with T = R + V.  Level 1 stays in the X basis because its
+a_k = S_k/(p k!) are not integral.
 
 All per-factor and per-twist 1/p normalizations are carried as a single
 valuation offset over integral coefficient arithmetic, so nothing is lost to
@@ -59,9 +60,8 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, inf, lcm
-from operator import mul
 
-from ._kernel import _factorial_table, cyclotomic_cells, polymul
+from ._kernel import _factorial_table, cyclotomic_cells, polymul, stirling_columns
 from .distributions import Distribution
 from .scalars import PadicScalar, Precision, _check_rel, _vp
 from .series import IwasawaElement, Series, cyclotomic_degree, cyclotomic_factor
@@ -151,29 +151,44 @@ def _ell_cells(h: list[int], p: int, N: int, T: int, R: int):
     """Yield the first N X-cells mod p^R of sum_k h_k ell^k, h_k known mod p^T.
 
     The coefficient of X^n in ell^k/k! is s(n, k)/n!, s the signed Stirling
-    numbers of the first kind, so n! times cell n is sum_k k! h_k s(n, k).
-    The rows come one at a time from s(n+1, k) = s(n, k-1) - n s(n, k) and
-    are not kept; each is reduced mod p^T.  The series must be integral in
-    X: then the sum is divisible by p^(v_p(n!)), and dividing out n! leaves
-    cell n mod p^(T - v_p(n!)).  So T >= R + v_p((N-1)!) gives every cell.
+    numbers of the first kind, so n! times cell n is sum_k k! h_k s(n, k),
+    for 1 <= k < K = len(h) <= N.  Cells 0 and 1 are h_0 and h_1, so a stop
+    test that refuses a level there reads nothing else.  The rest take one
+    pass over the packed Stirling columns (:func:`stirling_columns`, kept per
+    (p, N)): by Horner in the chunk shift, from k = K-1 down,
+    acc = (acc << chunk) + (k! h_k mod p^T) col_k, after which chunk n-1 of
+    acc is the sum for cell n, equal mod p^T to the sum over the rows reduced
+    mod p^T.  The series must be integral in X: then the sum is divisible by
+    p^(v_p(n!)), and dividing out n! leaves cell n mod p^(T - v_p(n!)).  So
+    T >= R + v_p((N-1)!) gives every cell.
+
+    For the levels and products :func:`_signed_product` passes, p divides
+    every k! h_k with k >= 1, so Stirling numbers known only mod p^(T-1)
+    would give the same cells; T is kept as it is.  The twists c are
+    principal units, so w = c^e = 1 mod p, and S_k = sum_{i<p} i^k w^i is
+    sum_i i^k mod p: S_1 = p(p-1)/2 = 0 mod p.  So k! a_k = e^k S_k / p has
+    valuation >= (m-1) + 1 - 1 >= 1 at k = 1, and >= k(m-1) - 1 >= 1 for
+    k >= 2.  In a product of such levels, k! h_k is a sum of multinomial
+    coefficients times products of k_i! a_(k_i) with some k_i >= 1.
     """
     pT, pR = p**T, p**R
+    for n in range(min(N, 2)):
+        yield h[n] % pR if n < len(h) else 0
+    if N < 3:
+        return
     pvs, invs = _factorial_table(p, N, pT)
-    yield h[0] % pR
-    hs, f = [], 1  # k! h_k for k >= 1
+    chunk, columns = stirling_columns(p, N, T)
+    hs, f = [0], 1  # k! h_k mod p^T for k >= 1
     for k in range(1, len(h)):
         f = f * k % pT
         hs.append(h[k] * f % pT)
-    row = [1]  # s(n, k) for 1 <= k <= min(n, len(hs)), from n = 1
-    for n in range(1, N):
-        if n > 1:  # row n from row n - 1
-            r = n - 1
-            new = [-r * row[0] % pT]
-            new += [(a - r * b) % pT for a, b in zip(row, row[1:])]
-            if len(row) < len(hs):
-                new.append(row[-1])
-            row = new
-        yield sum(map(mul, hs, row)) % pT // pvs[n] * invs[n] % pR
+    acc, shift = 0, 8 * chunk
+    for k in range(len(h) - 1, 0, -1):
+        acc = (acc << shift) + hs[k] * columns[k]
+    sums = acc.to_bytes(chunk * (N - 1), "little")
+    for n in range(2, N):
+        s = int.from_bytes(sums[(n - 1) * chunk : n * chunk], "little")
+        yield s % pT // pvs[n] * invs[n] % pR
 
 
 def _tree_product(factors: list[list[int]], mod: int, N: int) -> list[int]:
@@ -205,8 +220,8 @@ def _signed_product(kind: str, j: int, p: int, u: int, R: int, N: int, M: int):
     come from their binomial rows (:func:`cyclotomic_cells`) mod p^(R+1)
     and are multiplied mod p^R.  The stop test asks whether a level of
     degree > N has Phi/p = 1 mod (p^M, X^N).  In the ell basis, cells 0 and
-    1 are a_0 and a_1, and the cells are converted one at a time, so a
-    factor that is not 1 is usually refused after two cells.
+    1 are a_0 and a_1, read before any other cell is converted, so a factor
+    refused there, as most are, costs no pass over the Stirling columns.
     """
     q = p ** (R + 1)
     pR, pM = p**R, p**M
@@ -340,11 +355,14 @@ def pollack_log(spec: LogKind, prec: Precision) -> Distribution:
     W = A + L + M
     pA, pW = p**A, p**W
     total = [g * pA % pW for g in G]
-    run = W
+    # the running minimum valuation drops only where p^run does not divide a
+    # cell, and only there is a valuation taken; exact zeros divide every power
+    run, prun = W, pW
     caps = []
     for c in total:
-        if c:
-            run = min(run, _vp(c, p))
+        if c % prun:
+            run = _vp(c, p)
+            prun = p**run
         caps.append(run + M)
     body = Series(prec, unpack_part(p, (-offset, W, total), len(total), caps))
     parity = 0 if spec.kind == "plus" else 1

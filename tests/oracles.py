@@ -755,6 +755,43 @@ def reference_signed_product(kind: str, j: int, p: int, u: int, R: int, N: int, 
     return [c // pA % pR for c in prod], count, stop
 
 
+# pollack._ell_cells as it ran before the Stirling numbers came from packed
+# columns: one Stirling row per cell, built from the last and not kept.
+
+
+def ell_cells_by_rows(h: list[int], p: int, N: int, T: int, R: int):
+    """Yield the first N X-cells mod p^R of sum_k h_k ell^k, h_k known mod p^T.
+
+    The coefficient of X^n in ell^k/k! is s(n, k)/n!, s the signed Stirling
+    numbers of the first kind, so n! times cell n is sum_k k! h_k s(n, k).
+    The rows come one at a time from s(n+1, k) = s(n, k-1) - n s(n, k) and
+    are not kept; each is reduced mod p^T.  The series must be integral in
+    X: then the sum is divisible by p^(v_p(n!)), and dividing out n! leaves
+    cell n mod p^(T - v_p(n!)).  So T >= R + v_p((N-1)!) gives every cell.
+    """
+    from operator import mul
+
+    from iwa._kernel import _factorial_table
+
+    pT, pR = p**T, p**R
+    pvs, invs = _factorial_table(p, N, pT)
+    yield h[0] % pR
+    hs, f = [], 1  # k! h_k for k >= 1
+    for k in range(1, len(h)):
+        f = f * k % pT
+        hs.append(h[k] * f % pT)
+    row = [1]  # s(n, k) for 1 <= k <= min(n, len(hs)), from n = 1
+    for n in range(1, N):
+        if n > 1:  # row n from row n - 1
+            r = n - 1
+            new = [-r * row[0] % pT]
+            new += [(a - r * b) % pT for a, b in zip(row, row[1:])]
+            if len(row) < len(hs):
+                new.append(row[-1])
+            row = new
+        yield sum(map(mul, hs, row)) % pT // pvs[n] * invs[n] % pR
+
+
 # pollack_log's plus/minus assembly as it ran before the product was
 # stripped of its content: every level factor (from its binomial rows)
 # multiplied in mod p^W as p + p^t delta, every twist's product mod p^W, and

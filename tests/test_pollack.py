@@ -5,16 +5,22 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from math import factorial, gcd
+from unittest.mock import patch
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+import iwa._kernel
 import iwa.pollack
-from iwa._kernel import cyclotomic_cells, polymul
+from iwa._kernel import cyclotomic_cells, polymul, stirling_columns
 from iwa.distributions import divide_exact, growth_order, least_squares_slope
 from iwa.pollack import (
     LogKind,
     _ell_cells,
     _ell_coefficients,
+    _is_one,
+    _short_levels,
     _signed_product,
     _tree_product,
     log_identity_check,
@@ -25,6 +31,7 @@ from iwa.scalars import PadicScalar, Precision, _vp
 from iwa.series import Series, cyclotomic_degree, u_for
 
 from oracles import (
+    ell_cells_by_rows,
     log1plus_coeffs,
     reference_log_p_unit,
     reference_pollack_log,
@@ -330,6 +337,147 @@ def test_tree_product_equals_running_product(count, N):
     ]
     running = reduce(lambda f, g: polymul(f, g, mod, N), factors)
     assert _tree_product(factors, mod, N) == running
+
+
+def _first_ell_level(p: int, N: int) -> int:
+    """The lowest level _signed_product writes in the ell basis: m >= 2, degree >= N."""
+    m = 2
+    while cyclotomic_degree(p, m) < N:
+        m += 1
+    return m
+
+
+@st.composite
+def ell_inputs(draw):
+    """(h, p, N, T, R) with T = R + v_p((N-1)!) and K = len(h) from 1 to N.
+
+    h is either a product of ell-basis levels, as _signed_product forms it,
+    cut to K terms, or K random multiples of p^V.
+    """
+    p = draw(st.sampled_from([3, 5, 7, 11]))
+    N = draw(st.integers(1, 160))
+    R = draw(st.integers(1, 30))
+    V = _vp(factorial(N - 1), p)
+    T = R + V
+    pT1 = p ** (T + 1)
+    if draw(st.booleans()):
+        c = pow(u_for(p), -draw(st.integers(0, 4)), pT1)
+        first = _first_ell_level(p, N) + draw(st.integers(0, 2))
+        levels = [
+            _ell_coefficients(p, m, pow(c, p ** (m - 1), pT1), T, N)
+            for m in range(first, first + draw(st.integers(1, 4)))
+        ]
+        H = _tree_product(levels, p**T, N)
+        h = H[: draw(st.integers(1, len(H)))]
+    else:
+        K = draw(st.integers(1, N))
+        h = [p**V * x for x in draw(st.lists(st.integers(0, p**R), min_size=K, max_size=K))]
+    return h, p, N, T, R
+
+
+@settings(max_examples=60, deadline=None)
+@given(ell_inputs())
+@example(([7], 5, 1, 4, 4))
+@example(([7, 30], 5, 2, 4, 4))
+@example(([1], 3, 9, 10, 6))
+def test_ell_cells_match_the_row_walk(case):
+    # the table read as built at T, as first built deeper, and as built
+    # shallower and then deepened by the conversion itself
+    h, p, N, T, R = case
+    want = list(ell_cells_by_rows(h, p, N, T, R))
+    for first in (T, T + 5, max(T - 5, 1)):
+        iwa._kernel._stirling.clear()
+        stirling_columns(p, N, first)
+        assert list(_ell_cells(h, p, N, T, R)) == want, first
+        # cells 0 and 1 come from h alone, so N < 3 never deepens the table
+        assert iwa._kernel._stirling[p, N][0] == (max(first, T) if N > 2 else first)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(["plus", "minus"]),
+    st.integers(0, 4),
+    st.sampled_from([3, 5, 7, 11]),
+    st.integers(1, 160),
+    st.integers(1, 30),
+)
+def test_p_divides_every_scaled_coefficient_of_the_signed_product(kind, j, p, N, M):
+    # why Stirling numbers mod p^(T-1) would give the same cells: p | k! h_k
+    products = []
+
+    def recording(factors, mod, n):
+        products.append(_tree_product(factors, mod, n))
+        return products[-1]
+
+    R = M + _short_levels(kind, p, N) + 1
+    with patch.object(iwa.pollack, "_tree_product", recording):
+        _signed_product(kind, j, p, u_for(p), R, N, M)
+    assume(products)
+    (H,) = products
+    assert all(factorial(k) * h % p == 0 for k, h in enumerate(H) if k)
+
+
+class TestStirlingTable:
+    """The packed Stirling columns, kept per (p, N) at the deepest T asked."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        made = []
+        build = iwa._kernel._stirling_table
+
+        def counting(p, N, T):
+            made.append((p, N, T))
+            return build(p, N, T)
+
+        monkeypatch.setattr(iwa._kernel, "_stirling_table", counting)
+        iwa._kernel._stirling.clear()
+        return made
+
+    def test_columns_hold_the_stirling_numbers(self, builds):
+        # s(n, k) for n < 6: the rows of the first kind, signs included
+        rows = [[1], [-1, 1], [2, -3, 1], [-6, 11, -6, 1], [24, -50, 35, -10, 1]]
+        chunk, columns = stirling_columns(7, 6, 3)
+        assert chunk == ((6 * 7**6).bit_length() + 7) // 8
+        for k in range(1, 6):
+            col = columns[k].to_bytes(chunk * (6 - k), "little")
+            got = [int.from_bytes(col[i * chunk : (i + 1) * chunk], "little") for i in range(6 - k)]
+            assert got == [rows[n - 1][k - 1] % 7**3 for n in range(k, 6)]
+
+    def test_a_second_identity_check_builds_no_table(self, builds):
+        prec = Precision(5, 20, 160)
+        first = log_identity_check(5, 2, prec)
+        assert builds
+        builds.clear()
+        assert log_identity_check(5, 2, prec) == first
+        assert builds == []
+
+    def test_a_deeper_T_replaces_the_entry(self, builds):
+        table = stirling_columns(3, 10, 4)
+        assert stirling_columns(3, 10, 2) == table  # a shallower T reads it as it is
+        assert builds == [(3, 10, 4)]
+        deeper = stirling_columns(3, 10, 6)
+        assert builds == [(3, 10, 4), (3, 10, 6)]
+        assert iwa._kernel._stirling == {(3, 10): (6, *deeper)}
+        assert deeper != table
+
+    def test_a_stop_test_refusing_after_two_cells_builds_nothing(self, builds):
+        # level 3 at p = 5, j = 0: a_0 = Phi(1)/p = 1 and a_1 = e S_1 / p = 50
+        p, N, R, M = 5, 64, 22, 20
+        T = R + _vp(factorial(N - 1), p)
+        a = _ell_coefficients(p, 3, 1, T, N)
+        assert a[:2] == [1, 50]
+        assert not _is_one(_ell_cells(a, p, N, T, R), p**M)
+        assert builds == [] and iwa._kernel._stirling == {}
+
+    def test_the_cache_keeps_the_last_sixteen_windows(self, builds):
+        for N in range(3, 19):
+            stirling_columns(5, N, 2)
+        stirling_columns(5, 3, 1)  # a reuse makes (5, 3) the most recent
+        for N in range(19, 23):
+            stirling_columns(5, N, 2)
+        assert len(iwa._kernel._stirling) == iwa._kernel._STIRLING_WINDOWS == 16
+        assert list(iwa._kernel._stirling) == [(5, N) for N in [*range(8, 19), 3, *range(19, 23)]]
+        assert len(builds) == 20
 
 
 @pytest.mark.filterwarnings("ignore:window too small")
