@@ -22,16 +22,17 @@ Precision semantics:
   coefficient is known to less than p^off.  PadicScalars are built only at
   the edge: ``coeff()``, the read-only ``a``/``b`` properties, and the
   constructor, which packs scalars once;
-* sums, negation, shifts and caps act cell by cell under the scalar rules;
+* negation, shifts and caps act cell by cell under the scalar rules;
   products, affine composition and remainders work modulo p^W at offset
   ``off``, with W = (smallest absolute precision) - off >= 0.  That uniform
   degrade *is* the min-rule for the result and keeps the hot loops in
   C-speed big-int arithmetic;
-* a scalar multiple, and a linear combination sum_j s_j x_j of series
-  (:func:`linear_combination`), takes one pass over the integer columns and
-  one normalization per part: each scalar part times each series part is a
-  term known modulo p^W as in a product, the terms are summed under the
-  scalar rules, and the sum is normalized once;
+* sums, products and linear combinations sum_j s_j x_j of series
+  (:func:`linear_combination`, which scalar multiples use) are all summed
+  once per output part by :func:`_sum_terms`, under the scalar rules: a sum
+  adds the parts with their own bounds, a product adds one convolution per
+  pair of parts and a combination one product per scalar part and series
+  part, each known modulo p^W at the smaller packed width;
 * a quotient (:func:`divide_series`) follows the scalar rules of
   back-substitution, each coefficient's cap set before its value
   (:func:`_back_substitute`);
@@ -250,40 +251,30 @@ def _part(p, off, cells, abs_precs):
     return Part(p, new, out, abs_precs)
 
 
-def _add_parts(x, y, L):
-    """x + y on degrees 0..L-1 under the scalar rules (missing parts: exact zeros).
-
-    A sum is known to the smaller absolute precision of its terms, and an
-    exact zero adds nothing, not even a precision bound.
-    """
-    (xc, xa), (yc, ya) = _cols(x, 0, L), _cols(y, 0, L)
-    off = min((s.off for s in (x, y) if s.min_abs != inf), default=0)
-    sx, sy = x.p ** max(x.off - off, 0), x.p ** max(y.off - off, 0)
-    cells, abs_precs = [], []
-    for cx, ax, cy, ay in zip(xc, xa, yc, ya):
-        cells.append(cx * sx + cy * sy)
-        abs_precs.append(ax if ay == inf else ay if ax == inf else min(ax, ay))
-    return _part(x.p, off, cells, abs_precs)
-
-
 def _sum_terms(p, L, terms):
     """The Part of the terms' sum on degrees 0..L-1 (no terms: exact zeros).
 
-    A term (n, off, A, cells, mult) is cells[i] * mult * p^off + O(p^A) at
-    degrees i < n and an exact zero past them, with at least n cells; cells
-    and mult may be unreduced.  So each coefficient is known to the smallest
-    A among the terms that reach it, and the sum is normalized once.
+    A term (off, abs_precs, cells, mult) is cells[i] * mult * p^off +
+    O(p^abs_precs[i]) at degrees i < len(abs_precs) and an exact zero past
+    them; a missing cell is 0, and cells and mult may be unreduced.  A sum
+    is known to the smallest bound among its terms, and an exact zero
+    (bound inf) adds nothing, not even a bound.  This is the one place where
+    columns are summed: sums of series, the partial products of a product,
+    and linear combinations; the sum is normalized once.
     """
-    if not terms:
-        return Part(p, 0, [0] * L, [inf] * L)
-    base = min(t[1] for t in terms)
+    base = min((t[0] for t in terms), default=0)
     cells, abs_precs = [0] * L, [inf] * L
-    for n, off, A, xs, mult in terms:
-        n = min(n, L)
+    for k, (off, precs, xs, mult) in enumerate(terms):
+        n = min(len(precs), L)
+        m = min(n, len(xs))
         f = mult * p ** (off - base)
+        if not k:  # the first term fills the empty columns
+            cells[:m] = xs[:m] if f == 1 else [x * f for x in xs[:m]]
+            abs_precs[:n] = precs[:n]
+            continue
         if f:
-            cells[:n] = [c + x * f for c, x in zip(cells[:n], xs)]
-        abs_precs[:n] = [a if a < A else A for a in abs_precs[:n]]
+            cells[:m] = [c + x * f for c, x in zip(cells, xs[:m])]
+        abs_precs[:n] = [a if a < A else A for a, A in zip(abs_precs, precs[:n])]
     return _part(p, base, cells, abs_precs)
 
 
@@ -566,11 +557,13 @@ class Series:
         """The a- and b-parts of self + other; b is None when neither has one."""
         known = min(self.known_length, other.known_length)
         L = max(len(self._a), len(other._a)) if known == inf else int(known)
-        if self._b is None and other._b is None:
-            return _add_parts(self._a, other._a, L), None
-        empty = Part(self.prec.p, 0, [], [])
-        b = _add_parts(self._b or empty, other._b or empty, L)
-        return _add_parts(self._a, other._a, L), b
+
+        def total(*parts):
+            live = [x for x in parts if x is not None and x.min_abs != inf]
+            return _sum_terms(self.prec.p, L, [(x.off, x.abs_precs, x.cells, 1) for x in live])
+
+        b = None if self._b is None and other._b is None else total(self._b, other._b)
+        return total(self._a, other._a), b
 
     # -- ring operations ---------------------------------------------------
 
@@ -616,28 +609,26 @@ class Series:
             L = int(known)
             poly = False
 
-        parts = (self._a, self._b, other._a, other._b)
-        Fa, Fb, Ga, Gb = (None if x is None else x.packed() for x in parts)
-
-        def conv(X, Y, shift=0):
-            if X is None or Y is None:
-                return unpack_part(p, None, L)
-            (ox, wx, cx), (oy, wy, cy) = X, Y
-            W = min(wx, wy)
-            cells = _k_mul(cx, cy, p**W, L)
-            if shift:
-                # alpha^2 = -eps * p^(k+1) folds the b*b term into the a-part
-                t = teichmuller(form[1], self.prec, W).unit if W else 0
-                cells = [-c * t for c in cells]
-            return unpack_part(p, (ox + oy + shift, W, cells), L)
-
-        aa = conv(Fa, Ga)
-        if Fb is not None and Gb is not None:
-            aa = _add_parts(aa, conv(Fb, Gb, form[0] + 1), L)
-        bb = None
+        # each pair of parts is one convolution term, known mod p^W at the
+        # smaller packed width; alpha^2 = -eps * p^(k+1) folds b*b into a
+        F, G = ([x.packed() for x in s._parts()] for s in (self, other))
+        terms = ([], [])  # a-part, alpha-part
+        for xb, X in enumerate(F):
+            for yb, Y in enumerate(G):
+                if X is None or Y is None:
+                    continue
+                (ox, wx, cx), (oy, wy, cy) = X, Y
+                W = min(wx, wy)
+                off, mult = ox + oy, 1
+                if xb and yb:
+                    off += form[0] + 1
+                    mult = -teichmuller(form[1], self.prec, W).unit if W else 0
+                cells = _k_mul(cx, cy, p**W, L)
+                terms[xb ^ yb].append((off, [off + W] * L, cells, mult))
+        b = None
         if self._b is not None or other._b is not None:
-            bb = _add_parts(conv(Fa, Gb), conv(Fb, Ga), L)
-        return Series(self.prec, aa, bb, form, is_polynomial=poly)
+            b = _sum_terms(p, L, terms[1])
+        return Series(self.prec, _sum_terms(p, L, terms[0]), b, form, is_polynomial=poly)
 
     __rmul__ = __mul__
 
@@ -865,8 +856,7 @@ def linear_combination(scalars, series) -> Series:
     Every nonzero pair of a scalar part and a series part is one term, known
     modulo p^W at the smaller of the two parts' packed widths W; the b*b
     term folds into the a-part through alpha^2 = -eps * p^(k+1).  The terms
-    are summed under the scalar rules and each output part is normalized
-    once.
+    are summed by :func:`_sum_terms`, as in a sum or a product of series.
 
     A zero scalar or an all-exact-zero series contributes the length-0
     polynomial zero.  The result is as long as the shortest truncated term,
@@ -905,17 +895,16 @@ def linear_combination(scalars, series) -> Series:
                 v, u, r = S
                 W = min(wx, r)
                 if x_is_b and s_is_b:
-                    off = X.off + v + tform[0] + 1
-                    bb_terms.append((L, off, off + W, X.cells, u))
+                    bb_terms.append((X.off + v + tform[0] + 1, W, L, X.cells, u))
                 else:
                     off = X.off + v
                     terms = b_terms if x_is_b or s_is_b else a_terms
-                    terms.append((L, off, off + W, X.cells, u))
+                    terms.append((off, [off + W] * L, X.cells, u))
     if bb_terms:
         # one Teichmuller unit at the widest term serves every narrower one
-        W = max(A - off for _, off, A, _, _ in bb_terms)
+        W = max(t[1] for t in bb_terms)
         t = teichmuller(form[1], prec, W).unit if W else 0
-        a_terms += [(n, off, A, xs, -u * t) for n, off, A, xs, u in bb_terms]
+        a_terms += [(off, [off + w] * n, xs, -u * t) for off, w, n, xs, u in bb_terms]
     L = longest if known == inf else known
     b = _sum_terms(p, L, b_terms) if has_b else None
     return Series(prec, _sum_terms(p, L, a_terms), b, form, is_polynomial=known == inf)
