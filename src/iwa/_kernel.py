@@ -163,10 +163,13 @@ def stirling_columns(p: int, N: int, T: int):
     One table is kept per (p, N), at the deepest T asked so far, for the
     last ``_STIRLING_WINDOWS`` windows.  A shallower T reads it as it is:
     its entries agree with s(n, k) mod every lower power of p, and its
-    chunk is wider than that T needs.  A deeper T rebuilds it.
+    chunk is wider than that T needs.  A deeper T rebuilds it, after the
+    shallower table is released, so the two never coexist.
     """
     entry = _stirling.pop((p, N), None)
-    if entry is None or entry[0] < T:
+    if entry is not None and entry[0] < T:
+        entry = None
+    if entry is None:
         entry = (T, *_stirling_table(p, N, T))
     _stirling[p, N] = entry
     if len(_stirling) > _STIRLING_WINDOWS:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from fractions import Fraction
 from functools import reduce
 from math import factorial, gcd
@@ -459,6 +460,23 @@ class TestStirlingTable:
         assert builds == [(3, 10, 4), (3, 10, 6)]
         assert iwa._kernel._stirling == {(3, 10): (6, *deeper)}
         assert deeper != table
+
+    def test_a_deeper_T_is_built_after_the_shallower_table_is_released(self, builds):
+        # at (5, 300) the T = 60 table is about 1.7 MB and the T = 80 one
+        # 2.3 MB; holding the old one through the rebuild would add the
+        # whole old table to the rebuild's peak
+        tracemalloc.start()
+        try:
+            stirling_columns(5, 300, 60)
+            old = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            stirling_columns(5, 300, 80)
+            new, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            iwa._kernel._stirling.clear()
+        assert builds == [(5, 300, 60), (5, 300, 80)]
+        assert peak - new < old / 2, (old, new, peak)
 
     def test_a_stop_test_refusing_after_two_cells_builds_nothing(self, builds):
         # level 3 at p = 5, j = 0: a_0 = Phi(1)/p = 1 and a_1 = e S_1 / p = 50

@@ -36,9 +36,11 @@ print(sorted(m for m in sys.modules if m.partition(".")[0] in ("sympy", "mpmath"
 
 
 def test_a_cold_process_never_loads_sympy():
-    # -I: no user site and no PYTHON* variables, so nothing else preloads it
+    # -I: no user site and no PYTHON* variables, so nothing else preloads it;
+    # -B, since -I also drops PYTHONDONTWRITEBYTECODE: the child writes no
+    # bytecode into src/
     run = subprocess.run(
-        [sys.executable, "-I", "-c", COLD_RUN, str(SRC)],
+        [sys.executable, "-I", "-B", "-c", COLD_RUN, str(SRC)],
         capture_output=True, text=True, timeout=300,
     )
     assert run.returncode == 0, run.stderr

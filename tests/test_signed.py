@@ -130,6 +130,25 @@ class TestRoundTrip:
                 for c in comp.a[:7]:
                     assert c.val is None or c.val + c.rel >= 5
 
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_the_log_margin_keeps_digits_of_deeper_coordinates(self, k):
+        # coordinates synthesized 40 digits above the window they are
+        # divided in: the signed logs' work margin (_log_margin) lets the
+        # quotients keep more than the window's 20 digits on the seed
+        # support (33/33/27/27 at k = 0, 38/39/32/32 at k = 1); with no
+        # margin they keep 17/17/11/11 and 14/15/8/8
+        deep = Precision(5, 60, 64)
+        rng = random.Random(3)
+        s = SignedQuadruple(*(rand_elem(rng, deep) for _ in range(4)))
+        u = synthesize(s, k)
+        out = factor_signed(UnboundedQuadruple(*(d.with_p_prec(20) for d in u.vector())), k)
+        for sign in ("plus", "minus", "dot", "circ"):
+            elem = out.by_sign(sign)
+            assert elements_equal(elem, s.by_sign(sign).with_p_prec(20))
+            for comp in elem.components:
+                for c in comp.a[:7]:
+                    assert c.val is None or c.val + c.rel > 20, (sign, c)
+
     def test_zero_maps_to_zero(self):
         s = SignedQuadruple(*(zero_elem(P64) for _ in range(4)))
         q = synthesize(s, 0)
