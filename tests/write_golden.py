@@ -8,7 +8,9 @@ returns:
   k, conv)``, and the three gap-reject cases, each ``factor_report`` plus
   each row's ``divide_exact`` quotient or ``DivisibilityError.payload()``,
   on the seeds a bench run at seeds 1 and 901 draws in its first cycle;
-* the four bench kl-series cases, ``kl_series_report`` at (p, 20, 64);
+* the four bench kl-series cases, ``kl_series_report`` at (p, 20, 64), and
+  windows the bench never reaches: unit branches at p = 3 and p = 11, the
+  p = 7 pole branch, and a 154-node window at (5, 30, 120);
 * sums, differences, products and linear combinations of ``Series`` over
   Q_p and Q_p(alpha), with jagged, truncated, polynomial and exact-zero
   operands;
@@ -104,6 +106,13 @@ KL_CASES = (
     ("quadratic5_3", DirichletCharacter.quadratic(5, 3), 1),
     ("trivial7", DirichletCharacter.trivial(7), 2),
     ("trivial5", DirichletCharacter.trivial(5), 0),
+)
+# (name, character, branch, (p, M, N)): windows off the bench's grid
+KL_WINDOW_CASES = (
+    ("quadratic3_4", DirichletCharacter.quadratic(3, 4), 1, (3, 20, 40)),
+    ("trivial11", DirichletCharacter.trivial(11), 2, (11, 10, 30)),
+    ("trivial7", DirichletCharacter.trivial(7), 0, (7, 20, 64)),
+    ("trivial5", DirichletCharacter.trivial(5), 2, (5, 30, 120)),
 )
 # (k, N): seeds synthesized at p_prec 60, divided at p_prec 20
 DEEP_CASES = ((0, 64), (1, 64))
@@ -253,6 +262,11 @@ def cases():
         yield (
             f"kl_series_report/{name}/i{i}",
             lambda eta=eta, i=i: kl_series_report(eta, i, Precision(eta.p, 20, 64)),
+        )
+    for name, eta, i, (p, M, N) in KL_WINDOW_CASES:
+        yield (
+            f"kl_series_report/{name}/i{i}/p{p}/M{M}/N{N}",
+            lambda eta=eta, i=i, prec=Precision(p, M, N): kl_series_report(eta, i, prec),
         )
     yield from series_cases()
     for k, N in DEEP_CASES:
