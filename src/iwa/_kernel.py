@@ -23,7 +23,10 @@ n! to divide out, and n! comes from a factorial table cached per (p, length,
 modulus), so one table serves every level and twist of a window, and the
 signed logarithms' conversion out of the log(1+X) basis reads it too.
 :func:`polypow` and :func:`geometric_sum` build the same level factor by
-powering and are kept as its reference.
+powering and are kept as its reference.  The factorial table is the
+running product of a cached table of inverses of the unit parts
+n / p^v_p(n) (:func:`_unit_inverses`), which the Kubota-Leopoldt layer
+also reads to divide by integers.
 
 The conversion out of the log(1+X) basis also reads the Stirling numbers
 s(n, k), 1 <= k <= n < N, from a table of packed columns
@@ -46,7 +49,12 @@ def _pack(cells: list[int], cb: int) -> int:
 
 
 def polymul(A: list[int], B: list[int], mod: int, trunc: int | None = None) -> list[int]:
-    """Coefficients of A*B mod ``mod``, truncated to ``trunc`` terms."""
+    """Coefficients of A*B mod ``mod``, truncated to ``trunc`` terms.
+
+    Every entry of A and B must lie in [0, mod): the chunk width is sized
+    for such entries, and callers holding cells at a wider modulus reduce
+    them first.
+    """
     if not A or not B or mod == 1:
         n = 0 if (not A or not B) else len(A) + len(B) - 1
         if trunc is not None:
@@ -57,12 +65,6 @@ def polymul(A: list[int], B: list[int], mod: int, trunc: int | None = None) -> l
         out_len = min(out_len, trunc)
     if out_len <= 0:
         return []
-    # chunk sizing assumes entries < mod; normalize so callers may pass
-    # coefficients carried at a wider working modulus
-    if any(a >= mod or a < 0 for a in A):
-        A = [a % mod for a in A]
-    if any(b >= mod or b < 0 for b in B):
-        B = [b % mod for b in B]
     bound = (mod - 1) * (mod - 1) * min(len(A), len(B)) + 1
     cb = (bound.bit_length() + 7) // 8
     z = _pack(A, cb) * _pack(B, cb)
@@ -109,24 +111,43 @@ def _factorial_table(p: int, L: int, mod: int):
 
     ``mod`` must be a power of p, so that every unit part is invertible.
     Keyed by (p, L, mod), one table serves every level and twist of a window.
+    unit_n^-1 is the running product of :func:`_unit_inverses`.
     """
-    pvs, ks = [1] * L, [1] * L  # ks[n]: the unit part of n
+    kinv = _unit_inverses(p, L, mod)
+    pvs, invs = [1] * L, [1] * L
     for n in range(1, L):
         k, pv = n, pvs[n - 1]
         while k % p == 0:
             k //= p
             pv *= p
-        pvs[n], ks[n] = pv, k
-    unit = 1
-    for k in ks:
-        unit = unit * k % mod
-    # one inverse, for the last unit, then down the table: 1/unit_(n-1) = k_n/unit_n
-    invs = [0] * L
-    inv = pow(unit, -1, mod)
-    for n in range(L - 1, -1, -1):
-        invs[n] = inv
-        inv = inv * ks[n] % mod
+        pvs[n] = pv
+        invs[n] = invs[n - 1] * kinv[n] % mod
     return pvs, invs
+
+
+@lru_cache(maxsize=64)
+def _unit_inverses(p: int, L: int, mod: int) -> list:
+    """For 0 < n < L, the inverse mod ``mod`` of n's unit part n / p^v_p(n).
+
+    ``mod`` must be a power of p.  One modular inverse serves the table: the
+    prefix products of the unit parts are inverted once and walked down.
+    Entry 0 is 0.
+    """
+    ks = [1] * L
+    for n in range(1, L):
+        k = n
+        while k % p == 0:
+            k //= p
+        ks[n] = k
+    pre = [1] * L  # pre[n]: the product of the unit parts of 1..n
+    for n in range(1, L):
+        pre[n] = pre[n - 1] * ks[n] % mod
+    out = [0] * L
+    inv = pow(pre[-1], -1, mod)
+    for n in range(L - 1, 0, -1):
+        out[n] = inv * pre[n - 1] % mod
+        inv = inv * ks[n] % mod
+    return out
 
 
 _STIRLING_WINDOWS = 16

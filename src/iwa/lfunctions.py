@@ -26,23 +26,26 @@ The cast, roughly in dependency order:
 * :func:`smoothed_moment` / :func:`kl_series` — the measure-theoretic
   construction.  The c-smoothed regularization of the B_1 distribution is a
   genuine Z_p-measure; its twisted moments have a closed form, each read
-  with its twisted primitive character from a cache keyed by the exponent
-  of omega.  The branch series is recovered by Newton interpolation through
+  with its twisted primitive character from a cache keyed by the exponent of
+  omega.  The branch series is recovered by Newton interpolation through
   those moments at the points u^{-m} - 1.  Divided differences of an
-  integral power series at points of pZ_p are p-integral, so every table
-  entry is checked for integrality as a construction self-test, and the
-  interpolation tail drops one digit per node past the window — the node
+  integral power series at points of pZ_p are p-integral, so the Newton
+  coefficients are checked for integrality as a construction self-test, and
+  the interpolation tail drops one digit per node past the window — the node
   budget makes the truncation error provably smaller than the requested
   precision.  The divided-difference table and its expansion into monomials
-  (von zur Gathen-Gerhard, Modern Computer Algebra, ch. 5) run on (val,
-  unit, rel) triples under the scalar rules, so they give the PadicScalar
-  results digit for digit: each cell is one two-term difference
-  (_sub_triples) against a shared table of p-powers.  The node difference
-  u^-r - u^-s is u^-r (1 - u^(r-s)), so its inverse unit is u^r times the
-  inverse unit of 1 - u^(r-s): one modular inverse per column of the table,
-  not one per cell.  The divisor that removes the smoothing factor raises
-  1+X to log<c>/log(u), and pollack.log_p_unit sums both logarithms on
-  integers.
+  (von zur Gathen-Gerhard, Modern Computer Algebra, ch. 5) are one kernel,
+  _newton_part, on integers mod one power of p.  The nodes are a geometric
+  progression shifted by -1 (Bostan-Schost, J. Complexity 2005), so each
+  step multiplies by a power of u and no unit is inverted per cell; the unit
+  factors and powers of p this leaves are divided out once per diagonal
+  entry.  Each cell's precision bound follows from its inputs' bounds as
+  PadicScalar arithmetic gives it (the few cells where a node's digit cap
+  may bind also read their valuation), so the Part is, digit for digit,
+  what the same loops give on PadicScalars.  Dividing by an integer n reads the inverse of its unit
+  part from a cached table.  The divisor that removes the smoothing factor
+  raises 1+X to log<c>/log(u), and pollack.log_p_unit sums both logarithms
+  on integers.
 * :func:`euler_factor_E` / :func:`euler_factor_Eprime` /
   :func:`exceptional_zero_report` — the three-factor products controlling
   trivial zeros of the symmetric square, with exact vanishing flags (each
@@ -74,12 +77,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
+from ._kernel import _unit_inverses
 from .dieudonne import PhiModule
 from .distributions import Distribution, divide_exact
 from .pollack import log_p_unit
 from .scalars import (_MR_BOUND, PadicScalar, Precision, PrecisionError, _check_odd_prime,
                       _check_rel, _is_prime, _vp, teichmuller)
-from .series import FiniteCharacter, IwasawaElement, Part, Series, u_for
+from .series import FiniteCharacter, IwasawaElement, Part, Series, _part, u_for
 
 __all__ = [
     "DirichletCharacter",
@@ -211,38 +215,6 @@ def _omega_powers(p: int, prec: Precision, rel: int) -> tuple:
     for _ in range(p - 2):
         out.append(out[-1] * base)
     return tuple(out)
-
-
-def _sub_triples(x: tuple, y: tuple, p: int, pp) -> tuple:
-    """x - y for (val, unit, rel) triples under PadicScalar's rules.
-
-    Neither is an exact zero; units may be signed and unreduced.  As in
-    series._back_substitute, the difference is the exact one reduced once,
-    at the smaller absolute precision A, with the p-power stripped.  pp[k]
-    is p^k, for k up to the larger rel of the two.
-    """
-    xv, xu, xr = x
-    yv, yu, yr = y
-    A = xv + xr if xv + xr < yv + yr else yv + yr
-    if xv <= yv:
-        v0, s = xv, xu
-        if yv - xv < A - v0:  # deeper terms vanish mod p^(A - v0)
-            s -= yu * pp[yv - xv]
-    else:
-        v0, s = yv, -yu
-        if xv - yv < A - v0:
-            s += xu * pp[xv - yv]
-    w = A - v0
-    if w <= 0:
-        return A, 0, 0
-    s %= pp[w]
-    if s == 0:
-        return A, 0, 0
-    k = 0
-    while s % p == 0:
-        s //= p
-        k += 1
-    return v0 + k, s, w - k
 
 
 # -------------------------------------------------------------- characters
@@ -522,6 +494,20 @@ def _as_scalar(x, prec: Precision, rel: int) -> PadicScalar:
     return PadicScalar.from_fraction(Fraction(x), prec, rel)
 
 
+def _over_int(x: PadicScalar, n: int, rel: int) -> PadicScalar:
+    """x / PadicScalar.from_int(n, x.prec, rel) for n >= 1, digit for digit.
+
+    The inverse of n's unit part is read from a table cached per (p, L,
+    p^rel), L the power of two above n, instead of one modular inverse per
+    call.  At rel <= 0, n is a zero to precision and the division raises.
+    """
+    if rel <= 0:
+        return x / PadicScalar.from_int(n, x.prec, rel)
+    p = x.prec.p
+    inv = _unit_inverses(p, 1 << n.bit_length(), p**rel)[n]
+    return x * PadicScalar(x.prec, -_vp(n, p), inv, rel)
+
+
 def _interpolation_factor(psi: DirichletCharacter, n: int, prec: Precision, rel: int,
                           pw) -> PadicScalar:
     """(1 - psi(p) p^(n-1)) B_{n, psi} / n for a primitive psi.
@@ -537,7 +523,7 @@ def _interpolation_factor(psi: DirichletCharacter, n: int, prec: Precision, rel:
         euler = one
     else:
         euler = one - pw[ep] * PadicScalar.from_fraction(Fraction(p) ** (n - 1), prec, rel)
-    return euler * B / PadicScalar.from_int(n, prec, rel)
+    return _over_int(euler * B, n, rel)
 
 
 # ------------------------------------------------------------ L-values
@@ -643,9 +629,114 @@ def _binomial_series(exponent: PadicScalar, length: int, prec: Precision,
     out = [PadicScalar.from_int(1, prec, rel)]
     acc = PadicScalar.from_int(1, prec, rel)
     for k in range(1, length):
-        acc = acc * (exponent - (k - 1)) / PadicScalar.from_int(k, prec, rel)
+        acc = _over_int(acc * (exponent - (k - 1)), k, rel)
         out.append(acc)
     return out
+
+
+def _newton_part(p: int, u: int, rel: int, moments: list, N: int) -> Part:
+    """The series through moments[m] at the nodes u^-m - 1, as a Part mod X^N.
+
+    The moments are PadicScalars with valuations >= 0, none an exact zero,
+    and each node is known to ``rel`` digits.  The Part is, cell for cell
+    and bound for bound, what PadicScalar arithmetic gives for the
+    divided-difference table dd[row] <- (dd[row] - dd[row-1]) / (node[row]
+    - node[row-col]) followed by the Newton expansion poly <- poly * (X -
+    node[m]) + dd[m] from the top node down (von zur Gathen-Gerhard, Modern
+    Computer Algebra, ch. 5).  There the node difference u^-row (1 - u^col)
+    has valuation nv[col] = v(u^col - 1) and carries rel + mn - nv[col]
+    digits, mn = min(nv[row], nv[row-col]).  A diagonal entry of negative
+    valuation raises an ArithmeticError.
+
+    Every cell is an integer mod one power of p, at least every bound, and
+    every step is a ring step with a small exact multiplier.  Bounds are
+    worked out without reading values, except at the flagged cells below.
+
+    * Table: g_r <- u^(col-1) g_r - g_(r-1), with g the moments at col 0.
+      Then g_r is dd_col[r] p^S[col] u^-(col r - col(col-1)/2) times
+      prod_{c<=col} w_c, where 1 - u^c = w_c p^nv[c] and S[col] =
+      sum_{c<=col} nv[c].  A difference is known to the smaller bound and
+      the node difference is exact here, so a cell's bound is its rows'
+      least moment bound unless the digit cap above binds.
+    * The cap.  A difference of valuation x known to O(p^A) keeps
+      min(A - x, rel + mn - nv[col]) digits.  If dd_col[r] is integral,
+      x >= nv[col], so the cap can bind only where A > rel + mn: such cells
+      are flagged from the bounds alone, and a flagged cell's bound is
+      lowered from its valuation.  Every cell is integral once the diagonal
+      is: the Newton coefficients are then integral, so is the
+      interpolating polynomial, and its divided differences at integral
+      nodes are sums of complete homogeneous polynomials in the nodes.  A
+      table that is not integral has a diagonal entry of negative valuation
+      whatever the precision, and raises here as the scalar table would.
+      Bounds only fall and S only grows, so once no cell of a column can be
+      flagged none later can, and the later diagonal bounds are running
+      minima.
+    * Expansion: the cap leaves no table entry more than rel digits, so
+      node[m] * poly[dg] is known to nv[m] past poly[dg]'s bound, and a
+      bound follows min(bound[dg-1], bound[dg] + nv[m]).  The step is
+      P <- u^m (P X + P + a_m) - P = u^m ((X - node[m]) P + a_m), with
+      a_m = dd[m] u^(-m(m+1)/2) = g_m / (p^S[m] prod_{c<=m} w_c).  So P is
+      poly u^(-m(m-1)/2), and the last step leaves the monomial
+      coefficients themselves.
+    """
+    E = len(moments)
+    bounds = [x.val + x.rel for x in moments]
+    M = p ** max(bounds)
+    g = [x.unit * p**x.val for x in moments]
+    nv, w, S, um = [math.inf], [1], [0], 1
+    for m in range(1, E):
+        um *= u
+        nv.append(_vp(um - 1, p))
+        w.append((1 - um) // p ** nv[m])
+        S.append(S[-1] + nv[m])
+
+    col, um = 1, 1  # um = u^(col-1)
+    while col < E and max(bounds[col - 1:]) - S[col - 1] > rel + 1:
+        vd, s = nv[col], S[col - 1]
+        for r in range(E - 1, col - 1, -1):
+            g[r] = x = (um * g[r] - g[r - 1]) % M
+            b = min(bounds[r], bounds[r - 1])
+            mn = min(nv[r], nv[r - col])
+            if b - s > rel + mn:  # flagged: the cap may bind
+                x %= p**b
+                if x:
+                    b = min(b, _vp(x, p) + rel + mn - vd)
+            bounds[r] = b
+        col += 1
+        um *= u
+    for k in range(col, E):  # no cap binds from here on
+        bounds[k] = min(bounds[k], bounds[k - 1])
+    for col in range(col, E):
+        g[col:] = [(um * x - y) % M for x, y in zip(g[col:], g[col - 1:])]
+        um *= u
+
+    D = [b - s for b, s in zip(bounds, S)]
+    for k in range(E):
+        if D[k] < 0 or g[k] % p ** S[k]:
+            raise ArithmeticError("divided differences left Z_p; the moment formula is off")
+    M = p ** max(D)
+    winv = 1
+    for wk in w:
+        winv = winv * wk % M
+    winv = pow(winv, -1, M)
+    a = [0] * E
+    for k in range(E - 1, -1, -1):
+        a[k] = g[k] // p ** S[k] * winv % M
+        winv = winv * w[k] % M
+
+    um = u ** (E - 1)
+    P, pb = [um * a[-1] % M], [D[-1]]
+    for m in range(E - 2, 0, -1):
+        um //= u
+        vm, top, topb = nv[m], P[-1], pb[-1]
+        P = [(um * (x + y) - y) % M for x, y in zip([a[m]] + P, P)]
+        pb = [x if x < y + vm else y + vm for x, y in zip([D[m]] + pb, pb)]
+        if len(P) < N:
+            P.append(um * top % M)
+            pb.append(topb)
+    if E > 1:  # node 0 is the exact zero: the product by X is a shift
+        P, pb = [a[0]] + P[:N - 1], [D[0]] + pb[:N - 1]
+    return _part(p, 0, P, pb)
 
 
 def _kl_core(eta: DirichletCharacter, branch_i: int, prec: Precision) -> dict:
@@ -684,68 +775,23 @@ def _kl_core(eta: DirichletCharacter, branch_i: int, prec: Precision) -> dict:
     rel = prec.p_prec + E + _vp(math.factorial(E), p) + 16
     wprec = prec.with_p_prec(rel)
     u = u_for(p)
-    M = p**rel
 
-    # Node m is u^-m - 1 = u^-m (1 - u^m) to rel digits, as a (val, unit, rel)
-    # triple; node 0 is the exact zero.  1 - u^m = w[m] p^nv[m], w[m] a unit.
-    nv = [math.inf] + [_vp(u**m - 1, p) for m in range(1, E)]
-    w = [0] + [(1 - u**m) // p ** nv[m] for m in range(1, E)]
-    u_pow = [pow(u, m, M) for m in range(E)]
-    u_inv = pow(u, -1, M)
-    nodes = [(None, 0, 0)] + [
-        (nv[m], w[m] * pow(u_inv, m, M) % M, rel) for m in range(1, E)
-    ]
-    # No moment is an exact zero: on an even branch B_{m+1,psi} has the
+    # The moments, integral, are the values at the nodes u^-m - 1, each
+    # known to rel digits; _newton_part interpolates them.  No moment is an
+    # exact zero, as the kernel asks: on an even branch B_{m+1,psi} has the
     # parity that makes it nonzero, and the smoothing and Euler factors are
-    # PadicScalar differences, which never return one.  So no triple in the
-    # table or the expansion below has val None, and _sub_triples needs no
-    # exact-zero case.
-    dd = []
+    # PadicScalar differences, which never return one.
+    moments = []
     for m in range(E):
         v = -smoothed_moment(eta0, b - m, m, c, wprec, rel)
         if v.val < 0:
             raise ArithmeticError(
                 "smoothed moment came out non-integral; the regularization is broken"
             )
-        dd.append((v.val, v.unit, v.rel))
-    # dd[row] <- (dd[row] - dd[row-1]) / (node[row] - node[row-col]) on triples.
-    # The node difference is u^-row (1 - u^col): valuation nv[col], known to
-    # rel + min(nv[row], nv[row-col]) - nv[col] digits as a scalar difference
-    # of the two nodes, and its inverse unit is u^row w[col]^-1.  The residue
-    # is unique, so one modular inverse per column gives every cell's.  No
-    # entry carries more than rel digits, so p^0..p^rel are all the powers
-    # read here and in the expansion below.
-    pp = [p**k for k in range(rel + 1)]
-    for col in range(1, E):
-        vd, wi = nv[col], pow(w[col], -1, M)
-        for row in range(E - 1, col - 1, -1):
-            x, xu, xr = _sub_triples(dd[row], dd[row - 1], p, pp)
-            r = min(xr, rel + min(nv[row], nv[row - col]) - vd)
-            dd[row] = (x - vd, xu * u_pow[row] * wi % pp[r] if r else 0, r)
-    for entry in dd:
-        if entry[0] < 0:
-            raise ArithmeticError(
-                "divided differences left Z_p; the moment formula is off"
-            )
-
-    # Newton form to monomials, truncated at X^N: poly <- poly * (X - node[m])
-    # + dd[m], from the top node down.  Every entry is a normalized triple;
-    # node 0 is the exact zero, where the product by X - node is a shift.
+        moments.append(v)
     N = prec.x_prec
-    poly = [dd[E - 1]]
-    for m in range(E - 2, -1, -1):
-        nodev, nodeu, _ = nodes[m]
-        nxt = [dd[m]] + poly[:N - 1]
-        if nodev is not None:
-            for dg in range(min(len(poly), N)):
-                pv, pu, pr = poly[dg]
-                r = min(rel, pr)  # node * poly[dg] at the smaller relative precision
-                prod = (nodev + pv, nodeu * pu if r else 0, r)
-                nxt[dg] = _sub_triples(nxt[dg], prod, p, pp)
-        poly = nxt
-
     comps = [Series.zero(wprec) for _ in range(pm1)]
-    comps[i] = Series(wprec, Part.from_triples(p, poly), is_polynomial=False)
+    comps[i] = Series(wprec, _newton_part(p, u, rel, moments, N), is_polynomial=False)
     smoothed = IwasawaElement(wprec, comps, u)
 
     psi0 = eta0 * DirichletCharacter.teichmuller_power(p, b)

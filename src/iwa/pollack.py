@@ -245,7 +245,7 @@ def _signed_product(kind: str, j: int, p: int, u: int, R: int, N: int, M: int):
             high.append(a)
         else:
             phi = cyclotomic_cells(p, m, c, q, N)
-            g = [x // p for x in phi] if deg >= N else phi
+            g = [x // p for x in phi] if deg >= N else [x % pR for x in phi]
             if deg > N and _is_one(g, pM):
                 break
             low = polymul(low, g, pR, N)

@@ -619,11 +619,16 @@ class Series:
                     continue
                 (ox, wx, cx), (oy, wy, cy) = X, Y
                 W = min(wx, wy)
+                pW = p**W
+                if wx > W:  # the wider part's cells, reduced for the kernel
+                    cx = [c % pW for c in cx]
+                elif wy > W:
+                    cy = [c % pW for c in cy]
                 off, mult = ox + oy, 1
                 if xb and yb:
                     off += form[0] + 1
                     mult = -teichmuller(form[1], self.prec, W).unit if W else 0
-                cells = _k_mul(cx, cy, p**W, L)
+                cells = _k_mul(cx, cy, pW, L)
                 terms[xb ^ yb].append((off, [off + W] * L, cells, mult))
         b = None
         if self._b is not None or other._b is not None:

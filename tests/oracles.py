@@ -807,7 +807,8 @@ def _times_level_factor_mod_pW(prod, phi, p: int, pW: int, N: int):
     pt = gcd(pW, *delta)  # p^t, capped at pW
     out = ([p * a for a in prod] + [0] * (len(phi) - 1))[:N]
     if pt != pW:
-        for n, r in enumerate(polymul(prod, [d // pt for d in delta], pW // pt, N)):
+        q = pW // pt
+        for n, r in enumerate(polymul([a % q for a in prod], [d // pt for d in delta], q, N)):
             out[n] += pt * r
     return [a % pW for a in out]
 

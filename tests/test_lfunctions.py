@@ -38,7 +38,7 @@ from iwa.lfunctions import (
     smoothed_moment,
 )
 from iwa.scalars import PadicScalar, Precision, PrecisionError, teichmuller
-from iwa.series import DivisibilityError, FiniteCharacter, IwasawaElement, Series
+from iwa.series import DivisibilityError, FiniteCharacter, IwasawaElement, Part, Series
 from oracles import gen_bernoulli_padic, padic_residue, teich_pow
 
 P24 = Precision(5, 12, 24)
@@ -597,7 +597,9 @@ class TestKlSeries:
 
 
 class TestKlSelfChecks:
-    """Both integrality checks of the construction raise from _kl_core."""
+    """Both integrality checks of the construction raise from its own code:
+    the moments' from _kl_core, the divided differences' from the
+    interpolation kernel _newton_part."""
 
     def test_a_non_integral_moment_is_refused(self, monkeypatch):
         real = lfunctions.smoothed_moment
@@ -618,7 +620,7 @@ class TestKlSelfChecks:
         monkeypatch.setattr(lfunctions, "u_for", lambda p: 1 + p * p)
         with pytest.raises(ArithmeticError, match="left Z_p") as info:
             kl_series(DirichletCharacter.trivial(5), 2, Precision(5, 6, 5))
-        assert info.traceback[-1].name == "_kl_core"
+        assert info.traceback[-1].name == "_newton_part"
 
 
 # ------------------------------------------- the integer path vs its references
@@ -1030,13 +1032,40 @@ def test_value_off_the_units_and_report_factors():
     assert len(rep.factors()) == 3
 
 
-@pytest.mark.parametrize("x, y", [
-    pytest.param((3, 0, 0), (5, 1, 2), id="no-digit-left"),  # O(5^3) - 5^5 * 1
-    pytest.param((1, 7, 4), (1, 7, 6), id="cancellation"),
-    pytest.param((1, 7, 4), (1, 2, 6), id="digits-left"),
+def newton_part_by_scalars(values, nodes, N):
+    """The interpolating Part by the scalar table and expansion of oracles."""
+    dd = oracles.newton_table_scalars(values, nodes)
+    poly = oracles.newton_to_monomial_scalars(dd, nodes, N)
+    return Part.from_triples(values[0].prec.p, [(c.val, c.unit, c.rel) for c in poly])
+
+
+def part_key(part):
+    return part.off, list(part.cells), list(part.abs_precs)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("power, extra", [
+    pytest.param(2, 0, id="p2f"),
+    pytest.param(0, 2, id="f-deeper-than-the-nodes"),
 ])
-def test_triple_difference_matches_the_scalar_rules(x, y):
-    p = 5
-    pp = [p**k for k in range(12)]
-    want = PadicScalar(PS, *x) - PadicScalar(PS, *y)
-    assert lfunctions._sub_triples(x, y, p, pp) == (want.val, want.unit, want.rel)
+def test_newton_kernel_matches_the_scalar_loops_where_the_node_cap_may_bind(p, power, extra):
+    """_newton_part on values whose adjacent bounds exceed rel + 1, the cells
+    it flags, against the scalar table and expansion cell for cell.
+
+    With f = 1 + x + ... + x^6, p^2 f at rel digits has every bound at
+    rel + 2 or more, so every cell of the first column is flagged; f at
+    rel + 2 digits, 2 more than the nodes carry, is where the node
+    difference's digit cap binds, which the scalar loops show by losing
+    digits to nodes known to rel only."""
+    rel, E, N = 40, 14, 8
+    u = 1 + p
+    prec = Precision(p, rel, N)
+    xs = [Fraction(u) ** -m - 1 for m in range(E)]
+    values = [PadicScalar.from_fraction(p**power * sum(x**i for i in range(7)), prec,
+                                        rel + extra) for x in xs]
+    assert all(min(y.val + y.rel for y in values[m - 1:m + 1]) >= rel + 2 for m in range(1, E))
+    want = newton_part_by_scalars(values, [PadicScalar.from_fraction(x, prec, rel) for x in xs], N)
+    assert part_key(lfunctions._newton_part(p, u, rel, values, N)) == part_key(want)
+    deep = newton_part_by_scalars(values, [PadicScalar.from_fraction(x, prec, rel + 20)
+                                           for x in xs], N)
+    assert (part_key(deep) != part_key(want)) == (extra > 0)

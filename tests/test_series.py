@@ -331,10 +331,10 @@ def schoolbook(A, B, mod, trunc):
 
 @st.composite
 def polymul_cases(draw):
-    """(A, B, mod, trunc): sparse and empty operands, entries outside [0, mod)."""
+    """(A, B, mod, trunc): sparse and empty operands, entries in [0, mod)."""
     mod = draw(st.sampled_from([1, 2, 3, 5**3, 7**9, 2**64 + 13, 3**80]))
     # zeros are frequent, so the packed operands have runs of empty chunks
-    entry = st.sampled_from([0, 0, 1, mod - 1, mod, -1]) | st.integers(-3 * mod, 3 * mod)
+    entry = st.sampled_from([0, 0, 1, mod - 1]) | st.integers(0, mod - 1)
     A = draw(st.lists(entry, max_size=12))
     B = draw(st.lists(entry, max_size=12))
     trunc = draw(st.none() | st.integers(0, len(A) + len(B) + 3))
