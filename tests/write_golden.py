@@ -11,6 +11,13 @@ returns:
 * the four bench kl-series cases, ``kl_series_report`` at (p, 20, 64), and
   windows the bench never reaches: unit branches at p = 3 and p = 11, the
   p = 7 pole branch, and a 154-node window at (5, 30, 120);
+* the L-function layer on the trivial character, the quadratic character of
+  conductor 4 and omega, over p in {3, 5, 7, 11}, and on a quartic
+  character mod 13 at p = 5 (irrational values, conductor prime to p):
+  ``kl_series_report`` on every branch at two windows, ``kl_branch_values``
+  and ``kl_value`` at s in {0, -1, -3}, and ``gen_bernoulli`` and
+  ``smoothed_moment`` at rel in {None, 2, 0}, a refused call hashed as its
+  error's type and message;
 * sums, differences, products and linear combinations of ``Series`` over
   Q_p and Q_p(alpha), with jagged, truncated, polynomial and exact-zero
   operands;
@@ -20,7 +27,9 @@ returns:
 A ``Series`` is its parts as (off, cells, abs_precs), its polynomial flag
 and its form; an element is its tame components' parts and flags; a
 distribution adds the order tag, the cyclotomic factors, the truncation
-level and the meta dict; a report or payload is the dict itself.
+level and the meta dict; a report or payload is the dict itself.  A
+``PadicScalar`` is its (val, unit, rel) and its precision context, a
+``Fraction`` its string, and a refused call ``{"error", "message"}``.
 
 Keys are sorted and infinite precisions are written ``"inf"``.
 ``tests/test_golden.py`` recomputes every digest and compares it with
@@ -36,6 +45,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import random
 import sys
 import warnings
@@ -45,7 +55,14 @@ from pathlib import Path
 
 from iwa.dieudonne import change_of_basis
 from iwa.distributions import Distribution, divide_exact
-from iwa.lfunctions import DirichletCharacter, kl_series_report
+from iwa.lfunctions import (
+    DirichletCharacter,
+    gen_bernoulli,
+    kl_branch_values,
+    kl_series_report,
+    kl_value,
+    smoothed_moment,
+)
 from iwa.pollack import LogKind, log_identity_check, pollack_log
 from iwa.scalars import PadicScalar, Precision, QuadExtScalar
 from iwa.series import DivisibilityError, IwasawaElement, Series, linear_combination
@@ -116,6 +133,68 @@ KL_WINDOW_CASES = (
 )
 # (k, N): seeds synthesized at p_prec 60, divided at p_prec 20
 DEEP_CASES = ((0, 64), (1, 64))
+# (M, N): the two windows of the L-function slice, 13 and 26 nodes
+LAYER_WINDOWS = ((5, 4), (10, 12))
+LAYER_S = (0, -1, -3)
+LAYER_RELS = (None, 2, 0)
+
+
+def char_mod13(p: int, s: int) -> DirichletCharacter:
+    """The character mod 13 sending its generator 2 to omega^s."""
+    table, x = [None] * 13, 1
+    for t in range(12):
+        table[x] = s * t
+        x = x * 2 % 13
+    return DirichletCharacter(p, 13, tuple(table))
+
+
+def layer_characters():
+    """(name, character) for the L-function slice."""
+    for p in (3, 5, 7, 11):
+        yield f"trivial{p}", DirichletCharacter.trivial(p)
+        yield f"quadratic{p}_4", DirichletCharacter.quadratic(p, 4)
+        yield f"omega{p}", DirichletCharacter.teichmuller_power(p, 1)
+    yield "quartic5_13", char_mod13(5, 1)
+
+
+def outcome(call):
+    """call(), or the type and message of the error it raises."""
+    try:
+        return call()
+    except (ArithmeticError, ValueError) as e:
+        return {"error": type(e).__name__, "message": str(e)}
+
+
+def layer_cases():
+    for name, eta in layer_characters():
+        p = eta.p
+        prec = Precision(p, 6)
+        twists = [eta * DirichletCharacter.teichmuller_power(p, j) for j in range(p - 1)]
+        c = next(c for c in range(2, 99) if math.gcd(c, p * eta.modulus) == 1)
+        for M, N in LAYER_WINDOWS:
+            window = Precision(p, M, N)
+            for i in range(p - 1):
+                yield (
+                    f"kl_series_report/{name}/i{i}/M{M}/N{N}",
+                    lambda eta=eta, i=i, w=window: outcome(lambda: kl_series_report(eta, i, w)),
+                )
+                yield (
+                    f"kl_branch_values/{name}/i{i}/M{M}/N{N}",
+                    lambda eta=eta, i=i, w=window: outcome(
+                        lambda: kl_branch_values(eta, i, LAYER_S, w)),
+                )
+        yield f"kl_value/{name}", lambda twists=twists, prec=prec: [
+            outcome(lambda: kl_value(chi, s, prec)) for chi in twists for s in LAYER_S
+        ]
+        for rel in LAYER_RELS:
+            yield f"gen_bernoulli/{name}/rel{rel}", lambda twists=twists, prec=prec, rel=rel: [
+                outcome(lambda: gen_bernoulli(n, chi, prec, rel))
+                for chi in twists for n in range(10)
+            ]
+            yield f"smoothed_moment/{name}/rel{rel}", lambda eta=eta, c=c, prec=prec, rel=rel: [
+                outcome(lambda: smoothed_moment(eta, a, m, c, prec, rel))
+                for a in range(eta.p - 1) for m in (0, 1, 4, 9)
+            ]
 
 
 def seed_element(rng, prec: Precision) -> IwasawaElement:
@@ -268,6 +347,7 @@ def cases():
             f"kl_series_report/{name}/i{i}/p{p}/M{M}/N{N}",
             lambda eta=eta, i=i, prec=Precision(p, M, N): kl_series_report(eta, i, prec),
         )
+    yield from layer_cases()
     yield from series_cases()
     for k, N in DEEP_CASES:
         yield f"deep_roundtrip/p5/k{k}/N{N}", lambda k=k, N=N: deep_roundtrip(k, N)
@@ -286,6 +366,11 @@ def _parts(series: Series) -> dict:
 def _canonical(obj):
     if isinstance(obj, (dict, bool)):
         return obj
+    if isinstance(obj, Fraction):
+        return str(obj)
+    if isinstance(obj, PadicScalar):
+        return {"val": obj.val, "unit": obj.unit, "rel": obj.rel,
+                "prec": [obj.prec.p, obj.prec.p_prec, obj.prec.x_prec]}
     if isinstance(obj, (list, tuple)):
         return [_canonical(x) for x in obj]
     if isinstance(obj, Series):
