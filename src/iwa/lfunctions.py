@@ -16,19 +16,22 @@ The cast, roughly in dependency order:
   come from the recurrence sum_{k<=n} C(n+1, k) B_k = 0, memoized.  One
   integer row per n, (D, C(n,i) B_i D) with D the common denominator of
   B_0..B_n, is cached, so D f^n B_n(a/f) is an integer, summed by Horner's
-  rule in a over the row times the powers of f.  Rational characters
-  return one exact Fraction; irrational ones read each B_n(a/f) as a
-  scalar from its integer numerator and D f^n, with one modular inverse
-  per call.
+  rule in a over the row times the powers of f, for the units a below f/2
+  only (B_n(1 - x) = (-1)^n B_n(x)).  Rational characters return one exact
+  Fraction; irrational ones sum eta(a) D f^n B_n(a/f) on integers mod
+  p^rel and build one scalar, with one modular inverse per call.
 * :func:`kl_value` — the interpolation formula for p-adic L-values at
   s = 1 - n.  This is the oracle of record: the series construction below is
   certified against it and never the other way around.
 * :func:`smoothed_moment` / :func:`kl_series` — the measure-theoretic
   construction.  The c-smoothed regularization of the B_1 distribution is a
-  genuine Z_p-measure; its twisted moments have a closed form, each read
-  with its twisted primitive character from a cache keyed by the exponent of
-  omega.  The branch series is recovered by Newton interpolation through
-  those moments at the points u^{-m} - 1.  Divided differences of an
+  genuine Z_p-measure; its twisted moments have a closed form, each read with
+  its twisted primitive character from a cache keyed by the exponent of
+  omega.  The smoothing and Euler factors and 1/n are (val, unit, rel)
+  triples of integers mod p^rel, multiplied by PadicScalar's rules, so a
+  moment builds three scalars: the Bernoulli number, the interpolation factor
+  and the moment.  The branch series is recovered by Newton interpolation
+  through those moments at the points u^{-m} - 1.  Divided differences of an
   integral power series at points of pZ_p are p-integral, so the Newton
   coefficients are checked for integrality as a construction self-test, and
   the interpolation tail drops one digit per node past the window — the node
@@ -40,12 +43,12 @@ The cast, roughly in dependency order:
   step multiplies by a power of u and no unit is inverted per cell; the unit
   factors and powers of p this leaves are divided out once per diagonal
   entry.  Each cell's precision bound follows from its inputs' bounds as
-  PadicScalar arithmetic gives it (the few cells where a node's digit cap
-  may bind also read their valuation), so the Part is, digit for digit,
-  what the same loops give on PadicScalars.  Dividing by an integer n reads the inverse of its unit
-  part from a cached table.  The divisor that removes the smoothing factor
-  raises 1+X to log<c>/log(u), and pollack.log_p_unit sums both logarithms
-  on integers.
+  PadicScalar arithmetic gives it (the few cells where a node's digit cap may
+  bind also read their valuation), so the Part is, digit for digit, what the
+  same loops give on PadicScalars.  Dividing by an integer n reads the
+  inverse of its unit part from a cached table.  The divisor that removes the
+  smoothing factor raises 1+X to log<c>/log(u), and pollack.log_p_unit sums
+  both logarithms on integers.
 * :func:`euler_factor_E` / :func:`euler_factor_Eprime` /
   :func:`exceptional_zero_report` — the three-factor products controlling
   trivial zeros of the symmetric square, with exact vanishing flags (each
@@ -436,9 +439,11 @@ def gen_bernoulli(n: int, eta: DirichletCharacter, prec: Precision | None = None
     with D the common denominator of B_0..B_n, D F^n B_n(a/F) is the integer
     sum_i C(n,i) B_i D F^i a^(n-i), evaluated by Horner's rule in a.  So no
     Fraction arithmetic runs per term: the rational path forms one exact
-    Fraction, and the p-adic path reads each B_n(a/F) to the digits
-    from_fraction gives the exact value, from integers and one modular
-    inverse per call.  A negative rel raises a ValueError.
+    Fraction.  The p-adic path runs on integers mod p^rel and builds one
+    PadicScalar at its end, the one that summing the terms eta(a) B_n(a/F),
+    each known to rel digits, and multiplying by F^(n-1) as PadicScalars
+    gives: the sum keeps the least absolute precision of its terms, the
+    product the least rel.  A negative rel raises a ValueError.
     """
     if n < 0:
         raise ValueError("Bernoulli index must be nonnegative")
@@ -462,30 +467,35 @@ def gen_bernoulli(n: int, eta: DirichletCharacter, prec: Precision | None = None
             acc = acc * a + r
         return acc
 
-    units = [a for a in range(1, F + 1) if math.gcd(a, F) == 1]
+    # B_n(1 - x) = (-1)^n B_n(x) and psi(F - a) = psi(-1) psi(a), so for
+    # F > 2 the units above F/2 repeat the terms of those below, times
+    # (-1)^n psi(-1): the sum is 0 or twice its lower half
+    if F == 1:
+        units, twice = [1], 1
+    else:
+        units = [a for a in range(1, F // 2 + 1) if math.gcd(a, F) == 1]
+        twice = 0 if psi.is_odd == (n % 2 == 0) else 2
     if psi.is_rational_valued:
         # F^(n-1) sum_a psi(a) B_n(a/F), with psi(a) = +-1
         tot = sum(scaled(a) if psi.exponent(a) == 0 else -scaled(a) for a in units)
-        return Fraction(tot, D * F)
+        return Fraction(twice * tot, D * F)
     if prec is None:
         raise ValueError(
             "character values are irrational over Q; pass a precision context"
         )
     rel = prec.p_prec + 8 if rel is None else rel
-    # B_n(a/F) = scaled(a) / (D F^n) as from_fraction reads it: valuation
-    # v(scaled(a)) - v(D F^n), unit the quotient of the two prime-to-p parts,
-    # so one modular inverse serves every a
-    p, DF = psi.p, D * F**n
-    vden = _vp(DF, p)
-    inv = pow(DF // p**vden, -1, p**rel)
+    # B_{n,psi} = sum_a psi(a) s_a / (D F), s_a = scaled(a).  The term of a
+    # has valuation v(s_a) - v(D F^n) and rel digits, so the sum is known
+    # to p^(v - v(D F^n) + rel), v the least v(s_a), and F^(n-1) shifts
+    # that by (n-1) v(F).  No s_a is 0: the rational roots of B_n are 0,
+    # 1/2 and 1 (Inkeri 1959), and an irrational character has F > 2.
+    p = psi.p
     pw = _omega_powers(p, prec, rel)
-    tot = PadicScalar.exact_zero(prec)
-    for a in units:
-        s = scaled(a)
-        if s:  # an exact zero adds nothing
-            v = _vp(s, p)
-            tot = tot + pw[psi.exponent(a)] * PadicScalar(prec, v - vden, s // p**v * inv, rel)
-    return tot * PadicScalar.from_fraction(Fraction(F) ** (n - 1), prec, rel)
+    terms = [(scaled(a), pw[psi.exponent(a)].unit) for a in units]
+    v = min(_vp(s, p) for s, _ in terms)
+    tot = twice * sum(s * w for s, w in terms) // p**v
+    vd = _vp(D * F, p)
+    return PadicScalar(prec, v - vd, tot * pow(D * F // p**vd, -1, p**rel), rel)
 
 
 def _as_scalar(x, prec: Precision, rel: int) -> PadicScalar:
@@ -494,36 +504,55 @@ def _as_scalar(x, prec: Precision, rel: int) -> PadicScalar:
     return PadicScalar.from_fraction(Fraction(x), prec, rel)
 
 
-def _over_int(x: PadicScalar, n: int, rel: int) -> PadicScalar:
-    """x / PadicScalar.from_int(n, x.prec, rel) for n >= 1, digit for digit.
+def _triple(p: int, x: int, rel: int) -> tuple:
+    """(val, unit, rel) of the integer x known mod p^rel, as PadicScalar
+    stores it: a multiple of p^rel is the zero to precision O(p^rel)."""
+    x %= p**rel
+    if not x:
+        return rel, 0, 0
+    v = _vp(x, p)
+    return v, x // p**v, rel - v
+
+
+def _inverse_of_int(p: int, n: int, rel: int) -> tuple:
+    """(val, unit, rel) of 1 / PadicScalar.from_int(n, prec, rel), n >= 1.
 
     The inverse of n's unit part is read from a table cached per (p, L,
     p^rel), L the power of two above n, instead of one modular inverse per
-    call.  At rel <= 0, n is a zero to precision and the division raises.
+    call.  At rel = 0, n is a zero to precision, and this raises the
+    PrecisionError that the division raises.
     """
-    if rel <= 0:
-        return x / PadicScalar.from_int(n, x.prec, rel)
-    p = x.prec.p
-    inv = _unit_inverses(p, 1 << n.bit_length(), p**rel)[n]
-    return x * PadicScalar(x.prec, -_vp(n, p), inv, rel)
+    vn = _vp(n, p)
+    if rel == 0:
+        raise PrecisionError(f"division by zero-to-precision O(p^{vn})")
+    return -vn, _unit_inverses(p, 1 << n.bit_length(), p**rel)[n], rel
 
 
-def _interpolation_factor(psi: DirichletCharacter, n: int, prec: Precision, rel: int,
-                          pw) -> PadicScalar:
-    """(1 - psi(p) p^(n-1)) B_{n, psi} / n for a primitive psi.
+def _times(x: PadicScalar, val: int, unit: int, rel: int) -> PadicScalar:
+    """x times the scalar (val, unit, rel), a triple as _triple gives it, in
+    one PadicScalar: valuations add and the least rel is kept."""
+    if x.val is None:
+        return x
+    return PadicScalar(x.prec, x.val + val, x.unit * unit, min(x.rel, rel))
 
-    ``pw`` are the omega-powers, read only when p does not divide the
-    conductor of psi; it may be None otherwise.
+
+def _interpolation_factor(psi: DirichletCharacter, n: int, prec: Precision,
+                          rel: int) -> PadicScalar:
+    """(1 - psi(p) p^(n-1)) B_{n, psi} / n for a primitive psi and n >= 1.
+
+    On integers: the Euler factor is an integer mod p^rel, the unit part of
+    1/n is read from a table, and B_{n, psi} is the scalar gen_bernoulli
+    gives (a Fraction read to rel digits).  The product keeps the least rel
+    of the three, as PadicScalar multiplication does, and is built as one
+    PadicScalar; at rel = 0 the division by n raises.
     """
     p = psi.p
-    one = PadicScalar.from_int(1, prec, rel)
     B = _as_scalar(gen_bernoulli(n, psi, prec, rel), prec, rel)
     ep = psi.exponent(p)
-    if ep is None:
-        euler = one
-    else:
-        euler = one - pw[ep] * PadicScalar.from_fraction(Fraction(p) ** (n - 1), prec, rel)
-    return _over_int(euler * B, n, rel)
+    euler = 1 if ep is None else 1 - _omega_powers(p, prec, rel)[ep].unit * p ** (n - 1)
+    ve, ue, re = _triple(p, euler, rel)
+    vn, un, _ = _inverse_of_int(p, n, rel)
+    return _times(B, ve + vn, ue * un, re)
 
 
 # ------------------------------------------------------------ L-values
@@ -551,10 +580,8 @@ def kl_value(eta: DirichletCharacter, one_minus_n: int, prec: Precision,
     if eta.is_odd:
         return PadicScalar.exact_zero(prec)
     rel = prec.p_prec + 6 if rel is None else rel
-    p = eta.p
-    psi = _twisted_primitive(eta, -n % (p - 1))
-    pw = None if psi.exponent(p) is None else _omega_powers(p, prec, rel)
-    return -_interpolation_factor(psi, n, prec, rel, pw)
+    psi = _twisted_primitive(eta, -n % (eta.p - 1))
+    return -_interpolation_factor(psi, n, prec, rel)
 
 
 def smoothed_moment(eta: DirichletCharacter, omega_exponent: int, m: int, c: int,
@@ -569,6 +596,10 @@ def smoothed_moment(eta: DirichletCharacter, omega_exponent: int, m: int, c: int
     (see the companion tests); the c-factor kills the von Staudt denominator,
     so the result is always integral — callers rely on that.  A negative
     rel raises a ValueError.
+
+    The smoothing factor is an integer mod p^rel; its product with the
+    interpolation factor keeps the least rel of the two, as PadicScalar
+    multiplication does, and is built as one PadicScalar.
     """
     if m < 0:
         raise ValueError("moment index must be nonnegative")
@@ -579,11 +610,9 @@ def smoothed_moment(eta: DirichletCharacter, omega_exponent: int, m: int, c: int
         raise ValueError("smoothing constant must exceed 1 and be prime to p and the modulus")
     rel = prec.p_prec + 8 if rel is None else rel
     psi = _twisted_primitive(eta, omega_exponent % (p - 1))
-    pw = _omega_powers(p, prec, rel)
-    one = PadicScalar.from_int(1, prec, rel)
-    ec = psi.exponent(c)
-    smooth = one - pw[ec] * PadicScalar.from_int(c ** (m + 1), prec, rel)
-    return smooth * _interpolation_factor(psi, m + 1, prec, rel, pw)
+    w = _omega_powers(p, prec, rel)[psi.exponent(c)].unit
+    smooth = _triple(p, 1 - w * c ** (m + 1), rel)
+    return _times(_interpolation_factor(psi, m + 1, prec, rel), *smooth)
 
 
 # ------------------------------------------------------------ the series
@@ -629,7 +658,7 @@ def _binomial_series(exponent: PadicScalar, length: int, prec: Precision,
     out = [PadicScalar.from_int(1, prec, rel)]
     acc = PadicScalar.from_int(1, prec, rel)
     for k in range(1, length):
-        acc = _over_int(acc * (exponent - (k - 1)), k, rel)
+        acc = _times(acc * (exponent - (k - 1)), *_inverse_of_int(prec.p, k, rel))
         out.append(acc)
     return out
 
@@ -671,6 +700,23 @@ def _newton_part(p: int, u: int, rel: int, moments: list, N: int) -> Part:
       Bounds only fall and S only grows, so once no cell of a column can be
       flagged none later can, and the later diagonal bounds are running
       minima.
+    * mn = nv[row] would give the same Part, so no input tells it from the
+      scalar rule's min(nv[row], nv[row-col]) kept here.  A cell's bound is
+      the least of its inputs' bounds and its cap (the cap is at least the
+      flag threshold, as v(g_col[row]) >= S[col] in an integral table), so a
+      diagonal bound is the least moment bound and cap over the rows up to
+      its own.  The two forms differ where v(col) < v(row), so nv[row-col] =
+      nv[col] and the cap is v(g_col[row]) + rel.  If v(dd_col[row]) >=
+      v(dd_col[col]), the column's diagonal cell is capped at or below it.
+      If not, dd_col[row] - dd_col[col] = sum_{col<i<=row} dd_(col+1)[i]
+      (node[i] - node[i-col-1]) has a term of valuation at most
+      v(dd_col[row]), and that next-column cell, whose mn is at most
+      nv[col+1], is capped at or below it; if it is such a cell again,
+      repeat up to a diagonal cell.  Either way a cell in a row <= row is
+      capped at or below the cell's own cap, which so never sets a bound
+      alone.  mn = 1 does differ: at the diagonal cell of row p the node
+      difference node[p] - node[0] is known to p^(rel + 2), not p^(rel + 1)
+      (see the tests).
     * Expansion: the cap leaves no table entry more than rel digits, so
       node[m] * poly[dg] is known to nv[m] past poly[dg]'s bound, and a
       bound follows min(bound[dg-1], bound[dg] + nv[m]).  The step is
@@ -779,8 +825,9 @@ def _kl_core(eta: DirichletCharacter, branch_i: int, prec: Precision) -> dict:
     # The moments, integral, are the values at the nodes u^-m - 1, each
     # known to rel digits; _newton_part interpolates them.  No moment is an
     # exact zero, as the kernel asks: on an even branch B_{m+1,psi} has the
-    # parity that makes it nonzero, and the smoothing and Euler factors are
-    # PadicScalar differences, which never return one.
+    # parity that makes it nonzero, and the smoothing and Euler factors and
+    # 1/(m+1) are integer triples, of which a multiple of p^rel is the zero
+    # to precision O(p^rel), never the exact zero.
     moments = []
     for m in range(E):
         v = -smoothed_moment(eta0, b - m, m, c, wprec, rel)

@@ -647,13 +647,18 @@ def outcome(fn, *args):
 
 
 def grid_characters(p):
-    """Trivial, quadratic of conductors 3 and 4, omega-powers and products."""
+    """Trivial, quadratic of conductors 3 and 4, omega-powers and products;
+    at p = 5 and p = 7 also a character of conductor 13 with irrational
+    values (quartic and cubic), so the p-adic Bernoulli sum runs with p
+    prime to the conductor."""
     DC = DirichletCharacter
     q4 = DC.quadratic(p, 4)
     out = [DC.trivial(p), q4, w_pow(p, 1), w_pow(p, 2), q4 * w_pow(p, 1)]
     if p != 3:
         q3 = DC.quadratic(p, 3)
         out += [q3, q3 * w_pow(p, p - 2)]
+    if p in (5, 7):
+        out.append(char_mod13(p, 1 if p == 5 else 2))
     return out
 
 
@@ -681,6 +686,24 @@ def test_l_function_layer_matches_the_scalar_references(p, monkeypatch):
                 assert outcome(kl_value, *args) == outcome(oracles.reference_kl_value, *args)
             for br in range(p - 1):
                 assert_branch_matches_reference_core(eta, br, prec, monkeypatch)
+
+
+@given(
+    data=st.data(),
+    p=st.sampled_from([3, 5, 7, 11]),
+    m=st.integers(0, 40),
+    c=st.integers(0, 60),
+    rel=st.sampled_from([0, 1, 2, None]),
+)
+@settings(max_examples=100, deadline=None)
+def test_smoothed_moments_match_the_scalar_reference(data, p, m, c, rel):
+    """smoothed_moment against oracles.reference_smoothed_moment on random
+    (character, omega-exponent, m, c, rel), outcome for outcome: c may be
+    refused, and rel = 0 raises from the division by m + 1."""
+    eta = data.draw(st.sampled_from(grid_characters(p)))
+    a = data.draw(st.integers(0, p - 2))
+    args = (eta, a, m, c, Precision(p, data.draw(st.integers(1, 8))), rel)
+    assert outcome(smoothed_moment, *args) == outcome(oracles.reference_smoothed_moment, *args)
 
 
 def assert_branch_matches_reference_core(eta, br, prec, monkeypatch):
@@ -1069,3 +1092,35 @@ def test_newton_kernel_matches_the_scalar_loops_where_the_node_cap_may_bind(p, p
     deep = newton_part_by_scalars(values, [PadicScalar.from_fraction(x, prec, rel + 20)
                                            for x in xs], N)
     assert (part_key(deep) != part_key(want)) == (extra > 0)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_newton_kernel_keeps_the_digits_a_node_of_valuation_two_allows(p):
+    """The diagonal cell at row p divides by node[p] - node[0] = u^-p - 1,
+    of valuation nv[p] = 2 and known to p^(rel + 2), so the quotient keeps
+    rel digits: its cap uses mn = min(nv[p], nv[0]) = 2, not 1.
+
+    f = 1 + prod_{|j| <= (p-1)/2} (x - jp) is monic of degree p, so that
+    cell's g-value is p^S[p] times a unit, S[p] = p + 1, and its cap is
+    rel + p + 1; f's lower divided differences at the nodes are divisible
+    enough that no other cap falls below it.  So with the values known to
+    rel + p + 1 digits the cap sets the bound of the top coefficient, the
+    unit dd[p], to rel digits, and mn = 1 would lower it by one; at
+    rel + p digits the values' own bound leaves rel - 1."""
+    rel = 40
+    f = [1]
+    for j in range(-(p - 1) // 2, (p + 1) // 2):
+        f = [0] + f  # times x - jp
+        for i in range(len(f) - 1):
+            f[i] -= j * p * f[i + 1]
+    f[0] += 1
+    u, E = 1 + p, p + 1
+    prec = Precision(p, rel, E)
+    xs = [Fraction(u) ** -m - 1 for m in range(E)]
+    nodes = [PadicScalar.from_fraction(x, prec, rel) for x in xs]
+    for extra in (p, p + 1):
+        values = [PadicScalar.from_fraction(sum(c * x**i for i, c in enumerate(f)), prec,
+                                            rel + extra) for x in xs]
+        got = lfunctions._newton_part(p, u, rel, values, E)
+        assert part_key(got) == part_key(newton_part_by_scalars(values, nodes, E))
+        assert got.abs_precs[-1] == rel + extra - (p + 1)
