@@ -22,10 +22,19 @@ returns:
   Q_p and Q_p(alpha), with jagged, truncated, polynomial and exact-zero
   operands;
 * coordinates synthesized 40 digits above the window they are divided in,
-  where the signed logs' work margin decides the digits kept.
+  where the signed logs' work margin decides the digits kept;
+* ``factor_signed(synthesize(s, k, conv), k, conv)`` on the windows where
+  the dot and circ rows lose the most digits, k up to 4 at p in {3, 5, 7};
+* ``divide_series`` and ``remainder_mod`` at their edges: pivots past zeros
+  to precision, a unit divisor and a unit modulus, empty windows and
+  dividends shorter than the modulus;
+* divisions whose alpha-part is zero to precision (at one cap, at jagged
+  caps, shorter than the window), and the division kernel
+  ``_back_substitute`` on dividends that are zeros to precision, with its
+  refusals of an exact or zero-to-precision pivot.
 
 A ``Series`` is its parts as (off, cells, abs_precs), its polynomial flag
-and its form; an element is its tame components' parts and flags; a
+and its form, and a bare part its (off, cells, abs_precs); an element is its tame components' parts and flags; a
 distribution adds the order tag, the cyclotomic factors, the truncation
 level and the meta dict; a report or payload is the dict itself.  A
 ``PadicScalar`` is its (val, unit, rel) and its precision context, a
@@ -65,7 +74,15 @@ from iwa.lfunctions import (
 )
 from iwa.pollack import LogKind, log_identity_check, pollack_log
 from iwa.scalars import PadicScalar, Precision, QuadExtScalar
-from iwa.series import DivisibilityError, IwasawaElement, Series, linear_combination
+from iwa.series import (
+    DivisibilityError,
+    IwasawaElement,
+    Part,
+    Series,
+    _back_substitute,
+    divide_series,
+    linear_combination,
+)
 from iwa.signed import (
     CONVENTIONS,
     SignedQuadruple,
@@ -133,6 +150,14 @@ KL_WINDOW_CASES = (
 )
 # (k, N): seeds synthesized at p_prec 60, divided at p_prec 20
 DEEP_CASES = ((0, 64), (1, 64))
+# (p, k, convention, N) at p_prec 20: the roundtrips whose dot and circ rows
+# keep the fewest digits
+LOSS_CASES = (
+    (3, 1, "lemmaFactorisation", 32),
+    (3, 2, "theoremA", 40),
+    (5, 4, "theoremA", 64),
+    (7, 4, "theoremA", 64),
+)
 # (M, N): the two windows of the L-function slice, 13 and 26 nodes
 LAYER_WINDOWS = ((5, 4), (10, 12))
 LAYER_S = (0, -1, -3)
@@ -251,6 +276,13 @@ def deep_roundtrip(k: int, N: int) -> SignedQuadruple:
     return factor_signed(UnboundedQuadruple(*(d.with_p_prec(20) for d in u.vector())), k)
 
 
+def scalar(prec: Precision, n, rel=None) -> PadicScalar:
+    """n as a PadicScalar to ``rel`` digits; "O<A>" is a zero known to O(p^A)."""
+    if isinstance(n, str):
+        return PadicScalar.inexact_zero(prec, int(n[1:]))
+    return PadicScalar.from_fraction(Fraction(n), prec, rel)
+
+
 def series_operands():
     """Named Series over Precision(5, 12, 8): over Q_p and over Q_p(alpha)
     with alpha^2 = -2 * 5^2, polynomial, truncated with jagged precision
@@ -259,9 +291,7 @@ def series_operands():
     prec = Precision(5, 12, 8)
 
     def s(n, rel=None):
-        if isinstance(n, str):  # "O<A>": a zero known to O(5^A)
-            return PadicScalar.inexact_zero(prec, int(n[1:]))
-        return PadicScalar.from_fraction(Fraction(n), prec, rel)
+        return scalar(prec, n, rel)
 
     def q(a, b):
         return QuadExtScalar(a, b, 1, 2)
@@ -305,6 +335,125 @@ def series_cases():
                 f"linear_combination/{x}/{j}",
                 lambda coeffs=coeffs, trio=trio: linear_combination(coeffs, trio),
             )
+
+
+def division_edge_cases():
+    """divide_series and remainder_mod at the edges of their windows, over
+    Precision(5, 12, 8)."""
+    prec = Precision(5, 12, 8)
+
+    def s(n, rel=None):
+        return scalar(prec, n, rel)
+
+    def series(coeffs, poly=False):
+        return Series.make(prec, [s(c) if isinstance(c, str) else c for c in coeffs],
+                           is_polynomial=poly)
+
+    seed = series([2, -1, 7], poly=True)
+    # pivots at degree 2, past zeros to precision (and an exact zero)
+    past = series(["O9", "O8", 10, 3, 1, 25, 6, 4])
+    past_poly = series(["O3", 0, 10, 3, 1], poly=True)
+    unit = series([3, 5, 1], poly=True)  # lambda = 0: no zeros in the open disc
+    divisions = {
+        "pivot_past_zeros": (seed * past, past),
+        "pivot_past_zeros/truncated_seed": (series([1, 4, 0, 2, 9, 1, 3, 8]) * past, past),
+        "pivot_past_zeros/poly": (seed * past_poly, past_poly),
+        "pivot_past_zeros/miss": (series([0, 5, 1, 1]) + seed * past, past),
+        "pivot_past_zeros/below": (series([1, 0, 0, 0, 0, 0, 0, 0]), past),
+        "unit_divisor": (seed * unit, unit),
+        "unit_divisor/truncated": (series([3, 1, 4, 1, 5, 9, 2, 6]), unit),
+        "zero_divisor": (seed, series(["O4", "O2", 0])),
+        "empty_window": (series([0, 0]), past),
+        "empty_window/shorter": (series(["O5"]), past),
+    }
+    for name, (F, G) in divisions.items():
+        yield f"divide_series/{name}", lambda F=F, G=G: outcome(lambda: divide_series(F, G))
+    q = Series.make(prec, [QuadExtScalar(s(1), s(2), 1, 2), s(5), s(7)], is_polynomial=True)
+    moduli = {
+        "unit": series([2], poly=True),
+        "unit_padded": series([3, "O4"], poly=True),
+        "linear": series([5, 1], poly=True),
+        "quadratic": series([10, 5, 1], poly=True),
+    }
+    dividends = {
+        "poly": seed,
+        "qpoly": q,
+        "truncated": series([1, 2, 3, 4, 5, 6, 7, 8]),
+        "short_poly": series([4], poly=True),
+        "short_truncated": series([4, 1]),
+        "empty": Series.zero(prec),
+    }
+    for m, phi in moduli.items():
+        for d, F in dividends.items():
+            yield (
+                f"remainder_mod/{d}/{m}",
+                lambda F=F, phi=phi: outcome(lambda: F.remainder_mod(phi)),
+            )
+
+
+def zero_alpha_cases():
+    """Dividends over Q_p(alpha) whose alpha-part is zero to precision, by
+    divisors over Q_p: at one cap over the window, at jagged caps, and as a
+    polynomial shorter than a truncated divisor's window."""
+    prec = Precision(5, 12, 8)
+    form = (1, 2)
+    divisors = {
+        "truncated": Series.make(prec, [scalar(prec, c, 6) for c in (5, 2, 0, 1, 3, 7, 1, 4)]),
+        "poly": Series.make(prec, [10, 1, 3], is_polynomial=True),
+    }
+    for dname, G in divisors.items():
+        num = (Series.make(prec, [3, 1, 4, 1], is_polynomial=True) * G)._a
+        n = len(num)
+        zeros = {
+            "one_cap": [(4, 0, 0)] * n,
+            "one_cap_low": [(-2, 0, 0)] * n,
+            "jagged": [(4 + i % 3, 0, 0) for i in range(n)],
+            "with_exact": [(3, 0, 0), (None, 0, 0)] * (n // 2) + [(3, 0, 0)] * (n % 2),
+        }
+        for zname, triples in zeros.items():
+            F = Series(prec, num, Part.from_triples(5, triples), form, G.is_polynomial)
+            yield (
+                f"divide_series/zero_alpha/{zname}/{dname}",
+                lambda F=F, G=G: outcome(lambda: divide_series(F, G)),
+            )
+    G = divisors["truncated"]
+    a = Part.from_triples(5, [(0, 2, 9), (1, 1, 8), (0, 3, 10)])
+    F = Series(prec, a, Part.from_triples(5, [(5, 0, 0)] * 3), form, is_polynomial=True)
+    yield "divide_series/zero_alpha/short", lambda F=F, G=G: outcome(lambda: divide_series(F, G))
+
+
+def zero_dividend_cases():
+    """_back_substitute on dividends that are zeros to precision, by divisors
+    with digits, exact zeros and zeros to precision, at and past their
+    length; then the pivots it refuses."""
+    divisors = {
+        "p5": (5, [(0, 3, 6), (1, 2, 4), (None, 0, 0), (2, 0, 0), (0, 1, 5), (3, 7, 2)]),
+        "p5_low": (5, [(1, 4, 3), (-1, 3, 8), (2, 1, 5)]),
+        "p3": (3, [(-1, 2, 5), (2, 0, 0), (1, 1, 4), (None, 0, 0), (-2, 1, 3)]),
+        "p7_pivot_only": (7, [(2, 3, 4)]),
+        "p3_lost": (3, [(0, 1, 1), (0, 2, 9), (1, 1, 1)]),
+        "exact_pivot": (5, [(None, 0, 0), (0, 1, 3)]),
+        "zero_pivot": (5, [(2, 0, 0), (0, 1, 3)]),
+        "empty": (5, []),
+    }
+    for dname, (p, triples) in divisors.items():
+        den = Part.from_triples(p, triples)
+        for n in (0, 1, 6, 12):
+            zeros = {
+                "one_cap": [(3, 0, 0)] * n,
+                "one_cap_low": [(-4, 0, 0)] * n,
+                "one_cap_long": [(0, 0, 0)] * (n + 3),
+                "jagged": [(3 + i % 4, 0, 0) for i in range(n)],
+                "short": [(3, 0, 0)] * (n // 2),
+                "exact": [(None, 0, 0)] * n,
+                "with_exact": [(3, 0, 0)] * (n // 2) + [(None, 0, 0)] + [(3, 0, 0)] * n,
+            }
+            for zname, ztriples in zeros.items():
+                num = Part.from_triples(p, ztriples)
+                yield (
+                    f"back_substitute/zero/{zname}/{dname}/n{n}",
+                    lambda num=num, den=den, n=n: outcome(lambda: _back_substitute(num, den, n)),
+                )
 
 
 def cases():
@@ -351,14 +500,25 @@ def cases():
     yield from series_cases()
     for k, N in DEEP_CASES:
         yield f"deep_roundtrip/p5/k{k}/N{N}", lambda k=k, N=N: deep_roundtrip(k, N)
+    rng = random.Random(1)
+    for p, k, conv, N in LOSS_CASES:
+        s = SignedQuadruple(*(seed_element(rng, Precision(p, 20, N)) for _ in SIGNS))
+        yield (
+            f"roundtrip/loss/p{p}/k{k}/{conv}/N{N}",
+            lambda s=s, k=k, conv=conv: factor_signed(synthesize(s, k, conv), k, conv),
+        )
+    yield from division_edge_cases()
+    yield from zero_alpha_cases()
+    yield from zero_dividend_cases()
+
+
+def _columns(part: Part) -> list:
+    return [part.off, part.cells, ["inf" if A == inf else A for A in part.abs_precs]]
 
 
 def _parts(series: Series) -> dict:
     return {
-        "parts": [
-            [part.off, part.cells, ["inf" if A == inf else A for A in part.abs_precs]]
-            for part in series._parts()
-        ],
+        "parts": [_columns(part) for part in series._parts()],
         "is_polynomial": series.is_polynomial,
     }
 
@@ -377,6 +537,8 @@ def _canonical(obj):
         return {**_parts(obj), "form": obj.form}
     if isinstance(obj, IwasawaElement):
         return [_parts(series) for series in obj.components]
+    if isinstance(obj, Part):
+        return _columns(obj)
     if isinstance(obj, SignedQuadruple):
         return [_canonical(obj.by_sign(sign)) for sign in SIGNS]
     return {
