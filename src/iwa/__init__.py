@@ -3,7 +3,11 @@
 The layers, bottom to top:
 
 * :mod:`iwa._kernel` — Kronecker-packed integer polynomials: products,
-  affine composition and cyclotomic level factors on lists of ints mod p^W.
+  affine composition and cyclotomic level factors on lists of ints mod p^W;
+  the packed Stirling columns that :mod:`iwa.pollack` reads to leave the
+  log(1+X) basis; and cached tables of factorials and of inverses of the
+  unit parts of integers, read by :mod:`iwa.pollack` and, to divide by
+  integers, by :mod:`iwa.lfunctions`.
 * :mod:`iwa.scalars` — Q_p scalars with explicit precision, and the ramified
   quadratic extension Q_p(alpha) with alpha^2 = -eps * p^(k+1).
 * :mod:`iwa.series` — truncated power series stored as integer columns with

@@ -185,7 +185,8 @@ def _bernoulli_number(n: int) -> Fraction:
     # at n = 1 it reads B_0 + 2 B_1 = 0, so B_1 = -1/2 = B_1(0), the value
     # of the Bernoulli polynomial at 0 that the row of B_n(x) needs.  The sum
     # runs up from k = 0, so each B_k it asks for finds its own terms cached
-    # and the recursion stays two calls deep.
+    # and the recursion stays two calls deep; an evicted B_k would recurse
+    # again, so this cache stays unbounded (B_0..B_400 hold about 0.07 MB).
     if n == 0:
         return Fraction(1)
     if n > 1 and n % 2 == 1:
@@ -194,11 +195,15 @@ def _bernoulli_number(n: int) -> Fraction:
     return -s / (n + 1)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def _bernoulli_row(n: int) -> tuple:
     """(D, row) with D the common denominator of B_0..B_n and row[i] = C(n,i) B_i D.
 
     So D F^n B_n(a/F) = sum_i row[i] F^i a^(n-i) is an integer for integers a, F.
+    Row n holds O(n^2 log n) bits, so the cache keeps the 128 rows last used:
+    a window's moments read rows 1..x_prec + p_prec + 4, all of them warm at
+    (p, 20, 64) (88 rows), while a window at the node cap no longer leaves
+    its 400 rows cached.
     """
     bs = [_bernoulli_number(i) for i in range(n + 1)]
     D = math.lcm(*(b.denominator for b in bs))

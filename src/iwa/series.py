@@ -36,6 +36,14 @@ Precision semantics:
 * a quotient (:func:`divide_series`) follows the scalar rules of
   back-substitution, each coefficient's cap set before its value
   (:func:`_back_substitute`);
+* most parts are known to one finite cap A on every degree, and the rules
+  above then need no per-cell bookkeeping: such a part is reduced by the
+  one modulus p^(A - off), a sum of terms that are each known to one cap
+  over the whole window is known to the least of those caps, and a
+  dividend that is zeros to precision at one cap a has the closed-form
+  quotient q_m = O(p^(a + min(G*[0..m]) - v0)), G* the min-plus star of
+  the divisor's valuations less its pivot's v0.  These are the same
+  columns the per-cell rules give, computed from the input alone;
 * a series flagged ``is_polynomial`` has exactly-zero coefficients beyond its
   stored length.  Everything else is a truncation of something longer, and the
   operations that mix degrees (affine composition, evaluation, remainders)
@@ -228,26 +236,39 @@ def _part(p, off, cells, abs_precs):
 
     Cells may be unreduced, and abs_precs[i] may lie below off: coefficient i
     is then a zero known to O(p^abs_precs[i]).  Normalizing reduces every
-    cell and moves off to the smallest valuation present.
+    cell and moves off to the smallest valuation present.  Most parts are
+    known to one finite cap; their cells are reduced by one modulus.
     """
-    mods: dict = {}
-    out = []
-    low = inf  # the smallest bound among the zeros to precision
-    for c, A in zip(cells, abs_precs):
-        if A != inf:
-            w = A - off
-            c = c % mods.setdefault(w, p**w) if w > 0 else 0
-            if not c and A < low:
-                low = A
-        out.append(c)
+    A = abs_precs[0] if abs_precs else inf
+    if A != inf and abs_precs.count(A) == len(abs_precs):
+        w = A - off
+        if w > 0:
+            m = p**w
+            out = [c % m for c in cells]
+        else:
+            out = [0] * len(cells)
+        low = A if 0 in out else inf
+    else:
+        mods: dict = {}
+        out = []
+        low = inf  # the smallest bound among the zeros to precision
+        for c, A in zip(cells, abs_precs):
+            if A != inf:
+                w = A - off
+                c = c % mods.setdefault(w, p**w) if w > 0 else 0
+                if not c and A < low:
+                    low = A
+            out.append(c)
     g = math.gcd(*out)
     new = min(low, off + _vp(g, p) if g else inf)
     if new == inf:
         new = off = 0  # exact zeros only
     elif new < off:
-        out = [c * p ** (off - new) for c in out]
+        m = p ** (off - new)
+        out = [c * m for c in out]
     elif new > off:
-        out = [c // p ** (new - off) for c in out]
+        m = p ** (new - off)
+        out = [c // m for c in out]
     return Part(p, new, out, abs_precs)
 
 
@@ -260,21 +281,27 @@ def _sum_terms(p, L, terms):
     is known to the smallest bound among its terms, and an exact zero
     (bound inf) adds nothing, not even a bound.  This is the one place where
     columns are summed: sums of series, the partial products of a product,
-    and linear combinations; the sum is normalized once.
+    and linear combinations; the sum is normalized once.  When every term is
+    known to one cap over the whole window, as a product's terms are and a
+    linear combination's mostly are, the sum is known to the least cap.
     """
     base = min((t[0] for t in terms), default=0)
-    cells, abs_precs = [0] * L, [inf] * L
+    cells = [0] * L
     for k, (off, precs, xs, mult) in enumerate(terms):
-        n = min(len(precs), L)
-        m = min(n, len(xs))
+        m = min(len(precs), L, len(xs))
         f = mult * p ** (off - base)
         if not k:  # the first term fills the empty columns
             cells[:m] = xs[:m] if f == 1 else [x * f for x in xs[:m]]
-            abs_precs[:n] = precs[:n]
-            continue
-        if f:
+        elif f:
             cells[:m] = [c + x * f for c, x in zip(cells, xs[:m])]
-        abs_precs[:n] = [a if a < A else A for a, A in zip(abs_precs, precs[:n])]
+    caps = [t[1] for t in terms]
+    if caps and L and all(len(c) >= L and c.count(c[0]) == len(c) for c in caps):
+        abs_precs = [min(c[0] for c in caps)] * L
+    else:
+        abs_precs = [inf] * L
+        for c in caps:
+            n = min(len(c), L)
+            abs_precs[:n] = [a if a < A else A for a, A in zip(abs_precs, c[:n])]
     return _part(p, base, cells, abs_precs)
 
 
@@ -1295,6 +1322,19 @@ def _back_substitute(num, den, n):
     which keeps short divisors and dense quotients at the walk's cost.  When
     num is den times a short series, the quotient past that series' degree
     is zeros to precision, and each costs a bound, not a product per term.
+
+    A num that is zeros to precision at one cap a on degrees 0..n-1 (the
+    alpha-part of most dividends over Q_p(alpha)) has a quotient in closed
+    form, q_m = O(p^(a + low[m] - v0)), low[m] the least of G*[0..m], once
+    the pivot refusals have passed.  Every q_j is then a zero to precision
+    (no value ever reaches a sum), so no pair term has digits and the walk's
+    cap at degree m reads A_m = min(a, min over i of (gv_i - v0 + A_(m-i))),
+    with A_0 = a.  Write A_m = a + B_m: B_0 = 0 = G*[0], and if B_j = low[j]
+    for j < m, then min over i of (gv_i - v0 + low[m - i]) is the least of
+    gv_i - v0 + G*[k] over i >= 1, k <= m - i, which is the least of
+    G*[1..m], since G*[k'] is the least of gv_i - v0 + G*[k' - i] for
+    k' >= 1; with the 0 of min(a, ...) that is low[m].  And q_m's triple
+    (A_m - v0, 0, 0) is what the walk stores for a sum of no terms.
     """
     p = den.p
     reach = min(n, len(den))
@@ -1312,6 +1352,10 @@ def _back_substitute(num, den, n):
     cells, caps = _cols(num, 0, n)
     # num is known to one cap a on the degrees below flat
     a = caps[0] if n else inf
+    if a != inf and not any(cells) and caps.count(a) == n:
+        # num is zeros to precision at one cap: q_m = O(p^(a + low[m] - v0))
+        qcaps = [a - v0 + t for t in low]
+        return Part(p, qcaps[-1], [0] * n, qcaps)
     flat = next((m for m, A in enumerate(caps) if A != a), n) if a != inf else 0
     dig = []  # (j, qv, qA + v0, qu) of the digit-carrying q_j so far
     pw = [1]

@@ -1012,8 +1012,9 @@ def back_substitution_cases(draw):
     valuation, as in the signed logs; it holds exact zeros and zeros to
     precision, and at times has lost digits the dividend keeps.  The dividend
     is a short seed times the divisor (a sparse quotient: zeros to precision
-    past the seed's degree), a long one (a dense quotient) or random, read at
-    one cap over the whole window, at jagged caps or as it is.
+    past the seed's degree), a long one (a dense quotient), random, or zeros
+    to precision (a quotient of zeros to precision, in closed form at one
+    cap), read at one cap over the whole window, at jagged caps or as it is.
     """
     p = draw(st.sampled_from([3, 5, 7]))
     n = 64 if draw(st.integers(0, 19)) == 0 else draw(st.integers(0, 40))
@@ -1025,10 +1026,15 @@ def back_substitution_cases(draw):
     length = draw(st.integers(0, n + 2))
     den += [column_triple(draw, p, v0 - 3, v0 + 5, kinds) for _ in range(length)]
     den = Part.from_triples(p, den)
-    shape = draw(st.sampled_from(["sparse", "sparse", "dense", "random"]))
+    shape = draw(st.sampled_from(["sparse", "sparse", "dense", "random", "zero"]))
     if shape == "random":
         length = draw(st.integers(0, n + 2))
         num = Part.from_triples(p, [column_triple(draw, p, -3, 5) for _ in range(length)])
+    elif shape == "zero":
+        # bounds at or above every cap drawn below, so one cap reads as one cap
+        length = draw(st.integers(0, n + 2))
+        zeros = [column_triple(draw, p, 30, 30, ("zero",)) for _ in range(length)]
+        num = Part.from_triples(p, zeros)
     else:
         length = draw(st.integers(1, 7)) if shape == "sparse" else max(n, 1)
         seed = Part.from_triples(p, [column_triple(draw, p, -1, 4) for _ in range(length)])
@@ -1071,6 +1077,13 @@ def columns_or_error(fn, *args):
     Part.from_triples(7, [(0, 97, 3)] + [(3, 0, 0)] * 3),
     Part.from_triples(7, [(-1, 6, 1)] + [(0, 0, 0)] * 3),
     4,
+))
+# zeros to precision at one cap, by a divisor with a coefficient of lower
+# valuation than its pivot: the closed form's caps fall along G*
+@example((
+    Part.from_triples(5, [(4, 0, 0)] * 6),
+    Part.from_triples(5, [(1, 4, 3), (-1, 3, 8), (2, 1, 5)]),
+    6,
 ))
 def test_cap_first_kernel_matches_pair_walk(case):
     # every cap set first (from the divisor's tables or the walk) and every

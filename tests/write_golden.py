@@ -34,9 +34,10 @@ returns:
   refusals of an exact or zero-to-precision pivot.
 
 A ``Series`` is its parts as (off, cells, abs_precs), its polynomial flag
-and its form, and a bare part its (off, cells, abs_precs); an element is its tame components' parts and flags; a
-distribution adds the order tag, the cyclotomic factors, the truncation
-level and the meta dict; a report or payload is the dict itself.  A
+and its form, and a bare part its (off, cells, abs_precs); an element is
+its tame components' parts and flags; a distribution adds the order tag,
+the cyclotomic factors, the truncation level and the meta dict; a report
+or payload is the dict itself.  A
 ``PadicScalar`` is its (val, unit, rel) and its precision context, a
 ``Fraction`` its string, and a refused call ``{"error", "message"}``.
 
