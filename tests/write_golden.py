@@ -97,7 +97,8 @@ from iwa.signed import (
 GOLDEN = Path(__file__).with_name("golden.json")
 
 # (p, M, N): the log-identity bench cases' work windows, one window at
-# p = 3 and p = 11 each, and windows too small for any factor
+# p = 3 and p = 11 each, windows too small for any factor, and wide windows
+# whose levels straddle N, where every twist adds ell-basis levels
 LOG_WINDOWS = (
     (5, 58, 64),
     (5, 46, 160),
@@ -108,6 +109,9 @@ LOG_WINDOWS = (
     (5, 20, 2),
     (5, 5, 1),
     (3, 4, 3),
+    (3, 30, 163),
+    (5, 48, 256),
+    (7, 44, 300),
 )
 KINDS = ("plus", "minus", "full")
 RS = (1, 2, 4)
