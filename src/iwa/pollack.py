@@ -37,13 +37,16 @@ v_p(e^k/k!) >= k - (k-1)/(p-1) >= 1.  Its valuation is at least
 k(m-1) - 1 - v_p(k!), so mod p^T only about T/(m-1) of the a_k survive, and
 since ell^k = 0 mod X^N for k >= N, truncating at ell^N is a ring map.  The
 levels are then short polynomials, multiplied in pairs so that most
-products stay short, and their product H goes back to the X basis once per
-twist: the coefficient of X^n in ell^k is k! s(n, k)/n!, s the Stirling
+products stay short.  ell does not depend on the twist, so the levels of
+all r twists go into one product H, which goes back to the X basis once
+per log: the coefficient of X^n in ell^k is k! s(n, k)/n!, s the Stirling
 numbers of the first kind, read from packed columns kept per (p, N), so
 the conversion is K big-int multiply-adds for an H of K terms.  That
 division by n! costs at most V = v_p((N-1)!) digits, so H is carried mod
-p^T with T = R + V.  Level 1 stays in the X basis because its
-a_k = S_k/(p k!) are not integral.
+p^T with T = R + V.  The levels from binomial rows of every twist are
+multiplied in the X basis mod p^R, and the two products meet in one last
+product.  Level 1 stays in the X basis because its a_k = S_k/(p k!) are
+not integral.
 
 All per-factor and per-twist 1/p normalizations are carried as a single
 valuation offset over integral coefficient arithmetic, so nothing is lost to
@@ -83,6 +86,10 @@ class LogKind:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"kind must be one of {_KINDS}")
+        for name in ("r", "shift"):
+            value = getattr(self, name)
+            if not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
         if self.r < 1:
             raise ValueError("r must be a positive integer")
         if self.shift < 0:
@@ -164,7 +171,8 @@ def _ell_cells(h: list[int], p: int, N: int, T: int, R: int):
 
     For the levels and products :func:`_signed_product` passes, p divides
     every k! h_k with k >= 1, so Stirling numbers known only mod p^(T-1)
-    would give the same cells; T is kept as it is.  The twists c are
+    would give the same cells; T is kept as it is.  That holds for a
+    product of levels of several twists as for one twist's.  The twists c are
     principal units, so w = c^e = 1 mod p, and S_k = sum_{i<p} i^k w^i is
     sum_i i^k mod p: S_1 = p(p-1)/2 = 0 mod p.  So k! a_k = e^k S_k / p has
     valuation >= (m-1) + 1 - 1 >= 1 at k = 1, and >= k(m-1) - 1 >= 1 for
@@ -196,6 +204,9 @@ def _tree_product(factors: list[list[int]], mod: int, N: int) -> list[int]:
 
     The ell-basis level factors are short, so pairing them keeps most
     products short: only the last few rounds reach length N.
+    :func:`_signed_product` passes the levels of every twist of a log at
+    once, all mod the same p^T; truncation mod (p^T, ell^N) is a ring map,
+    so the order of the factors does not change the product.
     """
     while len(factors) > 1:
         pairs = [factors[i : i + 2] for i in range(0, len(factors), 2)]
@@ -203,62 +214,77 @@ def _tree_product(factors: list[list[int]], mod: int, N: int) -> list[int]:
     return factors[0]
 
 
-def _signed_product(kind: str, j: int, p: int, u: int, R: int, N: int, M: int):
-    """One twist's worth of the plus/minus product, stripped of its content.
+def _signed_product(kind: str, js, p: int, u: int, R: int, N: int, M: int):
+    """The plus/minus product over the twists ``js``, stripped of its content.
 
-    Returns (cells, included_count, stop_level).  The product of every factor
-    of the right parity below the stop level is p^A times the cells, mod
-    (p^(A+R), X^N), where A = included_count - _short_levels(kind, p, N)
-    counts the included levels of degree >= N.  A level of degree >= N is
-    X^deg = 0 mod p in the window, so it is divided by its content p; one of
-    degree < N has content 1 and is taken as it is.
+    Returns (cells, counts, stops), with one included count and one stop
+    level per twist.  The product of every factor of the right parity
+    below each twist's stop level is p^A times the cells, mod
+    (p^(A+R), X^N), where A = sum(counts) - len(js) * _short_levels(kind,
+    p, N) counts the included levels of degree >= N.  A level of degree
+    >= N is X^deg = 0 mod p in the window, so it is divided by its content
+    p; one of degree < N has content 1 and is taken as it is.
 
-    Levels with m >= 2 and degree >= N are multiplied in the ell basis mod
-    p^T, T = R + V with V = v_p((N-1)!), from :func:`_ell_coefficients`,
-    in pairs (:func:`_tree_product`), and their product goes back to the X
-    basis once (:func:`_ell_cells`).  The others (degree < N, or m = 1)
-    come from their binomial rows (:func:`cyclotomic_cells`) mod p^(R+1)
-    and are multiplied mod p^R.  The stop test asks whether a level of
-    degree > N has Phi/p = 1 mod (p^M, X^N).  In the ell basis, cells 0 and
-    1 are a_0 and a_1, read before any other cell is converted, so a factor
-    refused there, as most are, costs no pass over the Stirling columns.
+    Each twist runs its own level loop and stop tests.  Levels with m >= 2
+    and degree >= N are written in the ell basis mod p^T, T = R + V with
+    V = v_p((N-1)!), from :func:`_ell_coefficients`; the others (degree
+    < N, or m = 1) come from their binomial rows
+    (:func:`cyclotomic_cells`) mod p^(R+1) and are multiplied mod p^R.  The
+    stop test asks whether a level of degree > N has Phi/p = 1 mod
+    (p^M, X^N).  In the ell basis, cells 0 and 1 are a_0 and a_1, read
+    before any other cell is converted, so a factor refused there, as most
+    are, costs no pass over the Stirling columns.
+
+    ell = log(1+X) is the same series for every twist, so the ell-basis
+    levels of all twists are multiplied together (:func:`_tree_product`)
+    and the product H goes back to the X basis once (:func:`_ell_cells`).
+    That gives the product of the per-twist conversions: every twist shares
+    R and T, the conversion is a ring map mod (p^T, ell^N) -> (p^R, X^N)
+    on series integral in X (an error p^T d in h_k moves cell n by
+    p^T d k! s(n, k)/n!, of valuation >= T - v_p(n!) >= R), a product of
+    levels is integral in X, and cells are canonical residues mod p^R.
     """
     q = p ** (R + 1)
     pR, pM = p**R, p**M
     T = R + _vp(factorial(N - 1), p)
     pT = p**T
     pT1 = pT * p
-    c = pow(pow(u, -1, pT1), j, pT1)
-    w = pow(c, p ** (_first_level(kind) - 1), pT1)  # c^(p^(m-1)) at each level m
+    u_inv = pow(u, -1, pT1)
     low = [1]  # the levels from binomial rows, in the X basis mod p^R
     high = []  # the levels in the ell basis, mod p^T
-    count = 0
+    counts, stops = [], []
     # levels certainly stabilize a little past M + log_p(N); 4M + 16 is a
     # generous safety margin, overrunning it means a genuine bug
     limit = 4 * M + 16
-    for m in range(_first_level(kind), limit + 1, 2):
-        deg = cyclotomic_degree(p, m)
-        if m >= 2 and deg >= N:
-            a = _ell_coefficients(p, m, w, T, N)
-            if deg > N and _is_one(_ell_cells(a, p, N, T, R), pM):
-                break
-            high.append(a)
+    for j in js:
+        c = pow(u_inv, j, pT1)
+        w = pow(c, p ** (_first_level(kind) - 1), pT1)  # c^(p^(m-1)) at each level m
+        count = 0
+        for m in range(_first_level(kind), limit + 1, 2):
+            deg = cyclotomic_degree(p, m)
+            if m >= 2 and deg >= N:
+                a = _ell_coefficients(p, m, w, T, N)
+                if deg > N and _is_one(_ell_cells(a, p, N, T, R), pM):
+                    break
+                high.append(a)
+            else:
+                phi = cyclotomic_cells(p, m, c, q, N)
+                g = [x // p for x in phi] if deg >= N else [x % pR for x in phi]
+                if deg > N and _is_one(g, pM):
+                    break
+                low = polymul(low, g, pR, N)
+            count += 1
+            w = pow(w, p * p, pT1)
         else:
-            phi = cyclotomic_cells(p, m, c, q, N)
-            g = [x // p for x in phi] if deg >= N else [x % pR for x in phi]
-            if deg > N and _is_one(g, pM):
-                break
-            low = polymul(low, g, pR, N)
-        count += 1
-        w = pow(w, p * p, pT1)
-    else:
-        raise RuntimeError(  # pragma: no cover - safety net
-            f"cyclotomic product did not stabilize by level {limit}"
-        )
+            raise RuntimeError(  # pragma: no cover - safety net
+                f"cyclotomic product did not stabilize by level {limit}"
+            )
+        counts.append(count)
+        stops.append(m)
     if high:
         H = _tree_product(high, pT, N)
         low = polymul(low, list(_ell_cells(H, p, N, T, R)), pR, N)
-    return low, count, m
+    return low, counts, stops
 
 
 def log_p_unit(t: int, p: int, rel: int, prec: Precision) -> PadicScalar:
@@ -331,17 +357,13 @@ def pollack_log(spec: LogKind, prec: Precision) -> Distribution:
     # read, and apply the whole offset at once
     L = spec.r * _short_levels(spec.kind, p, N)
     R = M + L + 1
-    pR = p**R
-    G = [1]
-    A = -L  # the included levels of degree >= N, once every count is in
-    offset = 0
-    per_twist = []
-    for j in js:
-        cells, count, stop = _signed_product(spec.kind, j, p, u, R, N, M)
-        G = polymul(G, cells, pR, N)
-        A += count
-        offset += count + 1  # each factor's 1/p plus the twist's own 1/p
-        per_twist.append({"twist": j, "factors": count, "stabilized_at": stop})
+    G, counts, stops = _signed_product(spec.kind, js, p, u, R, N, M)
+    A = sum(counts) - L  # the included levels of degree >= N
+    offset = sum(counts) + spec.r  # each factor's 1/p plus each twist's own 1/p
+    per_twist = [
+        {"twist": j, "factors": count, "stabilized_at": stop}
+        for j, count, stop in zip(js, counts, stops)
+    ]
     if all(t["factors"] == 0 for t in per_twist):
         warnings.warn(
             "window too small to include any nontrivial cyclotomic factor; "

@@ -1170,7 +1170,9 @@ class IwasawaElement:
 
         A part's coefficients lie in p^min(0, off) Z_p and are known to at
         most its largest finite absolute precision, so the difference covers
-        them all.  It reads every cell's precision, so it is memoized on the
+        them all.  That is the plain maximum of the part's precisions unless
+        the maximum is an exact zero's inf; only then are the finite ones
+        scanned.  It reads every cell's precision, so it is memoized on the
         element.
         """
         memo = _memo(self)
@@ -1178,7 +1180,9 @@ class IwasawaElement:
             out = self.prec.p_prec
             for s in {id(s): s for s in self.components}.values():
                 for part in s._parts():
-                    top = max((A for A in part.abs_precs if A != inf), default=None)
+                    top = max(part.abs_precs, default=None)
+                    if top == inf:
+                        top = max((A for A in part.abs_precs if A != inf), default=None)
                     if top is not None:
                         out = max(out, top - min(0, part.off))
             memo["digits"] = out

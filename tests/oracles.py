@@ -755,6 +755,23 @@ def reference_signed_product(kind: str, j: int, p: int, u: int, R: int, N: int, 
     return [c // pA % pR for c in prod], count, stop
 
 
+def reference_signed_products(kind: str, js, p: int, u: int, R: int, N: int, M: int):
+    """pollack._signed_product over the twists js: (cells, counts, stops).
+
+    The cells are the product of the per-twist reference cells, by
+    schoolbook convolution, mod (p^R, X^N); the counts and stop levels are
+    the per-twist references', in the order of js.
+    """
+    pR = p**R
+    cells, counts, stops = [1], [], []
+    for j in js:
+        g, count, stop = reference_signed_product(kind, j, p, u, R, N, M)
+        cells = [int(c) % pR for c in poly_mul(cells, g, N)]
+        counts.append(count)
+        stops.append(stop)
+    return cells, counts, stops
+
+
 # pollack._ell_cells as it ran before the Stirling numbers came from packed
 # columns: one Stirling row per cell, built from the last and not kept.
 

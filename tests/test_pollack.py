@@ -37,6 +37,7 @@ from oracles import (
     reference_log_p_unit,
     reference_pollack_log,
     reference_signed_product,
+    reference_signed_products,
 )
 
 P5 = Precision(5, 30, 64)
@@ -54,6 +55,13 @@ class TestLogKind:
     def test_rejects_negative_shift(self):
         with pytest.raises(ValueError):
             LogKind("minus", 1, shift=-1)
+
+    @pytest.mark.parametrize("value", [1.5, 2.0, Fraction(3, 2), Fraction(2)])
+    def test_rejects_a_non_integer_r_or_shift_by_name(self, value):
+        with pytest.raises(ValueError, match="r must be an integer"):
+            LogKind("plus", value)
+        with pytest.raises(ValueError, match="shift must be an integer"):
+            LogKind("minus", 1, shift=value)
 
     def test_order(self):
         assert LogKind("plus", 3).order == Fraction(3, 2)
@@ -245,7 +253,7 @@ class TestAgainstPoweringReference:
     )
     def test_pollack_log_is_bit_identical(self, monkeypatch, spec, prec, length):
         new = fingerprint(pollack_log(spec, prec))
-        monkeypatch.setattr(iwa.pollack, "_signed_product", reference_signed_product)
+        monkeypatch.setattr(iwa.pollack, "_signed_product", reference_signed_products)
         assert new == fingerprint(pollack_log(spec, prec))
         assert len(new[0]) == length
 
@@ -295,9 +303,8 @@ class TestAgainstPoweringReference:
     )
     def test_signed_product_matches_reference(self, kind, j, p, W, N, M):
         u = u_for(p)
-        assert _signed_product(kind, j, p, u, W, N, M) == reference_signed_product(
-            kind, j, p, u, W, N, M
-        )
+        cells, count, stop = reference_signed_product(kind, j, p, u, W, N, M)
+        assert _signed_product(kind, range(j, j + 1), p, u, W, N, M) == (cells, [count], [stop])
 
 
 class TestEllBasis:
@@ -394,25 +401,51 @@ def test_ell_cells_match_the_row_walk(case):
         assert iwa._kernel._stirling[p, N][0] == (max(first, T) if N > 2 else first)
 
 
+@settings(max_examples=20, deadline=None)
+@given(
+    st.sampled_from(["plus", "minus"]),
+    st.sampled_from([3, 5, 7]),
+    st.integers(0, 2),
+    st.integers(1, 4),
+    st.integers(1, 160),
+    st.integers(1, 30),
+)
+# the plus log of the bench's log-identity case (5, 4, 64), at its work depth
+@example("plus", 5, 0, 4, 64, 58)
+def test_one_product_over_the_twists_is_the_product_of_the_per_twist_ones(
+    kind, p, shift, r, N, M
+):
+    # the merged ell-basis product, converted once, against each twist's
+    # reference cells multiplied mod (p^R, X^N), with its counts and stops
+    R = M + r * _short_levels(kind, p, N) + 1
+    js = range(shift, shift + r)
+    u = u_for(p)
+    assert _signed_product(kind, js, p, u, R, N, M) == reference_signed_products(
+        kind, js, p, u, R, N, M
+    )
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.sampled_from(["plus", "minus"]),
     st.integers(0, 4),
+    st.integers(1, 4),
     st.sampled_from([3, 5, 7, 11]),
     st.integers(1, 160),
     st.integers(1, 30),
 )
-def test_p_divides_every_scaled_coefficient_of_the_signed_product(kind, j, p, N, M):
-    # why Stirling numbers mod p^(T-1) would give the same cells: p | k! h_k
+def test_p_divides_every_scaled_coefficient_of_the_signed_product(kind, shift, r, p, N, M):
+    # why Stirling numbers mod p^(T-1) would give the same cells: p | k! h_k,
+    # for H the product of the ell-basis levels of all r twists
     products = []
 
     def recording(factors, mod, n):
         products.append(_tree_product(factors, mod, n))
         return products[-1]
 
-    R = M + _short_levels(kind, p, N) + 1
+    R = M + r * _short_levels(kind, p, N) + 1
     with patch.object(iwa.pollack, "_tree_product", recording):
-        _signed_product(kind, j, p, u_for(p), R, N, M)
+        _signed_product(kind, range(shift, shift + r), p, u_for(p), R, N, M)
     assume(products)
     (H,) = products
     assert all(factorial(k) * h % p == 0 for k, h in enumerate(H) if k)
@@ -626,7 +659,7 @@ class TestGrowth:
 def test_minus_log_on_a_one_column_window_stops_at_level_one():
     # x_prec = 1: level 1 has degree p - 1 > 1, and its Phi/p reads 1 mod
     # (p^M, X), so the binomial-row stop test ends the product at once
-    assert _signed_product("minus", 0, 5, u_for(5), 4, 1, 3) == ([1], 0, 1)
+    assert _signed_product("minus", range(1), 5, u_for(5), 4, 1, 3) == ([1], [0], [1])
     with pytest.warns(UserWarning, match="window too small"):
         log = pollack_log(LogKind("minus", 1), Precision(5, 3, 1))
     assert log.meta["per_twist"] == [{"twist": 0, "factors": 0, "stabilized_at": 1}]

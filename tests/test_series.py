@@ -41,6 +41,7 @@ from oracles import (
     reference_linear_combination,
     reference_remainder_mod,
     reference_remainder_mod_cyclotomic,
+    reference_working_digits,
     series_from_cells,
 )
 
@@ -622,6 +623,33 @@ def cyclotomic_remainder_cases(draw):
         st.tuples(st.integers(0, 3), st.integers(-3, 6), orders), min_size=1, max_size=6
     ))
     return elem, checks
+
+
+@settings(max_examples=40, deadline=None)
+@given(cyclotomic_remainder_cases())
+def test_working_digits_match_the_finite_precision_scan(case):
+    # the plain maximum of each part's precisions, with the finite ones
+    # scanned only when an exact zero's inf is that maximum
+    elem, _ = case
+    assert elem._working_digits() == reference_working_digits(elem)
+
+
+@pytest.mark.parametrize(
+    "triples",
+    [
+        [],  # an empty part
+        [(None, 0, 0)] * 3,  # exact zeros only
+        [(2, 1, 5), (None, 0, 0), (-1, 2, 3)],  # an exact zero above finite caps
+        [(-2, 1, 4), (-2, 3, 4)],  # one cap, below the offset
+        [(0, 1, 30), (3, 0, 0)],  # a digit and a zero to precision
+    ],
+)
+def test_working_digits_on_exact_zeros_and_one_cap(triples):
+    prec = Precision(5, 6, 4)
+    comps = [Series(prec, Part.from_triples(5, triples))] * 4
+    assert IwasawaElement(prec, comps)._working_digits() == reference_working_digits(
+        IwasawaElement(prec, comps)
+    )
 
 
 @settings(max_examples=200, deadline=None)
