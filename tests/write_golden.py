@@ -31,7 +31,16 @@ returns:
 * divisions whose alpha-part is zero to precision (at one cap, at jagged
   caps, shorter than the window), and the division kernel
   ``_back_substitute`` on dividends that are zeros to precision, with its
-  refusals of an exact or zero-to-precision pivot.
+  refusals of an exact or zero-to-precision pivot;
+* the cyclotomic certificates' remainders, whole: ``remainder_mod_cyclotomic``
+  by every factor of every row's signed log in the bench roundtrip and
+  gap-reject cases (seeds 1 and 901), with growth order None and with the
+  row's tag, and on random elements at p = 3 and p = 7 by the levels of
+  degree D in {2, 6, 18, 42}, over the whole window and at length D + 1;
+* ``_back_substitute`` on random dividends with dense quotients at
+  n in {16, 64, 160} over p in {3, 5, 7}: at one cap, at jagged caps with
+  exact zeros, and with a quotient coefficient of lower valuation than every
+  earlier one.
 
 A ``Series`` is its parts as (off, cells, abs_precs), its polynomial flag
 and its form, and a bare part its (off, cells, abs_precs); an element is
@@ -81,6 +90,8 @@ from iwa.series import (
     Part,
     Series,
     _back_substitute,
+    cyclotomic_degree,
+    cyclotomic_factor,
     divide_series,
     linear_combination,
 )
@@ -167,6 +178,11 @@ LOSS_CASES = (
 LAYER_WINDOWS = ((5, 4), (10, 12))
 LAYER_S = (0, -1, -3)
 LAYER_RELS = (None, 2, 0)
+# (p, M, N): windows for the certificate remainders at levels of degree
+# 2, 6 and 18 (p = 3) and 6 and 42 (p = 7)
+CERTIFICATE_WINDOWS = ((3, 20, 40), (7, 12, 64))
+DENSE_PRIMES = (3, 5, 7)
+DENSE_LENGTHS = (16, 64, 160)
 
 
 def char_mod13(p: int, s: int) -> DirichletCharacter:
@@ -461,6 +477,136 @@ def zero_dividend_cases():
                 )
 
 
+def row_remainders(rows, logs):
+    """Each row reduced by every cyclotomic factor its log certifies, with
+    growth order None and with the row's order tag."""
+    return [
+        [
+            outcome(lambda: row.body.remainder_mod_cyclotomic(m, j, order))
+            for m, j in log.cyclo_factors
+            for order in (None, row.order_tag)
+        ]
+        for row, log in zip(rows, logs)
+    ]
+
+
+def bench_certificate_cases():
+    """remainder_mod_cyclotomic on the rows the bench roundtrip and
+    gap-reject cases divide, on the inputs ``cases`` draws for them."""
+    for seed in BENCH_SEEDS:
+        rng = random.Random(seed)
+        for p, k, conv, N in ROUNDTRIP_CASES:
+            s = SignedQuadruple(*(seed_element(rng, Precision(p, 20, N)) for _ in SIGNS))
+            name = f"remainder_mod_cyclotomic/roundtrip/seed{seed}/p{p}/k{k}/{conv}/N{N}"
+            yield name, lambda s=s, k=k, conv=conv: row_remainders(
+                *_divisor_rows(synthesize(s, k, conv), k, conv, None)[1:])
+        rng = random.Random(seed)
+        for k, N in GAP_CASES:
+            yield (
+                f"remainder_mod_cyclotomic/gap_reject/seed{seed}/k{k}/N{N}",
+                lambda q=gap_coordinates(rng, k, N), k=k: row_remainders(
+                    *_divisor_rows(q, k, "theoremA", None)[1:]),
+            )
+
+
+def random_component(rng, prec: Precision, L: int, poly: bool, alpha: bool) -> Series:
+    """A Series of length L with cells of valuation -1..3 and 9..12 digits,
+    exact zeros and zeros to precision O(p^8)..O(p^12) among them, and an
+    alpha-part of small integers if asked."""
+    p = prec.p
+
+    def coefficient():
+        kind = rng.randrange(8)
+        if kind == 0:
+            c = PadicScalar.exact_zero(prec)
+        elif kind == 1:
+            c = PadicScalar.inexact_zero(prec, rng.randint(8, 12))
+        else:
+            c = scalar(prec, Fraction(unit(rng, p, 12), p) * p ** rng.randint(0, 4),
+                       rng.randint(9, 12))
+        if alpha:
+            return QuadExtScalar(c, scalar(prec, rng.randint(1, 9), rng.randint(1, 8)), 1, 2)
+        return c
+
+    return Series.make(prec, [coefficient() for _ in range(L)], is_polynomial=poly)
+
+
+def window_certificate_cases():
+    """remainder_mod_cyclotomic on random elements at p = 3 and p = 7, by
+    the levels of degree 2, 6, 18 and 42, on every twist, over the whole
+    window and on dividends of length D + 1; component 1 is a multiple of
+    the twist-1 factor, whose remainder is zero."""
+    for p, M, N in CERTIFICATE_WINDOWS:
+        prec = Precision(p, M, N)
+        rng = random.Random(p)
+        for m in (1, 2, 3):
+            D = cyclotomic_degree(p, m)
+            if D + 1 > N:
+                continue
+            for name, L in (("window", N), ("short", D + 1)):
+                comps = [
+                    random_component(rng, prec, L, poly=i % 2 == 0, alpha=i % 3 == 2)
+                    for i in range(p - 1)
+                ]
+                seed = Series.make(prec, [rng.randint(-9, 9) for _ in range(L - D)],
+                                   is_polynomial=True)
+                comps[1] = cyclotomic_factor(m, 1, prec) * seed
+                elem = IwasawaElement(prec, comps)
+                yield (
+                    f"remainder_mod_cyclotomic/p{p}/M{M}/N{N}/m{m}/{name}",
+                    lambda elem=elem, m=m, p=p: [
+                        outcome(lambda: elem.remainder_mod_cyclotomic(m, j, order))
+                        for j in range(-1, p)
+                        for order in (None, Fraction(1))
+                    ],
+                )
+
+
+def unit(rng, p: int, rel: int) -> int:
+    """A random unit mod p^rel."""
+    u = rng.randrange(1, p**rel)
+    return u + 1 if u % p == 0 else u
+
+
+def dense_triples(rng, p: int, n: int, shape: str) -> list:
+    """(val, unit, rel) triples of a dividend with a dense quotient: at one
+    cap, at jagged caps with exact zeros and zeros to precision, or with its
+    lowest valuation at degree n // 2, so that a later quotient coefficient
+    has lower valuation than every earlier one."""
+    out = []
+    for i in range(n):
+        kind = rng.randrange(6) if shape == "jagged" else 2
+        v = rng.randint(0, 3)
+        if shape == "dip":
+            v = 0 if i == n // 2 else rng.randint(4, 6)
+        if kind == 0:
+            out.append((None, 0, 0))
+        elif kind == 1:
+            out.append((rng.randint(0, 20), 0, 0))
+        else:
+            rel = rng.randint(1, 25) if shape == "jagged" else 30 - v
+            out.append((v, unit(rng, p, rel), rel))
+    return out
+
+
+def dense_division_cases():
+    """_back_substitute on random dividends, not den times a short series,
+    so that the quotient carries digits at every degree; the divisor has a
+    unit pivot and n // 2 more coefficients of valuation 0..3."""
+    for p in DENSE_PRIMES:
+        for n in DENSE_LENGTHS:
+            rng = random.Random(p * 1000 + n)
+            den = [(0, unit(rng, p, 30), 30)]
+            den += [(rng.randint(0, 3), unit(rng, p, 20), 20) for _ in range(n // 2)]
+            den = Part.from_triples(p, den)
+            for shape in ("one_cap", "jagged", "dip"):
+                num = Part.from_triples(p, dense_triples(rng, p, n, shape))
+                yield (
+                    f"back_substitute/dense/{shape}/p{p}/n{n}",
+                    lambda num=num, den=den, n=n: outcome(lambda: _back_substitute(num, den, n)),
+                )
+
+
 def cases():
     """Every case name with the call that computes its output."""
     for p, M, N in LOG_WINDOWS:
@@ -515,6 +661,9 @@ def cases():
     yield from division_edge_cases()
     yield from zero_alpha_cases()
     yield from zero_dividend_cases()
+    yield from bench_certificate_cases()
+    yield from window_certificate_cases()
+    yield from dense_division_cases()
 
 
 def _columns(part: Part) -> list:
