@@ -208,9 +208,14 @@ def _certify_factors(F: Distribution, G: Distribution) -> None:
     order, and what does not depend on the factor is computed once: F's
     working width is memoized on F.body, each component's offsets, widths
     and tail floor are memoized on the component under (growth order), and
-    each factor's columns are cached under (p, m, j, u, width, x_prec), so
-    divisions by the same logs at a window build them once.  The Euclidean
-    kernel reduces only its pivots (series._divmod_cells).
+    each factor's reduction columns are cached under (p, m, j, u, width,
+    x_prec), so divisions by the same logs at a window build them once.
+    The columns are X^k mod Phi packed one chunk a coefficient, built by
+    the recurrence X^(k+1) = X * X^k (shift up a chunk, fold the dropped top
+    back in through X^D = -Phi_low / top), and a remainder is one
+    multiply-add per dividend cell against them (series._reduction_columns,
+    series._reduce).  That is the Euclidean remainder: division by a
+    polynomial whose top coefficient is a unit has exactly one.
     """
     p = F.prec.p
     for m, j in G.cyclo_factors:

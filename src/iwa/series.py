@@ -35,15 +35,14 @@ Precision semantics:
   part, each known modulo p^W at the smaller packed width;
 * a quotient (:func:`divide_series`) follows the scalar rules of
   back-substitution, each coefficient's cap set before its value
-  (:func:`_back_substitute`);
-* most parts are known to one finite cap A on every degree, and the rules
-  above then need no per-cell bookkeeping: such a part is reduced by the
-  one modulus p^(A - off), a sum of terms that are each known to one cap
-  over the whole window is known to the least of those caps, and a
-  dividend that is zeros to precision at one cap a has the closed-form
-  quotient q_m = O(p^(a + min(G*[0..m]) - v0)), G* the min-plus star of
-  the divisor's valuations less its pivot's v0.  These are the same
-  columns the per-cell rules give, computed from the input alone;
+  (:func:`_back_substitute`), a dense one in C-level passes per degree;
+* a remainder is one multiply-add per dividend cell against the packed
+  columns X^k mod phi (:func:`_reduction_columns`), cached per factor;
+* most parts are known to one finite cap A on every degree, and then need
+  no per-cell bookkeeping: such a part is reduced by one modulus, a sum of
+  one-cap terms is known to the least cap, and a dividend of zeros to
+  precision at one cap a has the quotient q_m = O(p^(a + min(G*[0..m]) -
+  v0)), G* the min-plus star of the divisor's valuations less its pivot's;
 * a series flagged ``is_polynomial`` has exactly-zero coefficients beyond its
   stored length.  Everything else is a truncation of something longer, and the
   operations that mix degrees (affine composition, evaluation, remainders)
@@ -60,8 +59,9 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import inf
-from operator import add
+from operator import add, mul
 
+from ._kernel import _pack
 from ._kernel import compose_affine as _k_compose
 from ._kernel import cyclotomic_cells as _k_cyclo
 from ._kernel import polymul as _k_mul
@@ -278,12 +278,9 @@ def _sum_terms(p, L, terms):
     A term (off, abs_precs, cells, mult) is cells[i] * mult * p^off +
     O(p^abs_precs[i]) at degrees i < len(abs_precs) and an exact zero past
     them; a missing cell is 0, and cells and mult may be unreduced.  A sum
-    is known to the smallest bound among its terms, and an exact zero
-    (bound inf) adds nothing, not even a bound.  This is the one place where
-    columns are summed: sums of series, the partial products of a product,
-    and linear combinations; the sum is normalized once.  When every term is
-    known to one cap over the whole window, as a product's terms are and a
-    linear combination's mostly are, the sum is known to the least cap.
+    is known to the smallest bound among its terms (an exact zero adds no
+    bound), the least cap when every term has one cap over the window.
+    Sums, products and linear combinations of series all sum here, once.
     """
     base = min((t[0] for t in terms), default=0)
     cells = [0] * L
@@ -327,19 +324,11 @@ def cyclotomic_degree(p: int, m: int) -> int:
 def _divmod_cells(cells, phi, m):
     """Euclidean (quotient, remainder) of cells by phi mod m, phi's top a unit.
 
-    Runs from the top down, so it is exact for a completely known dividend;
-    the remainder has len(phi) - 1 cells (as many as the dividend when it is
-    shorter).  Cells and phi may be unreduced, and the result is reduced.
-
-    Only the pivot is reduced.  The running dividend takes each update
-    -t * phi[i] unreduced, and the quotient coefficient at degree n is
-    t = (R[n] mod m) * top^-1 mod m, read off at the step that clears
-    degree n; the remainder cells are reduced once at the end.  Every R[n]
-    is congruent mod m to the cell a loop reducing each update holds, so
-    each pivot t, and hence the quotient, is the same, and so is the
-    remainder mod m.  This is the uniqueness of Euclidean division mod m by
-    a polynomial whose top coefficient is a unit (von zur Gathen-Gerhard,
-    Modern Computer Algebra, 9.1).
+    From the top down; the remainder has len(phi) - 1 cells (as many as the
+    dividend when it is shorter).  Cells and phi may be unreduced.  Only the
+    pivots t = (R[n] mod m) * top^-1 are reduced, and the remainder once at
+    the end: every R[n] is congruent mod m to the cell of a loop reducing
+    each update, so the quotient and remainder are the same.
     """
     D = len(phi) - 1
     top_inv = pow(phi[D] % m, -1, m)
@@ -357,14 +346,14 @@ def _divmod_cells(cells, phi, m):
 
 
 def _modulus(phi):
-    """(D, off, cells, W, gmin): a modulus for Series.remainder_mod, read once.
+    """(D, off, cells, W, gmin, (0, ())): a modulus for Series.remainder_mod.
 
     ``phi`` must be a polynomial over Q_p whose top nonzero coefficient, at
     degree D, is a unit.  off, W and cells are its coefficients 0..D packed
     (Part.packed), and gmin is the least valuation of a lower coefficient
-    (W when all are exact zeros: the modulus is X^D).  An offset other than 0
-    (a modulus that is not distinguished) is refused by the remainder, after
-    its check of the dividend's length.
+    (W when all are exact zeros).  The remainder refuses an offset other
+    than 0 after its check of the dividend's length, and builds the
+    reduction columns, which a cached modulus carries in the last slot.
     """
     if not phi.is_polynomial or phi._b is not None:
         raise ValueError("modulus must be a polynomial over Q_p")
@@ -378,19 +367,63 @@ def _modulus(phi):
     low = phi._a.slice(0, D + 1)
     off, W, cells = low.packed()
     gmin = min((v for v in map(low.val, range(D)) if v is not None), default=W)
-    return D, off, tuple(cells), W, gmin
+    return D, off, tuple(cells), W, gmin, (0, ())
+
+
+def _reduction_columns(p, phi, W, n, budget=2**14):
+    """(cb, columns): X^k mod phi for D <= k < D + B, mod m = p^W, packed.
+
+    ``phi`` is the cells of a polynomial of degree D >= 1, its top a unit
+    mod m; column k - D holds X^k mod phi, a chunk of cb bytes a degree.
+    With psi = phi / top and c = -psi_low mod m, X^D = c mod psi, and each
+    column is the last shifted up a chunk, its top chunk t dropped and
+    (t mod m) * c added: O(B) big-int steps, only t reduced, so chunk i stays
+    below (i + 1) m^2.  B is n - D, or fewer past ``budget`` chunks; chunks
+    of (B + 1) D m^3 hold B products of a cell below m with a column.
+    """
+    D = len(phi) - 1
+    m = p**W
+    B = min(n - D, max(budget // D, 1))
+    inv = pow(phi[D], -1, m)
+    cb = (((B + 1) * D * m**3).bit_length() + 7) // 8
+    c = _pack([-x * inv % m for x in phi[:D]], cb)
+    shift, top = 8 * cb, 8 * cb * (D - 1)
+    mask = (1 << top) - 1
+    return cb, list(accumulate(
+        range(B - 1), lambda v, _: ((v & mask) << shift) + (v >> top) % m * c, initial=c))
+
+
+def _reduce(cells, D, cb, columns, mod):
+    """The D cells of (sum cells[k] X^k) mod phi, reduced mod ``mod``.
+
+    ``columns`` are phi's (_reduction_columns), at a width ``mod`` divides.
+    D + B cells take one multiply-add per cell past D, the sum's D chunks
+    read mod ``mod``; more go by Horner's rule in blocks of B from the top.
+    As each column is X^k mod phi, this is _divmod_cells' remainder: it is
+    unique for a divisor whose top is a unit (von zur Gathen-Gerhard,
+    Modern Computer Algebra, 9.1).
+    """
+    cells = [c % mod for c in cells]
+    s = max(len(cells) - D - len(columns), 0)
+    r = cells[s:]
+    while True:
+        z = sum(map(mul, r[D:], columns), _pack(r[:D], cb))
+        zb = z.to_bytes(cb * D, "little")
+        r = [int.from_bytes(zb[i : i + cb], "little") % mod for i in range(0, cb * D, cb)]
+        if not s:
+            return r
+        t = max(s - len(columns), 0)
+        r, s = cells[t:s] + r, t
 
 
 def _tail_floor(part, order: float, L: int, p: int) -> int:
     """Worst valuation the unseen tail of a tempered series can reach.
 
-    A growth order of ``order`` means coefficient valuations follow a trend
-    val(n) >= C - order*log_p(n); the constant is calibrated on the visible
-    window and the trend evaluated at the window edge, minus a digit of
-    slack because the actual staircase is rougher than the trend.  Entries
-    past the edge dive only logarithmically while every extra reduction step
-    gains a whole digit, so the edge is where the bound is tightest.  The
-    part must hold a coefficient that is not an exact zero.
+    A growth order of ``order`` means valuations follow val(n) >= C -
+    order*log_p(n); C is calibrated on the visible window and the trend read
+    at the window edge, where the bound is tightest, less a digit of slack
+    for the staircase.  The part must hold a coefficient that is not an
+    exact zero.
     """
     vals = [(n, part.val(n)) for n in range(len(part))]
     trend = [v + order * math.log(max(n, 1), p) for n, v in vals if v is not None]
@@ -496,9 +529,7 @@ class Series:
                 c = PadicScalar.from_fraction(Fraction(c), prec, rel)
             aa.append(c)
             bb.append(cb)
-        return cls(
-            prec, aa, bb if has_b else None, form, is_polynomial=is_polynomial
-        )
+        return cls(prec, aa, bb if has_b else None, form, is_polynomial=is_polynomial)
 
     @classmethod
     def constant(cls, c, prec: Precision, rel=None) -> "Series":
@@ -674,12 +705,8 @@ class Series:
         return self._map_parts(lambda x: x.reduce_abs(abs_prec))
 
     def with_p_prec(self, p_prec: int) -> "Series":
-        """Relabel the container's p-adic depth without touching the digits.
-
-        Coefficient precision lives in the columns, so this only swaps the
-        ambient context — useful for mixing values produced under different
-        working depths over the same prime.
-        """
+        """Relabel the container's p-adic depth without touching the digits,
+        which the columns hold: mixes values from other working depths."""
         if p_prec == self.prec.p_prec:
             return self
         return self._map_parts(lambda x: x, self.prec.with_p_prec(p_prec))
@@ -700,19 +727,15 @@ class Series:
         """The series at c + d*X, for v(c) >= 1 and d a unit.
 
         A polynomial takes any c and d in Z_p; a c or d of negative valuation
-        raises PrecisionError, since the packed kernel works modulo p^W.
-
-        For a non-polynomial input of length L the degree >= L tail mixes into
-        coefficient j with valuation at least (L - j) v(c) + (tail floor), and
-        the result's precision is capped accordingly.
+        raises PrecisionError, since the packed kernel works modulo p^W.  For
+        a truncation of length L the degree >= L tail mixes into coefficient
+        j at valuation (L - j) v(c) + (tail floor) or more, which caps it.
         """
         if d.is_zero_to_precision:
             raise PrecisionError("affine composition needs a unit X-coefficient")
         vc = inf if c.val is None else c.val
         if not self.is_polynomial and vc < 1:
-            raise PrecisionError(
-                "composition with v(c) < 1 would lose all X-adic precision"
-            )
+            raise PrecisionError("composition with v(c) < 1 would lose all X-adic precision")
         if vc < 0 or d.val < 0:
             raise PrecisionError("affine composition needs c and d of valuation >= 0")
         L = len(self._a)
@@ -776,29 +799,23 @@ class Series:
         seep down; each reduction trades at most deg(phi) degrees for at least
         min-valuation-gain digits, and the remainder's precision is capped by
         the resulting worst-case bound.  A non-polynomial dividend no longer
-        than deg(phi) determines no remainder coefficient and raises
-        PrecisionError; modulo a unit (deg(phi) = 0) the remainder is the
-        empty polynomial, whatever the dividend.
-
-        The cap needs a model of how deep the unseen tail coefficients sit.
-        By default they are assumed no worse than the visible floor; for a
-        dividend with genuinely unbounded growth pass ``growth_order`` so the
-        floor is extrapolated along the tempered trend instead — otherwise
-        the cap overstates what the window determines.
+        than deg(phi) raises PrecisionError; modulo a unit (deg(phi) = 0) the
+        remainder is the empty polynomial.  The cap assumes the unseen tail
+        no worse than the visible floor; for a dividend with unbounded growth
+        pass ``growth_order``, which extrapolates the floor along its trend.
         """
         return self._remainder(_modulus(phi), growth_order)
 
     def _remainder(self, modulus, growth_order) -> "Series":
         """remainder_mod by a modulus already read into columns (_modulus).
 
-        Each part is divided on its stored cells by _divmod_cells at the
-        smaller of its own and the modulus' widths; the kernel reduces, so
-        the cells need no packing first.  What the remainder needs of the
-        dividend alone (each part's offset, width and tail floor) is read
-        once per series and ``growth_order`` (_remainder_data), so the
-        certificates of one element at several moduli share it.
+        Each part is reduced at the smaller of its own and the modulus'
+        widths W by one multiply-add per cell against the columns X^k mod phi
+        (_reduce), the Euclidean remainder by uniqueness; a one-off modulus
+        has them built here.  Each part's offset, width and tail floor are
+        read once per series and ``growth_order`` (_remainder_data).
         """
-        D, offp, cphi, Wp, gmin = modulus
+        D, offp, cphi, Wp, gmin, (cb, cols) = modulus
         if not D:  # mod a unit the remainder is empty, whatever the dividend
             return self._map_parts(lambda x: x.slice(0, 0), is_polynomial=True)
         L = len(self._a)
@@ -813,6 +830,8 @@ class Series:
         if offp != 0:
             raise ValueError("modulus is not distinguished (offset != 0)")
         p = self.prec.p
+        if not cols:
+            cb, cols = _reduction_columns(p, cphi, Wp, L)
 
         def do_part(part, data):
             if data is None:
@@ -821,7 +840,7 @@ class Series:
             W = min(W, Wp)
             cells, caps = [], None
             if W > 0:
-                _, cells = _divmod_cells(part.cells, cphi, p**W)
+                cells = _reduce(part.cells, D, cb, cols, p**W)
                 if floor is not None:
                     steps = -(-(L - D + 1) // D)  # ceil
                     caps = [gmin * steps + floor - off] * D
@@ -833,15 +852,10 @@ class Series:
         return Series(self.prec, a, b, self.form, is_polynomial=True)
 
     def _remainder_data(self, growth_order) -> tuple:
-        """Per part, what a remainder needs of this series: None for exact
-        zeros, else (off, W, floor) with W = min(abs_precs) - off the packed
-        width and floor the tail's valuation floor (None for a polynomial or
-        W = 0, where no cell is known and no cap is set).
-
-        The floor is min(0, off), or with ``growth_order`` the tempered
-        trend's floor (_tail_floor, one valuation per coefficient).  It
-        depends on the series and ``growth_order`` alone, so it sits in the
-        series' memo under ("remainder", growth_order).
+        """Per part, None for exact zeros, else (off, W, floor): W =
+        min(abs_precs) - off, and floor the tail's valuation floor, min(0,
+        off) or with ``growth_order`` the trend's (_tail_floor); None for a
+        polynomial or W = 0, where no cap is set.  Memoized on the series.
         """
         memo = _memo(self)
         key = ("remainder", growth_order)
@@ -886,14 +900,11 @@ def linear_combination(scalars, series) -> Series:
     at least one term.  The result equals, cell for cell, the sum of the
     products x_j * Series.constant(s_j, x_j.prec) added from the left.
     Every nonzero pair of a scalar part and a series part is one term, known
-    modulo p^W at the smaller of the two parts' packed widths W; the b*b
-    term folds into the a-part through alpha^2 = -eps * p^(k+1).  The terms
-    are summed by :func:`_sum_terms`, as in a sum or a product of series.
-
-    A zero scalar or an all-exact-zero series contributes the length-0
-    polynomial zero.  The result is as long as the shortest truncated term,
-    or the longest term when all are polynomials; a term s_j * x_j is
-    min(len x_j, x_prec) long, and a polynomial if x_j is one that fits.
+    modulo p^W at the smaller packed width W, summed by :func:`_sum_terms`;
+    the b*b term folds into the a-part through alpha^2 = -eps * p^(k+1).  A
+    zero scalar or an all-exact-zero series contributes the length-0
+    polynomial zero; a term s_j * x_j is min(len x_j, x_prec) long, and the
+    result as long as the shortest truncated term, or the longest polynomial.
     """
     if len(scalars) != len(series) or not series:
         raise ValueError(f"{len(scalars)} scalars for {len(series)} series")
@@ -952,11 +963,9 @@ def cyclotomic_factor(
 
     Built from binomial rows (:func:`iwa._kernel.cyclotomic_cells`): with
     z = u^{-j}(1+X) and e = p^(m-1), the coefficient of X^n is
-    sum_{i<p} u^{-j i e} C(i e, n).  No division anywhere, so every
-    coefficient is known to the full working modulus.  The degenerate level
-    m = 0 is the linear factor z - 1 (exactly X when j = 0), the one cut out
-    by the trivial wild character; it is stored with exact rational
-    coefficients.
+    sum_{i<p} u^{-j i e} C(i e, n), known to the full working modulus.  The
+    level m = 0 is the linear factor z - 1 (exactly X when j = 0), cut out
+    by the trivial wild character, with exact rational coefficients.
     """
     if m < 0:
         raise ValueError("m must be >= 0")
@@ -979,14 +988,14 @@ def cyclotomic_factor(
 
 @lru_cache(maxsize=64)
 def _cyclotomic_modulus(p, m, j, u, rel, x_prec):
-    """_modulus of cyclotomic_factor(m, j) at (p, x_prec), built once.
-
-    The arguments fix the factor's content, so they are the key, and every
-    certificate at a window and working width, across elements and ops,
-    shares the columns; a window holds at most a few dozen (m, j), well
-    inside the bound.
+    """_modulus of cyclotomic_factor(m, j) with its reduction columns X^k
+    mod Phi, D <= k < x_prec, built once per content by X^(k+1) = X * X^k
+    (_reduction_columns): every certificate at a window and working width
+    shares them.  min((x_prec - D) D, 2^14) chunks of ~3 rel log2(p) bits.
     """
-    return _modulus(cyclotomic_factor(m, j, Precision(p, rel, x_prec), u=u, rel=rel))
+    factor = cyclotomic_factor(m, j, Precision(p, rel, x_prec), u=u, rel=rel)
+    D, off, cells, W, gmin, _ = _modulus(factor)
+    return D, off, cells, W, gmin, _reduction_columns(p, cells, W, x_prec)
 
 
 # ------------------------------------------------------------ IwasawaElement
@@ -1021,16 +1030,12 @@ class IwasawaElement:
         return cls(prec, [c] * (prec.p - 1), u)
 
     @classmethod
-    def from_diagonal(
-        cls, series: Series, u: int | None = None
-    ) -> "IwasawaElement":
+    def from_diagonal(cls, series: Series, u: int | None = None) -> "IwasawaElement":
         """Embed a pure wild-direction series: the same series in every component."""
         return cls(series.prec, [series] * (series.prec.p - 1), u)
 
     @classmethod
-    def from_component(
-        cls, i: int, series: Series, u: int | None = None
-    ) -> "IwasawaElement":
+    def from_component(cls, i: int, series: Series, u: int | None = None) -> "IwasawaElement":
         prec = series.prec
         comps = [Series.zero(prec)] * (prec.p - 1)
         comps[i % (prec.p - 1)] = series
@@ -1146,18 +1151,14 @@ class IwasawaElement:
         trust cap; see Series.remainder_mod.
 
         The result is Series.remainder_mod by cyclotomic_factor(m, j) at the
-        working width rel = _working_digits() + 4, and nothing in it is
-        recomputed per call: the width is memoized on this element, the
-        factor's columns are cached under (p, m, j, u, rel, x_prec)
-        (_cyclotomic_modulus), and the component's offsets, widths and tail
-        floor are memoized on it per growth order (Series._remainder_data).
+        working width rel = _working_digits() + 4 (memoized on this element),
+        by the factor's reduction columns, cached under (p, m, j, u, rel,
+        x_prec) (_cyclotomic_modulus).
         """
         p = self.prec.p
         D = cyclotomic_degree(p, m)
         if D + 1 > self.prec.x_prec:  # Phi is a polynomial only with D + 1 terms
-            raise PrecisionError(
-                f"x_prec={self.prec.x_prec} too small for deg Phi = {D}"
-            )
+            raise PrecisionError(f"x_prec={self.prec.x_prec} too small for deg Phi = {D}")
         comp = self.components[j % (p - 1)]
         rel = self._working_digits() + 4
         modulus = _cyclotomic_modulus(p, m, j, self.u, rel, self.prec.x_prec)
@@ -1170,10 +1171,8 @@ class IwasawaElement:
 
         A part's coefficients lie in p^min(0, off) Z_p and are known to at
         most its largest finite absolute precision, so the difference covers
-        them all.  That is the plain maximum of the part's precisions unless
-        the maximum is an exact zero's inf; only then are the finite ones
-        scanned.  It reads every cell's precision, so it is memoized on the
-        element.
+        them all; the finite ones are scanned only when an exact zero's inf
+        is the maximum.  Memoized on the element.
         """
         memo = _memo(self)
         if "digits" not in memo:
@@ -1218,11 +1217,10 @@ def _weierstrass_split(G: Series):
     """(P, U) with G = P*U, P distinguished and U = p^v times a unit; or None.
 
     By Weierstrass preparation (Washington, Introduction to Cyclotomic Fields,
-    7.1) a polynomial G over Q_p whose content is p^v is p^v * P * unit, where
-    P is monic of degree lambda, the first index of minimal valuation, with
-    p-divisible lower coefficients: P carries G's zeros in the open unit disc.
-    Returns None when lambda = 0, i.e. G has no such zeros.  Both factors are
-    polynomials known to G's packed working width.
+    7.1) a polynomial G over Q_p of content p^v is p^v * P * unit, P monic of
+    degree lambda, the first index of minimal valuation, with p-divisible
+    lower coefficients: P carries G's zeros in the open unit disc (None when
+    lambda = 0).  Both factors are known to G's packed working width.
     """
     prec, p = G.prec, G.prec.p
     off, W, cells = G._a.packed()
@@ -1258,16 +1256,13 @@ def _weierstrass_split(G: Series):
 def _divisor_plan(p, off, cells, abs_precs, n):
     """What _back_substitute reads of a divisor, cached by content and n.
 
-    The columns gv, gu, gr hold each coefficient's valuation (inf for an exact
-    zero, the bound A for a zero known to O(p^A)), unit and relative
-    precision, and terms lists (i, gv[i], gu[i], gr[i]) for i >= 1, exact
-    zeros left out.  The cap tables, on degrees 0..n-1, are: G*, the min-plus
-    star of (gv_i - v0), i >= 1, with v0 = gv[0] (G*[0] = 0, and G*[k] the
-    least sum of gv_i - v0 over the chains of degrees i summing to k); its
-    prefix minima; WA[k], the least gv_i + gr_i + G*[k - i] over i >= 1 (inf
-    at k = 0); and gd[i], gv_i where coefficient i >= 1 carries digits, else
-    inf, as at 0 and past the cells.  Every part, tame component and op at a
-    window divides by the same few logs, so each plan is built once.
+    gv, gu, gr: each coefficient's valuation (inf for an exact zero, A for
+    O(p^A)), unit and relative precision; the walk's columns from degree 1:
+    valuations, caps gv_i + gr_i and negated cells.  On degrees 0..n-1: G*,
+    the min-plus star of (gv_i - v0), i >= 1, v0 = gv[0] (G*[k] the least
+    sum of gv_i - v0 over chains of degrees summing to k); its prefix
+    minima; WA[k], the least gv_i + gr_i + G*[k - i], i >= 1 (inf at 0); and
+    gd[i], gv_i where coefficient i >= 1 carries digits, else inf.
     """
     gv, gu, gr = [inf] * len(cells), [0] * len(cells), [0] * len(cells)
     for i, (c, A) in enumerate(zip(cells, abs_precs)):
@@ -1276,9 +1271,9 @@ def _divisor_plan(p, off, cells, abs_precs, n):
             gv[i], gu[i], gr[i] = off + k, c // p**k, A - off - k
         elif A != inf:
             gv[i] = A
-    terms = tuple((i, gv[i], gu[i], gr[i]) for i in range(1, len(cells)) if gv[i] != inf)
     g = [v - gv[0] for v in gv[1:]]
     ga = [v + r for v, r in zip(gv[1:], gr[1:])]
+    walk = tuple(gv[1:]), tuple(ga), tuple(-c for c in cells[1:])
     star, wa = [0], [inf]
     for _ in range(1, n):
         back = star[::-1]  # G*[k - 1], ..., G*[0] pair with degrees 1..k
@@ -1287,7 +1282,7 @@ def _divisor_plan(p, off, cells, abs_precs, n):
     gd = [inf] + [v if r else inf for v, r in zip(gv[1:], gr[1:])]
     gd += [inf] * (n - len(gd))
     star, low = tuple(star), tuple(accumulate(star, min))
-    return tuple(gv), tuple(gu), tuple(gr), terms, star, low, tuple(wa), tuple(gd)
+    return tuple(gv), tuple(gu), tuple(gr), walk, star, low, tuple(wa), tuple(gd)
 
 
 def _back_substitute(num, den, n):
@@ -1303,48 +1298,49 @@ def _back_substitute(num, den, n):
     triples until packed.  An exact or zero-to-precision den[0] raises as
     PadicScalar.inverse does.
 
-    Each degree sets its cap A_m first and then forms only the products that
-    reach its value.  A_m is the least of num's cap numA_m and the pair terms
-    gv_i + qv_j + min(gr_i, qr_j) over i + j = m, i >= 1 (v valuation, r
-    relative precision, A = v + r cap), and two facts make it cheap:
+    Each degree sets its cap A_m before its value.  A_m is the least of
+    num's cap numA_m and the pair terms gv_i + qv_j + min(gr_i, qr_j) =
+    min(gA_i + qv_j, gv_i + qA_j), i + j = m, i >= 1 (v valuation, r
+    relative precision, A = v + r cap, inf for an exact zero).  q_m mod
+    p^(A_m) needs only the pairs with gv_i + qv_j < A_m, since any
+    representative of q_j agrees with it to its own cap.  Per degree the
+    cheaper of two exact forms sets A_m and the value:
 
-    * a zero-to-precision q_j adds only the bound (gv_i - v0) + A_j, v0 the
-      pivot's valuation, and no value; for a digit-carrying q_j that bound is
-      dominated by its own pair term min(gA_i + qv_j, gv_i + qA_j), since
-      qA_j <= A_j - v0;
-    * q_m mod p^(A_m) needs only the pairs with gv_i + qv_j < A_m, because
-      any representative of q_j agrees with it to its own cap.
+    * the walk, three C-level passes over the divisor's columns from degree
+      1 (_divisor_plan) against the quotient's kept newest first, so that
+      map pairs den[i] with q[m - i] up to i = min(m, reach - 1): two
+      min(map(add)) for the cap, and sum(map(mul)) for the dot product of
+      den's cells with the representatives qu_j p^(qv_j - qbase), qbase the
+      least valuation of a digit-carrying q_j so far (a lower one rescales
+      them), read mod p^(A_m - base).  That is congruent mod p^(A_m) to the
+      sum of the pairs the scalar rules keep: each pair it adds beyond them
+      has gv_i + qv_j >= A_m or a zero-to-precision factor, whose cell is 0;
+    * the star form, while num is known to one cap a and the digit-carrying
+      q_j are few next to the pairs in reach.  A zero-to-precision q_j adds
+      only the bound (gv_i - v0) + A_j, v0 the pivot's valuation, which for
+      a digit-carrying q_j its own pair term dominates (qA_j <= A_j - v0).
+      So the caps obey a min-plus recurrence, unrolled through the tables:
+          A_m = min(a + low[m], min over digit-carrying j < m of
+                    min(qv_j + WA[m - j], qA_j + v0 + G*[m - j])),
+      low[m] the least of G*[0..m], and only digit-carrying pairs below A_m
+      are formed: a quotient of zeros to precision past a short seed's
+      degree costs a bound a degree, not a product per term.
 
-    So the caps obey a min-plus linear recurrence.  Unrolled through the
-    divisor's tables (_divisor_plan) it reads
-        A_m = min((numA (*) G*)_m, min over digit-carrying j < m of
-                  min(qv_j + WA[m - j], qA_j + v0 + G*[m - j])),
-    with (*) the min-plus convolution; while num is known to one cap a, its
-    first term is a plus the least of G*[0..m].  Per degree the cheaper of
-    two exact forms sets A_m: that star form while the digit-carrying q_j are
-    few next to the pairs in reach, else the walk over the pairs in reach,
-    which keeps short divisors and dense quotients at the walk's cost.  When
-    num is den times a short series, the quotient past that series' degree
-    is zeros to precision, and each costs a bound, not a product per term.
-
-    A num that is zeros to precision at one cap a on degrees 0..n-1 (the
-    alpha-part of most dividends over Q_p(alpha)) has a quotient in closed
-    form, q_m = O(p^(a + low[m] - v0)), low[m] the least of G*[0..m], once
-    the pivot refusals have passed.  Every q_j is then a zero to precision
-    (no value ever reaches a sum), so no pair term has digits and the walk's
-    cap at degree m reads A_m = min(a, min over i of (gv_i - v0 + A_(m-i))),
-    with A_0 = a.  Write A_m = a + B_m: B_0 = 0 = G*[0], and if B_j = low[j]
-    for j < m, then min over i of (gv_i - v0 + low[m - i]) is the least of
-    gv_i - v0 + G*[k] over i >= 1, k <= m - i, which is the least of
-    G*[1..m], since G*[k'] is the least of gv_i - v0 + G*[k' - i] for
-    k' >= 1; with the 0 of min(a, ...) that is low[m].  And q_m's triple
-    (A_m - v0, 0, 0) is what the walk stores for a sum of no terms.
+    A num of zeros to precision at one cap a on degrees 0..n-1 (the
+    alpha-part of most dividends over Q_p(alpha)) has the quotient q_m =
+    O(p^(a + low[m] - v0)) once the pivot refusals have passed.  Every q_j is
+    then a zero to precision, so the walk's cap is A_m = min(a, min over i
+    of (gv_i - v0 + A_(m-i))), A_0 = a.  With A_m = a + B_m: B_0 = 0 = G*[0],
+    and if B_j = low[j] for j < m, the inner minimum is the least of gv_i -
+    v0 + G*[k], i >= 1, k <= m - i, which is the least of G*[1..m]; with the
+    0 of min(a, ...) that is low[m].  The walk stores (A_m - v0, 0, 0) for a
+    sum of no terms, as here.
     """
     p = den.p
     reach = min(n, len(den))
     if not reach or den.abs_precs[0] == inf:
         raise ExactZeroError("division by exact zero")
-    gv, gu, gr, terms, star, low, wa, gd = _divisor_plan(
+    gv, gu, gr, (gvs, gas, gcs), star, low, wa, gd = _divisor_plan(
         p, den.off, tuple(den.cells[:reach]), tuple(den.abs_precs[:reach]), n
     )
     v0, u0, r0 = gv[0], gu[0], gr[0]
@@ -1362,6 +1358,11 @@ def _back_substitute(num, den, n):
         return Part(p, qcaps[-1], [0] * n, qcaps)
     flat = next((m for m, A in enumerate(caps) if A != a), n) if a != inf else 0
     dig = []  # (j, qv, qA + v0, qu) of the digit-carrying q_j so far
+    # the walk's quotient columns, newest first, brought up to date when the
+    # walk runs: valuation and cap (inf for an exact zero), and the
+    # representative qu * p^(qv - qbase), 0 for a q_j without digits
+    qvs, qas, qcs = [], [], []
+    qbase = inf
     pw = [1]
     q = []
     for m, c, A in zip(range(n), cells, caps):
@@ -1382,23 +1383,28 @@ def _back_substitute(num, den, n):
             live = [(off, c)] if c and off < A else []
             live += [(e, -gu[k] * qu) for e, k, qu in near if e < A]
         else:
-            live = [(off, c)] if c else []
-            for i, gvi, gui, gri in terms:
-                if i > m:
-                    break
-                qv, qu, qr = q[m - i]
+            for qv, qu, r in q[len(qvs):]:
                 if qv is None:
-                    continue
-                e = gvi + qv
-                rr = gri if gri < qr else qr
-                if e + rr < A:
-                    A = e + rr
-                if rr:
-                    live.append((e, -gui * qu))
+                    qv = inf
+                elif r:
+                    if qv < qbase:  # rescale the representatives to the lower base
+                        f = p ** (qbase - qv) if qbase != inf else 0
+                        qcs, qbase = [x * f for x in qcs], qv
+                    qu *= p ** (qv - qbase)
+                qvs.insert(0, qv)
+                qas.insert(0, qv + r)
+                qcs.insert(0, qu)
+            # pairs (i, m - i), i = 1..min(m, reach - 1): map stops at the shorter
+            if m and gas:
+                A = min(A, min(map(add, gas, qvs)), min(map(add, gvs, qas)))
             if A == inf:
                 q.append((None, 0, 0))
                 continue
-            live = [t for t in live if t[0] < A]
+            live = [(off, c)] if c and off < A else []
+            if den.off + qbase < A:
+                s = sum(map(mul, gcs, qcs))
+                if s:
+                    live.append((den.off + qbase, s))
         s = 0
         if live:
             base = min(live)[0]
@@ -1425,10 +1431,9 @@ def _back_substitute(num, den, n):
 def _quotient_by_monic(F: Series, P: Series) -> Series:
     """Euclidean quotient of a polynomial F by a monic polynomial P over Q_p.
 
-    It runs from the top: with n = deg F - deg P + 1, rev(F) = rev(Q) * rev(P)
-    mod X^n, and rev(P) starts with P's top coefficient, a unit known to P's
-    width.  So rev(Q) is the first n terms of _back_substitute(rev(F),
-    rev(P)), one solve per part.
+    With n = deg F - deg P + 1, rev(F) = rev(Q) * rev(P) mod X^n, and rev(P)
+    starts with P's unit top: rev(Q) is the first n terms of
+    _back_substitute(rev(F), rev(P)), one solve per part.
     """
     n = F.length - P.length + 1
     if n <= 0:  # nothing to solve for, and the kernel needs a divisor term
@@ -1441,39 +1446,33 @@ def divide_series(F: Series, G: Series, growth_order=None) -> Series:
     """Quotient Q with Q*G = F, refusing an F that misses G's zeros in the open disc.
 
     A divisor whose alpha-part is not exactly zero is divided through its
-    norm: F/G is F*conj(G) / (G*conj(G)), and G*conj(G) lies over Q_p.  Let d be the lowest
-    degree of the (Q_p) divisor that is nonzero to precision; F must vanish
-    below it.  Beyond that, by Weierstrass preparation G/X^d = P * p^v * unit
-    with P distinguished of degree lambda (see _weierstrass_split), and F is
-    divisible by G exactly when F/X^d is divisible by P.  For a polynomial
-    divisor (every coefficient known) with lambda > 0 this is tested: the
-    remainder of F/X^d modulo P (Series.remainder_mod, with ``growth_order``
-    as the model of a truncated dividend's tail) must be zero to precision,
-    else DivisibilityError names the degree of its first nonzero coefficient.
-    A truncated divisor's window certifies no lambda, so its open-disc zeros
-    are checked only by the cyclotomic certificates divide_exact applies
-    (Distribution.cyclo_factors).
+    norm: F/G is F*conj(G) / (G*conj(G)), and G*conj(G) lies over Q_p.  Let
+    d be the lowest degree of the (Q_p) divisor that is nonzero to
+    precision; F must vanish below it.  By Weierstrass preparation G/X^d =
+    P * p^v * unit with P distinguished of degree lambda (_weierstrass_split),
+    and F is divisible by G exactly when F/X^d is divisible by P.  For a
+    polynomial divisor with lambda > 0 this is tested: the remainder of F/X^d
+    mod P (Series.remainder_mod, ``growth_order`` modelling a truncated
+    dividend's tail) must be zero to precision, else DivisibilityError names
+    the degree of its first nonzero coefficient.  A truncated divisor's
+    open-disc zeros are checked only by divide_exact's cyclotomic
+    certificates.
 
-    The quotient of two polynomials keeps the full x_prec window; otherwise
-    its length is the shared window minus d.  It is computed by
-    back-substitution from degree d on the integer columns under
-    PadicScalar's precision rules (_back_substitute), the a- and b-parts of
-    a Q_p(alpha) dividend as two Q_p solves; two polynomials with lambda > 0
-    divide as (F/X^d quo P) / U, so no digit is lost to G's zeros.  The
-    monic quotient F/X^d quo P is the same kernel run on the reversed
-    columns (_quotient_by_monic): its relative precision is capped at P's
-    width, which the division by U, known to that width, caps it to anyway.
-    Precision follows scalar propagation, plus a cap accounting for any
-    below-d coefficients of F or G that are only zero to finite precision.
+    The quotient of two polynomials keeps the full x_prec window, else the
+    shared window minus d.  It is back-substitution from degree d under
+    PadicScalar's precision rules (_back_substitute), one Q_p solve per part;
+    two polynomials with lambda > 0 divide as (F/X^d quo P) / U, so no digit
+    is lost to G's zeros, the monic quotient being the same kernel on the
+    reversed columns (_quotient_by_monic), capped at P's width as the
+    division by U caps it anyway.  Below-d coefficients of F or G that are
+    only zero to finite precision cap the quotient.
     """
     F._check_compat(G)
     if G._b is not None and G._b.min_abs != inf:
         conj = Series(G.prec, G._a, G._b.neg(), G.form, G.is_polynomial)
         norm = G * conj  # its alpha-part cancels; only the Q_p part is kept
         if G.is_polynomial and not norm.is_polynomial:
-            raise PrecisionError(
-                "the divisor's norm G*conj(G) does not fit in the X-window"
-            )
+            raise PrecisionError("the divisor's norm G*conj(G) does not fit in the X-window")
         return divide_series(
             F * conj, Series(G.prec, norm._a, is_polynomial=norm.is_polynomial),
             growth_order,

@@ -173,6 +173,13 @@ def _log_column(k: int, conv: Convention, prec: Precision):
     return tuple(out)
 
 
+def _check_weight(k) -> None:
+    """Refuse a weight parameter k that is not an integer >= 0, before any
+    log is built for it."""
+    if not isinstance(k, int) or k < 0:
+        raise ValueError(f"weight parameter k must be an integer >= 0, not {k!r}")
+
+
 def _detect_form(q: UnboundedQuadruple):
     for d in q.vector():
         for comp in d.body.components:
@@ -217,8 +224,10 @@ def _divisor_rows(q: UnboundedQuadruple, k: int, convention, eps_seed):
 
     Returns (convention, rows, logs): M*q in row order at the work precision
     and the column of signed logarithms each row is divided by.  A coordinate
-    that claims growth beyond k+1 raises ValueError.
+    that claims growth beyond k+1 raises ValueError, as does a k that is not
+    an integer >= 0.
     """
+    _check_weight(k)
     conv = _conv(convention)
     if eps_seed is None:
         form = _detect_form(q)
@@ -259,7 +268,8 @@ def factor_report(
     """Attempt every row and report, instead of stopping at the first failure.
 
     Input that :func:`factor_signed` refuses before dividing (a coordinate
-    claiming growth beyond k+1) raises the same ValueError here.
+    claiming growth beyond k+1, a k that is not an integer >= 0) raises the
+    same ValueError here.
     """
     conv, rows, logs = _divisor_rows(q, k, convention, eps_seed)
     report: dict = {"convention": conv.name, "k": k, "rows": []}
@@ -288,6 +298,7 @@ def synthesize(
 
     The output coordinates carry order tag k+1 (the order of the logs).
     """
+    _check_weight(k)
     conv = _conv(convention)
     prec = s.prec
     work = _work_prec(k, prec)
@@ -318,6 +329,7 @@ class MockGlobalModule:
     convention: str = "theoremA"
 
     def __post_init__(self):
+        _check_weight(self.k)
         if len(self.seeds) != 2 or any(len(s) != 4 for s in self.seeds):
             raise ValueError("need a (circ, dot, plus, minus) seed tuple per basis vector")
 
@@ -382,6 +394,7 @@ def coleman_extract(local, sign: str, k: int, convention="theoremA") -> IwasawaE
     ``local`` is a (circ, dot, plus, minus) 4-vector of distributions; the
     antisymmetric slot has no Coleman map.
     """
+    _check_weight(k)
     if sign == "circ":
         raise ValueError("the antisymmetric slot has no Coleman map")
     if sign not in SIGNS:

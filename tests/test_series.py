@@ -22,6 +22,8 @@ from iwa.series import (
     _divisor_plan,
     _divmod_cells,
     _part,
+    _reduce,
+    _reduction_columns,
     cyclotomic_factor,
     divide_series,
     linear_combination,
@@ -580,6 +582,45 @@ def test_divmod_cells_matches_reducing_every_update(case):
     assert cells == before
 
 
+@st.composite
+def packed_remainder_cases(draw):
+    """(cells, phi, p, Wp, W, n, budget) for the packed remainder.
+
+    phi has degree D in 1..24 and a top that is a unit mod p^Wp, reduced or
+    not; the dividend has D + 1 to 3D cells; both may hold unreduced and
+    negative cells.  The columns are built to n >= len(cells), as a cached
+    modulus' are to x_prec, within a budget of chunks that at times cuts
+    them short of the dividend, and read at a width W <= Wp.
+    """
+    p = draw(st.sampled_from([3, 5, 7]))
+    D = draw(st.integers(1, 24))
+    Wp = draw(st.integers(1, 40))
+    m = p**Wp
+    cell = st.one_of(st.just(0), st.integers(0, m - 1), st.integers(-m, 2 * m))
+    top = draw(st.integers(0, p ** (Wp - 1) - 1)) * p + draw(st.integers(1, p - 1))
+    top += m * draw(st.integers(-2, 2))
+    phi = draw(st.lists(cell, min_size=D, max_size=D)) + [top]
+    L = draw(st.integers(D + 1, 3 * D))
+    cells = draw(st.lists(cell, min_size=L, max_size=L))
+    n = L + draw(st.integers(0, 2 * D))
+    budget = draw(st.sampled_from([1, D, 3 * D, 2**14]))
+    return cells, phi, p, Wp, draw(st.integers(1, Wp)), n, budget
+
+
+@settings(max_examples=300, deadline=None)
+@given(packed_remainder_cases())
+def test_packed_remainder_matches_the_euclidean_loop(case):
+    # one multiply-add per cell against the columns X^k mod phi, block by
+    # block when they are fewer than the cells, gives the remainder of the
+    # Euclidean loop that reduces every update
+    cells, phi, p, Wp, W, n, budget = case
+    D = len(phi) - 1
+    cb, columns = _reduction_columns(p, phi, Wp, n, budget)
+    assert len(columns) == min(n - D, max(budget // D, 1))
+    want = divmod_cells_each_step(cells, phi, p**W)[1]
+    assert _reduce(cells, D, cb, columns, p**W) == want
+
+
 def remainder_or_error(fn, *args):
     try:
         r = fn(*args)
@@ -1112,6 +1153,27 @@ def columns_or_error(fn, *args):
     Part.from_triples(5, [(4, 0, 0)] * 6),
     Part.from_triples(5, [(1, 4, 3), (-1, 3, 8), (2, 1, 5)]),
     6,
+))
+# an exact-zero dividend coefficient past the pivot, over an exact-zero
+# divisor coefficient: the walk's cap at degree 1 is inf, so q_1 is exact
+@example((
+    Part.from_triples(5, [(0, 3, 6), (None, 0, 0), (None, 0, 0)]),
+    Part.from_triples(5, [(0, 2, 4), (None, 0, 0)]),
+    3,
+))
+# at degree 1 the dividend's cap 1 lies at its offset and below the
+# quotient's base 3: no term reaches the value, a zero known to O(p^1)
+@example((
+    Part.from_triples(5, [(3, 1, 5), (1, 0, 0)]),
+    Part.from_triples(5, [(0, 1, 8), (0, 2, 8)]),
+    3,
+))
+# q_1 (valuation 0) lies below q_0 (valuation 3): the walk at degree 2
+# rescales q_0's representative to the lower base
+@example((
+    Part.from_triples(5, [(3, 1, 5), (0, 1, 8), (0, 4, 8)]),
+    Part.from_triples(5, [(0, 1, 8), (0, 1, 8)]),
+    3,
 ))
 def test_cap_first_kernel_matches_pair_walk(case):
     # every cap set first (from the divisor's tables or the walk) and every

@@ -613,3 +613,31 @@ def test_coleman_named_errors(sign, exc, fragment):
     assert info.type is exc
     if exc is DivisibilityError:
         assert info.value.row == sign
+
+
+def weight_calls(k):
+    """Each entry point that takes a weight parameter, called with k."""
+    one = Distribution(IwasawaElement.one(P32))
+    coords = UnboundedQuadruple(one, one, one, one)
+    seeds = tuple(zero_elem(P32) for _ in range(4))
+    return {
+        "synthesize": lambda: synthesize(SignedQuadruple(*seeds), k),
+        "factor_signed": lambda: factor_signed(coords, k),
+        "factor_report": lambda: factor_report(coords, k),
+        "coleman_extract": lambda: coleman_extract((one, one, one, one), "plus", k),
+        "MockGlobalModule": lambda: MockGlobalModule(k, (seeds, seeds)),
+    }
+
+
+@pytest.mark.parametrize("k", [-1, 1.5, Fraction(1)], ids=["negative", "float", "fraction"])
+@pytest.mark.parametrize("entry", list(weight_calls(0)))
+def test_a_bad_weight_is_refused_before_any_log(entry, k, monkeypatch):
+    # one named ValueError, raised before a signed log is built or looked up
+    def no_log(*args):
+        raise AssertionError("a log was built for a bad weight")
+
+    monkeypatch.setattr(signed_module, "_log", no_log)
+    want = f"weight parameter k must be an integer >= 0, not {k!r}"
+    with pytest.raises(ValueError) as info:
+        weight_calls(k)[entry]()
+    assert info.type is ValueError and str(info.value) == want
