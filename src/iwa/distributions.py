@@ -208,8 +208,8 @@ def _certify_factors(F: Distribution, G: Distribution) -> None:
     order, and what does not depend on the factor is computed once: F's
     working width is memoized on F.body, each component's offsets, widths
     and tail floor are memoized on the component under (growth order), and
-    each factor's reduction columns are cached under (p, m, j, u, width,
-    x_prec), so divisions by the same logs at a window build them once.
+    each factor's reduction columns are cached under (p, m, j, width, x_prec),
+    so divisions by the same logs at a window build them once.
     The columns are X^k mod Phi packed one chunk a coefficient, built by
     the recurrence X^(k+1) = X * X^k (shift up a chunk, fold the dropped top
     back in through X^D = -Phi_low / top), and a remainder is one
@@ -271,4 +271,4 @@ def divide_exact(F: Distribution, G: Distribution) -> Distribution:
     tag = F.order_tag - G.order_tag
     if tag < 0:
         tag = Fraction(0)
-    return Distribution(IwasawaElement(F.prec, comps, u=F.body.u), tag)
+    return Distribution(IwasawaElement(F.prec, comps), tag)

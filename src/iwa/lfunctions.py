@@ -825,7 +825,6 @@ def _kl_core(eta: DirichletCharacter, branch_i: int, prec: Precision) -> dict:
         )
     rel = prec.p_prec + E + _vp(math.factorial(E), p) + 16
     wprec = prec.with_p_prec(rel)
-    u = u_for(p)
 
     # The moments, integral, are the values at the nodes u^-m - 1, each
     # known to rel digits; _newton_part interpolates them.  No moment is an
@@ -843,8 +842,8 @@ def _kl_core(eta: DirichletCharacter, branch_i: int, prec: Precision) -> dict:
         moments.append(v)
     N = prec.x_prec
     comps = [Series.zero(wprec) for _ in range(pm1)]
-    comps[i] = Series(wprec, _newton_part(p, u, rel, moments, N), is_polynomial=False)
-    smoothed = IwasawaElement(wprec, comps, u)
+    comps[i] = Series(wprec, _newton_part(p, u_for(p), rel, moments, N), is_polynomial=False)
+    smoothed = IwasawaElement(wprec, comps)
 
     psi0 = eta0 * DirichletCharacter.teichmuller_power(p, b)
     psi0_c = psi0.value(c, wprec, rel) * c
@@ -854,7 +853,7 @@ def _kl_core(eta: DirichletCharacter, branch_i: int, prec: Precision) -> dict:
     dser = [one - psi0_c * dcoeffs[0]] + [-(psi0_c * t) for t in dcoeffs[1:]]
     dcomp = [Series.zero(wprec) for _ in range(pm1)]
     dcomp[i] = Series(wprec, tuple(dser), None, None, is_polynomial=False)
-    divisor = IwasawaElement(wprec, dcomp, u)
+    divisor = IwasawaElement(wprec, dcomp)
 
     bracket_c = PadicScalar.from_fraction(Fraction(c), wprec, rel) / teichmuller(
         c % p, wprec, rel
@@ -1144,14 +1143,13 @@ def remove_euler_factors(F: IwasawaElement, primes, eta: DirichletCharacter,
     out = F
     pw = _omega_powers(p, F.prec, rel)
     for ell in primes:
-        ell = int(ell)
-        if ell % p == 0:
+        if isinstance(ell, int) and ell % p == 0:
             raise ValueError(
                 f"ell={ell} is divisible by p={p}; only primes away from p "
                 "have removable Euler factors"
             )
-        if ell >= _MR_BOUND or not _is_prime(ell):
-            raise ValueError(f"ell={ell} is not a prime below {_MR_BOUND}; "
+        if not isinstance(ell, int) or ell >= _MR_BOUND or not _is_prime(ell):
+            raise ValueError(f"ell={ell!r} is not a prime below {_MR_BOUND}; "
                              "Euler factors are indexed by primes")
         e_eta = eta.exponent(ell)
         if e_eta is None:
@@ -1169,7 +1167,7 @@ def remove_euler_factors(F: IwasawaElement, primes, eta: DirichletCharacter,
             head = one - coef * tame * wild[0]
             tail = [-(coef * tame * wk) for wk in wild[1:]]
             comps.append(Series(F.prec, tuple([head] + tail), None, None))
-        out = out * IwasawaElement(F.prec, comps, F.u)
+        out = out * IwasawaElement(F.prec, comps)
     return out
 
 

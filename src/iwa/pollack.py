@@ -68,7 +68,7 @@ from ._kernel import _factorial_table, cyclotomic_cells, polymul, stirling_colum
 from .distributions import Distribution
 from .scalars import PadicScalar, Precision, _check_rel, _vp
 from .series import IwasawaElement, Series, cyclotomic_degree, cyclotomic_factor
-from .series import u_for, unpack_part
+from .series import _check_int, u_for, unpack_part
 
 __all__ = ["LogKind", "pollack_log", "log_identity_check", "log_p_unit"]
 
@@ -86,10 +86,7 @@ class LogKind:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"kind must be one of {_KINDS}")
-        for name in ("r", "shift"):
-            value = getattr(self, name)
-            if not isinstance(value, int):
-                raise ValueError(f"{name} must be an integer, not {value!r}")
+        _check_int(r=self.r, shift=self.shift)
         if self.r < 1:
             raise ValueError("r must be a positive integer")
         if self.shift < 0:

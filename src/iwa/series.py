@@ -12,6 +12,11 @@ group elements never appear as such — constructors decompose them into the
 idempotent basis, which turns twisting into an index shift plus the affine
 substitution X -> u^n(1+X) - 1.
 
+The generator is fixed for the package: gamma -> u = 1 + p under the
+cyclotomic character (:func:`u_for`).  Twists, cyclotomic factors
+Phi_{p^m}(u^{-j}(1+X)) and character values all read that one u, derived
+from the prime; no element or factor carries a u of its own.
+
 Precision semantics:
 
 * each part is a ``Part`` of integer columns with per-coefficient (jagged)
@@ -81,6 +86,13 @@ def u_for(p: int) -> int:
     return 1 + p
 
 
+def _check_int(**named) -> None:
+    """Raise a ValueError naming the first argument that is not an int."""
+    for name, value in named.items():
+        if not isinstance(value, int):
+            raise ValueError(f"{name} must be an integer, not {value!r}")
+
+
 class DivisibilityError(PrecisionError):
     """A claimed exact division failed, with enough context to report why.
 
@@ -132,6 +144,9 @@ class FiniteCharacter:
     cyclotomic_twist: int = 0
 
     def __post_init__(self):
+        _check_int(tame_exponent=self.tame_exponent,
+                   wild_conductor_exponent=self.wild_conductor_exponent,
+                   cyclotomic_twist=self.cyclotomic_twist)
         if self.wild_conductor_exponent < 0:
             raise ValueError("wild conductor exponent must be >= 0")
 
@@ -541,6 +556,9 @@ class Series:
 
     @classmethod
     def monomial(cls, n: int, prec: Precision, c=1, rel=None) -> "Series":
+        _check_int(n=n)
+        if n < 0:
+            raise ValueError(f"monomial degree n must be >= 0, got {n}")
         return cls.make(prec, [0] * n + [c], rel=rel, is_polynomial=True)
 
     # -- structure ---------------------------------------------------------
@@ -956,10 +974,8 @@ def linear_combination(scalars, series) -> Series:
 # ------------------------------------------------------- cyclotomic factors
 
 
-def cyclotomic_factor(
-    m: int, j: int, prec: Precision, *, u: int | None = None, rel: int | None = None
-) -> Series:
-    """Phi_{p^m}(u^{-j} (1+X)) truncated mod X^x_prec.
+def cyclotomic_factor(m: int, j: int, prec: Precision, *, rel: int | None = None) -> Series:
+    """Phi_{p^m}(u^{-j} (1+X)) truncated mod X^x_prec, u = u_for(p) = 1 + p.
 
     Built from binomial rows (:func:`iwa._kernel.cyclotomic_cells`): with
     z = u^{-j}(1+X) and e = p^(m-1), the coefficient of X^n is
@@ -967,11 +983,10 @@ def cyclotomic_factor(
     level m = 0 is the linear factor z - 1 (exactly X when j = 0), cut out
     by the trivial wild character, with exact rational coefficients.
     """
+    _check_int(m=m, j=j)
     if m < 0:
         raise ValueError("m must be >= 0")
-    p = prec.p
-    if u is None:
-        u = u_for(p)
+    p, u = prec.p, u_for(prec.p)
     W = prec.p_prec if rel is None else rel
     if m == 0:
         uj_exact = Fraction(1, u**j) if j >= 0 else Fraction(u ** (-j))
@@ -987,13 +1002,13 @@ def cyclotomic_factor(
 
 
 @lru_cache(maxsize=64)
-def _cyclotomic_modulus(p, m, j, u, rel, x_prec):
+def _cyclotomic_modulus(p, m, j, rel, x_prec):
     """_modulus of cyclotomic_factor(m, j) with its reduction columns X^k
     mod Phi, D <= k < x_prec, built once per content by X^(k+1) = X * X^k
     (_reduction_columns): every certificate at a window and working width
     shares them.  min((x_prec - D) D, 2^14) chunks of ~3 rel log2(p) bits.
     """
-    factor = cyclotomic_factor(m, j, Precision(p, rel, x_prec), u=u, rel=rel)
+    factor = cyclotomic_factor(m, j, Precision(p, rel, x_prec), rel=rel)
     D, off, cells, W, gmin, _ = _modulus(factor)
     return D, off, cells, W, gmin, _reduction_columns(p, cells, W, x_prec)
 
@@ -1002,17 +1017,28 @@ def _cyclotomic_modulus(p, m, j, u, rel, x_prec):
 
 
 class IwasawaElement:
-    """An element of the Iwasawa algebra, stored as p-1 tame components."""
+    """An element of the Iwasawa algebra, stored as p-1 tame components.
 
-    __slots__ = ("prec", "u", "components", "_memo")
+    The wild variable is X = gamma - 1 for the package's generator gamma -> u
+    = 1 + p.  ``u`` is derived from the prime, not stored; the constructor's
+    third argument, when given, must be that same 1 + p.
+    """
+
+    __slots__ = ("prec", "components", "_memo")
 
     def __init__(self, prec: Precision, components, u: int | None = None):
         components = tuple(components)
         if len(components) != prec.p - 1:
             raise ValueError(f"need {prec.p - 1} components, got {len(components)}")
+        if u is not None and u != u_for(prec.p):
+            raise ValueError(f"u = {u} is not the generator image 1 + p = {u_for(prec.p)}")
         object.__setattr__(self, "prec", prec)
-        object.__setattr__(self, "u", u_for(prec.p) if u is None else u)
         object.__setattr__(self, "components", components)
+
+    @property
+    def u(self) -> int:
+        """The image of gamma, u_for(p) = 1 + p."""
+        return u_for(self.prec.p)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("IwasawaElement is immutable")
@@ -1020,34 +1046,33 @@ class IwasawaElement:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, prec: Precision, u: int | None = None) -> "IwasawaElement":
+    def zero(cls, prec: Precision) -> "IwasawaElement":
         z = Series.zero(prec)
-        return cls(prec, [z] * (prec.p - 1), u)
+        return cls(prec, [z] * (prec.p - 1))
 
     @classmethod
-    def one(cls, prec: Precision, u: int | None = None) -> "IwasawaElement":
+    def one(cls, prec: Precision) -> "IwasawaElement":
         c = Series.constant(1, prec)
-        return cls(prec, [c] * (prec.p - 1), u)
+        return cls(prec, [c] * (prec.p - 1))
 
     @classmethod
-    def from_diagonal(cls, series: Series, u: int | None = None) -> "IwasawaElement":
+    def from_diagonal(cls, series: Series) -> "IwasawaElement":
         """Embed a pure wild-direction series: the same series in every component."""
-        return cls(series.prec, [series] * (series.prec.p - 1), u)
+        return cls(series.prec, [series] * (series.prec.p - 1))
 
     @classmethod
-    def from_component(cls, i: int, series: Series, u: int | None = None) -> "IwasawaElement":
+    def from_component(cls, i: int, series: Series) -> "IwasawaElement":
+        _check_int(i=i)
         prec = series.prec
         comps = [Series.zero(prec)] * (prec.p - 1)
         comps[i % (prec.p - 1)] = series
-        return cls(prec, comps, u)
+        return cls(prec, comps)
 
     # -- plumbing ----------------------------------------------------------
 
     def _check_compat(self, other: "IwasawaElement"):
         if self.prec != other.prec:
             raise PrecisionError("precision mismatch between Iwasawa elements")
-        if self.u != other.u:
-            raise PrecisionError("mismatched cyclotomic generator images")
 
     def _map_components(self, fn):
         return self._zip_components(self, lambda f, _: fn(f))
@@ -1060,7 +1085,7 @@ class IwasawaElement:
             if key not in memo:
                 memo[key] = fn(f, g)
             out.append(memo[key])
-        return IwasawaElement(self.prec, out, self.u)
+        return IwasawaElement(self.prec, out)
 
     # -- ring operations ---------------------------------------------------
 
@@ -1098,7 +1123,6 @@ class IwasawaElement:
         return IwasawaElement(
             self.prec.with_p_prec(p_prec),
             [s.with_p_prec(p_prec) for s in self.components],
-            self.u,
         )
 
     # -- algebra-specific operations --------------------------------------
@@ -1109,6 +1133,7 @@ class IwasawaElement:
         Component i moves to i - n; the wild variable maps by
         X -> u^n (1+X) - 1.
         """
+        _check_int(n=n)
         if n == 0:
             return self
         pm1 = self.prec.p - 1
@@ -1118,16 +1143,17 @@ class IwasawaElement:
         d = PadicScalar.from_fraction(un, self.prec, rel)
         k = n % pm1  # component i + n lands on i
         moved = self.components[k:] + self.components[:k]
-        return IwasawaElement(self.prec, moved, self.u)._map_components(
+        return IwasawaElement(self.prec, moved)._map_components(
             lambda x: x.compose_affine(c, d)
         )
 
     def idempotent_project(self, j: int) -> "IwasawaElement":
+        _check_int(j=j)
         pm1 = self.prec.p - 1
         z = Series.zero(self.prec)
         comps = [z] * pm1
         comps[j % pm1] = self.components[j % pm1]
-        return IwasawaElement(self.prec, comps, self.u)
+        return IwasawaElement(self.prec, comps)
 
     def evaluate_at_character(self, ch: FiniteCharacter):
         """Value at omega^tame * chi_cyc^t; wild parts are not evaluated numerically."""
@@ -1152,16 +1178,17 @@ class IwasawaElement:
 
         The result is Series.remainder_mod by cyclotomic_factor(m, j) at the
         working width rel = _working_digits() + 4 (memoized on this element),
-        by the factor's reduction columns, cached under (p, m, j, u, rel,
-        x_prec) (_cyclotomic_modulus).
+        by the factor's reduction columns, cached under (p, m, j, rel, x_prec)
+        (_cyclotomic_modulus).
         """
+        _check_int(m=m, j=j)
         p = self.prec.p
         D = cyclotomic_degree(p, m)
         if D + 1 > self.prec.x_prec:  # Phi is a polynomial only with D + 1 terms
             raise PrecisionError(f"x_prec={self.prec.x_prec} too small for deg Phi = {D}")
         comp = self.components[j % (p - 1)]
         rel = self._working_digits() + 4
-        modulus = _cyclotomic_modulus(p, m, j, self.u, rel, self.prec.x_prec)
+        modulus = _cyclotomic_modulus(p, m, j, rel, self.prec.x_prec)
         return comp._remainder(modulus, growth_order)
 
     # -- inspection --------------------------------------------------------

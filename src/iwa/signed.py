@@ -211,7 +211,7 @@ def _mat_apply(M, vec):
             if key not in memo:
                 memo[key] = linear_combination(row, xs)
             comps.append(memo[key])
-        elem = IwasawaElement(bodies[0].prec, comps, bodies[0].u)
+        elem = IwasawaElement(bodies[0].prec, comps)
         out.append(Distribution(elem, tag))
     return tuple(out)
 

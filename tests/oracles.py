@@ -466,7 +466,7 @@ def reference_remainder_mod_cyclotomic(elem, m, j, growth_order=None):
         raise PrecisionError(f"x_prec={elem.prec.x_prec} too small for deg Phi = {D}")
     comp = elem.components[j % (elem.prec.p - 1)]
     rel = reference_working_digits(elem) + 4
-    phi = cyclotomic_factor(m, j, elem.prec, u=elem.u, rel=rel)
+    phi = cyclotomic_factor(m, j, elem.prec, rel=rel)
     return reference_remainder_mod(comp, phi, growth_order)
 
 
@@ -595,7 +595,7 @@ def reference_mat_apply(M, vec):
         acc = None
         for s, d in zip(row, vec):
             comps = [reference_linear_combination((s,), (c,)) for c in d.body.components]
-            term = Distribution(IwasawaElement(d.prec, comps, d.body.u), d.order_tag)
+            term = Distribution(IwasawaElement(d.prec, comps), d.order_tag)
             acc = term if acc is None else acc + term
         out.append(acc)
     return tuple(out)

@@ -1026,6 +1026,11 @@ class TestGeometricRatio:
 # ------------------------------------------------------ refusals and edges
 
 
+def _remove_euler(ell):
+    return remove_euler_factors(IwasawaElement.one(Precision(5, 10, 4)), [ell],
+                                DirichletCharacter.trivial(5))
+
+
 @pytest.mark.parametrize("call, fragment", [
     pytest.param(lambda: lfunctions._ind(5, 10), "10 is not a unit mod 5", id="dlog-non-unit"),
     pytest.param(lambda: DirichletCharacter(5, 0, ()), "modulus must be positive",
@@ -1040,6 +1045,9 @@ class TestGeometricRatio:
                  "(chi eps)(c) must be a unit", id="smoothing-scalar-non-unit"),
     pytest.param(lambda: c_smoothing_factor(3, 1, 0, 0), "(chi eps)(c) must be a unit",
                  id="smoothing-rational-zero"),
+    pytest.param(lambda: _remove_euler(2.5), "ell=2.5 is not a prime", id="euler-float"),
+    pytest.param(lambda: _remove_euler(7.0), "ell=7.0 is not a prime", id="euler-integral-float"),
+    pytest.param(lambda: _remove_euler("7"), "ell='7' is not a prime", id="euler-string"),
 ])
 def test_named_errors(call, fragment):
     with pytest.raises(ValueError, match=re.escape(fragment)) as info:

@@ -404,6 +404,32 @@ def test_twist_inverse_composes_to_identity():
     assert F.twist(3).twist(-3) == F
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_twists_compose_as_a_group_action(data):
+    # Tw_a Tw_b = Tw_(a+b): the wild maps compose as u^a (u^b (1+X)) = u^(a+b) (1+X)
+    # and a component in slot i lands in slot i - a - b
+    p = data.draw(st.sampled_from([3, 5, 7]))
+    prec = Precision(p, 12, 6)
+    coeffs = data.draw(st.lists(st.integers(-20, 20), min_size=1, max_size=5))
+    f = Series.make(prec, coeffs, is_polynomial=True)
+    i = data.draw(st.integers(0, p - 2))
+    a, b = data.draw(st.integers(-3, 3)), data.draw(st.integers(-3, 3))
+    F = IwasawaElement.from_component(i, f)
+    got = F.twist(a).twist(b)
+    assert got == F.twist(a + b)
+    slot = (i - a - b) % (p - 1)
+    assert all(s.is_zero_to_precision for k, s in enumerate(got.components) if k != slot)
+    assert got.components[slot].is_zero_to_precision == f.is_zero_to_precision
+
+
+def test_the_generator_is_derived_from_the_prime():
+    for p in (3, 5, 7):
+        prec = Precision(p, 6, 4)
+        comps = [Series.zero(prec)] * (p - 1)
+        assert IwasawaElement(prec, comps).u == IwasawaElement(prec, comps, 1 + p).u == 1 + p
+
+
 def test_twist_is_ring_homomorphism_on_random_polys():
     import random
 
@@ -1520,8 +1546,30 @@ _P5X3 = Precision(5, 10, 3)
                  id="cyclotomic-level"),
     pytest.param(lambda: IwasawaElement(P5, []), ValueError, "need 4 components, got 0",
                  id="component-count"),
-    pytest.param(lambda: IwasawaElement.zero(P5, u=11) + IwasawaElement.zero(P5),
-                 PrecisionError, "mismatched cyclotomic generator images", id="generator-u"),
+    pytest.param(lambda: IwasawaElement(P5, [Series.zero(P5)] * 4, 11), ValueError,
+                 "u = 11 is not the generator image 1 + p = 6", id="generator-u"),
+    pytest.param(lambda: Series.monomial(-1, P5), ValueError,
+                 "monomial degree n must be >= 0, got -1", id="monomial-degree"),
+    pytest.param(lambda: Series.monomial(1.5, P5), ValueError,
+                 "n must be an integer, not 1.5", id="monomial-index"),
+    pytest.param(lambda: x_in_component(0).twist(1.5), ValueError,
+                 "n must be an integer, not 1.5", id="twist-index"),
+    pytest.param(lambda: x_in_component(0).idempotent_project(1.5), ValueError,
+                 "j must be an integer, not 1.5", id="project-index"),
+    pytest.param(lambda: IwasawaElement.from_component(1.5, Series.x(P5)), ValueError,
+                 "i must be an integer, not 1.5", id="component-index"),
+    pytest.param(lambda: x_in_component(0).remainder_mod_cyclotomic(1.0, 0), ValueError,
+                 "m must be an integer, not 1.0", id="remainder-level"),
+    pytest.param(lambda: x_in_component(0).remainder_mod_cyclotomic(1, 0.5), ValueError,
+                 "j must be an integer, not 0.5", id="remainder-twist"),
+    pytest.param(lambda: cyclotomic_factor(1, 0.5, P5), ValueError,
+                 "j must be an integer, not 0.5", id="cyclotomic-twist"),
+    pytest.param(lambda: FiniteCharacter(0.5), ValueError,
+                 "tame_exponent must be an integer, not 0.5", id="character-tame"),
+    pytest.param(lambda: FiniteCharacter(0, 1.0), ValueError,
+                 "wild_conductor_exponent must be an integer, not 1.0", id="character-wild"),
+    pytest.param(lambda: FiniteCharacter(0, 0, 2.5), ValueError,
+                 "cyclotomic_twist must be an integer, not 2.5", id="character-twist"),
     pytest.param(lambda: divide_series(Series.constant(1, P5), Series(
                      P5, [PadicScalar(P5, 0, 1, 1), PadicScalar.inexact_zero(P5, 0)],
                      is_polynomial=True)),
