@@ -40,7 +40,13 @@ returns:
 * ``_back_substitute`` on random dividends with dense quotients at
   n in {16, 64, 160} over p in {3, 5, 7}: at one cap, at jagged caps with
   exact zeros, and with a quotient coefficient of lower valuation than every
-  earlier one.
+  earlier one;
+* the derived scalar operators on ``PadicScalar`` and ``QuadExtScalar``
+  operands drawn from a fixed seed at p in {3, 5, 7}: exact zeros, zeros to
+  O(p^A), negative valuations and 0 to 30 digits, against scalars and int
+  and Fraction operands, ``a - b``, ``c - a``, ``a / b``, ``c / a``,
+  ``a ** n`` for n in -3..6 and ``a == b``, a refused call hashed as its
+  error's type and message.
 
 A ``Series`` is its parts as (off, cells, abs_precs), its polynomial flag
 and its form, and a bare part its (off, cells, abs_precs); an element is
@@ -48,7 +54,8 @@ its tame components' parts and flags; a distribution adds the order tag,
 the cyclotomic factors, the truncation level and the meta dict; a report
 or payload is the dict itself.  A
 ``PadicScalar`` is its (val, unit, rel) and its precision context, a
-``Fraction`` its string, and a refused call ``{"error", "message"}``.
+``QuadExtScalar`` its two coordinates, k and eps seed, a ``Fraction`` its
+string, and a refused call ``{"error", "message"}``.
 
 Keys are sorted and infinite precisions are written ``"inf"``.
 ``tests/test_golden.py`` recomputes every digest and compares it with
@@ -183,6 +190,9 @@ LAYER_RELS = (None, 2, 0)
 CERTIFICATE_WINDOWS = ((3, 20, 40), (7, 12, 64))
 DENSE_PRIMES = (3, 5, 7)
 DENSE_LENGTHS = (16, 64, 160)
+SCALAR_PRIMES = (3, 5, 7)
+SCALAR_DRAWS = 24
+POW_EXPONENTS = range(-3, 7)
 
 
 def char_mod13(p: int, s: int) -> DirichletCharacter:
@@ -607,6 +617,73 @@ def dense_division_cases():
                 )
 
 
+def random_padic(rng, prec: Precision) -> PadicScalar:
+    """An exact zero, a zero to O(p^A), or unit * p^val + O(p^(val + rel))
+    with val in -4..4, rel in 0..30 and a unit that may still carry p, so
+    that the constructor normalizes it."""
+    kind = rng.randrange(8)
+    if kind == 0:
+        return PadicScalar.exact_zero(prec)
+    if kind == 1:
+        return PadicScalar.inexact_zero(prec, rng.randint(-4, 8))
+    return PadicScalar(prec, rng.randint(-4, 4), rng.randrange(1, prec.p**31), rng.randint(0, 30))
+
+
+def random_rational(rng, p: int):
+    """0, an int or a Fraction whose numerator and denominator may carry p."""
+    if rng.randrange(8) == 0:
+        return 0
+    n = rng.choice((-1, 1)) * rng.randint(1, 60) * p ** rng.randint(0, 3)
+    if rng.randrange(2):
+        return n
+    return Fraction(n, rng.randint(1, 20) * p ** rng.randint(0, 3))
+
+
+def scalar_operations(a, b, c) -> list:
+    """a - b, c - a, a / b, c / a, a ** n over POW_EXPONENTS and a == b."""
+    return [
+        outcome(lambda: a - b),
+        outcome(lambda: c - a),
+        outcome(lambda: a / b),
+        outcome(lambda: c / a),
+        [outcome(lambda: a**n) for n in POW_EXPONENTS],
+        outcome(lambda: a == b),
+    ]
+
+
+def scalar_operator_cases():
+    """The derived operators on random PadicScalar operands, then on random
+    QuadExtScalar operands against QuadExtScalars, PadicScalars and
+    rationals; one draw in eight mixes two forms' eps seeds."""
+    for p in SCALAR_PRIMES:
+        rng = random.Random(7000 + p)
+        prec = Precision(p, rng.randint(1, 20))
+        for i in range(SCALAR_DRAWS):
+            a = random_padic(rng, prec)
+            b = random_rational(rng, p) if rng.randrange(4) == 0 else random_padic(rng, prec)
+            c = random_rational(rng, p)
+            yield (
+                f"scalar_ops/padic/p{p}/{i}",
+                lambda a=a, b=b, c=c: scalar_operations(a, b, c),
+            )
+        for i in range(SCALAR_DRAWS):
+            k, eps = rng.randint(0, 3), rng.randrange(1, p)
+            a = QuadExtScalar(random_padic(rng, prec), random_padic(rng, prec), k, eps)
+            kind = rng.randrange(8)
+            if kind == 0:
+                b = random_rational(rng, p)
+            elif kind == 1:
+                b = random_padic(rng, prec)
+            else:
+                eps_b = eps % (p - 1) + 1 if kind == 2 else eps
+                b = QuadExtScalar(random_padic(rng, prec), random_padic(rng, prec), k, eps_b)
+            c = random_rational(rng, p)
+            yield (
+                f"scalar_ops/quad/p{p}/{i}",
+                lambda a=a, b=b, c=c: scalar_operations(a, b, c),
+            )
+
+
 def cases():
     """Every case name with the call that computes its output."""
     for p, M, N in LOG_WINDOWS:
@@ -664,6 +741,7 @@ def cases():
     yield from bench_certificate_cases()
     yield from window_certificate_cases()
     yield from dense_division_cases()
+    yield from scalar_operator_cases()
 
 
 def _columns(part: Part) -> list:
@@ -685,6 +763,8 @@ def _canonical(obj):
     if isinstance(obj, PadicScalar):
         return {"val": obj.val, "unit": obj.unit, "rel": obj.rel,
                 "prec": [obj.prec.p, obj.prec.p_prec, obj.prec.x_prec]}
+    if isinstance(obj, QuadExtScalar):
+        return {"a": _canonical(obj.a), "b": _canonical(obj.b), "k": obj.k, "eps": obj.eps_seed}
     if isinstance(obj, (list, tuple)):
         return [_canonical(x) for x in obj]
     if isinstance(obj, Series):
