@@ -85,7 +85,7 @@ from .dieudonne import PhiModule
 from .distributions import Distribution, divide_exact
 from .pollack import log_p_unit
 from .scalars import (_MR_BOUND, PadicScalar, Precision, PrecisionError, _check_odd_prime,
-                      _check_rel, _is_prime, _vp, teichmuller)
+                      _check_rel, _is_prime, _triple, _vp, teichmuller)
 from .series import FiniteCharacter, IwasawaElement, Part, Series, _part, u_for
 
 __all__ = [
@@ -509,16 +509,6 @@ def _as_scalar(x, prec: Precision, rel: int) -> PadicScalar:
     return PadicScalar.from_fraction(Fraction(x), prec, rel)
 
 
-def _triple(p: int, x: int, rel: int) -> tuple:
-    """(val, unit, rel) of the integer x known mod p^rel, as PadicScalar
-    stores it: a multiple of p^rel is the zero to precision O(p^rel)."""
-    x %= p**rel
-    if not x:
-        return rel, 0, 0
-    v = _vp(x, p)
-    return v, x // p**v, rel - v
-
-
 def _inverse_of_int(p: int, n: int, rel: int) -> tuple:
     """(val, unit, rel) of 1 / PadicScalar.from_int(n, prec, rel), n >= 1.
 
@@ -534,8 +524,9 @@ def _inverse_of_int(p: int, n: int, rel: int) -> tuple:
 
 
 def _times(x: PadicScalar, val: int, unit: int, rel: int) -> PadicScalar:
-    """x times the scalar (val, unit, rel), a triple as _triple gives it, in
-    one PadicScalar: valuations add and the least rel is kept."""
+    """x times the scalar (val, unit, rel), a triple as scalars._triple
+    normalizes it, in one PadicScalar: valuations add and the least rel is
+    kept."""
     if x.val is None:
         return x
     return PadicScalar(x.prec, x.val + val, x.unit * unit, min(x.rel, rel))
@@ -555,7 +546,7 @@ def _interpolation_factor(psi: DirichletCharacter, n: int, prec: Precision,
     B = _as_scalar(gen_bernoulli(n, psi, prec, rel), prec, rel)
     ep = psi.exponent(p)
     euler = 1 if ep is None else 1 - _omega_powers(p, prec, rel)[ep].unit * p ** (n - 1)
-    ve, ue, re = _triple(p, euler, rel)
+    ve, ue, re = _triple(p, 0, euler % p**rel, rel)
     vn, un, _ = _inverse_of_int(p, n, rel)
     return _times(B, ve + vn, ue * un, re)
 
@@ -616,7 +607,7 @@ def smoothed_moment(eta: DirichletCharacter, omega_exponent: int, m: int, c: int
     rel = prec.p_prec + 8 if rel is None else rel
     psi = _twisted_primitive(eta, omega_exponent % (p - 1))
     w = _omega_powers(p, prec, rel)[psi.exponent(c)].unit
-    smooth = _triple(p, 1 - w * c ** (m + 1), rel)
+    smooth = _triple(p, 0, (1 - w * c ** (m + 1)) % p**rel, rel)
     return _times(_interpolation_factor(psi, m + 1, prec, rel), *smooth)
 
 

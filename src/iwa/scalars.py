@@ -28,6 +28,13 @@ is the construction target (new scalars made from exact data default to it),
 but computations may carry more digits when a pipeline works at an enlarged
 internal modulus to deliver the target absolute precision at negative
 valuations.  Operations only ever lose precision by the min-rules above.
+
+One function, ``_triple``, puts an integer known mod p^A into the stored
+(val, unit, rel) form: the ``PadicScalar`` constructor, the division walk and
+divisor tables of ``series`` and the integer Kubota-Leopoldt factors of
+``lfunctions`` all call it.  Both scalar classes derive ``-``, ``/``, ``**``
+and ``==`` from one base, ``_Scalar``, out of their own ``_coerce``, ``+``,
+unary ``-``, ``*`` and ``inverse``.
 """
 
 from __future__ import annotations
@@ -43,6 +50,18 @@ class PrecisionError(ArithmeticError):
 
 class ExactZeroError(PrecisionError):
     """Raised when an exact zero is asked for a valuation or used as a divisor."""
+
+
+def _triple(p: int, off: int, x: int, A) -> tuple:
+    """(val, unit, rel) of x * p^off + O(p^A), for x reduced mod p^(A - off):
+    the one normalization of the scalar format.  A zero is the zero to
+    precision (A, 0, 0), and A may be inf."""
+    if not x:
+        return A, 0, 0
+    while x % p == 0:
+        x //= p
+        off += 1
+    return off, x, A - off
 
 
 def _vp(n: int, p: int) -> int:
@@ -138,7 +157,61 @@ class Precision:
         return Precision(self.p, p_prec, self.x_prec)
 
 
-class PadicScalar:
+class _Scalar:
+    """The operators both scalar classes derive from their own _coerce, +,
+    unary -, * and inverse; _pow_one is the 1 that ** starts from."""
+
+    __slots__ = ()
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o + (-self)
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self * o.inverse()
+
+    def __rtruediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o * self.inverse()
+
+    def __pow__(self, n: int):
+        if not isinstance(n, int):
+            return NotImplemented
+        if n < 0:
+            return self.inverse() ** (-n)
+        out, base = self._pow_one(), self
+        while n:
+            if n & 1:
+                out = out * base
+            n >>= 1
+            if n:
+                base = base * base
+        return out
+
+    def __eq__(self, other) -> bool:
+        """Equality at shared precision: no detectable difference."""
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return (self - o).is_zero_to_precision
+
+    __hash__ = None  # equality is at-shared-precision, not a congruence for hashing
+
+
+class PadicScalar(_Scalar):
     """An element of Q_p known to finite precision.
 
     State: ``unit * p**val + O(p**(val + rel))`` with ``unit`` coprime to p and
@@ -151,25 +224,13 @@ class PadicScalar:
     __slots__ = ("prec", "val", "unit", "rel")
 
     def __init__(self, prec: Precision, val: int | None, unit: int, rel: int):
-        # normalize; this is the only constructor, classmethods funnel here
-        p = prec.p
+        # normalize; this is the only constructor, classmethods funnel here.
+        # At rel <= 0 all claimed digits are gone: only the bound val + rel stays
         if val is None:
             unit, rel = 0, 0
         else:
-            if rel < 0:
-                # all claimed digits gone; what survives is the absolute bound
-                val, unit, rel = val + rel, 0, 0
-            elif rel == 0:
-                unit = 0
-            else:
-                unit %= p**rel
-                if unit == 0:
-                    val, rel = val + rel, 0
-                else:
-                    # 0 < unit < p^rel, so v < rel
-                    v = _vp(unit, p)
-                    if v:
-                        val, unit, rel = val + v, unit // p**v, rel - v
+            x = unit % prec.p**rel if rel > 0 else 0
+            val, unit, rel = _triple(prec.p, val, x, val + rel)
         object.__setattr__(self, "prec", prec)
         object.__setattr__(self, "val", val)
         object.__setattr__(self, "unit", unit)
@@ -315,18 +376,6 @@ class PadicScalar:
             return self
         return PadicScalar(self.prec, self.val, self.prec.p**self.rel - self.unit, self.rel)
 
-    def __sub__(self, other) -> "PadicScalar":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other) -> "PadicScalar":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
     def __mul__(self, other) -> "PadicScalar":
         o = self._coerce(other)
         if o is None:
@@ -350,32 +399,8 @@ class PadicScalar:
         m = self.prec.p**self.rel
         return PadicScalar(self.prec, -self.val, pow(self.unit, -1, m), self.rel)
 
-    def __truediv__(self, other) -> "PadicScalar":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other) -> "PadicScalar":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __pow__(self, n: int) -> "PadicScalar":
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = PadicScalar.from_int(1, self.prec, max(self.rel, self.prec.p_prec) or None)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
+    def _pow_one(self) -> "PadicScalar":
+        return PadicScalar.from_int(1, self.prec, max(self.rel, self.prec.p_prec))
 
     # -- comparisons -------------------------------------------------------
 
@@ -402,15 +427,6 @@ class PadicScalar:
         if self.val is None:
             return PadicScalar.exact_zero(prec)
         return PadicScalar(prec, self.val, self.unit, self.rel)
-
-    def __eq__(self, other) -> bool:
-        """Equality at shared precision: no detectable difference."""
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).is_zero_to_precision
-
-    __hash__ = None  # equality is at-shared-precision, not a congruence for hashing
 
     def __repr__(self) -> str:
         p = self.prec.p
@@ -443,7 +459,7 @@ def teichmuller(a: int, prec: Precision, rel: int | None = None) -> PadicScalar:
     return PadicScalar(prec, 0, x, r)
 
 
-class QuadExtScalar:
+class QuadExtScalar(_Scalar):
     """a + b*alpha in the quadratic extension with alpha^2 = -eps * p^(k+1).
 
     ``eps`` is stored by its Teichmuller seed (an integer in 1..p-1; -1 is
@@ -575,18 +591,6 @@ class QuadExtScalar:
     def __neg__(self) -> "QuadExtScalar":
         return self._like(-self.a, -self.b)
 
-    def __sub__(self, other) -> "QuadExtScalar":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._like(self.a - o.a, self.b - o.b)
-
-    def __rsub__(self, other) -> "QuadExtScalar":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
     def __mul__(self, other) -> "QuadExtScalar":
         o = self._coerce(other)
         if o is None:
@@ -625,46 +629,9 @@ class QuadExtScalar:
         c = self.conjugate()
         return self._like(c.a * n, c.b * n)
 
-    def __truediv__(self, other) -> "QuadExtScalar":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other) -> "QuadExtScalar":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __pow__(self, n: int) -> "QuadExtScalar":
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = QuadExtScalar.one(
-            self.prec,
-            self.k,
-            self.eps_seed,
-            max(self.a.rel, self.b.rel, self.prec.p_prec) + 1,
-        )
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
-
-    def __eq__(self, other) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        d = self - o
-        return d.a.is_zero_to_precision and d.b.is_zero_to_precision
-
-    __hash__ = None
+    def _pow_one(self) -> "QuadExtScalar":
+        rel = max(self.a.rel, self.b.rel, self.prec.p_prec) + 1
+        return QuadExtScalar.one(self.prec, self.k, self.eps_seed, rel)
 
     def __repr__(self) -> str:
         return f"QuadExtScalar({self.a!r} + ({self.b!r})*alpha; k={self.k}, eps={self.eps_seed})"

@@ -76,6 +76,7 @@ from .scalars import (
     Precision,
     PrecisionError,
     QuadExtScalar,
+    _triple,
     _vp,
     teichmuller,
 )
@@ -1291,13 +1292,7 @@ def _divisor_plan(p, off, cells, abs_precs, n):
     minima; WA[k], the least gv_i + gr_i + G*[k - i], i >= 1 (inf at 0); and
     gd[i], gv_i where coefficient i >= 1 carries digits, else inf.
     """
-    gv, gu, gr = [inf] * len(cells), [0] * len(cells), [0] * len(cells)
-    for i, (c, A) in enumerate(zip(cells, abs_precs)):
-        if c:
-            k = _vp(c, p)
-            gv[i], gu[i], gr[i] = off + k, c // p**k, A - off - k
-        elif A != inf:
-            gv[i] = A
+    gv, gu, gr = zip(*[_triple(p, off, c, A) for c, A in zip(cells, abs_precs)])
     g = [v - gv[0] for v in gv[1:]]
     ga = [v + r for v, r in zip(gv[1:], gr[1:])]
     walk = tuple(gv[1:]), tuple(ga), tuple(-c for c in cells[1:])
@@ -1309,7 +1304,7 @@ def _divisor_plan(p, off, cells, abs_precs, n):
     gd = [inf] + [v if r else inf for v, r in zip(gv[1:], gr[1:])]
     gd += [inf] * (n - len(gd))
     star, low = tuple(star), tuple(accumulate(star, min))
-    return tuple(gv), tuple(gu), tuple(gr), walk, star, low, tuple(wa), tuple(gd)
+    return gv, gu, gr, walk, star, low, tuple(wa), tuple(gd)
 
 
 def _back_substitute(num, den, n):
@@ -1390,6 +1385,7 @@ def _back_substitute(num, den, n):
     # representative qu * p^(qv - qbase), 0 for a q_j without digits
     qvs, qas, qcs = [], [], []
     qbase = inf
+    base = 0  # the sum's lowest exponent; a sum of no live terms reads none
     pw = [1]
     q = []
     for m, c, A in zip(range(n), cells, caps):
@@ -1440,14 +1436,7 @@ def _back_substitute(num, den, n):
             for e, c in live:
                 s += c * pw[e - base]
             s %= pw[A - base]
-        if s == 0:
-            sv, su, sr = A, 0, 0
-        else:
-            k = 0
-            while s % p == 0:
-                s //= p
-                k += 1
-            sv, su, sr = base + k, s, A - base - k
+        sv, su, sr = _triple(p, base, s, A)
         r = sr if sr < ri else ri
         q.append((sv + vi, su * ui % pw[r] if r else 0, r))
         if r:
