@@ -86,7 +86,8 @@ from .distributions import Distribution, divide_exact
 from .pollack import log_p_unit
 from .scalars import (_MR_BOUND, PadicScalar, Precision, PrecisionError, _check_odd_prime,
                       _check_rel, _is_prime, _triple, _vp, teichmuller)
-from .series import FiniteCharacter, IwasawaElement, Part, Series, _part, u_for
+from .series import (FiniteCharacter, IwasawaElement, Part, Series, _check_int, _check_weight,
+                     _part, u_for)
 
 __all__ = [
     "DirichletCharacter",
@@ -450,6 +451,7 @@ def gen_bernoulli(n: int, eta: DirichletCharacter, prec: Precision | None = None
     gives: the sum keeps the least absolute precision of its terms, the
     product the least rel.  A negative rel raises a ValueError.
     """
+    _check_int(n=n)
     if n < 0:
         raise ValueError("Bernoulli index must be nonnegative")
     _check_rel(rel)
@@ -564,6 +566,7 @@ def kl_value(eta: DirichletCharacter, one_minus_n: int, prec: Precision,
     result, not an error).  The only pole of the theory sits at s = 1 on the
     trivial branch, and asking for it raises, as does a negative rel.
     """
+    _check_int(one_minus_n=one_minus_n)
     _same_prime(eta, prec.p)
     _check_rel(rel)
     n = 1 - one_minus_n
@@ -597,6 +600,7 @@ def smoothed_moment(eta: DirichletCharacter, omega_exponent: int, m: int, c: int
     interpolation factor keeps the least rel of the two, as PadicScalar
     multiplication does, and is built as one PadicScalar.
     """
+    _check_int(omega_exponent=omega_exponent, m=m, c=c)
     if m < 0:
         raise ValueError("moment index must be nonnegative")
     _same_prime(eta, prec.p)
@@ -783,6 +787,7 @@ def _newton_part(p: int, u: int, rel: int, moments: list, N: int) -> Part:
 
 def _kl_core(eta: DirichletCharacter, branch_i: int, prec: Precision) -> dict:
     """Everything shared by the series and the pointwise branch values."""
+    _check_int(branch_i=branch_i)
     p = prec.p
     _same_prime(eta, p)
     pm1 = p - 1
@@ -914,6 +919,9 @@ def kl_branch_values(eta: DirichletCharacter, branch_i: int, s_points,
     a smoothing scalar that vanished to precision would raise its
     PrecisionError.
     """
+    s_points = list(s_points)
+    for s in s_points:
+        _check_int(s=s)
     core = _kl_core(eta, branch_i, prec)
     if not core["even"]:
         return [PadicScalar.exact_zero(prec) for _ in s_points]
@@ -1009,6 +1017,7 @@ def euler_factor_E(form: PhiModule, chi: DirichletCharacter, j: int,
     (1 - chi^{-1}(p) lambda^2 p^{-j}); the middle one is the classical
     trivial-zero suspect at j = k+1.
     """
+    _check_int(j=j)
     k = form.weight
     if not 1 <= j <= k + 1:
         raise ValueError(f"left-range twist must satisfy 1 <= j <= {k + 1}")
@@ -1023,6 +1032,7 @@ def euler_factor_Eprime(form: PhiModule, chi: DirichletCharacter, j: int,
     at j = k+2 exactly one of them vanishes according to the sign of
     chi eps^{-1}(p), and the report's flags say which.
     """
+    _check_int(j=j)
     k = form.weight
     if not k + 2 <= j <= 2 * k + 2:
         raise ValueError(f"right-range twist must satisfy {k + 2} <= j <= {2 * k + 2}")
@@ -1039,7 +1049,10 @@ def exceptional_zero_report(form: PhiModule, chi: DirichletCharacter, j_range) -
     listed on their rows like any other; the report never suppresses a zero.
     """
     p, k = form.prec.p, form.weight
-    js = sorted(set(int(j) for j in j_range))
+    js = list(j_range)
+    for j in js:
+        _check_int(j=j)
+    js = sorted(set(js))
     for j in js:
         if not 1 <= j <= 2 * k + 2:
             raise ValueError(f"twist {j} outside [1, {2 * k + 2}]")
@@ -1077,6 +1090,8 @@ def c_smoothing_factor(c: int, j: int, k: int, chi_eps_at_c):
     quadratic-valued characters or a PadicScalar otherwise; the return type
     follows the input.  At j = k+1 with (chi eps)(c) = 1 this is c^2 - 1.
     """
+    _check_int(c=c, j=j)
+    _check_weight(k)
     if c <= 1:
         raise ValueError("smoothing constant must exceed 1")
     expo = 2 * j - 2 * k - 2
@@ -1100,6 +1115,8 @@ def least_smoothing_c(chi_eps: DirichletCharacter, k: int, coprime_to: int = 1) 
     Admissible means the smoothing factor is exactly nonzero at every even j
     with k+2 < j <= 2k+2.
     """
+    _check_weight(k)
+    _check_int(coprime_to=coprime_to)
     if coprime_to < 1:
         raise ValueError(f"coprime_to must be a positive integer, got {coprime_to}")
     p, m = chi_eps.p, chi_eps.modulus

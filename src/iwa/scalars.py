@@ -107,11 +107,16 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _check_int_field(name: str, value) -> None:
+    """Raise a ValueError naming the field unless value is an int, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+
+
 def _check_odd_prime(p) -> None:
     """Raise a ValueError naming p unless it is an int and an odd prime: the one
     check of p behind Precision and lfunctions.DirichletCharacter."""
-    if isinstance(p, bool) or not isinstance(p, int):
-        raise ValueError(f"p must be an int, got {p!r}")
+    _check_int_field("p", p)
     if p >= _MR_BOUND:
         raise ValueError(
             f"p = {p} is past {_MR_BOUND}, the bound below which the "
@@ -122,10 +127,10 @@ def _check_odd_prime(p) -> None:
 
 
 def _check_rel(rel) -> None:
-    """Raise a ValueError naming rel when it is a negative digit count; None,
-    the caller's default, passes."""
-    if rel is not None and rel < 0:
-        raise ValueError(f"rel must be a nonnegative number of digits, got {rel}")
+    """Raise a ValueError naming rel unless it is a nonnegative int digit
+    count; None, the caller's default, passes."""
+    if rel is not None and (isinstance(rel, bool) or not isinstance(rel, int) or rel < 0):
+        raise ValueError(f"rel must be a nonnegative number of digits, got {rel!r}")
 
 
 @dataclass(frozen=True)
@@ -136,10 +141,11 @@ class Precision:
     exact data; ``x_prec`` is the X-adic truncation length used by the series
     layer (series carry coefficients of X^0 .. X^(x_prec - 1)).
 
-    ``p`` must be an int (not a bool) and an odd prime.  Primality is decided
-    by a Miller-Rabin test on the 13 prime bases up to 41, which is
-    deterministic for p < 3317044064679887385961981 (about 3.3e24); p at or
-    past that bound is refused with a ValueError that names it.
+    ``p``, ``p_prec`` and ``x_prec`` must be ints (not bools), and ``p`` an
+    odd prime.  Primality is decided by a Miller-Rabin test on the 13 prime
+    bases up to 41, which is deterministic for p < 3317044064679887385961981
+    (about 3.3e24); p at or past that bound is refused with a ValueError that
+    names it.
     """
 
     p: int
@@ -148,6 +154,8 @@ class Precision:
 
     def __post_init__(self) -> None:
         _check_odd_prime(self.p)
+        _check_int_field("p_prec", self.p_prec)
+        _check_int_field("x_prec", self.x_prec)
         if self.p_prec < 1:
             raise ValueError("p_prec must be >= 1")
         if self.x_prec < 1:
@@ -444,6 +452,7 @@ def teichmuller(a: int, prec: Precision, rel: int | None = None) -> PadicScalar:
     which is how form data stores roots of unity (by their mod-p seed).
     Multiples of p map to the exact zero.
     """
+    _check_rel(rel)
     r = prec.p_prec if rel is None else rel
     p = prec.p
     a %= p
@@ -475,6 +484,7 @@ class QuadExtScalar(_Scalar):
         seed = eps_seed % p
         if seed == 0:
             raise ValueError("eps must be a unit (seed coprime to p)")
+        _check_int_field("weight parameter k", k)
         if k < 0:
             raise ValueError("weight parameter k must be >= 0")
         object.__setattr__(self, "a", a)

@@ -94,6 +94,13 @@ def _check_int(**named) -> None:
             raise ValueError(f"{name} must be an integer, not {value!r}")
 
 
+def _check_weight(k) -> None:
+    """Refuse a weight parameter k that is not an integer >= 0, before any
+    log or smoothing constant is built for it."""
+    if not isinstance(k, int) or k < 0:
+        raise ValueError(f"weight parameter k must be an integer >= 0, not {k!r}")
+
+
 class DivisibilityError(PrecisionError):
     """A claimed exact division failed, with enough context to report why.
 

@@ -32,7 +32,7 @@ from .dieudonne import change_of_basis
 from .distributions import Distribution, divide_exact
 from .pollack import LogKind, ceil_log, pollack_log
 from .scalars import Precision
-from .series import DivisibilityError, IwasawaElement, linear_combination
+from .series import DivisibilityError, IwasawaElement, _check_weight, linear_combination
 
 __all__ = [
     "Convention",
@@ -171,13 +171,6 @@ def _log_column(k: int, conv: Convention, prec: Precision):
         lk = conv.log_kind(sign, k)
         out.append(_log(lk.kind, lk.r, lk.shift, work))
     return tuple(out)
-
-
-def _check_weight(k) -> None:
-    """Refuse a weight parameter k that is not an integer >= 0, before any
-    log is built for it."""
-    if not isinstance(k, int) or k < 0:
-        raise ValueError(f"weight parameter k must be an integer >= 0, not {k!r}")
 
 
 def _detect_form(q: UnboundedQuadruple):

@@ -1026,6 +1026,10 @@ class TestGeometricRatio:
 # ------------------------------------------------------ refusals and edges
 
 
+def _form5():
+    return dcris_of_form(5, 1, 1, Precision(5, 12, 1))
+
+
 def _remove_euler(ell):
     return remove_euler_factors(IwasawaElement.one(Precision(5, 10, 4)), [ell],
                                 DirichletCharacter.trivial(5))
@@ -1048,6 +1052,42 @@ def _remove_euler(ell):
     pytest.param(lambda: _remove_euler(2.5), "ell=2.5 is not a prime", id="euler-float"),
     pytest.param(lambda: _remove_euler(7.0), "ell=7.0 is not a prime", id="euler-integral-float"),
     pytest.param(lambda: _remove_euler("7"), "ell='7' is not a prime", id="euler-string"),
+    pytest.param(lambda: kl_series(DirichletCharacter.trivial(5), 1.5, P24),
+                 "branch_i must be an integer, not 1.5", id="kl-series-branch"),
+    pytest.param(lambda: kl_branch_values(DirichletCharacter.quadratic(5, 3), 2, [-0.5], P24),
+                 "s must be an integer, not -0.5", id="kl-branch-values-s"),
+    pytest.param(lambda: kl_value(DirichletCharacter.quadratic(5, 3), -0.5, PS),
+                 "one_minus_n must be an integer, not -0.5", id="kl-value-s"),
+    pytest.param(lambda: exceptional_zero_report(_form5(), DirichletCharacter.trivial(5), [1.5]),
+                 "j must be an integer, not 1.5", id="exceptional-j-float"),
+    pytest.param(lambda: exceptional_zero_report(_form5(), DirichletCharacter.trivial(5), ["2"]),
+                 "j must be an integer, not '2'", id="exceptional-j-string"),
+    pytest.param(lambda: euler_factor_E(_form5(), DirichletCharacter.trivial(5), 1.5),
+                 "j must be an integer, not 1.5", id="euler-E-j"),
+    pytest.param(lambda: euler_factor_Eprime(_form5(), DirichletCharacter.trivial(5), 3.5),
+                 "j must be an integer, not 3.5", id="euler-Eprime-j"),
+    pytest.param(lambda: c_smoothing_factor(2.5, 1, 1, 1), "c must be an integer, not 2.5",
+                 id="smoothing-c"),
+    pytest.param(lambda: c_smoothing_factor(2, 1.5, 1, 1), "j must be an integer, not 1.5",
+                 id="smoothing-j"),
+    pytest.param(lambda: c_smoothing_factor(2, 1, 0.5, 1),
+                 "weight parameter k must be an integer >= 0, not 0.5", id="smoothing-k-float"),
+    pytest.param(lambda: c_smoothing_factor(2, 1, -1, 1),
+                 "weight parameter k must be an integer >= 0, not -1", id="smoothing-k-negative"),
+    pytest.param(lambda: least_smoothing_c(DirichletCharacter.trivial(5), -1),
+                 "weight parameter k must be an integer >= 0, not -1", id="least-c-k-negative"),
+    pytest.param(lambda: least_smoothing_c(DirichletCharacter.trivial(5), 1.5),
+                 "weight parameter k must be an integer >= 0, not 1.5", id="least-c-k-float"),
+    pytest.param(lambda: least_smoothing_c(DirichletCharacter.trivial(5), 1, 1.5),
+                 "coprime_to must be an integer, not 1.5", id="least-c-coprime"),
+    pytest.param(lambda: gen_bernoulli(1.5, DirichletCharacter.trivial(5)),
+                 "n must be an integer, not 1.5", id="bernoulli-n"),
+    pytest.param(lambda: smoothed_moment(DirichletCharacter.trivial(5), 0, 1.5, 7, PS),
+                 "m must be an integer, not 1.5", id="moment-m"),
+    pytest.param(lambda: smoothed_moment(DirichletCharacter.trivial(5), 0.5, 1, 7, PS),
+                 "omega_exponent must be an integer, not 0.5", id="moment-omega"),
+    pytest.param(lambda: smoothed_moment(DirichletCharacter.trivial(5), 0, 1, 7.0, PS),
+                 "c must be an integer, not 7.0", id="moment-c"),
 ])
 def test_named_errors(call, fragment):
     with pytest.raises(ValueError, match=re.escape(fragment)) as info:

@@ -24,6 +24,8 @@ from iwa.scalars import (
     alpha_from_form,
     teichmuller,
 )
+from iwa.dieudonne import dcris_of_form
+from iwa.pollack import log_p_unit
 
 P5 = Precision(5, 20)
 
@@ -395,6 +397,27 @@ _O3 = PadicScalar.inexact_zero(P5, 3)
                  "division by zero-to-precision", id="quad-inverse-inexact-zero"),
     pytest.param(lambda: alpha_from_form(5, 1, 1, Precision(7, 10)), ValueError,
                  "prec.p does not match p", id="alpha-prime"),
+    pytest.param(lambda: Precision(5, 1.5, 8), ValueError,
+                 "p_prec must be an int, got 1.5", id="p-prec-float"),
+    pytest.param(lambda: Precision(5, True, 8), ValueError,
+                 "p_prec must be an int, got True", id="p-prec-bool"),
+    pytest.param(lambda: Precision(5, 10, 2.5), ValueError,
+                 "x_prec must be an int, got 2.5", id="x-prec-float"),
+    pytest.param(lambda: Precision(5, 10, False), ValueError,
+                 "x_prec must be an int, got False", id="x-prec-bool"),
+    pytest.param(lambda: QuadExtScalar(_A, _A, 1.5, 1), ValueError,
+                 "weight parameter k must be an int, got 1.5", id="weight-float"),
+    pytest.param(lambda: alpha_from_form(5, 1.5, 1), ValueError,
+                 "weight parameter k must be an int, got 1.5", id="alpha-weight-float"),
+    pytest.param(lambda: dcris_of_form(5, 1.5, 1), ValueError,
+                 "weight parameter k must be an int, got 1.5", id="dcris-weight-float"),
+    pytest.param(lambda: log_p_unit(5, 5, 1.5, P5), ValueError,
+                 "rel must be a nonnegative number of digits, got 1.5", id="rel-float"),
+    pytest.param(lambda: teichmuller(2, P5, -1), ValueError,
+                 "rel must be a nonnegative number of digits, got -1", id="teichmuller-rel"),
+    pytest.param(lambda: teichmuller(2, P5, 1.5), ValueError,
+                 "rel must be a nonnegative number of digits, got 1.5",
+                 id="teichmuller-rel-float"),
 ])
 def test_named_errors(call, exc, fragment):
     with pytest.raises(exc, match=re.escape(fragment)) as info:
