@@ -3,7 +3,9 @@
 Each case is one call, hashed over a canonical JSON form of everything it
 returns:
 
-* ``pollack_log`` and ``log_identity_check`` over a grid of windows;
+* ``pollack_log`` and ``log_identity_check`` over a grid of windows, and the
+  plus and minus logs over three twists and over twist ranges that hold a
+  multiple of p;
 * the four bench roundtrip cases, ``factor_signed(synthesize(s, k, conv),
   k, conv)``, and the three gap-reject cases, each ``factor_report`` plus
   each row's ``divide_exact`` quotient or ``DivisibilityError.payload()``,
@@ -130,10 +132,14 @@ LOG_WINDOWS = (
     (3, 30, 163),
     (5, 48, 256),
     (7, 44, 300),
+    (5, 58, 16),
 )
 KINDS = ("plus", "minus", "full")
 RS = (1, 2, 4)
 SHIFTS = (0, 1)
+# the plus and minus logs at p in {3, 5, 7} over three twists, and over twist
+# ranges holding a multiple of p: (r, shift) = (3, 0), (3, p - 1), (2, p - 1)
+TWIST_WINDOWS = ((3, 20, 40), (3, 30, 163), (5, 58, 64), (5, 46, 160), (7, 42, 64), (5, 58, 16))
 # (p, r, M, N): the four log-identity bench cases, then the other primes
 IDENTITY_CASES = (
     (5, 4, 20, 64),
@@ -695,6 +701,14 @@ def cases():
                         f"pollack_log/{kind}/r{r}/s{shift}/p{p}/M{M}/N{N}",
                         lambda spec=spec, prec=Precision(p, M, N): pollack_log(spec, prec),
                     )
+    for p, M, N in TWIST_WINDOWS:
+        for kind in KINDS[:2]:
+            for r, shift in ((3, 0), (3, p - 1), (2, p - 1)):
+                spec = LogKind(kind, r, shift)
+                yield (
+                    f"pollack_log/{kind}/r{r}/s{shift}/p{p}/M{M}/N{N}",
+                    lambda spec=spec, prec=Precision(p, M, N): pollack_log(spec, prec),
+                )
     for p, r, M, N in IDENTITY_CASES:
         yield (
             f"log_identity_check/p{p}/r{r}/M{M}/N{N}",
