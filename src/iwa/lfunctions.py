@@ -923,13 +923,14 @@ def kl_branch_values(eta: DirichletCharacter, branch_i: int, s_points,
     for s in s_points:
         _check_int(s=s)
     core = _kl_core(eta, branch_i, prec)
+    # an odd branch's values are zeros, but only at the points an even one answers
+    if any(s > 0 for s in s_points):
+        raise ValueError("branch values are computed at integers s <= 0")
     if not core["even"]:
         return [PadicScalar.exact_zero(prec) for _ in s_points]
     one = PadicScalar.from_int(1, core["wprec"], core["rel"])
     out = []
     for s in s_points:
-        if s > 0:
-            raise ValueError("branch values are computed at integers s <= 0")
         num = core["smoothed"].evaluate_at_character(
             FiniteCharacter(core["i"], 0, s)
         )

@@ -34,19 +34,40 @@ w = c^e, (1+X)^(ie) = exp(ie ell) gives
 S_k = sum_{i<p} i^k w^i.  For m >= 2 the coefficient a_k = e^k S_k/(p k!)
 of g = Phi/p is p-integral: S_0 has valuation exactly 1, and for k >= 1,
 v_p(e^k/k!) >= k - (k-1)/(p-1) >= 1.  Its valuation is at least
-k(m-1) - 1 - v_p(k!), so mod p^T only about T/(m-1) of the a_k survive, and
-since ell^k = 0 mod X^N for k >= N, truncating at ell^N is a ring map.  The
-levels are then short polynomials, multiplied in pairs so that most
-products stay short.  ell does not depend on the twist, so the levels of
-all r twists go into one product H, which goes back to the X basis once
-per log: the coefficient of X^n in ell^k is k! s(n, k)/n!, s the Stirling
-numbers of the first kind, read from packed columns kept per (p, N), so
-the conversion is K big-int multiply-adds for an H of K terms.  That
-division by n! costs at most V = v_p((N-1)!) digits, so H is carried mod
-p^T with T = R + V.  The levels from binomial rows of every twist are
+k(m-1) - 1 - v_p(k!), so mod p^T only about T/(m-1) of the a_k survive: the
+levels are short polynomials in ell, and their products mod p^T end in
+zeros long before the sum of their lengths.
+
+The twists' levels are Taylor shifts of one another.  u = 1 + p is a
+principal unit, so with lambda = log_p u, u^{-j} = exp(-j lambda), and
+u^{-j}(1+X) = exp(ell - j lambda).  So level m of twist j is, as a power
+series in ell,
+
+    g_m^(j)(ell) = g_m^(j0)(ell - (j - j0) lambda).
+
+Only one twist j0 builds its levels; each twist multiplies its own number
+of them and shifts the product by s = (j0 - j) lambda
+(:func:`taylor_shift`).  p | lambda, so the shift maps Z/p^T[ell] to itself
+and commutes with products mod p^T.  Truncating at ell^N is a ring map too,
+but not one that commutes with the shift: coefficient n of Q(ell + s) reads
+Q's coefficients n + i, times C(n+i, i) s^i, of valuation >= i.  So the
+products are kept to ell^(N+T), past which no coefficient reaches ell^N mod
+p^T, and cut to ell^N only after the shift; cut there, the product of the
+shifts is the product mod (p^T, ell^N) of every twist's own levels.  ell
+does not depend on the twist, so that product H goes back to the X basis
+once per log: the coefficient of X^n in ell^k is k! s(n, k)/n!, s the
+Stirling numbers of the first kind, read from packed columns kept per
+(p, N), so the conversion is K big-int multiply-adds for an H of K terms.
+That division by n! costs at most V = v_p((N-1)!) digits, so H is carried
+mod p^T with T = R + V.  The levels from binomial rows of every twist are
 multiplied in the X basis mod p^R, and the two products meet in one last
 product.  Level 1 stays in the X basis because its a_k = S_k/(p k!) are
 not integral.
+
+Each twist keeps its own stop test.  Cell 0 of a level is a_0 =
+Phi_{p^m}(c)/p, a sum of p powers of w, so the test refuses most levels
+there, before any coefficient is built; where a_0 = 1 mod p^M the level is
+built and converted up to its first cell that is not 0 mod p^M.
 
 All per-factor and per-twist 1/p normalizations are carried as a single
 valuation offset over integral coefficient arithmetic, so nothing is lost to
@@ -65,6 +86,7 @@ from fractions import Fraction
 from math import factorial, inf, lcm
 
 from ._kernel import _factorial_table, cyclotomic_cells, polymul, stirling_columns
+from ._kernel import taylor_shift
 from .distributions import Distribution
 from .scalars import PadicScalar, Precision, _check_rel, _vp
 from .series import IwasawaElement, Series, cyclotomic_degree, cyclotomic_factor
@@ -196,19 +218,76 @@ def _ell_cells(h: list[int], p: int, N: int, T: int, R: int):
         yield s % pT // pvs[n] * invs[n] % pR
 
 
+def _trim(f: list[int]) -> list[int]:
+    """f without its last zero coefficients; a zero polynomial keeps one."""
+    while len(f) > 1 and not f[-1]:
+        f.pop()
+    return f
+
+
 def _tree_product(factors: list[list[int]], mod: int, N: int) -> list[int]:
-    """The product of the polynomials mod (mod, X^N), multiplied in pairs.
+    """The product of the polynomials mod (mod, X^N), multiplied in pairs,
+    each product without its last zero coefficients.
 
     The ell-basis level factors are short, so pairing them keeps most
-    products short: only the last few rounds reach length N.
-    :func:`_signed_product` passes the levels of every twist of a log at
-    once, all mod the same p^T; truncation mod (p^T, ell^N) is a ring map,
-    so the order of the factors does not change the product.
+    products short, and their top coefficients have high valuation, so a
+    product of levels mod p^T ends in zeros: at the log-identity bench
+    window (5, 4, 64), one twist's plus and minus products keep 28 and 43
+    nonzero coefficients of 118 and 141.  Truncation mod (p^T, ell^N) is a
+    ring map, so the order of the factors does not change the product.
     """
     while len(factors) > 1:
         pairs = [factors[i : i + 2] for i in range(0, len(factors), 2)]
-        factors = [polymul(*f, mod, N) if len(f) == 2 else f[0] for f in pairs]
+        factors = [_trim(polymul(*f, mod, N)) if len(f) == 2 else f[0] for f in pairs]
     return factors[0]
+
+
+def _first_ell_level(kind: str, p: int, N: int) -> int:
+    """The lowest level of the kind's parity written in the ell basis: m >= 2, degree >= N."""
+    m = _first_level(kind) + 2 * _short_levels(kind, p, N)
+    return m if m >= 2 else m + 2
+
+
+def _level_constant(p: int, w: int, T: int) -> int:
+    """a_0 = Phi_{p^m}(c)/p mod p^T, w = c^(p^(m-1)) mod p^(T+1): p powers of w."""
+    pT1 = p ** (T + 1)
+    term = total = 1
+    for _ in range(1, p):
+        term = term * w % pT1
+        total += term
+    return total % pT1 // p
+
+
+def _ell_product(kind: str, js, ells: list[int], built: dict, p: int, u: int, T: int, N: int):
+    """H: the product over the twists js of their ell-basis levels, mod
+    (p^T, ell^N), without its last zeros.
+
+    Twist js[i] takes the ells[i] lowest ell-basis levels m0, m0 + 2, ...,
+    m0 = :func:`_first_ell_level`.  Only j0, the first twist with the most
+    levels, has them: from ``built``, which maps (j, m) to a level its stop
+    test built, or from :func:`_ell_coefficients`, mod (p^T, ell^(N+T)).
+    Each twist's product is a prefix product of j0's levels, shifted by
+    (j0 - j) lambda (:func:`taylor_shift`) and cut to ell^N; see
+    :func:`_signed_product`.
+    """
+    pT, pT1 = p**T, p ** (T + 1)
+    count = max(ells)
+    j0 = js[ells.index(count)]
+    m = _first_ell_level(kind, p, N)
+    w = pow(u, -j0 * p ** (m - 1), pT1)
+    levels = []
+    for _ in range(count):
+        levels.append(built.get((j0, m)) or _ell_coefficients(p, m, w, T, N + T))
+        m += 2
+        w = pow(w, p * p, pT1)
+    prefixes, prefix, done = {}, [1], 0
+    for n in sorted(set(ells)):
+        prefix = _tree_product([prefix, *levels[done:n]], pT, N + T)
+        prefixes[n], done = prefix, n
+    vt = _vp(u - 1, p)
+    lam = p**vt * _log_unit(u - 1, p, T - vt)
+    shifted = [taylor_shift(prefixes[n], (j0 - j) * lam, p, pT)[:N] for j, n in zip(js, ells)]
+    return _trim(_tree_product(shifted, pT, N))
 
 
 def _signed_product(kind: str, js, p: int, u: int, R: int, N: int, M: int):
@@ -222,48 +301,63 @@ def _signed_product(kind: str, js, p: int, u: int, R: int, N: int, M: int):
     >= N is X^deg = 0 mod p in the window, so it is divided by its content
     p; one of degree < N has content 1 and is taken as it is.
 
-    Each twist runs its own level loop and stop tests.  Levels with m >= 2
-    and degree >= N are written in the ell basis mod p^T, T = R + V with
-    V = v_p((N-1)!), from :func:`_ell_coefficients`; the others (degree
-    < N, or m = 1) come from their binomial rows
+    Each twist runs its own level loop and stop tests.  Levels of degree
+    < N, and level 1, come from their binomial rows
     (:func:`cyclotomic_cells`) mod p^(R+1) and are multiplied mod p^R.  The
-    stop test asks whether a level of degree > N has Phi/p = 1 mod
-    (p^M, X^N).  In the ell basis, cells 0 and 1 are a_0 and a_1, read
-    before any other cell is converted, so a factor refused there, as most
-    are, costs no pass over the Stirling columns.
+    others (m >= 2, degree >= N) are written in the ell basis mod p^T,
+    T = R + V with V = v_p((N-1)!).  The stop test asks whether a level of
+    degree > N has Phi/p = 1 mod (p^M, X^N).  In the ell basis its cells 0
+    and 1 are a_0 and a_1, and a_0 (:func:`_level_constant`) needs no other
+    coefficient, so most levels are refused before any is built; the rest
+    are built mod (p^T, ell^(N+T)), kept for :func:`_ell_product`, and
+    converted up to their first cell that is not 0 mod p^M.
 
-    ell = log(1+X) is the same series for every twist, so the ell-basis
-    levels of all twists are multiplied together (:func:`_tree_product`)
-    and the product H goes back to the X basis once (:func:`_ell_cells`).
-    That gives the product of the per-twist conversions: every twist shares
-    R and T, the conversion is a ring map mod (p^T, ell^N) -> (p^R, X^N)
-    on series integral in X (an error p^T d in h_k moves cell n by
-    p^T d k! s(n, k)/n!, of valuation >= T - v_p(n!) >= R), a product of
-    levels is integral in X, and cells are canonical residues mod p^R.
+    The ell-basis levels of the twists are Taylor shifts of one another:
+    with lambda = log_p u, u^(-j)(1+X) = exp(ell - j lambda), so
+
+        g_m^(j)(ell) = g_m^(j0)(ell - (j - j0) lambda).
+
+    So only one twist j0 builds its levels, and each twist's product Q is
+    j0's, shifted (:func:`_ell_product`).  p | lambda, so mod p^T the shift
+    is a ring map of Z/p^T[ell], and the product of the shifted Q is the
+    product of every twist's own levels mod p^T.  Cutting at ell^N is a ring
+    map as well, but it must come after the shift: coefficient n of
+    Q(ell + s) is sum_i C(n+i, i) s^i q_(n+i), which reads q past ell^N,
+    and its terms with i >= T vanish mod p^T.  So Q is carried to
+    ell^(N+T), cut to ell^N once shifted, and the product H of the cut
+    shifts is the product mod (p^T, ell^N) of every twist's levels.
+
+    ell = log(1+X) is the same series for every twist, so H goes back to
+    the X basis once (:func:`_ell_cells`).  That gives the product of the
+    per-twist conversions: every twist shares R and T, the conversion is a
+    ring map mod (p^T, ell^N) -> (p^R, X^N) on series integral in X (an
+    error p^T d in h_k moves cell n by p^T d k! s(n, k)/n!, of valuation
+    >= T - v_p(n!) >= R), a product of levels is integral in X, and cells
+    are canonical residues mod p^R.
     """
     q = p ** (R + 1)
     pR, pM = p**R, p**M
     T = R + _vp(factorial(N - 1), p)
-    pT = p**T
-    pT1 = pT * p
+    pT1 = p ** (T + 1)
     u_inv = pow(u, -1, pT1)
     low = [1]  # the levels from binomial rows, in the X basis mod p^R
-    high = []  # the levels in the ell basis, mod p^T
-    counts, stops = [], []
+    counts, stops, ells = [], [], []
+    built = {}  # (j, m) -> the ell-basis level twist j's stop test built at level m
     # levels certainly stabilize a little past M + log_p(N); 4M + 16 is a
     # generous safety margin, overrunning it means a genuine bug
     limit = 4 * M + 16
     for j in js:
         c = pow(u_inv, j, pT1)
         w = pow(c, p ** (_first_level(kind) - 1), pT1)  # c^(p^(m-1)) at each level m
-        count = 0
+        count = ell = 0
         for m in range(_first_level(kind), limit + 1, 2):
             deg = cyclotomic_degree(p, m)
             if m >= 2 and deg >= N:
-                a = _ell_coefficients(p, m, w, T, N)
-                if deg > N and _is_one(_ell_cells(a, p, N, T, R), pM):
-                    break
-                high.append(a)
+                if deg > N and (_level_constant(p, w, T) - 1) % pM == 0:
+                    a = built[j, m] = _ell_coefficients(p, m, w, T, N + T)
+                    if _is_one(_ell_cells(_trim(a[:N]), p, N, T, R), pM):
+                        break
+                ell += 1
             else:
                 phi = cyclotomic_cells(p, m, c, q, N)
                 g = [x // p for x in phi] if deg >= N else [x % pR for x in phi]
@@ -278,10 +372,24 @@ def _signed_product(kind: str, js, p: int, u: int, R: int, N: int, M: int):
             )
         counts.append(count)
         stops.append(m)
-    if high:
-        H = _tree_product(high, pT, N)
+        ells.append(ell)
+    if any(ells):
+        H = _ell_product(kind, js, ells, built, p, u, T, N)
         low = polymul(low, list(_ell_cells(H, p, N, T, R)), pR, N)
     return low, counts, stops
+
+
+def _log_unit(t: int, p: int, rel: int) -> int:
+    """The unit of log_p(1 + t) mod p^rel, for p | t, t != 0: see :func:`log_p_unit`."""
+    n_max = rel + 16
+    L = lcm(*range(1, n_max + 1))
+    V, vt = _vp(L, p), _vp(t, p)
+    mod = p ** (V + vt + rel)
+    acc = 0
+    for n in range(n_max, 0, -1):
+        acc = (acc + (L // n if n % 2 else -(L // n))) * t % mod
+    m = p**rel
+    return acc // p ** (V + vt) * pow(L // p**V, -1, m) % m
 
 
 def log_p_unit(t: int, p: int, rel: int, prec: Precision) -> PadicScalar:
@@ -300,15 +408,7 @@ def log_p_unit(t: int, p: int, rel: int, prec: Precision) -> PadicScalar:
         raise ValueError("argument must be a principal unit: p must divide t")
     if t == 0:
         return PadicScalar.exact_zero(prec)
-    n_max = rel + 16
-    L = lcm(*range(1, n_max + 1))
-    V, vt = _vp(L, p), _vp(t, p)
-    mod = p ** (V + vt + rel)
-    acc = 0
-    for n in range(n_max, 0, -1):
-        acc = (acc + (L // n if n % 2 else -(L // n))) * t % mod
-    m = p**rel
-    return PadicScalar(prec, vt, acc // p ** (V + vt) * pow(L // p**V, -1, m) % m, rel)
+    return PadicScalar(prec, _vp(t, p), _log_unit(t, p, rel), rel)
 
 
 def pollack_log(spec: LogKind, prec: Precision) -> Distribution:

@@ -88,16 +88,17 @@ def u_for(p: int) -> int:
 
 
 def _check_int(**named) -> None:
-    """Raise a ValueError naming the first argument that is not an int."""
+    """Raise a ValueError naming the first argument that is not an int; a
+    bool is refused, though Python counts it as one."""
     for name, value in named.items():
-        if not isinstance(value, int):
+        if not isinstance(value, int) or isinstance(value, bool):
             raise ValueError(f"{name} must be an integer, not {value!r}")
 
 
 def _check_weight(k) -> None:
-    """Refuse a weight parameter k that is not an integer >= 0, before any
-    log or smoothing constant is built for it."""
-    if not isinstance(k, int) or k < 0:
+    """Refuse a weight parameter k that is not an integer >= 0, or is a
+    bool, before any log or smoothing constant is built for it."""
+    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
         raise ValueError(f"weight parameter k must be an integer >= 0, not {k!r}")
 
 

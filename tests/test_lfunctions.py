@@ -1088,6 +1088,17 @@ def _remove_euler(ell):
                  "omega_exponent must be an integer, not 0.5", id="moment-omega"),
     pytest.param(lambda: smoothed_moment(DirichletCharacter.trivial(5), 0, 1, 7.0, PS),
                  "c must be an integer, not 7.0", id="moment-c"),
+    pytest.param(lambda: gen_bernoulli(True, DirichletCharacter.trivial(5)),
+                 "n must be an integer, not True", id="bernoulli-n-bool"),
+    pytest.param(lambda: kl_series_report(DirichletCharacter.trivial(5), True, P24),
+                 "branch_i must be an integer, not True", id="kl-report-branch-bool"),
+    pytest.param(lambda: least_smoothing_c(DirichletCharacter.trivial(5), True),
+                 "weight parameter k must be an integer >= 0, not True", id="least-c-k-bool"),
+    # an odd branch refuses s > 0 as an even one does, before its zeros
+    pytest.param(lambda: kl_branch_values(DirichletCharacter.quadratic(5, 3), 2, [1, 3], P24),
+                 "branch values are computed at integers s <= 0", id="kl-branch-values-odd-s"),
+    pytest.param(lambda: kl_branch_values(DirichletCharacter.trivial(5), 2, [1], P24),
+                 "branch values are computed at integers s <= 0", id="kl-branch-values-even-s"),
 ])
 def test_named_errors(call, fragment):
     with pytest.raises(ValueError, match=re.escape(fragment)) as info:

@@ -14,16 +14,18 @@ from hypothesis import strategies as st
 
 import iwa._kernel
 import iwa.pollack
-from iwa._kernel import cyclotomic_cells, polymul, stirling_columns
+from iwa._kernel import cyclotomic_cells, polymul, stirling_columns, taylor_shift
 from iwa.distributions import divide_exact, growth_order, least_squares_slope
 from iwa.pollack import (
     LogKind,
     _ell_cells,
     _ell_coefficients,
+    _ell_product,
     _is_one,
     _short_levels,
     _signed_product,
     _tree_product,
+    _trim,
     log_identity_check,
     log_p_unit,
     pollack_log,
@@ -56,7 +58,7 @@ class TestLogKind:
         with pytest.raises(ValueError):
             LogKind("minus", 1, shift=-1)
 
-    @pytest.mark.parametrize("value", [1.5, 2.0, Fraction(3, 2), Fraction(2)])
+    @pytest.mark.parametrize("value", [1.5, 2.0, Fraction(3, 2), Fraction(2), True])
     def test_rejects_a_non_integer_r_or_shift_by_name(self, value):
         with pytest.raises(ValueError, match="r must be an integer"):
             LogKind("plus", value)
@@ -334,6 +336,28 @@ class TestEllBasis:
         assert cells == cyclotomic_cells(p, m, c, p ** (R + 1), N)
 
 
+    @pytest.mark.parametrize(
+        "p,N,R", [(3, 6, 10), (3, 40, 20), (5, 20, 30), (5, 16, 63), (7, 42, 12)]
+    )
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_a_twist_s_level_is_the_shifted_level_of_twist_zero(self, p, m, N, R):
+        # u^(-j) = exp(-j lambda) and 1 + X = exp(ell), so twist j's level is
+        # twist 0's at ell - j lambda: built whole, and cut to ell^N after the shift
+        T = R + _vp(factorial(N - 1), p)
+        pT, pT1 = p**T, p ** (T + 1)
+        u = u_for(p)
+        lam = log_p_unit(u - 1, p, T, Precision(p, T + 1, 1))
+        lam = p**lam.val * lam.unit
+        whole = 3 * T + 3  # past every nonzero coefficient
+        base = _ell_coefficients(p, m, 1, T, whole)
+        assert len(base) < whole
+        for j in range(p + 2):
+            w = pow(u, -j * p ** (m - 1), pT1)
+            shifted = _trim(taylor_shift(base, -j * lam, p, pT))
+            assert shifted == _ell_coefficients(p, m, w, T, whole)
+            assert _trim(shifted[:N]) == _ell_coefficients(p, m, w, T, N)
+
+
 @pytest.mark.parametrize("count", [1, 2, 3, 5, 8])
 @pytest.mark.parametrize("N", [1, 4, 40])
 def test_tree_product_equals_running_product(count, N):
@@ -344,7 +368,12 @@ def test_tree_product_equals_running_product(count, N):
         for i in range(count)
     ]
     running = reduce(lambda f, g: polymul(f, g, mod, N), factors)
-    assert _tree_product(factors, mod, N) == running
+    assert _tree_product(factors, mod, N) == _trim(running)
+
+
+def test_tree_product_drops_the_last_zeros():
+    # (1 + 5X)(1 + 125X) = 1 + 130X + 625X^2, and 625 = 0 mod 5^4
+    assert _tree_product([[1, 5], [1, 125]], 5**4, 10) == [1, 130]
 
 
 def _first_ell_level(p: int, N: int) -> int:
@@ -412,6 +441,10 @@ def test_ell_cells_match_the_row_walk(case):
 )
 # the plus log of the bench's log-identity case (5, 4, 64), at its work depth
 @example("plus", 5, 0, 4, 64, 58)
+# a small N under a deep M: the first twist's levels run past ell^N, with
+# one twist and with three, one of them a multiple of p
+@example("plus", 5, 0, 1, 16, 58)
+@example("minus", 5, 4, 3, 16, 58)
 def test_one_product_over_the_twists_is_the_product_of_the_per_twist_ones(
     kind, p, shift, r, N, M
 ):
@@ -436,15 +469,15 @@ def test_one_product_over_the_twists_is_the_product_of_the_per_twist_ones(
 )
 def test_p_divides_every_scaled_coefficient_of_the_signed_product(kind, shift, r, p, N, M):
     # why Stirling numbers mod p^(T-1) would give the same cells: p | k! h_k,
-    # for H the product of the ell-basis levels of all r twists
+    # for H the product of the ell-basis levels of all r twists, as converted
     products = []
 
-    def recording(factors, mod, n):
-        products.append(_tree_product(factors, mod, n))
+    def recording(*args):
+        products.append(_ell_product(*args))
         return products[-1]
 
     R = M + r * _short_levels(kind, p, N) + 1
-    with patch.object(iwa.pollack, "_tree_product", recording):
+    with patch.object(iwa.pollack, "_ell_product", recording):
         _signed_product(kind, range(shift, shift + r), p, u_for(p), R, N, M)
     assume(products)
     (H,) = products

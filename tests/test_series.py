@@ -10,7 +10,14 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from iwa._kernel import cyclotomic_cells, geometric_sum, polymul, polypow
+from iwa._kernel import (
+    compose_affine,
+    cyclotomic_cells,
+    geometric_sum,
+    polymul,
+    polypow,
+    taylor_shift,
+)
 from iwa.scalars import PadicScalar, Precision, PrecisionError, QuadExtScalar
 from iwa.series import (
     DivisibilityError,
@@ -349,6 +356,31 @@ def polymul_cases(draw):
 def test_polymul_matches_schoolbook_convolution(case):
     A, B, mod, trunc = case
     assert polymul(A, B, mod, trunc) == schoolbook(A, B, mod, trunc)
+
+
+@st.composite
+def taylor_shift_cases(draw):
+    """(A, s, p, T): 1 to 80 entries in [0, p^T), and a shift s with p | s."""
+    p = draw(st.sampled_from([3, 5, 7, 11]))
+    T = draw(st.integers(1, 40))
+    A = draw(st.lists(st.integers(0, p**T - 1), min_size=1, max_size=80))
+    s = p ** draw(st.integers(1, T + 1)) * draw(st.integers(-(p**T), p**T))
+    return A, s, p, T
+
+
+@settings(max_examples=150, deadline=None)
+@given(taylor_shift_cases())
+def test_taylor_shift_is_the_affine_composition_and_undoes_itself(case):
+    A, s, p, T = case
+    mod = p**T
+    shifted = taylor_shift(A, s, p, mod)
+    assert shifted == compose_affine(A, s, 1, mod)
+    assert taylor_shift(shifted, -s, p, mod) == A
+
+
+def test_taylor_shift_refuses_a_shift_prime_to_p():
+    with pytest.raises(ValueError, match="p must divide the shift"):
+        taylor_shift([1, 2, 3], 7, 5, 5**4)
 
 
 # ------------------------------------------------------------ IwasawaElement
