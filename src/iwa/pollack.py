@@ -168,9 +168,7 @@ def _ell_coefficients(p: int, m: int, w: int, T: int, N: int) -> list[int]:
         ek *= e
         ps = ek // (p * pvs[k])  # p^(s_k)
         a.append(sum(terms) * ps * invs[k] % pT if ps % pT else 0)
-    while len(a) > 1 and not a[-1]:
-        a.pop()
-    return a
+    return _trim(a)
 
 
 def _ell_cells(h: list[int], p: int, N: int, T: int, R: int):
