@@ -12,7 +12,11 @@ returns:
   on the seeds a bench run at seeds 1 and 901 draws in its first cycle;
 * the four bench kl-series cases, ``kl_series_report`` at (p, 20, 64), and
   windows the bench never reaches: unit branches at p = 3 and p = 11, the
-  p = 7 pole branch, and a 154-node window at (5, 30, 120);
+  p = 7 pole branch, and a 154-node window at (5, 30, 120); at the same
+  windows, the moments ``_kl_core`` interpolates and its smoothing divisor;
+* ``remove_euler_factors`` at p in {3, 5, 7}, on the trivial and the
+  quadratic character of conductor 4, at s_shift in {0, 1}, by two prime
+  lists, one with a repeated prime;
 * the L-function layer on the trivial character, the quadratic character of
   conductor 4 and omega, over p in {3, 5, 7, 11}, and on a quartic
   character mod 13 at p = 5 (irrational values, conductor prime to p):
@@ -85,10 +89,12 @@ from iwa.dieudonne import change_of_basis
 from iwa.distributions import Distribution, divide_exact
 from iwa.lfunctions import (
     DirichletCharacter,
+    _kl_core,
     gen_bernoulli,
     kl_branch_values,
     kl_series_report,
     kl_value,
+    remove_euler_factors,
     smoothed_moment,
 )
 from iwa.pollack import LogKind, log_identity_check, pollack_log
@@ -177,6 +183,11 @@ KL_WINDOW_CASES = (
     ("trivial7", DirichletCharacter.trivial(7), 0, (7, 20, 64)),
     ("trivial5", DirichletCharacter.trivial(5), 2, (5, 30, 120)),
 )
+# p for the Euler-factor products, each over a window (p, 12, 24), the
+# trivial and the quadratic character of conductor 4, and two prime lists,
+# the second repeating a prime
+EULER_PRIMES = (3, 5, 7)
+EULER_SHIFTS = (0, 1)
 # (k, N): seeds synthesized at p_prec 60, divided at p_prec 20
 DEEP_CASES = ((0, 64), (1, 64))
 # (p, k, convention, N) at p_prec 20: the roundtrips whose dot and circ rows
@@ -257,6 +268,33 @@ def layer_cases():
                 outcome(lambda: smoothed_moment(eta, a, m, c, prec, rel))
                 for a in range(eta.p - 1) for m in (0, 1, 4, 9)
             ]
+
+
+def kl_core_parts(eta: DirichletCharacter, i: int, prec: Precision) -> list:
+    """The moments _kl_core interpolates, as smoothed_moment returns them,
+    and its divisor, psi0(c) c and <c>, on an even branch."""
+    core = _kl_core(eta, i, prec)
+    moments = [smoothed_moment(core["eta0"], core["b"] - m, m, core["c"], core["wprec"],
+                               core["rel"]) for m in range(core["nodes"])]
+    return [moments, core["divisor"], core["psi0_c"], core["bracket_c"]]
+
+
+def euler_cases():
+    """remove_euler_factors on a seed element, by two prime lists per p."""
+    for p in EULER_PRIMES:
+        prec = Precision(p, 12, 24)
+        F = seed_element(random.Random(p), prec)
+        qs = [q for q in (2, 3, 5, 7, 11, 13) if q != p]
+        for name, eta in (("trivial", DirichletCharacter.trivial(p)),
+                          ("quadratic4", DirichletCharacter.quadratic(p, 4))):
+            for primes in ((qs[0], qs[1]), (qs[1], qs[1], qs[2])):
+                for shift in EULER_SHIFTS:
+                    label = "_".join(map(str, primes))
+                    yield (
+                        f"remove_euler_factors/p{p}/{name}/l{label}/s{shift}",
+                        lambda F=F, primes=primes, eta=eta, shift=shift:
+                            remove_euler_factors(F, primes, eta, shift),
+                    )
 
 
 def seed_element(rng, prec: Precision) -> IwasawaElement:
@@ -738,6 +776,17 @@ def cases():
             f"kl_series_report/{name}/i{i}/p{p}/M{M}/N{N}",
             lambda eta=eta, i=i, prec=Precision(p, M, N): kl_series_report(eta, i, prec),
         )
+    for name, eta, i in KL_CASES:
+        yield (
+            f"kl_core/{name}/i{i}",
+            lambda eta=eta, i=i: kl_core_parts(eta, i, Precision(eta.p, 20, 64)),
+        )
+    for name, eta, i, (p, M, N) in KL_WINDOW_CASES:
+        yield (
+            f"kl_core/{name}/i{i}/p{p}/M{M}/N{N}",
+            lambda eta=eta, i=i, prec=Precision(p, M, N): kl_core_parts(eta, i, prec),
+        )
+    yield from euler_cases()
     yield from layer_cases()
     yield from series_cases()
     for k, N in DEEP_CASES:
