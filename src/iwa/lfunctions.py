@@ -15,11 +15,11 @@ The cast, roughly in dependency order:
   (Washington, Introduction to Cyclotomic Fields, 4.1).  The numbers B_i
   come from the recurrence sum_{k<=n} C(n+1, k) B_k = 0, memoized.  One
   integer row per n, (D, C(n,i) B_i D) with D the common denominator of
-  B_0..B_n, is cached, so D f^n B_n(a/f) is an integer, summed by Horner's
-  rule in a over the row times the powers of f, for the units a below f/2
-  only (B_n(1 - x) = (-1)^n B_n(x)).  Rational characters return one exact
-  Fraction; irrational ones sum eta(a) D f^n B_n(a/f) on integers mod
-  p^rel and build one scalar, with one modular inverse per call.
+  B_0..B_n, is cached, and so, per (n, f), are the integers D f^n B_n(a/f)
+  for the units a below f/2 (B_n(1 - x) = (-1)^n B_n(x)): the row times the
+  powers of f summed against the powers of a in C.  Rational characters
+  return one exact Fraction; irrational ones sum eta(a) D f^n B_n(a/f) on
+  integers mod p^rel and build one scalar, with one modular inverse per call.
 * :func:`kl_value` — the interpolation formula for p-adic L-values at
   s = 1 - n.  This is the oracle of record: the series construction below is
   certified against it and never the other way around.
@@ -27,16 +27,18 @@ The cast, roughly in dependency order:
   construction.  The c-smoothed regularization of the B_1 distribution is a
   genuine Z_p-measure; its twisted moments have a closed form, each read with
   its twisted primitive character from a cache keyed by the exponent of
-  omega.  The smoothing and Euler factors and 1/n are (val, unit, rel)
-  triples of integers mod p^rel, multiplied by PadicScalar's rules, so a
-  moment builds three scalars: the Bernoulli number, the interpolation factor
-  and the moment.  The branch series is recovered by Newton interpolation
-  through those moments at the points u^{-m} - 1.  Divided differences of an
-  integral power series at points of pZ_p are p-integral, so the Newton
-  coefficients are checked for integrality as a construction self-test, and
-  the interpolation tail drops one digit per node past the window — the node
-  budget makes the truncation error provably smaller than the requested
-  precision.  The divided-difference table and its expansion into monomials
+  omega.  A moment is the product of four (val, unit, rel) triples, the
+  Bernoulli number, the Euler and smoothing factors (integers mod p^rel)
+  and 1/n, multiplied by PadicScalar's rules; the Teichmuller units and
+  p^rel come from one cache keyed by (p, rel).  So a moment builds one
+  PadicScalar, the one it returns, besides the Bernoulli number of an
+  irrational character, and kl_value likewise.  The branch series is
+  recovered by Newton interpolation through those moments at the points
+  u^{-m} - 1.  Divided differences of an integral power series at points
+  of pZ_p are p-integral, so the Newton coefficients are checked for
+  integrality as a construction self-test, and the interpolation tail
+  drops one digit per node past the window — the node budget makes the
+  truncation error provably smaller than the requested precision.  The divided-difference table and its expansion into monomials
   (von zur Gathen-Gerhard, Modern Computer Algebra, ch. 5) are one kernel,
   _newton_part, on integers mod one power of p.  The nodes are a geometric
   progression shifted by -1 (Bostan-Schost, J. Complexity 2005), so each
@@ -47,8 +49,10 @@ The cast, roughly in dependency order:
   bind also read their valuation), so the Part is, digit for digit, what the
   same loops give on PadicScalars.  Dividing by an integer n reads the
   inverse of its unit part from a cached table.  The divisor that removes the
-  smoothing factor raises 1+X to log<c>/log(u), and pollack.log_p_unit sums
-  both logarithms on integers.
+  smoothing factor, 1 - psi0(c) c (1+X)^(-e_c) with e_c = log<c>/log(u), is
+  built by _one_minus_power as a Part from triples (the two logarithms are
+  summed on integers by pollack's kernel), as is every Euler factor of
+  remove_euler_factors; no PadicScalar is built per coefficient.
 * :func:`euler_factor_E` / :func:`euler_factor_Eprime` /
   :func:`exceptional_zero_report` — the three-factor products controlling
   trivial zeros of the symmetric square, with exact vanishing flags (each
@@ -79,11 +83,13 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate, repeat
+from operator import mul
 
 from ._kernel import _unit_inverses
 from .dieudonne import PhiModule
 from .distributions import Distribution, divide_exact
-from .pollack import log_p_unit
+from .pollack import _log_unit
 from .scalars import (_MR_BOUND, PadicScalar, Precision, PrecisionError, _check_odd_prime,
                       _check_rel, _is_prime, _triple, _vp, teichmuller)
 from .series import (FiniteCharacter, IwasawaElement, Part, Series, _check_int, _check_weight,
@@ -211,19 +217,37 @@ def _bernoulli_row(n: int) -> tuple:
     return D, tuple(math.comb(n, i) * (b * D).numerator for i, b in enumerate(bs))
 
 
-@lru_cache(maxsize=64)
-def _omega_powers(p: int, prec: Precision, rel: int) -> tuple:
-    """Powers of the fixed Teichmuller generator, index = exponent.
+@lru_cache(maxsize=1024)
+def _bernoulli_sums(n: int, F: int) -> tuple:
+    """(D F, units, sums): the units a <= F/2 prime to F (1 alone at F = 1)
+    and, for each, the integer D F^n B_n(a/F) = sum_i C(n,i) B_i D F^i a^(n-i).
 
-    Memoized per window (up to 64), so one Teichmuller lift serves every call
-    at a precision; the tuple is shared by the callers, and scalars are
-    immutable.
+    D is the common denominator of B_0..B_n (see _bernoulli_row).  The row
+    times the powers of F is formed once per (n, F) and summed against the
+    powers of a in C (map and accumulate); at F = 1 the sum is the row's
+    own.  Kept for the 1024 (n, F) last used: the four kl-series bench
+    windows at (p, 20, 64) read 293 of them.
     """
-    base = teichmuller(_primitive_root(p), prec, rel)
-    out = [PadicScalar.from_int(1, prec, rel)]
-    for _ in range(p - 2):
-        out.append(out[-1] * base)
-    return tuple(out)
+    D, row = _bernoulli_row(n)
+    if F == 1:
+        return D, (1,), (sum(row),)
+    row_f = [r * F**i for i, r in enumerate(row)][::-1]
+    units = tuple(a for a in range(1, F // 2 + 1) if math.gcd(a, F) == 1)
+    return D * F, units, tuple(
+        sum(map(mul, row_f, accumulate(repeat(a, n), mul, initial=1))) for a in units)
+
+
+@lru_cache(maxsize=64)
+def _omega_units(p: int, rel: int) -> tuple:
+    """(p^rel, units): units[e] is the unit of omega^e mod p^rel, omega the
+    Teichmuller lift of the fixed generator; at rel = 0 every unit is 0.
+
+    One lift per (p, rel), up to 64 of them, serves every character value,
+    Bernoulli sum, Euler and smoothing factor at that many digits.
+    """
+    m = p**rel
+    g = teichmuller(_primitive_root(p), Precision(p, 1), rel).unit
+    return m, tuple(pow(g, e, m) for e in range(p - 1))
 
 
 # -------------------------------------------------------------- characters
@@ -344,7 +368,7 @@ class DirichletCharacter:
         if e is None:
             return PadicScalar.exact_zero(prec)
         rel = prec.p_prec if rel is None else rel
-        return _omega_powers(self.p, prec, rel)[e]
+        return PadicScalar(prec, 0, _omega_units(self.p, rel)[1][e], rel)
 
     def value_fraction(self, a: int) -> Fraction:
         """chi(a) as an exact rational; requires a quadratic-valued character."""
@@ -441,15 +465,16 @@ def gen_bernoulli(n: int, eta: DirichletCharacter, prec: Precision | None = None
     unless eta(-1) = (-1)^n, except for the weight-one trivial case
     B_{1,triv} = 1/2.
 
-    B_n(a/F) is read from one cached integer row per n (see _bernoulli_row):
-    with D the common denominator of B_0..B_n, D F^n B_n(a/F) is the integer
-    sum_i C(n,i) B_i D F^i a^(n-i), evaluated by Horner's rule in a.  So no
-    Fraction arithmetic runs per term: the rational path forms one exact
-    Fraction.  The p-adic path runs on integers mod p^rel and builds one
-    PadicScalar at its end, the one that summing the terms eta(a) B_n(a/F),
-    each known to rel digits, and multiplying by F^(n-1) as PadicScalars
-    gives: the sum keeps the least absolute precision of its terms, the
-    product the least rel.  A negative rel raises a ValueError.
+    B_n(a/F) comes from integers kept per (n, F) (see _bernoulli_sums): with
+    D the common denominator of B_0..B_n, D F^n B_n(a/F) is the integer
+    sum_i C(n,i) B_i D F^i a^(n-i), so every character of conductor F reads
+    the same sums, and no Fraction arithmetic runs per term: the rational
+    path forms one exact Fraction.  The p-adic path runs on integers mod
+    p^rel and builds one PadicScalar at its end, the one that summing the
+    terms eta(a) B_n(a/F), each known to rel digits, and multiplying by
+    F^(n-1) as PadicScalars gives: the sum keeps the least absolute
+    precision of its terms, the product the least rel.  A negative rel
+    raises a ValueError.
     """
     _check_int(n=n)
     if n < 0:
@@ -459,98 +484,63 @@ def gen_bernoulli(n: int, eta: DirichletCharacter, prec: Precision | None = None
         _same_prime(eta, prec.p)
     psi = eta.primitive()
     F = psi.conductor
-    D, row = _bernoulli_row(n)
-
-    # D F^n B_n(a/F) = sum_i row[i] F^i a^(n-i): the F-powers enter the row
-    # once per call, so Horner's rule in a multiplies by small ints only
-    row_f, Fi = [], 1
-    for r in row:
-        row_f.append(r * Fi)
-        Fi *= F
-
-    def scaled(a):
-        acc = 0
-        for r in row_f:
-            acc = acc * a + r
-        return acc
-
+    DF, units, sums = _bernoulli_sums(n, F)
     # B_n(1 - x) = (-1)^n B_n(x) and psi(F - a) = psi(-1) psi(a), so for
     # F > 2 the units above F/2 repeat the terms of those below, times
     # (-1)^n psi(-1): the sum is 0 or twice its lower half
-    if F == 1:
-        units, twice = [1], 1
-    else:
-        units = [a for a in range(1, F // 2 + 1) if math.gcd(a, F) == 1]
-        twice = 0 if psi.is_odd == (n % 2 == 0) else 2
+    twice = 1 if F == 1 else 0 if psi.is_odd == (n % 2 == 0) else 2
     if psi.is_rational_valued:
         # F^(n-1) sum_a psi(a) B_n(a/F), with psi(a) = +-1
-        tot = sum(scaled(a) if psi.exponent(a) == 0 else -scaled(a) for a in units)
-        return Fraction(twice * tot, D * F)
+        tot = sum(s if psi.exponent(a) == 0 else -s for a, s in zip(units, sums))
+        return Fraction(twice * tot, DF)
     if prec is None:
         raise ValueError(
             "character values are irrational over Q; pass a precision context"
         )
     rel = prec.p_prec + 8 if rel is None else rel
-    # B_{n,psi} = sum_a psi(a) s_a / (D F), s_a = scaled(a).  The term of a
+    # B_{n,psi} = sum_a psi(a) s_a / (D F), s_a the sums.  The term of a
     # has valuation v(s_a) - v(D F^n) and rel digits, so the sum is known
     # to p^(v - v(D F^n) + rel), v the least v(s_a), and F^(n-1) shifts
     # that by (n-1) v(F).  No s_a is 0: the rational roots of B_n are 0,
     # 1/2 and 1 (Inkeri 1959), and an irrational character has F > 2.
     p = psi.p
-    pw = _omega_powers(p, prec, rel)
-    terms = [(scaled(a), pw[psi.exponent(a)].unit) for a in units]
-    v = min(_vp(s, p) for s, _ in terms)
-    tot = twice * sum(s * w for s, w in terms) // p**v
-    vd = _vp(D * F, p)
-    return PadicScalar(prec, v - vd, tot * pow(D * F // p**vd, -1, p**rel), rel)
+    m, pw = _omega_units(p, rel)
+    v = min(_vp(s, p) for s in sums)
+    tot = twice * sum(s * pw[psi.exponent(a)] for a, s in zip(units, sums)) // p**v
+    vd = _vp(DF, p)
+    return PadicScalar(prec, v - vd, tot * pow(DF // p**vd, -1, m), rel)
 
 
-def _as_scalar(x, prec: Precision, rel: int) -> PadicScalar:
-    if isinstance(x, PadicScalar):
-        return x
-    return PadicScalar.from_fraction(Fraction(x), prec, rel)
+def _interpolation_factor(psi: DirichletCharacter, n: int, prec: Precision, rel: int,
+                          factor: int) -> PadicScalar:
+    """factor (1 - psi(p) p^(n-1)) B_{n, psi} / n for a primitive psi, n >= 1
+    and an integer factor known mod p^rel, as one PadicScalar.
 
-
-def _inverse_of_int(p: int, n: int, rel: int) -> tuple:
-    """(val, unit, rel) of 1 / PadicScalar.from_int(n, prec, rel), n >= 1.
-
-    The inverse of n's unit part is read from a table cached per (p, L,
-    p^rel), L the power of two above n, instead of one modular inverse per
-    call.  At rel = 0, n is a zero to precision, and this raises the
-    PrecisionError that the division raises.
+    The four are (val, unit, rel) triples: B_{n, psi} as gen_bernoulli gives
+    it (a Fraction read to rel digits), the two factors integers mod p^rel
+    that scalars._triple normalizes, and 1/n with its unit part read from a
+    table.  Their product adds the valuations and keeps the least rel, as
+    PadicScalar multiplication does factor by factor; an exact zero B stays
+    the exact zero, and at rel = 0 the division by n raises.
     """
+    p = psi.p
+    B = gen_bernoulli(n, psi, prec, rel)
     vn = _vp(n, p)
     if rel == 0:
         raise PrecisionError(f"division by zero-to-precision O(p^{vn})")
-    return -vn, _unit_inverses(p, 1 << n.bit_length(), p**rel)[n], rel
-
-
-def _times(x: PadicScalar, val: int, unit: int, rel: int) -> PadicScalar:
-    """x times the scalar (val, unit, rel), a triple as scalars._triple
-    normalizes it, in one PadicScalar: valuations add and the least rel is
-    kept."""
-    if x.val is None:
-        return x
-    return PadicScalar(x.prec, x.val + val, x.unit * unit, min(x.rel, rel))
-
-
-def _interpolation_factor(psi: DirichletCharacter, n: int, prec: Precision,
-                          rel: int) -> PadicScalar:
-    """(1 - psi(p) p^(n-1)) B_{n, psi} / n for a primitive psi and n >= 1.
-
-    On integers: the Euler factor is an integer mod p^rel, the unit part of
-    1/n is read from a table, and B_{n, psi} is the scalar gen_bernoulli
-    gives (a Fraction read to rel digits).  The product keeps the least rel
-    of the three, as PadicScalar multiplication does, and is built as one
-    PadicScalar; at rel = 0 the division by n raises.
-    """
-    p = psi.p
-    B = _as_scalar(gen_bernoulli(n, psi, prec, rel), prec, rel)
+    m, pw = _omega_units(p, rel)
+    if isinstance(B, Fraction):
+        if not B:
+            return PadicScalar.exact_zero(prec)
+        vu, vd = _vp(B.numerator, p), _vp(B.denominator, p)
+        vb, ub, rb = vu - vd, B.numerator // p**vu * pow(B.denominator // p**vd, -1, m), rel
+    else:
+        vb, ub, rb = B.val, B.unit, B.rel
     ep = psi.exponent(p)
-    euler = 1 if ep is None else 1 - _omega_powers(p, prec, rel)[ep].unit * p ** (n - 1)
-    ve, ue, re = _triple(p, 0, euler % p**rel, rel)
-    vn, un, _ = _inverse_of_int(p, n, rel)
-    return _times(B, ve + vn, ue * un, re)
+    ve, ue, re = _triple(p, 0, (1 if ep is None else 1 - pw[ep] * p ** (n - 1)) % m, rel)
+    vf, uf, rf = _triple(p, 0, factor % m, rel)
+    un = _unit_inverses(p, 1 << n.bit_length(), m)[n]
+    return PadicScalar(prec, vb + ve + vf - vn, ub * ue * uf * un, min(rb, re, rf))
 
 
 # ------------------------------------------------------------ L-values
@@ -580,7 +570,7 @@ def kl_value(eta: DirichletCharacter, one_minus_n: int, prec: Precision,
         return PadicScalar.exact_zero(prec)
     rel = prec.p_prec + 6 if rel is None else rel
     psi = _twisted_primitive(eta, -n % (eta.p - 1))
-    return -_interpolation_factor(psi, n, prec, rel)
+    return _interpolation_factor(psi, n, prec, rel, -1)
 
 
 def smoothed_moment(eta: DirichletCharacter, omega_exponent: int, m: int, c: int,
@@ -596,9 +586,9 @@ def smoothed_moment(eta: DirichletCharacter, omega_exponent: int, m: int, c: int
     so the result is always integral — callers rely on that.  A negative
     rel raises a ValueError.
 
-    The smoothing factor is an integer mod p^rel; its product with the
-    interpolation factor keeps the least rel of the two, as PadicScalar
-    multiplication does, and is built as one PadicScalar.
+    The smoothing factor is an integer mod p^rel, a triple beside the
+    others of _interpolation_factor, so the moment is the one PadicScalar
+    built.
     """
     _check_int(omega_exponent=omega_exponent, m=m, c=c)
     if m < 0:
@@ -610,9 +600,9 @@ def smoothed_moment(eta: DirichletCharacter, omega_exponent: int, m: int, c: int
         raise ValueError("smoothing constant must exceed 1 and be prime to p and the modulus")
     rel = prec.p_prec + 8 if rel is None else rel
     psi = _twisted_primitive(eta, omega_exponent % (p - 1))
-    w = _omega_powers(p, prec, rel)[psi.exponent(c)].unit
-    smooth = _triple(p, 0, (1 - w * c ** (m + 1)) % p**rel, rel)
-    return _times(_interpolation_factor(psi, m + 1, prec, rel), *smooth)
+    mod, pw = _omega_units(p, rel)
+    smooth = 1 - pw[psi.exponent(c)] * pow(c, m + 1, mod)
+    return _interpolation_factor(psi, m + 1, prec, rel, smooth)
 
 
 # ------------------------------------------------------------ the series
@@ -645,29 +635,69 @@ def _kl_smoothing_c(p: int, eta0: DirichletCharacter, b: int, require_unit: bool
     raise ValueError("no admissible smoothing constant found")  # pragma: no cover
 
 
-def _log_unit_ratio(c: int, p: int, prec: Precision, rel: int) -> PadicScalar:
-    """log<c> / log(u): the exponent writing <c> as a power of u."""
-    num = log_p_unit(c ** (p - 1) - 1, p, rel + 4, prec) / (p - 1)
-    den = log_p_unit(u_for(p) - 1, p, rel + 4, prec)
-    return num / den
+def _log_unit_ratio(c: int, p: int, rel: int) -> tuple:
+    """(val, unit, rel + 4) of log<c> / log(u), the exponent writing <c> as a
+    power of u: the quotient of the two logarithms, each summed to rel + 4
+    digits on integers, as PadicScalar division gives it."""
+    t, mod = c ** (p - 1) - 1, p ** (rel + 4)
+    den = (p - 1) * _log_unit(u_for(p) - 1, p, rel + 4)
+    return _vp(t, p) - 1, _log_unit(t, p, rel + 4) * pow(den, -1, mod) % mod, rel + 4
 
 
-def _binomial_series(exponent: PadicScalar, length: int, prec: Precision,
-                     rel: int) -> list:
-    """Coefficients of (1+X)^exponent to the given length."""
-    out = [PadicScalar.from_int(1, prec, rel)]
-    acc = PadicScalar.from_int(1, prec, rel)
-    for k in range(1, length):
-        acc = _times(acc * (exponent - (k - 1)), *_inverse_of_int(prec.p, k, rel))
-        out.append(acc)
-    return out
+def _product(p: int, val: int, unit: int, rel: int) -> tuple:
+    """The triple of a product of triples: val the valuations' sum, unit the
+    units' product and rel the least rel, as PadicScalar multiplication
+    gives it; at rel 0 the zero to precision O(p^val)."""
+    return (val, unit % p**rel, rel) if rel > 0 else (val, 0, 0)
+
+
+def _one_minus_power(p: int, kappas: list, e: tuple, N: int, rel: int) -> list:
+    """The Parts of 1 - kappa (1+X)^e mod X^N, one per kappa, from triples.
+
+    kappa and e are (val, unit, rel) triples as PadicScalar stores them (val
+    None: the exact zero), e not the exact zero; 1 and each 1/k carry rel
+    digits.  Every cell is, digit for digit, what PadicScalar arithmetic
+    gives for C(e, k) = C(e, k-1) (e - k + 1) / k from C(e, 0) = 1, then
+    1 - kappa C(e, 0) and -(kappa C(e, k)): e - q for an exact int q keeps
+    e's bound, a product adds valuations and keeps the least rel, and a sum
+    keeps the least bound.  At rel = 0 and N >= 2 the division by 1 raises,
+    as it does on scalars.  The coefficients are formed once for all kappas.
+    """
+    ev, eu, er = e
+    A, mod = ev + er, p**rel
+    if N > 1 and rel == 0:
+        raise PrecisionError("division by zero-to-precision O(p^0)")
+    inv = _unit_inverses(p, 1 << N.bit_length(), mod)
+    coeffs = [_triple(p, 0, 1 % mod, rel)]
+    for q in range(N - 1):
+        # C(e, q + 1) = C(e, q) (e - q) / (q + 1), e - q at the lower
+        # valuation v0 of the two, known to e's bound A
+        vq = _vp(q, p) if q else 0
+        v0 = min(ev, vq)
+        x = eu * p ** (ev - v0) - q // p**vq * p ** (vq - v0)
+        tv, tu, tr = _triple(p, v0, x % p ** max(A - v0, 0), A)
+        cv, cu, cr = coeffs[-1]
+        coeffs.append(_product(p, cv + tv - _vp(q + 1, p), cu * tu * inv[q + 1], min(cr, tr)))
+    one, parts = coeffs[0], []
+    for kv, ku, kr in kappas:
+        if kv is None:  # 1 and exact zeros
+            cells = [one] + [(None, 0, 0)] * (len(coeffs) - 1)
+        else:
+            cells = [_product(p, kv + cv, -ku * cu, min(kr, cr)) for cv, cu, cr in coeffs]
+            v, u, r = cells[0]
+            top, v0 = min(rel, v + r), min(0, v)
+            x = one[1] * p**-v0 + u * p ** (v - v0)
+            cells[0] = _triple(p, v0, x % p ** max(top - v0, 0), top)
+        parts.append(Part.from_triples(p, cells))
+    return parts
 
 
 def _newton_part(p: int, u: int, rel: int, moments: list, N: int) -> Part:
     """The series through moments[m] at the nodes u^-m - 1, as a Part mod X^N.
 
-    The moments are PadicScalars with valuations >= 0, none an exact zero,
-    and each node is known to ``rel`` digits.  The Part is, cell for cell
+    The moments are (val, unit, rel) triples, valuations >= 0 and none an
+    exact zero, whose units may be left unreduced or negative; each node is
+    known to ``rel`` digits.  The Part is, cell for cell
     and bound for bound, what PadicScalar arithmetic gives for the
     divided-difference table dd[row] <- (dd[row] - dd[row-1]) / (node[row]
     - node[row-col]) followed by the Newton expansion poly <- poly * (X -
@@ -726,9 +756,9 @@ def _newton_part(p: int, u: int, rel: int, moments: list, N: int) -> Part:
       coefficients themselves.
     """
     E = len(moments)
-    bounds = [x.val + x.rel for x in moments]
+    bounds = [v + r for v, _, r in moments]
     M = p ** max(bounds)
-    g = [x.unit * p**x.val for x in moments]
+    g = [x * p**v for v, x, _ in moments]
     nv, w, S, um = [math.inf], [1], [0], 1
     for m in range(1, E):
         um *= u
@@ -786,7 +816,14 @@ def _newton_part(p: int, u: int, rel: int, moments: list, N: int) -> Part:
 
 
 def _kl_core(eta: DirichletCharacter, branch_i: int, prec: Precision) -> dict:
-    """Everything shared by the series and the pointwise branch values."""
+    """Everything shared by the series and the pointwise branch values.
+
+    The moments come from smoothed_moment, called once per node through the
+    module name, and reach _newton_part as (val, unit, rel) triples, negated
+    on their units; the smoothing divisor is a Part that _one_minus_power
+    builds from triples.  PadicScalars are built only where they are
+    returned: one per moment, psi0(c) c and <c>.
+    """
     _check_int(branch_i=branch_i)
     p = prec.p
     _same_prime(eta, p)
@@ -830,30 +867,23 @@ def _kl_core(eta: DirichletCharacter, branch_i: int, prec: Precision) -> dict:
     # to precision O(p^rel), never the exact zero.
     moments = []
     for m in range(E):
-        v = -smoothed_moment(eta0, b - m, m, c, wprec, rel)
+        v = smoothed_moment(eta0, b - m, m, c, wprec, rel)
         if v.val < 0:
             raise ArithmeticError(
                 "smoothed moment came out non-integral; the regularization is broken"
             )
-        moments.append(v)
+        moments.append((v.val, -v.unit, v.rel))
     N = prec.x_prec
-    comps = [Series.zero(wprec) for _ in range(pm1)]
-    comps[i] = Series(wprec, _newton_part(p, u_for(p), rel, moments, N), is_polynomial=False)
-    smoothed = IwasawaElement(wprec, comps)
+    smoothed = IwasawaElement.from_component(
+        i, Series(wprec, _newton_part(p, u_for(p), rel, moments, N)))
 
-    psi0 = eta0 * DirichletCharacter.teichmuller_power(p, b)
-    psi0_c = psi0.value(c, wprec, rel) * c
-    e_c = _log_unit_ratio(c, p, wprec, rel)
-    dcoeffs = _binomial_series(-e_c, N, wprec, rel)
-    one = PadicScalar.from_int(1, wprec, rel)
-    dser = [one - psi0_c * dcoeffs[0]] + [-(psi0_c * t) for t in dcoeffs[1:]]
-    dcomp = [Series.zero(wprec) for _ in range(pm1)]
-    dcomp[i] = Series(wprec, tuple(dser), None, None, is_polynomial=False)
-    divisor = IwasawaElement(wprec, dcomp)
-
-    bracket_c = PadicScalar.from_fraction(Fraction(c), wprec, rel) / teichmuller(
-        c % p, wprec, rel
-    )
+    mod, pw = _omega_units(p, rel)
+    psi0_c = PadicScalar(wprec, 0, pw[_twisted_primitive(eta0, b).exponent(c)] * c, rel)
+    ev, eu, er = _log_unit_ratio(c, p, rel)
+    dpart, = _one_minus_power(p, [(0, psi0_c.unit, rel)], (ev, -eu % p**er, er), N, rel)
+    divisor = IwasawaElement.from_component(i, Series(wprec, dpart))
+    # <c> = c / omega(c), and omega(c) is the omega-power of c's index
+    bracket_c = PadicScalar(wprec, 0, c * pow(pw[_ind(p, c)], -1, mod), rel)
     out.update(
         c=c,
         nodes=E,
@@ -961,7 +991,7 @@ def _one_minus(t: int, v: int, p: int, prec: Precision, rel: int):
     is_zero = v == 0 and t % (p - 1) == 0
     if is_zero:
         return PadicScalar.exact_zero(prec), True
-    u = _omega_powers(p, prec, rel)[t % (p - 1)]
+    u = PadicScalar(prec, 0, _omega_units(p, rel)[1][t % (p - 1)], rel)
     term = u * PadicScalar.from_fraction(Fraction(p) ** v, prec, rel)
     return PadicScalar.from_int(1, prec, rel) - term, False
 
@@ -1143,6 +1173,11 @@ def remove_euler_factors(F: IwasawaElement, primes, eta: DirichletCharacter,
     (1+X)^{e_l} with e_l the exponent writing <l> as a power of u.  Primes
     with eta(l) = 0 contribute the trivial factor; l = p is not an Euler
     factor of the algebra and is rejected, as is any l that is not a prime.
+
+    Each factor is built from triples, no PadicScalar per coefficient: e_l
+    from the integer logarithms, kappa = eta(l) l^(s_shift-1) omega^a(l) per
+    component a, and 1 - kappa (1+X)^(e_l) by _one_minus_power to rel =
+    p_prec + 8 digits, the binomial coefficients formed once per prime.
     """
     p = F.prec.p
     _same_prime(eta, p)
@@ -1150,7 +1185,7 @@ def remove_euler_factors(F: IwasawaElement, primes, eta: DirichletCharacter,
     N = F.prec.x_prec
     rel = F.prec.p_prec + 8
     out = F
-    pw = _omega_powers(p, F.prec, rel)
+    mod, pw = _omega_units(p, rel)
     for ell in primes:
         if isinstance(ell, int) and ell % p == 0:
             raise ValueError(
@@ -1163,20 +1198,11 @@ def remove_euler_factors(F: IwasawaElement, primes, eta: DirichletCharacter,
         e_eta = eta.exponent(ell)
         if e_eta is None:
             continue
-        d = _ind(p, ell)
-        e_l = _log_unit_ratio(ell, p, F.prec, rel)
-        wild = _binomial_series(e_l, N, F.prec, rel)
-        coef = pw[e_eta] * PadicScalar.from_fraction(
-            Fraction(ell) ** (s_shift - 1), F.prec, rel
-        )
-        one = PadicScalar.from_int(1, F.prec, rel)
-        comps = []
-        for a in range(pm1):
-            tame = pw[a * d % pm1]
-            head = one - coef * tame * wild[0]
-            tail = [-(coef * tame * wk) for wk in wild[1:]]
-            comps.append(Series(F.prec, tuple([head] + tail), None, None))
-        out = out * IwasawaElement(F.prec, comps)
+        # kappa = eta(l) l^(s_shift-1) omega^a(l) on component a, a unit
+        d, coef = _ind(p, ell), pw[e_eta] * pow(ell, s_shift - 1, mod)
+        kappas = [(0, coef * pw[a * d % pm1] % mod, rel) for a in range(pm1)]
+        parts = _one_minus_power(p, kappas, _log_unit_ratio(ell, p, rel), N, rel)
+        out = out * IwasawaElement(F.prec, [Series(F.prec, part) for part in parts])
     return out
 
 

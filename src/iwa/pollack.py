@@ -82,14 +82,16 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from math import factorial, inf, lcm
 
-from ._kernel import _factorial_table, cyclotomic_cells, polymul, stirling_columns
+from ._kernel import _factorial_table, _unit_inverses, cyclotomic_cells, polymul
+from ._kernel import stirling_columns
 from ._kernel import taylor_shift
 from .distributions import Distribution
 from .scalars import PadicScalar, Precision, _check_rel, _vp
-from .series import IwasawaElement, Series, cyclotomic_degree, cyclotomic_factor
+from .series import IwasawaElement, Part, Series, cyclotomic_degree, cyclotomic_factor
 from .series import _check_int, u_for, unpack_part
 
 __all__ = ["LogKind", "pollack_log", "log_identity_check", "log_p_unit"]
@@ -377,10 +379,16 @@ def _signed_product(kind: str, js, p: int, u: int, R: int, N: int, M: int):
     return low, counts, stops
 
 
+@lru_cache(maxsize=32)
+def _lcm_upto(n: int) -> int:
+    """lcm(1..n), for the few term counts the logarithms ask for."""
+    return lcm(*range(1, n + 1))
+
+
 def _log_unit(t: int, p: int, rel: int) -> int:
     """The unit of log_p(1 + t) mod p^rel, for p | t, t != 0: see :func:`log_p_unit`."""
     n_max = rel + 16
-    L = lcm(*range(1, n_max + 1))
+    L = _lcm_upto(n_max)
     V, vt = _vp(L, p), _vp(t, p)
     mod = p ** (V + vt + rel)
     acc = 0
@@ -424,16 +432,16 @@ def pollack_log(spec: LogKind, prec: Precision) -> Distribution:
     if spec.kind == "full":
         W = M + spec.r * (ceil_log(N, p) + 1) + 6
         # log_p(u^{-j}(1+X)) = -j*log_p(u) + log(1+X): log_p(u) and the
-        # coefficients (-1)^(n+1)/n of log(1+X) are the same for every twist
+        # coefficients (-1)^(n+1)/n of log(1+X) are the same for every twist;
+        # the tail's triples read 1/n's unit part from the cached table
         lam = log_p_unit(u - 1, p, W + 4, prec)
-        tail = [
-            PadicScalar.from_fraction(Fraction((-1) ** (n + 1), n), prec, rel=W)
-            for n in range(1, N)
-        ]
+        mW, inv = p**W, _unit_inverses(p, N, p**W)
+        tail = [(-_vp(n, p), inv[n] if n % 2 else mW - inv[n], W) for n in range(1, N)]
         body_series = Series.constant(1, prec, rel=W)
         for j in js:
-            twist = Series(prec, (lam * (-j), *tail), None, None, is_polynomial=False)
-            body_series = body_series * twist
+            head = lam * (-j)
+            twist = Part.from_triples(p, [(head.val, head.unit, head.rel), *tail])
+            body_series = body_series * Series(prec, twist)
         factors = [
             (m, j)
             for j in js

@@ -1045,6 +1045,29 @@ def reference_smoothed_moment(eta, omega_exponent: int, m: int, c: int, prec, re
     return smooth * _reference_interpolation_factor(psi, m + 1, prec, rel)
 
 
+def binomial_series_scalars(exponent, length: int, prec, rel: int) -> list:
+    """Coefficients of (1+X)^exponent to the given length, one PadicScalar
+    operation at a time: C(e, k) = C(e, k-1) (e - k + 1) / k from C(e, 0) = 1,
+    each 1 and k carrying rel digits."""
+    from iwa.scalars import PadicScalar
+
+    out = [PadicScalar.from_int(1, prec, rel)]
+    acc = PadicScalar.from_int(1, prec, rel)
+    for k in range(1, length):
+        acc = acc * (exponent - (k - 1)) / PadicScalar.from_int(k, prec, rel)
+        out.append(acc)
+    return out
+
+
+def reference_one_minus_power(kappa, exponent, length: int, prec, rel: int) -> list:
+    """1 - kappa (1+X)^exponent to the given length, by scalars."""
+    from iwa.scalars import PadicScalar
+
+    coeffs = binomial_series_scalars(exponent, length, prec, rel)
+    one = PadicScalar.from_int(1, prec, rel)
+    return [one - kappa * coeffs[0]] + [-(kappa * t) for t in coeffs[1:]]
+
+
 def newton_table_scalars(moments: list, nodes: list) -> list:
     """Divided differences of the moments at the nodes, in place, by scalars."""
     dd = list(moments)
@@ -1127,9 +1150,7 @@ def reference_kl_core(eta, branch_i: int, prec) -> dict:
     e_c = reference_log_p_unit(c ** (p - 1) - 1, p, rel + 4, wprec) / (p - 1) / (
         reference_log_p_unit(u - 1, p, rel + 4, wprec)
     )
-    dcoeffs = lf._binomial_series(-e_c, prec.x_prec, wprec, rel)
-    one = PadicScalar.from_int(1, wprec, rel)
-    dser = [one - psi0_c * dcoeffs[0]] + [-(psi0_c * t) for t in dcoeffs[1:]]
+    dser = reference_one_minus_power(psi0_c, -e_c, prec.x_prec, wprec, rel)
     bracket_c = PadicScalar.from_fraction(Fraction(c), wprec, rel) / teichmuller(
         c % p, wprec, rel
     )

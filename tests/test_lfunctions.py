@@ -76,6 +76,17 @@ class TestDirichletCharacter:
         assert not ch.is_odd
         assert ch.order == 1
 
+    @pytest.mark.parametrize("rel", [None, 0, 3])
+    def test_values_are_powers_of_the_teichmuller_lift(self, rel):
+        # omega^j(a) is the Teichmuller lift of a^j, to rel digits
+        p, prec = 7, Precision(7, 10)
+        digits = prec.p_prec if rel is None else rel
+        for j in range(p - 1):
+            for a in range(1, p):
+                got = w_pow(p, j).value(a, prec, rel)
+                assert (got.val, got.unit, got.rel) == (
+                    0, teich_pow(a**j, p, digits) if digits else 0, digits)
+
     def test_teichmuller_power_exponents(self):
         ch = w_pow(5, 2)
         assert ch.modulus == 5 and ch.conductor == 5
@@ -369,11 +380,11 @@ class TestGenBernoulli:
 # ------------------------------------------------------------------ L-values
 
 
-    def test_omega_powers_keep_at_most_64_windows(self):
-        # one entry per (p, prec, rel): a sweep over windows must not pile up
+    def test_omega_units_keep_at_most_64_digit_counts(self):
+        # one entry per (p, rel): a sweep over windows must not pile up
         for M in range(1, 81):
-            lfunctions._omega_powers(7, Precision(7, M, 8), M)
-        info = lfunctions._omega_powers.cache_info()
+            lfunctions._omega_units(7, M)
+        info = lfunctions._omega_units.cache_info()
         assert info.maxsize == 64 and info.currsize <= 64
 
 
@@ -704,6 +715,78 @@ def test_smoothed_moments_match_the_scalar_reference(data, p, m, c, rel):
     a = data.draw(st.integers(0, p - 2))
     args = (eta, a, m, c, Precision(p, data.draw(st.integers(1, 8))), rel)
     assert outcome(smoothed_moment, *args) == outcome(oracles.reference_smoothed_moment, *args)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+@pytest.mark.parametrize("rel", [None, 0, 1, 2])
+def test_moments_and_values_match_the_scalar_references_at_each_rel(p, rel):
+    """smoothed_moment and kl_value, whose factors are integer triples,
+    against the scalar references at few digits: at rel = 1 and 2 a
+    smoothing or Euler factor may vanish to precision, and rel = 0 raises
+    from the division by n, with the reference's message."""
+    prec = Precision(p, 6, 4)
+    for eta in grid_characters(p):
+        c = next(c for c in range(2, 99) if math.gcd(c, p * eta.modulus) == 1)
+        for a in range(p - 1):
+            for m in (0, 1, 2, 5, p - 1):
+                args = (eta, a, m, c, prec, rel)
+                assert outcome(smoothed_moment, *args) == outcome(
+                    oracles.reference_smoothed_moment, *args
+                ), args
+            for s in (0, -1, -2, -5, 1 - p):
+                args = (eta * w_pow(p, a), s, prec, rel)
+                assert outcome(kl_value, *args) == outcome(oracles.reference_kl_value, *args), args
+
+
+def scalar_of(rng, prec, shape: str) -> PadicScalar:
+    """A scalar of the given shape with random digits: an exact zero, a zero
+    to O(p^A), a unit or a multiple of p, known to 1..60 digits."""
+    p = prec.p
+    if shape == "exact zero":
+        return PadicScalar.exact_zero(prec)
+    if shape == "zero to precision":
+        return PadicScalar.inexact_zero(prec, rng.randint(0, 5))
+    rel = rng.randint(1, 60)
+    unit = rng.randrange(1, p**rel)
+    unit += unit % p == 0
+    return PadicScalar(prec, 0 if shape == "unit" else rng.randint(1, 4), unit, rel)
+
+
+@given(
+    p=st.sampled_from([3, 5, 7, 11]),
+    shape=st.sampled_from(["exact zero", "zero to precision", "unit", "multiple of p"]),
+    e_val=st.integers(-1, 3),
+    e_rel=st.integers(0, 150),
+    rel=st.sampled_from([0, 1, 2, 40]),
+    length=st.integers(0, 80),
+    seed=st.integers(0, 2**32),
+)
+@settings(max_examples=150, deadline=None)
+def test_one_minus_power_matches_the_scalar_loop(p, shape, e_val, e_rel, rel, length, seed):
+    """lfunctions._one_minus_power, the Part of 1 - kappa (1+X)^e from
+    triples, against the binomial loop of oracles on PadicScalars, cell for
+    cell, bound for bound and error for error."""
+    import random
+
+    rng = random.Random(seed)
+    prec = Precision(p, 20, 4)
+    kappa = scalar_of(rng, prec, shape)
+    e = PadicScalar(prec, e_val, rng.randrange(1, p ** max(e_rel, 1)), e_rel)
+
+    def got():
+        return lfunctions._one_minus_power(p, triples([kappa]), triples([e])[0], length, rel)[0]
+
+    def want():
+        return Part.from_triples(p, triples(oracles.reference_one_minus_power(
+            kappa, e, length, prec, rel)))
+
+    results = []
+    for build in (got, want):
+        try:
+            results.append(part_key(build()))
+        except ArithmeticError as err:
+            results.append((type(err), str(err)))
+    assert results[0] == results[1]
 
 
 def assert_branch_matches_reference_core(eta, br, prec, monkeypatch):
@@ -1121,6 +1204,10 @@ def newton_part_by_scalars(values, nodes, N):
     return Part.from_triples(values[0].prec.p, [(c.val, c.unit, c.rel) for c in poly])
 
 
+def triples(scalars):
+    return [(c.val, c.unit, c.rel) for c in scalars]
+
+
 def part_key(part):
     return part.off, list(part.cells), list(part.abs_precs)
 
@@ -1147,7 +1234,7 @@ def test_newton_kernel_matches_the_scalar_loops_where_the_node_cap_may_bind(p, p
                                         rel + extra) for x in xs]
     assert all(min(y.val + y.rel for y in values[m - 1:m + 1]) >= rel + 2 for m in range(1, E))
     want = newton_part_by_scalars(values, [PadicScalar.from_fraction(x, prec, rel) for x in xs], N)
-    assert part_key(lfunctions._newton_part(p, u, rel, values, N)) == part_key(want)
+    assert part_key(lfunctions._newton_part(p, u, rel, triples(values), N)) == part_key(want)
     deep = newton_part_by_scalars(values, [PadicScalar.from_fraction(x, prec, rel + 20)
                                            for x in xs], N)
     assert (part_key(deep) != part_key(want)) == (extra > 0)
@@ -1180,6 +1267,6 @@ def test_newton_kernel_keeps_the_digits_a_node_of_valuation_two_allows(p):
     for extra in (p, p + 1):
         values = [PadicScalar.from_fraction(sum(c * x**i for i, c in enumerate(f)), prec,
                                             rel + extra) for x in xs]
-        got = lfunctions._newton_part(p, u, rel, values, E)
+        got = lfunctions._newton_part(p, u, rel, triples(values), E)
         assert part_key(got) == part_key(newton_part_by_scalars(values, nodes, E))
         assert got.abs_precs[-1] == rel + extra - (p + 1)
