@@ -25,33 +25,35 @@ The cast, roughly in dependency order:
   certified against it and never the other way around.
 * :func:`smoothed_moment` / :func:`kl_series` — the measure-theoretic
   construction.  The c-smoothed regularization of the B_1 distribution is a
-  genuine Z_p-measure; its twisted moments have a closed form, each read with
-  its twisted primitive character from a cache keyed by the exponent of
+  genuine Z_p-measure; its twisted moments have a closed form, each read
+  with its twisted primitive character from a cache keyed by the exponent of
   omega.  A moment is the product of four (val, unit, rel) triples, the
-  Bernoulli number, the Euler and smoothing factors (integers mod p^rel)
-  and 1/n, multiplied by PadicScalar's rules; the Teichmuller units and
-  p^rel come from one cache keyed by (p, rel).  So a moment builds one
+  Bernoulli number, the Euler and smoothing factors (integers mod p^rel) and
+  1/n, multiplied by PadicScalar's rules; the Teichmuller units and p^rel
+  come from one cache keyed by (p, rel).  So a moment builds one
   PadicScalar, the one it returns, besides the Bernoulli number of an
   irrational character, and kl_value likewise.  The branch series is
   recovered by Newton interpolation through those moments at the points
-  u^{-m} - 1.  Divided differences of an integral power series at points
-  of pZ_p are p-integral, so the Newton coefficients are checked for
-  integrality as a construction self-test, and the interpolation tail
-  drops one digit per node past the window — the node budget makes the
-  truncation error provably smaller than the requested precision.  The divided-difference table and its expansion into monomials
-  (von zur Gathen-Gerhard, Modern Computer Algebra, ch. 5) are one kernel,
-  _newton_part, on integers mod one power of p.  The nodes are a geometric
-  progression shifted by -1 (Bostan-Schost, J. Complexity 2005), so each
-  step multiplies by a power of u and no unit is inverted per cell; the unit
-  factors and powers of p this leaves are divided out once per diagonal
-  entry.  Each cell's precision bound follows from its inputs' bounds as
-  PadicScalar arithmetic gives it (the few cells where a node's digit cap may
-  bind also read their valuation), so the Part is, digit for digit, what the
-  same loops give on PadicScalars.  Dividing by an integer n reads the
-  inverse of its unit part from a cached table.  The divisor that removes the
-  smoothing factor, 1 - psi0(c) c (1+X)^(-e_c) with e_c = log<c>/log(u), is
-  built by _one_minus_power as a Part from triples (the two logarithms are
-  summed on integers by pollack's kernel), as is every Euler factor of
+  u^{-m} - 1.  Divided differences of an integral power series at points of
+  pZ_p are p-integral, so the Newton coefficients are checked for
+  integrality as a construction self-test, and the interpolation tail drops
+  one digit per node past the window — the node budget makes the truncation
+  error provably smaller than the requested precision.  The
+  divided-difference table and its expansion into monomials (von zur
+  Gathen-Gerhard, Modern Computer Algebra, ch. 5) are one kernel,
+  _newton_part, on integers mod one power of p, which takes the moments as
+  triples.  The nodes are a geometric progression shifted by -1
+  (Bostan-Schost, J. Complexity 2005), so each step multiplies by a power
+  of u and no unit is inverted per cell; the unit factors and powers of p
+  this leaves are divided out once per diagonal entry.  Each cell's
+  precision bound follows from its inputs' bounds as PadicScalar arithmetic
+  gives it (the few cells where a node's digit cap may bind also read their
+  valuation), so the Part is, digit for digit, what the same loops give on
+  PadicScalars.  Dividing by an integer n reads the inverse of its unit part
+  from a cached table.  The divisor that removes the smoothing factor,
+  1 - psi0(c) c (1+X)^(-e_c) with e_c = log<c>/log(u), is built by
+  _one_minus_power as a Part from triples (the two logarithms are summed on
+  integers by pollack's kernel), as is every Euler factor of
   remove_euler_factors; no PadicScalar is built per coefficient.
 * :func:`euler_factor_E` / :func:`euler_factor_Eprime` /
   :func:`exceptional_zero_report` — the three-factor products controlling

@@ -87,8 +87,7 @@ from fractions import Fraction
 from math import factorial, inf, lcm
 
 from ._kernel import _factorial_table, _unit_inverses, cyclotomic_cells, polymul
-from ._kernel import stirling_columns
-from ._kernel import taylor_shift
+from ._kernel import stirling_columns, taylor_shift
 from .distributions import Distribution
 from .scalars import PadicScalar, Precision, _check_rel, _vp
 from .series import IwasawaElement, Part, Series, cyclotomic_degree, cyclotomic_factor

@@ -9,6 +9,7 @@ brute-force Teichmuller lift from ``oracles``.
 from __future__ import annotations
 
 import math
+import random
 import re
 from fractions import Fraction
 
@@ -766,8 +767,6 @@ def test_one_minus_power_matches_the_scalar_loop(p, shape, e_val, e_rel, rel, le
     """lfunctions._one_minus_power, the Part of 1 - kappa (1+X)^e from
     triples, against the binomial loop of oracles on PadicScalars, cell for
     cell, bound for bound and error for error."""
-    import random
-
     rng = random.Random(seed)
     prec = Precision(p, 20, 4)
     kappa = scalar_of(rng, prec, shape)
