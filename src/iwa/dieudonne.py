@@ -287,7 +287,7 @@ def eigenvectors_dual(Dstar: PhiModule) -> tuple[Vector, Vector]:
     return v_plus, v_minus
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=64, typed=True)
 def change_of_basis(prec: Precision, k: int, eps_seed: int) -> tuple[Matrix, Matrix]:
     """The 4x4 matrix from the v_lambda (x) v_mu coordinates to the mixed
     symmetric/antisymmetric tensor coordinates, and its inverse.
@@ -298,7 +298,8 @@ def change_of_basis(prec: Precision, k: int, eps_seed: int) -> tuple[Matrix, Mat
     written down over E at ``prec``; M^-1 has rows (1/4)(1, alpha^-2,
     +-alpha^-1, 0) and (1/4)(1, -alpha^-2, 0, -+alpha^-1), with its four
     zeros exact.  The pair is cached per (window, k, eps), and a repeat call
-    returns the same objects.
+    returns the same objects; the cache is typed, so a k or eps of True or
+    1.0 misses the entry of 1 and is refused by QuadExtScalar.
     """
     one = QuadExtScalar.one(prec, k, eps_seed)
     z = QuadExtScalar.zero(prec, k, eps_seed)

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .scalars import Precision, PrecisionError
+from .scalars import Precision, PrecisionError, _check_int
 from .series import (
     DivisibilityError,
     IwasawaElement,
@@ -132,8 +132,7 @@ def rho_norm(F: Distribution, m: int) -> Fraction:
     valuation-form norm.  Raises ValueError when every coefficient is zero at
     the stated precision.
     """
-    if m < 1:
-        raise ValueError("level m must be >= 1")
+    _check_int(1, m=m)
     denom = cyclotomic_degree(F.prec.p, m)
     best = None
     for comp in F.body.components:
@@ -174,8 +173,7 @@ def growth_order(F: Distribution, depth: int) -> Fraction:
     coefficients that dominate it; raises PrecisionError otherwise.  Bounded
     elements estimate to ~0, log-type elements of order r to ~r.
     """
-    if depth < 2:
-        raise ValueError("depth must be >= 2")
+    _check_int(2, depth=depth)
     p = F.prec.p
     need = p ** (depth - 1)
     # polynomial components are completely known (tail exactly zero), so only

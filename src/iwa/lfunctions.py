@@ -92,10 +92,9 @@ from ._kernel import _unit_inverses
 from .dieudonne import PhiModule
 from .distributions import Distribution, divide_exact
 from .pollack import _log_unit
-from .scalars import (_MR_BOUND, PadicScalar, Precision, PrecisionError, _check_odd_prime,
-                      _check_rel, _is_prime, _triple, _vp, teichmuller)
-from .series import (FiniteCharacter, IwasawaElement, Part, Series, _check_int, _check_weight,
-                     _part, u_for)
+from .scalars import (_MR_BOUND, PadicScalar, Precision, PrecisionError, _check_int,
+                      _check_odd_prime, _is_prime, _triple, _vp, teichmuller)
+from .series import FiniteCharacter, IwasawaElement, Part, Series, _part, u_for
 
 __all__ = [
     "DirichletCharacter",
@@ -308,8 +307,7 @@ class DirichletCharacter:
 
     def __post_init__(self):
         _check_odd_prime(self.p)
-        if self.modulus < 1:
-            raise ValueError("modulus must be positive")
+        _check_int(1, modulus=self.modulus)
         if len(self.table) != self.modulus:
             raise ValueError("value table must cover all residues")
         pm1 = self.p - 1
@@ -322,8 +320,10 @@ class DirichletCharacter:
     @classmethod
     def _on_units(cls, p: int, modulus: int, exponent) -> "DirichletCharacter":
         """The character mod ``modulus`` with exponent(a) on each unit a and None
-        elsewhere: every table is built here, after p is checked."""
+        elsewhere: every table is built here, after p and the modulus are
+        checked."""
         _check_odd_prime(p)
+        _check_int(1, modulus=modulus)
         return cls(p, modulus, tuple(
             exponent(a) if math.gcd(a, modulus) == 1 else None for a in range(modulus)
         ))
@@ -335,20 +335,21 @@ class DirichletCharacter:
     @classmethod
     def teichmuller_power(cls, p: int, j: int) -> "DirichletCharacter":
         """omega^j as a character mod p."""
+        _check_int(j=j)
         return cls._on_units(p, p, lambda a: j * _ind(p, a))
 
     @classmethod
     def quadratic(cls, p: int, d: int) -> "DirichletCharacter":
         """The quadratic character of conductor d (d in {1, 3, 4, 8, odd squarefree})."""
+        _check_int(d=d)
         if d < 1 or (d % 2 == 0 and d not in (4, 8)):
             raise ValueError(f"no quadratic character of conductor {d}")
-        half = (p - 1) // 2
 
         def exponent(a):
             # (a/d) for odd d; the Kronecker symbols (-4/a) = (-1/a) and
-            # (8/a) = (2/a) on odd a for d = 4, 8
+            # (8/a) = (2/a) on odd a for d = 4, 8; p is checked by now
             sign = _jacobi(a, d) if d % 2 else _jacobi(-1 if d == 4 else 2, a)
-            return 0 if sign == 1 else half
+            return 0 if sign == 1 else (p - 1) // 2
 
         ch = cls._on_units(p, d, exponent)
         if ch.conductor != d:
@@ -478,10 +479,9 @@ def gen_bernoulli(n: int, eta: DirichletCharacter, prec: Precision | None = None
     precision of its terms, the product the least rel.  A negative rel
     raises a ValueError.
     """
-    _check_int(n=n)
-    if n < 0:
-        raise ValueError("Bernoulli index must be nonnegative")
-    _check_rel(rel)
+    _check_int(0, n=n)
+    if rel is not None:
+        _check_int(0, rel=rel)
     if prec is not None:
         _same_prime(eta, prec.p)
     psi = eta.primitive()
@@ -560,7 +560,8 @@ def kl_value(eta: DirichletCharacter, one_minus_n: int, prec: Precision,
     """
     _check_int(one_minus_n=one_minus_n)
     _same_prime(eta, prec.p)
-    _check_rel(rel)
+    rel = prec.p_prec + 6 if rel is None else rel
+    _check_int(0, rel=rel)
     n = 1 - one_minus_n
     if n <= 0:
         if n == 0 and eta.primitive().conductor == 1:
@@ -570,7 +571,6 @@ def kl_value(eta: DirichletCharacter, one_minus_n: int, prec: Precision,
         raise ValueError("values are defined at s = 1 - n with n >= 1")
     if eta.is_odd:
         return PadicScalar.exact_zero(prec)
-    rel = prec.p_prec + 6 if rel is None else rel
     psi = _twisted_primitive(eta, -n % (eta.p - 1))
     return _interpolation_factor(psi, n, prec, rel, -1)
 
@@ -592,15 +592,13 @@ def smoothed_moment(eta: DirichletCharacter, omega_exponent: int, m: int, c: int
     others of _interpolation_factor, so the moment is the one PadicScalar
     built.
     """
-    _check_int(omega_exponent=omega_exponent, m=m, c=c)
-    if m < 0:
-        raise ValueError("moment index must be nonnegative")
+    rel = prec.p_prec + 8 if rel is None else rel
+    _check_int(omega_exponent=omega_exponent, c=c)
+    _check_int(0, m=m, rel=rel)
     _same_prime(eta, prec.p)
-    _check_rel(rel)
     p = eta.p
     if c <= 1 or math.gcd(c, p * eta.modulus) != 1:
         raise ValueError("smoothing constant must exceed 1 and be prime to p and the modulus")
-    rel = prec.p_prec + 8 if rel is None else rel
     psi = _twisted_primitive(eta, omega_exponent % (p - 1))
     mod, pw = _omega_units(p, rel)
     smooth = 1 - pw[psi.exponent(c)] * pow(c, m + 1, mod)
@@ -1123,10 +1121,9 @@ def c_smoothing_factor(c: int, j: int, k: int, chi_eps_at_c):
     quadratic-valued characters or a PadicScalar otherwise; the return type
     follows the input.  At j = k+1 with (chi eps)(c) = 1 this is c^2 - 1.
     """
-    _check_int(c=c, j=j)
-    _check_weight(k)
-    if c <= 1:
-        raise ValueError("smoothing constant must exceed 1")
+    _check_int(2, c=c)
+    _check_int(j=j)
+    _check_int(0, **{"weight parameter k": k})
     expo = 2 * j - 2 * k - 2
     if isinstance(chi_eps_at_c, PadicScalar):
         if chi_eps_at_c.val is None or chi_eps_at_c.val != 0:
@@ -1148,10 +1145,8 @@ def least_smoothing_c(chi_eps: DirichletCharacter, k: int, coprime_to: int = 1) 
     Admissible means the smoothing factor is exactly nonzero at every even j
     with k+2 < j <= 2k+2.
     """
-    _check_weight(k)
-    _check_int(coprime_to=coprime_to)
-    if coprime_to < 1:
-        raise ValueError(f"coprime_to must be a positive integer, got {coprime_to}")
+    _check_int(0, **{"weight parameter k": k})
+    _check_int(1, coprime_to=coprime_to)
     p, m = chi_eps.p, chi_eps.modulus
     for c in range(2, 4 * p * p * max(coprime_to, m, 2)):
         # the factor vanishes only when c^{2j-2k-4} is the root of unity
@@ -1183,6 +1178,7 @@ def remove_euler_factors(F: IwasawaElement, primes, eta: DirichletCharacter,
     """
     p = F.prec.p
     _same_prime(eta, p)
+    _check_int(s_shift=s_shift)
     pm1 = p - 1
     N = F.prec.x_prec
     rel = F.prec.p_prec + 8
@@ -1210,6 +1206,7 @@ def remove_euler_factors(F: IwasawaElement, primes, eta: DirichletCharacter,
 
 def geometric_product(sym2: IwasawaElement, kl: IwasawaElement, k: int) -> IwasawaElement:
     """The factorization product: sym2 times the (-(k+1))-twist of kl."""
+    _check_int(0, **{"weight parameter k": k})
     return sym2 * kl.twist(-(k + 1))
 
 
@@ -1223,6 +1220,7 @@ def geometric_ratio(product: IwasawaElement, kl: IwasawaElement, k: int) -> Iwas
     coefficient's degree and component named.  For polynomial inputs the
     quotient keeps the full x_prec window.
     """
+    _check_int(0, **{"weight parameter k": k})
     return divide_exact(
         Distribution(product), Distribution(kl.twist(-(k + 1)))
     ).body

@@ -89,9 +89,9 @@ from math import factorial, inf, lcm
 from ._kernel import _factorial_table, _unit_inverses, cyclotomic_cells, polymul
 from ._kernel import stirling_columns, taylor_shift
 from .distributions import Distribution
-from .scalars import PadicScalar, Precision, _check_rel, _vp
+from .scalars import PadicScalar, Precision, _check_int, _vp
 from .series import IwasawaElement, Part, Series, cyclotomic_degree, cyclotomic_factor
-from .series import _check_int, u_for, unpack_part
+from .series import u_for, unpack_part
 
 __all__ = ["LogKind", "pollack_log", "log_identity_check", "log_p_unit"]
 
@@ -109,11 +109,8 @@ class LogKind:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"kind must be one of {_KINDS}")
-        _check_int(r=self.r, shift=self.shift)
-        if self.r < 1:
-            raise ValueError("r must be a positive integer")
-        if self.shift < 0:
-            raise ValueError("shift must be nonnegative")
+        _check_int(1, r=self.r)
+        _check_int(0, shift=self.shift)
 
     @property
     def order(self) -> Fraction:
@@ -406,9 +403,12 @@ def log_p_unit(t: int, p: int, rel: int, prec: Precision) -> PadicScalar:
     p^(V + v(t) + rel).  For odd p every term past the first has valuation
     n v(t) - v_p(n) > v(t), so the sum has valuation exactly v(t), and its
     unit is that integer over p^(V + v(t)), divided by L' mod p^rel.
-    t = 0 gives the exact zero.
+    t = 0 gives the exact zero, and a p other than prec.p is refused.
     """
-    _check_rel(rel)
+    _check_int(t=t)
+    _check_int(0, rel=rel)
+    if p != prec.p:
+        raise ValueError(f"window is for p = {prec.p}, not p = {p}")
     if t % p:
         raise ValueError("argument must be a principal unit: p must divide t")
     if t == 0:
@@ -536,6 +536,7 @@ def log_identity_check(p: int, r: int, prec: Precision | None = None) -> dict:
     detected deviation ("exact-zero" when the difference is indistinguishable
     from zero) and the valuation depth to which zero-ness was confirmed.
     """
+    _check_int(1, r=r)
     if prec is None:
         prec = Precision(p, 30, 64)
     if prec.p != p:

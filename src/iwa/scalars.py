@@ -35,6 +35,20 @@ divisor tables of ``series`` and the integer Kubota-Leopoldt factors of
 ``lfunctions`` all call it.  Both scalar classes derive ``-``, ``/``, ``**``
 and ``==`` from one base, ``_Scalar``, out of their own ``_coerce``, ``+``,
 unary ``-``, ``*`` and ``inverse``.
+
+The argument contract.  Every integer argument of the package's public
+callables (a weight, twist, level, index, digit count or seed) is checked
+where it enters by one helper, ``_check_int``.  It refuses a bool (Python
+counts it as an int), any other value that is not an int, and a value below
+the least one the argument allows, with a ValueError in one of two shapes:
+
+    <name> must be an integer, not <value!r>
+    <name> must be an integer >= <least>, not <value!r>
+
+Domain checks past that (a prime p, a twist range, a unit seed) raise
+ValueErrors of their own that name the argument.  Hot internal paths (the
+``PadicScalar`` constructor, the column kernels) take their data as already
+checked.
 """
 
 from __future__ import annotations
@@ -107,16 +121,20 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _check_int_field(name: str, value) -> None:
-    """Raise a ValueError naming the field unless value is an int, not a bool."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an int, got {value!r}")
+def _check_int(least=None, /, **named) -> None:
+    """Refuse each named argument that is not an int, or is below ``least``;
+    see the module docstring for the two messages."""
+    for name, value in named.items():
+        if isinstance(value, bool) or not isinstance(value, int) or (
+                least is not None and value < least):
+            at_least = "" if least is None else f" >= {least}"
+            raise ValueError(f"{name} must be an integer{at_least}, not {value!r}")
 
 
 def _check_odd_prime(p) -> None:
     """Raise a ValueError naming p unless it is an int and an odd prime: the one
     check of p behind Precision and lfunctions.DirichletCharacter."""
-    _check_int_field("p", p)
+    _check_int(p=p)
     if p >= _MR_BOUND:
         raise ValueError(
             f"p = {p} is past {_MR_BOUND}, the bound below which the "
@@ -124,13 +142,6 @@ def _check_odd_prime(p) -> None:
         )
     if p == 2 or not _is_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
-
-
-def _check_rel(rel) -> None:
-    """Raise a ValueError naming rel unless it is a nonnegative int digit
-    count; None, the caller's default, passes."""
-    if rel is not None and (isinstance(rel, bool) or not isinstance(rel, int) or rel < 0):
-        raise ValueError(f"rel must be a nonnegative number of digits, got {rel!r}")
 
 
 @dataclass(frozen=True)
@@ -141,8 +152,9 @@ class Precision:
     exact data; ``x_prec`` is the X-adic truncation length used by the series
     layer (series carry coefficients of X^0 .. X^(x_prec - 1)).
 
-    ``p``, ``p_prec`` and ``x_prec`` must be ints (not bools), and ``p`` an
-    odd prime.  Primality is decided by a Miller-Rabin test on the 13 prime
+    ``p`` must be an odd prime, and ``p_prec`` and ``x_prec`` integers >= 1,
+    each refused by name as the module docstring's argument contract says.
+    Primality is decided by a Miller-Rabin test on the 13 prime
     bases up to 41, which is deterministic for p < 3317044064679887385961981
     (about 3.3e24); p at or past that bound is refused with a ValueError that
     names it.
@@ -154,12 +166,7 @@ class Precision:
 
     def __post_init__(self) -> None:
         _check_odd_prime(self.p)
-        _check_int_field("p_prec", self.p_prec)
-        _check_int_field("x_prec", self.x_prec)
-        if self.p_prec < 1:
-            raise ValueError("p_prec must be >= 1")
-        if self.x_prec < 1:
-            raise ValueError("x_prec must be >= 1")
+        _check_int(1, p_prec=self.p_prec, x_prec=self.x_prec)
 
     def with_p_prec(self, p_prec: int) -> "Precision":
         return Precision(self.p, p_prec, self.x_prec)
@@ -260,9 +267,11 @@ class PadicScalar(_Scalar):
 
     @classmethod
     def from_int(cls, n: int, prec: Precision, rel: int | None = None) -> "PadicScalar":
+        r = prec.p_prec if rel is None else rel
+        _check_int(n=n)
+        _check_int(0, rel=r)
         if n == 0:
             return cls.exact_zero(prec)
-        r = prec.p_prec if rel is None else rel
         v = _vp(n, prec.p)
         return cls(prec, v, n // prec.p**v, r)
 
@@ -270,11 +279,13 @@ class PadicScalar(_Scalar):
     def from_fraction(
         cls, q: Fraction | int, prec: Precision, rel: int | None = None
     ) -> "PadicScalar":
-        if isinstance(q, int):
+        if not isinstance(q, Fraction):
+            _check_int(q=q)
             return cls.from_int(q, prec, rel)
+        r = prec.p_prec if rel is None else rel
+        _check_int(0, rel=r)
         if q == 0:
             return cls.exact_zero(prec)
-        r = prec.p_prec if rel is None else rel
         p = prec.p
         num, den = q.numerator, q.denominator
         vn, vd = _vp(num, p), _vp(den, p)
@@ -287,9 +298,11 @@ class PadicScalar(_Scalar):
         cls, prec: Precision, unit: int, val: int, rel: int | None = None
     ) -> "PadicScalar":
         """Scalar ``unit * p**val`` carrying ``rel`` digits; unit may be any integer."""
+        r = prec.p_prec if rel is None else rel
+        _check_int(unit=unit, val=val)
+        _check_int(0, rel=r)
         if unit == 0:
             return cls.exact_zero(prec)
-        r = prec.p_prec if rel is None else rel
         return cls(prec, val, unit, r)
 
     # -- state predicates --------------------------------------------------
@@ -452,8 +465,9 @@ def teichmuller(a: int, prec: Precision, rel: int | None = None) -> PadicScalar:
     which is how form data stores roots of unity (by their mod-p seed).
     Multiples of p map to the exact zero.
     """
-    _check_rel(rel)
     r = prec.p_prec if rel is None else rel
+    _check_int(a=a)
+    _check_int(0, rel=r)
     p = prec.p
     a %= p
     if a == 0:
@@ -480,13 +494,11 @@ class QuadExtScalar(_Scalar):
     __slots__ = ("a", "b", "k", "eps_seed")
 
     def __init__(self, a: PadicScalar, b: PadicScalar, k: int, eps_seed: int):
-        p = a.prec.p
-        seed = eps_seed % p
+        _check_int(eps_seed=eps_seed)
+        seed = eps_seed % a.prec.p
         if seed == 0:
             raise ValueError("eps must be a unit (seed coprime to p)")
-        _check_int_field("weight parameter k", k)
-        if k < 0:
-            raise ValueError("weight parameter k must be >= 0")
+        _check_int(0, **{"weight parameter k": k})
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "k", k)

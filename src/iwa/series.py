@@ -76,6 +76,7 @@ from .scalars import (
     Precision,
     PrecisionError,
     QuadExtScalar,
+    _check_int,
     _triple,
     _vp,
     teichmuller,
@@ -85,21 +86,6 @@ from .scalars import (
 def u_for(p: int) -> int:
     """The fixed image of gamma under the cyclotomic character: u = 1 + p."""
     return 1 + p
-
-
-def _check_int(**named) -> None:
-    """Raise a ValueError naming the first argument that is not an int; a
-    bool is refused, though Python counts it as one."""
-    for name, value in named.items():
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ValueError(f"{name} must be an integer, not {value!r}")
-
-
-def _check_weight(k) -> None:
-    """Refuse a weight parameter k that is not an integer >= 0, or is a
-    bool, before any log or smoothing constant is built for it."""
-    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-        raise ValueError(f"weight parameter k must be an integer >= 0, not {k!r}")
 
 
 class DivisibilityError(PrecisionError):
@@ -153,11 +139,8 @@ class FiniteCharacter:
     cyclotomic_twist: int = 0
 
     def __post_init__(self):
-        _check_int(tame_exponent=self.tame_exponent,
-                   wild_conductor_exponent=self.wild_conductor_exponent,
-                   cyclotomic_twist=self.cyclotomic_twist)
-        if self.wild_conductor_exponent < 0:
-            raise ValueError("wild conductor exponent must be >= 0")
+        _check_int(tame_exponent=self.tame_exponent, cyclotomic_twist=self.cyclotomic_twist)
+        _check_int(0, wild_conductor_exponent=self.wild_conductor_exponent)
 
 
 # ------------------------------------------------------------- column layer
@@ -565,9 +548,7 @@ class Series:
 
     @classmethod
     def monomial(cls, n: int, prec: Precision, c=1, rel=None) -> "Series":
-        _check_int(n=n)
-        if n < 0:
-            raise ValueError(f"monomial degree n must be >= 0, got {n}")
+        _check_int(0, n=n)
         return cls.make(prec, [0] * n + [c], rel=rel, is_polynomial=True)
 
     # -- structure ---------------------------------------------------------
@@ -789,7 +770,10 @@ class Series:
         return self._map_parts(do_part)
 
     def evaluate(self, x: PadicScalar):
-        """Horner evaluation at a scalar x with v(x) >= 1 (the open unit disc)."""
+        """Horner evaluation at a PadicScalar x with v(x) >= 1 (the open unit
+        disc); any other x is refused by name."""
+        if not isinstance(x, PadicScalar):
+            raise ValueError(f"x must be a PadicScalar, not {x!r}")
         L = len(self._a)
         vx = inf if x.val is None else x.val
         if not self.is_polynomial and vx < 1:
@@ -992,11 +976,10 @@ def cyclotomic_factor(m: int, j: int, prec: Precision, *, rel: int | None = None
     level m = 0 is the linear factor z - 1 (exactly X when j = 0), cut out
     by the trivial wild character, with exact rational coefficients.
     """
-    _check_int(m=m, j=j)
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    p, u = prec.p, u_for(prec.p)
     W = prec.p_prec if rel is None else rel
+    _check_int(0, m=m, rel=W)
+    _check_int(j=j)
+    p, u = prec.p, u_for(prec.p)
     if m == 0:
         uj_exact = Fraction(1, u**j) if j >= 0 else Fraction(u ** (-j))
         coeffs = [uj_exact - 1, uj_exact]
@@ -1190,7 +1173,8 @@ class IwasawaElement:
         by the factor's reduction columns, cached under (p, m, j, rel, x_prec)
         (_cyclotomic_modulus).
         """
-        _check_int(m=m, j=j)
+        _check_int(0, m=m)
+        _check_int(j=j)
         p = self.prec.p
         D = cyclotomic_degree(p, m)
         if D + 1 > self.prec.x_prec:  # Phi is a polynomial only with D + 1 terms

@@ -31,8 +31,8 @@ from functools import lru_cache
 from .dieudonne import change_of_basis
 from .distributions import Distribution, divide_exact
 from .pollack import LogKind, ceil_log, pollack_log
-from .scalars import Precision
-from .series import DivisibilityError, IwasawaElement, _check_weight, linear_combination
+from .scalars import Precision, _check_int
+from .series import DivisibilityError, IwasawaElement, linear_combination
 
 __all__ = [
     "Convention",
@@ -220,7 +220,7 @@ def _divisor_rows(q: UnboundedQuadruple, k: int, convention, eps_seed):
     that claims growth beyond k+1 raises ValueError, as does a k that is not
     an integer >= 0.
     """
-    _check_weight(k)
+    _check_int(0, **{"weight parameter k": k})
     conv = _conv(convention)
     if eps_seed is None:
         form = _detect_form(q)
@@ -291,7 +291,7 @@ def synthesize(
 
     The output coordinates carry order tag k+1 (the order of the logs).
     """
-    _check_weight(k)
+    _check_int(0, **{"weight parameter k": k})
     conv = _conv(convention)
     prec = s.prec
     work = _work_prec(k, prec)
@@ -322,7 +322,8 @@ class MockGlobalModule:
     convention: str = "theoremA"
 
     def __post_init__(self):
-        _check_weight(self.k)
+        _check_int(0, **{"weight parameter k": self.k})
+        _conv(self.convention)
         if len(self.seeds) != 2 or any(len(s) != 4 for s in self.seeds):
             raise ValueError("need a (circ, dot, plus, minus) seed tuple per basis vector")
 
@@ -387,7 +388,7 @@ def coleman_extract(local, sign: str, k: int, convention="theoremA") -> IwasawaE
     ``local`` is a (circ, dot, plus, minus) 4-vector of distributions; the
     antisymmetric slot has no Coleman map.
     """
-    _check_weight(k)
+    _check_int(0, **{"weight parameter k": k})
     if sign == "circ":
         raise ValueError("the antisymmetric slot has no Coleman map")
     if sign not in SIGNS:

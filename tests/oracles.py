@@ -969,7 +969,7 @@ def reference_gen_bernoulli(n: int, eta, prec=None, rel=None):
     from iwa.scalars import PadicScalar
 
     if n < 0:
-        raise ValueError("Bernoulli index must be nonnegative")
+        raise ValueError(f"n must be an integer >= 0, not {n!r}")
     psi = eta.primitive()
     F = psi.conductor
     units = [a for a in range(1, F + 1) if _gcd(a, F) == 1]
@@ -1031,7 +1031,7 @@ def reference_smoothed_moment(eta, omega_exponent: int, m: int, c: int, prec, re
     from iwa.scalars import PadicScalar
 
     if m < 0:
-        raise ValueError("moment index must be nonnegative")
+        raise ValueError(f"m must be an integer >= 0, not {m!r}")
     p = eta.p
     if c <= 1 or _gcd(c, p * eta.modulus) != 1:
         raise ValueError("smoothing constant must exceed 1 and be prime to p and the modulus")

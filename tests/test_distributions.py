@@ -402,7 +402,7 @@ def test_certificates_match_the_per_factor_reference(case):
 @pytest.mark.parametrize("call, fragment", [
     pytest.param(lambda: diag([1], order=-1), "growth order claim must be nonnegative",
                  id="negative-order"),
-    pytest.param(lambda: rho_norm(diag([1, 2]), 0), "level m must be >= 1", id="rho-level"),
+    pytest.param(lambda: rho_norm(diag([1, 2]), 0), "m must be an integer >= 1, not 0", id="rho-level"),
     pytest.param(lambda: least_squares_slope([1], [1]), "need at least two matched points",
                  id="one-point"),
     pytest.param(lambda: least_squares_slope([1, 1], [1, 2]), "degenerate abscissae",

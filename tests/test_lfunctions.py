@@ -826,7 +826,7 @@ def test_bench_branches_match_the_scalar_reference_at_a_mid_window(eta, br, monk
     lambda: smoothed_moment(DirichletCharacter.trivial(5), 1, 2, 7, Precision(5, 10, 4), rel=-2),
 ], ids=["gen_bernoulli", "kl_value", "smoothed_moment"])
 def test_negative_rel_is_refused_by_name(call):
-    with pytest.raises(ValueError, match="rel must be a nonnegative number of digits, got -2"):
+    with pytest.raises(ValueError, match=re.escape("rel must be an integer >= 0, not -2")):
         call()
 
 
@@ -1020,7 +1020,8 @@ class TestSmoothing:
     @pytest.mark.parametrize("coprime_to", [0, -6])
     def test_least_c_refuses_nonpositive_coprime_to(self, coprime_to):
         triv = DirichletCharacter.trivial(5)
-        with pytest.raises(ValueError, match="coprime_to must be a positive integer"):
+        want = f"coprime_to must be an integer >= 1, not {coprime_to}"
+        with pytest.raises(ValueError, match=re.escape(want)):
             least_smoothing_c(triv, 1, coprime_to=coprime_to)
 
 
@@ -1119,7 +1120,7 @@ def _remove_euler(ell):
 
 @pytest.mark.parametrize("call, fragment", [
     pytest.param(lambda: lfunctions._ind(5, 10), "10 is not a unit mod 5", id="dlog-non-unit"),
-    pytest.param(lambda: DirichletCharacter(5, 0, ()), "modulus must be positive",
+    pytest.param(lambda: DirichletCharacter(5, 0, ()), "modulus must be an integer >= 1, not 0",
                  id="modulus"),
     pytest.param(lambda: DirichletCharacter(5, 3, (None, 0)),
                  "value table must cover all residues", id="table-length"),
@@ -1148,7 +1149,7 @@ def _remove_euler(ell):
                  "j must be an integer, not 1.5", id="euler-E-j"),
     pytest.param(lambda: euler_factor_Eprime(_form5(), DirichletCharacter.trivial(5), 3.5),
                  "j must be an integer, not 3.5", id="euler-Eprime-j"),
-    pytest.param(lambda: c_smoothing_factor(2.5, 1, 1, 1), "c must be an integer, not 2.5",
+    pytest.param(lambda: c_smoothing_factor(2.5, 1, 1, 1), "c must be an integer >= 2, not 2.5",
                  id="smoothing-c"),
     pytest.param(lambda: c_smoothing_factor(2, 1.5, 1, 1), "j must be an integer, not 1.5",
                  id="smoothing-j"),
@@ -1161,17 +1162,17 @@ def _remove_euler(ell):
     pytest.param(lambda: least_smoothing_c(DirichletCharacter.trivial(5), 1.5),
                  "weight parameter k must be an integer >= 0, not 1.5", id="least-c-k-float"),
     pytest.param(lambda: least_smoothing_c(DirichletCharacter.trivial(5), 1, 1.5),
-                 "coprime_to must be an integer, not 1.5", id="least-c-coprime"),
+                 "coprime_to must be an integer >= 1, not 1.5", id="least-c-coprime"),
     pytest.param(lambda: gen_bernoulli(1.5, DirichletCharacter.trivial(5)),
-                 "n must be an integer, not 1.5", id="bernoulli-n"),
+                 "n must be an integer >= 0, not 1.5", id="bernoulli-n"),
     pytest.param(lambda: smoothed_moment(DirichletCharacter.trivial(5), 0, 1.5, 7, PS),
-                 "m must be an integer, not 1.5", id="moment-m"),
+                 "m must be an integer >= 0, not 1.5", id="moment-m"),
     pytest.param(lambda: smoothed_moment(DirichletCharacter.trivial(5), 0.5, 1, 7, PS),
                  "omega_exponent must be an integer, not 0.5", id="moment-omega"),
     pytest.param(lambda: smoothed_moment(DirichletCharacter.trivial(5), 0, 1, 7.0, PS),
                  "c must be an integer, not 7.0", id="moment-c"),
     pytest.param(lambda: gen_bernoulli(True, DirichletCharacter.trivial(5)),
-                 "n must be an integer, not True", id="bernoulli-n-bool"),
+                 "n must be an integer >= 0, not True", id="bernoulli-n-bool"),
     pytest.param(lambda: kl_series_report(DirichletCharacter.trivial(5), True, P24),
                  "branch_i must be an integer, not True", id="kl-report-branch-bool"),
     pytest.param(lambda: least_smoothing_c(DirichletCharacter.trivial(5), True),

@@ -384,13 +384,13 @@ _O3 = PadicScalar.inexact_zero(P5, 3)
 
 @pytest.mark.parametrize("call, exc, fragment", [
     pytest.param(lambda: _vp(0, 5), ValueError, "valuation of 0", id="vp-of-zero"),
-    pytest.param(lambda: Precision(5, 10, 0), ValueError, "x_prec must be >= 1", id="x-prec"),
+    pytest.param(lambda: Precision(5, 10, 0), ValueError, "x_prec must be an integer >= 1, not 0", id="x-prec"),
     pytest.param(lambda: _A.with_prec(Precision(7, 20)), ValueError,
                  "cannot move a scalar to a different prime", id="with-prec-prime"),
     pytest.param(lambda: QuadExtScalar(_A, _A, 1, 5), ValueError,
                  "eps must be a unit (seed coprime to p)", id="eps-seed"),
     pytest.param(lambda: QuadExtScalar(_A, _A, -1, 1), ValueError,
-                 "weight parameter k must be >= 0", id="weight"),
+                 "weight parameter k must be an integer >= 0, not -1", id="weight"),
     pytest.param(lambda: QuadExtScalar.zero(P5, 1, 1).inverse(), ExactZeroError,
                  "division by exact zero", id="quad-inverse-exact-zero"),
     pytest.param(lambda: QuadExtScalar(_O3, _O3, 1, 1).inverse(), PrecisionError,
@@ -398,25 +398,25 @@ _O3 = PadicScalar.inexact_zero(P5, 3)
     pytest.param(lambda: alpha_from_form(5, 1, 1, Precision(7, 10)), ValueError,
                  "prec.p does not match p", id="alpha-prime"),
     pytest.param(lambda: Precision(5, 1.5, 8), ValueError,
-                 "p_prec must be an int, got 1.5", id="p-prec-float"),
+                 "p_prec must be an integer >= 1, not 1.5", id="p-prec-float"),
     pytest.param(lambda: Precision(5, True, 8), ValueError,
-                 "p_prec must be an int, got True", id="p-prec-bool"),
+                 "p_prec must be an integer >= 1, not True", id="p-prec-bool"),
     pytest.param(lambda: Precision(5, 10, 2.5), ValueError,
-                 "x_prec must be an int, got 2.5", id="x-prec-float"),
+                 "x_prec must be an integer >= 1, not 2.5", id="x-prec-float"),
     pytest.param(lambda: Precision(5, 10, False), ValueError,
-                 "x_prec must be an int, got False", id="x-prec-bool"),
+                 "x_prec must be an integer >= 1, not False", id="x-prec-bool"),
     pytest.param(lambda: QuadExtScalar(_A, _A, 1.5, 1), ValueError,
-                 "weight parameter k must be an int, got 1.5", id="weight-float"),
+                 "weight parameter k must be an integer >= 0, not 1.5", id="weight-float"),
     pytest.param(lambda: alpha_from_form(5, 1.5, 1), ValueError,
-                 "weight parameter k must be an int, got 1.5", id="alpha-weight-float"),
+                 "weight parameter k must be an integer >= 0, not 1.5", id="alpha-weight-float"),
     pytest.param(lambda: dcris_of_form(5, 1.5, 1), ValueError,
-                 "weight parameter k must be an int, got 1.5", id="dcris-weight-float"),
+                 "weight parameter k must be an integer >= 0, not 1.5", id="dcris-weight-float"),
     pytest.param(lambda: log_p_unit(5, 5, 1.5, P5), ValueError,
-                 "rel must be a nonnegative number of digits, got 1.5", id="rel-float"),
+                 "rel must be an integer >= 0, not 1.5", id="rel-float"),
     pytest.param(lambda: teichmuller(2, P5, -1), ValueError,
-                 "rel must be a nonnegative number of digits, got -1", id="teichmuller-rel"),
+                 "rel must be an integer >= 0, not -1", id="teichmuller-rel"),
     pytest.param(lambda: teichmuller(2, P5, 1.5), ValueError,
-                 "rel must be a nonnegative number of digits, got 1.5",
+                 "rel must be an integer >= 0, not 1.5",
                  id="teichmuller-rel-float"),
 ])
 def test_named_errors(call, exc, fragment):

@@ -1539,7 +1539,7 @@ _P5X3 = Precision(5, 10, 3)
 
 @pytest.mark.parametrize("call, exc, fragment", [
     pytest.param(lambda: FiniteCharacter(0, -1), ValueError,
-                 "wild conductor exponent must be >= 0", id="wild-exponent"),
+                 "wild_conductor_exponent must be an integer >= 0, not -1", id="wild-exponent"),
     pytest.param(lambda: Series(P5, [_ONE], [_ONE]), ValueError,
                  "a b-part needs form data", id="b-part-without-form"),
     pytest.param(lambda: Series(P5, [_ONE], [_ONE, _ONE], (1, 1)), ValueError,
@@ -1574,16 +1574,16 @@ _P5X3 = Precision(5, 10, 3)
                  ValueError, "modulus is not distinguished (offset != 0)", id="modulus-offset"),
     pytest.param(lambda: linear_combination((1,), ()), ValueError, "1 scalars for 0 series",
                  id="combination-lengths"),
-    pytest.param(lambda: cyclotomic_factor(-1, 0, P5), ValueError, "m must be >= 0",
+    pytest.param(lambda: cyclotomic_factor(-1, 0, P5), ValueError, "m must be an integer >= 0, not -1",
                  id="cyclotomic-level"),
     pytest.param(lambda: IwasawaElement(P5, []), ValueError, "need 4 components, got 0",
                  id="component-count"),
     pytest.param(lambda: IwasawaElement(P5, [Series.zero(P5)] * 4, 11), ValueError,
                  "u = 11 is not the generator image 1 + p = 6", id="generator-u"),
     pytest.param(lambda: Series.monomial(-1, P5), ValueError,
-                 "monomial degree n must be >= 0, got -1", id="monomial-degree"),
+                 "n must be an integer >= 0, not -1", id="monomial-degree"),
     pytest.param(lambda: Series.monomial(1.5, P5), ValueError,
-                 "n must be an integer, not 1.5", id="monomial-index"),
+                 "n must be an integer >= 0, not 1.5", id="monomial-index"),
     pytest.param(lambda: x_in_component(0).twist(1.5), ValueError,
                  "n must be an integer, not 1.5", id="twist-index"),
     pytest.param(lambda: x_in_component(0).idempotent_project(1.5), ValueError,
@@ -1591,7 +1591,7 @@ _P5X3 = Precision(5, 10, 3)
     pytest.param(lambda: IwasawaElement.from_component(1.5, Series.x(P5)), ValueError,
                  "i must be an integer, not 1.5", id="component-index"),
     pytest.param(lambda: x_in_component(0).remainder_mod_cyclotomic(1.0, 0), ValueError,
-                 "m must be an integer, not 1.0", id="remainder-level"),
+                 "m must be an integer >= 0, not 1.0", id="remainder-level"),
     pytest.param(lambda: x_in_component(0).remainder_mod_cyclotomic(1, 0.5), ValueError,
                  "j must be an integer, not 0.5", id="remainder-twist"),
     pytest.param(lambda: cyclotomic_factor(1, 0.5, P5), ValueError,
@@ -1599,7 +1599,7 @@ _P5X3 = Precision(5, 10, 3)
     pytest.param(lambda: FiniteCharacter(0.5), ValueError,
                  "tame_exponent must be an integer, not 0.5", id="character-tame"),
     pytest.param(lambda: FiniteCharacter(0, 1.0), ValueError,
-                 "wild_conductor_exponent must be an integer, not 1.0", id="character-wild"),
+                 "wild_conductor_exponent must be an integer >= 0, not 1.0", id="character-wild"),
     pytest.param(lambda: FiniteCharacter(0, 0, 2.5), ValueError,
                  "cyclotomic_twist must be an integer, not 2.5", id="character-twist"),
     pytest.param(lambda: divide_series(Series.constant(1, P5), Series(
