@@ -52,7 +52,15 @@ returns:
   O(p^A), negative valuations and 0 to 30 digits, against scalars and int
   and Fraction operands, ``a - b``, ``c - a``, ``a / b``, ``c / a``,
   ``a ** n`` for n in -3..6 and ``a == b``, a refused call hashed as its
-  error's type and message.
+  error's type and message;
+* affine substitution and the twists built on it, at p in {3, 5, 7} and
+  N in {8, 64, 160}: ``Series.compose_affine`` on truncated, polynomial and
+  alpha-part components at c of valuation 1 and 2 (d = 1 and d a unit
+  other than 1), at c an exact zero and at a unit c (a polynomial's
+  substitution; a truncation's refusal); ``IwasawaElement.twist`` and
+  ``Distribution.twist`` by n in {1, -1, 3, -3, p - 1}; and
+  ``geometric_product`` and ``geometric_ratio`` at k in {0, 2}, by a
+  polynomial and by a truncated Kubota-Leopoldt stand-in.
 
 A ``Series`` is its parts as (off, cells, abs_precs), its polynomial flag
 and its form, and a bare part its (off, cells, abs_precs); an element is
@@ -91,6 +99,8 @@ from iwa.lfunctions import (
     DirichletCharacter,
     _kl_core,
     gen_bernoulli,
+    geometric_product,
+    geometric_ratio,
     kl_branch_values,
     kl_series_report,
     kl_value,
@@ -210,6 +220,10 @@ DENSE_LENGTHS = (16, 64, 160)
 SCALAR_PRIMES = (3, 5, 7)
 SCALAR_DRAWS = 24
 POW_EXPONENTS = range(-3, 7)
+# the affine-substitution and twist cases, at p_prec 20
+AFFINE_PRIMES = (3, 5, 7)
+AFFINE_LENGTHS = (8, 64, 160)
+GEOMETRIC_WEIGHTS = (0, 2)
 
 
 def char_mod13(p: int, s: int) -> DirichletCharacter:
@@ -728,6 +742,73 @@ def scalar_operator_cases():
             )
 
 
+def affine_points(rng, prec: Precision) -> dict:
+    """Named (c, d) for compose_affine: c of valuation 1 (d = 1, d a unit
+    other than 1, and c known to 6 digits only), c of valuation 2, c an
+    exact zero, and a unit c."""
+    p = prec.p
+
+    def u():
+        return unit(rng, p, 20) if rng.randrange(2) else -unit(rng, p, 20)
+
+    d = scalar(prec, u())
+    return {
+        "v1": (scalar(prec, p * u()), scalar(prec, 1)),
+        "v1_d": (scalar(prec, p * u()), d),
+        "v1_short": (scalar(prec, p * u(), 6), d),
+        "v2_d": (scalar(prec, p * p * u()), d),
+        "zero_d": (PadicScalar.exact_zero(prec), d),
+        "unit_d": (scalar(prec, u()), d),
+    }
+
+
+def affine_cases():
+    """Series.compose_affine, the twists of IwasawaElement and Distribution,
+    and geometric_product and geometric_ratio, on random components of
+    length N; a refused call is hashed as its error."""
+    for p in AFFINE_PRIMES:
+        for N in AFFINE_LENGTHS:
+            prec = Precision(p, 20, N)
+            rng = random.Random(9000 + 10 * p + N)
+            at = f"p{p}/N{N}"
+            comps = {
+                "truncated": random_component(rng, prec, N, poly=False, alpha=False),
+                "poly": random_component(rng, prec, N, poly=True, alpha=False),
+                "alpha": random_component(rng, prec, N, poly=False, alpha=True),
+            }
+            points = affine_points(rng, prec)
+            for cname, F in comps.items():
+                for pname, (c, d) in points.items():
+                    yield (
+                        f"compose_affine/{cname}/{pname}/{at}",
+                        lambda F=F, c=c, d=d: outcome(lambda: F.compose_affine(c, d)),
+                    )
+            elem = IwasawaElement(prec, [
+                random_component(rng, prec, N, poly=i % 3 == 0, alpha=i % 3 == 1)
+                for i in range(p - 1)
+            ])
+            dist = Distribution(elem, Fraction(1), ((1, 0), (2, 1)), 3)
+            for n in (1, -1, 3, -3, p - 1):
+                yield f"twist/element/n{n}/{at}", lambda n=n, e=elem: e.twist(n)
+                yield f"twist/distribution/n{n}/{at}", lambda n=n, t=dist: t.twist(n)
+            kls = {
+                "poly": seed_element(rng, prec),
+                "window": IwasawaElement(prec, [
+                    random_component(rng, prec, N, poly=False, alpha=False)
+                    for _ in range(p - 1)
+                ]),
+            }
+            for kname, kl in kls.items():
+                for k in GEOMETRIC_WEIGHTS:
+                    yield (
+                        f"geometric/{kname}/k{k}/{at}",
+                        lambda kl=kl, k=k, e=elem: [
+                            outcome(lambda: geometric_product(e, kl, k)),
+                            outcome(lambda: geometric_ratio(geometric_product(e, kl, k), kl, k)),
+                        ],
+                    )
+
+
 def cases():
     """Every case name with the call that computes its output."""
     for p, M, N in LOG_WINDOWS:
@@ -805,6 +886,7 @@ def cases():
     yield from window_certificate_cases()
     yield from dense_division_cases()
     yield from scalar_operator_cases()
+    yield from affine_cases()
 
 
 def _columns(part: Part) -> list:
