@@ -15,16 +15,18 @@ factors of content 1, not at the p^W their cells are reported at.  Their high
 levels are short polynomials in log(1+X), multiplied here in pairs mod
 p^(M+L+1+V) with V = v_p((N-1)!).
 
-:func:`taylor_shift` is A(X + s) for p | s as one product, of the k! A_k
-against the s^i / i!: the signed logarithms build one twist's levels and
-shift their products to the other twists.  Not everything is a product:
-:func:`compose_affine` is a Horner loop, and a cyclotomic level factor has a
-closed form in binomial rows (:func:`cyclotomic_cells`).  Those rows are
-never carried exactly: each is a falling factorial kept mod ``mod`` * p^V,
-just wide enough for the p-part of n! to divide out, and n! comes from a
-factorial table cached per (p, length, modulus), so one table serves every
-level and twist of a window, and the signed logarithms' conversion out of
-the log(1+X) basis and :func:`taylor_shift` read it too.
+:func:`taylor_shift` is A(X + s) as one product, of the k! A_k against
+the p^D s^i / i!: the signed logarithms build one twist's levels and shift
+their products to the other twists, and an affine substitution A(c + dX) of
+a series is a shift by c followed by scaling cell n by d^n.  Not everything
+is a product: a cyclotomic level factor has a closed form in binomial rows
+(:func:`cyclotomic_cells`).  Those rows are never carried exactly: each is a
+falling factorial kept mod ``mod`` * p^V, just wide enough for the p-part of
+n! to divide out, and n! comes from a factorial table cached per (p, length,
+modulus), so one table serves every level and twist of a window, and the
+signed logarithms' conversion out of the log(1+X) basis and
+:func:`taylor_shift` read it too.  A lone v_p(n!), such as V, comes from
+Legendre's formula (:func:`vp_factorial`).
 :func:`polypow` and :func:`geometric_sum` build the same level factor by
 powering and are kept as its reference.  The factorial table is the
 running product of a cached table of inverses of the unit parts
@@ -236,53 +238,40 @@ def cyclotomic_cells(p: int, m: int, c: int, mod: int, trunc: int) -> list[int]:
     return [a % Q // pv * inv % mod for a, pv, inv in zip(acc, pvs, invs)]
 
 
+def vp_factorial(n: int, p: int) -> int:
+    """v_p(n!) for n >= 0, by Legendre's formula: the sum of n // p^i over
+    i >= 1, which is n // p + v_p((n // p)!)."""
+    return n // p + vp_factorial(n // p, p) if n >= p else 0
+
+
 def taylor_shift(A: list[int], s: int, p: int, mod: int) -> list[int]:
-    """A(X + s) mod ``mod``, for p | s: len(A) coefficients, by one product.
+    """A(X + s) mod ``mod``, for any integer s: len(A) coefficients, by one product.
 
     ``mod`` must be a power of p.  The coefficient c_n of A(X + s) is
-    sum_i C(n+i, i) s^i A_(n+i), so n! c_n = sum_i (n+i)! A_(n+i) s^i / i!,
-    where s^i / i! is integral because p | s and v_p(i!) < i.  That is the
-    reversed list of the k! A_k times the list of the s^i / i!, read in
-    reverse: one Kronecker product (:func:`polymul`) for the whole shift.
-    Both lists are carried mod Q = mod * p^V, V = v_p((L-1)!), so that
-    p^(v_p(n!)) divides each sum exactly and leaves c_n mod ``mod``; p^(v_p(n!))
-    and the inverse unit part of n! come from the factorial table kept per
-    (p, L, Q).  An s = 0 mod ``mod`` returns A reduced.
+    sum_i C(n+i, i) s^i A_(n+i), so p^D n! c_n = sum_i (n+i)! A_(n+i) p^D s^i / i!.
+    With V = v_p((L-1)!), the p^D s^i / i! are integral for D = 0 when p | s
+    (v_p(i!) < i) and for D = V otherwise.  That is the reversed list of the
+    k! A_k times the list of the p^D s^i / i!, read in reverse: one Kronecker
+    product (:func:`polymul`) for the whole shift.  Both lists are carried
+    mod Q = mod * p^(V+D), so that p^(D + v_p(n!)) divides each sum exactly
+    and leaves c_n mod ``mod``; p^(v_p(n!)) and the inverse unit part of n!
+    come from the factorial table kept per (p, L, Q).  An s = 0 mod ``mod``
+    returns A reduced.
     """
     L = len(A)
     if L < 2 or s % mod == 0:
         return [a % mod for a in A]
-    if s % p:
-        raise ValueError("p must divide the shift")
-    V, q = 0, p  # v_p((L-1)!), by Legendre's formula
-    while q < L:
-        V += (L - 1) // q
-        q *= p
-    Q = mod * p**V
-    QV = Q * p**V  # s^i mod QV still gives s^i / p^(v_p(i!)) mod Q
+    V = vp_factorial(L - 1, p)
+    pD = 1 if s % p == 0 else p**V
+    Q = mod * p**V * pD
+    QV = Q * p**V  # p^D s^i mod QV still gives p^D s^i / p^(v_p(i!)) mod Q
     pvs, invs = _factorial_table(p, L, Q)
-    F, G = [A[0] % Q], [1]  # k! A_k and s^i / i!, mod Q
-    f, t = 1, 1
+    F, G = [A[0] % Q], [pD]  # k! A_k and p^D s^i / i!, mod Q
+    f, t = 1, pD
     for k in range(1, L):
         f = f * k % Q
         F.append(A[k] * f % Q)
         t = t * s % QV
         G.append(t // pvs[k] * invs[k] % Q)
     sums = polymul(F[::-1], G, Q, L)
-    return [sums[L - 1 - n] // pvs[n] * invs[n] % mod for n in range(L)]
-
-
-def compose_affine(A: list[int], c: int, d: int, mod: int) -> list[int]:
-    """A(c + d*X) mod ``mod``, by Horner in (c + d*X): len(A) coefficients."""
-    c %= mod
-    d %= mod
-    res: list[int] = []
-    for coeff in reversed(A):
-        new = [0] * (len(res) + 1)
-        for k, v in enumerate(res):
-            if v:
-                new[k] = (new[k] + v * c) % mod
-                new[k + 1] = (new[k + 1] + v * d) % mod
-        new[0] = (new[0] + coeff) % mod
-        res = new
-    return res
+    return [sums[L - 1 - n] // (pvs[n] * pD) * invs[n] % mod for n in range(L)]

@@ -88,7 +88,7 @@ from functools import lru_cache
 from itertools import accumulate, repeat
 from operator import mul
 
-from ._kernel import _unit_inverses
+from ._kernel import _unit_inverses, vp_factorial
 from .dieudonne import PhiModule
 from .distributions import Distribution, divide_exact
 from .pollack import _log_unit
@@ -856,7 +856,7 @@ def _kl_core(eta: DirichletCharacter, branch_i: int, prec: Precision) -> dict:
         raise PrecisionError(
             f"window needs {E} interpolation nodes; the stabilization cap is {_NODE_CAP}"
         )
-    rel = prec.p_prec + E + _vp(math.factorial(E), p) + 16
+    rel = prec.p_prec + E + vp_factorial(E, p) + 16
     wprec = prec.with_p_prec(rel)
 
     # The moments, integral, are the values at the nodes u^-m - 1, each

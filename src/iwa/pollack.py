@@ -84,10 +84,10 @@ import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
-from math import factorial, inf, lcm
+from math import inf, lcm
 
 from ._kernel import _factorial_table, _unit_inverses, cyclotomic_cells, polymul
-from ._kernel import stirling_columns, taylor_shift
+from ._kernel import stirling_columns, taylor_shift, vp_factorial
 from .distributions import Distribution
 from .scalars import PadicScalar, Precision, _check_int, _vp
 from .series import IwasawaElement, Part, Series, cyclotomic_degree, cyclotomic_factor
@@ -333,7 +333,7 @@ def _signed_product(kind: str, js, p: int, u: int, R: int, N: int, M: int):
     """
     q = p ** (R + 1)
     pR, pM = p**R, p**M
-    T = R + _vp(factorial(N - 1), p)
+    T = R + vp_factorial(N - 1, p)
     pT1 = p ** (T + 1)
     u_inv = pow(u, -1, pT1)
     low = [1]  # the levels from binomial rows, in the X basis mod p^R

@@ -62,14 +62,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, repeat
 from math import inf
 from operator import add, mul
 
 from ._kernel import _pack
-from ._kernel import compose_affine as _k_compose
 from ._kernel import cyclotomic_cells as _k_cyclo
 from ._kernel import polymul as _k_mul
+from ._kernel import taylor_shift as _k_shift
 from .scalars import (
     ExactZeroError,
     PadicScalar,
@@ -735,8 +735,10 @@ class Series:
         """The series at c + d*X, for v(c) >= 1 and d a unit.
 
         A polynomial takes any c and d in Z_p; a c or d of negative valuation
-        raises PrecisionError, since the packed kernel works modulo p^W.  For
-        a truncation of length L the degree >= L tail mixes into coefficient
+        raises PrecisionError, since the packed kernel works modulo p^W.
+        Each part's cells are shifted by c (:func:`_kernel.taylor_shift`, one
+        Kronecker product) and cell n is then scaled by d^n.  For a
+        truncation of length L the degree >= L tail mixes into coefficient
         j at valuation (L - j) v(c) + (tail floor) or more, which caps it.
         """
         if d.is_zero_to_precision:
@@ -761,7 +763,9 @@ class Series:
             if W > 0:
                 m = p**W
                 mc = 0 if c.is_zero_to_precision else c.unit * p**c.val % m
-                cells = _k_compose(cells, mc, d.unit * p**d.val % m, m)
+                ds = accumulate(repeat(d.unit * p**d.val % m, L),
+                                lambda a, b: a * b % m, initial=1)
+                cells = [x * y % m for x, y in zip(_k_shift(cells, mc, p, m), ds)]
                 if not self.is_polynomial and vc != inf:
                     floor = min(0, off)
                     caps = [int((L - j) * vc) + floor - off for j in range(L)]
