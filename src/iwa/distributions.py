@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .scalars import Precision, PrecisionError, _check_int
+from .scalars import Precision, PrecisionError, _check_int, _check_types
 from .series import (
     DivisibilityError,
     IwasawaElement,
@@ -64,6 +64,7 @@ class Distribution:
     meta: dict | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
+        _check_types("growth order claim", (self.order_tag,))
         object.__setattr__(self, "order_tag", Fraction(self.order_tag))
         if self.order_tag < 0:
             raise ValueError("growth order claim must be nonnegative")

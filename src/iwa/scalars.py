@@ -131,6 +131,18 @@ def _check_int(least=None, /, **named) -> None:
             raise ValueError(f"{name} must be an integer{at_least}, not {value!r}")
 
 
+def _check_types(name, values, kinds=(int, Fraction)) -> None:
+    """Refuse by ``name`` the first of ``values`` whose type is not one of
+    ``kinds``, where Fraction() would have read a float or a numeric string
+    as a rational.  Types match exactly, so a bool is refused, as _check_int
+    refuses it, and a list of cells is checked in one pass in C, not by a
+    Python test per cell."""
+    if not set(map(type, values)).issubset(kinds):
+        bad = next(v for v in values if type(v) not in kinds)
+        names = ", ".join(k.__name__ for k in kinds)
+        raise ValueError(f"{name} must be one of {names}, not {bad!r}")
+
+
 def _check_odd_prime(p) -> None:
     """Raise a ValueError naming p unless it is an int and an odd prime: the one
     check of p behind Precision and lfunctions.DirichletCharacter."""

@@ -77,6 +77,7 @@ from .scalars import (
     PrecisionError,
     QuadExtScalar,
     _check_int,
+    _check_types,
     _triple,
     _vp,
     teichmuller,
@@ -469,6 +470,7 @@ def _scalar_triples(s, prec):
     elif isinstance(s, PadicScalar):
         parts, form = (s, None), None
     else:
+        _check_types("scalar", (s,), _SCALARS)
         parts, form = (PadicScalar.from_fraction(Fraction(s), prec), None), None
     for c in parts:
         if c is not None:
@@ -518,7 +520,10 @@ class Series:
 
     @classmethod
     def make(cls, prec, coeffs, *, form=None, rel=None, is_polynomial=False) -> "Series":
-        """Build from a mixed list of scalars / QuadExtScalars / ints / Fractions."""
+        """Build from a mixed list of scalars / QuadExtScalars / ints / Fractions;
+        any other coefficient is refused by name."""
+        coeffs = list(coeffs)
+        _check_types("scalar", coeffs, _SCALARS)
         aa, bb = [], []
         has_b = False
         for c in coeffs:

@@ -450,6 +450,8 @@ def _seeds():
     return mock().seeds
 
 
+SCALAR_KINDS = "one of int, Fraction, PadicScalar, QuadExtScalar"
+
 # calls that once returned a wrong value, ran into a bare TypeError or
 # AttributeError, or were refused for the wrong reason, each with the whole
 # message that now refuses it
@@ -490,6 +492,20 @@ REFUSED = [
     (lambda: iwa.teichmuller(1.5, P), "a must be an integer, not 1.5"),
     (lambda: PadicScalar.from_int(1.5, P), "n must be an integer, not 1.5"),
     (lambda: PadicScalar.from_unit_val(P, 3, 0, 1.5), "rel must be an integer >= 0, not 1.5"),
+    (lambda: Series.make(P, [1.5]), f"scalar must be {SCALAR_KINDS}, not 1.5"),
+    (lambda: Series.make(P, ["1.5"]), f"scalar must be {SCALAR_KINDS}, not '1.5'"),
+    (lambda: Series.make(P, [1, True]), f"scalar must be {SCALAR_KINDS}, not True"),
+    (lambda: Series.constant(0.5, P), f"scalar must be {SCALAR_KINDS}, not 0.5"),
+    (lambda: iwa.series.linear_combination([1.5], [Series.x(P)]),
+     f"scalar must be {SCALAR_KINDS}, not 1.5"),
+    (lambda: iwa.series.linear_combination([1, True], [Series.x(P)] * 2),
+     f"scalar must be {SCALAR_KINDS}, not True"),
+    (lambda: Distribution(one(), "1.5"),
+     "growth order claim must be one of int, Fraction, not '1.5'"),
+    (lambda: Distribution(one(), 0.5),
+     "growth order claim must be one of int, Fraction, not 0.5"),
+    (lambda: Distribution(one(), True),
+     "growth order claim must be one of int, Fraction, not True"),
 ]
 
 
