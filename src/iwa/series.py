@@ -768,7 +768,7 @@ class Series:
             if W > 0:
                 m = p**W
                 mc = 0 if c.is_zero_to_precision else c.unit * p**c.val % m
-                ds = accumulate(repeat(d.unit * p**d.val % m, L),
+                ds = accumulate(repeat(d.unit * p**d.val % m, len(cells)),
                                 lambda a, b: a * b % m, initial=1)
                 cells = [x * y % m for x, y in zip(_k_shift(cells, mc, p, m), ds)]
                 if not self.is_polynomial and vc != inf:
