@@ -60,12 +60,31 @@ returns:
   substitution; a truncation's refusal); ``IwasawaElement.twist`` and
   ``Distribution.twist`` by n in {1, -1, 3, -3, p - 1}; and
   ``geometric_product`` and ``geometric_ratio`` at k in {0, 2}, by a
-  polynomial and by a truncated Kubota-Leopoldt stand-in.
+  polynomial and by a truncated Kubota-Leopoldt stand-in;
+* the mock global module, on bounded polynomial seeds at p in {3, 5, 7},
+  k in {0, 1, 2}, both conventions and the windows (6, 8), (12, 16) and
+  (20, 64): ``local_coordinates`` and ``unbounded_coordinates`` (eps seed
+  1 and 2) of (1, 0), (0, 1), (1, 1), (2, 3), (0, 0) and a
+  ``pr_rank_reduce`` pair, ``pr_rank_reduce`` for the four eigenvalue
+  pairs, ``coleman_extract`` for plus, minus and dot, and
+  ``doubly_signed_pair`` on the six ordered sign pairs at one window per
+  (p, k), each window taken twice;
+* the filtered phi-modules at the same p and k, eps seed in {1, 2} and
+  p_prec in {6, 12, 20}: ``dcris_of_form``, ``sym_square``,
+  ``wedge_square``, ``split_sym_square``, ``dual`` and
+  ``eigenvectors_dual``;
+* ``IwasawaElement.zero``, ``one`` and ``idempotent_project`` at the same
+  primes and windows, and ``Series.make`` on mixed int, Fraction,
+  ``PadicScalar`` and ``QuadExtScalar`` coefficients with and without
+  ``rel``, its refusals of mixed forms and of a scalar over another prime
+  hashed as errors.
 
 A ``Series`` is its parts as (off, cells, abs_precs), its polynomial flag
 and its form, and a bare part its (off, cells, abs_precs); an element is
 its tame components' parts and flags; a distribution adds the order tag,
-the cyclotomic factors, the truncation level and the meta dict; a report
+the cyclotomic factors, the truncation level and the meta dict; an
+unbounded quadruple is its four distributions; a phi-module is its entries,
+filtration, basis labels, provenance, form data and window; a report
 or payload is the dict itself.  A
 ``PadicScalar`` is its (val, unit, rel) and its precision context, a
 ``QuadExtScalar`` its two coordinates, k and eps seed, a ``Fraction`` its
@@ -93,7 +112,16 @@ from fractions import Fraction
 from math import inf
 from pathlib import Path
 
-from iwa.dieudonne import change_of_basis
+from iwa.dieudonne import (
+    PhiModule,
+    change_of_basis,
+    dcris_of_form,
+    dual,
+    eigenvectors_dual,
+    split_sym_square,
+    sym_square,
+    wedge_square,
+)
 from iwa.distributions import Distribution, divide_exact
 from iwa.lfunctions import (
     DirichletCharacter,
@@ -122,12 +150,19 @@ from iwa.series import (
 )
 from iwa.signed import (
     CONVENTIONS,
+    EIGEN_SLOTS,
+    MockGlobalModule,
     SignedQuadruple,
     UnboundedQuadruple,
     _divisor_rows,
+    coleman_extract,
+    doubly_signed_pair,
     factor_report,
     factor_signed,
+    local_coordinates,
+    pr_rank_reduce,
     synthesize,
+    unbounded_coordinates,
 )
 
 GOLDEN = Path(__file__).with_name("golden.json")
@@ -224,6 +259,15 @@ POW_EXPONENTS = range(-3, 7)
 AFFINE_PRIMES = (3, 5, 7)
 AFFINE_LENGTHS = (8, 64, 160)
 GEOMETRIC_WEIGHTS = (0, 2)
+# the mock module and the phi-modules: primes, weights, eps seeds and (M, N)
+MODULE_PRIMES = (3, 5, 7)
+MODULE_WEIGHTS = (0, 1, 2)
+MODULE_EPS = (1, 2)
+MODULE_WINDOWS = ((6, 8), (12, 16), (20, 64))
+# the coefficient pairs a mock module's local and unbounded coordinates are
+# taken of; "pr" stands for the pr_rank_reduce pair at (alpha, -alpha)
+MOCK_ELEMENTS = ((1, 0), (0, 1), (1, 1), (2, 3), (0, 0), "pr")
+SIGN_PAIRS = tuple((a, b) for a in SIGNS[:3] for b in SIGNS[:3] if a != b)
 
 
 def char_mod13(p: int, s: int) -> DirichletCharacter:
@@ -809,6 +853,112 @@ def affine_cases():
                     )
 
 
+def mock_module(rng, p: int, k: int, conv: str, window) -> MockGlobalModule:
+    """A mock global module whose eight seeds are bench seed elements."""
+    prec = Precision(p, *window)
+    seeds = tuple(tuple(seed_element(rng, prec) for _ in SIGNS) for _ in range(2))
+    return MockGlobalModule(k, seeds, conv)
+
+
+def mock_element(G: MockGlobalModule, elem, eps: int = 1):
+    return pr_rank_reduce(G, "am", eps) if elem == "pr" else elem
+
+
+def mock_cases():
+    """The mock module's coordinates, rank reduction, doubly-signed pairing
+    and Coleman maps; a refused call is hashed as its error."""
+    for p in MODULE_PRIMES:
+        for k in MODULE_WEIGHTS:
+            for conv in CONVENTIONS:
+                for window in MODULE_WINDOWS:
+                    G = mock_module(random.Random(100 * p + 10 * k + window[0]), p, k, conv,
+                                    window)
+                    at = f"p{p}/k{k}/{conv}/M{window[0]}/N{window[1]}"
+                    yield f"local_coordinates/{at}", lambda G=G: [
+                        outcome(lambda: local_coordinates(G, mock_element(G, e)))
+                        for e in MOCK_ELEMENTS
+                    ]
+                    for eps in MODULE_EPS:
+                        yield f"unbounded_coordinates/{at}/eps{eps}", lambda G=G, eps=eps: [
+                            outcome(lambda: unbounded_coordinates(G, mock_element(G, e, eps), eps))
+                            for e in MOCK_ELEMENTS
+                        ]
+                        yield f"pr_rank_reduce/{at}/eps{eps}", lambda G=G, eps=eps: [
+                            outcome(lambda: pr_rank_reduce(G, lam_mu, eps))
+                            for lam_mu in EIGEN_SLOTS
+                        ]
+                    if window == MODULE_WINDOWS[(p + k) % len(MODULE_WINDOWS)]:
+                        yield f"doubly_signed_pair/{at}", lambda G=G: [
+                            outcome(lambda: doubly_signed_pair(G, signs)) for signs in SIGN_PAIRS
+                        ]
+                    yield f"coleman_extract/{at}", lambda G=G, k=k, conv=conv: [
+                        outcome(lambda: coleman_extract(local_coordinates(G, (2, 3)), sign, k,
+                                                        conv))
+                        for sign in SIGNS[:3]
+                    ]
+
+
+def module_cases():
+    """The phi-modules of a form and the modules built from them."""
+    for p in MODULE_PRIMES:
+        for k in MODULE_WEIGHTS:
+            for eps in MODULE_EPS:
+                for M, _ in MODULE_WINDOWS:
+                    D = dcris_of_form(p, k, eps, Precision(p, M))
+                    S = sym_square(D)
+                    at = f"p{p}/k{k}/eps{eps}/M{M}"
+                    yield f"dcris_of_form/{at}", lambda D=D: D
+                    yield f"sym_square/{at}", lambda S=S: S
+                    yield f"wedge_square/{at}", lambda D=D: wedge_square(D)
+                    yield f"split_sym_square/{at}", lambda S=S: split_sym_square(S)
+                    yield f"dual/{at}", lambda D=D: dual(D)
+                    yield f"eigenvectors_dual/{at}", lambda D=D: eigenvectors_dual(dual(D))
+
+
+def element_cases():
+    """IwasawaElement.zero, one and idempotent_project on every tame index."""
+    for p in MODULE_PRIMES:
+        for M, N in MODULE_WINDOWS:
+            prec = Precision(p, M, N)
+            elem = IwasawaElement(prec, [
+                random_component(random.Random(p * M + i), prec, N, poly=i % 2 == 0,
+                                 alpha=i % 3 == 2)
+                for i in range(p - 1)
+            ])
+            at = f"p{p}/M{M}/N{N}"
+            yield f"iwasawa_element/zero/{at}", lambda prec=prec: IwasawaElement.zero(prec)
+            yield f"iwasawa_element/one/{at}", lambda prec=prec: IwasawaElement.one(prec)
+            yield f"idempotent_project/{at}", lambda elem=elem, p=p: [
+                elem.idempotent_project(j) for j in range(-1, p)
+            ]
+
+
+def make_cases():
+    """Series.make on mixed coefficient lists, with rel None, 0, 3 and 25,
+    and its refusals of two forms and of a scalar over another prime."""
+    for p in MODULE_PRIMES:
+        prec = Precision(p, 12, 8)
+        pa = PadicScalar.from_fraction(Fraction(7, p), prec, 5)
+        lists = {
+            "rational": [3, Fraction(-2, p), 0, Fraction(p * p, 7), -p],
+            "padic": [pa, 1, PadicScalar.exact_zero(prec), PadicScalar.inexact_zero(prec, 3),
+                      Fraction(1, 3)],
+            "quad": [QuadExtScalar(pa, PadicScalar.from_int(p, prec, 2), 1, 2), Fraction(5, 2),
+                     0, pa, QuadExtScalar.zero(prec, 1, 2), -4],
+            "two_forms": [QuadExtScalar.one(prec, 1, 2), QuadExtScalar.one(prec, 1, 1)],
+            "other_prime": [1, PadicScalar.from_int(2, Precision(11, 4))],
+            "empty": [],
+        }
+        for name, coeffs in lists.items():
+            for rel in (None, 0, 3, 25):
+                for poly in (False, True):
+                    yield (
+                        f"series_make/{name}/p{p}/rel{rel}/poly{int(poly)}",
+                        lambda coeffs=coeffs, prec=prec, rel=rel, poly=poly: outcome(
+                            lambda: Series.make(prec, coeffs, rel=rel, is_polynomial=poly)),
+                    )
+
+
 def cases():
     """Every case name with the call that computes its output."""
     for p, M, N in LOG_WINDOWS:
@@ -887,6 +1037,10 @@ def cases():
     yield from dense_division_cases()
     yield from scalar_operator_cases()
     yield from affine_cases()
+    yield from mock_cases()
+    yield from module_cases()
+    yield from element_cases()
+    yield from make_cases()
 
 
 def _columns(part: Part) -> list:
@@ -920,6 +1074,17 @@ def _canonical(obj):
         return _columns(obj)
     if isinstance(obj, SignedQuadruple):
         return [_canonical(obj.by_sign(sign)) for sign in SIGNS]
+    if isinstance(obj, UnboundedQuadruple):
+        return _canonical(obj.vector())
+    if isinstance(obj, PhiModule):
+        return {
+            "entries": _canonical(obj.phi_matrix),
+            "filtration": obj.filtration,
+            "labels": obj.basis_labels,
+            "provenance": obj.provenance,
+            "form": [obj.weight, obj.eps_seed],
+            "prec": [obj.prec.p, obj.prec.p_prec, obj.prec.x_prec],
+        }
     return {
         "components": _canonical(obj.body),
         "order_tag": str(obj.order_tag),
