@@ -130,6 +130,17 @@ class PhiModule:
 # -- constructions ---------------------------------------------------------
 
 
+def _module(of, labels, matrix, weights, provenance: str) -> PhiModule:
+    """The module on ``labels`` with Frobenius ``matrix``, its filtration read
+    from the Hodge-Tate ``weights``; the form data (k, eps_seed) and the
+    window are ``of``'s, a parent module or the (k, eps_seed, prec) of a form."""
+    if isinstance(of, PhiModule):
+        of = (of.weight, of.eps_seed, of.prec)
+    dim = len(labels)
+    return PhiModule(dim, tuple(labels), matrix, _filtration_from_weights(weights, dim), *of,
+                     provenance)
+
+
 def dcris_of_form(p: int, k: int, eps_p: int, prec: Precision | None = None) -> PhiModule:
     """The rank-2 module of a p-non-ordinary form of weight k+2.
 
@@ -144,17 +155,8 @@ def dcris_of_form(p: int, k: int, eps_p: int, prec: Precision | None = None) -> 
     z = QuadExtScalar.zero(prec, k, eps_p)
     eps = _teich_eps(prec, k, eps_p)
     pk1 = QuadExtScalar.one(prec, k, eps_p) * (p ** (k + 1))
-    matrix = ((z, -eps), (pk1, z))
-    return PhiModule(
-        dim=2,
-        basis_labels=("omega", "omega2"),
-        phi_matrix=matrix,
-        filtration=_filtration_from_weights([0, k + 1], 2),
-        weight=k,
-        eps_seed=eps_p,
-        prec=prec,
-        provenance="dcris",
-    )
+    return _module((k, eps_p, prec), ("omega", "omega2"), ((z, -eps), (pk1, z)), [0, k + 1],
+                   "dcris")
 
 
 def _teich_eps(prec: Precision, k: int, eps_seed: int) -> QuadExtScalar:
@@ -174,36 +176,18 @@ def sym_square(D: PhiModule) -> PhiModule:
         (c * c, c * d, d * d),
     )
     h1, h2 = sorted(D.hodge_tate_weights())
-    labels = tuple(
-        f"{D.basis_labels[0]}^2 {D.basis_labels[0]}*{D.basis_labels[1]} {D.basis_labels[1]}^2".split()
-    )
-    return PhiModule(
-        dim=3,
-        basis_labels=labels,
-        phi_matrix=matrix,
-        filtration=_filtration_from_weights([2 * h1, h1 + h2, 2 * h2], 3),
-        weight=D.weight,
-        eps_seed=D.eps_seed,
-        prec=D.prec,
-        provenance="sym_square",
-    )
+    e1, e2 = D.basis_labels
+    return _module(D, (f"{e1}^2", f"{e1}*{e2}", f"{e2}^2"), matrix, [2 * h1, h1 + h2, 2 * h2],
+                   "sym_square")
 
 
 def wedge_square(D: PhiModule) -> PhiModule:
     """Alternating square: the determinant line."""
     if D.dim != 2:
         raise ValueError("alternating square is implemented for rank 2 only")
-    h1, h2 = sorted(D.hodge_tate_weights())
-    return PhiModule(
-        dim=1,
-        basis_labels=(f"{D.basis_labels[0]}^{D.basis_labels[1]}",),
-        phi_matrix=((det(D.phi_matrix),),),
-        filtration=_filtration_from_weights([h1 + h2], 1),
-        weight=D.weight,
-        eps_seed=D.eps_seed,
-        prec=D.prec,
-        provenance="wedge_square",
-    )
+    e1, e2 = D.basis_labels
+    return _module(D, (f"{e1}^{e2}",), ((det(D.phi_matrix),),), [sum(D.hodge_tate_weights())],
+                   "wedge_square")
 
 
 def split_sym_square(S: PhiModule) -> tuple[PhiModule, PhiModule]:
@@ -219,27 +203,11 @@ def split_sym_square(S: PhiModule) -> tuple[PhiModule, PhiModule]:
     off_plane = (m[1][0], m[1][2])
     if not all(x.is_zero_to_precision for x in off_line + off_plane):
         raise ValueError("symmetric square does not split along the monomial basis")
-    ws = sorted(_weights_from_filtration(S.filtration, 3))
-    line = PhiModule(
-        dim=1,
-        basis_labels=(S.basis_labels[1],),
-        phi_matrix=((m[1][1],),),
-        filtration=_filtration_from_weights([ws[1]], 1),
-        weight=S.weight,
-        eps_seed=S.eps_seed,
-        prec=S.prec,
-        provenance="split_line",
-    )
-    plane = PhiModule(
-        dim=2,
-        basis_labels=(S.basis_labels[0], S.basis_labels[2]),
-        phi_matrix=((m[0][0], m[0][2]), (m[2][0], m[2][2])),
-        filtration=_filtration_from_weights([ws[0], ws[2]], 2),
-        weight=S.weight,
-        eps_seed=S.eps_seed,
-        prec=S.prec,
-        provenance="split_plane",
-    )
+    ws = sorted(S.hodge_tate_weights())
+    sq1, cross, sq2 = S.basis_labels
+    line = _module(S, (cross,), ((m[1][1],),), [ws[1]], "split_line")
+    plane = _module(S, (sq1, sq2), ((m[0][0], m[0][2]), (m[2][0], m[2][2])), [ws[0], ws[2]],
+                    "split_plane")
     return line, plane
 
 
@@ -257,17 +225,8 @@ def dual(D: PhiModule) -> PhiModule:
     one = QuadExtScalar.one(prec, k, eps)
     alpha = QuadExtScalar.alpha(prec, k, eps)
     inv_asq = (alpha * alpha).inverse()
-    h1, h2 = sorted(D.hodge_tate_weights())
-    return PhiModule(
-        dim=2,
-        basis_labels=("omega'", "phi(omega')"),
-        phi_matrix=((z, inv_asq), (one, z)),
-        filtration=_filtration_from_weights([-h2, -h1], 2),
-        weight=k,
-        eps_seed=eps,
-        prec=prec,
-        provenance="dual",
-    )
+    return _module(D, ("omega'", "phi(omega')"), ((z, inv_asq), (one, z)),
+                   [-h for h in D.hodge_tate_weights()], "dual")
 
 
 def eigenvectors_dual(Dstar: PhiModule) -> tuple[Vector, Vector]:

@@ -132,12 +132,7 @@ def _first_level(kind: str) -> int:
 
 def _short_levels(kind: str, p: int, N: int) -> int:
     """How many levels of the kind's parity have degree < N: those of content 1."""
-    m = _first_level(kind)
-    count = 0
-    while cyclotomic_degree(p, m) < N:
-        count += 1
-        m += 2
-    return count
+    return (_max_level_fitting(p, N) - _first_level(kind)) // 2 + 1
 
 
 def _ell_coefficients(p: int, m: int, w: int, T: int, N: int) -> list[int]:
@@ -427,6 +422,11 @@ def pollack_log(spec: LogKind, prec: Precision) -> Distribution:
     p, M, N = prec.p, prec.p_prec, prec.x_prec
     u = u_for(p)
     js = range(spec.shift, spec.shift + spec.r)
+    # the levels that fit the window: every one for the full log, those of
+    # the kind's parity for the plus and minus logs
+    top = _max_level_fitting(p, N)
+    levels = range(top + 1) if spec.kind == "full" else range(_first_level(spec.kind), top + 1, 2)
+    factors = tuple((m, j) for j in js for m in levels)
 
     if spec.kind == "full":
         W = M + spec.r * (ceil_log(N, p) + 1) + 6
@@ -441,16 +441,11 @@ def pollack_log(spec: LogKind, prec: Precision) -> Distribution:
             head = lam * (-j)
             twist = Part.from_triples(p, [(head.val, head.unit, head.rel), *tail])
             body_series = body_series * Series(prec, twist)
-        factors = [
-            (m, j)
-            for j in js
-            for m in range(0, _max_level_fitting(p, N) + 1)
-        ]
         meta = {"kind": "full", "window": (M, N), "twists": list(js)}
         return Distribution(
             IwasawaElement.from_diagonal(body_series),
             spec.order,
-            tuple(factors),
+            factors,
             None,
             meta,
         )
@@ -489,13 +484,6 @@ def pollack_log(spec: LogKind, prec: Precision) -> Distribution:
             prun = p**run
         caps.append(run + M)
     body = Series(prec, unpack_part(p, (-offset, W, total), len(total), caps))
-    parity = 0 if spec.kind == "plus" else 1
-    factors = [
-        (m, j)
-        for j in js
-        for m in range(1, _max_level_fitting(p, N) + 1)
-        if m % 2 == parity % 2
-    ]
     meta = {
         "kind": spec.kind,
         "window": (M, N),
@@ -505,7 +493,7 @@ def pollack_log(spec: LogKind, prec: Precision) -> Distribution:
     return Distribution(
         IwasawaElement.from_diagonal(body),
         spec.order,
-        tuple(factors),
+        factors,
         min(t["stabilized_at"] for t in per_twist),
         meta,
     )

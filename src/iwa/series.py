@@ -441,6 +441,7 @@ def _tail_floor(part, order: float, L: int, p: int) -> int:
 # ------------------------------------------------------------------ scalars
 
 _SCALARS = (int, Fraction, PadicScalar, QuadExtScalar)
+_EXACT_ZERO = (None, 0, 0)  # the (val, unit, rel) triple of an exact zero
 
 
 def _merge_forms(f, g):
@@ -458,12 +459,13 @@ def _check_prime(c, p):
         raise PrecisionError(f"a scalar over p = {c.prec.p} met a series over p = {p}")
 
 
-def _scalar_triples(s, prec):
-    """(a, b, form) of the scalar s as ``Series.constant(s, prec)`` stores it.
+def _scalar_triples(s, prec, rel=None):
+    """(a, b, form) of the scalar s as ``Series.constant(s, prec, rel)`` stores it.
 
     a and b are (val, unit, rel) triples, None for an exact zero; b and form
-    are None unless s is a QuadExtScalar.  An int or Fraction is read to
-    prec.p_prec digits, and a scalar over another prime raises PrecisionError.
+    are None unless s is a QuadExtScalar.  An int or Fraction is read to rel
+    digits (prec.p_prec when rel is None), and a scalar over another prime
+    raises PrecisionError.
     """
     if isinstance(s, QuadExtScalar):
         parts, form = (s.a, s.b), (s.k, s.eps_seed)
@@ -471,7 +473,7 @@ def _scalar_triples(s, prec):
         parts, form = (s, None), None
     else:
         _check_types("scalar", (s,), _SCALARS)
-        parts, form = (PadicScalar.from_fraction(Fraction(s), prec), None), None
+        parts, form = (PadicScalar.from_fraction(Fraction(s), prec, rel), None), None
     for c in parts:
         if c is not None:
             _check_prime(c, prec.p)
@@ -527,21 +529,18 @@ class Series:
         aa, bb = [], []
         has_b = False
         for c in coeffs:
-            cb = PadicScalar.exact_zero(prec)
-            if isinstance(c, (PadicScalar, QuadExtScalar)):
-                _check_prime(c, prec.p)
-            if isinstance(c, QuadExtScalar):
-                f = (c.k, c.eps_seed)
+            a, b, f = _scalar_triples(c, prec, rel)
+            if f is not None:
                 if form is None:
                     form = f
                 elif form != f:
                     raise ValueError("mixing coefficients from different forms")
-                c, cb, has_b = c.a, c.b, True
-            elif not isinstance(c, PadicScalar):
-                c = PadicScalar.from_fraction(Fraction(c), prec, rel)
-            aa.append(c)
-            bb.append(cb)
-        return cls(prec, aa, bb if has_b else None, form, is_polynomial=is_polynomial)
+                has_b = True
+            aa.append(a or _EXACT_ZERO)
+            bb.append(b or _EXACT_ZERO)
+        p = prec.p
+        b = Part.from_triples(p, bb) if has_b else None
+        return cls(prec, Part.from_triples(p, aa), b, form, is_polynomial=is_polynomial)
 
     @classmethod
     def constant(cls, c, prec: Precision, rel=None) -> "Series":
@@ -1048,13 +1047,11 @@ class IwasawaElement:
 
     @classmethod
     def zero(cls, prec: Precision) -> "IwasawaElement":
-        z = Series.zero(prec)
-        return cls(prec, [z] * (prec.p - 1))
+        return cls.from_diagonal(Series.zero(prec))
 
     @classmethod
     def one(cls, prec: Precision) -> "IwasawaElement":
-        c = Series.constant(1, prec)
-        return cls(prec, [c] * (prec.p - 1))
+        return cls.from_diagonal(Series.constant(1, prec))
 
     @classmethod
     def from_diagonal(cls, series: Series) -> "IwasawaElement":
@@ -1150,11 +1147,7 @@ class IwasawaElement:
 
     def idempotent_project(self, j: int) -> "IwasawaElement":
         _check_int(j=j)
-        pm1 = self.prec.p - 1
-        z = Series.zero(self.prec)
-        comps = [z] * pm1
-        comps[j % pm1] = self.components[j % pm1]
-        return IwasawaElement(self.prec, comps)
+        return IwasawaElement.from_component(j, self.components[j % (self.prec.p - 1)])
 
     def evaluate_at_character(self, ch: FiniteCharacter):
         """Value at omega^tame * chi_cyc^t; wild parts are not evaluated numerically."""

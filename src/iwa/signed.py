@@ -14,6 +14,13 @@ of the two displays; ``Convention`` makes the choice explicit instead of
 baking one in.  Every operation takes the convention and defaults to
 "theoremA"; the factorisation-lemma flavor is "lemmaFactorisation".
 
+Three helpers carry the pipeline, each written once: ``_log_rows`` (each
+row's signed log times its bounded element, for :func:`synthesize` and
+:func:`local_coordinates`), ``_unbounded`` (M^-1 at the work window, for
+:func:`synthesize` and :func:`unbounded_coordinates`) and ``_divide`` (exact
+division by a log, a failure labelled with its row, for
+:func:`factor_signed` and :func:`coleman_extract`).
+
 The mock global module is the smallest structure on which the rank-reduction
 projectors and the doubly-signed pairings have their expected shape: a free
 rank-2 module whose basis vectors carry prescribed local coordinates that
@@ -26,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .dieudonne import change_of_basis
 from .distributions import Distribution, divide_exact
@@ -173,6 +180,41 @@ def _log_column(k: int, conv: Convention, prec: Precision):
     return tuple(out)
 
 
+def _log_rows(k: int, conv: Convention, prec: Precision, bounded):
+    """Each row's signed log times its bounded element, at the work window.
+
+    ``bounded(sign)`` is the element of that row at ``prec``; the rows come
+    in ``conv``'s order, with the order tag of their logs.
+    """
+    logs = _log_column(k, conv, prec)
+    work_p = logs[0].prec.p_prec
+    return tuple(
+        log * Distribution(bounded(sign).with_p_prec(work_p), Fraction(0))
+        for sign, log in zip(conv.row_signs, logs)
+    )
+
+
+def _unbounded(rows, k: int, eps_seed: int, prec: Precision) -> UnboundedQuadruple:
+    """M^{-1} of a 4-vector in row order, at the work window, read at ``prec``."""
+    work = _work_prec(k, prec)
+    _, M_inv = change_of_basis(work, k, eps_seed)
+    vec = _mat_apply(M_inv, tuple(d.with_p_prec(work.p_prec) for d in rows))
+    return UnboundedQuadruple(*(d.with_p_prec(prec.p_prec) for d in vec))
+
+
+def _divide(row: Distribution, log: Distribution, label: str, p_prec: int) -> IwasawaElement:
+    """row / log at the log's window, read at ``p_prec``.
+
+    A DivisibilityError names the row by ``label``.
+    """
+    try:
+        quotient = divide_exact(row.with_p_prec(log.prec.p_prec), log)
+    except DivisibilityError as e:
+        e.row = label
+        raise
+    return quotient.body.with_p_prec(p_prec)
+
+
 def _detect_form(q: UnboundedQuadruple):
     for d in q.vector():
         for comp in d.body.components:
@@ -247,11 +289,7 @@ def factor_signed(
     conv, rows, logs = _divisor_rows(q, k, convention, eps_seed)
     out = {}
     for i, (sign, row, log) in enumerate(zip(conv.row_signs, rows, logs)):
-        try:
-            out[sign] = divide_exact(row, log).body.with_p_prec(q.prec.p_prec)
-        except DivisibilityError as e:
-            e.row = f"row {i + 1} ({sign})"
-            raise
+        out[sign] = _divide(row, log, f"row {i + 1} ({sign})", q.prec.p_prec)
     return SignedQuadruple(out["plus"], out["minus"], out["dot"], out["circ"])
 
 
@@ -293,16 +331,7 @@ def synthesize(
     """
     _check_int(0, **{"weight parameter k": k})
     conv = _conv(convention)
-    prec = s.prec
-    work = _work_prec(k, prec)
-    logs = _log_column(k, conv, prec)
-    w = tuple(
-        log * Distribution(s.by_sign(sign).with_p_prec(work.p_prec), Fraction(0))
-        for sign, log in zip(conv.row_signs, logs)
-    )
-    _, M_inv = change_of_basis(work, k, eps_seed)
-    vec = _mat_apply(M_inv, w)
-    return UnboundedQuadruple(*(d.with_p_prec(prec.p_prec) for d in vec))
+    return _unbounded(_log_rows(k, conv, s.prec, s.by_sign), k, eps_seed, s.prec)
 
 
 # -- mock global module ----------------------------------------------------
@@ -335,26 +364,21 @@ class MockGlobalModule:
         return self.seeds[basis_index][SLOTS.index(sign)]
 
 
-def _mock_logs_slotwise(G: MockGlobalModule):
-    conv = _conv(G.convention)
-    logs_rows = _log_column(G.k, conv, G.prec)
-    return conv.slots_from_rows(logs_rows)
-
-
 def local_coordinates(G: MockGlobalModule, elem) -> tuple[Distribution, ...]:
     """Local image of c1*Y1 + c2*Y2 in the (circ, dot, plus, minus) slots.
 
     ``elem`` is a pair of coefficients; plain integers 0/1 work for basis
     vectors, otherwise Distributions (or bounded elements) are expected.
     """
-    logs = _mock_logs_slotwise(G)
-    work_p = logs[0].prec.p_prec
+    conv = _conv(G.convention)
+    work_p = _work_prec(G.k, G.prec).p_prec
+    images = [conv.slots_from_rows(_log_rows(G.k, conv, G.prec, partial(G.seed, i)))
+              for i in range(len(elem))]
     out = []
     for slot in range(4):
         acc = None
-        for i, c in enumerate(elem):
-            seed = G.seeds[i][slot].with_p_prec(work_p)
-            term = logs[slot] * Distribution(seed, Fraction(0))
+        for c, image in zip(elem, images):
+            term = image[slot]
             if isinstance(c, int):
                 if c == 0:
                     continue
@@ -365,8 +389,7 @@ def local_coordinates(G: MockGlobalModule, elem) -> tuple[Distribution, ...]:
                 term = term * Distribution(c.with_p_prec(work_p), Fraction(0))
             acc = term if acc is None else acc + term
         if acc is None:
-            zero = logs[slot].scale(0)
-            acc = Distribution(zero.body, Fraction(0))
+            acc = Distribution(IwasawaElement.zero(G.prec), Fraction(0))
         out.append(acc.with_p_prec(G.prec.p_prec))
     return tuple(out)
 
@@ -375,11 +398,8 @@ def unbounded_coordinates(
     G: MockGlobalModule, elem, eps_seed: int = 1
 ) -> UnboundedQuadruple:
     """The eigenvalue-pair coordinates of an element: M^{-1} of its rows."""
-    conv = _conv(G.convention)
-    loc = local_coordinates(G, elem)
-    w = conv.rows_from_slots(loc)
-    _, M_inv = change_of_basis(G.prec, G.k, eps_seed)
-    return UnboundedQuadruple(*_mat_apply(M_inv, w))
+    rows = _conv(G.convention).rows_from_slots(local_coordinates(G, elem))
+    return _unbounded(rows, G.k, eps_seed, G.prec)
 
 
 def coleman_extract(local, sign: str, k: int, convention="theoremA") -> IwasawaElement:
@@ -393,18 +413,10 @@ def coleman_extract(local, sign: str, k: int, convention="theoremA") -> IwasawaE
         raise ValueError("the antisymmetric slot has no Coleman map")
     if sign not in SIGNS:
         raise ValueError(f"sign must be one of {SIGNS[:3]}")
-    conv = _conv(convention)
+    lk = _conv(convention).log_kind(sign, k)
     target = local[SLOTS.index(sign)]
-    base = target.prec
-    work = _work_prec(k, base)
-    lk = conv.log_kind(sign, k)
-    log = _log(lk.kind, lk.r, lk.shift, work)
-    try:
-        quotient = divide_exact(target.with_p_prec(work.p_prec), log)
-    except DivisibilityError as e:
-        e.row = sign
-        raise
-    return quotient.body.with_p_prec(base.p_prec)
+    log = _log(lk.kind, lk.r, lk.shift, _work_prec(k, target.prec))
+    return _divide(target, log, sign, target.prec.p_prec)
 
 
 def pr_rank_reduce(G: MockGlobalModule, lam_mu: str, eps_seed: int = 1):
