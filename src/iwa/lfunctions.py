@@ -360,6 +360,8 @@ class DirichletCharacter:
 
     def exponent(self, a: int):
         """The exponent of chi(a), or None when chi(a) = 0."""
+        if type(a) is not int:
+            _check_int(a=a)
         # modulus 1 gives table[0], which multiplicativity forces to be 0
         if math.gcd(a, self.modulus) != 1:
             return None

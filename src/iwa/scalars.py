@@ -48,7 +48,9 @@ the least one the argument allows, with a ValueError in one of two shapes:
 Domain checks past that (a prime p, a twist range, a unit seed) raise
 ValueErrors of their own that name the argument.  Hot internal paths (the
 ``PadicScalar`` constructor, the column kernels) take their data as already
-checked.
+checked; methods that internal paths call often (``shift``,
+``reduce_abs``, ``inexact_zero``, ``DirichletCharacter.exponent``) call
+``_check_int`` only for a value whose type is not int.
 """
 
 from __future__ import annotations
@@ -275,6 +277,8 @@ class PadicScalar(_Scalar):
     @classmethod
     def inexact_zero(cls, prec: Precision, abs_prec: int) -> "PadicScalar":
         """The zero known only modulo p^abs_prec."""
+        if type(abs_prec) is not int:
+            _check_int(abs_prec=abs_prec)
         return cls(prec, abs_prec, 0, 0)
 
     @classmethod
@@ -292,7 +296,7 @@ class PadicScalar(_Scalar):
         cls, q: Fraction | int, prec: Precision, rel: int | None = None
     ) -> "PadicScalar":
         if not isinstance(q, Fraction):
-            _check_int(q=q)
+            _check_types("q", (q,))
             return cls.from_int(q, prec, rel)
         r = prec.p_prec if rel is None else rel
         _check_int(0, rel=r)
@@ -354,6 +358,8 @@ class PadicScalar(_Scalar):
 
     def shift(self, d: int) -> "PadicScalar":
         """Multiply by p**d exactly: valuation moves, mantissa and digit count don't."""
+        if type(d) is not int:
+            _check_int(d=d)
         if self.val is None or d == 0:
             return self
         return PadicScalar(self.prec, self.val + d, self.unit, self.rel)
@@ -439,6 +445,8 @@ class PadicScalar(_Scalar):
 
     def reduce_abs(self, abs_prec: int) -> "PadicScalar":
         """Forget digits beyond absolute precision ``abs_prec``."""
+        if type(abs_prec) is not int:
+            _check_int(abs_prec=abs_prec)
         if self.val is None:
             return PadicScalar.inexact_zero(self.prec, abs_prec)
         if self.val + self.rel <= abs_prec:

@@ -240,6 +240,12 @@ CONTRACT = {
     "PadicScalar.from_unit_val": Row(
         PadicScalar.from_unit_val, lambda: dict(prec=P, unit=10, val=-1),
         {"unit": INT, "val": INT, "rel": DIGITS}),
+    "PadicScalar.inexact_zero": Row(PadicScalar.inexact_zero, lambda: dict(prec=P, abs_prec=3),
+                                    {"abs_prec": INT}),
+    "PadicScalar.shift": Row(lambda d: PadicScalar.from_int(3, P).shift(d), lambda: dict(d=2),
+                             {"d": INT}),
+    "PadicScalar.reduce_abs": Row(lambda abs_prec: PadicScalar.from_int(3, P).reduce_abs(abs_prec),
+                                  lambda: dict(abs_prec=2), {"abs_prec": INT}),
     "QuadExtScalar": Row(
         QuadExtScalar,
         lambda: dict(a=PadicScalar.from_int(1, P), b=PadicScalar.from_int(2, P), k=1,
@@ -347,6 +353,8 @@ CONTRACT = {
         {"p": Prime(), "j": INT}),
     "DirichletCharacter.quadratic": Row(DirichletCharacter.quadratic, lambda: dict(p=5, d=3),
                                         {"p": Prime(), "d": INT}),
+    "DirichletCharacter.exponent": Row(lambda a: chi().exponent(a), lambda: dict(a=3),
+                                       {"a": INT}),
     "EulerFactorReport": NotSwept(RECORD),
     "gen_bernoulli": Row(iwa.lfunctions.gen_bernoulli, lambda: dict(n=2, eta=chi(), prec=P),
                          {"n": Int(0), "prec": Window(), "rel": DIGITS}),
@@ -506,6 +514,12 @@ REFUSED = [
      "growth order claim must be one of int, Fraction, not 0.5"),
     (lambda: Distribution(one(), True),
      "growth order claim must be one of int, Fraction, not True"),
+    (lambda: PadicScalar.from_fraction(1.5, P), "q must be one of int, Fraction, not 1.5"),
+    (lambda: PadicScalar.from_fraction("1/3", P), "q must be one of int, Fraction, not '1/3'"),
+    (lambda: PadicScalar.from_int(3, P).shift(1.5), "d must be an integer, not 1.5"),
+    (lambda: PadicScalar.from_int(3, P).reduce_abs(2.5), "abs_prec must be an integer, not 2.5"),
+    (lambda: PadicScalar.inexact_zero(P, 1.5), "abs_prec must be an integer, not 1.5"),
+    (lambda: chi().exponent(2.5), "a must be an integer, not 2.5"),
 ]
 
 
