@@ -3,7 +3,8 @@
 The layers, bottom to top:
 
 * :mod:`iwa._kernel` — Kronecker-packed integer polynomials: products,
-  affine composition and cyclotomic level factors on lists of ints mod p^W;
+  the Taylor shift f(X) -> f(X + s) and cyclotomic level factors on lists
+  of ints mod p^W;
   the packed Stirling columns that :mod:`iwa.pollack` reads to leave the
   log(1+X) basis; and cached tables of factorials and of inverses of the
   unit parts of integers, read by :mod:`iwa.pollack` and, to divide by
