@@ -137,8 +137,7 @@ def _module(of, labels, matrix, weights, provenance: str) -> PhiModule:
     if isinstance(of, PhiModule):
         of = (of.weight, of.eps_seed, of.prec)
     dim = len(labels)
-    return PhiModule(dim, tuple(labels), matrix, _filtration_from_weights(weights, dim), *of,
-                     provenance)
+    return PhiModule(dim, labels, matrix, _filtration_from_weights(weights, dim), *of, provenance)
 
 
 def dcris_of_form(p: int, k: int, eps_p: int, prec: Precision | None = None) -> PhiModule:
