@@ -47,6 +47,15 @@ returns:
   n in {16, 64, 160} over p in {3, 5, 7}: at one cap, at jagged caps with
   exact zeros, and with a quotient coefficient of lower valuation than every
   earlier one;
+* ``_back_substitute`` on dividends Q*G at n in {16, 64} over p in
+  {3, 5, 7}, Q of 1, 3 or 7 terms from degree 0, of 3 terms spread over the
+  window, each of lower valuation than the one before, or of n terms; G a
+  unit pivot with coefficients of valuation 0..3 or -1..1, a divisor that
+  has lost digits the dividend keeps, or a pivot of 2 digits, so that a
+  quotient term's caps bind; Q*G read at one cap, at jagged caps and as it
+  is; and
+  ``_quotient_by_monic`` of such products, plus a remainder, by monic
+  polynomials, on a Q_p part and on an alpha-part;
 * the derived scalar operators on ``PadicScalar`` and ``QuadExtScalar``
   operands drawn from a fixed seed at p in {3, 5, 7}: exact zeros, zeros to
   O(p^A), negative valuations and 0 to 30 digits, against scalars and int
@@ -143,6 +152,8 @@ from iwa.series import (
     Part,
     Series,
     _back_substitute,
+    _part,
+    _quotient_by_monic,
     cyclotomic_degree,
     cyclotomic_factor,
     divide_series,
@@ -252,6 +263,8 @@ LAYER_RELS = (None, 2, 0)
 CERTIFICATE_WINDOWS = ((3, 20, 40), (7, 12, 64))
 DENSE_PRIMES = (3, 5, 7)
 DENSE_LENGTHS = (16, 64, 160)
+SPARSE_PRIMES = (3, 5, 7)
+SPARSE_LENGTHS = (16, 64)
 SCALAR_PRIMES = (3, 5, 7)
 SCALAR_DRAWS = 24
 POW_EXPONENTS = range(-3, 7)
@@ -719,6 +732,85 @@ def dense_division_cases():
                 )
 
 
+def sparse_quotients(rng, p: int, n: int) -> dict:
+    """(val, unit, rel) triples of quotients: 1, 3 or 7 terms from degree
+    0, 3 terms at degrees 0, n // 3 and 2n // 3 of valuations 3, 1 and -1,
+    so that each rescales the terms before it, and n terms."""
+    def term(v):
+        return v, unit(rng, p, 12), 12
+
+    out = {f"seed{t}": [term(rng.randint(0, 3)) for _ in range(t)] for t in (1, 3, 7)}
+    spread = [(None, 0, 0)] * n
+    for i, v in zip((0, n // 3, 2 * n // 3), (3, 1, -1)):
+        spread[i] = term(v)
+    out["spread"] = spread
+    out["dense"] = [term(rng.randint(0, 3)) for _ in range(n)]
+    return out
+
+
+def sparse_divisors(rng, p: int, n: int) -> dict:
+    """A unit pivot of 30 digits and n // 2 coefficients of valuation 0..3
+    with 20 digits; coefficients of valuation -1..1, below the pivot's at
+    times, as in the signed logs; the first divisor cut to O(p^3) after the
+    dividend is formed (``lost``), so that the dividend keeps digits the
+    divisor has lost; and its pivot cut to 2 digits, so that a quotient
+    term's cap binds."""
+    pivot = (0, unit(rng, p, 30), 30)
+    tail = [(rng.randint(0, 3), unit(rng, p, 20), 20) for _ in range(n // 2)]
+    return {
+        "unit": [pivot] + tail,
+        "declining": [pivot] + [(rng.randint(-1, 1), unit(rng, p, 20), 20) for _ in tail],
+        "lost": [pivot] + tail,
+        "short_pivot": [(0, pivot[1] % p**2, 2)] + tail,
+    }
+
+
+def read_caps(rng, num: Part, n: int, caps: str) -> Part:
+    """num at one cap over the window, at jagged caps, or as it is."""
+    p = num.p
+    if caps == "one_cap":
+        pad = max(n - len(num), 0)
+        num = Part(p, num.off, num.cells + [0] * pad, num.abs_precs + [inf] * pad)
+        return num.reduce_abs(min(num.abs_precs))
+    if caps == "jagged":
+        cut = [rng.choice((inf, 10, 12, 16)) for _ in num.abs_precs]
+        return _part(p, num.off, num.cells, [min(A, c) for A, c in zip(num.abs_precs, cut)])
+    return num
+
+
+def sparse_division_cases():
+    """_back_substitute on dividends Q*G read at several caps, and
+    _quotient_by_monic on Q*P plus a remainder, P monic of degree 3."""
+    for p in SPARSE_PRIMES:
+        for n in SPARSE_LENGTHS:
+            rng = random.Random(p * 100 + n)
+            prec = Precision(p, 30, 2 * n + 16)
+            divisors = sparse_divisors(rng, p, n)
+            P = Series.make(prec, [p * rng.randint(1, 9), rng.randint(1, 9), p, 1],
+                            is_polynomial=True)
+            R = Series.make(prec, [rng.randint(1, 9), p**2], is_polynomial=True)
+            for qname, q in sparse_quotients(rng, p, n).items():
+                Q = Series(prec, Part.from_triples(p, q), is_polynomial=True)
+                for dname, triples in divisors.items():
+                    den = Part.from_triples(p, triples)
+                    num = (Q * Series(prec, den, is_polynomial=True))._a
+                    if dname == "lost":
+                        den = den.reduce_abs(3)
+                    for caps in ("one_cap", "jagged", "as_is"):
+                        yield (
+                            f"back_substitute/sparse/{qname}/{dname}/{caps}/p{p}/n{n}",
+                            lambda num=read_caps(rng, num, n, caps), den=den, n=n: outcome(
+                                lambda: _back_substitute(num, den, n)),
+                        )
+                F = Q * P + R
+                alpha = Series(prec, F._a, F.reduce_abs(9)._a, (1, 2), is_polynomial=True)
+                for fname, F in (("qp", F), ("alpha", alpha)):
+                    yield (
+                        f"quotient_by_monic/{qname}/{fname}/p{p}/n{n}",
+                        lambda F=F, P=P: outcome(lambda: _quotient_by_monic(F, P)),
+                    )
+
+
 def random_padic(rng, prec: Precision) -> PadicScalar:
     """An exact zero, a zero to O(p^A), or unit * p^val + O(p^(val + rel))
     with val in -4..4, rel in 0..30 and a unit that may still carry p, so
@@ -1035,6 +1127,7 @@ def cases():
     yield from bench_certificate_cases()
     yield from window_certificate_cases()
     yield from dense_division_cases()
+    yield from sparse_division_cases()
     yield from scalar_operator_cases()
     yield from affine_cases()
     yield from mock_cases()
