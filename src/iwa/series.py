@@ -40,7 +40,8 @@ Precision semantics:
   part, each known modulo p^W at the smaller packed width;
 * a quotient (:func:`divide_series`) follows the scalar rules of
   back-substitution, each coefficient's cap set before its value
-  (:func:`_back_substitute`), a dense one in C-level passes per degree;
+  (:func:`_back_substitute`) and each value read from the products that
+  the quotient terms carrying digits scatter ahead;
 * a remainder is one multiply-add per dividend cell against the packed
   columns X^k mod phi (:func:`_reduction_columns`), cached per factor;
 * most parts are known to one finite cap A on every degree, and then need
@@ -64,7 +65,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, repeat
 from math import inf
-from operator import add, mul
+from operator import add, mul, sub
 
 from ._kernel import _pack
 from ._kernel import cyclotomic_cells as _k_cyclo
@@ -1279,26 +1280,28 @@ def _divisor_plan(p, off, cells, abs_precs, n):
     """What _back_substitute reads of a divisor, cached by content and n.
 
     gv, gu, gr: each coefficient's valuation (inf for an exact zero, A for
-    O(p^A)), unit and relative precision; the walk's columns from degree 1:
-    valuations, caps gv_i + gr_i and negated cells.  On degrees 0..n-1: G*,
-    the min-plus star of (gv_i - v0), i >= 1, v0 = gv[0] (G*[k] the least
-    sum of gv_i - v0 over chains of degrees summing to k); its prefix
-    minima; WA[k], the least gv_i + gr_i + G*[k - i], i >= 1 (inf at 0); and
-    gd[i], gv_i where coefficient i >= 1 carries digits, else inf.
+    O(p^A)), unit and relative precision.  On degrees 0..n-1: G*, the
+    min-plus star of (gv_i - v0), i >= 1, v0 = gv[0] (G*[k] the least sum of
+    gv_i - v0 over chains of degrees summing to k); low, its prefix minima;
+    WA[k], the least gv_i + gr_i + G*[k - i], i >= 1 (inf at 0); the slacks
+    of degree j, the least WA[k] - low[j + k] and the least G*[k] - low[j +
+    k] over k >= 1 with j + k < n (inf at n - 1); and the cells from degree
+    1, which a quotient term scatters.
     """
     gv, gu, gr = zip(*[_triple(p, off, c, A) for c, A in zip(cells, abs_precs)])
     g = [v - gv[0] for v in gv[1:]]
     ga = [v + r for v, r in zip(gv[1:], gr[1:])]
-    walk = tuple(gv[1:]), tuple(ga), tuple(-c for c in cells[1:])
     star, wa = [0], [inf]
     for _ in range(1, n):
         back = star[::-1]  # G*[k - 1], ..., G*[0] pair with degrees 1..k
         star.append(min(map(add, g, back), default=inf))
         wa.append(min(map(add, ga, back), default=inf))
-    gd = [inf] + [v if r else inf for v, r in zip(gv[1:], gr[1:])]
-    gd += [inf] * (n - len(gd))
-    star, low = tuple(star), tuple(accumulate(star, min))
-    return gv, gu, gr, walk, star, low, tuple(wa), tuple(gd)
+    low = tuple(accumulate(star, min))
+    slack = tuple(
+        tuple(min(map(sub, t[1:n - j], low[j + 1:]), default=inf) for j in range(n))
+        for t in (wa, star)
+    )
+    return gv, gu, gr, slack, tuple(star), low, tuple(wa), cells[1:]
 
 
 def _back_substitute(num, den, n):
@@ -1314,127 +1317,97 @@ def _back_substitute(num, den, n):
     triples until packed.  An exact or zero-to-precision den[0] raises as
     PadicScalar.inverse does.
 
-    Each degree sets its cap A_m before its value.  A_m is the least of
-    num's cap numA_m and the pair terms gv_i + qv_j + min(gr_i, qr_j) =
-    min(gA_i + qv_j, gv_i + qA_j), i + j = m, i >= 1 (v valuation, r
-    relative precision, A = v + r cap, inf for an exact zero).  q_m mod
-    p^(A_m) needs only the pairs with gv_i + qv_j < A_m, since any
-    representative of q_j agrees with it to its own cap.  Per degree the
-    cheaper of two exact forms sets A_m and the value:
+    Degree m's sum has the cap A_m, the least of num's cap numA_m and the
+    pair terms gv_i + qv_j + min(gr_i, qr_j) = min(gA_i + qv_j, gv_i + qA_j),
+    i + j = m, i >= 1 (v valuation, r relative precision, A = v + r cap,
+    inf for an exact zero; the tables are _divisor_plan's).  Each cap is set
+    before its value, in one form:
 
-    * the walk, three C-level passes over the divisor's columns from degree
-      1 (_divisor_plan) against the quotient's kept newest first, so that
-      map pairs den[i] with q[m - i] up to i = min(m, reach - 1): two
-      min(map(add)) for the cap, and sum(map(mul)) for the dot product of
-      den's cells with the representatives qu_j p^(qv_j - qbase), qbase the
-      least valuation of a digit-carrying q_j so far (a lower one rescales
-      them), read mod p^(A_m - base).  That is congruent mod p^(A_m) to the
-      sum of the pairs the scalar rules keep: each pair it adds beyond them
-      has gv_i + qv_j >= A_m or a zero-to-precision factor, whose cell is 0;
-    * the star form, while num is known to one cap a and the digit-carrying
-      q_j are few next to the pairs in reach.  A zero-to-precision q_j adds
-      only the bound (gv_i - v0) + A_j, v0 the pivot's valuation, which for
-      a digit-carrying q_j its own pair term dominates (qA_j <= A_j - v0).
-      So the caps obey a min-plus recurrence, unrolled through the tables:
-          A_m = min(a + low[m], min over digit-carrying j < m of
+    * caps.  A zero-to-precision q_j has qv_j = A_j - v0 and rel 0, so its
+      pair term is (gv_i - v0) + A_j; a digit-carrying q_j has qA_j <= A_j -
+      v0, so that bound lies at or above its own pair terms, and adding it
+      changes no minimum.  Then A_m = min(numA_m, D_m, min over i of (gv_i
+      - v0 + A_(m-i))), D_m the pair terms of the digit-carrying q_j, and
+      the min-plus recurrence unrolls along chains:
+          A_m = min(C[m], min over digit-carrying j < m of
                     min(qv_j + WA[m - j], qA_j + v0 + G*[m - j])),
-      low[m] the least of G*[0..m], and only digit-carrying pairs below A_m
-      are formed: a quotient of zeros to precision past a short seed's
-      degree costs a bound a degree, not a product per term.
+      C[m] = min over s <= m of (numA_s + G*[m - s]), which for num known
+      to one cap a on degrees 0..n-1 is a + low[m].  So the caps start at
+      C, and each digit-carrying q_j lowers the later ones as it is found;
+    * the skip.  Every numA_s is at most a, the largest cap of num, so C[m]
+      <= a + low[m].  A term j with qv_j + min_k (WA[k] - low[j + k]) >= a
+      and qA_j + v0 + min_k (G*[k] - low[j + k]) >= a lies at or above
+      every later cap, and its update is skipped;
+    * values.  Each digit-carrying q_j adds its products -den[i]*q_j, on
+      the divisor's cells and the representative qu_j p^(qv_j - qbase),
+      to an accumulator for degrees j + 1..j + reach - 1 at exponent den.off
+      + qbase (qbase the least qv_j so far, a lower one rescaling what is
+      accumulated).  Degree m reads num's cell plus that sum mod p^A_m:
+      congruent to the sum of the pairs the scalar rules keep, since any
+      representative of a factor agrees with it to its own cap, a pair
+      with gv_i + qv_j >= A_m is 0 mod p^A_m, and a zero-to-precision
+      factor adds a 0 cell.  A degree with no digits costs one multiply-add
+      and one reduction.
 
-    A num of zeros to precision at one cap a on degrees 0..n-1 (the
-    alpha-part of most dividends over Q_p(alpha)) has the quotient q_m =
-    O(p^(a + low[m] - v0)) once the pivot refusals have passed.  Every q_j is
-    then a zero to precision, so the walk's cap is A_m = min(a, min over i
-    of (gv_i - v0 + A_(m-i))), A_0 = a.  With A_m = a + B_m: B_0 = 0 = G*[0],
-    and if B_j = low[j] for j < m, the inner minimum is the least of gv_i -
-    v0 + G*[k], i >= 1, k <= m - i, which is the least of G*[1..m]; with the
-    0 of min(a, ...) that is low[m].  The walk stores (A_m - v0, 0, 0) for a
-    sum of no terms, as here.
+    A num whose cells are all 0 gives no digit-carrying term, so the
+    quotient is q_m = O(p^(C[m] - v0)), and exact where C[m] is inf.
     """
     p = den.p
     reach = min(n, len(den))
     if not reach or den.abs_precs[0] == inf:
         raise ExactZeroError("division by exact zero")
-    gv, gu, gr, (gvs, gas, gcs), star, low, wa, gd = _divisor_plan(
+    gv, gu, gr, (wslack, gslack), star, low, wa, col = _divisor_plan(
         p, den.off, tuple(den.cells[:reach]), tuple(den.abs_precs[:reach]), n
     )
     v0, u0, r0 = gv[0], gu[0], gr[0]
     if r0 == 0:
         raise PrecisionError(f"division by zero-to-precision O(p^{v0})")
-    vi, ri = -v0, r0
     ui = pow(u0, -1, p**r0)
     off = num.off
-    cells, caps = _cols(num, 0, n)
-    # num is known to one cap a on the degrees below flat
-    a = caps[0] if n else inf
-    if a != inf and not any(cells) and caps.count(a) == n:
-        # num is zeros to precision at one cap: q_m = O(p^(a + low[m] - v0))
-        qcaps = [a - v0 + t for t in low]
-        return Part(p, qcaps[-1], [0] * n, qcaps)
-    flat = next((m for m, A in enumerate(caps) if A != a), n) if a != inf else 0
-    dig = []  # (j, qv, qA + v0, qu) of the digit-carrying q_j so far
-    # the walk's quotient columns, newest first, brought up to date when the
-    # walk runs: valuation and cap (inf for an exact zero), and the
-    # representative qu * p^(qv - qbase), 0 for a q_j without digits
-    qvs, qas, qcs = [], [], []
-    qbase = inf
-    base = 0  # the sum's lowest exponent; a sum of no live terms reads none
+    cells, numA = _cols(num, 0, n)
+    a = max(numA)
+    if numA.count(a) == n:
+        caps = [a + t for t in low]
+    else:
+        caps = [min(map(add, numA[: m + 1], star[m::-1])) for m in range(n)]
+    if not any(cells):
+        qcaps = [A - v0 for A in caps]
+        qoff = min(qcaps)
+        return Part(p, 0 if qoff == inf else qoff, [0] * n, qcaps)
+    acc = [0] * n  # the digit-carrying terms' products, at exponent E
+    E = inf
+    b, sc, sa = off, 1, 0  # the sum's base exponent; scales of num's cells and acc
     pw = [1]
     q = []
-    for m, c, A in zip(range(n), cells, caps):
-        if m < flat and 2 * len(dig) < min(m, reach - 1):
-            A = a + low[m]
-            near = []  # the pairs that may reach the value, filtered once A is set
-            for j, qv, qa, qu in dig:
-                k = m - j
-                t = qv + wa[k]
-                if t < A:
-                    A = t
-                t = qa + star[k]
-                if t < A:
-                    A = t
-                t = gd[k] + qv
-                if t < A:
-                    near.append((t, k, qu))
-            live = [(off, c)] if c and off < A else []
-            live += [(e, -gu[k] * qu) for e, k, qu in near if e < A]
-        else:
-            for qv, qu, r in q[len(qvs):]:
-                if qv is None:
-                    qv = inf
-                elif r:
-                    if qv < qbase:  # rescale the representatives to the lower base
-                        f = p ** (qbase - qv) if qbase != inf else 0
-                        qcs, qbase = [x * f for x in qcs], qv
-                    qu *= p ** (qv - qbase)
-                qvs.insert(0, qv)
-                qas.insert(0, qv + r)
-                qcs.insert(0, qu)
-            # pairs (i, m - i), i = 1..min(m, reach - 1): map stops at the shorter
-            if m and gas:
-                A = min(A, min(map(add, gas, qvs)), min(map(add, gvs, qas)))
-            if A == inf:
-                q.append((None, 0, 0))
-                continue
-            live = [(off, c)] if c and off < A else []
-            if den.off + qbase < A:
-                s = sum(map(mul, gcs, qcs))
-                if s:
-                    live.append((den.off + qbase, s))
+    for m in range(n):
+        A = caps[m]
+        if A == inf:
+            q.append((None, 0, 0))
+            continue
         s = 0
-        if live:
-            base = min(live)[0]
-            while len(pw) <= A - base:
+        if b < A:
+            while len(pw) <= A - b:
                 pw.append(pw[-1] * p)
-            for e, c in live:
-                s += c * pw[e - base]
-            s %= pw[A - base]
-        sv, su, sr = _triple(p, base, s, A)
-        r = sr if sr < ri else ri
-        q.append((sv + vi, su * ui % pw[r] if r else 0, r))
-        if r:
-            dig.append((m, sv + vi, sv + r, q[-1][1]))
+            s = (cells[m] * sc + acc[m] * sa) % pw[A - b]
+        if not s:
+            q.append((A - v0, 0, 0))
+            continue
+        sv, su, sr = _triple(p, b, s, A)
+        r = sr if sr < r0 else r0
+        qv, qu = sv - v0, su * ui % pw[r]
+        q.append((qv, qu, r))
+        if qv + wslack[m] < a or sv + r + gslack[m] < a:
+            caps[m + 1:] = map(min, caps[m + 1:], map(add, wa[1:], repeat(qv)),
+                               map(add, star[1:], repeat(sv + r)))
+        e = den.off + qv
+        if e < E:
+            if E != inf:
+                acc[m + 1:] = map(mul, acc[m + 1:], repeat(p ** (E - e)))
+            E = e
+            b = min(off, E)
+            sc, sa = p ** (off - b), p ** (E - b)
+        acc[m + 1:m + reach] = map(add, acc[m + 1:m + reach],
+                                   map(mul, col, repeat(-qu * p ** (e - E))))
     return Part.from_triples(p, q)
 
 

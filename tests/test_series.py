@@ -1138,9 +1138,11 @@ def back_substitution_cases(draw):
     valuation, as in the signed logs; it holds exact zeros and zeros to
     precision, and at times has lost digits the dividend keeps.  The dividend
     is a short seed times the divisor (a sparse quotient: zeros to precision
-    past the seed's degree), a long one (a dense quotient), random, or zeros
-    to precision (a quotient of zeros to precision, in closed form at one
-    cap), read at one cap over the whole window, at jagged caps or as it is.
+    past the seed's degree), 1 to 4 terms anywhere in the window times the
+    divisor (a sparse quotient whose digit-carrying terms may come late and
+    lie below the earlier ones), a long one (a dense quotient), random, or
+    zeros to precision (a quotient of zeros to precision, in closed form),
+    read at one cap over the whole window, at jagged caps or as it is.
     """
     p = draw(st.sampled_from([3, 5, 7]))
     n = 64 if draw(st.integers(0, 19)) == 0 else draw(st.integers(0, 40))
@@ -1152,7 +1154,7 @@ def back_substitution_cases(draw):
     length = draw(st.integers(0, n + 2))
     den += [column_triple(draw, p, v0 - 3, v0 + 5, kinds) for _ in range(length)]
     den = Part.from_triples(p, den)
-    shape = draw(st.sampled_from(["sparse", "sparse", "dense", "random", "zero"]))
+    shape = draw(st.sampled_from(["sparse", "sparse", "terms", "terms", "dense", "random", "zero"]))
     if shape == "random":
         length = draw(st.integers(0, n + 2))
         num = Part.from_triples(p, [column_triple(draw, p, -3, 5) for _ in range(length)])
@@ -1162,8 +1164,14 @@ def back_substitution_cases(draw):
         zeros = [column_triple(draw, p, 30, 30, ("zero",)) for _ in range(length)]
         num = Part.from_triples(p, zeros)
     else:
-        length = draw(st.integers(1, 7)) if shape == "sparse" else max(n, 1)
-        seed = Part.from_triples(p, [column_triple(draw, p, -1, 4) for _ in range(length)])
+        if shape == "terms":
+            seed = [(None, 0, 0)] * max(n, 1)
+            for i in draw(st.lists(st.integers(0, len(seed) - 1), min_size=1, max_size=4)):
+                seed[i] = column_triple(draw, p, -1, 4, ("digit",))
+        else:
+            length = draw(st.integers(1, 7)) if shape == "sparse" else max(n, 1)
+            seed = [column_triple(draw, p, -1, 4) for _ in range(length)]
+        seed = Part.from_triples(p, seed)
         num = (Series(prec, seed, is_polynomial=True) * Series(prec, den, is_polynomial=True))._a
         if draw(st.booleans()):  # the dividend keeps digits the divisor has lost
             den = den.reduce_abs(v0 + draw(st.integers(1, 6)))
@@ -1198,7 +1206,7 @@ def columns_or_error(fn, *args):
     9,
 ))
 # 6/7 + O(1) + O(1)X + ...: the divisor's zeros to precision cap each q_m,
-# m >= 1, at v(q_0) plus their cap; at degree 3 the star form reads it from WA
+# m >= 1, at v(q_0) plus their cap; at degree 3 q_0's update reads it from WA
 @example((
     Part.from_triples(7, [(0, 97, 3)] + [(3, 0, 0)] * 3),
     Part.from_triples(7, [(-1, 6, 1)] + [(0, 0, 0)] * 3),
@@ -1212,7 +1220,7 @@ def columns_or_error(fn, *args):
     6,
 ))
 # an exact-zero dividend coefficient past the pivot, over an exact-zero
-# divisor coefficient: the walk's cap at degree 1 is inf, so q_1 is exact
+# divisor coefficient: the cap at degree 1 is inf, so q_1 is exact
 @example((
     Part.from_triples(5, [(0, 3, 6), (None, 0, 0), (None, 0, 0)]),
     Part.from_triples(5, [(0, 2, 4), (None, 0, 0)]),
@@ -1225,17 +1233,17 @@ def columns_or_error(fn, *args):
     Part.from_triples(5, [(0, 1, 8), (0, 2, 8)]),
     3,
 ))
-# q_1 (valuation 0) lies below q_0 (valuation 3): the walk at degree 2
-# rescales q_0's representative to the lower base
+# q_1 (valuation 0) lies below q_0 (valuation 3): the accumulator rescales
+# q_0's products to the lower base
 @example((
     Part.from_triples(5, [(3, 1, 5), (0, 1, 8), (0, 4, 8)]),
     Part.from_triples(5, [(0, 1, 8), (0, 1, 8)]),
     3,
 ))
 def test_cap_first_kernel_matches_pair_walk(case):
-    # every cap set first (from the divisor's tables or the walk) and every
-    # value from the pairs below it: the same columns as forming every
-    # product, or the same error
+    # every cap set first from the divisor's tables and every value from the
+    # products the digit-carrying terms scatter: the same columns as forming
+    # every product, or the same error
     num, den, n = case
     assert columns_or_error(_back_substitute, num, den, n) == columns_or_error(
         back_substitute_pairs, num, den, n
@@ -1262,7 +1270,7 @@ def test_cap_tables_are_least_chains(data):
     den = Part.from_triples(p, den)
     reach = min(n, len(den))
     cells, abs_precs = tuple(den.cells[:reach]), tuple(den.abs_precs[:reach])
-    gv, _, gr, _, star, low, wa, gd = _divisor_plan(p, den.off, cells, abs_precs, n)
+    gv, _, gr, slack, star, low, wa, col = _divisor_plan(p, den.off, cells, abs_precs, n)
 
     def cost(chain):  # a degree past the reach or at an exact zero has no chain
         return sum(gv[i] - v0 if i < reach else inf for i in chain)
@@ -1274,7 +1282,10 @@ def test_cap_tables_are_least_chains(data):
     ]
     assert list(star) == want_star and list(wa) == want_wa
     assert list(low) == [min(want_star[: k + 1]) for k in range(n)]
-    assert list(gd) == [gv[i] if 0 < i < reach and gr[i] else inf for i in range(n)]
+    for got, table in zip(slack, (want_wa, want_star)):
+        want = [min((table[k] - low[j + k] for k in range(1, n - j)), default=inf) for j in range(n)]
+        assert list(got) == want
+    assert col == cells[1:]
 
 
 def test_cap_tables_key_holds_caps_and_reach():
@@ -1285,7 +1296,7 @@ def test_cap_tables_key_holds_caps_and_reach():
     other_caps = Part.from_triples(p, [(0, 1, 10), (1, 1, 7), (1, 2, 10)])
     shorter = base.slice(0, 2)
 
-    def tables(den):  # (G*, prefix minima, WA, gd)
+    def tables(den):  # (G*, prefix minima, WA, cells from degree 1)
         return _divisor_plan(p, den.off, tuple(den.cells), tuple(den.abs_precs), n)[4:]
 
     t = tables(base)
