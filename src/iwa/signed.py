@@ -255,7 +255,8 @@ def _mat_apply(M, vec):
 
 
 def _divisor_rows(q: UnboundedQuadruple, k: int, convention, eps_seed):
-    """The set-up shared by :func:`factor_signed` and :func:`factor_report`.
+    """The set-up shared by :func:`factor_signed`, :func:`factor_report` and
+    :func:`doubly_signed_pair`.
 
     Returns (convention, rows, logs): M*q in row order at the work precision
     and the column of signed logarithms each row is divided by.  A coordinate
@@ -437,17 +438,20 @@ def doubly_signed_pair(G: MockGlobalModule, signs: tuple[str, str], eps_seed: in
     """Col^{first} of the local image of BF^{second}, both built from G.
 
     The result is antisymmetric under swapping the two signs: it is the
-    2x2 determinant of the seeds in those two slots.
+    2x2 determinant of the seeds in those two slots.  Of each factorization
+    only the second sign's row is divided.
     """
     club, spade = signs
     allowed = {"plus", "minus", "dot"}
     if club not in allowed or spade not in allowed or club == spade:
         raise ValueError("signs must be an ordered pair of distinct plus/minus/dot")
-    s1 = factor_signed(unbounded_coordinates(G, (1, 0), eps_seed), G.k, G.convention,
-                       eps_seed)
-    s2 = factor_signed(unbounded_coordinates(G, (0, 1), eps_seed), G.k, G.convention,
-                       eps_seed)
-    b1 = s1.by_sign(spade)  # BF^spade = b(Y1) Y2 - b(Y2) Y1
-    b2 = s2.by_sign(spade)
+
+    def spade_quotient(elem):  # factor_signed's spade row alone
+        q = unbounded_coordinates(G, elem, eps_seed)
+        conv, rows, logs = _divisor_rows(q, G.k, G.convention, eps_seed)
+        i = conv.row_signs.index(spade)
+        return _divide(rows[i], logs[i], f"row {i + 1} ({spade})", q.prec.p_prec)
+
+    b1, b2 = spade_quotient((1, 0)), spade_quotient((0, 1))  # BF^spade = b(Y1) Y2 - b(Y2) Y1
     loc = local_coordinates(G, (b2.scale(-1), b1))
     return coleman_extract(loc, club, G.k, G.convention)
