@@ -183,7 +183,11 @@ class Precision:
         _check_int(1, p_prec=self.p_prec, x_prec=self.x_prec)
 
     def with_p_prec(self, p_prec: int) -> "Precision":
-        return Precision(self.p, p_prec, self.x_prec)
+        """This window at another depth; only the new p_prec is checked."""
+        _check_int(1, p_prec=p_prec)
+        out = object.__new__(Precision)
+        out.__dict__.update(p=self.p, p_prec=p_prec, x_prec=self.x_prec)
+        return out
 
 
 class _Scalar:

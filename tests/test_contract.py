@@ -520,6 +520,9 @@ REFUSED = [
     (lambda: PadicScalar.from_int(3, P).reduce_abs(2.5), "abs_prec must be an integer, not 2.5"),
     (lambda: PadicScalar.inexact_zero(P, 1.5), "abs_prec must be an integer, not 1.5"),
     (lambda: chi().exponent(2.5), "a must be an integer, not 2.5"),
+    (lambda: P.with_p_prec(1.5), "p_prec must be an integer >= 1, not 1.5"),
+    (lambda: P.with_p_prec(0), "p_prec must be an integer >= 1, not 0"),
+    (lambda: P.with_p_prec(True), "p_prec must be an integer >= 1, not True"),
 ]
 
 
