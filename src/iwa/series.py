@@ -1334,10 +1334,11 @@ def _back_substitute(num, den, n):
       C[m] = min over s <= m of (numA_s + G*[m - s]), which for num known
       to one cap a on degrees 0..n-1 is a + low[m].  So the caps start at
       C, and each digit-carrying q_j lowers the later ones as it is found;
-    * the skip.  Every numA_s is at most a, the largest cap of num, so C[m]
-      <= a + low[m].  A term j with qv_j + min_k (WA[k] - low[j + k]) >= a
-      and qA_j + v0 + min_k (G*[k] - low[j + k]) >= a lies at or above
-      every later cap, and its update is skipped;
+    * the skip.  With top[j] the most C[m] - low[m] reaches over m > j
+      (a at one cap), C[m] <= top[j] + low[m] for every later m.  So a term
+      j with qv_j + min_k (WA[k] - low[j + k]) >= top[j] and qA_j + v0 +
+      min_k (G*[k] - low[j + k]) >= top[j], k >= 1 (_divisor_plan's slacks),
+      lies at or above every later cap, and its update is skipped;
     * values.  Each digit-carrying q_j adds its products -den[i]*q_j, on
       the divisor's cells and the representative qu_j p^(qv_j - qbase),
       to an accumulator for degrees j + 1..j + reach - 1 at exponent den.off
@@ -1365,11 +1366,13 @@ def _back_substitute(num, den, n):
     ui = pow(u0, -1, p**r0)
     off = num.off
     cells, numA = _cols(num, 0, n)
-    a = max(numA)
+    a = numA[0]
     if numA.count(a) == n:
-        caps = [a + t for t in low]
+        caps, top = [a + t for t in low], [a] * n
     else:
         caps = [min(map(add, numA[: m + 1], star[m::-1])) for m in range(n)]
+        # top[j], the most any later caps[m] - low[m] reaches
+        top = [*accumulate(map(sub, caps[:0:-1], low[:0:-1]), max)][::-1] + [-inf]
     if not any(cells):
         qcaps = [A - v0 for A in caps]
         qoff = min(qcaps)
@@ -1396,7 +1399,7 @@ def _back_substitute(num, den, n):
         r = sr if sr < r0 else r0
         qv, qu = sv - v0, su * ui % pw[r]
         q.append((qv, qu, r))
-        if qv + wslack[m] < a or sv + r + gslack[m] < a:
+        if qv + wslack[m] < top[m] or sv + r + gslack[m] < top[m]:
             caps[m + 1:] = map(min, caps[m + 1:], map(add, wa[1:], repeat(qv)),
                                map(add, star[1:], repeat(sv + r)))
         e = den.off + qv
