@@ -27,6 +27,15 @@ returns:
 * sums, differences, products and linear combinations of ``Series`` over
   Q_p and Q_p(alpha), with jagged, truncated, polynomial and exact-zero
   operands;
+* ``Series`` products at p in {3, 5, 7}, every ordered pair of: alpha-parts
+  whose b*b terms have unequal widths, one-cell factors (polynomial,
+  truncated, over Q_p(alpha)), factors of exact zeros only, polynomials
+  whose product runs past x_prec, and truncations against polynomials of
+  positive order;
+* ``_weierstrass_split`` of p^v * P * U, P distinguished of degree lambda in
+  {1, 2, 3} and U a unit, at p in {3, 5, 7} and v in {0, 2}: at one cap, at
+  jagged caps and cut to fewer than 2 lambda cells; and at lambda = 0, at
+  width 1 and at width 0, a refusal;
 * coordinates synthesized 40 digits above the window they are divided in,
   where the signed logs' work margin decides the digits kept;
 * ``factor_signed(synthesize(s, k, conv), k, conv)`` on the windows where
@@ -154,6 +163,7 @@ from iwa.series import (
     _back_substitute,
     _part,
     _quotient_by_monic,
+    _weierstrass_split,
     cyclotomic_degree,
     cyclotomic_factor,
     divide_series,
@@ -264,6 +274,10 @@ CERTIFICATE_WINDOWS = ((3, 20, 40), (7, 12, 64))
 DENSE_PRIMES = (3, 5, 7)
 DENSE_LENGTHS = (16, 64, 160)
 SPARSE_PRIMES = (3, 5, 7)
+PRODUCT_PRIMES = (3, 5, 7)
+WEIERSTRASS_PRIMES = (3, 5, 7)
+WEIERSTRASS_DEGREES = (1, 2, 3)
+WEIERSTRASS_CONTENTS = (0, 2)
 SPARSE_LENGTHS = (16, 64)
 SCALAR_PRIMES = (3, 5, 7)
 SCALAR_DRAWS = 24
@@ -482,6 +496,84 @@ def series_cases():
                 lambda coeffs=coeffs, trio=trio: linear_combination(coeffs, trio),
             )
 
+
+
+def product_operands(p: int):
+    """Named Series over Precision(p, 12, 8) for the product cases, with
+    alpha^2 = -2 * p^2."""
+    prec = Precision(p, 12, 8)
+
+    def s(n, rel=None):
+        return scalar(prec, n, rel)
+
+    def q(a, b):
+        return QuadExtScalar(a, b, 1, 2)
+
+    return {
+        "alpha_wide": Series.make(prec, [q(s(1, 10), s(2, 10)), q(s(p, 10), s(3, 9)),
+                                         s(4, 10)], is_polynomial=True),
+        "alpha_narrow": Series.make(prec, [q(s(2, 6), s(1, 2)), q(s(1, 5), s(p + 1, 3)),
+                                           q(s(0), s(5, 2))], is_polynomial=True),
+        "alpha_truncated": Series.make(prec, [q(s(3, 4), s(Fraction(1, p), 7)),
+                                              q(s("O3"), s(2, 5)), s(1, 6), q(s(7, 8), s(1, 1)),
+                                              s(2), q(s(0), s(p * p, 3))]),
+        "cell": Series.constant(s(Fraction(7, 3), 4), prec),
+        "cell_alpha": Series.constant(q(s(1, 5), s(p, 3)), prec),
+        "cell_truncated": Series.make(prec, [s(6, 3)]),
+        "zeros": Series.make(prec, [0, 0, 0], is_polynomial=True),
+        "zeros_truncated": Series.make(prec, [0] * 8),
+        "zeros_alpha": Series.make(prec, [q(s(0), s(0))] * 2, is_polynomial=True),
+        "poly_long": Series.make(prec, [3, -1, 4, 1, -5, 9], is_polynomial=True),
+        "poly_order2": Series.make(prec, [0, 0, 2, 7, 1, 8], is_polynomial=True),
+        "truncated": Series.make(prec, [s(2, 3), s(p * p, 5), s("O4"), s(Fraction(1, p), 8),
+                                        s(6), s(-1, 2), s(p**3, 1), s(4)]),
+    }
+
+
+def product_cases():
+    """Series products, every ordered pair of product_operands."""
+    for p in PRODUCT_PRIMES:
+        ops = product_operands(p)
+        for x, X in ops.items():
+            for y, Y in ops.items():
+                yield f"series_product/p{p}/{x}.{y}", lambda X=X, Y=Y: X * Y
+
+
+def weierstrass_cases():
+    """_weierstrass_split of p^v * P * U, P distinguished and U a unit."""
+    for p in WEIERSTRASS_PRIMES:
+        rng = random.Random(p)
+        prec = Precision(p, 12, 16)
+        for lam in WEIERSTRASS_DEGREES:
+            P = [p * rng.randrange(p**5) for _ in range(lam)] + [1]
+            U = [unit(rng, p, 6)] + [rng.randrange(p**6) for _ in range(4)]
+            G = [sum(P[j] * U[i - j] for j in range(len(P)) if 0 <= i - j < len(U))
+                 for i in range(len(P) + len(U) - 1)]
+            n = len(G)
+            for v in WEIERSTRASS_CONTENTS:
+                shapes = {
+                    "one_cap": (G, [v + 10] * n),
+                    "jagged": (G, [v + 6 + 5 * i % 7 for i in range(n)]),
+                    "short": (G[:max(lam + 1, 2 * lam - 1)], [v + 9] * n),
+                }
+                for shape, (cells, caps) in shapes.items():
+                    part = _part(p, v, cells, caps[:len(cells)])
+                    D = Series(prec, part, is_polynomial=True)
+                    yield (
+                        f"weierstrass_split/p{p}/lam{lam}/v{v}/{shape}",
+                        lambda D=D: outcome(lambda: _weierstrass_split(D) or []),
+                    )
+        edges = {
+            "lam0": _part(p, 0, [1, p, 2], [8, 8, 8]),
+            "width1": _part(p, 0, [p, 1, 3], [1, 1, 1]),
+            "width0": _part(p, 0, [p, 1, 3], [2, 0, 2]),
+        }
+        for name, part in edges.items():
+            D = Series(prec, part, is_polynomial=True)
+            yield (
+                f"weierstrass_split/p{p}/{name}",
+                lambda D=D: outcome(lambda: _weierstrass_split(D) or []),
+            )
 
 def division_edge_cases():
     """divide_series and remainder_mod at the edges of their windows, over
@@ -1121,6 +1213,8 @@ def cases():
             f"roundtrip/loss/p{p}/k{k}/{conv}/N{N}",
             lambda s=s, k=k, conv=conv: factor_signed(synthesize(s, k, conv), k, conv),
         )
+    yield from product_cases()
+    yield from weierstrass_cases()
     yield from division_edge_cases()
     yield from zero_alpha_cases()
     yield from zero_dividend_cases()
