@@ -32,12 +32,14 @@ Precision semantics:
   ``off``, with W = (smallest absolute precision) - off >= 0.  That uniform
   degrade *is* the min-rule for the result and keeps the hot loops in
   C-speed big-int arithmetic;
-* sums, products and linear combinations sum_j s_j x_j of series
-  (:func:`linear_combination`, which scalar multiples use) are all summed
-  once per output part by :func:`_sum_terms`, under the scalar rules: a sum
-  adds the parts with their own bounds, a product adds one convolution per
-  pair of parts and a combination one product per scalar part and series
-  part, each known modulo p^W at the smaller packed width;
+* sums, products and sums of products are summed once per output part by
+  :func:`_sum_terms`, under the scalar rules: a sum adds the parts with
+  their own bounds.  Products have one term builder, :func:`combine`
+  (sum_j x_j y_j, a product its one-pair case, :func:`linear_combination`
+  and scalar multiples its pairs with constants): one term per pair of
+  parts, a scaling by a one-cell factor or else one convolution, known
+  modulo p^W at the smaller packed width, with the b*b terms folded through
+  alpha^2 = -eps p^(k+1);
 * a quotient (:func:`divide_series`) follows the scalar rules of
   back-substitution, each coefficient's cap set before its value
   (:func:`_back_substitute`) and each value read from the products that
@@ -330,30 +332,6 @@ def cyclotomic_degree(p: int, m: int) -> int:
     return 1 if m == 0 else p ** (m - 1) * (p - 1)
 
 
-def _divmod_cells(cells, phi, m):
-    """Euclidean (quotient, remainder) of cells by phi mod m, phi's top a unit.
-
-    From the top down; the remainder has len(phi) - 1 cells (as many as the
-    dividend when it is shorter).  Cells and phi may be unreduced.  Only the
-    pivots t = (R[n] mod m) * top^-1 are reduced, and the remainder once at
-    the end: every R[n] is congruent mod m to the cell of a loop reducing
-    each update, so the quotient and remainder are the same.
-    """
-    D = len(phi) - 1
-    top_inv = pow(phi[D] % m, -1, m)
-    low = [(i, c % m) for i, c in enumerate(phi[:D]) if c % m]
-    R = list(cells)
-    Q = [0] * max(len(R) - D, 0)
-    for n in range(len(R) - 1, D - 1, -1):
-        t = R[n] % m * top_inv % m
-        if t:
-            Q[n - D] = t
-            base = n - D
-            for i, c in low:
-                R[base + i] -= t * c
-    return Q, [c % m for c in R[:D]]
-
-
 def _modulus(phi):
     """(D, off, cells, W, gmin, (0, ())): a modulus for Series.remainder_mod.
 
@@ -408,7 +386,7 @@ def _reduce(cells, D, cb, columns, mod):
     ``columns`` are phi's (_reduction_columns), at a width ``mod`` divides.
     D + B cells take one multiply-add per cell past D, the sum's D chunks
     read mod ``mod``; more go by Horner's rule in blocks of B from the top.
-    As each column is X^k mod phi, this is _divmod_cells' remainder: it is
+    As each column is X^k mod phi, this is the Euclidean remainder, which is
     unique for a divisor whose top is a unit (von zur Gathen-Gerhard,
     Modern Computer Algebra, 9.1).
     """
@@ -454,10 +432,11 @@ def _merge_forms(f, g):
     return f
 
 
-def _check_prime(c, p):
-    """Refuse a scalar over another prime than the series it meets."""
+def _check_prime(c, p, kind="scalar"):
+    """Refuse a scalar, or a ``kind`` of operand, over another prime than
+    the series it meets."""
     if c.prec.p != p:
-        raise PrecisionError(f"a scalar over p = {c.prec.p} met a series over p = {p}")
+        raise PrecisionError(f"a {kind} over p = {c.prec.p} met a series over p = {p}")
 
 
 def _scalar_triples(s, prec, rel=None):
@@ -660,51 +639,8 @@ class Series:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, _SCALARS):
-            return linear_combination((other,), (self,))
-        if not isinstance(other, Series):
-            return NotImplemented
-        self._check_compat(other)
-        form = self._merge_form(other)
-        p = self.prec.p
-        cap = self.prec.x_prec
-        of, og = self.order_lower(), other.order_lower()
-        if of is None or og is None:
-            return Series.zero(self.prec, form)
-        if self.is_polynomial and other.is_polynomial:
-            true_len = len(self._a) + len(other._a) - 1
-            L = min(true_len, cap)
-            poly = true_len <= cap
-        else:
-            known = min(self.known_length + og, other.known_length + of, cap)
-            L = int(known)
-            poly = False
-
-        # each pair of parts is one convolution term, known mod p^W at the
-        # smaller packed width; alpha^2 = -eps * p^(k+1) folds b*b into a
-        F, G = ([x.packed() for x in s._parts()] for s in (self, other))
-        terms = ([], [])  # a-part, alpha-part
-        for xb, X in enumerate(F):
-            for yb, Y in enumerate(G):
-                if X is None or Y is None:
-                    continue
-                (ox, wx, cx), (oy, wy, cy) = X, Y
-                W = min(wx, wy)
-                pW = p**W
-                if wx > W:  # the wider part's cells, reduced for the kernel
-                    cx = [c % pW for c in cx]
-                elif wy > W:
-                    cy = [c % pW for c in cy]
-                off, mult = ox + oy, 1
-                if xb and yb:
-                    off += form[0] + 1
-                    mult = -teichmuller(form[1], self.prec, W).unit if W else 0
-                cells = _k_mul(cx, cy, pW, L)
-                terms[xb ^ yb].append((off, [off + W] * L, cells, mult))
-        b = None
-        if self._b is not None or other._b is not None:
-            b = _sum_terms(p, L, terms[1])
-        return Series(self.prec, _sum_terms(p, L, terms[0]), b, form, is_polynomial=poly)
+        other = self._coerce(other)
+        return NotImplemented if other is None else combine(((self, other),))
 
     __rmul__ = __mul__
 
@@ -900,9 +836,12 @@ class Series:
     # -- comparison --------------------------------------------------------
 
     def __eq__(self, other):
+        """Equality to precision; a series over another prime is refused,
+        one at another p_prec compared digit for digit."""
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        _check_prime(other, self.prec.p, "series")
         return not any(x is not None and any(x.cells) for x in self._sum(-other))
 
     __hash__ = None
@@ -913,64 +852,90 @@ class Series:
         return f"Series({kind}, len={len(self._a)}, p={self.prec.p}{E})"
 
 
+def _live_parts(s):
+    """(s.order_lower(), (b, part, packed width) of each part not all exact
+    zeros, b = 1 for the alpha-part), memoized on the series."""
+    memo = _memo(s)
+    if "live" not in memo:
+        parts = [(b, Z, A - Z.off) for b, Z in enumerate(s._parts()) if (A := Z.min_abs) != inf]
+        memo["live"] = s.order_lower(), parts
+    return memo["live"]
+
+
+def combine(pairs) -> Series:
+    """sum_j x_j * y_j over pairs (x_j, y_j) of series, in one pass over the columns.
+
+    There is at least one pair.  A product is the one-pair case, and the
+    result equals, cell for cell, the products added from the left.  Every
+    pair of an x-part and a y-part not all exact zeros is one term, known
+    modulo p^W at the smaller packed width W and summed by :func:`_sum_terms`:
+    a y-part of one cell scales x's cells, any other is one convolution
+    (:func:`_kernel.polymul`).  The b*b terms fold into the a-part through
+    alpha^2 = -eps * p^(k+1), one Teichmuller unit at the widest serving
+    them all.  A pair with a factor of exact zeros only is the length-0
+    polynomial zero.  Two polynomials multiply to a polynomial while the
+    product fits in x's x_prec, and to its first x_prec terms otherwise;
+    any other product is as long as both factors determine it, at most
+    x_prec.  The sum is as long as the shortest truncated product, or the
+    longest polynomial one.
+    """
+    first = form = None
+    known, longest, has_b = inf, 0, False
+    terms, bb_terms = ([], []), []  # a-part, alpha-part; b*b before the fold
+    for x, y in pairs:
+        x._check_compat(y)
+        pform = x._merge_form(y)
+        if first is None:
+            first, p = x, x.prec.p
+        first._check_compat(x)
+        form = _merge_forms(form, pform)
+        (of, xs), (og, ys) = _live_parts(x), _live_parts(y)
+        if of is None or og is None:
+            has_b = has_b or pform is not None
+            continue
+        has_b = has_b or x._b is not None or y._b is not None
+        L = min(x.known_length + og, y.known_length + of, x.prec.x_prec)
+        n = len(x._a) + len(y._a) - 1
+        if x.is_polynomial and y.is_polynomial and n <= L:
+            L = n
+            longest = max(longest, n)
+        else:
+            known = min(known, L)
+        for xb, X, wx in xs:
+            for yb, Y, wy in ys:
+                W = min(wx, wy)
+                off = X.off + Y.off
+                if len(Y.cells) == 1:
+                    cells, mult = X.cells, Y.cells[0]
+                else:
+                    pW = p**W
+                    cx, cy = ([c % pW for c in Z.cells] for Z in (X, Y))
+                    cells, mult = _k_mul(cx, cy, pW, L), 1
+                if xb and yb:
+                    bb_terms.append((off + pform[0] + 1, W, L, cells, mult))
+                else:
+                    terms[xb or yb].append((off, [off + W] * L, cells, mult))
+    if first is None:
+        raise ValueError("combine needs at least one pair")
+    if bb_terms:
+        W = max(t[1] for t in bb_terms)
+        t = teichmuller(form[1], first.prec, W).unit if W else 0
+        terms[0].extend((off, [off + w] * m, cs, -u * t) for off, w, m, cs, u in bb_terms)
+    L = longest if known == inf else known
+    b = _sum_terms(p, L, terms[1]) if has_b else None
+    return Series(first.prec, _sum_terms(p, L, terms[0]), b, form, is_polynomial=known == inf)
+
+
 def linear_combination(scalars, series) -> Series:
-    """sum_j scalars[j] * series[j], in one pass over the integer columns.
+    """sum_j scalars[j] * series[j]: :func:`combine` of each series with
+    Series.constant(scalars[j], series[j].prec).
 
     Scalars are ints, Fractions, PadicScalars or QuadExtScalars, and there is
-    at least one term.  The result equals, cell for cell, the sum of the
-    products x_j * Series.constant(s_j, x_j.prec) added from the left.
-    Every nonzero pair of a scalar part and a series part is one term, known
-    modulo p^W at the smaller packed width W, summed by :func:`_sum_terms`;
-    the b*b term folds into the a-part through alpha^2 = -eps * p^(k+1).  A
-    zero scalar or an all-exact-zero series contributes the length-0
-    polynomial zero; a term s_j * x_j is min(len x_j, x_prec) long, and the
-    result as long as the shortest truncated term, or the longest polynomial.
+    at least one term.
     """
     if len(scalars) != len(series) or not series:
         raise ValueError(f"{len(scalars)} scalars for {len(series)} series")
-    first = series[0]
-    prec, p = first.prec, first.prec.p
-    form = None
-    known, longest, has_b = inf, 0, False
-    a_terms, b_terms, bb_terms = [], [], []
-    for j, (s, x) in enumerate(zip(scalars, series)):
-        sa, sb, sform = _scalar_triples(s, x.prec)
-        tform = _merge_forms(x.form, sform)
-        if j:
-            first._check_compat(x)
-        form = _merge_forms(form, tform)
-        if (sa is None and sb is None) or x.min_abs_prec() == inf:
-            has_b = has_b or tform is not None
-            continue
-        has_b = has_b or x._b is not None or sform is not None
-        L = min(len(x._a), x.prec.x_prec)
-        if x.is_polynomial and len(x._a) <= x.prec.x_prec:
-            longest = max(longest, L)
-        else:
-            known = min(known, L)
-        for X, x_is_b in ((x._a, False), (x._b, True)):
-            if X is None or X.min_abs == inf:
-                continue
-            wx = X.min_abs - X.off
-            for S, s_is_b in ((sa, False), (sb, True)):
-                if S is None:
-                    continue
-                v, u, r = S
-                W = min(wx, r)
-                if x_is_b and s_is_b:
-                    bb_terms.append((X.off + v + tform[0] + 1, W, L, X.cells, u))
-                else:
-                    off = X.off + v
-                    terms = b_terms if x_is_b or s_is_b else a_terms
-                    terms.append((off, [off + W] * L, X.cells, u))
-    if bb_terms:
-        # one Teichmuller unit at the widest term serves every narrower one
-        W = max(t[1] for t in bb_terms)
-        t = teichmuller(form[1], prec, W).unit if W else 0
-        a_terms += [(off, [off + w] * n, xs, -u * t) for off, w, n, xs, u in bb_terms]
-    L = longest if known == inf else known
-    b = _sum_terms(p, L, b_terms) if has_b else None
-    return Series(prec, _sum_terms(p, L, a_terms), b, form, is_polynomial=known == inf)
+    return combine((x, Series.constant(s, x.prec)) for s, x in zip(scalars, series))
 
 
 # ------------------------------------------------------- cyclotomic factors
@@ -1243,7 +1208,16 @@ def _weierstrass_split(G: Series):
     7.1) a polynomial G over Q_p of content p^v is p^v * P * unit, P monic of
     degree lambda, the first index of minimal valuation, with p-divisible
     lower coefficients: P carries G's zeros in the open unit disc (None when
-    lambda = 0).  Both factors are known to G's packed working width.
+    lambda = 0).  Both factors are known to G's packed working width W.
+
+    P starts at X^lambda.  While the remainder R of G by P (:func:`_reduce`)
+    is not 0 mod p^W, P moves by the delta with u * delta = R mod X^lambda,
+    u the cells of G quo X^lambda.  As P = X^lambda mod p, G quo P is u mod
+    p.  So when R = 0 mod p^j, delta is too, and G - (P + delta) * (G quo P)
+    is R - delta * u mod p^(j+1): X^lambda times a multiple of p^j.  As
+    X^lambda = P + delta mod p, the remainder by P + delta is 0 mod p^(j+1).
+    Each step gains a digit, and the loop ends at the unique distinguished P
+    mod p^W.  U is then G at width W quo P (:func:`_quotient_by_monic`).
     """
     prec, p = G.prec, G.prec.p
     off, W, cells = G._a.packed()
@@ -1255,24 +1229,18 @@ def _weierstrass_split(G: Series):
     if lam == 0:
         return None
     m = p**W
+    u = cells[lam:]
+    inv0 = pow(u[0], -1, m)
     P = [0] * lam + [1]
-    U, R = _divmod_cells(cells, P, m)
-    while any(R):
-        # solve U * delta = R mod X^lam; since P is X^lam mod p, moving P by
-        # delta leaves a remainder at least one digit deeper than R
-        inv0 = pow(U[0], -1, m)
+    while any(R := _reduce(cells, lam, *_reduction_columns(p, P, W, len(cells)), m)):
         delta = []
         for i in range(lam):
-            s = R[i]
-            for j in range(1, min(i, len(U) - 1) + 1):
-                s -= U[j] * delta[i - j]
+            s = R[i] - sum(map(mul, u[1:i + 1], delta[::-1]))
             delta.append(s * inv0 % m)
         P = [(c + e) % m for c, e in zip(P, delta)] + [1]
-        U, R = _divmod_cells(cells, P, m)
-    return (
-        Series(prec, unpack_part(p, (0, W, P), len(P)), is_polynomial=True),
-        Series(prec, unpack_part(p, (off, W, U), len(U)), is_polynomial=True),
-    )
+    P = Series(prec, unpack_part(p, (0, W, P), len(P)), is_polynomial=True)
+    G = Series(prec, unpack_part(p, (off, W, cells), len(cells)), is_polynomial=True)
+    return P, _quotient_by_monic(G, P)
 
 
 @lru_cache(maxsize=64)

@@ -39,7 +39,7 @@ from .dieudonne import change_of_basis
 from .distributions import Distribution, divide_exact
 from .pollack import LogKind, ceil_log, pollack_log
 from .scalars import Precision, _check_int
-from .series import DivisibilityError, IwasawaElement, linear_combination
+from .series import DivisibilityError, IwasawaElement, Series, combine
 
 __all__ = [
     "Convention",
@@ -227,27 +227,28 @@ def _mat_apply(M, vec):
     """M (over E) applied to a 4-vector of distributions.
 
     Row i is sum_j M[i][j] * vec[j], tagged with the largest order among
-    vec: one series.linear_combination per row and tame component, and one
-    per distinct tuple of components, so components shared across slots (the
-    zero quadruple's, say) share their result.  It equals the fold of
-    Distribution.scale and + cell for cell.  M is change_of_basis's, built
-    once per (window, k, eps).
+    vec: M's entries are read as Series constants once per call, and each
+    row is one series.combine per distinct tuple of tame components, so
+    components shared across slots (the zero quadruple's, say) share their
+    result.  It equals the fold of Distribution.scale and + cell for cell.
+    M is change_of_basis's, built once per (window, k, eps).
     """
     bodies = [d.body for d in vec]
     for body in bodies[1:]:
         bodies[0]._check_compat(body)
+    prec = bodies[0].prec
     tag = max(d.order_tag for d in vec)
     out = []
     for row in M:
+        consts = [Series.constant(s, prec) for s in row]
         memo: dict = {}
         comps = []
         for xs in zip(*(body.components for body in bodies)):
             key = tuple(map(id, xs))
             if key not in memo:
-                memo[key] = linear_combination(row, xs)
+                memo[key] = combine(zip(xs, consts))
             comps.append(memo[key])
-        elem = IwasawaElement(bodies[0].prec, comps)
-        out.append(Distribution(elem, tag))
+        out.append(Distribution(IwasawaElement(prec, comps), tag))
     return tuple(out)
 
 

@@ -372,10 +372,10 @@ def back_substitute_pairs(num, den, n):
 
 
 def divmod_cells_each_step(cells, phi, m):
-    """series._divmod_cells as it ran before it reduced only the pivot.
+    """Euclidean (quotient, remainder) of cells by phi mod m, phi's top a unit.
 
-    Euclidean (quotient, remainder) of cells by phi mod m, phi's top a unit,
-    from the top down, with every cell reduced mod m after every update.
+    The schoolbook loop from the top down, every cell reduced mod m after
+    every update: the reference for the packed remainder (series._reduce).
     """
     D = len(phi) - 1
     top_inv = pow(phi[D] % m, -1, m)
@@ -517,7 +517,8 @@ def reference_divide(F, G):
     Window, pivot and the cap for below-pivot zeros to precision follow
     divide_series.  A polynomial G with zeros in the open disc is split and
     its zeros tested by the library (_weierstrass_split, remainder_mod),
-    which this reference takes as given; two polynomials then divide as
+    which this reference takes as given (the split has a property test of
+    its own in test_series); two polynomials then divide as
     (F quo P) / U, by the scalar monic loop and scalar back-substitution.
     """
     from iwa.scalars import PrecisionError, QuadExtScalar

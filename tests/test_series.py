@@ -26,10 +26,11 @@ from iwa.series import (
     Series,
     _back_substitute,
     _divisor_plan,
-    _divmod_cells,
     _part,
     _reduce,
     _reduction_columns,
+    _weierstrass_split,
+    combine,
     cyclotomic_factor,
     divide_series,
     linear_combination,
@@ -597,49 +598,6 @@ def test_remainder_refuses_a_level_whose_degree_fills_the_window(p, m):
 
 
 @st.composite
-def divmod_cases(draw):
-    """(cells, phi, m) for the Euclidean kernel.
-
-    p is 3, 5 or 7, phi has degree D in {1, 4, 20, 100} and a top that is 1,
-    another unit or an unreduced unit, the width W runs from 1 to 60 digits,
-    and the dividend is shorter than, as long as or longer than phi.  Cells
-    and lower coefficients may be unreduced, negative or zero.
-    """
-    p = draw(st.sampled_from([3, 5, 7]))
-    D = draw(st.sampled_from([1, 4, 20, 100]))
-    W = draw(st.integers(1, 60))
-    m = p**W
-    cell = st.one_of(st.just(0), st.integers(0, m - 1), st.integers(-m, 2 * m))
-    top = draw(st.sampled_from(["one", "unit", "unreduced"]))
-    if top == "one":
-        t = 1
-    else:
-        t = draw(st.integers(0, p ** (W - 1) - 1)) * p + draw(st.integers(1, p - 1))
-        assume(t != 1)
-        if top == "unreduced":
-            t += m * draw(st.integers(-2, 2))
-    phi = draw(st.lists(cell, min_size=D, max_size=D)) + [t]
-    shape = draw(st.sampled_from(["shorter", "equal", "longer"]))
-    L = D + 1
-    if shape == "shorter":
-        L = draw(st.integers(0, D))
-    elif shape == "longer":
-        L += draw(st.integers(1, 60))
-    return draw(st.lists(cell, min_size=L, max_size=L)), phi, m
-
-
-@settings(max_examples=200, deadline=None)
-@given(divmod_cases())
-def test_divmod_cells_matches_reducing_every_update(case):
-    # reducing only the pivot and the final remainder gives the quotient and
-    # remainder of reducing after every update, and leaves the input as it was
-    cells, phi, m = case
-    before = list(cells)
-    assert _divmod_cells(cells, phi, m) == divmod_cells_each_step(cells, phi, m)
-    assert cells == before
-
-
-@st.composite
 def packed_remainder_cases(draw):
     """(cells, phi, p, Wp, W, n, budget) for the packed remainder.
 
@@ -891,6 +849,35 @@ def test_divide_roundtrip_random_open_disc_zeros():
         assert divide_series(Ft, G) == H
         with pytest.raises(DivisibilityError):
             divide_series(Ft + frac_series([0, 0, 0, 1], prec=P32), G)
+
+
+@st.composite
+def weierstrass_cases(draw):
+    """(p, W, v, P, U): P distinguished of degree 1 to 3 and U a unit, as
+    cells mod p^W, and a content p^v."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    W = draw(st.integers(1, 30))
+    m = p**W
+    P = [p * draw(st.integers(0, m // p - 1)) for _ in range(draw(st.integers(1, 3)))] + [1]
+    U = [draw(st.integers(1, m - 1).filter(lambda c: c % p))]
+    U += draw(st.lists(st.integers(0, m - 1), max_size=6))
+    return p, W, draw(st.integers(-2, 3)), P, U
+
+
+@settings(max_examples=300, deadline=None)
+@given(weierstrass_cases())
+def test_weierstrass_split_gives_back_its_factors(case):
+    # the distinguished factor and the unit are unique mod p^W, so the split
+    # of p^v * P * U, known to O(p^(v + W)), is P and p^v * U cell for cell
+    p, W, v, P, U = case
+    G = [sum(P[j] * U[i - j] for j in range(len(P)) if 0 <= i - j < len(U))
+         for i in range(len(P) + len(U) - 1)]
+    prec = Precision(p, W, 16)
+    got = _weierstrass_split(Series(prec, unpack_part(p, (v, W, G), len(G)), is_polynomial=True))
+    want = (unpack_part(p, (0, W, P), len(P)), unpack_part(p, (v, W, U), len(U)))
+    assert [(x._a.off, x._a.cells, x._a.abs_precs) for x in got] == [
+        (x.off, x.cells, x.abs_precs) for x in want]
+    assert all(x.is_polynomial and x._b is None for x in got)
 
 
 def test_divide_needs_a_dividend_window_past_the_open_disc_zeros():
@@ -1536,6 +1523,19 @@ def test_a_scalar_over_another_prime_is_refused():
             fn()
 
 
+def test_a_series_over_another_prime_is_refused_by_equality():
+    # read as a series over p = 5, the p = 7 series 1 would be 4 mod 5
+    s5 = Series.make(Precision(5, 1, 4), [4], is_polynomial=True)
+    s7 = Series.make(Precision(7, 1, 4), [1], is_polynomial=True)
+    for fn, p, q in ((lambda: s5 == s7, 7, 5), (lambda: s7 == s5, 5, 7)):
+        message = f"a series over p = {p} met a series over p = {q}"
+        with pytest.raises(PrecisionError, match=message):
+            fn()
+    # another depth is compared digit for digit
+    x10, x20 = (Series.make(Precision(5, n, 4), [4, 5], is_polynomial=True) for n in (10, 20))
+    assert x10 == x20 and not x10 == x20 + 1
+
+
 # ------------------------------------------------------ refusals and edges
 
 
@@ -1584,6 +1584,8 @@ _P5X3 = Precision(5, 10, 3)
                  ValueError, "modulus is not distinguished (offset != 0)", id="modulus-offset"),
     pytest.param(lambda: linear_combination((1,), ()), ValueError, "1 scalars for 0 series",
                  id="combination-lengths"),
+    pytest.param(lambda: combine(()), ValueError, "combine needs at least one pair",
+                 id="combine-empty"),
     pytest.param(lambda: cyclotomic_factor(-1, 0, P5), ValueError, "m must be an integer >= 0, not -1",
                  id="cyclotomic-level"),
     pytest.param(lambda: IwasawaElement(P5, []), ValueError, "need 4 components, got 0",
