@@ -1487,6 +1487,43 @@ def test_linear_combination_matches_the_fold_of_products_and_sums(data):
         assert combination_outcome(lambda s, x: s * x, ss[0], xs[0]) == want
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_combine_matches_the_fold_of_products_and_sums(data):
+    # any pairs of series, one-cell factors on either side among them; at
+    # times all polynomials, whose sum is as long as the longest product
+    p = data.draw(st.sampled_from([3, 5, 7]))
+    prec = Precision(p, 12, 8)
+    form = (data.draw(st.integers(0, 2)), data.draw(st.integers(1, p - 1)))
+    poly = data.draw(st.booleans())
+
+    def factor():
+        x = data.draw(combination_series(prec, form))
+        return x._map_parts(lambda part: part, is_polynomial=True) if poly else x
+
+    pairs = [(factor(), factor()) for _ in range(data.draw(st.integers(1, 3)))]
+
+    def fold(pairs):
+        acc = None
+        for x, y in pairs:
+            acc = x * y if acc is None else acc + x * y
+        return acc
+
+    assert combination_outcome(combine, pairs) == combination_outcome(fold, pairs)
+
+
+def test_combine_folds_b_b_terms_with_the_widest_teichmuller_unit():
+    # the wider b*b term sits at the lower offset, so a unit known only to
+    # the narrower width would move digits below the sum's cap
+    prec = Precision(5, 20, 4)
+    zero = PadicScalar.exact_zero(prec)
+    narrow = Series(prec, [zero], [PadicScalar.from_fraction(3 * 5**5, prec, 2)], (1, 2), True)
+    wide = Series(prec, [zero], [PadicScalar.from_fraction(7, prec, 10)], (1, 2), True)
+    alpha = Series.constant(QuadExtScalar.alpha(prec, 1, 2), prec)
+    want = fingerprint(narrow * alpha + wide * alpha)
+    assert fingerprint(combine([(narrow, alpha), (wide, alpha)])) == want
+
+
 @pytest.mark.parametrize("mixed", ["scalar", "series"])
 def test_linear_combination_refuses_mixed_forms_like_the_fold(mixed):
     prec = Precision(5, 12, 8)

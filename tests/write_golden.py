@@ -497,7 +497,6 @@ def series_cases():
             )
 
 
-
 def product_operands(p: int):
     """Named Series over Precision(p, 12, 8) for the product cases, with
     alpha^2 = -2 * p^2."""
@@ -574,6 +573,7 @@ def weierstrass_cases():
                 f"weierstrass_split/p{p}/{name}",
                 lambda D=D: outcome(lambda: _weierstrass_split(D) or []),
             )
+
 
 def division_edge_cases():
     """divide_series and remainder_mod at the edges of their windows, over
