@@ -85,7 +85,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, repeat
+from itertools import accumulate, count, repeat
 from operator import mul
 
 from ._kernel import _unit_inverses, vp_factorial
@@ -279,13 +279,11 @@ def _checked_conductor(p: int, modulus: int, table: tuple) -> int:
                 continue
             if table[a * b % modulus] != (table[a] + table[b]) % pm1:
                 raise ValueError("value table is not multiplicative")
-    # the least divisor dd of the modulus with chi trivial on units = 1 mod dd
-    for dd in range(1, modulus + 1):
-        if modulus % dd == 0 and all(
-            table[a] in (None, 0) for a in range(1 % dd, modulus, dd)
-        ):
-            return dd
-    return modulus  # pragma: no cover - the full modulus always works
+    # the least divisor dd of the modulus with chi trivial on units = 1 mod dd;
+    # dd = modulus qualifies, as its one such residue is 1 and multiplicativity
+    # forces table[1] = 0
+    return next(dd for dd in range(1, modulus + 1) if modulus % dd == 0 and all(
+        table[a] in (None, 0) for a in range(1 % dd, modulus, dd)))
 
 
 @dataclass(frozen=True)
@@ -1149,15 +1147,13 @@ def least_smoothing_c(chi_eps: DirichletCharacter, k: int, coprime_to: int = 1) 
     """
     _check_int(0, **{"weight parameter k": k})
     _check_int(1, coprime_to=coprime_to)
-    p, m = chi_eps.p, chi_eps.modulus
-    for c in range(2, 4 * p * p * max(coprime_to, m, 2)):
-        # the factor vanishes only when c^{2j-2k-4} is the root of unity
-        # (chi eps)(c)^{-2}; here 2j-2k-4 >= 2, and no positive power of an
-        # integer c > 1 is a root of unity, so any c with chi eps(c) != 0,
-        # that is prime to the modulus, will do
-        if math.gcd(c, coprime_to * p * m) == 1:
-            return c
-    raise ValueError("no admissible smoothing constant found")  # pragma: no cover
+    # the factor vanishes only when c^{2j-2k-4} is the root of unity
+    # (chi eps)(c)^{-2}; here 2j-2k-4 >= 2, and no positive power of an
+    # integer c > 1 is a root of unity, so any c with chi eps(c) != 0, that
+    # is prime to the modulus, will do.  n + 1 is prime to n, so the search
+    # ends by then
+    n = coprime_to * chi_eps.p * chi_eps.modulus
+    return next(c for c in count(2) if math.gcd(c, n) == 1)
 
 
 # ---------------------------------------------- Euler-factor surgery

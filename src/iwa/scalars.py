@@ -51,6 +51,18 @@ ValueErrors of their own that name the argument.  Hot internal paths (the
 checked; methods that internal paths call often (``shift``,
 ``reduce_abs``, ``inexact_zero``, ``DirichletCharacter.exponent``) call
 ``_check_int`` only for a value whose type is not int.
+
+The operand contract.  Each decision about how two operands meet has one
+owner here, which both scalar classes and ``series`` call:
+
+* an operand over another prime than the one it meets is refused by
+  ``_check_prime`` with a PrecisionError, ``a <kind> over p = <q> met a
+  <host> over p = <p>``.  It runs in ``PadicScalar._coerce``, so a
+  QuadExtScalar is refused through its parts;
+* an exact int or Fraction is read by ``_exact_operand``: to enough digits
+  that the other operand's precision rules the outcome, an absolute
+  precision past the other's and at least ``p_prec`` digits.  A
+  ``PadicScalar`` and a ``Series`` read it so.
 """
 
 from __future__ import annotations
@@ -58,6 +70,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import inf
 
 
 class PrecisionError(ArithmeticError):
@@ -143,6 +156,14 @@ def _check_types(name, values, kinds=(int, Fraction)) -> None:
         bad = next(v for v in values if type(v) not in kinds)
         names = ", ".join(k.__name__ for k in kinds)
         raise ValueError(f"{name} must be one of {names}, not {bad!r}")
+
+
+def _check_prime(x, p: int, kind: str = "scalar", host: str = "scalar") -> None:
+    """Refuse an operand x, a ``kind`` over ``x.prec.p``, that meets a
+    ``host`` over another prime p: the one prime check of an operand, behind
+    both scalar classes and ``series``."""
+    if x.prec.p != p:
+        raise PrecisionError(f"a {kind} over p = {x.prec.p} met a {host} over p = {p}")
 
 
 def _check_odd_prime(p) -> None:
@@ -340,7 +361,7 @@ class PadicScalar(_Scalar):
     def abs_prec(self) -> int | float:
         """Absolute precision: the value is known modulo p^abs_prec (inf if exact)."""
         if self.val is None:
-            return float("inf")
+            return inf
         return self.val + self.rel
 
     def valuation(self) -> int:
@@ -372,19 +393,10 @@ class PadicScalar(_Scalar):
 
     def _coerce(self, other) -> "PadicScalar | None":
         if isinstance(other, PadicScalar):
+            _check_prime(other, self.prec.p)
             return other
         if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return PadicScalar.exact_zero(self.prec)
-            # exact rational: give it enough digits that *our* precision rules
-            # the outcome (its absolute precision strictly exceeds ours)
-            q = Fraction(other)
-            v = _vp(q.numerator, self.prec.p) - _vp(q.denominator, self.prec.p)
-            if self.val is None:
-                r = self.prec.p_prec
-            else:
-                r = max(1, self.val + self.rel - v + 1, self.prec.p_prec)
-            return PadicScalar.from_fraction(q, self.prec, r)
+            return _exact_operand(other, self.prec, self.abs_prec)
         return None
 
     def __add__(self, other) -> "PadicScalar":
@@ -480,6 +492,24 @@ class PadicScalar(_Scalar):
         if self.rel == 0:
             return f"PadicScalar(O({p}^{self.val}))"
         return f"PadicScalar({self.unit}*{p}^{self.val} + O({p}^{self.val + self.rel}))"
+
+
+def _exact_operand(q, prec: Precision, abs_prec) -> PadicScalar:
+    """The exact int or Fraction q as the operand of a value known to
+    O(p^abs_prec), inf for an exact one: the one rule for its digits.
+
+    q gets enough digits that the other operand's precision rules the
+    outcome: an absolute precision past abs_prec, and at least prec.p_prec
+    digits.  A 0 is the exact zero.
+    """
+    if q == 0:
+        return PadicScalar.exact_zero(prec)
+    q = Fraction(q)
+    r = prec.p_prec
+    if abs_prec != inf:
+        v = _vp(q.numerator, prec.p) - _vp(q.denominator, prec.p)
+        r = max(abs_prec - v + 1, r)
+    return PadicScalar.from_fraction(q, prec, r)
 
 
 def teichmuller(a: int, prec: Precision, rel: int | None = None) -> PadicScalar:

@@ -40,6 +40,12 @@ Precision semantics:
   parts, a scaling by a one-cell factor or else one convolution, known
   modulo p^W at the smaller packed width, with the b*b terms folded through
   alpha^2 = -eps p^(k+1);
+* operands meet on one window: a sum or product of two series, as of two
+  IwasawaElements, whose ``prec`` differ in p, p_prec or x_prec raises
+  PrecisionError, while ``==`` compares across p_prec digit for digit.  An
+  exact int or Fraction operand follows the scalar rule
+  (``scalars._exact_operand``), read past the series' largest finite cap,
+  and an operand over another prime is refused by ``scalars._check_prime``;
 * a quotient (:func:`divide_series`) follows the scalar rules of
   back-substitution, each coefficient's cap set before its value
   (:func:`_back_substitute`) and each value read from the products that
@@ -67,7 +73,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, repeat
 from math import inf
-from operator import add, mul, sub
+from operator import add, mul, neg, sub
 
 from ._kernel import _pack
 from ._kernel import cyclotomic_cells as _k_cyclo
@@ -80,7 +86,9 @@ from .scalars import (
     PrecisionError,
     QuadExtScalar,
     _check_int,
+    _check_prime,
     _check_types,
+    _exact_operand,
     _triple,
     _vp,
     teichmuller,
@@ -432,13 +440,6 @@ def _merge_forms(f, g):
     return f
 
 
-def _check_prime(c, p, kind="scalar"):
-    """Refuse a scalar, or a ``kind`` of operand, over another prime than
-    the series it meets."""
-    if c.prec.p != p:
-        raise PrecisionError(f"a {kind} over p = {c.prec.p} met a series over p = {p}")
-
-
 def _scalar_triples(s, prec, rel=None):
     """(a, b, form) of the scalar s as ``Series.constant(s, prec, rel)`` stores it.
 
@@ -456,7 +457,7 @@ def _scalar_triples(s, prec, rel=None):
         parts, form = (PadicScalar.from_fraction(Fraction(s), prec, rel), None), None
     for c in parts:
         if c is not None:
-            _check_prime(c, prec.p)
+            _check_prime(c, prec.p, host="series")
     a, b = (None if c is None or c.val is None else (c.val, c.unit, c.rel) for c in parts)
     return a, b, form
 
@@ -482,7 +483,7 @@ class Series:
             if isinstance(part, Part):
                 return part
             for c in part:
-                _check_prime(c, prec.p)
+                _check_prime(c, prec.p, host="series")
             return Part.from_triples(prec.p, [(c.val, c.unit, c.rel) for c in part])
 
         object.__setattr__(self, "prec", prec)
@@ -595,12 +596,15 @@ class Series:
         return _merge_forms(self.form, other.form)
 
     def _coerce(self, other) -> "Series | None":
+        if type(other) in (int, Fraction):  # exact: past every cap, by the scalar rule
+            caps = [A for x in self._parts() for A in x.abs_precs if A != inf]
+            other = _exact_operand(other, self.prec, max(caps, default=inf))
         if isinstance(other, _SCALARS):
             return Series.constant(other, self.prec)
         return other if isinstance(other, Series) else None
 
     def _check_compat(self, other: "Series"):
-        if self.prec.p != other.prec.p or self.prec.p_prec != other.prec.p_prec:
+        if self.prec is not other.prec and self.prec != other.prec:
             raise PrecisionError("precision mismatch between series")
 
     def _sum(self, other: "Series") -> tuple:
@@ -841,7 +845,7 @@ class Series:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        _check_prime(other, self.prec.p, "series")
+        _check_prime(other, self.prec.p, "series", "series")
         return not any(x is not None and any(x.cells) for x in self._sum(-other))
 
     __hash__ = None
@@ -1038,26 +1042,33 @@ class IwasawaElement:
         if self.prec != other.prec:
             raise PrecisionError("precision mismatch between Iwasawa elements")
 
-    def _map_components(self, fn):
-        return self._zip_components(self, lambda f, _: fn(f))
+    @staticmethod
+    def _zip_components(fn, *elements) -> "IwasawaElement":
+        """The element whose component i is fn of the elements' components i.
 
-    def _zip_components(self, other, fn):
+        The elements share one window, else PrecisionError.  fn runs once
+        per distinct tuple of component objects, keyed by identity, so
+        components shared across tame indices (a diagonal element's, a
+        zero's) share their result.  This is the package's one component map.
+        """
+        first = elements[0]
+        for e in elements[1:]:
+            first._check_compat(e)
         memo: dict = {}
         out = []
-        for f, g in zip(self.components, other.components):
-            key = (id(f), id(g))
+        for xs in zip(*(e.components for e in elements)):
+            key = tuple(map(id, xs))
             if key not in memo:
-                memo[key] = fn(f, g)
+                memo[key] = fn(*xs)
             out.append(memo[key])
-        return IwasawaElement(self.prec, out)
+        return IwasawaElement(first.prec, out)
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
         if not isinstance(other, IwasawaElement):
             return NotImplemented
-        self._check_compat(other)
-        return self._zip_components(other, lambda f, g: f + g)
+        return self._zip_components(add, self, other)
 
     def __sub__(self, other):
         if not isinstance(other, IwasawaElement):
@@ -1065,20 +1076,19 @@ class IwasawaElement:
         return self + (-other)
 
     def __neg__(self):
-        return self._map_components(lambda s: -s)
+        return self._zip_components(neg, self)
 
     def __mul__(self, other):
         if isinstance(other, _SCALARS):
             return self.scale(other)
         if not isinstance(other, IwasawaElement):
             return NotImplemented
-        self._check_compat(other)
-        return self._zip_components(other, lambda f, g: f * g)
+        return self._zip_components(mul, self, other)
 
     __rmul__ = __mul__
 
     def scale(self, s) -> "IwasawaElement":
-        return self._map_components(lambda c: c * s)
+        return self._zip_components(lambda c: c * s, self)
 
     def with_p_prec(self, p_prec: int) -> "IwasawaElement":
         """Relabel the ambient p-adic depth on every component (lossless)."""
@@ -1106,10 +1116,8 @@ class IwasawaElement:
         c = PadicScalar.from_fraction(un - 1, self.prec, rel)
         d = PadicScalar.from_fraction(un, self.prec, rel)
         k = n % pm1  # component i + n lands on i
-        moved = self.components[k:] + self.components[:k]
-        return IwasawaElement(self.prec, moved)._map_components(
-            lambda x: x.compose_affine(c, d)
-        )
+        moved = IwasawaElement(self.prec, self.components[k:] + self.components[:k])
+        return self._zip_components(lambda x: x.compose_affine(c, d), moved)
 
     def idempotent_project(self, j: int) -> "IwasawaElement":
         _check_int(j=j)

@@ -224,31 +224,23 @@ def _detect_form(q: UnboundedQuadruple):
 
 
 def _mat_apply(M, vec):
-    """M (over E) applied to a 4-vector of distributions.
+    """M (over E) applied to a 4-vector of distributions on one window.
 
     Row i is sum_j M[i][j] * vec[j], tagged with the largest order among
-    vec: M's entries are read as Series constants once per call, and each
-    row is one series.combine per distinct tuple of tame components, so
-    components shared across slots (the zero quadruple's, say) share their
-    result.  It equals the fold of Distribution.scale and + cell for cell.
-    M is change_of_basis's, built once per (window, k, eps).
+    vec: M's entries are read as Series constants once per row, and the row
+    is one series.combine per tame component, mapped by
+    IwasawaElement._zip_components, which checks the window and shares the
+    result among slots whose components are the same objects (the zero
+    quadruple's, say).  It equals the fold of Distribution.scale and + cell
+    for cell.  M is change_of_basis's, built once per (window, k, eps).
     """
     bodies = [d.body for d in vec]
-    for body in bodies[1:]:
-        bodies[0]._check_compat(body)
-    prec = bodies[0].prec
     tag = max(d.order_tag for d in vec)
     out = []
     for row in M:
-        consts = [Series.constant(s, prec) for s in row]
-        memo: dict = {}
-        comps = []
-        for xs in zip(*(body.components for body in bodies)):
-            key = tuple(map(id, xs))
-            if key not in memo:
-                memo[key] = combine(zip(xs, consts))
-            comps.append(memo[key])
-        out.append(Distribution(IwasawaElement(prec, comps), tag))
+        consts = [Series.constant(s, bodies[0].prec) for s in row]
+        row_of = IwasawaElement._zip_components(lambda *xs: combine(zip(xs, consts)), *bodies)
+        out.append(Distribution(row_of, tag))
     return tuple(out)
 
 
@@ -374,16 +366,15 @@ def local_coordinates(G: MockGlobalModule, elem) -> tuple[Distribution, ...]:
     """
     conv = _conv(G.convention)
     work_p = _work_prec(G.k, G.prec).p_prec
-    images = [conv.slots_from_rows(_log_rows(G.k, conv, G.prec, partial(G.seed, i)))
-              for i in range(len(elem))]
+    # no log image is built for a basis vector whose coefficient is the int 0
+    terms = [(c, conv.slots_from_rows(_log_rows(G.k, conv, G.prec, partial(G.seed, i))))
+             for i, c in enumerate(elem) if not (isinstance(c, int) and c == 0)]
     out = []
     for slot in range(4):
         acc = None
-        for c, image in zip(elem, images):
+        for c, image in terms:
             term = image[slot]
             if isinstance(c, int):
-                if c == 0:
-                    continue
                 term = term.scale(c)
             elif isinstance(c, Distribution):
                 term = term * c.with_p_prec(work_p)

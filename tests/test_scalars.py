@@ -283,6 +283,23 @@ def test_quadext_exact_zero_valuation_raises():
         QuadExtScalar.zero(P5, 0, 1).valuation()
 
 
+def test_an_operand_over_another_prime_is_refused():
+    # read as 5-adic, the 7 of a 7-adic 7 would make 3 * 7 = 3 * 5^1 + O(5^11)
+    p5, p7 = Precision(5, 10), Precision(7, 10)
+    three, seven = PadicScalar.from_int(3, p5), PadicScalar.from_int(7, p7)
+    qa, qb = QuadExtScalar.alpha(p5, 1, 1), QuadExtScalar.alpha(p7, 1, 1)
+    ops = (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y,
+           lambda x, y: x / y, lambda x, y: x == y)
+    # a QuadExtScalar meets the other operand through its parts, in either order
+    message = "a scalar over p = (7 met a scalar over p = 5|5 met a scalar over p = 7)"
+    for x, y in ((three, seven), (qa, qb), (qa, seven)):
+        for op in ops:
+            for a, b in ((x, y), (y, x)):
+                with pytest.raises(PrecisionError, match=message):
+                    op(a, b)
+    assert three * 7 == PadicScalar.from_int(21, p5)
+
+
 # ---------------------------------------------------------------- properties
 
 units = st.integers(min_value=1, max_value=5**12 - 1).filter(lambda n: n % 5 != 0)

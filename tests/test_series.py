@@ -1573,6 +1573,27 @@ def test_a_series_over_another_prime_is_refused_by_equality():
     assert x10 == x20 and not x10 == x20 + 1
 
 
+def test_series_over_other_windows_are_refused_in_both_orders():
+    # with x_prec read off the left factor, c * s kept 1 cell and s * c 64
+    s = Series.make(Precision(5, 20, 64), range(1, 65))
+    c = Series.constant(2, Precision(5, 20))
+    for fn in (lambda: c * s, lambda: s * c, lambda: c + s, lambda: s + c,
+               lambda: combine([(s, s), (c, c)])):
+        with pytest.raises(PrecisionError, match="precision mismatch between series"):
+            fn()
+
+
+def test_an_exact_rational_keeps_the_caps_of_the_series_it_meets():
+    # read at p_prec = 10 digits, an exact 2 or 1 capped t's O(5^20) at O(5^10)
+    t = Series.make(Precision(5, 10, 4), [1, 2, 3], rel=20, is_polynomial=True)
+    for x in (2 * t, t * 2, t + 1, 1 + t, t - Fraction(1, 3), 1 - t):
+        assert x._a.abs_precs == [20, 20, 20] and x.is_polynomial
+    one_plus = (t + 1).coeff(0)
+    assert one_plus == 2 and one_plus.abs_prec == 20
+    # as the scalar rule reads it
+    assert (PadicScalar.from_int(1, t.prec, 20) * 2).abs_prec == 20
+
+
 # ------------------------------------------------------ refusals and edges
 
 

@@ -318,6 +318,22 @@ class TestMockModule:
                 assert elements_equal(got, G.seed(0, sign))
         assert loc[0].prec == P32
 
+    def test_a_zero_coefficient_builds_no_log_image(self, monkeypatch):
+        G = rand_mock(random.Random(11), 0, P32)
+        built = []
+
+        def log_rows(k, conv, prec, bounded):
+            built.append(bounded.args)
+            return real(k, conv, prec, bounded)
+
+        real = signed_module._log_rows
+        monkeypatch.setattr(signed_module, "_log_rows", log_rows)
+        local_coordinates(G, (1, 0))
+        assert built == [(0,)]
+        built.clear()
+        local_coordinates(G, (0, 0))
+        assert built == []
+
     def test_coleman_rejects_antisymmetric_slot(self):
         rng = random.Random(12)
         G = rand_mock(rng, 0, P32)
