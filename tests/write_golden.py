@@ -71,6 +71,14 @@ returns:
   and Fraction operands, ``a - b``, ``c - a``, ``a / b``, ``c / a``,
   ``a ** n`` for n in -3..6 and ``a == b``, a refused call hashed as its
   error's type and message;
+* exact ints and Fractions, units and ones whose numerator or denominator
+  p divides, on either side of ``+`` and ``*`` at p in {3, 5, 7}: against
+  ``PadicScalar`` operands of negative, zero and positive valuation, a zero
+  to precision and the exact zero, and against ``QuadExtScalar`` operands
+  whose a is an exact zero, whose b is zero to precision, or whose two
+  coordinates carry digits; ``from_int`` and ``from_fraction`` at rel 0;
+  and ``2 * t``, ``t * 2``, ``t + 1/p``, ``1/p + t`` and ``t * q`` for
+  series t of negative offset over Q_p and Q_p(alpha);
 * affine substitution and the twists built on it, at p in {3, 5, 7} and
   N in {8, 64, 160}: ``Series.compose_affine`` on truncated, polynomial and
   alpha-part components at c of valuation 1 and 2 (d = 1 and d a unit
@@ -1143,6 +1151,71 @@ def make_cases():
                     )
 
 
+def exact_rationals(p: int) -> dict:
+    """Named exact ints and Fractions: units, p in the numerator or the
+    denominator, a negative valuation in the value, and 0."""
+    return {
+        "two": 2,
+        "minus_seven": -7,
+        "p_squared": p * p,
+        "zero": 0,
+        "third": Fraction(1, 3) if p != 3 else Fraction(1, 5),
+        "over_p": Fraction(1, p),
+        "p_over_7": Fraction(p, 7),
+        "over_p_squared": Fraction(-3, p * p),
+        "p_cubed_over_2": Fraction(p**3, 2),
+    }
+
+
+def exact_operand_cases():
+    """An exact int or Fraction on either side of + and * with PadicScalar
+    and QuadExtScalar operands, from_int and from_fraction at rel 0, and
+    the same rationals against series whose offset is negative."""
+    for p in SCALAR_PRIMES:
+        prec = Precision(p, 10, 4)
+        rationals = exact_rationals(p)
+        padic = {
+            "unit": PadicScalar.from_unit_val(prec, 2, 0, rel=10),
+            "negative_val": PadicScalar.from_unit_val(prec, 1, -5, rel=25),
+            "negative_val_short": PadicScalar.from_unit_val(prec, 3, -2, rel=4),
+            "positive_val": PadicScalar.from_unit_val(prec, 4, 3, rel=20),
+            "deep": PadicScalar.from_int(1, prec, 20),
+            "zero_to_prec": PadicScalar.inexact_zero(prec, -2),
+            "exact_zero": PadicScalar.exact_zero(prec),
+        }
+        s = padic
+        quad = {
+            "a_exact_zero": QuadExtScalar(s["exact_zero"], s["negative_val"], 1, 2),
+            "b_zero_to_prec": QuadExtScalar(s["positive_val"], s["zero_to_prec"], 1, 2),
+            "both_digits": QuadExtScalar(s["negative_val_short"], s["deep"], 2, 1),
+            "both_digits_wide_b": QuadExtScalar(s["unit"], s["negative_val"], 0, 1),
+        }
+        for kind, operands in (("padic", padic), ("quad", quad)):
+            for name, x in operands.items():
+                yield f"exact_operand/{kind}/p{p}/{name}", lambda x=x, rs=rationals: [
+                    [outcome(lambda: x + q), outcome(lambda: q + x),
+                     outcome(lambda: x * q), outcome(lambda: q * x)]
+                    for q in rs.values()
+                ]
+        yield f"exact_operand/rel0/p{p}", lambda prec=prec, rs=rationals: [
+            [outcome(lambda: PadicScalar.from_fraction(q, prec, 0)),
+             outcome(lambda: PadicScalar.from_int(q, prec, 0))]
+            for q in rs.values()
+        ]
+        series = {
+            "poly": Series.make(prec, [Fraction(1, p * p), 2, 3], rel=20, is_polynomial=True),
+            "truncated": Series.make(prec, [PadicScalar.from_unit_val(prec, 1, -3, rel=25),
+                                            PadicScalar.from_int(p, prec, 6), 1, 4]),
+            "alpha": Series.make(prec, [QuadExtScalar(s["unit"], s["negative_val"], 1, 2),
+                                        Fraction(2, p)], is_polynomial=True),
+        }
+        for name, t in series.items():
+            yield f"exact_operand/series/p{p}/{name}", lambda t=t, rs=rationals: [
+                2 * t, t * 2, t + Fraction(1, p), Fraction(1, p) + t,
+                [outcome(lambda: t * q) for q in rs.values()],
+            ]
+
+
 def cases():
     """Every case name with the call that computes its output."""
     for p, M, N in LOG_WINDOWS:
@@ -1228,6 +1301,7 @@ def cases():
     yield from module_cases()
     yield from element_cases()
     yield from make_cases()
+    yield from exact_operand_cases()
 
 
 def _columns(part: Part) -> list:
