@@ -93,7 +93,8 @@ from .dieudonne import PhiModule
 from .distributions import Distribution, divide_exact
 from .pollack import _log_unit
 from .scalars import (_MR_BOUND, PadicScalar, Precision, PrecisionError, _check_int,
-                      _check_odd_prime, _is_prime, _triple, _vp, teichmuller)
+                      _check_odd_prime, _is_prime, _rational_triple, _triple, _vp,
+                      teichmuller)
 from .series import FiniteCharacter, IwasawaElement, Part, Series, _part, u_for
 
 __all__ = [
@@ -519,9 +520,9 @@ def _interpolation_factor(psi: DirichletCharacter, n: int, prec: Precision, rel:
     and an integer factor known mod p^rel, as one PadicScalar.
 
     The four are (val, unit, rel) triples: B_{n, psi} as gen_bernoulli gives
-    it (a Fraction read to rel digits), the two factors integers mod p^rel
-    that scalars._triple normalizes, and 1/n with its unit part read from a
-    table.  Their product adds the valuations and keeps the least rel, as
+    it (a Fraction read to rel digits by scalars._rational_triple), the two
+    factors integers mod p^rel that scalars._triple normalizes, and 1/n with
+    its unit part read from a table.  Their product adds the valuations and keeps the least rel, as
     PadicScalar multiplication does factor by factor; an exact zero B stays
     the exact zero, and at rel = 0 the division by n raises.
     """
@@ -534,8 +535,7 @@ def _interpolation_factor(psi: DirichletCharacter, n: int, prec: Precision, rel:
     if isinstance(B, Fraction):
         if not B:
             return PadicScalar.exact_zero(prec)
-        vu, vd = _vp(B.numerator, p), _vp(B.denominator, p)
-        vb, ub, rb = vu - vd, B.numerator // p**vu * pow(B.denominator // p**vd, -1, m), rel
+        vb, ub, rb = _rational_triple(B, p, rel)
     else:
         vb, ub, rb = B.val, B.unit, B.rel
     ep = psi.exponent(p)

@@ -59,10 +59,14 @@ owner here, which both scalar classes and ``series`` call:
   ``_check_prime`` with a PrecisionError, ``a <kind> over p = <q> met a
   <host> over p = <p>``.  It runs in ``PadicScalar._coerce``, so a
   QuadExtScalar is refused through its parts;
-* an exact int or Fraction is read by ``_exact_operand``: to enough digits
-  that the other operand's precision rules the outcome, an absolute
-  precision past the other's and at least ``p_prec`` digits.  A
-  ``PadicScalar`` and a ``Series`` read it so.
+* an exact int or Fraction is read into digits by one reader,
+  ``_rational_triple``, behind ``from_int``, ``from_fraction`` and the
+  Bernoulli numbers of ``lfunctions``.  As an operand its digit count is
+  set by ``_exact_operand``: enough that the other operand's precision
+  rules the outcome, an absolute precision past the other's and at least
+  ``p_prec`` digits.  Both scalar classes and ``Series`` read it so, a
+  ``QuadExtScalar`` past the wider of its a-part and of an alpha-part
+  that carries digits.
 """
 
 from __future__ import annotations
@@ -308,31 +312,19 @@ class PadicScalar(_Scalar):
 
     @classmethod
     def from_int(cls, n: int, prec: Precision, rel: int | None = None) -> "PadicScalar":
-        r = prec.p_prec if rel is None else rel
         _check_int(n=n)
-        _check_int(0, rel=r)
-        if n == 0:
-            return cls.exact_zero(prec)
-        v = _vp(n, prec.p)
-        return cls(prec, v, n // prec.p**v, r)
+        return cls.from_fraction(n, prec, rel)
 
     @classmethod
     def from_fraction(
         cls, q: Fraction | int, prec: Precision, rel: int | None = None
     ) -> "PadicScalar":
-        if not isinstance(q, Fraction):
-            _check_types("q", (q,))
-            return cls.from_int(q, prec, rel)
         r = prec.p_prec if rel is None else rel
+        _check_types("q", (q,))
         _check_int(0, rel=r)
         if q == 0:
             return cls.exact_zero(prec)
-        p = prec.p
-        num, den = q.numerator, q.denominator
-        vn, vd = _vp(num, p), _vp(den, p)
-        m = p**r
-        u = (num // p**vn) * pow(den // p**vd, -1, m) % m
-        return cls(prec, vn - vd, u, r)
+        return cls(prec, *_rational_triple(q, prec.p, r))
 
     @classmethod
     def from_unit_val(
@@ -494,6 +486,16 @@ class PadicScalar(_Scalar):
         return f"PadicScalar({self.unit}*{p}^{self.val} + O({p}^{self.val + self.rel}))"
 
 
+def _rational_triple(q, p: int, rel: int) -> tuple:
+    """(val, unit, rel) of the nonzero exact int or Fraction q read to rel
+    digits, normalized as _triple normalizes: the one reader of an exact
+    rational into p-adic digits."""
+    num, den = q.numerator, q.denominator
+    vn, vd = _vp(num, p), _vp(den, p)
+    m = p**rel
+    return _triple(p, vn - vd, num // p**vn * pow(den // p**vd, -1, m) % m, vn - vd + rel)
+
+
 def _exact_operand(q, prec: Precision, abs_prec) -> PadicScalar:
     """The exact int or Fraction q as the operand of a value known to
     O(p^abs_prec), inf for an exact one: the one rule for its digits.
@@ -504,12 +506,10 @@ def _exact_operand(q, prec: Precision, abs_prec) -> PadicScalar:
     """
     if q == 0:
         return PadicScalar.exact_zero(prec)
-    q = Fraction(q)
-    r = prec.p_prec
+    p, r = prec.p, prec.p_prec
     if abs_prec != inf:
-        v = _vp(q.numerator, prec.p) - _vp(q.denominator, prec.p)
-        r = max(abs_prec - v + 1, r)
-    return PadicScalar.from_fraction(q, prec, r)
+        r = max(abs_prec - _vp(q.numerator, p) + _vp(q.denominator, p) + 1, r)
+    return PadicScalar(prec, *_rational_triple(q, p, r))
 
 
 def teichmuller(a: int, prec: Precision, rel: int | None = None) -> PadicScalar:
@@ -619,13 +619,11 @@ class QuadExtScalar(_Scalar):
         if isinstance(other, PadicScalar):
             return QuadExtScalar.from_padic(other, self.k, self.eps_seed)
         if isinstance(other, (int, Fraction)):
-            c = self.a._coerce(other)
-            if self.b.val is not None and not self.b.is_zero_to_precision:
-                # make sure the coerced exact rational doesn't cap the b side either
-                c2 = self.b._coerce(other)
-                if c2.val is not None and c.val is not None:
-                    if c2.abs_prec > c.abs_prec:
-                        c = c2
+            # read past the wider coordinate; an alpha-part without digits is left out
+            A = self.a.abs_prec
+            if self.b.rel and (A == inf or self.b.abs_prec > A):
+                A = self.b.abs_prec
+            c = _exact_operand(other, self.prec, A)
             return QuadExtScalar.from_padic(c, self.k, self.eps_seed)
         return None
 
