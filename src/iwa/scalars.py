@@ -62,11 +62,14 @@ owner here, which both scalar classes and ``series`` call:
 * an exact int or Fraction is read into digits by one reader,
   ``_rational_triple``, behind ``from_int``, ``from_fraction`` and the
   Bernoulli numbers of ``lfunctions``.  As an operand its digit count is
-  set by ``_exact_operand``: enough that the other operand's precision
-  rules the outcome, an absolute precision past the other's and at least
-  ``p_prec`` digits.  Both scalar classes and ``Series`` read it so, a
-  ``QuadExtScalar`` past the wider of its a-part and of an alpha-part
-  that carries digits.
+  set by ``_exact_operand``, which reads both precisions of the other
+  operand: enough digits that the other's precision rules the outcome, an
+  absolute precision past the other's, at least the other's relative
+  precision and at least ``p_prec`` digits.  Both scalar classes and
+  ``Series`` read it so, a ``QuadExtScalar`` past the wider of its a-part
+  and of an alpha-part that carries digits and to the larger rel of the
+  two, a ``Series`` past its largest finite cap and to its widest packed
+  width.
 """
 
 from __future__ import annotations
@@ -388,7 +391,7 @@ class PadicScalar(_Scalar):
             _check_prime(other, self.prec.p)
             return other
         if isinstance(other, (int, Fraction)):
-            return _exact_operand(other, self.prec, self.abs_prec)
+            return _exact_operand(other, self.prec, self.abs_prec, self.rel)
         return None
 
     def __add__(self, other) -> "PadicScalar":
@@ -496,17 +499,19 @@ def _rational_triple(q, p: int, rel: int) -> tuple:
     return _triple(p, vn - vd, num // p**vn * pow(den // p**vd, -1, m) % m, vn - vd + rel)
 
 
-def _exact_operand(q, prec: Precision, abs_prec) -> PadicScalar:
+def _exact_operand(q, prec: Precision, abs_prec, rel: int) -> PadicScalar:
     """The exact int or Fraction q as the operand of a value known to
-    O(p^abs_prec), inf for an exact one: the one rule for its digits.
+    O(p^abs_prec), inf for an exact one, with rel digits: the one rule for
+    its digits.
 
-    q gets enough digits that the other operand's precision rules the
-    outcome: an absolute precision past abs_prec, and at least prec.p_prec
-    digits.  A 0 is the exact zero.
+    q is read to max(abs_prec - v(q) + 1, rel, prec.p_prec) digits, the
+    first term left out at an infinite abs_prec, so that the other
+    operand's precision rules the outcome: a sum stays known to abs_prec
+    and a product keeps rel digits.  A 0 is the exact zero.
     """
     if q == 0:
         return PadicScalar.exact_zero(prec)
-    p, r = prec.p, prec.p_prec
+    p, r = prec.p, max(rel, prec.p_prec)
     if abs_prec != inf:
         r = max(abs_prec - _vp(q.numerator, p) + _vp(q.denominator, p) + 1, r)
     return PadicScalar(prec, *_rational_triple(q, p, r))
@@ -619,11 +624,13 @@ class QuadExtScalar(_Scalar):
         if isinstance(other, PadicScalar):
             return QuadExtScalar.from_padic(other, self.k, self.eps_seed)
         if isinstance(other, (int, Fraction)):
-            # read past the wider coordinate; an alpha-part without digits is left out
-            A = self.a.abs_prec
-            if self.b.rel and (A == inf or self.b.abs_prec > A):
-                A = self.b.abs_prec
-            c = _exact_operand(other, self.prec, A)
+            # read past the wider coordinate, an alpha-part without digits
+            # left out, and to the larger rel of the two
+            a, b = self.a, self.b
+            A = a.abs_prec
+            if b.rel and (A == inf or b.abs_prec > A):
+                A = b.abs_prec
+            c = _exact_operand(other, self.prec, A, max(a.rel, b.rel))
             return QuadExtScalar.from_padic(c, self.k, self.eps_seed)
         return None
 

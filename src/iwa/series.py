@@ -44,8 +44,11 @@ Precision semantics:
   IwasawaElements, whose ``prec`` differ in p, p_prec or x_prec raises
   PrecisionError, while ``==`` compares across p_prec digit for digit.  An
   exact int or Fraction operand follows the scalar rule
-  (``scalars._exact_operand``), read past the series' largest finite cap,
-  and an operand over another prime is refused by ``scalars._check_prime``;
+  (``scalars._exact_operand``): it is read to max(A - v + 1, W, p_prec)
+  digits, A the series' largest finite cap, v the operand's valuation and
+  W the widest packed width min_abs - off of the series' parts, so a sum
+  keeps every cap and a product every packed width.  An operand over
+  another prime is refused by ``scalars._check_prime``;
 * a quotient (:func:`divide_series`) follows the scalar rules of
   back-substitution, each coefficient's cap set before its value
   (:func:`_back_substitute`) and each value read from the products that
@@ -596,9 +599,11 @@ class Series:
         return _merge_forms(self.form, other.form)
 
     def _coerce(self, other) -> "Series | None":
-        if type(other) in (int, Fraction):  # exact: past every cap, by the scalar rule
-            caps = [A for x in self._parts() for A in x.abs_precs if A != inf]
-            other = _exact_operand(other, self.prec, max(caps, default=inf))
+        if type(other) in (int, Fraction):  # exact: by the scalar rule
+            parts = self._parts()
+            caps = [A for x in parts for A in x.abs_precs if A != inf]
+            width = max((x.min_abs - x.off for x in parts if x.min_abs != inf), default=0)
+            other = _exact_operand(other, self.prec, max(caps, default=inf), width)
         if isinstance(other, _SCALARS):
             return Series.constant(other, self.prec)
         return other if isinstance(other, Series) else None

@@ -20,6 +20,7 @@ from iwa.scalars import (
     PrecisionError,
     QuadExtScalar,
     _is_prime,
+    _rational_triple,
     _vp,
     alpha_from_form,
     teichmuller,
@@ -298,6 +299,37 @@ def test_an_operand_over_another_prime_is_refused():
                 with pytest.raises(PrecisionError, match=message):
                     op(a, b)
     assert three * 7 == PadicScalar.from_int(21, p5)
+
+
+def test_an_exact_rational_keeps_the_relative_precision_it_meets():
+    # read to abs_prec - v(q) + 1 digits alone, an exact 2 capped
+    # 5^-5 + O(5^20) times 2 at O(5^16), and 1 + O(5^20) times 25 at O(5^21)
+    P = Precision(5, 10)
+    x = PadicScalar.from_unit_val(P, 1, -5, rel=25)
+    for y in (2 * x, x * 2, x * Fraction(2), x / Fraction(1, 2)):
+        assert (y.val, y.unit, y.rel) == (-5, 2, 25)
+    one = PadicScalar.from_int(1, P, 20)
+    for y in (one * 25, 25 * one):
+        assert y == 25 and (y.val, y.rel) == (2, 20)
+    # a QuadExtScalar reads it to the larger rel of its coordinates
+    q = QuadExtScalar(PadicScalar.from_int(1, P, 5), x, 1, 2)
+    for y in (2 * q, q * 2):
+        assert (y.a.abs_prec, y.b.abs_prec) == (5, 20)
+
+
+def test_one_reader_for_an_exact_rational():
+    assert _rational_triple(Fraction(-3, 25), 5, 4) == (-2, -3 % 5**4, 4)
+    assert _rational_triple(250, 5, 2) == (3, 2, 2)
+    # at rel 0 only the valuation is left, as a zero to precision
+    assert _rational_triple(Fraction(7, 125), 5, 0) == (-3, 0, 0)
+    P = Precision(5, 10)
+    for q in (Fraction(-3, 25), 250, Fraction(7, 125), -1):
+        for rel in (0, 1, 12):
+            x = PadicScalar.from_fraction(q, P, rel)
+            assert (x.val, x.unit, x.rel) == _rational_triple(q, 5, rel)
+            if type(q) is int:
+                y = PadicScalar.from_int(q, P, rel)
+                assert (y.val, y.unit, y.rel) == (x.val, x.unit, x.rel)
 
 
 # ---------------------------------------------------------------- properties

@@ -1594,6 +1594,19 @@ def test_an_exact_rational_keeps_the_caps_of_the_series_it_meets():
     assert (PadicScalar.from_int(1, t.prec, 20) * 2).abs_prec == 20
 
 
+def test_an_exact_rational_keeps_the_packed_width_of_the_series_it_meets():
+    # t is known to O(5^20) from offset -3, a packed width of 23: read to
+    # 20 - v + 1 = 21 digits alone, an exact 2 capped 2 * t at O(5^18)
+    P = Precision(5, 10, 4)
+    t = Series.make(P, [PadicScalar.from_unit_val(P, 1, -3, rel=23), 2, 3], rel=20,
+                    is_polynomial=True)
+    assert t._a.off == -3 and t._a.abs_precs == [20, 20, 20]
+    for x in (2 * t, t * 2):
+        assert x._a.abs_precs == [20] * 3
+    # and 5^-1 keeps the width 23 from offset -4
+    assert (t * Fraction(1, 5))._a.abs_precs == [19] * 3
+
+
 # ------------------------------------------------------ refusals and edges
 
 
