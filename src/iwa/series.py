@@ -1054,7 +1054,9 @@ class IwasawaElement:
         The elements share one window, else PrecisionError.  fn runs once
         per distinct tuple of component objects, keyed by identity, so
         components shared across tame indices (a diagonal element's, a
-        zero's) share their result.  This is the package's one component map.
+        zero's) share their result.  The result's window is that of fn's
+        results (out[0].prec), so a relabel to another depth maps through
+        here too.  This is the package's one component map.
         """
         first = elements[0]
         for e in elements[1:]:
@@ -1066,7 +1068,7 @@ class IwasawaElement:
             if key not in memo:
                 memo[key] = fn(*xs)
             out.append(memo[key])
-        return IwasawaElement(first.prec, out)
+        return IwasawaElement(out[0].prec, out)
 
     # -- ring operations ---------------------------------------------------
 
@@ -1099,10 +1101,7 @@ class IwasawaElement:
         """Relabel the ambient p-adic depth on every component (lossless)."""
         if p_prec == self.prec.p_prec:
             return self
-        return IwasawaElement(
-            self.prec.with_p_prec(p_prec),
-            [s.with_p_prec(p_prec) for s in self.components],
-        )
+        return self._zip_components(lambda s: s.with_p_prec(p_prec), self)
 
     # -- algebra-specific operations --------------------------------------
 
@@ -1199,9 +1198,12 @@ class IwasawaElement:
         return min(s.min_abs_prec() for s in self.components)
 
     def __eq__(self, other):
+        """Equality to precision, component by component under Series.__eq__:
+        another depth is compared digit for digit, and an element over
+        another prime is refused by name, as its first component is, through
+        scalars._check_prime."""
         if not isinstance(other, IwasawaElement):
             return NotImplemented
-        self._check_compat(other)
         return all(f == g for f, g in zip(self.components, other.components))
 
     __hash__ = None

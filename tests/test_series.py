@@ -415,6 +415,33 @@ def test_elem_precision_mismatch_rejected():
         F + G
 
 
+def test_elem_equality_compares_across_depths_as_series_do():
+    # an element's == refused another p_prec while its components' compared
+    x10, x20 = (Series.make(Precision(5, n, 4), [4, 5], is_polynomial=True) for n in (10, 20))
+    e10, e20 = IwasawaElement.from_diagonal(x10), IwasawaElement.from_diagonal(x20)
+    assert x10 == x20 and e10 == e20 and e20 == e10
+    assert not e10 == e20 + IwasawaElement.one(e20.prec)
+    # an element over another prime is refused by name, in both orders
+    x7 = Series.make(Precision(7, 10, 4), [4, 5], is_polynomial=True)
+    e7 = IwasawaElement.from_diagonal(x7)
+    for fn, p, q in ((lambda: e10 == e7, 7, 5), (lambda: e7 == e10, 5, 7)):
+        message = f"a series over p = {p} met a series over p = {q}"
+        with pytest.raises(PrecisionError, match=message):
+            fn()
+
+
+def test_elem_relabel_keeps_its_components_shared():
+    # a relabel built one series per tame index: a zero's 1 distinct became 4
+    prec = Precision(5, 10, 8)
+    s = Series.make(prec, [1, 2, 3])
+    for e in (IwasawaElement.zero(prec), IwasawaElement.from_diagonal(s),
+              IwasawaElement.from_component(1, s)):
+        r = e.with_p_prec(20)
+        assert len(set(map(id, r.components))) == len(set(map(id, e.components)))
+        assert r.prec == prec.with_p_prec(20) and r == e
+        assert all(c.prec == r.prec for c in r.components)
+
+
 def test_twist_of_monomial_spec_case():
     # twist(e_i X, 1) = e_{i-1} (6X + 5) at p = 5
     for i in range(4):
