@@ -93,8 +93,7 @@ from .dieudonne import PhiModule
 from .distributions import Distribution, divide_exact
 from .pollack import _log_unit
 from .scalars import (_MR_BOUND, PadicScalar, Precision, PrecisionError, _check_int,
-                      _check_odd_prime, _is_prime, _rational_triple, _triple, _vp,
-                      teichmuller)
+                      _check_odd_prime, _is_prime, _rational_triple, _triple, _vp, teichmuller)
 from .series import FiniteCharacter, IwasawaElement, Part, Series, _part, u_for
 
 __all__ = [
@@ -522,9 +521,10 @@ def _interpolation_factor(psi: DirichletCharacter, n: int, prec: Precision, rel:
     The four are (val, unit, rel) triples: B_{n, psi} as gen_bernoulli gives
     it (a Fraction read to rel digits by scalars._rational_triple), the two
     factors integers mod p^rel that scalars._triple normalizes, and 1/n with
-    its unit part read from a table.  Their product adds the valuations and keeps the least rel, as
-    PadicScalar multiplication does factor by factor; an exact zero B stays
-    the exact zero, and at rel = 0 the division by n raises.
+    its unit part read from a table.  Their product adds the valuations and
+    keeps the least rel, as PadicScalar multiplication does factor by
+    factor; an exact zero B stays the exact zero, and at rel = 0 the
+    division by n raises.
     """
     p = psi.p
     B = gen_bernoulli(n, psi, prec, rel)
