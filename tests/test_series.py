@@ -415,21 +415,6 @@ def test_elem_precision_mismatch_rejected():
         F + G
 
 
-def test_elem_equality_compares_across_depths_as_series_do():
-    # an element's == refused another p_prec while its components' compared
-    x10, x20 = (Series.make(Precision(5, n, 4), [4, 5], is_polynomial=True) for n in (10, 20))
-    e10, e20 = IwasawaElement.from_diagonal(x10), IwasawaElement.from_diagonal(x20)
-    assert x10 == x20 and e10 == e20 and e20 == e10
-    assert not e10 == e20 + IwasawaElement.one(e20.prec)
-    # an element over another prime is refused by name, in both orders
-    x7 = Series.make(Precision(7, 10, 4), [4, 5], is_polynomial=True)
-    e7 = IwasawaElement.from_diagonal(x7)
-    for fn, p, q in ((lambda: e10 == e7, 7, 5), (lambda: e7 == e10, 5, 7)):
-        message = f"a series over p = {p} met a series over p = {q}"
-        with pytest.raises(PrecisionError, match=message):
-            fn()
-
-
 def test_elem_relabel_keeps_its_components_shared():
     # a relabel built one series per tame index: a zero's 1 distinct became 4
     prec = Precision(5, 10, 8)
@@ -1591,13 +1576,18 @@ def test_a_series_over_another_prime_is_refused_by_equality():
     # read as a series over p = 5, the p = 7 series 1 would be 4 mod 5
     s5 = Series.make(Precision(5, 1, 4), [4], is_polynomial=True)
     s7 = Series.make(Precision(7, 1, 4), [1], is_polynomial=True)
-    for fn, p, q in ((lambda: s5 == s7, 7, 5), (lambda: s7 == s5, 5, 7)):
+    # an IwasawaElement is compared as its components are
+    e5, e7 = IwasawaElement.from_diagonal(s5), IwasawaElement.from_diagonal(s7)
+    for fn, p, q in ((lambda: s5 == s7, 7, 5), (lambda: s7 == s5, 5, 7),
+                     (lambda: e5 == e7, 7, 5), (lambda: e7 == e5, 5, 7)):
         message = f"a series over p = {p} met a series over p = {q}"
         with pytest.raises(PrecisionError, match=message):
             fn()
-    # another depth is compared digit for digit
+    # another depth is compared digit for digit; an element's == refused it
     x10, x20 = (Series.make(Precision(5, n, 4), [4, 5], is_polynomial=True) for n in (10, 20))
     assert x10 == x20 and not x10 == x20 + 1
+    e10, e20 = IwasawaElement.from_diagonal(x10), IwasawaElement.from_diagonal(x20)
+    assert e10 == e20 and e20 == e10 and not e10 == e20 + IwasawaElement.one(e20.prec)
 
 
 def test_series_over_other_windows_are_refused_in_both_orders():
@@ -1611,27 +1601,23 @@ def test_series_over_other_windows_are_refused_in_both_orders():
 
 
 def test_an_exact_rational_keeps_the_caps_of_the_series_it_meets():
-    # read at p_prec = 10 digits, an exact 2 or 1 capped t's O(5^20) at O(5^10)
-    t = Series.make(Precision(5, 10, 4), [1, 2, 3], rel=20, is_polynomial=True)
-    for x in (2 * t, t * 2, t + 1, 1 + t, t - Fraction(1, 3), 1 - t):
-        assert x._a.abs_precs == [20, 20, 20] and x.is_polynomial
+    # read at p_prec = 10 digits, an exact 2 or 1 capped t's O(5^20) at
+    # O(5^10); u is known to O(5^20) from offset -3, a packed width of 23,
+    # and an exact 2 read to 20 - v + 1 = 21 digits capped 2 * u at O(5^18)
+    P = Precision(5, 10, 4)
+    t = Series.make(P, [1, 2, 3], rel=20, is_polynomial=True)
+    u = Series.make(P, [PadicScalar.from_unit_val(P, 1, -3, rel=23), 2, 3], rel=20,
+                    is_polynomial=True)
+    assert u._a.off == -3
+    for s in (t, u):
+        for x in (2 * s, s * 2, s + 1, 1 + s, s - Fraction(1, 3), 1 - s):
+            assert x._a.abs_precs == [20, 20, 20] and x.is_polynomial
+    # 5^-1 keeps the width 23 from offset -4
+    assert (u * Fraction(1, 5))._a.abs_precs == [19] * 3
     one_plus = (t + 1).coeff(0)
     assert one_plus == 2 and one_plus.abs_prec == 20
     # as the scalar rule reads it
     assert (PadicScalar.from_int(1, t.prec, 20) * 2).abs_prec == 20
-
-
-def test_an_exact_rational_keeps_the_packed_width_of_the_series_it_meets():
-    # t is known to O(5^20) from offset -3, a packed width of 23: read to
-    # 20 - v + 1 = 21 digits alone, an exact 2 capped 2 * t at O(5^18)
-    P = Precision(5, 10, 4)
-    t = Series.make(P, [PadicScalar.from_unit_val(P, 1, -3, rel=23), 2, 3], rel=20,
-                    is_polynomial=True)
-    assert t._a.off == -3 and t._a.abs_precs == [20, 20, 20]
-    for x in (2 * t, t * 2):
-        assert x._a.abs_precs == [20] * 3
-    # and 5^-1 keeps the width 23 from offset -4
-    assert (t * Fraction(1, 5))._a.abs_precs == [19] * 3
 
 
 # ------------------------------------------------------ refusals and edges
